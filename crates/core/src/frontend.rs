@@ -47,7 +47,8 @@ use llmnpu_obs::{EventKind, MetricsSnapshot, Plane};
 
 use crate::engine::LlmNpuEngine;
 use crate::serve::{
-    CancelToken, GenerationRequest, RequestOutcome, RequestStatus, ServeOptions, TokenEvent,
+    validate_request, CancelToken, GenerationRequest, RequestOutcome, RequestStatus, ServeOptions,
+    TokenEvent,
 };
 use crate::{Error, Result};
 
@@ -88,6 +89,10 @@ enum Msg {
 pub struct FrontendClient {
     tx: Sender<Msg>,
     next_id: Arc<AtomicU64>,
+    /// The session pool's shape (page size, page count), so an
+    /// unservable request is refused at the door.
+    block_tokens: usize,
+    pool_blocks: usize,
 }
 
 /// A caller's view of one in-flight request: its stream receiver plus
@@ -102,11 +107,19 @@ impl FrontendClient {
     /// Submits a request for the next serving batch and returns its
     /// stream handle immediately.
     ///
+    /// A malformed request (empty prompt, zero token budget, non-finite
+    /// or negative arrival or deadline, bad sampler) or one whose worst
+    /// case cannot fit the session pool even alone is refused *here*,
+    /// to its own submitter — it never reaches the serving loop, so it
+    /// cannot take batch-mates or the loop down with it.
+    ///
     /// # Errors
     ///
-    /// Returns an error if the front-end loop has already exited.
+    /// Returns an error for such a request, or if the front-end loop
+    /// has already exited.
     pub fn submit(&self, request: GenerationRequest) -> Result<StreamHandle> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        validate_request(id as usize, &request, self.block_tokens, self.pool_blocks)?;
         let cancel = request.cancel_handle();
         let (events_tx, events_rx) = mpsc::channel();
         let sub = Submission {
@@ -226,6 +239,10 @@ pub fn frontend(opts: ServeOptions) -> (FrontendClient, Frontend) {
         FrontendClient {
             tx,
             next_id: Arc::new(AtomicU64::new(0)),
+            // Options `run` will reject anyway (zero page size, no page
+            // budget) must not fault the fit check.
+            block_tokens: opts.block_tokens.max(1),
+            pool_blocks: opts.kv_pool_blocks.unwrap_or(usize::MAX),
         },
         Frontend { rx, opts },
     )
@@ -243,9 +260,11 @@ impl Frontend {
     ///
     /// Returns an error if the session cannot be opened (missing or
     /// oversized page budget), if a batch fails *structurally* (plan
-    /// rejected by the verifier, incompatible request), or if the
+    /// rejected by the verifier, a broken engine invariant), or if the
     /// final flush finds leaked pages. Per-request failures are *not*
-    /// errors here — they are terminal statuses on their own streams.
+    /// errors here — they are terminal statuses on their own streams —
+    /// and per-request *input* errors never get here at all:
+    /// [`FrontendClient::submit`] refuses them.
     pub fn run(self, engine: &LlmNpuEngine, t: &Transformer<'_>) -> Result<FrontendReport> {
         let session = engine.open_serve_session(t, &self.opts)?;
         let mut report = FrontendReport {

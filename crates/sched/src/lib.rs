@@ -56,9 +56,9 @@ pub use exec::{schedule, ScheduleOutcome};
 pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use pool::WorkerPool;
 pub use runner::{
-    execute_chunked_prefill, execute_lane_graph, execute_lane_graph_isolated,
-    execute_lane_graph_isolated_traced, ExecutedTask, ExecutedTimeline, GateFn, KvSink, LaneGraph,
-    LaneTask, NumericPrefill, PrefillProgram, SkipReason, TaskFn, TaskOutcome,
+    execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, ExecutedTask,
+    ExecutedTimeline, GateFn, KvSink, LaneGraph, LaneTask, NumericPrefill, PrefillProgram,
+    SkipReason, TaskFn, TaskOutcome,
 };
 
 /// Crate-wide result alias.

@@ -46,7 +46,7 @@
 //!   panic) aborts the whole run and surfaces as [`Error::Exec`] — the
 //!   right contract for a single request's prefill, where partial
 //!   results are useless.
-//! * [`execute_lane_graph_isolated`] is **fault-contained**: a failing
+//! * [`execute_lane_graph_contained`] is **fault-contained**: a failing
 //!   or panicking task becomes a per-task [`TaskOutcome::Failed`] that
 //!   poisons only its *dependents* ([`TaskOutcome::Skipped`] with
 //!   [`SkipReason::PoisonedDep`]) — every task not downstream of the
@@ -948,7 +948,7 @@ pub enum SkipReason {
     Gated,
 }
 
-/// Terminal state of one task after [`execute_lane_graph_isolated`].
+/// Terminal state of one task after [`execute_lane_graph_contained`].
 #[derive(Debug, Clone)]
 pub enum TaskOutcome {
     /// Ran to completion; timestamps are ms from run start.
@@ -1480,7 +1480,7 @@ fn run_lane_graph<'run>(
 /// the whole run. It is the generic engine under
 /// [`execute_chunked_prefill`]; the continuous-batching serving
 /// scheduler in `llmnpu-core` uses the fault-contained
-/// [`execute_lane_graph_isolated`] instead.
+/// [`execute_lane_graph_contained`] instead.
 ///
 /// # Errors
 ///
@@ -1510,7 +1510,11 @@ pub fn execute_lane_graph(
 /// under the dispatch lock before any dependency-ready task is handed to
 /// a lane; returning `true` skips the task ([`SkipReason::Gated`]) —
 /// this is how the serving layer retires cancelled and past-deadline
-/// requests without running them.
+/// requests without running them. With a `sink`, the dispatcher emits
+/// Exec-plane dispatch / completion / failure / skip events (with wall
+/// timestamps) as tasks move through the lanes — numerically identical
+/// to the untraced run: emission happens strictly outside task bodies,
+/// and a disabled sink short-circuits to one atomic load per site.
 ///
 /// Returns one [`TaskOutcome`] per task, indexed like the graph.
 ///
@@ -1519,27 +1523,7 @@ pub fn execute_lane_graph(
 /// Returns [`Error::Exec`] only for structural problems: closure and
 /// task counts disagreeing, or dispatch unable to make progress. Task
 /// failures are reported in the outcomes, not as errors.
-pub fn execute_lane_graph_isolated<'run>(
-    graph: &LaneGraph,
-    closures: Vec<TaskFn<'run>>,
-    policy: Policy,
-    pool: &WorkerPool,
-    gate: Option<GateFn<'run>>,
-) -> Result<Vec<TaskOutcome>> {
-    run_lane_graph(graph, closures, policy, pool, true, gate, None)
-}
-
-/// [`execute_lane_graph_isolated`] with an observability sink: the
-/// dispatcher emits Exec-plane dispatch / completion / failure / skip
-/// events (with wall timestamps) into `sink` as tasks move through the
-/// lanes. Numerically identical to the untraced run — emission happens
-/// strictly outside task bodies, and a disabled sink short-circuits to
-/// one atomic load per site.
-///
-/// # Errors
-///
-/// As [`execute_lane_graph_isolated`].
-pub fn execute_lane_graph_isolated_traced<'run>(
+pub fn execute_lane_graph_contained<'run>(
     graph: &LaneGraph,
     closures: Vec<TaskFn<'run>>,
     policy: Policy,

@@ -190,6 +190,59 @@ fn frontend_cancellation_is_contained_to_its_stream() {
     assert_eq!(report.completed, 1);
 }
 
+/// A malformed or unservable submit is answered to its own submitter
+/// and never reaches the serving loop: requests submitted before and
+/// after it stream bit-identical to solo, `run` returns `Ok`, and the
+/// session flushes leak-free. (Before submit-time validation each of
+/// these failed the whole batch inside `run`: the loop exited, every
+/// batch-mate's stream ended without `Finished`, no flush ran.)
+#[test]
+fn frontend_refuses_a_bad_submit_and_keeps_serving() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let chunk_len = 3;
+    let eng = engine(chunk_len, 2);
+
+    let good = [
+        GenerationRequest::new(tokens(9, 7), 4),
+        GenerationRequest::new(tokens(5, 11), 3),
+    ];
+    let expect: Vec<Vec<u32>> = good.iter().map(|r| solo(&t, r, chunk_len)).collect();
+    // 96 pages of 4 tokens: a 400-token worst case cannot fit even alone.
+    let bad = [
+        GenerationRequest::new(Vec::new(), 4),
+        GenerationRequest::new(tokens(4, 5), 0),
+        GenerationRequest::new(tokens(4, 5), 2).with_deadline_ms(f64::NAN),
+        GenerationRequest::new(tokens(4, 5), 2).with_arrival_ms(-1.0),
+        GenerationRequest::new(tokens(390, 5), 10),
+    ];
+
+    let (client, fe) = frontend(serve_opts());
+    let report = thread::scope(|s| {
+        let loop_thread = s.spawn(|| fe.run(&eng, &t));
+        let first = client.submit(good[0].clone()).unwrap();
+        for b in &bad {
+            assert!(client.submit(b.clone()).is_err(), "accepted {b:?}");
+        }
+        let second = client.submit(good[1].clone()).unwrap();
+        let streams = [first, second].map(|h| h.wait().expect("stream finishes"));
+        client.shutdown();
+        for (got, want) in streams.iter().zip(&expect) {
+            assert!(matches!(got.status, RequestStatus::Completed));
+            assert_eq!(&got.tokens, want, "good stream != solo");
+        }
+        loop_thread.join().unwrap()
+    })
+    .expect("a refused submit must not fail the serving loop");
+
+    assert_eq!(report.requests, 2, "refused submits were never served");
+    assert_eq!(report.completed, 2);
+    assert_eq!(report.failed, 0);
+    // `run` only returns Ok after the flush proved the pool empty.
+    assert!(report.flushed_blocks >= 1, "served prompts were cached");
+}
+
 /// Trace-replay soak: a seeded multi-tenant chat trace (shared system
 /// prompts, heavy-tail suffix lengths, bursty arrivals) replayed
 /// through one long-lived session in arrival-order batches. Pins:

@@ -822,3 +822,50 @@ fn late_prefix_sharer_after_early_cohort_flush() {
     }
     assert_eq!(report.kv.leaked_blocks, 0);
 }
+
+/// Regression: a segment can fully wait on a decode-cohort member
+/// *through a preempted incarnation* — R1 (sharing R0's prompt) cannot
+/// fit beside its donor and waits for R0's release; R2 then preempts R1
+/// and gates on that eviction. The planner used to seat R2 in R0's
+/// cohort (no gate of R2 names R0), the builder flushed that cohort
+/// before R2 existed, and the whole call failed with `Error::Internal`.
+#[test]
+fn cohort_breaks_on_a_wait_through_a_preempted_incarnation() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let e = engine(4, 2);
+    let requests = vec![
+        GenerationRequest::new(tokens(16, 7), 4),
+        GenerationRequest::new(tokens(16, 7), 4).with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
+        GenerationRequest::new(vec![90, 91, 92, 93], 4),
+    ];
+    let report = e
+        .serve(
+            &t,
+            &requests,
+            &ServeOptions {
+                max_active: 4,
+                block_tokens: 4,
+                kv_pool_blocks: Some(6),
+                pressure: PressurePolicy::EvictYoungest,
+                decode_batch: 2,
+                share_prefixes: true,
+                ..ServeOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(report.timeline.evicted_and_recomputed(1));
+    for (r, outcome) in report.requests.iter().enumerate() {
+        let solo = t
+            .generate(
+                &requests[r].prompt,
+                Some(4),
+                requests[r].max_new_tokens,
+                &requests[r].sampler,
+            )
+            .unwrap();
+        assert_eq!(outcome.tokens, solo, "request {r} diverged");
+    }
+    assert_eq!(report.kv.leaked_blocks, 0);
+}

@@ -18,6 +18,7 @@ use llmnpu::sched::LaneGraph;
 use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::verify::{verify, Report};
+use llmnpu::workloads::traces::{ArrivalTrace, LengthMix};
 
 fn mini_model() -> ModelWeights {
     let cfg = ModelConfig::qwen15_18b().scaled_down(48, 3, 96).unwrap();
@@ -173,6 +174,115 @@ fn faulty_plan_verifies_clean_and_matches_execution() {
     assert_eq!(report.verification[0].edges, verified.stats.edges);
     assert_eq!(report.verification[0].segments, verified.stats.segments);
     assert_eq!(report.kv.leaked_blocks, 0);
+}
+
+/// Pins the spliced round-1 graph itself: the proof sizes of the
+/// `serving`, `memory_pressure` and `chaos` example configurations
+/// (exactly as `examples/verify_plan.rs` builds them). A change to the
+/// planner or the round builder that adds, drops or rewires a task
+/// moves these numbers — a refactor must not.
+#[test]
+fn example_plans_keep_their_pinned_proof_sizes() {
+    let cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
+    let w = synthesize(&cfg, 7, OutlierSpec::default()).unwrap();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let engine = engine(6);
+    let requests = |shapes: &[(usize, usize)], arrivals: &[f64]| -> Vec<GenerationRequest> {
+        shapes
+            .iter()
+            .zip(arrivals)
+            .enumerate()
+            .map(|(i, (&(prompt_len, max_new), &arrival))| {
+                GenerationRequest::synthetic(i, prompt_len, max_new, cfg.vocab)
+                    .with_arrival_ms(arrival)
+            })
+            .collect()
+    };
+    // Undersized pool: a fraction of the summed worst cases, but never
+    // below the largest single request.
+    let squeezed = |requests: &[GenerationRequest], divisor: usize| {
+        let needs: Vec<usize> = requests
+            .iter()
+            .map(|r| r.total_tokens().div_ceil(4))
+            .collect();
+        (needs.iter().sum::<usize>() / divisor).max(*needs.iter().max().unwrap())
+    };
+    let pinned = |name: &str, requests: &[GenerationRequest], opts: &ServeOptions, want| {
+        let report = engine.verify_serve(&t, requests, opts).unwrap();
+        assert_clean(name, &report);
+        let s = &report.stats;
+        assert_eq!(
+            (s.tasks, s.edges, s.segments, s.peak_pages),
+            want,
+            "{name}: (tasks, edges, segments, peak_pages) moved"
+        );
+    };
+
+    let serving = requests(
+        &[(24, 6), (6, 10), (30, 4), (12, 8), (8, 8), (36, 3)],
+        &ArrivalTrace::poisson(11, 200.0, 6).arrivals_ms,
+    );
+    let opts = ServeOptions {
+        max_active: 3,
+        ..ServeOptions::default()
+    };
+    pinned("serving", &serving, &opts, (297, 379, 6, 8));
+
+    let mix = LengthMix::heavy_tail(11, 7, 6, 30);
+    let trace = ArrivalTrace::heavy_tail(11, 2.0, 1.1, mix.len());
+    let memory_pressure = requests(&mix.shapes, &trace.arrivals_ms);
+    let opts = ServeOptions {
+        max_active: memory_pressure.len(),
+        block_tokens: 4,
+        kv_pool_blocks: Some(squeezed(&memory_pressure, 2)),
+        pressure: PressurePolicy::EvictYoungest,
+        decode_batch: 2,
+        ..ServeOptions::default()
+    };
+    pinned(
+        "memory_pressure",
+        &memory_pressure,
+        &opts,
+        (434, 563, 11, 15),
+    );
+
+    let mix = LengthMix::heavy_tail(11, 24, 5, 24);
+    let trace = ArrivalTrace::heavy_tail(11, 1.5, 1.1, mix.len());
+    let chaos = requests(&mix.shapes, &trace.arrivals_ms);
+    let fault = |request, site, mode, permanent| FaultSpec {
+        request,
+        attempt: 1,
+        site,
+        mode,
+        permanent,
+    };
+    let plan = FaultPlan::seeded(2025, chaos.len(), 0.7)
+        .with_fault(fault(
+            0,
+            FaultSite::Prefill { chunk: 0, layer: 0 },
+            FaultMode::Panic,
+            false,
+        ))
+        .with_fault(fault(
+            1,
+            FaultSite::Decode { step: 0 },
+            FaultMode::Error,
+            true,
+        ));
+    let opts = ServeOptions {
+        max_active: 6,
+        block_tokens: 4,
+        kv_pool_blocks: Some(squeezed(&chaos, 5)),
+        pressure: PressurePolicy::EvictYoungest,
+        decode_batch: 2,
+        share_prefixes: true,
+        max_retries: 2,
+        retry_backoff_ms: 1.0,
+        faults: Some(plan),
+        ..ServeOptions::default()
+    };
+    pinned("chaos", &chaos, &opts, (1145, 1379, 40, 21));
 }
 
 #[test]
