@@ -762,7 +762,9 @@ fn compare_pool_vs_scope(m: usize, k: usize, n: usize, reps: usize) -> PoolRow {
 
 fn serving_comparison() -> ServingRecord {
     use llmnpu_core::engine::{EngineConfig, LlmNpuEngine};
-    use llmnpu_core::serve::{GenerationRequest, ServeOptions, ServeReport};
+    use llmnpu_core::serve::{
+        decode_interleaved_with_prefill, GenerationRequest, ServeOptions, ServeReport,
+    };
     use llmnpu_model::backend::FloatBackend;
     use llmnpu_model::config::ModelConfig;
     use llmnpu_model::forward::Transformer;
@@ -840,7 +842,7 @@ fn serving_comparison() -> ServingRecord {
         batched_mean_ttft_ms: batched.mean_ttft_ms(),
         single_stream_mean_queue_wait_ms: single.mean_queue_wait_ms(),
         batched_mean_queue_wait_ms: batched.mean_queue_wait_ms(),
-        decode_interleaved_with_prefill: batched.timeline.decode_interleaved_with_prefill(),
+        decode_interleaved_with_prefill: decode_interleaved_with_prefill(&batched.timeline),
         streams_bit_identical,
         decode_batch_width: max_active,
         batched_decode_tokens_per_s: decode_batched.tokens_per_s(),

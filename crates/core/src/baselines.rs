@@ -240,6 +240,7 @@ impl Engine for AnalyticEngine {
             processor: proc,
             start: 0.0,
             end: latency,
+            meta: (),
         });
         let energy = tl.energy(&self.soc);
         Ok(PrefillReport::new(
@@ -382,6 +383,7 @@ impl Engine for NaiveNpu {
             processor: Processor::Cpu,
             start: 0.0,
             end: rebuild,
+            meta: (),
         });
         for e in outcome.timeline.entries() {
             tl.record(TimelineEntry {
@@ -389,6 +391,7 @@ impl Engine for NaiveNpu {
                 processor: e.processor,
                 start: e.start + rebuild,
                 end: e.end + rebuild,
+                meta: (),
             });
         }
         let energy = tl.energy(&self.soc);

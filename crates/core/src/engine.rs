@@ -45,7 +45,9 @@ use llmnpu_graph::memory::{graph_memory, graph_profile};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
 use llmnpu_sched::runner::NumericPrefill;
-use llmnpu_sched::{execute_chunked_prefill, schedule, Policy, WorkerPool};
+use llmnpu_sched::{
+    execute_chunked_prefill, schedule, validate_timeline, LaneGraph, Policy, WorkerPool,
+};
 use llmnpu_soc::latency::LatencyModel;
 use llmnpu_soc::lifecycle::{lifecycle_cost, LifecycleCost, LifecycleParams};
 use llmnpu_soc::spec::SocSpec;
@@ -225,8 +227,8 @@ impl LlmNpuEngine {
 
     /// Runs **both planes** over one DAG: simulates the prefill on the
     /// SoC model and executes it numerically on `t` via the out-of-order
-    /// DAG runner (on this engine's pool), then cross-checks the
-    /// executed timeline against the DAG — same task set, dependencies
+    /// DAG runner (on this engine's pool), then cross-checks both
+    /// timelines against the DAG — same task set, dependencies
     /// respected, one task per lane at a time.
     ///
     /// `t` is the numeric transformer (typically a scaled-down
@@ -245,7 +247,9 @@ impl LlmNpuEngine {
         let execution = self.pool.install_scope(|| {
             execute_chunked_prefill(t, tokens, &dag, &plan, self.config.policy, &self.pool)
         })?;
-        execution.timeline.validate_against(&dag)?;
+        let graph = LaneGraph::from_prefill_dag(&dag)?;
+        validate_timeline(&simulated.timeline, &graph)?;
+        validate_timeline(&execution.timeline, &graph)?;
         Ok(UnifiedPrefill {
             simulated: PrefillReport::new(
                 tokens.len(),
@@ -389,7 +393,7 @@ impl UnifiedPrefill {
     /// Measured wall-clock makespan of the numeric execution, ms.
     #[must_use]
     pub fn executed_ms(&self) -> Millis {
-        self.execution.timeline.makespan_ms()
+        self.execution.timeline.makespan()
     }
 }
 

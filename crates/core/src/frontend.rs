@@ -248,6 +248,39 @@ pub fn frontend(opts: ServeOptions) -> (FrontendClient, Frontend) {
     )
 }
 
+/// `submit` cannot see the model: a prompt token outside the vocabulary
+/// would only be caught building the batch, as a structural error ending
+/// the loop for everyone. Answers each such submission alone, with
+/// [`RequestStatus::Failed`] on its own stream, and leaves the rest of
+/// the batch to be served.
+fn answer_out_of_vocab(batch: &mut Vec<Submission>, vocab: usize, report: &mut FrontendReport) {
+    batch.retain(|sub| {
+        let prompt = &sub.request.prompt;
+        let Some(&token) = prompt.iter().find(|&&tk| tk as usize >= vocab) else {
+            return true;
+        };
+        report.requests += 1;
+        report.failed += 1;
+        let arrival_ms = sub.request.arrival_ms;
+        let _ = sub.events.send(StreamEvent::Finished {
+            outcome: RequestOutcome {
+                request: 0,
+                tokens: Vec::new(),
+                token_times_ms: Vec::new(),
+                arrival_ms,
+                first_dispatch_ms: arrival_ms,
+                prefill_done_ms: 0.0,
+                finish_ms: 0.0,
+                attempts: 0,
+                status: RequestStatus::Failed {
+                    error: format!("prompt token {token} outside vocabulary of {vocab}"),
+                },
+            },
+        });
+        false
+    });
+}
+
 impl Frontend {
     /// Runs the serving loop until shutdown (explicit, or every
     /// [`FrontendClient`] dropped), then flushes the session and
@@ -263,8 +296,10 @@ impl Frontend {
     /// rejected by the verifier, a broken engine invariant), or if the
     /// final flush finds leaked pages. Per-request failures are *not*
     /// errors here — they are terminal statuses on their own streams —
-    /// and per-request *input* errors never get here at all:
-    /// [`FrontendClient::submit`] refuses them.
+    /// and neither are per-request *input* errors:
+    /// [`FrontendClient::submit`] refuses what it can see, and a prompt
+    /// token outside the model's vocabulary is answered here with a
+    /// [`RequestStatus::Failed`] on that stream alone.
     pub fn run(self, engine: &LlmNpuEngine, t: &Transformer<'_>) -> Result<FrontendReport> {
         let session = engine.open_serve_session(t, &self.opts)?;
         let mut report = FrontendReport {
@@ -293,6 +328,11 @@ impl Frontend {
                         break;
                     }
                 }
+            }
+
+            answer_out_of_vocab(&mut batch, t.config().vocab, &mut report);
+            if batch.is_empty() {
+                continue;
             }
 
             report.batches += 1;

@@ -139,7 +139,8 @@ mod report;
 mod run;
 
 pub use report::{
-    KvPoolReport, RequestOutcome, ServeReport, ServeSpan, ServeTaskKind, ServeTimeline,
+    decode_interleaved_with_prefill, evicted_and_recomputed, request_entries, trace_span,
+    KvPoolReport, RequestOutcome, ServeMeta, ServeReport, ServeSpan, ServeTaskKind, ServeTimeline,
 };
 use run::RoundMode;
 

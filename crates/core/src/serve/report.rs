@@ -11,7 +11,7 @@ use llmnpu_kv::PrefixCacheMetrics;
 use llmnpu_obs::metrics::LATENCY_BUCKETS_MS;
 use llmnpu_obs::{MetricsSnapshot, Observability, TraceSpan};
 use llmnpu_sched::{LaneGraph, TaskOutcome};
-use llmnpu_soc::Processor;
+use llmnpu_soc::des::{Timeline, TimelineEntry};
 
 use super::build::{RunCtx, TaskMeta};
 use super::{RequestStatus, ServeSession};
@@ -91,112 +91,79 @@ impl ServeTaskKind {
     }
 }
 
-/// One executed span of the batched run, with wall-clock timestamps
-/// relative to run start (milliseconds).
+/// What the serving plane knows about an executed span beyond its
+/// interval: whose it is and what it implements.
 #[derive(Debug, Clone)]
-pub struct ServeSpan {
+pub struct ServeMeta {
     /// Request index (admission order). For a batched decode span, the
     /// first cohort member.
     pub request: usize,
     /// Which incarnation of the request this span belongs to (0 unless
     /// the request was evicted and recomputed).
     pub attempt: usize,
-    /// Task label, e.g. `"R1-C0-L2-Ffn"`, `"R1-D3"`, or `"C0-D2"`.
-    pub label: String,
     /// What the span implements.
     pub kind: ServeTaskKind,
-    /// Lane the task ran on.
-    pub processor: Processor,
-    /// Wall-clock start, ms from run start.
-    pub start_ms: f64,
-    /// Wall-clock end, ms from run start.
-    pub end_ms: f64,
     /// The task's plan-time modeled duration (the latency model's
     /// figure, before any scheduling), ms.
     pub modeled_ms: f64,
 }
 
-/// The unified executed timeline of a batched serving run: every
-/// request's admission, prefill stages, decode steps, evictions, and
-/// releases on one clock.
-#[derive(Debug, Clone, Default)]
-pub struct ServeTimeline {
-    pub(super) spans: Vec<ServeSpan>,
+/// One executed span of the batched run: label (e.g. `"R1-C0-L2-Ffn"`,
+/// `"R1-D3"`, or `"C0-D2"`), lane, and wall-clock interval relative to
+/// run start (ms), plus its [`ServeMeta`].
+pub type ServeSpan = TimelineEntry<ServeMeta>;
+
+/// The unified executed timeline of a batched serving run, in completion
+/// order: every request's admission, prefill stages, decode steps,
+/// evictions, and releases on one clock — the same [`Timeline`] (and the
+/// same makespan / busy / overlap metrics) the simulator records.
+pub type ServeTimeline = Timeline<ServeMeta>;
+
+/// Spans of one request, in completion order.
+#[must_use]
+pub fn request_entries(timeline: &ServeTimeline, request: usize) -> Vec<&ServeSpan> {
+    let spans = timeline.entries().iter();
+    spans.filter(|s| s.meta.request == request).collect()
 }
 
-impl ServeTimeline {
-    /// All spans, in completion order.
-    #[must_use]
-    pub fn entries(&self) -> &[ServeSpan] {
-        &self.spans
-    }
-
-    /// Wall-clock completion of the last task (ms from run start).
-    #[must_use]
-    pub fn makespan_ms(&self) -> f64 {
-        self.spans.iter().map(|s| s.end_ms).fold(0.0, f64::max)
-    }
-
-    /// Total busy time of one lane.
-    #[must_use]
-    pub fn lane_busy_ms(&self, p: Processor) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.processor == p)
-            .map(|s| s.end_ms - s.start_ms)
-            .sum()
-    }
-
-    /// Spans of one request, in completion order.
-    #[must_use]
-    pub fn request_entries(&self, request: usize) -> Vec<&ServeSpan> {
-        self.spans.iter().filter(|s| s.request == request).collect()
-    }
-
-    /// The continuous-batching witness: some decode step of one request
-    /// ran *inside* another request's prefill window (between that
-    /// request's first prefill dispatch and its last prefill
-    /// completion). True wall-clock overlap implies it on multicore
-    /// hosts; on a single core it still witnesses task-granular
-    /// interleaving — decode work was dispatched before a neighbor's
-    /// prefill had drained, which is impossible under one-request-at-a-
-    /// time serving.
-    #[must_use]
-    pub fn decode_interleaved_with_prefill(&self) -> bool {
-        let mut windows: std::collections::HashMap<usize, (f64, f64)> =
-            std::collections::HashMap::new();
-        for s in &self.spans {
-            if s.kind.is_prefill() {
-                let w = windows
-                    .entry(s.request)
-                    .or_insert((f64::INFINITY, f64::NEG_INFINITY));
-                w.0 = w.0.min(s.start_ms);
-                w.1 = w.1.max(s.end_ms);
-            }
+/// The continuous-batching witness: some decode step of one request
+/// ran *inside* another request's prefill window (between that
+/// request's first prefill dispatch and its last prefill
+/// completion). True wall-clock overlap implies it on multicore
+/// hosts; on a single core it still witnesses task-granular
+/// interleaving — decode work was dispatched before a neighbor's
+/// prefill had drained, which is impossible under one-request-at-a-
+/// time serving.
+#[must_use]
+pub fn decode_interleaved_with_prefill(timeline: &ServeTimeline) -> bool {
+    let mut windows: HashMap<usize, (f64, f64)> = HashMap::new();
+    for s in timeline.entries() {
+        if s.meta.kind.is_prefill() {
+            let w = windows
+                .entry(s.meta.request)
+                .or_insert((f64::INFINITY, f64::NEG_INFINITY));
+            w.0 = w.0.min(s.start);
+            w.1 = w.1.max(s.end);
         }
-        self.spans.iter().any(|d| {
-            d.kind.is_decode()
-                && windows
-                    .iter()
-                    .any(|(&r, &(lo, hi))| r != d.request && d.start_ms < hi && d.end_ms > lo)
-        })
     }
+    timeline.entries().iter().any(|d| {
+        d.meta.kind.is_decode()
+            && windows
+                .iter()
+                .any(|(&r, &(lo, hi))| r != d.meta.request && d.start < hi && d.end > lo)
+    })
+}
 
-    /// The preemption witness: `request` was evicted and later ran
-    /// prefill work again under a higher attempt number.
-    #[must_use]
-    pub fn evicted_and_recomputed(&self, request: usize) -> bool {
-        let evicted = self
-            .spans
-            .iter()
-            .any(|s| s.request == request && s.kind == ServeTaskKind::Evicted);
-        let recomputed = self.spans.iter().any(|s| {
-            s.request == request
-                && s.attempt > 0
-                && matches!(s.kind, ServeTaskKind::PrefillStage { .. })
-        });
-        evicted && recomputed
-    }
+/// The preemption witness: `request` was evicted and later ran
+/// prefill work again under a higher attempt number.
+#[must_use]
+pub fn evicted_and_recomputed(timeline: &ServeTimeline, request: usize) -> bool {
+    let spans = request_entries(timeline, request);
+    let evicted = spans.iter().any(|s| s.meta.kind == ServeTaskKind::Evicted);
+    let recomputed = spans
+        .iter()
+        .any(|s| s.meta.attempt > 0 && matches!(s.meta.kind, ServeTaskKind::PrefillStage { .. }));
+    evicted && recomputed
 }
 
 /// Per-request outcome of a serving run.
@@ -325,7 +292,7 @@ impl ServeReport {
     /// Wall-clock makespan of the whole batch.
     #[must_use]
     pub fn makespan_ms(&self) -> f64 {
-        self.timeline.makespan_ms()
+        self.timeline.makespan()
     }
 
     /// Total generated tokens across all requests.
@@ -391,8 +358,8 @@ pub(super) fn queue_depth_series(
 ) -> Vec<(f64, usize)> {
     let mut last_span: HashMap<usize, f64> = HashMap::new();
     for s in timeline.entries() {
-        let e = last_span.entry(s.request).or_insert(f64::NEG_INFINITY);
-        *e = e.max(s.end_ms);
+        let e = last_span.entry(s.meta.request).or_insert(f64::NEG_INFINITY);
+        *e = e.max(s.end);
     }
     let mut events: Vec<(f64, i64)> = Vec::with_capacity(outcomes.len() * 2);
     for o in outcomes {
@@ -452,46 +419,60 @@ pub(super) fn kv_report(
     }
 }
 
-impl ServeSpan {
-    /// The span as the observability plane records it.
-    pub(super) fn to_trace(&self) -> TraceSpan {
-        TraceSpan {
-            request: Some(self.request),
-            attempt: self.attempt,
-            lane: format!("{:?}", self.processor),
-            name: self.label.clone(),
-            class: kind_class(&self.kind).to_owned(),
-            start_ms: self.start_ms,
-            end_ms: self.end_ms,
-            modeled_ms: self.modeled_ms,
-            wall_start_ms: Some(self.start_ms),
-            wall_end_ms: Some(self.end_ms),
-        }
+/// The one conversion from a timeline entry — of any plane — to the
+/// record the observability exporters consume. `owner` is the
+/// `(request, attempt)` the interval belongs to, if any; `modeled_ms`
+/// its plan-time cost.
+#[must_use]
+pub fn trace_span<M>(
+    entry: &TimelineEntry<M>,
+    class: &str,
+    owner: Option<(usize, usize)>,
+    modeled_ms: f64,
+) -> TraceSpan {
+    TraceSpan {
+        request: owner.map(|(request, _)| request),
+        attempt: owner.map_or(0, |(_, attempt)| attempt),
+        lane: format!("{:?}", entry.processor),
+        name: entry.label.clone(),
+        class: class.to_owned(),
+        start_ms: entry.start,
+        end_ms: entry.end,
+        modeled_ms,
+        wall_start_ms: Some(entry.start),
+        wall_end_ms: Some(entry.end),
     }
 }
 
-/// One round's executed spans in completion order (skipped tasks have
-/// no span), on the round-local clock, already carrying original
+/// A serving span as the observability plane records it.
+pub(super) fn serve_trace_span(span: &ServeSpan) -> TraceSpan {
+    let m = &span.meta;
+    let owner = Some((m.request, m.attempt));
+    trace_span(span, kind_class(&m.kind), owner, m.modeled_ms)
+}
+
+/// One round's executed timeline in completion order (skipped tasks
+/// have no span), on the round-local clock, already carrying original
 /// request ids and global attempt numbers. With observability attached
 /// every span also feeds a stage-level calibration sample: executed
 /// duration per span class, decode keyed by cohort width.
-pub(super) fn round_spans(
+pub(super) fn round_timeline(
     ctx: RunCtx<'_>,
     graph: &LaneGraph,
     meta: &[TaskMeta],
     outcomes: &[TaskOutcome],
-) -> Vec<ServeSpan> {
+) -> ServeTimeline {
     let mut order: Vec<(f64, f64, usize)> = outcomes
         .iter()
         .enumerate()
         .filter_map(|(i, o)| o.span().map(|(start, end)| (start, end, i)))
         .collect();
     order.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let mut spans = Vec::with_capacity(order.len());
-    for (start_ms, end_ms, i) in order {
+    let mut timeline = ServeTimeline::new();
+    for (start, end, i) in order {
         let (m, task) = (&meta[i], &graph.tasks()[i]);
         if let Some(o) = ctx.round.obs {
-            let ms = end_ms - start_ms;
+            let ms = end - start;
             match m.kind {
                 ServeTaskKind::PrefillStage { stage, role, .. } => {
                     let site = format!("serve.stage.{stage:?}.{role:?}");
@@ -506,18 +487,20 @@ pub(super) fn round_spans(
                 _ => {}
             }
         }
-        spans.push(ServeSpan {
-            request: ctx.orig(m.segs[0]),
-            attempt: ctx.attempt(m.segs[0]),
+        timeline.record(ServeSpan {
             label: task.label.clone(),
-            kind: m.kind,
             processor: task.processor,
-            start_ms,
-            end_ms,
-            modeled_ms: task.duration_ms,
+            start,
+            end,
+            meta: ServeMeta {
+                request: ctx.orig(m.segs[0]),
+                attempt: ctx.attempt(m.segs[0]),
+                kind: m.kind,
+                modeled_ms: task.duration_ms,
+            },
         });
     }
-    spans
+    timeline
 }
 
 /// Publishes a finished call's counters, latency histograms and pool
@@ -594,73 +577,48 @@ mod tests {
 
     fn span(request: usize, attempt: usize, kind: ServeTaskKind, lo: f64, hi: f64) -> ServeSpan {
         ServeSpan {
-            request,
-            attempt,
             label: format!("R{request}"),
-            kind,
-            processor: Processor::Cpu,
-            start_ms: lo,
-            end_ms: hi,
-            modeled_ms: hi - lo,
+            processor: llmnpu_soc::Processor::Cpu,
+            start: lo,
+            end: hi,
+            meta: ServeMeta {
+                request,
+                attempt,
+                kind,
+                modeled_ms: hi - lo,
+            },
         }
     }
 
+    const PREFILL_STAGE: ServeTaskKind = ServeTaskKind::PrefillStage {
+        chunk: 0,
+        layer: 0,
+        stage: Stage::AttnPre,
+        role: TaskRole::Main,
+    };
+
     #[test]
     fn interleave_witness_logic() {
-        let mut tl = ServeTimeline::default();
-        tl.spans.push(ServeSpan {
-            request: 1,
-            attempt: 0,
-            label: "R1-C0-L0-AttnPre".to_owned(),
-            kind: ServeTaskKind::PrefillStage {
-                chunk: 0,
-                layer: 0,
-                stage: Stage::AttnPre,
-                role: TaskRole::Main,
-            },
-            processor: Processor::Npu,
-            start_ms: 0.0,
-            end_ms: 10.0,
-            modeled_ms: 10.0,
-        });
+        let mut tl = ServeTimeline::new();
+        tl.record(span(1, 0, PREFILL_STAGE, 0.0, 10.0));
         // Decode of request 0 strictly after request 1's prefill window:
         // not interleaved.
-        tl.spans
-            .push(span(0, 0, ServeTaskKind::Decode { step: 0 }, 11.0, 12.0));
-        assert!(!tl.decode_interleaved_with_prefill());
+        tl.record(span(0, 0, ServeTaskKind::Decode { step: 0 }, 11.0, 12.0));
+        assert!(!decode_interleaved_with_prefill(&tl));
         // A decode span inside the window flips the witness — batched
         // spans count too.
-        tl.spans.push(span(
-            0,
-            0,
-            ServeTaskKind::DecodeBatch { step: 1, width: 2 },
-            4.0,
-            6.0,
-        ));
-        assert!(tl.decode_interleaved_with_prefill());
+        let batched = ServeTaskKind::DecodeBatch { step: 1, width: 2 };
+        tl.record(span(0, 0, batched, 4.0, 6.0));
+        assert!(decode_interleaved_with_prefill(&tl));
     }
 
     #[test]
     fn eviction_witness_logic() {
-        let mut tl = ServeTimeline::default();
-        tl.spans.push(span(2, 0, ServeTaskKind::Evicted, 5.0, 5.1));
-        assert!(!tl.evicted_and_recomputed(2), "no recompute yet");
-        tl.spans.push(ServeSpan {
-            request: 2,
-            attempt: 1,
-            label: "R2.1-C0-L0-AttnPre".to_owned(),
-            kind: ServeTaskKind::PrefillStage {
-                chunk: 0,
-                layer: 0,
-                stage: Stage::AttnPre,
-                role: TaskRole::Main,
-            },
-            processor: Processor::Npu,
-            start_ms: 6.0,
-            end_ms: 7.0,
-            modeled_ms: 1.0,
-        });
-        assert!(tl.evicted_and_recomputed(2));
-        assert!(!tl.evicted_and_recomputed(0));
+        let mut tl = ServeTimeline::new();
+        tl.record(span(2, 0, ServeTaskKind::Evicted, 5.0, 5.1));
+        assert!(!evicted_and_recomputed(&tl, 2), "no recompute yet");
+        tl.record(span(2, 1, PREFILL_STAGE, 6.0, 7.0));
+        assert!(evicted_and_recomputed(&tl, 2));
+        assert!(!evicted_and_recomputed(&tl, 0));
     }
 }

@@ -13,10 +13,12 @@ use super::build::{
     build_round, release_slot, Prefill, RoundGraph, RoundState, RunCtx, SegBuild, TaskMeta,
 };
 use super::plan::plan_batch;
-use super::report::{kv_report, publish_metrics, queue_depth_series, round_spans};
+use super::report::{
+    kv_report, publish_metrics, queue_depth_series, round_timeline, serve_trace_span,
+};
 use super::{
     plain_lock, prove, GenerationRequest, RequestOutcome, RequestStatus, Round, ServeOptions,
-    ServeReport, ServeSession, ServeSpan, ServeTimeline,
+    ServeReport, ServeSession, ServeTimeline,
 };
 use crate::engine::LlmNpuEngine;
 use crate::{Error, Result};
@@ -36,13 +38,12 @@ struct MemberRound {
     incarnations: usize,
 }
 
-/// One retry round's result: per-member outcomes plus the round's spans
-/// (already carrying original request ids and global attempt numbers,
-/// still on the round-local clock).
+/// One retry round's result: per-member outcomes plus the round's
+/// timeline (already carrying original request ids and global attempt
+/// numbers, still on the round-local clock).
 pub(super) struct RoundOutput {
     members: Vec<MemberRound>,
-    spans: Vec<ServeSpan>,
-    makespan_ms: f64,
+    timeline: ServeTimeline,
     evictions: usize,
     shared_blocks: usize,
     /// The static verifier's (clean) report for the round's spliced
@@ -90,8 +91,7 @@ impl LlmNpuEngine {
         let built = build_round(self, ctx, &prefill, plan.cohorts)?;
         let mut out = RoundOutput {
             members: Vec::new(),
-            spans: Vec::new(),
-            makespan_ms: 0.0,
+            timeline: ServeTimeline::new(),
             evictions: plan.segments.iter().filter(|s| s.evicted).count(),
             shared_blocks: plan.shared_blocks,
             verified: prove::prove(ctx, &built, &prefill.plans, free_blocks)?,
@@ -128,8 +128,7 @@ impl LlmNpuEngine {
         for slot in &live.slots {
             let _ = release_slot(slot);
         }
-        out.spans = round_spans(ctx, &graph, &meta, &outcomes);
-        out.makespan_ms = out.spans.iter().map(|s| s.end_ms).fold(0.0, f64::max);
+        out.timeline = round_timeline(ctx, &graph, &meta, &outcomes);
         out.members = resolve_members(ctx, &meta, &builds, &token_tasks, &outcomes);
         Ok(out)
     }
@@ -160,7 +159,7 @@ impl LlmNpuEngine {
         if requests.is_empty() {
             return Ok(ServeReport {
                 requests: Vec::new(),
-                timeline: ServeTimeline::default(),
+                timeline: ServeTimeline::new(),
                 kv: kv_report(session, 0, 0, &metrics_base),
                 verification: Vec::new(),
                 queue_depth: Vec::new(),
@@ -176,7 +175,7 @@ impl LlmNpuEngine {
         // one timeline by offsetting with the previous makespan.
         let n = requests.len();
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
-        let mut timeline = ServeTimeline::default();
+        let mut timeline = ServeTimeline::new();
         let mut evictions = 0usize;
         let mut shared_blocks = 0usize;
         let mut verification: Vec<llmnpu_verify::PlanStats> = Vec::new();
@@ -185,17 +184,18 @@ impl LlmNpuEngine {
         let mut attempt_base = vec![0usize; n];
         let mut first_dispatch = vec![f64::INFINITY; n];
         loop {
-            let out = self.run_round(t, &round, RoundMode::Execute)?;
+            let mut out = self.run_round(t, &round, RoundMode::Execute)?;
             evictions += out.evictions;
             shared_blocks += out.shared_blocks;
             verification.push(out.verified.stats);
-            for mut span in out.spans {
-                span.start_ms += time_offset;
-                span.end_ms += time_offset;
+            let round_ms = out.timeline.makespan();
+            for mut span in out.timeline.entries_mut().drain(..) {
+                span.start += time_offset;
+                span.end += time_offset;
                 if let Some(o) = obs {
-                    o.sink.span(|| span.to_trace());
+                    o.sink.span(|| serve_trace_span(&span));
                 }
-                timeline.spans.push(span);
+                timeline.record(span);
             }
             let mut next_members = Vec::new();
             let mut next_backoffs = Vec::new();
@@ -247,13 +247,15 @@ impl LlmNpuEngine {
                     status,
                 });
             }
-            time_offset += out.makespan_ms;
+            time_offset += round_ms;
             if next_members.is_empty() {
                 break;
             }
             round.retry(requests, next_members, &next_backoffs, &attempt_base);
         }
-        timeline.spans.sort_by(|a, b| a.end_ms.total_cmp(&b.end_ms));
+        timeline
+            .entries_mut()
+            .sort_by(|a, b| a.end.total_cmp(&b.end));
         let outcomes: Vec<RequestOutcome> = outcomes
             .into_iter()
             .collect::<Option<_>>()

@@ -1,12 +1,15 @@
-//! The event-driven scheduling executor.
+//! The simulated plane: [`schedule`] runs a DAG on the modeled SoC under
+//! a virtual clock, asking the shared [`policy`](crate::policy) core —
+//! the same one the wall-clock dispatcher asks — what each free
+//! processor takes next.
 
 use llmnpu_graph::dag::PrefillDag;
 use llmnpu_soc::des::{Simulator, Timeline};
 use llmnpu_soc::{Millis, Processor};
 
+use crate::policy::{Progress, Scheduler, EPS};
+use crate::runner::LaneGraph;
 use crate::{Error, Policy, Result};
-
-const EPS: f64 = 1e-9;
 
 /// Result of scheduling one DAG.
 #[derive(Debug, Clone)]
@@ -24,89 +27,12 @@ pub struct ScheduleOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Deadlock`] if the DAG cannot make progress (should be
-/// impossible for DAGs built by `llmnpu-graph`, whose validation enforces
-/// topological order).
+/// Returns [`Error::Exec`] for a DAG that is not topologically ordered
+/// and [`Error::Deadlock`] if it cannot make progress (both should be
+/// impossible for DAGs built by `llmnpu-graph`, whose validation
+/// enforces topological order).
 pub fn schedule(dag: &PrefillDag, policy: Policy) -> Result<ScheduleOutcome> {
-    let n = dag.len();
-    let tasks = dag.tasks();
-
-    // Reverse adjacency for the C-value heuristic.
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for t in 0..n {
-        for &d in dag.deps(t) {
-            successors[d].push(t);
-        }
-    }
-
-    // Per-processor FIFO queues in construction (chunk-sequence) order.
-    let mut fifo: std::collections::BTreeMap<Processor, std::collections::VecDeque<usize>> =
-        std::collections::BTreeMap::new();
-    for (t, task) in tasks.iter().enumerate() {
-        fifo.entry(task.processor).or_default().push_back(t);
-    }
-
-    let mut sim = Simulator::new();
-    let mut done: Vec<Option<f64>> = vec![None; n];
-    let mut scheduled = vec![false; n];
-    let mut remaining = n;
-    let mut time = 0.0_f64;
-
-    while remaining > 0 {
-        let mut progressed = false;
-
-        // NPU first: it is the critical-path processor (§3.4).
-        for p in [Processor::Npu, Processor::Cpu, Processor::Gpu] {
-            if sim.free_at(p) > time + EPS {
-                continue;
-            }
-            let pick = match policy {
-                Policy::Serial => pick_serial(tasks, &done, &scheduled, time, p),
-                Policy::FifoQueues => pick_fifo(&fifo, dag, &done, &scheduled, time, p),
-                Policy::OutOfOrder => {
-                    pick_out_of_order(dag, &successors, &done, &scheduled, time, p)
-                }
-            };
-            // At most one pick per processor per step: it is busy afterwards.
-            if let Some(t) = pick {
-                let end = sim.run(tasks[t].label.clone(), p, time, tasks[t].duration_ms)?;
-                done[t] = Some(end);
-                scheduled[t] = true;
-                remaining -= 1;
-                progressed = true;
-            }
-        }
-
-        if remaining == 0 {
-            break;
-        }
-
-        // Advance to the next event: the earliest processor-free or task
-        // completion strictly after `time`.
-        let mut next = f64::INFINITY;
-        for p in Processor::ALL {
-            let f = sim.free_at(p);
-            if f > time + EPS {
-                next = next.min(f);
-            }
-        }
-        for d in done.iter().flatten() {
-            if *d > time + EPS {
-                next = next.min(*d);
-            }
-        }
-        if !next.is_finite() {
-            if !progressed {
-                return Err(Error::Deadlock { remaining });
-            }
-            // All processors free at `time` and nothing ready: impossible
-            // for a valid DAG, but guard anyway.
-            return Err(Error::Deadlock { remaining });
-        }
-        time = next;
-    }
-
-    let timeline = sim.into_timeline();
+    let timeline = simulate(&LaneGraph::from_prefill_dag(dag)?, policy)?;
     let makespan_ms = timeline.makespan();
     let npu_bubble_rate = timeline.bubble_rate_vs_makespan(Processor::Npu);
     Ok(ScheduleOutcome {
@@ -116,102 +42,61 @@ pub fn schedule(dag: &PrefillDag, policy: Policy) -> Result<ScheduleOutcome> {
     })
 }
 
-fn ready(dag: &PrefillDag, done: &[Option<f64>], t: usize, time: f64) -> bool {
-    dag.deps(t)
-        .iter()
-        .all(|&d| done[d].is_some_and(|end| end <= time + EPS))
-}
+/// The virtual-clock event loop: every task runs for exactly its modeled
+/// duration, and a task is `done` once the clock has reached its modeled
+/// end.
+fn simulate(graph: &LaneGraph, policy: Policy) -> Result<Timeline> {
+    let tasks = graph.tasks();
+    let core = Scheduler::new(graph, policy);
+    let mut st = Progress::new(graph.len());
+    let mut sim = Simulator::new();
+    // Dispatched, not yet complete: `(modeled end, task)`, at most one per
+    // processor (Equation 4).
+    let mut running: Vec<(Millis, usize)> = Vec::new();
+    let mut remaining = graph.len();
+    let mut time = 0.0_f64;
 
-/// Serial: the lowest-id unscheduled task, and only if *every* earlier
-/// task has completed (no overlap across processors).
-fn pick_serial(
-    tasks: &[llmnpu_graph::dag::Task],
-    done: &[Option<f64>],
-    scheduled: &[bool],
-    time: f64,
-    p: Processor,
-) -> Option<usize> {
-    let next = scheduled.iter().position(|&s| !s)?;
-    if tasks[next].processor != p {
-        return None;
-    }
-    let all_before_done = (0..next).all(|t| done[t].is_some_and(|end| end <= time + EPS));
-    all_before_done.then_some(next)
-}
-
-/// FIFO queues: each processor only ever considers the head of its own
-/// queue; if the head's dependencies are unmet, the processor stalls —
-/// Figure 13(a)'s bubbles.
-fn pick_fifo(
-    fifo: &std::collections::BTreeMap<Processor, std::collections::VecDeque<usize>>,
-    dag: &PrefillDag,
-    done: &[Option<f64>],
-    scheduled: &[bool],
-    time: f64,
-    p: Processor,
-) -> Option<usize> {
-    let queue = fifo.get(&p)?;
-    let head = queue.iter().find(|&&t| !scheduled[t])?;
-    ready(dag, done, *head, time).then_some(*head)
-}
-
-/// Out-of-order: any ready task for `p`, ranked by the Equation 5 C-value;
-/// ties broken by chunk-sequence order (lowest id).
-fn pick_out_of_order(
-    dag: &PrefillDag,
-    successors: &[Vec<usize>],
-    done: &[Option<f64>],
-    scheduled: &[bool],
-    time: f64,
-    p: Processor,
-) -> Option<usize> {
-    let tasks = dag.tasks();
-    let mut best: Option<(f64, usize)> = None;
-    for t in 0..tasks.len() {
-        if scheduled[t] || tasks[t].processor != p || !ready(dag, done, t, time) {
-            continue;
+    while remaining > 0 {
+        // NPU first: it is the critical-path processor (§3.4).
+        for p in [Processor::Npu, Processor::Cpu, Processor::Gpu] {
+            if sim.free_at(p) > time + EPS {
+                continue;
+            }
+            // Whatever the clock has caught up with is done (a zero-length
+            // task at once), before this processor looks at what is ready.
+            running.retain(|&(end, t)| {
+                let live = end > time + EPS;
+                if !live {
+                    st.complete(t);
+                }
+                live
+            });
+            // At most one pick per processor per step: it is busy afterwards.
+            if let Some(t) = core.pick(&st, p, time) {
+                let end = sim.run(tasks[t].label.clone(), p, time, tasks[t].duration_ms)?;
+                st.dispatch(t);
+                running.push((end, t));
+                remaining -= 1;
+            }
         }
-        let c = c_value(dag, successors, done, scheduled, t);
-        let better = match best {
-            None => true,
-            Some((bc, bt)) => c > bc + EPS || ((c - bc).abs() <= EPS && t < bt),
-        };
-        if better {
-            best = Some((c, t));
+        if remaining == 0 {
+            break;
         }
-    }
-    best.map(|(_, t)| t)
-}
-
-/// Equation 5: let `S` be the successors of `g` that become ready once `g`
-/// completes (all their other dependencies already scheduled). If `g` runs
-/// on the CPU/GPU, C = Σ duration of `S` (it unlocks NPU work — bigger is
-/// better); if `g` runs on the NPU, C = −Σ duration of `S` (prefer NPU
-/// subgraphs whose float follow-up is short, keeping the CPU from becoming
-/// the bottleneck).
-fn c_value(
-    dag: &PrefillDag,
-    successors: &[Vec<usize>],
-    done: &[Option<f64>],
-    scheduled: &[bool],
-    g: usize,
-) -> f64 {
-    let tasks = dag.tasks();
-    let mut total = 0.0;
-    for &s in &successors[g] {
-        if scheduled[s] {
-            continue;
+        // Advance to the next event strictly after `time`: the earliest
+        // completion (which is also when its processor frees up) or
+        // pending release.
+        let next = running
+            .iter()
+            .map(|&(end, _)| end)
+            .chain(tasks.iter().map(|t| t.release_ms))
+            .filter(|&at| at > time + EPS)
+            .fold(f64::INFINITY, f64::min);
+        if !next.is_finite() {
+            return Err(Error::Deadlock { remaining });
         }
-        let others_ready = dag.deps(s).iter().all(|&d| d == g || done[d].is_some());
-        if others_ready {
-            total += tasks[s].duration_ms;
-        }
+        time = next;
     }
-    if tasks[g].processor == Processor::Npu {
-        -total
-    } else {
-        total
-    }
+    Ok(sim.into_timeline())
 }
 
 #[cfg(test)]
@@ -229,47 +114,35 @@ mod tests {
         build_prefill_dag(&cfg, &dc, &lat).unwrap()
     }
 
-    fn assert_valid_schedule(dag: &PrefillDag, outcome: &ScheduleOutcome) {
-        let entries = outcome.timeline.entries();
-        assert_eq!(entries.len(), dag.len());
-        // Map label → entry (labels are unique by construction).
-        let by_label: std::collections::HashMap<&str, &llmnpu_soc::des::TimelineEntry> =
-            entries.iter().map(|e| (e.label.as_str(), e)).collect();
-        // Dependencies respected.
-        for (t, task) in dag.tasks().iter().enumerate() {
-            let e = by_label[task.label.as_str()];
-            for &d in dag.deps(t) {
-                let de = by_label[dag.tasks()[d].label.as_str()];
-                assert!(
-                    de.end <= e.start + 1e-6,
-                    "{} starts at {} before dep {} ends at {}",
-                    task.label,
-                    e.start,
-                    dag.tasks()[d].label,
-                    de.end
-                );
-            }
-        }
-        // Per-processor exclusivity (Equation 4).
-        for p in Processor::ALL {
-            let mut intervals: Vec<(f64, f64)> = entries
-                .iter()
-                .filter(|e| e.processor == p)
-                .map(|e| (e.start, e.end))
-                .collect();
-            intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            for w in intervals.windows(2) {
-                assert!(w[0].1 <= w[1].0 + 1e-6, "overlap on {p}: {w:?}");
-            }
-        }
-    }
-
     #[test]
     fn all_policies_produce_valid_schedules() {
         let dag = qwen_dag(512, 256);
         for policy in Policy::ALL {
             let outcome = schedule(&dag, policy).unwrap();
-            assert_valid_schedule(&dag, &outcome);
+            let graph = LaneGraph::from_prefill_dag(&dag).unwrap();
+            crate::validate_timeline(&outcome.timeline, &graph).unwrap();
+        }
+    }
+
+    /// The simulated plane did not move when `schedule` was rebuilt on the
+    /// shared policy core: makespan and NPU bubble rate of Qwen1.5-1.8B on
+    /// the Snapdragon 8 Gen 3 model, exactly as the per-plane pickers
+    /// produced them.
+    #[test]
+    fn qwen_schedules_keep_their_pinned_makespan_and_bubble_rate() {
+        let dag = qwen_dag(1024, 256);
+        let pinned = [
+            (Policy::Serial, 1377.1134155056502, 0.3382465659271389),
+            (Policy::FifoQueues, 1368.2851697456501, 0.33397689899096555),
+            (Policy::OutOfOrder, 1009.8814163678451, 0.09760738533410983),
+        ];
+        for (policy, makespan_ms, npu_bubble_rate) in pinned {
+            let outcome = schedule(&dag, policy).unwrap();
+            assert_eq!(outcome.makespan_ms, makespan_ms, "{policy:?} makespan");
+            assert_eq!(
+                outcome.npu_bubble_rate, npu_bubble_rate,
+                "{policy:?} bubbles"
+            );
         }
     }
 

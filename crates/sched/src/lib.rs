@@ -19,6 +19,16 @@
 //! The scheduling constraint is Equation 4: one task per processor at any
 //! time; the simulator in `llmnpu-soc` enforces it.
 //!
+//! The three policies — including Equation 5's C-value — have **one**
+//! implementation (the private `policy` module): a clock-agnostic core
+//! over a [`LaneGraph`] and boolean per-task progress. [`schedule`]
+//! drives it with a virtual clock (a task is done when its modeled end
+//! has passed), the numeric executor below with the wall clock, so the
+//! simulated and the executed plane cannot rank the same ready set
+//! differently. Both record the same [`Timeline`] type, and
+//! [`validate_timeline`] checks either against the graph it was
+//! scheduled from.
+//!
 //! Since the timing/numeric unification, this crate also owns the *real*
 //! execution resources:
 //!
@@ -34,11 +44,13 @@
 //!   price analytically, executed for real against a `Transformer`,
 //!   with shadow-outlier tasks genuinely overlapping the quantized main
 //!   path and an [`ExecutedTimeline`] measured for cross-checking
-//!   against the simulated one. The continuous-batching serving loop in
+//!   against the simulated one (same type, same validator). The
+//!   continuous-batching serving loop in
 //!   `llmnpu-core` feeds the same dispatcher a combined graph of many
 //!   requests' prefill chunks and decode steps.
 //!
 //! [`PrefillDag`]: llmnpu_graph::dag::PrefillDag
+//! [`Timeline`]: llmnpu_soc::des::Timeline
 
 // The pool performs one narrowly-scoped lifetime erasure (see
 // `pool`'s module docs); everything else stays compiler-checked.
@@ -48,6 +60,7 @@
 mod error;
 mod exec;
 mod optimal;
+mod policy;
 pub mod pool;
 pub mod runner;
 
@@ -56,9 +69,9 @@ pub use exec::{schedule, ScheduleOutcome};
 pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use pool::WorkerPool;
 pub use runner::{
-    execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, ExecutedTask,
-    ExecutedTimeline, GateFn, KvSink, LaneGraph, LaneTask, NumericPrefill, PrefillProgram,
-    SkipReason, TaskFn, TaskOutcome,
+    execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, validate_timeline,
+    ExecutedTask, ExecutedTimeline, GateFn, KvSink, LaneGraph, LaneTask, NumericPrefill,
+    PrefillProgram, SkipReason, TaskFn, TaskOutcome,
 };
 
 /// Crate-wide result alias.

@@ -21,6 +21,10 @@
 //! the Equation 5 C-value priority), an optional *release time* (a
 //! request's arrival: the task may not start earlier), and dependency
 //! edges — against one boxed closure per task ([`execute_lane_graph`]).
+//! *Which* ready task a free lane takes is not decided here: the
+//! dispatcher asks the crate's one policy core, the same one the
+//! simulated plane's virtual-clock loop asks, and only supplies the wall
+//! clock and the completion flags.
 //! [`execute_chunked_prefill`] is the prefill instantiation;
 //! `llmnpu-core`'s continuous-batching scheduler builds a combined
 //! graph holding several requests' prefill DAGs *plus their decode
@@ -77,153 +81,79 @@ use llmnpu_graph::layer::Stage;
 use llmnpu_model::forward::{FfnMains, FfnShadows, QkvMains, QkvShadows, Transformer};
 use llmnpu_model::kv::{KvCache, PagedKvCache};
 use llmnpu_obs::{EventKind, Plane, TraceSink};
+use llmnpu_soc::des::{Timeline, TimelineEntry};
 use llmnpu_soc::Processor;
 use llmnpu_tensor::kernel::parallel::Job;
 use llmnpu_tensor::Tensor;
 
+use crate::policy::{Progress, Scheduler, EPS};
 use crate::pool::WorkerPool;
 use crate::{Error, Policy, Result};
 
-const EPS: f64 = 1e-9;
+/// One executed task: its wall-clock interval (ms from run start) on
+/// its lane, carrying the DAG task it ran.
+pub type ExecutedTask = TimelineEntry<Task>;
 
-/// One executed task, with wall-clock timestamps relative to the start
-/// of the run (milliseconds).
-#[derive(Debug, Clone)]
-pub struct ExecutedTask {
-    /// The DAG task's label (matches the simulated timeline's labels).
-    pub label: String,
-    /// Chunk index.
-    pub chunk: usize,
-    /// Decoder layer.
-    pub layer: usize,
-    /// Host stage.
-    pub stage: Stage,
-    /// Pipeline role (main / shadow / merge).
-    pub role: TaskRole,
-    /// Lane (processor) the task ran on.
-    pub processor: Processor,
-    /// Wall-clock start, ms from run start.
-    pub start_ms: f64,
-    /// Wall-clock end, ms from run start.
-    pub end_ms: f64,
-}
+/// The executed (wall-clock) timeline of one numeric prefill, in
+/// completion order — the same type, with the same metrics, as the
+/// simulator's analytic timeline of the same DAG.
+pub type ExecutedTimeline = Timeline<Task>;
 
-/// The executed (wall-clock) timeline of one numeric prefill — the
-/// measured counterpart of the simulator's analytic timeline.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutedTimeline {
-    tasks: Vec<ExecutedTask>,
-}
-
-impl ExecutedTimeline {
-    /// All executed tasks, in completion order.
-    #[must_use]
-    pub fn entries(&self) -> &[ExecutedTask] {
-        &self.tasks
+/// Checks that `timeline` is a valid schedule of `graph`, whichever
+/// plane produced it: every task ran exactly once (matched by label, so
+/// labels must be unique), every dependency finished before its
+/// dependent started, and every lane ran one task at a time
+/// (Equation 4).
+///
+/// # Errors
+///
+/// Returns [`Error::Exec`] describing the first violation.
+pub fn validate_timeline<M>(timeline: &Timeline<M>, graph: &LaneGraph) -> Result<()> {
+    let entries = timeline.entries();
+    if entries.len() != graph.len() {
+        return Err(Error::Exec {
+            what: format!("timeline has {} of {} tasks", entries.len(), graph.len()),
+        });
     }
-
-    /// Wall-clock completion time of the last task (ms from run start).
-    #[must_use]
-    pub fn makespan_ms(&self) -> f64 {
-        self.tasks.iter().map(|t| t.end_ms).fold(0.0, f64::max)
-    }
-
-    /// Total busy time of one lane.
-    #[must_use]
-    pub fn lane_busy_ms(&self, p: Processor) -> f64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.processor == p)
-            .map(|t| t.end_ms - t.start_ms)
-            .sum()
-    }
-
-    /// Total wall-clock overlap between tasks selected by `a` and tasks
-    /// selected by `b` — the direct measurement of "these really ran
-    /// concurrently" (e.g. shadow-outlier tasks vs NPU main tasks).
-    #[must_use]
-    pub fn overlap_ms(
-        &self,
-        a: impl Fn(&ExecutedTask) -> bool,
-        b: impl Fn(&ExecutedTask) -> bool,
-    ) -> f64 {
-        let xs: Vec<&ExecutedTask> = self.tasks.iter().filter(|t| a(t)).collect();
-        let ys: Vec<&ExecutedTask> = self.tasks.iter().filter(|t| b(t)).collect();
-        let mut total = 0.0;
-        for x in &xs {
-            for y in &ys {
-                if std::ptr::eq(*x, *y) {
-                    continue;
-                }
-                let lo = x.start_ms.max(y.start_ms);
-                let hi = x.end_ms.min(y.end_ms);
-                if hi > lo {
-                    total += hi - lo;
-                }
-            }
-        }
-        total
-    }
-
-    /// Cross-checks this executed timeline against the DAG both planes
-    /// share: every DAG task ran exactly once, every dependency finished
-    /// before its dependent started, and every lane ran one task at a
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Exec`] describing the first violation.
-    pub fn validate_against(&self, dag: &PrefillDag) -> Result<()> {
-        if self.tasks.len() != dag.len() {
+    let mut by_label = std::collections::HashMap::new();
+    for e in entries {
+        if by_label.insert(e.label.as_str(), e).is_some() {
             return Err(Error::Exec {
-                what: format!("executed {} of {} dag tasks", self.tasks.len(), dag.len()),
+                what: format!("task {} ran twice", e.label),
             });
         }
-        let mut by_label = std::collections::HashMap::new();
-        for t in &self.tasks {
-            if by_label.insert(t.label.as_str(), t).is_some() {
+    }
+    let entry_of = |t: usize| {
+        let label = graph.tasks()[t].label.as_str();
+        by_label.get(label).copied().ok_or_else(|| Error::Exec {
+            what: format!("task {label} never ran"),
+        })
+    };
+    for t in 0..graph.len() {
+        let e = entry_of(t)?;
+        for &d in graph.deps(t) {
+            let de = entry_of(d)?;
+            if de.end > e.start + EPS {
                 return Err(Error::Exec {
-                    what: format!("task {} executed twice", t.label),
+                    what: format!(
+                        "{} started at {:.4} before dep {} ended at {:.4}",
+                        e.label, e.start, de.label, de.end
+                    ),
                 });
             }
         }
-        for (i, task) in dag.tasks().iter().enumerate() {
-            let e = by_label
-                .get(task.label.as_str())
-                .ok_or_else(|| Error::Exec {
-                    what: format!("dag task {} never executed", task.label),
-                })?;
-            for &d in dag.deps(i) {
-                let de = by_label[dag.tasks()[d].label.as_str()];
-                if de.end_ms > e.start_ms + EPS {
-                    return Err(Error::Exec {
-                        what: format!(
-                            "{} started at {:.4} before dep {} ended at {:.4}",
-                            e.label, e.start_ms, de.label, de.end_ms
-                        ),
-                    });
-                }
-            }
-        }
-        for p in Processor::ALL {
-            let mut spans: Vec<(f64, f64)> = self
-                .tasks
-                .iter()
-                .filter(|t| t.processor == p)
-                .map(|t| (t.start_ms, t.end_ms))
-                .collect();
-            // lint: allow(panic) — timestamps come from the validated timeline; NaN is a checker bug
-            spans.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timestamps"));
-            for w in spans.windows(2) {
-                if w[0].1 > w[1].0 + EPS {
-                    return Err(Error::Exec {
-                        what: format!("lane {p} ran two tasks at once: {w:?}"),
-                    });
-                }
-            }
-        }
-        Ok(())
     }
+    for p in Processor::ALL {
+        let mut lane: Vec<&TimelineEntry<M>> =
+            entries.iter().filter(|e| e.processor == p).collect();
+        lane.sort_by(|a, b| a.start.total_cmp(&b.start));
+        if let Some(w) = lane.windows(2).find(|w| w[0].end > w[1].start + EPS) {
+            return Err(Error::Exec {
+                what: format!("lane {p} ran {} and {} at once", w[0].label, w[1].label),
+            });
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1018,19 +948,19 @@ pub type GateFn<'run> = Box<dyn Fn(usize, f64) -> bool + Send + Sync + 'run>;
 
 /// Shared dispatch state for the lane loops.
 struct DispatchState {
-    scheduled: Vec<bool>,
-    done: Vec<bool>,
+    /// What the policy core ranks over. A task skipped without running
+    /// is both `scheduled` and `done`.
+    progress: Progress,
     remaining: usize,
-    in_flight: usize,
     aborted: bool,
     error: Option<String>,
     outcomes: Vec<Option<TaskOutcome>>,
 }
 
 struct Dispatcher<'d> {
-    graph: &'d LaneGraph,
-    successors: Vec<Vec<usize>>,
-    policy: Policy,
+    /// The policy core shared with the simulated plane; this dispatcher
+    /// drives it with the wall clock.
+    core: Scheduler<'d>,
     /// Fault-contained mode: task failures poison dependents instead of
     /// aborting the run.
     isolate: bool,
@@ -1058,23 +988,13 @@ impl<'d> Dispatcher<'d> {
         sink: Option<&'d TraceSink>,
     ) -> Self {
         let n = graph.len();
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for t in 0..n {
-            for &d in graph.deps(t) {
-                successors[d].push(t);
-            }
-        }
         Dispatcher {
-            graph,
-            successors,
-            policy,
+            core: Scheduler::new(graph, policy),
             isolate,
             gate,
             state: Mutex::new(DispatchState {
-                scheduled: vec![false; n],
-                done: vec![false; n],
+                progress: Progress::new(n),
                 remaining: n,
-                in_flight: 0,
                 aborted: false,
                 error: None,
                 outcomes: vec![None; n],
@@ -1088,7 +1008,7 @@ impl<'d> Dispatcher<'d> {
     /// Emit an Exec-plane event for task `t` when tracing is on.
     fn trace_task(&self, kind: EventKind, t: usize, wall_ms: f64, note: &str) {
         if let Some(sink) = self.sink {
-            let task = &self.graph.tasks()[t];
+            let task = &self.core.graph.tasks()[t];
             sink.event_at(Plane::Exec, kind, None, wall_ms, || {
                 if note.is_empty() {
                     format!("{} on {}", task.label, task.processor)
@@ -1099,90 +1019,32 @@ impl<'d> Dispatcher<'d> {
         }
     }
 
-    /// Dependency-readiness (release times not considered).
-    fn deps_done(&self, st: &DispatchState, t: usize) -> bool {
-        self.graph.deps(t).iter().all(|&d| st.done[d])
-    }
-
-    /// Dispatchability at wall-clock `now`: deps done *and* released.
-    fn ready(&self, st: &DispatchState, t: usize, now: f64) -> bool {
-        self.graph.tasks()[t].release_ms <= now + EPS && self.deps_done(st, t)
-    }
-
-    /// Any task dep-ready on any lane (released or not)?
-    fn any_deps_done(&self, st: &DispatchState) -> bool {
-        (0..self.graph.len()).any(|t| !st.scheduled[t] && self.deps_done(st, t))
+    /// Unscheduled tasks whose dependencies are settled (released or
+    /// not), on any lane.
+    fn dep_ready<'s>(&'s self, st: &'s DispatchState) -> impl Iterator<Item = usize> + 's {
+        (0..self.core.graph.len())
+            .filter(|&t| !st.progress.scheduled[t] && self.core.deps_done(&st.progress, t))
     }
 
     /// Milliseconds until the earliest pending release among dep-ready
     /// tasks, or `None` when every dep-ready task is already released.
     fn next_release_in(&self, st: &DispatchState, now: f64) -> Option<f64> {
-        (0..self.graph.len())
-            .filter(|&t| !st.scheduled[t] && self.deps_done(st, t))
-            .map(|t| self.graph.tasks()[t].release_ms - now)
+        self.dep_ready(st)
+            .map(|t| self.core.graph.tasks()[t].release_ms - now)
             .filter(|&dt| dt > EPS)
             .fold(None, |acc, dt| Some(acc.map_or(dt, |a: f64| a.min(dt))))
     }
 
-    /// Equation 5's C-value over boolean completion state: successors
-    /// that become ready once `g` completes, weighted by their *modeled*
-    /// duration (the executor prioritizes with the timing plane's
-    /// predictions, exactly as the paper's online scheduler does).
-    fn c_value(&self, st: &DispatchState, g: usize) -> f64 {
-        let tasks = self.graph.tasks();
-        let mut total = 0.0;
-        for &s in &self.successors[g] {
-            if st.scheduled[s] {
-                continue;
-            }
-            let others_ready = self.graph.deps(s).iter().all(|&d| d == g || st.done[d]);
-            if others_ready {
-                total += tasks[s].duration_ms;
-            }
-        }
-        if tasks[g].processor == Processor::Npu {
-            -total
-        } else {
-            total
-        }
-    }
-
-    /// Picks the next task for lane `p` under the policy, or `None`.
-    fn pick(&self, st: &DispatchState, p: Processor, now: f64) -> Option<usize> {
-        let tasks = self.graph.tasks();
-        match self.policy {
-            Policy::Serial => {
-                let next = st.scheduled.iter().position(|&s| !s)?;
-                (tasks[next].processor == p && self.ready(st, next, now) && st.in_flight == 0)
-                    .then_some(next)
-            }
-            Policy::FifoQueues => {
-                let head =
-                    (0..tasks.len()).find(|&t| !st.scheduled[t] && tasks[t].processor == p)?;
-                self.ready(st, head, now).then_some(head)
-            }
-            Policy::OutOfOrder => {
-                let mut best: Option<(f64, usize)> = None;
-                for (t, task) in tasks.iter().enumerate() {
-                    if st.scheduled[t] || task.processor != p || !self.ready(st, t, now) {
-                        continue;
-                    }
-                    let c = self.c_value(st, t);
-                    let better = match best {
-                        None => true,
-                        Some((bc, bt)) => c > bc + EPS || ((c - bc).abs() <= EPS && t < bt),
-                    };
-                    if better {
-                        best = Some((c, t));
-                    }
-                }
-                best.map(|(_, t)| t)
-            }
-        }
-    }
-
     fn now_ms(&self) -> f64 {
         self.started.elapsed().as_secs_f64() * 1e3
+    }
+
+    /// Settles `t` without running it.
+    fn skip(&self, st: &mut DispatchState, t: usize, at_ms: f64, reason: SkipReason, why: &str) {
+        st.progress.retire(t);
+        st.remaining -= 1;
+        st.outcomes[t] = Some(TaskOutcome::Skipped { at_ms, reason });
+        self.trace_task(EventKind::TaskSkipped, t, at_ms, why);
     }
 
     /// Marks every not-yet-scheduled, non-barrier transitive dependent
@@ -1191,21 +1053,14 @@ impl<'d> Dispatcher<'d> {
     /// when the work they clean up after failed), and their own
     /// dependents are reached through them only if they fail too.
     fn poison_dependents(&self, st: &mut DispatchState, t: usize, at_ms: f64) {
-        let tasks = self.graph.tasks();
-        let mut stack: Vec<usize> = self.successors[t].clone();
+        let tasks = self.core.graph.tasks();
+        let mut stack: Vec<usize> = self.core.successors[t].clone();
         while let Some(s) = stack.pop() {
-            if st.scheduled[s] || tasks[s].barrier {
+            if st.progress.scheduled[s] || tasks[s].barrier {
                 continue;
             }
-            st.scheduled[s] = true;
-            st.done[s] = true;
-            st.remaining -= 1;
-            st.outcomes[s] = Some(TaskOutcome::Skipped {
-                at_ms,
-                reason: SkipReason::PoisonedDep,
-            });
-            self.trace_task(EventKind::TaskSkipped, s, at_ms, "poisoned dep");
-            stack.extend(self.successors[s].iter().copied());
+            self.skip(st, s, at_ms, SkipReason::PoisonedDep, "poisoned dep");
+            stack.extend(self.core.successors[s].iter().copied());
         }
     }
 
@@ -1221,27 +1076,17 @@ impl<'d> Dispatcher<'d> {
             return false;
         };
         let mut changed = false;
-        let mut t = 0;
-        while t < self.graph.len() {
-            if !st.scheduled[t] && self.deps_done(st, t) && gate(t, now) {
-                st.scheduled[t] = true;
-                st.done[t] = true;
-                st.remaining -= 1;
-                st.outcomes[t] = Some(TaskOutcome::Skipped {
-                    at_ms: now,
-                    reason: SkipReason::Gated,
-                });
-                self.trace_task(EventKind::TaskSkipped, t, now, "gated");
-                self.poison_dependents(st, t, now);
-                changed = true;
-                // A skip settles deps, which can expose earlier-indexed
-                // tasks to the gate: rescan from the top.
-                t = 0;
-            } else {
-                t += 1;
-            }
+        // A skip settles deps, which can expose earlier-indexed tasks to
+        // the gate: rescan from the top after each one.
+        loop {
+            let gated = self.dep_ready(st).find(|&t| gate(t, now));
+            let Some(t) = gated else {
+                return changed;
+            };
+            self.skip(st, t, now, SkipReason::Gated, "gated");
+            self.poison_dependents(st, t, now);
+            changed = true;
         }
-        changed
     }
 
     /// Runs one task inline, recording timestamps and completion. A
@@ -1274,9 +1119,8 @@ impl<'d> Dispatcher<'d> {
         let t1 = self.now_ms();
         // lint: allow(panic) — task panics are caught before this lock, so poisoning is unreachable
         let mut st = self.state.lock().expect("dispatch mutex");
-        st.done[t] = true;
+        st.progress.complete(t);
         st.remaining -= 1;
-        st.in_flight -= 1;
         match result {
             Ok(()) => {
                 st.outcomes[t] = Some(TaskOutcome::Completed {
@@ -1319,15 +1163,17 @@ impl<'d> Dispatcher<'d> {
                         self.cv.notify_all();
                         continue;
                     }
-                    if let Some(t) = self.pick(&st, p, now) {
-                        st.scheduled[t] = true;
-                        st.in_flight += 1;
+                    if let Some(t) = self.core.pick(&st.progress, p, now) {
+                        st.progress.dispatch(t);
                         break t;
                     }
                     // A dep-ready task may just be awaiting its release
                     // (request arrival): sleep until then, not forever.
                     let pending_release = self.next_release_in(&st, now);
-                    if st.in_flight == 0 && !self.any_deps_done(&st) && pending_release.is_none() {
+                    if st.progress.in_flight == 0
+                        && self.dep_ready(&st).next().is_none()
+                        && pending_release.is_none()
+                    {
                         st.aborted = true;
                         st.error
                             .get_or_insert_with(|| "dispatch deadlock".to_owned());
@@ -1365,32 +1211,25 @@ impl<'d> Dispatcher<'d> {
                 if self.apply_gate(&mut st, now) {
                     continue;
                 }
-                let mut found = None;
-                for &p in lanes {
-                    if let Some(t) = self.pick(&st, p, now) {
-                        st.scheduled[t] = true;
-                        st.in_flight += 1;
-                        found = Some(t);
-                        break;
-                    }
-                }
-                match found {
-                    Some(found) => found,
-                    None => {
-                        // Nothing dispatchable right now: if something is
-                        // only waiting on its release time, sleep it in;
-                        // otherwise the graph is stuck.
-                        let Some(wait_ms) = self.next_release_in(&st, now) else {
-                            st.aborted = true;
-                            st.error
-                                .get_or_insert_with(|| "dispatch deadlock".to_owned());
-                            return false;
-                        };
-                        drop(st);
-                        std::thread::sleep(Duration::from_secs_f64((wait_ms / 1e3).max(1e-5)));
-                        continue;
-                    }
-                }
+                let found = lanes
+                    .iter()
+                    .find_map(|&p| self.core.pick(&st.progress, p, now));
+                let Some(t) = found else {
+                    // Nothing dispatchable right now: if something is
+                    // only waiting on its release time, sleep it in;
+                    // otherwise the graph is stuck.
+                    let Some(wait_ms) = self.next_release_in(&st, now) else {
+                        st.aborted = true;
+                        st.error
+                            .get_or_insert_with(|| "dispatch deadlock".to_owned());
+                        return false;
+                    };
+                    drop(st);
+                    std::thread::sleep(Duration::from_secs_f64((wait_ms / 1e3).max(1e-5)));
+                    continue;
+                };
+                st.progress.dispatch(t);
+                t
             };
             self.run_task(closures, picked);
         }
@@ -1561,27 +1400,17 @@ pub fn execute_chunked_prefill(
     let spans = execute_lane_graph(&graph, program.closures(dag), policy, pool)?;
 
     // Assemble the timeline in completion order.
-    let mut timeline = ExecutedTimeline::default();
     let mut order: Vec<usize> = (0..dag.len()).collect();
-    order.sort_by(|&a, &b| {
-        spans[a]
-            .1
-            .partial_cmp(&spans[b].1)
-            // lint: allow(panic) — spans are measured monotonic-clock readings, never NaN
-            .expect("finite timestamps")
-    });
+    order.sort_by(|&a, &b| spans[a].1.total_cmp(&spans[b].1));
+    let mut timeline = ExecutedTimeline::new();
     for i in order {
         let task = &dag.tasks()[i];
-        let (start_ms, end_ms) = spans[i];
-        timeline.tasks.push(ExecutedTask {
+        timeline.record(TimelineEntry {
             label: task.label.clone(),
-            chunk: task.chunk,
-            layer: task.layer,
-            stage: task.stage,
-            role: task.role,
             processor: task.processor,
-            start_ms,
-            end_ms,
+            start: spans[i].0,
+            end: spans[i].1,
+            meta: task.clone(),
         });
     }
 

@@ -13,9 +13,13 @@ use std::collections::BTreeMap;
 use crate::spec::SocSpec;
 use crate::{Error, Joules, Millis, Processor, Result};
 
-/// One executed task on the timeline.
+/// One task's interval on a timeline: "`label` held `processor` from
+/// `start` to `end`". `M` is whatever else the recording plane knows
+/// about the task — nothing for the simulator, the DAG task for the
+/// numeric executor, request/attempt/kind for the serving plane — so
+/// every plane's timeline is this one type with these metrics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TimelineEntry {
+pub struct TimelineEntry<M = ()> {
     /// Human-readable label (e.g. `"C2-G3"` for chunk 2, subgraph 3).
     pub label: String,
     /// Processor that ran the task.
@@ -24,9 +28,11 @@ pub struct TimelineEntry {
     pub start: Millis,
     /// End time in ms.
     pub end: Millis,
+    /// Plane-specific payload.
+    pub meta: M,
 }
 
-impl TimelineEntry {
+impl<M> TimelineEntry<M> {
     /// Task duration in ms.
     #[must_use]
     pub fn duration(&self) -> Millis {
@@ -34,28 +40,43 @@ impl TimelineEntry {
     }
 }
 
-/// A completed execution trace.
-#[derive(Debug, Clone, Default)]
-pub struct Timeline {
-    entries: Vec<TimelineEntry>,
+/// A completed execution trace, simulated or measured.
+#[derive(Debug, Clone)]
+pub struct Timeline<M = ()> {
+    entries: Vec<TimelineEntry<M>>,
 }
 
-impl Timeline {
+impl<M> Default for Timeline<M> {
+    fn default() -> Self {
+        Timeline {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<M> Timeline<M> {
     /// Creates an empty timeline.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// All entries in submission order.
+    /// All entries in recording order (submission order for the
+    /// simulator, completion order for the executed planes).
     #[must_use]
-    pub fn entries(&self) -> &[TimelineEntry] {
+    pub fn entries(&self) -> &[TimelineEntry<M>] {
         &self.entries
+    }
+
+    /// The entries, for reordering or rebasing a recorded trace (no
+    /// metric depends on entry order).
+    pub fn entries_mut(&mut self) -> &mut Vec<TimelineEntry<M>> {
+        &mut self.entries
     }
 
     /// Records an entry (used by [`Simulator`]; exposed for tests and
     /// synthetic traces).
-    pub fn record(&mut self, entry: TimelineEntry) {
+    pub fn record(&mut self, entry: TimelineEntry<M>) {
         self.entries.push(entry);
     }
 
@@ -73,6 +94,26 @@ impl Timeline {
             .filter(|e| e.processor == p)
             .map(TimelineEntry::duration)
             .sum()
+    }
+
+    /// Total overlap between entries selected by `a` and entries
+    /// selected by `b` — the direct measurement of "these really ran
+    /// concurrently" (e.g. shadow-outlier tasks vs NPU main tasks).
+    #[must_use]
+    pub fn overlap(
+        &self,
+        a: impl Fn(&TimelineEntry<M>) -> bool,
+        b: impl Fn(&TimelineEntry<M>) -> bool,
+    ) -> Millis {
+        let mut total = 0.0;
+        for x in self.entries.iter().filter(|e| a(e)) {
+            for y in self.entries.iter().filter(|e| b(e)) {
+                if !std::ptr::eq(x, y) {
+                    total += (x.end.min(y.end) - x.start.max(y.start)).max(0.0);
+                }
+            }
+        }
+        total
     }
 
     /// Bubble (stall) rate of a processor over the window from its first
@@ -205,6 +246,7 @@ impl Simulator {
             processor: p,
             start,
             end,
+            meta: (),
         });
         Ok(end)
     }
@@ -260,12 +302,14 @@ mod tests {
             processor: Processor::Npu,
             start: 0.0,
             end: 4.0,
+            meta: (),
         });
         tl.record(TimelineEntry {
             label: "b".into(),
             processor: Processor::Npu,
             start: 6.0,
             end: 10.0,
+            meta: (),
         });
         // Window 0..10, busy 8 → bubble 20%.
         assert!((tl.bubble_rate(Processor::Npu) - 0.2).abs() < 1e-9);
@@ -280,17 +324,43 @@ mod tests {
             processor: Processor::Cpu,
             start: 0.0,
             end: 5.0,
+            meta: (),
         });
         tl.record(TimelineEntry {
             label: "npu-after".into(),
             processor: Processor::Npu,
             start: 5.0,
             end: 10.0,
+            meta: (),
         });
         // NPU window is 5..10 → no internal bubbles, but it idled half the
         // makespan.
         assert_eq!(tl.bubble_rate(Processor::Npu), 0.0);
         assert!((tl.bubble_rate_vs_makespan(Processor::Npu) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn overlap_sums_pairwise_intersections() {
+        let mut tl = Timeline::new();
+        for (p, start, end) in [
+            (Processor::Npu, 0.0, 4.0),
+            (Processor::Cpu, 1.0, 3.0),
+            (Processor::Cpu, 3.5, 6.0),
+        ] {
+            tl.record(TimelineEntry {
+                label: "t".into(),
+                processor: p,
+                start,
+                end,
+                meta: (),
+            });
+        }
+        let npu = |e: &TimelineEntry| e.processor == Processor::Npu;
+        let cpu = |e: &TimelineEntry| e.processor == Processor::Cpu;
+        // [1,3] and [3.5,4] of the CPU entries fall inside the NPU entry.
+        assert!((tl.overlap(npu, cpu) - 2.5).abs() < 1e-12);
+        // An entry never overlaps itself.
+        assert_eq!(tl.overlap(npu, npu), 0.0);
     }
 
     #[test]
@@ -303,6 +373,7 @@ mod tests {
             processor: Processor::Cpu,
             start: 0.0,
             end: 100.0,
+            meta: (),
         });
         let mut npu_tl = Timeline::new();
         npu_tl.record(TimelineEntry {
@@ -310,6 +381,7 @@ mod tests {
             processor: Processor::Npu,
             start: 0.0,
             end: 100.0,
+            meta: (),
         });
         let e_cpu = cpu_tl.energy(&spec);
         let e_npu = npu_tl.energy(&spec);
@@ -329,7 +401,7 @@ mod tests {
 
     #[test]
     fn empty_timeline_metrics_are_zero() {
-        let tl = Timeline::new();
+        let tl: Timeline = Timeline::new();
         assert_eq!(tl.makespan(), 0.0);
         assert_eq!(tl.busy_time(Processor::Npu), 0.0);
         assert_eq!(tl.bubble_rate(Processor::Npu), 0.0);

@@ -69,6 +69,7 @@ mod tests {
             processor: p,
             start,
             end,
+            meta: (),
         }
     }
 

@@ -1,41 +1,15 @@
-//! Timeline export: Chrome trace-event JSON and CSV.
+//! Timeline export: CSV and a utilization summary.
 //!
 //! The paper's Figure 13 visualizes CPU/NPU occupancy over time; these
-//! exporters let any simulated [`Timeline`] be inspected the same way —
-//! the Chrome format loads directly into `chrome://tracing` / Perfetto.
+//! exporters let any simulated [`Timeline`] be inspected the same way.
+//! (The Chrome / Perfetto form of a timeline is `llmnpu-obs`'s
+//! `chrome_trace_json` over its entries' export spans — one JSON writer
+//! for every plane.)
 
 use std::fmt::Write as _;
 
 use crate::des::Timeline;
 use crate::Processor;
-
-/// Serializes a timeline as Chrome trace-event JSON (complete events,
-/// microsecond timestamps, one "process" per processor).
-#[must_use]
-pub fn to_chrome_trace(timeline: &Timeline) -> String {
-    let mut out = String::from("[");
-    for (i, e) in timeline.entries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let pid = match e.processor {
-            Processor::Cpu => 1,
-            Processor::Gpu => 2,
-            Processor::Npu => 3,
-        };
-        // ms → µs for the `ts`/`dur` fields.
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.1},\"dur\":{:.1},\"pid\":{},\"tid\":1}}",
-            e.label.replace('"', "'"),
-            e.start * 1e3,
-            (e.end - e.start) * 1e3,
-            pid
-        );
-    }
-    out.push(']');
-    out
-}
 
 /// Serializes a timeline as CSV (`label,processor,start_ms,end_ms`).
 #[must_use]
@@ -79,46 +53,16 @@ mod tests {
             processor: Processor::Npu,
             start: 0.0,
             end: 2.5,
+            meta: (),
         });
         tl.record(TimelineEntry {
             label: "C0-L0-Attention".into(),
             processor: Processor::Cpu,
             start: 2.5,
             end: 4.0,
+            meta: (),
         });
         tl
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_all_events() {
-        let json = to_chrome_trace(&sample());
-        let parsed: Vec<std::collections::HashMap<String, serde_json_value::Value>> =
-            parse_json(&json);
-        assert_eq!(parsed.len(), 2);
-    }
-
-    // A minimal JSON sanity check without pulling serde_json into the soc
-    // crate: verify bracket balance and event count by substring.
-    fn parse_json(s: &str) -> Vec<std::collections::HashMap<String, serde_json_value::Value>> {
-        assert!(s.starts_with('[') && s.ends_with(']'));
-        let events = s.matches("\"ph\":\"X\"").count();
-        (0..events)
-            .map(|_| std::collections::HashMap::new())
-            .collect()
-    }
-
-    mod serde_json_value {
-        #[derive(Debug)]
-        pub enum Value {}
-    }
-
-    #[test]
-    fn chrome_trace_converts_ms_to_us() {
-        let json = to_chrome_trace(&sample());
-        // 2.5 ms duration → 2500 µs.
-        assert!(json.contains("\"dur\":2500.0"));
-        assert!(json.contains("\"pid\":3")); // NPU
-        assert!(json.contains("\"pid\":1")); // CPU
     }
 
     #[test]
@@ -150,9 +94,8 @@ mod tests {
             processor: Processor::Cpu,
             start: 0.0,
             end: 1.0,
+            meta: (),
         });
-        let json = to_chrome_trace(&tl);
-        assert!(!json.contains("has\"quote"));
         let csv = to_csv(&tl);
         assert!(csv.contains("has'quote;and;commas") || csv.contains(";and;"));
     }

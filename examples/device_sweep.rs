@@ -8,7 +8,10 @@
 
 use llmnpu::core::decode::DecodeSim;
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
+use llmnpu::core::serve::trace_span;
 use llmnpu::model::config::ModelConfig;
+use llmnpu::obs::chrome::{chrome_trace_json, validate_chrome_trace};
+use llmnpu::obs::TraceLog;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::soc::trace;
 use llmnpu::soc::Processor;
@@ -61,7 +64,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::path::Path::new("target/experiments");
     std::fs::create_dir_all(dir)?;
     let trace_path = dir.join("prefill_trace.json");
-    std::fs::write(&trace_path, trace::to_chrome_trace(timeline))?;
+    // Every plane's timeline exports through the same entry → span
+    // conversion and the same Chrome writer; a simulated entry has no
+    // owning request and is its own modeled cost.
+    let log = TraceLog {
+        spans: timeline
+            .entries()
+            .iter()
+            .map(|e| trace_span(e, "simulated", None, e.duration()))
+            .collect(),
+        events: Vec::new(),
+    };
+    let chrome = chrome_trace_json(&log);
+    let check = validate_chrome_trace(&chrome)?;
+    assert_eq!(check.slices, timeline.entries().len());
+    std::fs::write(&trace_path, chrome)?;
     let csv_path = dir.join("prefill_trace.csv");
     std::fs::write(&csv_path, trace::to_csv(timeline))?;
 

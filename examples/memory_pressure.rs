@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .timeline
         .entries()
         .iter()
-        .filter(|s| s.kind == ServeTaskKind::Evicted)
+        .filter(|s| s.meta.kind == ServeTaskKind::Evicted)
         .count();
     println!(
         "timeline: {:.1} ms makespan, {} eviction spans, {} total tokens at {:.1} tok/s",

@@ -16,7 +16,9 @@ use llmnpu::model::backend::{FloatBackend, ShadowBackend};
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
 use llmnpu::model::weights::{synthesize, OutlierSpec};
-use llmnpu::sched::{execute_chunked_prefill, schedule, Policy, WorkerPool};
+use llmnpu::sched::{
+    execute_chunked_prefill, schedule, validate_timeline, LaneGraph, Policy, WorkerPool,
+};
 use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::soc::Processor;
@@ -125,9 +127,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &pool,
         )
     })?;
-    exec.timeline.validate_against(&exec_dag)?;
-
     let sim = schedule(&exec_dag, Policy::OutOfOrder)?;
+    // One validator, both planes: each timeline is a schedule of this DAG.
+    let exec_graph = LaneGraph::from_prefill_dag(&exec_dag)?;
+    validate_timeline(&sim.timeline, &exec_graph)?;
+    validate_timeline(&exec.timeline, &exec_graph)?;
     println!(
         "=== unified planes: {}-task DAG, {} chunks, 48-hidden shadow model ===",
         exec_dag.len(),
@@ -136,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "simulated makespan {:.2} ms (device model) | executed makespan {:.2} ms (this host, {} pool lanes)\n",
         sim.makespan_ms,
-        exec.timeline.makespan_ms(),
+        exec.timeline.makespan(),
         pool.workers()
     );
 
@@ -144,7 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_sim_lanes(&sim);
 
     println!("\n--- executed numeric timeline (same DAG, real GEMMs) ---");
-    let span = exec.timeline.makespan_ms();
+    let span = exec.timeline.makespan();
     for proc in [Processor::Npu, Processor::Cpu] {
         let spans: Vec<(f64, f64, char)> = exec
             .timeline
@@ -152,19 +156,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .filter(|e| e.processor == proc)
             .map(|e| {
-                let glyph = if e.role == TaskRole::Shadow {
+                let glyph = if e.meta.role == TaskRole::Shadow {
                     's'
                 } else {
                     label_glyph(&e.label)
                 };
-                (e.start_ms, e.end_ms, glyph)
+                (e.start, e.end, glyph)
             })
             .collect();
         println!("{proc}: {}", lane_row(&spans, span));
     }
-    let shadow_overlap = exec.timeline.overlap_ms(
-        |e| e.role == TaskRole::Shadow,
-        |e| e.role == TaskRole::Main && e.processor == Processor::Npu,
+    let shadow_overlap = exec.timeline.overlap(
+        |e| e.meta.role == TaskRole::Shadow,
+        |e| e.meta.role == TaskRole::Main && e.processor == Processor::Npu,
     );
     println!(
         "legend: digits = chunk, 's' = shadow-outlier MatMul, '.' = idle\n\

@@ -9,7 +9,9 @@
 //! ```
 
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
-use llmnpu::core::serve::{GenerationRequest, ServeOptions, ServeReport};
+use llmnpu::core::serve::{
+    decode_interleaved_with_prefill, GenerationRequest, ServeOptions, ServeReport,
+};
 use llmnpu::model::backend::FloatBackend;
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
@@ -111,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The unified timeline: digits are the request of a prefill task,
     // 'd' marks decode steps — the interleave is visible directly.
-    let span = batched.timeline.makespan_ms();
+    let span = batched.timeline.makespan();
     println!("\n--- unified timeline (digits = request's prefill, d = decode) ---");
     for proc in [Processor::Npu, Processor::Cpu] {
         let spans: Vec<(f64, f64, char)> = batched
@@ -120,19 +122,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .filter(|s| s.processor == proc)
             .map(|s| {
-                let glyph = if s.kind.is_decode() {
+                let glyph = if s.meta.kind.is_decode() {
                     'd'
                 } else {
-                    char::from_digit(s.request as u32 % 10, 10).unwrap_or('#')
+                    char::from_digit(s.meta.request as u32 % 10, 10).unwrap_or('#')
                 };
-                (s.start_ms, s.end_ms, glyph)
+                (s.start, s.end, glyph)
             })
             .collect();
         println!("{proc}: {}", render::lane_row(&spans, span, DEFAULT_WIDTH));
     }
     println!(
         "decode interleaved with another request's prefill: {}",
-        batched.timeline.decode_interleaved_with_prefill()
+        decode_interleaved_with_prefill(&batched.timeline)
     );
 
     println!("\n=== same queue, single-stream (max_active 1) ===");

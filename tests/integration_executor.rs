@@ -15,7 +15,7 @@ use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
 use llmnpu::model::kv::KvCache;
 use llmnpu::model::weights::{synthesize, ModelWeights, OutlierSpec};
-use llmnpu::sched::{execute_chunked_prefill, Policy, WorkerPool};
+use llmnpu::sched::{execute_chunked_prefill, validate_timeline, LaneGraph, Policy, WorkerPool};
 use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::soc::Processor;
@@ -60,6 +60,7 @@ fn executor_determinism_bit_identical_across_workers_and_backends() {
     let toks = tokens(10, cfg.vocab);
     let chunk_len = 3;
     let (dag, plan) = dag_for(&cfg, toks.len(), chunk_len, 1.0);
+    let graph = LaneGraph::from_prefill_dag(&dag).unwrap();
 
     let backends: Vec<Box<dyn LinearBackend>> = vec![
         Box::new(FloatBackend::new(w.clone())),
@@ -130,7 +131,7 @@ fn executor_determinism_bit_identical_across_workers_and_backends() {
                         be.name()
                     );
                 }
-                first.timeline.validate_against(&dag).unwrap();
+                validate_timeline(&first.timeline, &graph).unwrap();
 
                 // Repeat runs are bit-identical (scheduling order must
                 // never leak into the numerics).
@@ -214,6 +215,7 @@ fn shadow_tasks_overlap_npu_main_path_in_executed_timeline() {
     let t = Transformer::new(&w, &shadow);
     let toks = tokens(24, cfg.vocab);
     let (dag, plan) = dag_for(&cfg, toks.len(), 6, 1.0);
+    let graph = LaneGraph::from_prefill_dag(&dag).unwrap();
     assert!(
         dag.tasks().iter().any(|task| task.role == TaskRole::Shadow),
         "dag must contain shadow tasks"
@@ -236,19 +238,19 @@ fn shadow_tasks_overlap_npu_main_path_in_executed_timeline() {
     for _ in 0..5 {
         let exec =
             execute_chunked_prefill(&t, &toks, &dag, &plan, Policy::OutOfOrder, &pool).unwrap();
-        exec.timeline.validate_against(&dag).unwrap();
-        let overlap = exec.timeline.overlap_ms(
-            |e| e.role == TaskRole::Shadow,
-            |e| e.role == TaskRole::Main && e.processor == Processor::Npu,
+        validate_timeline(&exec.timeline, &graph).unwrap();
+        let overlap = exec.timeline.overlap(
+            |e| e.meta.role == TaskRole::Shadow,
+            |e| e.meta.role == TaskRole::Main && e.processor == Processor::Npu,
         );
         let entries = exec.timeline.entries();
         let reordered = entries.iter().any(|s| {
-            s.role == TaskRole::Shadow
+            s.meta.role == TaskRole::Shadow
                 && entries.iter().any(|m| {
-                    m.role == TaskRole::Main
+                    m.meta.role == TaskRole::Main
                         && m.processor == Processor::Npu
-                        && s.chunk > m.chunk
-                        && s.end_ms <= m.start_ms
+                        && s.meta.chunk > m.meta.chunk
+                        && s.end <= m.start
                 })
         });
         if overlap > 0.0 || reordered {
@@ -273,17 +275,18 @@ fn executed_timeline_cross_checks_against_dag() {
     let t = Transformer::new(&w, &float);
     let toks = tokens(8, cfg.vocab);
     let (dag, plan) = dag_for(&cfg, toks.len(), 4, 1.0);
+    let graph = LaneGraph::from_prefill_dag(&dag).unwrap();
     let pool = Arc::new(WorkerPool::new(2));
 
     for policy in Policy::ALL {
         let exec = execute_chunked_prefill(&t, &toks, &dag, &plan, policy, &pool).unwrap();
-        exec.timeline.validate_against(&dag).unwrap();
+        validate_timeline(&exec.timeline, &graph).unwrap();
         assert_eq!(exec.timeline.entries().len(), dag.len());
-        assert!(exec.timeline.makespan_ms() > 0.0);
+        assert!(exec.timeline.makespan() > 0.0);
         // Busy time is conserved across lanes.
         let busy: f64 = [Processor::Npu, Processor::Cpu, Processor::Gpu]
             .iter()
-            .map(|&p| exec.timeline.lane_busy_ms(p))
+            .map(|&p| exec.timeline.busy_time(p))
             .sum();
         assert!(busy > 0.0);
     }

@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu::core::faults::{DurationSpike, FaultMode, FaultPlan, FaultSite, FaultSpec};
 use llmnpu::core::serve::{
-    GenerationRequest, PressurePolicy, RequestStatus, ServeOptions, ServeReport, TokenEvent,
+    request_entries, GenerationRequest, PressurePolicy, RequestStatus, ServeOptions, ServeReport,
+    TokenEvent,
 };
 use llmnpu::model::backend::FloatBackend;
 use llmnpu::model::config::ModelConfig;
@@ -188,11 +189,9 @@ fn transient_fault_retries_to_completion() {
     assert_eq!(report.requests[0].attempts, 1);
     assert_eq!(report.requests[2].attempts, 1);
     // Retry witness: the victim has spans from both incarnations.
-    let attempts: Vec<usize> = report
-        .timeline
-        .request_entries(1)
+    let attempts: Vec<usize> = request_entries(&report.timeline, 1)
         .iter()
-        .map(|s| s.attempt)
+        .map(|s| s.meta.attempt)
         .collect();
     assert!(attempts.contains(&0), "first-attempt spans missing");
     assert!(attempts.contains(&1), "retry spans missing from timeline");

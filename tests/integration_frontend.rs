@@ -195,7 +195,10 @@ fn frontend_cancellation_is_contained_to_its_stream() {
 /// after it stream bit-identical to solo, `run` returns `Ok`, and the
 /// session flushes leak-free. (Before submit-time validation each of
 /// these failed the whole batch inside `run`: the loop exited, every
-/// batch-mate's stream ended without `Finished`, no flush ran.)
+/// batch-mate's stream ended without `Finished`, no flush ran.) The one
+/// input error `submit` cannot see — a prompt token outside the model's
+/// vocabulary — is accepted and then answered by the loop itself, as
+/// `Failed` on that stream alone.
 #[test]
 fn frontend_refuses_a_bad_submit_and_keeps_serving() {
     let w = mini_model();
@@ -217,6 +220,10 @@ fn frontend_refuses_a_bad_submit_and_keeps_serving() {
         GenerationRequest::new(tokens(4, 5), 2).with_arrival_ms(-1.0),
         GenerationRequest::new(tokens(390, 5), 10),
     ];
+    // `submit` cannot see the vocabulary: this one is accepted, and the
+    // serving loop must answer it alone instead of dying on it.
+    let mut out_of_vocab = tokens(6, 3);
+    out_of_vocab[4] = w.config.vocab as u32;
 
     let (client, fe) = frontend(serve_opts());
     let report = thread::scope(|s| {
@@ -225,8 +232,14 @@ fn frontend_refuses_a_bad_submit_and_keeps_serving() {
         for b in &bad {
             assert!(client.submit(b.clone()).is_err(), "accepted {b:?}");
         }
+        let oov = client
+            .submit(GenerationRequest::new(out_of_vocab, 3))
+            .unwrap();
         let second = client.submit(good[1].clone()).unwrap();
         let streams = [first, second].map(|h| h.wait().expect("stream finishes"));
+        let oov = oov.wait().expect("out-of-vocab stream finishes");
+        assert!(matches!(oov.status, RequestStatus::Failed { .. }));
+        assert!(oov.tokens.is_empty());
         client.shutdown();
         for (got, want) in streams.iter().zip(&expect) {
             assert!(matches!(got.status, RequestStatus::Completed));
@@ -236,9 +249,12 @@ fn frontend_refuses_a_bad_submit_and_keeps_serving() {
     })
     .expect("a refused submit must not fail the serving loop");
 
-    assert_eq!(report.requests, 2, "refused submits were never served");
+    assert_eq!(report.requests, 3, "refused submits were never served");
     assert_eq!(report.completed, 2);
-    assert_eq!(report.failed, 0);
+    assert_eq!(
+        report.failed, 1,
+        "the out-of-vocab prompt, on its own stream"
+    );
     // `run` only returns Ok after the flush proved the pool empty.
     assert!(report.flushed_blocks >= 1, "served prompts were cached");
 }

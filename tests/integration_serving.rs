@@ -9,7 +9,8 @@ use std::sync::{Arc, Mutex};
 
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu::core::serve::{
-    GenerationRequest, PressurePolicy, ServeOptions, ServeTaskKind, TokenEvent,
+    decode_interleaved_with_prefill, evicted_and_recomputed, GenerationRequest, PressurePolicy,
+    ServeOptions, ServeTaskKind, TokenEvent,
 };
 use llmnpu::model::backend::{FloatBackend, LutBackend, PerTensorBackend};
 use llmnpu::model::config::ModelConfig;
@@ -273,14 +274,14 @@ fn decode_steps_interleave_with_prefill_chunks() {
         )
         .unwrap();
     assert!(
-        report.timeline.decode_interleaved_with_prefill(),
+        decode_interleaved_with_prefill(&report.timeline),
         "no decode step ran inside another request's prefill window"
     );
     // Both phases really produced spans on the unified clock.
     let spans = report.timeline.entries();
-    assert!(spans.iter().any(|s| s.kind.is_decode()));
-    assert!(spans.iter().any(|s| s.kind.is_prefill()));
-    assert!(report.timeline.makespan_ms() > 0.0);
+    assert!(spans.iter().any(|s| s.meta.kind.is_decode()));
+    assert!(spans.iter().any(|s| s.meta.kind.is_prefill()));
+    assert!(report.timeline.makespan() > 0.0);
 }
 
 /// Arrival times gate dispatch: a request arriving late must not start
@@ -345,7 +346,7 @@ fn admission_cap_serializes_requests() {
         r1.first_dispatch_ms,
         r0.finish_ms
     );
-    assert!(!report.timeline.decode_interleaved_with_prefill());
+    assert!(!decode_interleaved_with_prefill(&report.timeline));
     for (r, outcome) in report.requests.iter().enumerate() {
         let solo = t
             .generate(
@@ -498,7 +499,7 @@ fn eviction_recomputes_without_changing_streams() {
         .find(|r| r.attempts > 1)
         .expect("some request was preempted and recomputed");
     assert!(
-        report.timeline.evicted_and_recomputed(victim.request),
+        evicted_and_recomputed(&report.timeline, victim.request),
         "timeline missing the preemption witness"
     );
     // The eviction and the recompute both left spans on the clock.
@@ -506,7 +507,7 @@ fn eviction_recomputes_without_changing_streams() {
         .timeline
         .entries()
         .iter()
-        .any(|s| s.kind == ServeTaskKind::Evicted));
+        .any(|s| s.meta.kind == ServeTaskKind::Evicted));
     for (r, outcome) in report.requests.iter().enumerate() {
         let solo = t
             .generate(
@@ -640,7 +641,7 @@ fn batched_decode_stacks_steps_without_changing_streams() {
         .timeline
         .entries()
         .iter()
-        .filter_map(|s| match s.kind {
+        .filter_map(|s| match s.meta.kind {
             ServeTaskKind::DecodeBatch { width, .. } => Some(width),
             _ => None,
         })
@@ -746,7 +747,7 @@ fn quantized_backend_serves_with_batching_auto_disabled() {
             .timeline
             .entries()
             .iter()
-            .any(|s| matches!(s.kind, ServeTaskKind::DecodeBatch { .. })),
+            .any(|s| matches!(s.meta.kind, ServeTaskKind::DecodeBatch { .. })),
         "batched decode must not engage for a non-row-wise backend"
     );
     for (r, outcome) in report.requests.iter().enumerate() {
@@ -855,7 +856,7 @@ fn cohort_breaks_on_a_wait_through_a_preempted_incarnation() {
             },
         )
         .unwrap();
-    assert!(report.timeline.evicted_and_recomputed(1));
+    assert!(evicted_and_recomputed(&report.timeline, 1));
     for (r, outcome) in report.requests.iter().enumerate() {
         let solo = t
             .generate(

@@ -4,12 +4,11 @@
 //! (out-of-order ≤ fifo ≤ serial makespan) must hold universally.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 use llmnpu::graph::chunk::ChunkPlan;
 use llmnpu::graph::dag::{build_prefill_dag, DagConfig, PrefillDag};
 use llmnpu::model::config::ModelConfig;
-use llmnpu::sched::{schedule, Policy, ScheduleOutcome};
+use llmnpu::sched::{schedule, validate_timeline, LaneGraph, Policy, ScheduleOutcome};
 use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::soc::Processor;
@@ -40,45 +39,11 @@ fn arbitrary_dag() -> impl Strategy<Value = PrefillDag> {
 }
 
 fn assert_schedule_valid(dag: &PrefillDag, outcome: &ScheduleOutcome) -> Result<(), TestCaseError> {
-    let entries = outcome.timeline.entries();
-    prop_assert_eq!(
-        entries.len(),
-        dag.len(),
-        "every task scheduled exactly once"
-    );
-    let by_label: HashMap<&str, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.label.as_str(), i))
-        .collect();
-    prop_assert_eq!(by_label.len(), entries.len(), "labels unique");
-
-    // Dependencies respected.
-    for (t, task) in dag.tasks().iter().enumerate() {
-        let e = &entries[by_label[task.label.as_str()]];
-        for &d in dag.deps(t) {
-            let de = &entries[by_label[dag.tasks()[d].label.as_str()]];
-            prop_assert!(
-                de.end <= e.start + 1e-6,
-                "{} started before dep {} finished",
-                task.label,
-                dag.tasks()[d].label
-            );
-        }
-    }
-
-    // Equation 4: per-processor mutual exclusion.
-    for p in Processor::ALL {
-        let mut intervals: Vec<(f64, f64)> = entries
-            .iter()
-            .filter(|e| e.processor == p)
-            .map(|e| (e.start, e.end))
-            .collect();
-        intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for w in intervals.windows(2) {
-            prop_assert!(w[0].1 <= w[1].0 + 1e-6, "overlap on {p}: {w:?}");
-        }
-    }
+    // Every task exactly once, dependencies respected, Equation 4 — the
+    // same check the executed plane is held to.
+    let graph = LaneGraph::from_prefill_dag(dag).unwrap();
+    let valid = validate_timeline(&outcome.timeline, &graph);
+    prop_assert!(valid.is_ok(), "{valid:?}");
 
     // Makespan is the max end time and at least the critical path.
     prop_assert!((outcome.makespan_ms - outcome.timeline.makespan()).abs() < 1e-9);
