@@ -267,6 +267,12 @@ struct LutDecodeRow {
     i8_warm_ms: f64,
     i4_warm_ms: f64,
     i2_warm_ms: f64,
+    /// Warm LUT throughput, `2·m·k·n` operations per second: the
+    /// column that is comparable across shapes and group sizes (the
+    /// group epilogue's cost shows up here as a gs = 32 vs gs = 256
+    /// gap).
+    i4_gops: f64,
+    i2_gops: f64,
     /// Cold timings: the LLC is evicted before every rep so weights
     /// stream from DRAM. This is the regime a real decode step lives
     /// in — the model's full weight set is walked once per token and
@@ -292,9 +298,12 @@ struct LutDecodeRow {
     /// Optimized int2 driver bit-exact vs the scalar LUT reference.
     i2_bit_exact: bool,
     /// True for the solo decode GEMV row the ≥1.5× acceptance is
-    /// evaluated on. Cohort rows (m > 1) share one weight stream
-    /// across m tokens, so the per-token bytes advantage — and with it
-    /// the expected ratio — shrinks by design.
+    /// evaluated on — at the group size the serving stack uses
+    /// (gs = 32), where the scales are a fifth of the stream and the
+    /// group epilogue runs eight times as often as at gs = 256. Cohort
+    /// rows (m > 1) share one weight stream across m tokens, so the
+    /// per-token bytes advantage — and with it the expected ratio —
+    /// shrinks by design.
     gate_row: bool,
     /// Acceptance: cold int4 ≥ 1.5× cold i8 tok/s at this shape.
     meets_1_5x_vs_i8: bool,
@@ -651,6 +660,8 @@ fn compare_lut_decode(
         i8_warm_ms: i8_warm * 1e3,
         i4_warm_ms: i4_warm * 1e3,
         i2_warm_ms: i2_warm * 1e3,
+        i4_gops: (2 * m * k * n) as f64 / i4_warm / 1e9,
+        i2_gops: (2 * m * k * n) as f64 / i2_warm / 1e9,
         f32_cold_ms: f32_cold * 1e3,
         i8_cold_ms: i8_cold * 1e3,
         i4_cold_ms: i4_cold * 1e3,
@@ -909,9 +920,19 @@ fn kernel_comparison() {
     println!(
         "--- lut decode: f32 vs i8 vs int4 vs int2 prepacked, cold-stream (bytes/token, tok/s) ---"
     );
-    let lut_shapes: [(usize, usize, usize, usize, usize, bool); 4] = [
-        (1, 4096, 4096, 256, 12, true), // solo decode GEMV — the 1.5x gate row
-        (1, 4096, 4096, 128, 9, false), // solo decode, narrower groups
+    // The served shapes first: the benchmark model's linear sites at the
+    // group size every backend, test and workload uses (gs = 32), at
+    // solo decode, a batched-decode cohort and a prefill chunk.
+    let lut_shapes: [(usize, usize, usize, usize, usize, bool); 11] = [
+        (1, 512, 1376, 32, 25, false),
+        (8, 512, 1376, 32, 25, false),
+        (32, 512, 1376, 32, 15, false),
+        (1, 1376, 512, 32, 25, false),
+        (8, 1376, 512, 32, 25, false),
+        (32, 1376, 512, 32, 15, false),
+        (1, 4096, 4096, 32, 12, true), // solo decode GEMV — the 1.5x gate row
+        (1, 4096, 4096, 256, 12, false), // wide groups: an eighth of the epilogues
+        (1, 4096, 4096, 128, 9, false),
         (2, 4096, 4096, 128, 7, false), // widest GEMV cohort
         (8, 4096, 4096, 128, 5, false), // batched-decode cohort (m = B)
     ];
@@ -920,7 +941,7 @@ fn kernel_comparison() {
         .map(|&(m, k, n, gs, reps, gate)| {
             let row = compare_lut_decode(m, k, n, gs, reps, gate);
             println!(
-                "{:<14} gs={:<3} cold: f32 {:>6.2} ms ({:>5.1} MB) | i8 {:>6.2} ms ({:>5.1} MB) | i4 {:>6.2} ms ({:>5.1} MB, {:>4.2}x vs i8) | i2 {:>6.2} ms ({:>5.1} MB, {:>4.2}x) | warm: i8 {:>5.2} i4 {:>5.2} i2 {:>5.2} ms | exact i4={} i2={} | gate={} 1.5x={} zero-builds={}",
+                "{:<14} gs={:<3} cold: f32 {:>6.2} ms ({:>5.1} MB) | i8 {:>6.2} ms ({:>5.1} MB) | i4 {:>6.2} ms ({:>5.1} MB, {:>4.2}x vs i8) | i2 {:>6.2} ms ({:>5.1} MB, {:>4.2}x) | warm: i8 {:>5.2} i4 {:>5.2} i2 {:>5.2} ms, i4 {:>4.1} i2 {:>4.1} Gop/s | exact i4={} i2={} | gate={} 1.5x={} zero-builds={}",
                 row.shape,
                 row.group_size,
                 row.f32_cold_ms,
@@ -936,6 +957,8 @@ fn kernel_comparison() {
                 row.i8_warm_ms,
                 row.i4_warm_ms,
                 row.i2_warm_ms,
+                row.i4_gops,
+                row.i2_gops,
                 row.i4_bit_exact,
                 row.i2_bit_exact,
                 row.gate_row,
@@ -1081,6 +1104,53 @@ fn kernel_comparison() {
     let json = serde_json::to_string_pretty(&record).expect("serialize kernel record");
     std::fs::write(path, json + "\n").expect("write BENCH_kernels.json");
     println!("wrote {path}");
+
+    // Exactness is a property of the code, not of the host: a false flag
+    // is a bug on any machine, so it fails the run (the record above is
+    // still written, for the post-mortem). The timing gates (`meets_*`)
+    // stay report-only — the CI host is not steady.
+    let mut flags: Vec<(String, bool)> = Vec::new();
+    for r in &record.rows {
+        flags.push((format!("{} i8", r.shape), r.i8_bit_exact));
+    }
+    for r in &record.decode {
+        flags.push((format!("{} f32 prepacked", r.shape), r.f32_bit_identical));
+        flags.push((format!("{} i8 prepacked", r.shape), r.i8_bit_exact));
+    }
+    for r in &record.lut_decode {
+        let at = format!("{} gs={}", r.shape, r.group_size);
+        flags.push((format!("{at} i4"), r.i4_bit_exact));
+        flags.push((format!("{at} i2"), r.i2_bit_exact));
+        flags.push((
+            format!("{at} zero warm table builds"),
+            r.zero_warm_table_builds,
+        ));
+    }
+    for r in &record.batched_decode {
+        flags.push((format!("batched decode B={}", r.batch), r.bit_identical));
+    }
+    for r in &record.paged_kv {
+        let at = format!("paged kv q={} pages of {}", r.q_rows, r.block_tokens);
+        flags.push((at, r.bit_identical));
+    }
+    for r in &record.pool_vs_scope {
+        flags.push((format!("pool vs scope {}", r.shape), r.bit_identical));
+    }
+    let serving = &record.serving;
+    flags.push(("serving streams".into(), serving.streams_bit_identical));
+    flags.push((
+        "decode-batched serving streams".into(),
+        serving.batched_decode_streams_identical,
+    ));
+    let inexact: Vec<&str> = flags
+        .iter()
+        .filter(|(_, ok)| !ok)
+        .map(|(what, _)| what.as_str())
+        .collect();
+    if !inexact.is_empty() {
+        eprintln!("kernel bench: exactness flags false: {inexact:?}");
+        std::process::exit(1);
+    }
 }
 
 criterion_group!(

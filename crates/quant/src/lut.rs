@@ -5,7 +5,7 @@
 //! NPU sub-MatMuls (the 8.1–10.7× slowdown of Figure 4), the LUT
 //! formats keep the whole reduction in one kernel pass: weights are
 //! quantized to 4- or 2-bit codes at construction, packed once into
-//! the transposed split-plane layout of
+//! the column-panel split-plane layout of
 //! [`PackedMatrixI4`] / [`PackedMatrixI2`], and every forward runs the
 //! in-register table-lookup drivers against the same packed bytes —
 //! one-half (int4) or one-quarter (int2) the weight traffic of the i8
@@ -132,20 +132,6 @@ impl LutLinear {
         }
     }
 
-    /// Batched-decode forward over B scattered activation rows (one
-    /// weight stream per cohort). Row `i` is bit-identical to
-    /// [`LutLinear::forward`] on that row alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on an empty batch or a row-length mismatch.
-    pub fn forward_rows(&self, rows: &[&[f32]], threads: usize) -> Result<Tensor<f32>> {
-        match &self.weights {
-            LutWeights::I4(p) => Ok(gemm::matmul_i4_rows_prepacked(rows, p, threads)?),
-            LutWeights::I2(p) => Ok(gemm::matmul_i2_rows_prepacked(rows, p, threads)?),
-        }
-    }
-
     /// The scalar materialized-table reference (builds real lookup
     /// tables per activation row; the semantic definition the
     /// optimized drivers are pinned against).
@@ -227,23 +213,6 @@ mod tests {
         let fast = lin.forward(&x, 2).unwrap();
         let reference = lin.forward_reference(&x).unwrap();
         assert_eq!(fast.as_slice(), reference.as_slice());
-    }
-
-    #[test]
-    fn forward_rows_matches_solo_rows() {
-        let w = ramp(32, 9, 0.7);
-        let lin = LutLinear::int4(&w, 8).unwrap();
-        let rows: Vec<Vec<f32>> = (0..4)
-            .map(|i| ramp(1, 32, 1.0 + i as f32).into_vec())
-            .collect();
-        let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-        let stacked = lin.forward_rows(&refs, 2).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            let solo = lin
-                .forward(&Tensor::from_vec(row.clone(), [1, 32]).unwrap(), 1)
-                .unwrap();
-            assert_eq!(solo.row(0), stacked.row(i));
-        }
     }
 
     #[test]

@@ -37,20 +37,46 @@
 //!
 //! # Packed layout
 //!
-//! Weights are stored transposed (each output column's reduction run is
-//! contiguous, like the i8 decode copy) and nibble-/crumb-packed. The
+//! Weights are stored in **column panels**: `NR = 16` output columns
+//! side by side, so the SIMD lanes of every kernel are output columns
+//! and one group scale vector applies to a whole vector of outputs. The
 //! reduction dimension is covered by `group_size`-wide quantization
-//! groups, each with an independent f32 scale **per output column**
-//! (`scales[j · groups + g]`); the last group may be ragged when
-//! `group_size` does not divide `k`. Within one group of `L` positions,
-//! codes are **plane-split** so the dot kernels unpack with unit-stride
-//! activation access: for int4, byte `i` of the group's run holds
-//! position `i` in its low nibble and position `L/2 + i` in its high
-//! nibble; for int2, byte `i` holds positions `i`, `L/4 + i`,
-//! `2·L/4 + i`, `3·L/4 + i` in its four bit-pairs. `k` is padded up to
-//! a whole byte with codes that decode to exactly 0 (and the activation
-//! buffer is zero-padded to match), so ragged shapes need no edge
-//! branches in the kernels.
+//! groups, each with an independent f32 scale per output column, stored
+//! `[panel][group][NR]`; the last group may be ragged when `group_size`
+//! does not divide `k`. Codes are stored `[panel][group][byte-row][NR]`
+//! and **plane-split** within a group of `L` positions: for int4,
+//! byte-row `i` holds the 16 columns' codes for position `i` in the low
+//! nibbles and position `L/2 + i` in the high nibbles; for int2,
+//! byte-row `i` holds positions `i`, `L/4 + i`, `2·L/4 + i`,
+//! `3·L/4 + i` in its four bit-pairs — so a plane is one shift-and-mask
+//! of a whole byte-row and consecutive byte-rows meet consecutive
+//! activations. `k` is padded up to a multiple of 4 (whole bytes, and an
+//! even number of int4 byte-rows per group) and `n` up to a whole panel
+//! with codes that decode to exactly 0 (padded columns also carry
+//! scale 0, and the activation buffer is zero-padded to match), so
+//! ragged shapes need no edge branches in the kernels. One copy of the
+//! codes serves both shape classes below.
+//!
+//! Storage per `k × n` matrix is `k·n·bits/8` code bytes plus
+//! `4·n·⌈k / group_size⌉` scale bytes: a 4096² int4 matrix is 8.4 MB of
+//! codes + 0.26 MB of scales at `gs = 256`, and 8.4 MB + 2.1 MB at the
+//! `gs = 32` the serving stack actually uses.
+//!
+//! # Why lanes are output columns
+//!
+//! Group quantization ends every (row, column, group) in an
+//! integer-to-float conversion and a scaled accumulate — the tax the
+//! paper's Figure 4 prices at 8.1–10.7× when each group becomes its own
+//! reduction. With each column's reduction run contiguous (this
+//! module's first layout) that epilogue was a 16-lane horizontal sum
+//! and a dependent scalar multiply-add per output *element* per group:
+//! at `gs = 32` the driver ran 5–7 Gop/s on every shape, against 38–44
+//! at `gs = 128/256`. With columns in the lanes the same epilogue is
+//! one vector convert-multiply-add per 16 outputs (`lut_epilogue`) and
+//! the cliff is gone: `gs = 32` runs 28–41 Gop/s against 41–59 at
+//! `gs = 128/256` (one core; `BENCH_kernels.json`, `lut_decode`). There
+//! is no group-size specialization anywhere: one walker per shape
+//! class, every group size.
 //!
 //! # Bit-exactness and threading
 //!
@@ -62,16 +88,17 @@
 //! `m = B` batched call is bit-identical to a solo `m = 1` call on the
 //! same row, which is what lets batched decode and chunked prefill ride
 //! this path without perturbing streams. Threading N-partitions output
-//! columns ([`parallel::run_col_partitioned_rows`]): each worker
-//! finishes all `B` rows of a column while its bytes are hot, so the
-//! weights stream through memory once per *batch*, and partitioning
-//! never touches any element's accumulation order.
+//! columns in whole panels ([`parallel::run_col_partitioned_rows`] with
+//! `align = NR`): each worker finishes all `B` rows of a panel while
+//! its bytes are hot, so the weights stream through memory once per
+//! *batch*, and partitioning never touches any element's accumulation
+//! order.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::microkernel::{lut_dot_i2, lut_dot_i4, I2_BIAS, I4_BIAS};
-use super::{pack, parallel};
+use super::microkernel::{lut_dot, lut_unpack, microkernel_lut, MR, NR};
+use super::{pack, parallel, GEMV_MAX_ROWS};
 
 thread_local! {
     /// Materialized partial-sum table builds on this thread.
@@ -105,362 +132,301 @@ fn note_table_build() {
     LUT_TABLES_BUILT_GLOBAL.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Symmetric i8 range used for activation rows (matches the per-tensor
-/// quantization plane).
-const A_QMAX: f32 = 127.0;
-
-/// The two sub-8-bit code widths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    /// 4-bit codes, 2 per byte, 16-entry tables, values in `[-7, 7]`.
-    I4,
-    /// 2-bit codes, 4 per byte, 4-entry tables, values in `[-1, 1]`
-    /// (ternary, BitNet/T-MAN style — code 0 is unused headroom).
-    I2,
-}
-
-impl Format {
-    /// Codes per packed byte; also the number of split planes per group.
-    fn codes_per_byte(self) -> usize {
-        match self {
-            Format::I4 => 2,
-            Format::I2 => 4,
-        }
-    }
-
-    /// Symmetric quantization bound on decoded values.
-    fn qmax(self) -> i32 {
-        match self {
-            Format::I4 => 7,
-            Format::I2 => 1,
-        }
-    }
-
-    /// Stored-code bias: code `v` decodes to `v - bias`.
-    fn bias(self) -> i32 {
-        match self {
-            Format::I4 => I4_BIAS,
-            Format::I2 => I2_BIAS,
-        }
-    }
-
-    /// Entries in one position's partial-sum table.
-    fn table_len(self) -> usize {
-        match self {
-            Format::I4 => 16,
-            Format::I2 => 4,
-        }
-    }
-
-    /// Bits per stored code.
-    fn bits(self) -> usize {
-        match self {
-            Format::I4 => 4,
-            Format::I2 => 2,
-        }
-    }
-}
-
-/// Validates a LUT group size: byte alignment of every group boundary
-/// (for both code widths) requires a positive multiple of 4.
-fn check_group_size(group_size: usize) {
-    assert!(
-        group_size >= 4 && group_size.is_multiple_of(4),
-        "LUT group size must be a positive multiple of 4, got {group_size}"
-    );
-}
-
-/// The shared packed core behind [`PackedMatrixI4`] / [`PackedMatrixI2`].
+/// A `k × n` weight matrix packed **once** into the `BITS`-bit LUT
+/// format (see the module docs for the layout): plane-split codes in
+/// column panels with per-(column, group) f32 scales. Built at weight
+/// load/quantization time; the `*_prepacked` LUT drivers then never
+/// touch the float original again. Only the two widths below exist.
 #[derive(Debug, Clone, PartialEq)]
-struct PackedLut {
-    fmt: Format,
+pub struct PackedLut<const BITS: usize> {
     k: usize,
     n: usize,
     group_size: usize,
-    /// `k` rounded up to a whole packed byte.
+    /// `k` rounded up to a multiple of 4: whole bytes for either width,
+    /// and an even number of int4 byte-rows in every group.
     k_pad: usize,
-    /// Packed bytes per output column (`k_pad / codes_per_byte`).
-    row_bytes: usize,
-    /// Transposed, plane-split codes: column `j`'s run is
-    /// `codes[j * row_bytes .. (j + 1) * row_bytes]`.
+    /// Column panels of `NR` columns, plane-split per group: panel `pj`
+    /// is `codes[pj * panel_bytes() ..]`, byte-row `i` of it is `NR`
+    /// bytes, one per column.
     codes: Vec<u8>,
-    /// Per-(column, group) scales, `scales[j * groups + g]`.
+    /// Per-(panel, group) scale vectors, `scales[(pj * groups + g) * NR + lane]`.
     scales: Vec<f32>,
 }
 
-impl PackedLut {
-    /// Quantizes and packs a row-major `k × n` f32 matrix.
-    fn quantize_pack(fmt: Format, b: &[f32], k: usize, n: usize, group_size: usize) -> Self {
+/// int4: codes `0..=15` decode to `[-7, 7]` (bias 8), 2 per byte,
+/// 16-entry tables — half the bytes of the i8 decode copy.
+pub type PackedMatrixI4 = PackedLut<4>;
+
+/// int2: codes `1..=3` decode to `[-1, 1]` (bias 2; ternary, BitNet /
+/// T-MAN style — code 0 is unused headroom), 4 per byte, 4-entry tables
+/// — a quarter of the i8 bytes.
+pub type PackedMatrixI2 = PackedLut<2>;
+
+impl<const BITS: usize> PackedLut<BITS> {
+    /// Codes per packed byte; also the number of split planes per group.
+    const PLANES: usize = 8 / BITS;
+    /// Stored-code bias: code `v` decodes to `v - BIAS`.
+    const BIAS: i32 = 1 << (BITS - 1);
+    /// Symmetric quantization bound on decoded values.
+    const QMAX: i32 = Self::BIAS - 1;
+
+    /// Quantizes and packs a row-major `k × n` f32 matrix with
+    /// `group_size`-wide per-column groups along the reduction
+    /// dimension. `group_size` need not divide `k` — the last group is
+    /// ragged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n` or `group_size` is not a positive
+    /// multiple of 4 (every group boundary must be byte-aligned for
+    /// both code widths).
+    #[must_use]
+    pub fn quantize_pack(b: &[f32], k: usize, n: usize, group_size: usize) -> Self {
+        const { assert!(BITS == 4 || BITS == 2, "LUT codes are 4 or 2 bits wide") };
         assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        check_group_size(group_size);
+        assert!(
+            group_size >= 4 && group_size.is_multiple_of(4),
+            "LUT group size must be a positive multiple of 4, got {group_size}"
+        );
         pack::note_pack_b();
-        let cpb = fmt.codes_per_byte();
-        let qmax = fmt.qmax();
-        let bias = fmt.bias();
-        let k_pad = k.div_ceil(cpb) * cpb;
-        let row_bytes = k_pad / cpb;
+        let k_pad = k.next_multiple_of(4);
         let groups = k.div_ceil(group_size);
-        let mut codes = Vec::with_capacity(n * row_bytes);
-        let mut scales = Vec::with_capacity(n * groups);
-        for j in 0..n {
-            for g in 0..groups {
-                let g0 = g * group_size;
-                let len = group_len(g, groups, group_size, k_pad);
-                let real_end = (g0 + group_size).min(k);
-                let mut amax = 0.0f32;
-                for p in g0..real_end {
-                    amax = amax.max(b[p * n + j].abs());
-                }
-                let scale = if amax > 0.0 { amax / qmax as f32 } else { 0.0 };
-                scales.push(scale);
-                let stride = len / cpb;
-                for i in 0..stride {
-                    let mut byte = 0u8;
-                    for t in 0..cpb {
-                        let p = g0 + t * stride + i;
-                        let code = if p < k {
-                            quantize_code(b[p * n + j], scale, qmax, bias)
-                        } else {
-                            bias as u8
-                        };
-                        byte |= code << (fmt.bits() * t);
+        let panels = n.div_ceil(NR);
+        let mut codes = Vec::with_capacity(panels * NR * k_pad / Self::PLANES);
+        let mut scales = Vec::with_capacity(panels * groups * NR);
+        for j0 in (0..n).step_by(NR) {
+            let cols = NR.min(n - j0);
+            for g0 in (0..k).step_by(group_size) {
+                // Every read is a panel-wide run of one B row: the pack
+                // walks the float matrix with unit stride. Lanes past `n`
+                // keep scale 0.
+                let mut scale = [0.0f32; NR];
+                for p in g0..(g0 + group_size).min(k) {
+                    for (s, &x) in scale.iter_mut().zip(&b[p * n + j0..][..cols]) {
+                        *s = s.max(x.abs());
                     }
-                    codes.push(byte);
+                }
+                for s in &mut scale {
+                    *s = if *s > 0.0 {
+                        *s / Self::QMAX as f32
+                    } else {
+                        0.0
+                    };
+                }
+                scales.extend_from_slice(&scale);
+                let rows = (k_pad - g0).min(group_size) / Self::PLANES;
+                for i in 0..rows {
+                    let mut bytes = [0u8; NR];
+                    for t in 0..Self::PLANES {
+                        let p = g0 + t * rows + i;
+                        for (l, byte) in bytes.iter_mut().enumerate() {
+                            // Padding (positions past `k`, lanes past `n`)
+                            // quantizes a zero: the bias code, decoding to 0.
+                            let x = if p < k && l < cols {
+                                b[p * n + j0 + l]
+                            } else {
+                                0.0
+                            };
+                            *byte |= Self::quantize_code(x, scale[l]) << (BITS * t);
+                        }
+                    }
+                    codes.extend_from_slice(&bytes);
                 }
             }
         }
         PackedLut {
-            fmt,
             k,
             n,
             group_size,
             k_pad,
-            row_bytes,
             codes,
             scales,
         }
     }
 
-    fn groups(&self) -> usize {
+    /// Symmetric round-and-clamp to `[-QMAX, QMAX]`, biased into a stored
+    /// code. A zero scale (all-zero group) maps everything to the bias
+    /// code, which decodes to exactly 0.
+    fn quantize_code(x: f32, scale: f32) -> u8 {
+        if scale <= 0.0 {
+            return Self::BIAS as u8;
+        }
+        let q = (x / scale).round() as i32;
+        (q.clamp(-Self::QMAX, Self::QMAX) + Self::BIAS) as u8
+    }
+
+    /// Quantizes and packs from a `[k, n]` tensor view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group_size` is not a positive multiple of 4.
+    #[must_use]
+    pub fn from_tensor(b: &crate::Tensor<f32>, group_size: usize) -> Self {
+        let (k, n) = b.matrix_dims();
+        Self::quantize_pack(b.as_slice(), k, n, group_size)
+    }
+
+    /// Reduction-dimension length.
+    #[must_use]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Output-dimension length.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Quantization group width along the reduction dimension.
+    #[must_use]
+    pub fn group_size(&self) -> usize {
+        self.group_size
+    }
+
+    /// Number of groups (the last may be ragged).
+    #[must_use]
+    pub fn groups(&self) -> usize {
         self.k.div_ceil(self.group_size)
     }
 
-    /// Total bytes a decode GEMV streams per token: packed codes plus
-    /// the per-(column, group) scales.
-    fn packed_bytes(&self) -> usize {
+    /// Positions covered by group `g`: `group_size` for every group but
+    /// the last, which ends at the padded `k`.
+    fn group_len(&self, g: usize) -> usize {
+        (self.k_pad - g * self.group_size).min(self.group_size)
+    }
+
+    /// Packed bytes per column panel.
+    fn panel_bytes(&self) -> usize {
+        self.k_pad / Self::PLANES * NR
+    }
+
+    /// Bytes a decode GEMV streams per token (packed codes + scales) —
+    /// the memory-traffic number the bench reports.
+    #[must_use]
+    pub fn packed_bytes(&self) -> usize {
         self.codes.len() + self.scales.len() * std::mem::size_of::<f32>()
     }
 
-    /// The stored code of reduction position `p` (may be a padded
-    /// position, `k ≤ p < k_pad`) in column `j` — the inverse of the
-    /// plane-split pack, used by the reference kernel and tests.
-    fn code_at(&self, p: usize, j: usize) -> u8 {
+    /// The stored code of reduction position `p` in column `j` — the
+    /// inverse of the plane-split pack, for tests and the reference
+    /// kernel; `p` may index the padded tail (`k ≤ p < k_pad`).
+    #[must_use]
+    pub fn code_at(&self, p: usize, j: usize) -> u8 {
         debug_assert!(p < self.k_pad && j < self.n);
-        let groups = self.groups();
-        let g = (p / self.group_size).min(groups - 1);
+        let g = (p / self.group_size).min(self.groups() - 1);
         let g0 = g * self.group_size;
-        let len = group_len(g, groups, self.group_size, self.k_pad);
-        let cpb = self.fmt.codes_per_byte();
-        let stride = len / cpb;
-        let o = p - g0;
-        let (t, i) = (o / stride, o % stride);
-        let byte = self.codes[j * self.row_bytes + g0 / cpb + i];
-        let mask = (1u8 << self.fmt.bits()) - 1;
-        (byte >> (self.fmt.bits() * t)) & mask
+        let rows = self.group_len(g) / Self::PLANES;
+        let (t, i) = ((p - g0) / rows, (p - g0) % rows);
+        let byte = self.codes[j / NR * self.panel_bytes() + (g0 / Self::PLANES + i) * NR + j % NR];
+        (byte >> (BITS * t)) & ((1 << BITS) - 1)
+    }
+
+    /// The f32 scale of group `g` in column `j`.
+    #[must_use]
+    pub fn scale_at(&self, j: usize, g: usize) -> f32 {
+        self.scales[(j / NR * self.groups() + g) * NR + j % NR]
     }
 
     /// Reconstructs the row-major `k × n` float matrix.
-    fn dequantize(&self) -> Vec<f32> {
-        let groups = self.groups();
+    #[must_use]
+    pub fn dequantize(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.k * self.n];
         for p in 0..self.k {
-            let g = p / self.group_size;
             for j in 0..self.n {
-                let code = i32::from(self.code_at(p, j));
-                let scale = self.scales[j * groups + g];
-                out[p * self.n + j] = (code - self.fmt.bias()) as f32 * scale;
+                let q = i32::from(self.code_at(p, j)) - Self::BIAS;
+                out[p * self.n + j] = q as f32 * self.scale_at(j, p / self.group_size);
             }
         }
         out
     }
 }
 
-/// Positions covered by group `g`: `group_size` for every group but the
-/// last, which absorbs the byte-padded tail.
-fn group_len(g: usize, groups: usize, group_size: usize, k_pad: usize) -> usize {
-    if g + 1 == groups {
-        k_pad - g * group_size
-    } else {
-        group_size
-    }
+/// Symmetric i8 range used for activation rows (matches the per-tensor
+/// quantization plane).
+const A_QMAX: f32 = 127.0;
+
+/// Activation rows quantized to i16-widened i8, one dynamic max-min
+/// scale per row, with the per-(row, group) sums the bias correction
+/// needs. Rows are stored in tiles of `mr`, K-major within a tile:
+/// element `(r, p)` is `aq[(r / mr * k_pad + p) * mr + r % mr]` and sum
+/// `(r, g)` is `sums[(r / mr * groups + g) * mr + r % mr]` — row-major
+/// for `mr = 1`, the A-panel order of the register tile for `mr = MR`.
+/// Rows are zero-padded to `k_pad` and to a whole tile.
+struct QuantRows {
+    aq: Vec<i16>,
+    scales: Vec<f32>,
+    sums: Vec<i32>,
 }
 
-/// Symmetric round-and-clamp to `[-qmax, qmax]`, biased into a stored
-/// code. A zero scale (all-zero group) maps everything to the bias code,
-/// which decodes to exactly 0.
-fn quantize_code(x: f32, scale: f32, qmax: i32, bias: i32) -> u8 {
-    if scale <= 0.0 {
-        return bias as u8;
-    }
-    let q = (x / scale).round() as i32;
-    (q.clamp(-qmax, qmax) + bias) as u8
-}
-
-/// Quantizes `m` activation rows (row-major, stride `k`) to i16-widened
-/// i8 with one dynamic max-min scale per row, zero-padding each row to
-/// `k_pad`. Shared verbatim by the reference and optimized drivers so
-/// the two can never quantize differently.
-fn quantize_rows(a: &[f32], m: usize, k: usize, k_pad: usize) -> (Vec<i16>, Vec<f32>) {
-    let mut aq = vec![0i16; m * k_pad];
-    let mut row_scales = Vec::with_capacity(m);
+/// Quantizes `m` activation rows (row-major, stride `k`) in one pass.
+/// Shared verbatim by the reference and optimized drivers so the two can
+/// never quantize differently. A row holding a NaN or an infinity gets a
+/// NaN scale — every output of that row is NaN, as in the float drivers —
+/// and no other row is affected.
+fn quantize_rows<const BITS: usize>(
+    a: &[f32],
+    m: usize,
+    p: &PackedLut<BITS>,
+    mr: usize,
+) -> QuantRows {
+    let groups = p.groups();
+    let tiles = m.div_ceil(mr);
+    let mut aq = vec![0i16; tiles * p.k_pad * mr];
+    let mut sums = vec![0i32; tiles * groups * mr];
+    let mut scales = Vec::with_capacity(m);
     for r in 0..m {
-        let row = &a[r * k..(r + 1) * k];
+        let row = &a[r * p.k..(r + 1) * p.k];
         let mut amax = 0.0f32;
         for &v in row {
-            amax = amax.max(v.abs());
+            // `f32::max` would drop a NaN; this keeps it.
+            if v.abs() > amax || v.is_nan() {
+                amax = v.abs();
+            }
         }
-        let scale = if amax > 0.0 { amax / A_QMAX } else { 0.0 };
-        row_scales.push(scale);
+        let scale = if !amax.is_finite() {
+            f32::NAN
+        } else if amax > 0.0 {
+            amax / A_QMAX
+        } else {
+            0.0
+        };
+        scales.push(scale);
         if scale > 0.0 {
-            let dst = &mut aq[r * k_pad..r * k_pad + k];
-            for (d, &v) in dst.iter_mut().zip(row) {
-                *d = (v / scale).round().clamp(-A_QMAX, A_QMAX) as i16;
+            let (tile, lane) = (r / mr, r % mr);
+            for (g, group) in row.chunks(p.group_size).enumerate() {
+                let mut sum = 0i32;
+                for (i, &v) in group.iter().enumerate() {
+                    let q = (v / scale).round().clamp(-A_QMAX, A_QMAX) as i16;
+                    aq[(tile * p.k_pad + g * p.group_size + i) * mr + lane] = q;
+                    sum += i32::from(q);
+                }
+                sums[(tile * groups + g) * mr + lane] = sum;
             }
         }
     }
-    (aq, row_scales)
+    QuantRows { aq, scales, sums }
 }
-
-/// A `k × n` weight matrix packed **once** into the int4 LUT format:
-/// 4-bit plane-split codes (half the bytes of the i8 decode copy) with
-/// per-(column, group) f32 scales. Built at weight load/quantization
-/// time; the `*_prepacked` LUT drivers then never touch the float
-/// original again.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedMatrixI4(PackedLut);
-
-/// A `k × n` weight matrix packed **once** into the int2 (ternary) LUT
-/// format: 2-bit plane-split codes (a quarter of the i8 bytes) with
-/// per-(column, group) f32 scales.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedMatrixI2(PackedLut);
-
-#[rustfmt::skip] // rustfmt oscillates on doc attributes inside macro bodies
-macro_rules! lut_matrix_api {
-    ($ty:ident, $fmt:expr, $bits:literal) => {
-        impl $ty {
-            #[doc = concat!(
-                "Quantizes and packs a row-major `k × n` f32 matrix with ",
-                "`group_size`-wide per-column groups along the reduction ",
-                "dimension (",
-                $bits,
-                "-bit codes). `group_size` need not divide `k` — the last ",
-                "group is ragged.\n\n# Panics\n\nPanics if `b.len() != k * n` ",
-                "or `group_size` is not a positive multiple of 4."
-            )]
-            #[must_use]
-            pub fn quantize_pack(b: &[f32], k: usize, n: usize, group_size: usize) -> Self {
-                $ty(PackedLut::quantize_pack($fmt, b, k, n, group_size))
-            }
-
-            /// Quantizes and packs from a `[k, n]` tensor view.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `group_size` is not a positive multiple of 4.
-            #[must_use]
-            pub fn from_tensor(b: &crate::Tensor<f32>, group_size: usize) -> Self {
-                let (k, n) = b.matrix_dims();
-                Self::quantize_pack(b.as_slice(), k, n, group_size)
-            }
-
-            /// Reduction-dimension length.
-            #[must_use]
-            pub fn k(&self) -> usize {
-                self.0.k
-            }
-
-            /// Output-dimension length.
-            #[must_use]
-            pub fn n(&self) -> usize {
-                self.0.n
-            }
-
-            /// Quantization group width along the reduction dimension.
-            #[must_use]
-            pub fn group_size(&self) -> usize {
-                self.0.group_size
-            }
-
-            /// Number of groups (the last may be ragged).
-            #[must_use]
-            pub fn groups(&self) -> usize {
-                self.0.groups()
-            }
-
-            /// Per-(column, group) scales, `scales()[j * groups + g]`.
-            #[must_use]
-            pub fn scales(&self) -> &[f32] {
-                &self.0.scales
-            }
-
-            /// Bytes a decode GEMV streams per token (packed codes +
-            /// scales) — the memory-traffic number the bench reports.
-            #[must_use]
-            pub fn packed_bytes(&self) -> usize {
-                self.0.packed_bytes()
-            }
-
-            /// The stored code of position `p` in column `j` (tests and
-            /// reference kernels; `p` may index the byte-padded tail).
-            #[must_use]
-            pub fn code_at(&self, p: usize, j: usize) -> u8 {
-                self.0.code_at(p, j)
-            }
-
-            /// Reconstructs the row-major `k × n` float matrix.
-            #[must_use]
-            pub fn dequantize(&self) -> Vec<f32> {
-                self.0.dequantize()
-            }
-        }
-    };
-}
-
-lut_matrix_api!(PackedMatrixI4, Format::I4, "4");
-lut_matrix_api!(PackedMatrixI2, Format::I2, "2");
 
 /// `C = dequant(A · B)` against int4 LUT weights — the optimized
 /// driver. Activation rows are quantized with one dynamic per-row
 /// scale, every group's partial-sum table is evaluated in registers
 /// (zero materialized tables — see [`lut_tables_built`]), and group
-/// sums are dequantized by a fused `a_scale · w_scale` epilogue.
+/// sums are dequantized by a fused `a_scale · w_scale` epilogue applied
+/// to a whole panel of output columns at once.
 ///
 /// For `m ≤ 2` this is the N-partitioned decode GEMV; larger `m` (the
-/// batched-decode cohort and chunked prefill) runs the same
-/// column-partitioned walk with all rows finished per column, so the
-/// weights stream once per batch. Row `r` is bit-identical to a solo
-/// `m = 1` call on the same row, and results are bit-exact vs
-/// [`gemm_i4_reference`] for any thread count.
+/// batched-decode cohort and chunked prefill) runs the register-tiled
+/// walk over the same column panels, so the weights stream once per
+/// batch. Row `r` is bit-identical to a solo `m = 1` call on the same
+/// row, and results are bit-exact vs [`gemm_i4_reference`] for any
+/// thread count.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the packed dimensions.
 pub fn gemm_i4_prepacked(m: usize, a: &[f32], b: &PackedMatrixI4, c: &mut [f32], threads: usize) {
-    gemm_lut(m, a, &b.0, c, threads);
-}
-
-/// The int4 decode GEMV (`m ≤ 2`), N-partitioned across `threads` — the
-/// shape-restricted alias of [`gemm_i4_prepacked`] the decode path and
-/// bench call by name.
-///
-/// # Panics
-///
-/// Panics if `m > 2` or a slice length disagrees with the packed
-/// dimensions.
-pub fn gemv_i4_prepacked(m: usize, a: &[f32], b: &PackedMatrixI4, c: &mut [f32], threads: usize) {
-    assert!(m <= super::GEMV_MAX_ROWS, "GEMV row bound exceeded: {m}");
-    gemm_lut(m, a, &b.0, c, threads);
+    gemm_lut(m, a, b, c, threads);
 }
 
 /// `C = dequant(A · B)` against int2 LUT weights — the optimized
@@ -470,18 +436,7 @@ pub fn gemv_i4_prepacked(m: usize, a: &[f32], b: &PackedMatrixI4, c: &mut [f32],
 ///
 /// Panics if a slice length disagrees with the packed dimensions.
 pub fn gemm_i2_prepacked(m: usize, a: &[f32], b: &PackedMatrixI2, c: &mut [f32], threads: usize) {
-    gemm_lut(m, a, &b.0, c, threads);
-}
-
-/// The int2 decode GEMV (`m ≤ 2`), N-partitioned across `threads`.
-///
-/// # Panics
-///
-/// Panics if `m > 2` or a slice length disagrees with the packed
-/// dimensions.
-pub fn gemv_i2_prepacked(m: usize, a: &[f32], b: &PackedMatrixI2, c: &mut [f32], threads: usize) {
-    assert!(m <= super::GEMV_MAX_ROWS, "GEMV row bound exceeded: {m}");
-    gemm_lut(m, a, &b.0, c, threads);
+    gemm_lut(m, a, b, c, threads);
 }
 
 /// The scalar LUT **reference** for int4: materializes every
@@ -494,7 +449,7 @@ pub fn gemv_i2_prepacked(m: usize, a: &[f32], b: &PackedMatrixI2, c: &mut [f32],
 ///
 /// Panics if a slice length disagrees with the packed dimensions.
 pub fn gemm_i4_reference(m: usize, a: &[f32], b: &PackedMatrixI4, c: &mut [f32]) {
-    gemm_lut_reference(m, a, &b.0, c);
+    gemm_lut_reference(m, a, b, c);
 }
 
 /// The scalar LUT reference for int2 (4-entry tables); see
@@ -504,183 +459,181 @@ pub fn gemm_i4_reference(m: usize, a: &[f32], b: &PackedMatrixI4, c: &mut [f32])
 ///
 /// Panics if a slice length disagrees with the packed dimensions.
 pub fn gemm_i2_reference(m: usize, a: &[f32], b: &PackedMatrixI2, c: &mut [f32]) {
-    gemm_lut_reference(m, a, &b.0, c);
+    gemm_lut_reference(m, a, b, c);
 }
 
-/// One output element of the int4 driver: walks every group of one
-/// packed column against one quantized activation row and returns the
-/// dequantized dot.
-///
-/// Two codegen properties here are load-bearing, both checked by the
-/// `lut_decode` bench gate rather than by eye:
-///
-/// * `#[inline(never)]` — compiled standalone, the reduction in
-///   [`lut_dot_i4`] auto-vectorizes to paired widening multiply-
-///   accumulates; inlined into the threading closure it degrades to
-///   narrow shuffling.
-/// * `SPEC` — the group size as a compile-time constant (`0` = take the
-///   runtime `group_size`). A constant trip count lets the group body
-///   compile to one straight-line block; [`gemm_lut`] dispatches the
-///   common power-of-two sizes to specialized instances.
-#[inline(never)]
-fn lut_col_i4<const SPEC: usize>(
-    col_codes: &[u8],
-    aq_row: &[i16],
-    g_sums: &[i32],
-    w_scales: &[f32],
+/// One column panel as the walkers see it: its codes and its
+/// `[group][NR]` scale vectors, and how to cut both into groups.
+/// Chunking `codes` by `group_size · BITS / 8 · NR` bytes peels the
+/// ragged last group off by itself — its chunk is simply shorter.
+struct Panel<'a> {
+    codes: &'a [u8],
+    scales: &'a [f32],
     group_size: usize,
-    a_scale: f32,
-) -> f32 {
-    let gs = if SPEC > 0 { SPEC } else { group_size };
-    let groups = w_scales.len();
-    let k_pad = aq_row.len();
-    let mut out = 0.0f32;
-    // The ragged tail group is peeled off so every slice in the main
-    // loop has the (constant, when specialized) full-group length —
-    // which is what lets the group body compile to straight-line code.
-    let full = groups - 1;
-    for ((&aq_sum, &w_scale), (bytes, aq_g)) in g_sums[..full]
-        .iter()
-        .zip(&w_scales[..full])
-        .zip(col_codes.chunks_exact(gs / 2).zip(aq_row.chunks_exact(gs)))
-    {
-        let (lo, hi) = aq_g.split_at(gs / 2);
-        let acc = lut_dot_i4(bytes, lo, hi, aq_sum);
-        // Same expression, same group order as the reference: exactness
-        // of the i32 sum makes the kernels interchangeable, this line
-        // keeps the f32 tail interchangeable too.
-        out += acc as f32 * (a_scale * w_scale);
-    }
-    let g0 = full * gs;
-    let stride = (k_pad - g0) / 2;
-    let bytes = &col_codes[g0 / 2..g0 / 2 + stride];
-    let (lo, hi) = aq_row[g0..k_pad].split_at(stride);
-    let acc = lut_dot_i4(bytes, lo, hi, g_sums[full]);
-    out + acc as f32 * (a_scale * w_scales[full])
 }
 
-/// One output element of the int2 driver; see [`lut_col_i4`].
+/// The group epilogue, one panel row at a time: dequantizes the 16
+/// columns' i32 group sums and adds them to the running f32 outputs.
+/// `corr` is `bias · Σ aq` over the group (see [`lut_dot`]). The float
+/// expression — and, called in ascending group order, the accumulation
+/// sequence of every element — is the reference's, verbatim. This is
+/// the step the panel layout exists for: one vector convert-multiply-add
+/// per 16 outputs where a column-contiguous layout pays a horizontal
+/// reduction and a dependent scalar multiply-add per element.
+#[inline(always)]
+fn lut_epilogue(out: &mut [f32; NR], acc: &[i32; NR], corr: i32, a_scale: f32, w_scales: &[f32]) {
+    for ((o, &s), &w) in out.iter_mut().zip(acc).zip(w_scales) {
+        *o += (s - corr) as f32 * (a_scale * w);
+    }
+}
+
+/// The GEMV-shaped walker (`m ≤ 2`): one activation row against one
+/// panel, every group dotted in place from the packed bytes. `aq` is the
+/// row's `k_pad` quantized activations, `sums` its per-group sums.
+///
+/// `#[inline(never)]` here and `#[inline(always)]` on [`lut_dot`] are a
+/// pair: the group loop, the dot and the epilogue compile as one
+/// standalone function whose 16 running outputs stay in a register
+/// (checked by the `lut_decode` bench rows, not by eye).
 #[inline(never)]
-fn lut_col_i2<const SPEC: usize>(
-    col_codes: &[u8],
-    aq_row: &[i16],
-    g_sums: &[i32],
-    w_scales: &[f32],
-    group_size: usize,
+fn lut_panel_row<const BITS: usize>(
+    panel: &Panel<'_>,
+    aq: &[i16],
+    sums: &[i32],
     a_scale: f32,
-) -> f32 {
-    let gs = if SPEC > 0 { SPEC } else { group_size };
-    let groups = w_scales.len();
-    let k_pad = aq_row.len();
-    let mut out = 0.0f32;
-    let full = groups - 1;
-    for ((&aq_sum, &w_scale), (bytes, aq_g)) in g_sums[..full]
-        .iter()
-        .zip(&w_scales[..full])
-        .zip(col_codes.chunks_exact(gs / 4).zip(aq_row.chunks_exact(gs)))
+) -> [f32; NR] {
+    let mut out = [0.0f32; NR];
+    for (((codes, aq), &sum), w_scales) in panel
+        .codes
+        .chunks(panel.group_size * BITS / 8 * NR)
+        .zip(aq.chunks(panel.group_size))
+        .zip(sums)
+        .zip(panel.scales.chunks_exact(NR))
     {
-        let (q0, rest) = aq_g.split_at(gs / 4);
-        let (q1, rest) = rest.split_at(gs / 4);
-        let (q2, q3) = rest.split_at(gs / 4);
-        let acc = lut_dot_i2(bytes, [q0, q1, q2, q3], aq_sum);
-        out += acc as f32 * (a_scale * w_scale);
+        let acc = lut_dot::<BITS>(codes, aq);
+        lut_epilogue(
+            &mut out,
+            &acc,
+            PackedLut::<BITS>::BIAS * sum,
+            a_scale,
+            w_scales,
+        );
     }
-    let g0 = full * gs;
-    let stride = (k_pad - g0) / 4;
-    let bytes = &col_codes[g0 / 4..g0 / 4 + stride];
-    let (q0, rest) = aq_row[g0..k_pad].split_at(stride);
-    let (q1, rest) = rest.split_at(stride);
-    let (q2, q3) = rest.split_at(stride);
-    let acc = lut_dot_i2(bytes, [q0, q1, q2, q3], g_sums[full]);
-    out + acc as f32 * (a_scale * w_scales[full])
+    out
 }
 
-/// The per-element column walker for this format/group-size pair, with
-/// the group size baked in as a constant for the sizes models actually
-/// use (any other size falls back to the runtime-`group_size` instance
-/// — same results, fewer specializations).
-type LutColFn = fn(&[u8], &[i16], &[i32], &[f32], usize, f32) -> f32;
-
-fn lut_col_fn(fmt: Format, group_size: usize) -> LutColFn {
-    match (fmt, group_size) {
-        (Format::I4, 32) => lut_col_i4::<32>,
-        (Format::I4, 64) => lut_col_i4::<64>,
-        (Format::I4, 128) => lut_col_i4::<128>,
-        (Format::I4, 256) => lut_col_i4::<256>,
-        (Format::I4, _) => lut_col_i4::<0>,
-        (Format::I2, 32) => lut_col_i2::<32>,
-        (Format::I2, 64) => lut_col_i2::<64>,
-        (Format::I2, 128) => lut_col_i2::<128>,
-        (Format::I2, 256) => lut_col_i2::<256>,
-        (Format::I2, _) => lut_col_i2::<0>,
+/// The tiled walker (`m > 2`): every row tile of `q` (K-major,
+/// `k_pad` deep) against one panel. Each group is unpacked **once** into
+/// `scratch` and the register tile runs over every row tile against it,
+/// so the unpack is amortized over the whole cohort; `out[r]` receives
+/// row `r`'s 16 outputs.
+fn lut_panel_tiles<const BITS: usize>(
+    panel: &Panel<'_>,
+    q: &QuantRows,
+    k_pad: usize,
+    out: &mut [[f32; NR]],
+    scratch: &mut [u8],
+) {
+    out.fill([0.0; NR]);
+    let groups = panel.scales.len() / NR;
+    for (g, (codes, w_scales)) in panel
+        .codes
+        .chunks(panel.group_size * BITS / 8 * NR)
+        .zip(panel.scales.chunks_exact(NR))
+        .enumerate()
+    {
+        let len = codes.len() * 8 / BITS / NR;
+        let b_panel = &mut scratch[..len * NR];
+        lut_unpack::<BITS>(codes, b_panel);
+        for (tile, out_tile) in out.chunks_mut(MR).enumerate() {
+            let a_panel = &q.aq[(tile * k_pad + g * panel.group_size) * MR..];
+            let mut acc = [[0i32; NR]; MR];
+            microkernel_lut(len, a_panel, b_panel, &mut acc);
+            let sums = &q.sums[(tile * groups + g) * MR..][..MR];
+            let a_scales = &q.scales[tile * MR..];
+            for (((out_row, acc_row), &sum), &a_scale) in
+                out_tile.iter_mut().zip(&acc).zip(sums).zip(a_scales)
+            {
+                lut_epilogue(
+                    out_row,
+                    acc_row,
+                    PackedLut::<BITS>::BIAS * sum,
+                    a_scale,
+                    w_scales,
+                );
+            }
+        }
     }
 }
 
-fn gemm_lut(m: usize, a: &[f32], p: &PackedLut, c: &mut [f32], threads: usize) {
+/// The optimized driver: one layout, and one panel walker per shape
+/// class ([`lut_panel_row`], [`lut_panel_tiles`]) for every group size.
+fn gemm_lut<const BITS: usize>(
+    m: usize,
+    a: &[f32],
+    p: &PackedLut<BITS>,
+    c: &mut [f32],
+    threads: usize,
+) {
     assert_eq!(a.len(), m * p.k, "lhs shape mismatch");
     assert_eq!(c.len(), m * p.n, "output shape mismatch");
     if m == 0 || p.n == 0 {
         return;
     }
-    let groups = p.groups();
-    if groups == 0 {
-        // k = 0: an empty reduction, exactly as the reference computes.
+    if p.k == 0 {
+        // An empty reduction, exactly as the reference computes.
         c.fill(0.0);
         return;
     }
-    let (aq, row_scales) = quantize_rows(a, m, p.k, p.k_pad);
-    // Per-(row, group) activation sums, computed once per cohort: the
-    // dot kernels hoist the code bias out of their loops via the exact
-    // identity `Σ (code − bias) · aq = Σ code · aq − bias · Σ aq`.
-    let mut group_sums = vec![0i32; m * groups];
-    for r in 0..m {
-        let aq_row = &aq[r * p.k_pad..(r + 1) * p.k_pad];
-        for g in 0..groups {
-            let g0 = g * p.group_size;
-            let len = group_len(g, groups, p.group_size, p.k_pad);
-            group_sums[r * groups + g] = aq_row[g0..g0 + len].iter().map(|&x| i32::from(x)).sum();
-        }
-    }
-    let col = lut_col_fn(p.fmt, p.group_size);
-    parallel::run_col_partitioned_rows(threads, m, p.n, 1, c, |col0, _, group| {
+    let gemv = m <= GEMV_MAX_ROWS;
+    let q = quantize_rows(a, m, p, if gemv { 1 } else { MR });
+    let (groups, k_pad) = (p.groups(), p.k_pad);
+    // NR-aligned bands keep every packed panel inside one worker, which
+    // finishes all rows of a panel while its bytes are hot: the weights
+    // stream from memory once per cohort.
+    parallel::run_col_partitioned_rows(threads, m, p.n, NR, c, |col0, _, group| {
+        let mut out = vec![[0.0f32; NR]; m];
+        let mut scratch = vec![0u8; p.group_size * NR];
         let cols = group.first().map_or(0, |(_, band)| band.len());
-        for jj in 0..cols {
-            let j = col0 + jj;
-            let col_codes = &p.codes[j * p.row_bytes..(j + 1) * p.row_bytes];
-            let w_scales = &p.scales[j * groups..(j + 1) * groups];
-            // All rows finish this column while its bytes are hot: the
-            // packed column streams from memory once per cohort.
-            for (row, band) in group.iter_mut() {
-                let aq_row = &aq[*row * p.k_pad..(*row + 1) * p.k_pad];
-                let g_sums = &group_sums[*row * groups..(*row + 1) * groups];
-                band[jj] = col(
-                    col_codes,
-                    aq_row,
-                    g_sums,
-                    w_scales,
-                    p.group_size,
-                    row_scales[*row],
-                );
+        for j0 in (0..cols).step_by(NR) {
+            let pj = (col0 + j0) / NR;
+            let panel = Panel {
+                codes: &p.codes[pj * p.panel_bytes()..][..p.panel_bytes()],
+                scales: &p.scales[pj * groups * NR..][..groups * NR],
+                group_size: p.group_size,
+            };
+            if gemv {
+                for (r, out_row) in out.iter_mut().enumerate() {
+                    let aq = &q.aq[r * k_pad..(r + 1) * k_pad];
+                    let sums = &q.sums[r * groups..(r + 1) * groups];
+                    *out_row = lut_panel_row::<BITS>(&panel, aq, sums, q.scales[r]);
+                }
+            } else {
+                lut_panel_tiles::<BITS>(&panel, &q, k_pad, &mut out, &mut scratch);
+            }
+            for ((_, band), out_row) in group.iter_mut().zip(&out) {
+                for (dst, &v) in band[j0..].iter_mut().zip(out_row) {
+                    *dst = v;
+                }
             }
         }
     });
 }
 
-fn gemm_lut_reference(m: usize, a: &[f32], p: &PackedLut, c: &mut [f32]) {
+fn gemm_lut_reference<const BITS: usize>(m: usize, a: &[f32], p: &PackedLut<BITS>, c: &mut [f32]) {
     assert_eq!(a.len(), m * p.k, "lhs shape mismatch");
     assert_eq!(c.len(), m * p.n, "output shape mismatch");
-    let (aq, row_scales) = quantize_rows(a, m, p.k, p.k_pad);
+    let q = quantize_rows(a, m, p, 1);
     let groups = p.groups();
-    let tl = p.fmt.table_len();
-    let bias = p.fmt.bias();
+    let tl = 1usize << BITS;
     for r in 0..m {
-        let aq_row = &aq[r * p.k_pad..(r + 1) * p.k_pad];
+        let aq_row = &q.aq[r * p.k_pad..(r + 1) * p.k_pad];
         // Materialize the per-position partial-sum tables for this
         // activation row: table[p][v] = aq[p] · (v − bias).
         let mut table = vec![0i32; p.k_pad * tl];
         for (pos, &av) in aq_row.iter().enumerate() {
             for v in 0..tl {
-                table[pos * tl + v] = i32::from(av) * (v as i32 - bias);
+                table[pos * tl + v] = i32::from(av) * (v as i32 - PackedLut::<BITS>::BIAS);
             }
         }
         note_table_build();
@@ -688,12 +641,11 @@ fn gemm_lut_reference(m: usize, a: &[f32], p: &PackedLut, c: &mut [f32]) {
             let mut out = 0.0f32;
             for g in 0..groups {
                 let g0 = g * p.group_size;
-                let len = group_len(g, groups, p.group_size, p.k_pad);
                 let mut acc = 0i32;
-                for pos in g0..g0 + len {
+                for pos in g0..g0 + p.group_len(g) {
                     acc += table[pos * tl + usize::from(p.code_at(pos, j))];
                 }
-                out += acc as f32 * (row_scales[r] * p.scales[j * groups + g]);
+                out += acc as f32 * (q.scales[r] * p.scale_at(j, g));
             }
             c[r * p.n + j] = out;
         }
@@ -718,7 +670,7 @@ mod tests {
             let back = p4.dequantize();
             for pos in 0..k {
                 for j in 0..n {
-                    let scale = p4.scales()[j * p4.groups() + pos / gs];
+                    let scale = p4.scale_at(j, pos / gs);
                     let err = (back[pos * n + j] - b[pos * n + j]).abs();
                     assert!(
                         err <= scale * 0.5 + 1e-6,
@@ -738,8 +690,8 @@ mod tests {
         let p4 = PackedMatrixI4::quantize_pack(&b, k, n, gs);
         let p2 = PackedMatrixI2::quantize_pack(&b, k, n, gs);
         for j in 0..n {
-            assert_eq!(i32::from(p4.code_at(7, j)), I4_BIAS);
-            assert_eq!(i32::from(p2.code_at(7, j)), I2_BIAS);
+            assert_eq!(p4.code_at(7, j), 8);
+            assert_eq!(p2.code_at(7, j), 2);
         }
     }
 

@@ -24,13 +24,6 @@ pub const MR: usize = 8;
 /// Columns per microkernel tile.
 pub const NR: usize = 16;
 
-/// Stored-code bias of the int4 LUT format: code `v` decodes to `v - 8`.
-/// Shared between the packers and the dot kernels so the two can never
-/// disagree (see [`super::lut`]).
-pub(super) const I4_BIAS: i32 = 8;
-/// Stored-code bias of the int2 LUT format: code `v` decodes to `v - 2`.
-pub(super) const I2_BIAS: i32 = 2;
-
 /// Fused (or contracted) multiply-add; see the module docs. Shared with
 /// the driver's GEMV path so both always use the same contraction rule.
 #[inline(always)]
@@ -124,63 +117,135 @@ pub fn microkernel_i8(kc: usize, a_panel: &[i16], b_panel: &[i16], acc: &mut [[i
     }
 }
 
-/// One group-sized LUT dot product, int4 codes.
+/// Splits one group of a LUT column panel into one stored code per byte:
+/// the K-major `NR`-wide B operand [`microkernel_lut`] consumes.
 ///
-/// `codes` holds one packed byte per **pair** of reduction positions of
-/// a single output column, in the split-plane group layout of
-/// [`super::lut`]: byte `i` carries the code of position `i` in its low
-/// nibble and the code of position `len/2 + i` in its high nibble (both
-/// offsets relative to the group). `aq_lo` / `aq_hi` are the matching
-/// halves of the quantized activation group, and `aq_sum` is the i32
-/// sum of the whole activation group (both halves).
-///
-/// The partial-sum table `T[p][v] = aq[p] · (v − 8)` is evaluated in
-/// registers — entry by entry, as each nibble selects it — rather than
-/// materialized; because every entry is an exact small integer, the
-/// result is bit-identical to a lookup in the materialized table
-/// regardless of evaluation order. Two further exact rewrites keep the
-/// loops in the shape LLVM turns into widening multiply-accumulates:
-/// the bias is hoisted out entirely
-/// (`Σ (code − 8) · aq  =  Σ code · aq  −  8 · Σ aq`, which is why the
-/// caller passes `aq_sum`), and the reduction runs through one plain
-/// scalar accumulator — an integer sum is freely reassociable, and that
-/// freedom is exactly what lets the vectorizer pick paired widening
-/// multiply-accumulates (`vpmaddwd`-class codegen on x86) instead of
-/// full-width multiplies.
-#[inline(always)]
-pub(super) fn lut_dot_i4(codes: &[u8], aq_lo: &[i16], aq_hi: &[i16], aq_sum: i32) -> i32 {
-    debug_assert_eq!(codes.len(), aq_lo.len());
-    debug_assert_eq!(codes.len(), aq_hi.len());
-    let mut s = 0i32;
-    for ((&b, &l), &h) in codes.iter().zip(aq_lo).zip(aq_hi) {
-        s += i32::from(b & 0x0f) * i32::from(l) + i32::from(b >> 4) * i32::from(h);
+/// `codes` is the group's run of `NR`-byte rows in the plane-split panel
+/// layout of [`super::lut`]: byte `j` of row `i` carries column `j`'s
+/// codes for positions `i`, `rows + i`, … (one per `BITS`-wide field,
+/// least significant first; 2 planes for int4, 4 for int2). Plane `t`
+/// lands in panel rows `t · rows ..`, so panel row `p` holds the 16
+/// columns' *stored* codes of group position `p`; the bias is removed
+/// later, once per (row, group), through the activation group sum.
+#[inline(never)]
+pub(super) fn lut_unpack<const BITS: usize>(codes: &[u8], panel: &mut [u8]) {
+    let mask = (1u8 << BITS) - 1;
+    for (t, plane) in panel.chunks_exact_mut(codes.len()).enumerate() {
+        for (dst, &src) in plane.iter_mut().zip(codes) {
+            *dst = (src >> (BITS * t)) & mask;
+        }
     }
-    s - I4_BIAS * aq_sum
 }
 
-/// One group-sized LUT dot product, int2 codes.
+/// `C_tile += A_panel · B_panel` over `kc` K steps against unpacked LUT
+/// codes: [`microkernel_i8`] with the B panel one **unsigned** byte per
+/// element ([`lut_unpack`]'s output) instead of a widened `i16`.
 ///
-/// `codes` holds one packed byte per **four** reduction positions: byte
-/// `i` carries, in its four bit-pairs from least significant up, the
-/// codes of positions `i`, `len/4 + i`, `2·len/4 + i`, and
-/// `3·len/4 + i` of the group. `aq` are the four matching quarters of
-/// the quantized activation group and `aq_sum` the i32 sum of the whole
-/// group. Like [`lut_dot_i4`], the 4-entry partial-sum table
-/// `T[p][v] = aq[p] · (v − 2)` is evaluated in registers with exact
-/// integer arithmetic, the bias hoisted into one `aq_sum` term, and the
-/// whole reduction run through one reassociable scalar accumulator for
-/// the same codegen reason as [`lut_dot_i4`].
-#[inline(always)]
-pub(super) fn lut_dot_i2(codes: &[u8], aq: [&[i16]; 4], aq_sum: i32) -> i32 {
-    let [q0, q1, q2, q3] = aq;
-    let mut s = 0i32;
-    for ((((&b, &x0), &x1), &x2), &x3) in codes.iter().zip(q0).zip(q1).zip(q2).zip(q3) {
-        s += i32::from(b & 0x03) * i32::from(x0)
-            + i32::from((b >> 2) & 0x03) * i32::from(x1)
-            + i32::from((b >> 4) & 0x03) * i32::from(x2)
-            + i32::from(b >> 6) * i32::from(x3);
+/// The body is deliberately the same; the operand type is the point. A
+/// product of a sign-extended `i16` and a value whose upper bits are
+/// known zero compiles to one paired widening multiply-accumulate
+/// (`vpmaddwd`/`vpdpwssd`-class on x86) where two signed `i16` operands
+/// need a full-width 32-bit multiply plus an add, and a byte per code
+/// halves the panel traffic. Exact in `i32` like every integer kernel
+/// here, so the choice is invisible in the results.
+#[inline(never)]
+pub(super) fn microkernel_lut(
+    kc: usize,
+    a_panel: &[i16],
+    b_panel: &[u8],
+    acc: &mut [[i32; NR]; MR],
+) {
+    let mut lo = [[0i32; NR]; 4];
+    let mut hi = [[0i32; NR]; 4];
+    for (a, b) in a_panel
+        .chunks_exact(MR)
+        .zip(b_panel.chunks_exact(NR))
+        .take(kc)
+    {
+        let mut bv = [0i32; NR];
+        for j in 0..NR {
+            bv[j] = i32::from(b[j]);
+        }
+        for r in 0..4 {
+            let ar = i32::from(a[r]);
+            let row = &mut lo[r];
+            for j in 0..NR {
+                row[j] += ar * bv[j];
+            }
+        }
+        for r in 0..4 {
+            let ar = i32::from(a[4 + r]);
+            let row = &mut hi[r];
+            for j in 0..NR {
+                row[j] += ar * bv[j];
+            }
+        }
     }
-    s - I2_BIAS * aq_sum
+    for r in 0..4 {
+        for j in 0..NR {
+            acc[r][j] += lo[r][j];
+            acc[4 + r][j] += hi[r][j];
+        }
+    }
+}
+
+/// One group of one LUT column panel against one quantized activation
+/// row, lanes = output columns: `acc[j] = Σ_p code(p, j) · aq[p]` over
+/// the group's positions, reading `codes` in place (the GEMV-shaped
+/// counterpart of [`lut_unpack`] + [`microkernel_lut`]; same layout,
+/// `aq` in position order).
+///
+/// The partial-sum table `T[p][v] = aq[p] · (v − bias)` is evaluated in
+/// registers, entry by entry as each code selects it, rather than
+/// materialized; every entry is an exact small integer, so the result is
+/// bit-identical to a lookup in the materialized table in any order. The
+/// bias is hoisted out by the exact identity
+/// `Σ (code − bias) · aq = Σ code · aq − bias · Σ aq` — the caller
+/// subtracts the second term.
+///
+/// Three codegen properties are load-bearing, all checked by the
+/// `lut_decode` bench rows rather than by eye: `#[inline(always)]` into
+/// the `#[inline(never)]` row walker in [`super::lut`] (standalone per
+/// group, the call and the spilled result cost a third of a `gs = 32`
+/// GEMV; inlined any further out, the lanes degrade to scalar
+/// shuffling); each byte-row is widened to `i32` lanes *before* its
+/// fields are shifted out (x86 has no byte shift, and the masked field's
+/// known-zero upper bits are what select the paired widening
+/// multiply-accumulate, `vpmaddwd`/`vpdpwssd`-class); and the sum runs
+/// through **four** accumulator rows — `BITS / 2` byte-rows per step ×
+/// `8 / BITS` planes, for either format — which is the shape the
+/// vectorizer keeps in 16-lane registers (with one row, or eight, it
+/// vectorizes across byte-rows with gathers instead). An integer sum is
+/// freely reassociable, so none of this is visible in the result.
+#[inline(always)]
+pub(super) fn lut_dot<const BITS: usize>(codes: &[u8], aq: &[i16]) -> [i32; NR] {
+    let mask = (1i32 << BITS) - 1;
+    let rows = codes.len() / NR;
+    assert_eq!(aq.len(), rows * 8 / BITS, "one activation per code");
+    let step = BITS / 2;
+    debug_assert_eq!(rows % step, 0, "groups are a multiple of 4 positions");
+    let mut acc = [[0i32; NR]; 4];
+    for (i, block) in codes.chunks_exact(step * NR).enumerate() {
+        for r in 0..step {
+            let mut w = [0i32; NR];
+            for j in 0..NR {
+                w[j] = i32::from(block[r * NR + j]);
+            }
+            for t in 0..8 / BITS {
+                let x = i32::from(aq[t * rows + step * i + r]);
+                for j in 0..NR {
+                    acc[step * t + r][j] += ((w[j] >> (BITS * t)) & mask) * x;
+                }
+            }
+        }
+    }
+    let [mut out, rest @ ..] = acc;
+    for row in rest {
+        for j in 0..NR {
+            out[j] += row[j];
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -230,66 +295,74 @@ mod tests {
         assert!(acc.iter().flatten().all(|&x| (x - 3.0).abs() < 1e-6));
     }
 
-    #[test]
-    fn lut_dot_i4_matches_materialized_table() {
-        // Ragged length (not a multiple of the lane width) to cover the
-        // remainder path.
-        let half = 37usize;
-        let codes: Vec<u8> = (0..half)
-            .map(|i| {
-                let lo = (i * 7 + 3) % 16;
-                let hi = (i * 11 + 5) % 16;
-                (lo | (hi << 4)) as u8
-            })
-            .collect();
-        let aq: Vec<i16> = (0..2 * half)
-            .map(|i| ((i * 31 + 9) % 255) as i16 - 127)
-            .collect();
-        let (aq_lo, aq_hi) = aq.split_at(half);
-        // The semantic ground truth: a materialized 16-entry table per
-        // position, indexed by the stored code.
-        let mut want = 0i32;
-        for i in 0..half {
-            let table_lo: Vec<i32> = (0..16)
-                .map(|v| i32::from(aq_lo[i]) * (v - I4_BIAS))
-                .collect();
-            let table_hi: Vec<i32> = (0..16)
-                .map(|v| i32::from(aq_hi[i]) * (v - I4_BIAS))
-                .collect();
-            want += table_lo[usize::from(codes[i] & 0x0f)];
-            want += table_hi[usize::from(codes[i] >> 4)];
+    /// Packs `len × NR` stored codes (`code(p, j)`) into the plane-split
+    /// byte-rows of one group.
+    fn pack_group<const BITS: usize>(len: usize, code: impl Fn(usize, usize) -> u8) -> Vec<u8> {
+        let rows = len * BITS / 8;
+        let mut codes = vec![0u8; rows * NR];
+        for p in 0..len {
+            for j in 0..NR {
+                codes[(p % rows) * NR + j] |= code(p, j) << (BITS * (p / rows));
+            }
         }
+        codes
+    }
+
+    /// `lut_dot` and `lut_unpack` + `microkernel_lut` against the
+    /// semantic ground truth: a materialized table per position, indexed
+    /// by the stored code, for one group of `len` positions.
+    fn check_group<const BITS: usize>(len: usize) {
+        let bias = 1 << (BITS - 1);
+        let code = |p: usize, j: usize| ((p * 7 + j * 5 + 3) % (1 << BITS)) as u8;
+        let codes = pack_group::<BITS>(len, code);
+        let aq: Vec<i16> = (0..len)
+            .map(|p| ((p * 31 + 9) % 255) as i16 - 127)
+            .collect();
         let aq_sum: i32 = aq.iter().map(|&x| i32::from(x)).sum();
-        assert_eq!(lut_dot_i4(&codes, aq_lo, aq_hi, aq_sum), want);
+        let mut want = [0i32; NR];
+        for (p, &av) in aq.iter().enumerate() {
+            let table: Vec<i32> = (0..1 << BITS).map(|v| i32::from(av) * (v - bias)).collect();
+            for (j, w) in want.iter_mut().enumerate() {
+                *w += table[usize::from(code(p, j))];
+            }
+        }
+        let got = lut_dot::<BITS>(&codes, &aq);
+        assert_eq!(got.map(|s| s - bias * aq_sum), want, "dot, len {len}");
+
+        let mut panel = vec![0u8; len * NR];
+        lut_unpack::<BITS>(&codes, &mut panel);
+        for (p, row) in panel.chunks_exact(NR).enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                assert_eq!(c, code(p, j), "unpack ({p},{j}), len {len}");
+            }
+        }
+        // Row r of the tile carries `(r + 1) · aq`.
+        let mut a_panel = vec![0i16; len * MR];
+        for (p, &av) in aq.iter().enumerate() {
+            for r in 0..MR {
+                a_panel[p * MR + r] = av * (r as i16 + 1) % 128;
+            }
+        }
+        let mut acc = [[0i32; NR]; MR];
+        microkernel_lut(len, &a_panel, &panel, &mut acc);
+        for (r, acc_row) in acc.iter().enumerate() {
+            for (j, &got) in acc_row.iter().enumerate() {
+                let want: i32 = (0..len)
+                    .map(|p| i32::from(a_panel[p * MR + r]) * i32::from(code(p, j)))
+                    .sum();
+                assert_eq!(got, want, "tile ({r},{j}), len {len}");
+            }
+        }
     }
 
     #[test]
-    fn lut_dot_i2_matches_materialized_table() {
-        let quarter = 21usize;
-        let codes: Vec<u8> = (0..quarter)
-            .map(|i| {
-                let mut b = 0u8;
-                for t in 0..4 {
-                    b |= (((i * 5 + t * 3 + 1) % 4) as u8) << (2 * t);
-                }
-                b
-            })
-            .collect();
-        let aq: Vec<i16> = (0..4 * quarter)
-            .map(|i| ((i * 13 + 2) % 255) as i16 - 127)
-            .collect();
-        let q: Vec<&[i16]> = aq.chunks_exact(quarter).collect();
-        let mut want = 0i32;
-        for i in 0..quarter {
-            for (t, plane) in q.iter().enumerate() {
-                let code = usize::from((codes[i] >> (2 * t)) & 0x03);
-                let table: Vec<i32> = (0..4)
-                    .map(|v| i32::from(plane[i]) * (v - I2_BIAS))
-                    .collect();
-                want += table[code];
-            }
+    fn lut_group_kernels_match_materialized_table() {
+        // Down to the smallest group a ragged tail can leave.
+        for len in [4usize, 8, 12, 32, 76] {
+            check_group::<4>(len);
         }
-        let aq_sum: i32 = aq.iter().map(|&x| i32::from(x)).sum();
-        assert_eq!(lut_dot_i2(&codes, [q[0], q[1], q[2], q[3]], aq_sum), want);
+        for len in [4usize, 8, 12, 32, 84] {
+            check_group::<2>(len);
+        }
     }
 }

@@ -78,9 +78,16 @@
 //! multiplies. A scalar reference materializes the tables; the
 //! optimized drivers evaluate the same entries in registers, which is
 //! bit-identical (exact i32 arithmetic) and counted by
-//! [`lut::lut_tables_built`] staying flat. The same `m ≤ 2` GEMV /
-//! `m = B` cohort split applies, over the row-cohort column
-//! partitioner [`parallel::run_col_partitioned_rows`].
+//! [`lut::lut_tables_built`] staying flat. Codes live in one layout —
+//! `NR`-column panels, so SIMD lanes are output columns and a group's
+//! dequantization is one vector epilogue per 16 outputs rather than a
+//! horizontal reduction per element (the group-size cliff that layout
+//! removes is stated in the [`lut`] module docs) — walked by one kernel
+//! per shape class for every group size: the same `m ≤ 2` GEMV / tiled
+//! split as the f32 and i8 drivers, the GEMV dotting the packed bytes in
+//! place and the tile unpacking each group once for all row tiles, over
+//! the row-cohort column partitioner
+//! [`parallel::run_col_partitioned_rows`] in whole panels.
 //!
 //! # Determinism
 //!

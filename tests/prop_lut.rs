@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use llmnpu::quant::lut::LutLinear;
-use llmnpu::tensor::kernel::lut::lut_tables_built;
+use llmnpu::tensor::kernel::lut::{lut_tables_built, PackedLut};
 use llmnpu::tensor::{gemm, PackedMatrixI2, PackedMatrixI4, Tensor};
 
 fn finite_vec(len: usize, mag: f32) -> impl Strategy<Value = Vec<f32>> {
@@ -53,6 +53,154 @@ fn ragged_shape_matrix_is_bit_exact() {
                         "i2 m={m} k={k} n={n} gs={gs} threads={threads}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The packed accessors against an independent naive quantizer: one
+/// max-abs scale per (column, group), round, clamp, bias — written here
+/// without reference to the panel layout. `n` sits below, at and across
+/// the 16-column panel width; `k` is ragged in the group and (for both
+/// code widths) in the byte.
+#[test]
+fn packed_accessors_match_a_naive_per_column_quantizer() {
+    fn check<const BITS: usize>(b: &Tensor<f32>, gs: usize, qmax: i32, bias: i32) {
+        let (k, n) = b.matrix_dims();
+        let (w, packed) = (b.as_slice(), PackedLut::<BITS>::from_tensor(b, gs));
+        let dequantized = packed.dequantize();
+        assert_eq!(packed.groups(), k.div_ceil(gs));
+        for j in 0..n {
+            for g in 0..k.div_ceil(gs) {
+                let group = g * gs..((g + 1) * gs).min(k);
+                let amax = group
+                    .clone()
+                    .map(|p| w[p * n + j].abs())
+                    .fold(0.0f32, f32::max);
+                let scale = if amax > 0.0 { amax / qmax as f32 } else { 0.0 };
+                let at = format!("i{BITS} k={k} n={n} gs={gs} col {j} group {g}");
+                assert_eq!(
+                    packed.scale_at(j, g).to_bits(),
+                    scale.to_bits(),
+                    "scale, {at}"
+                );
+                for p in group {
+                    let q = if scale > 0.0 {
+                        ((w[p * n + j] / scale).round() as i32).clamp(-qmax, qmax)
+                    } else {
+                        0
+                    };
+                    assert_eq!(i32::from(packed.code_at(p, j)), q + bias, "code {p}, {at}");
+                    assert_eq!(
+                        dequantized[p * n + j].to_bits(),
+                        (q as f32 * scale).to_bits(),
+                        "dequantized {p}, {at}"
+                    );
+                }
+            }
+            // The reduction dimension is padded to a multiple of 4 with
+            // codes that decode to zero.
+            for p in k..k.next_multiple_of(4) {
+                assert_eq!(
+                    i32::from(packed.code_at(p, j)),
+                    bias,
+                    "i{BITS} pad {p} col {j}"
+                );
+            }
+        }
+    }
+    for &(k, gs) in &[(37usize, 8usize), (37, 12), (64, 32), (6, 4)] {
+        for &n in &[1usize, 7, 16, 17, 33] {
+            let b = ramp(k, n, 0.9);
+            check::<4>(&b, gs, 7, 8);
+            check::<2>(&b, gs, 1, 2);
+        }
+    }
+}
+
+/// Optimized ≡ reference, bit for bit, on both sides of the GEMV/tile
+/// switch and of every row-tile edge, for group sizes from one byte-row
+/// to wider than a panel is tall, at every thread count — and row `r`
+/// of every such batch ≡ the solo `m = 1` call on that row, which is
+/// the property batched decode and chunked prefill serve streams on.
+#[test]
+fn every_shape_class_is_bit_exact_and_row_transparent() {
+    // k = 70: every group size below leaves a ragged tail, padded to
+    // 72; n = 37: two full panels and a ragged third, so 2..4 threads
+    // split whole panels unevenly.
+    let (k, n) = (70usize, 37usize);
+    let b = ramp(k, n, 0.8);
+    let a = ramp(33, k, 1.3);
+    let rows = |m: usize| Tensor::from_vec(a.as_slice()[..m * k].to_vec(), [m, k]).unwrap();
+    for gs in [4usize, 8, 12, 32, 64] {
+        let p4 = PackedMatrixI4::from_tensor(&b, gs);
+        let p2 = PackedMatrixI2::from_tensor(&b, gs);
+        let solo: Vec<[Tensor<f32>; 2]> = (0..33)
+            .map(|r| {
+                let row = Tensor::from_vec(a.row(r).to_vec(), [1, k]).unwrap();
+                [
+                    gemm::matmul_i4_prepacked(&row, &p4, 1).unwrap(),
+                    gemm::matmul_i2_prepacked(&row, &p2, 1).unwrap(),
+                ]
+            })
+            .collect();
+        for m in [1usize, 2, 3, 7, 8, 9, 17, 33] {
+            let am = rows(m);
+            let r4 = gemm::matmul_i4_reference(&am, &p4).unwrap();
+            let r2 = gemm::matmul_i2_reference(&am, &p2).unwrap();
+            for threads in 1..=4 {
+                let f4 = gemm::matmul_i4_prepacked(&am, &p4, threads).unwrap();
+                let f2 = gemm::matmul_i2_prepacked(&am, &p2, threads).unwrap();
+                let at = format!("m={m} gs={gs} threads={threads}");
+                assert_eq!(f4.as_slice(), r4.as_slice(), "i4 vs reference, {at}");
+                assert_eq!(f2.as_slice(), r2.as_slice(), "i2 vs reference, {at}");
+                for (r, [s4, s2]) in solo.iter().enumerate().take(m) {
+                    assert_eq!(f4.row(r), s4.row(0), "i4 row {r} vs solo, {at}");
+                    assert_eq!(f2.row(r), s2.row(0), "i2 row {r} vs solo, {at}");
+                }
+            }
+        }
+    }
+}
+
+/// A NaN (or an infinity) anywhere in an activation row poisons that
+/// row's every output — as the float drivers do — in the optimized
+/// drivers and the reference alike, and never its batch-mates.
+#[test]
+fn non_finite_activation_rows_come_back_all_nan_and_stay_row_local() {
+    let (k, n) = (24usize, 19usize);
+    let b = ramp(k, n, 0.7);
+    let p4 = PackedMatrixI4::from_tensor(&b, 8);
+    let p2 = PackedMatrixI2::from_tensor(&b, 8);
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut x = ramp(3, k, 1.1).into_vec();
+        x[k + 5] = poison;
+        let a = Tensor::from_vec(x, [3, k]).unwrap();
+        let outs = [
+            gemm::matmul_i4_prepacked(&a, &p4, 2).unwrap(),
+            gemm::matmul_i4_reference(&a, &p4).unwrap(),
+            gemm::matmul_i2_prepacked(&a, &p2, 2).unwrap(),
+            gemm::matmul_i2_reference(&a, &p2).unwrap(),
+        ];
+        for (which, out) in outs.iter().enumerate() {
+            assert!(
+                out.row(1).iter().all(|v| v.is_nan()),
+                "driver {which}, poison {poison}: row 1 = {:?}",
+                out.row(1)
+            );
+            for r in [0usize, 2] {
+                let row = Tensor::from_vec(a.row(r).to_vec(), [1, k]).unwrap();
+                let solo = if which < 2 {
+                    gemm::matmul_i4_prepacked(&row, &p4, 1).unwrap()
+                } else {
+                    gemm::matmul_i2_prepacked(&row, &p2, 1).unwrap()
+                };
+                let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(out.row(r)),
+                    bits(solo.row(0)),
+                    "driver {which} row {r}"
+                );
             }
         }
     }
@@ -170,11 +318,10 @@ proptest! {
         let b = Tensor::from_vec(w.clone(), [32, 4]).unwrap();
         let p = PackedMatrixI4::from_tensor(&b, 8);
         let back = p.dequantize();
-        let scales = p.scales();
-        // scales are per (column, group): column-major groups of 8 rows.
+        // One scale per (column, group of 8 rows).
         for (idx, (&orig, &deq)) in w.iter().zip(&back).enumerate() {
             let (row, col) = (idx / 4, idx % 4);
-            let scale = scales[col * 4 + row / 8];
+            let scale = p.scale_at(col, row / 8);
             prop_assert!((orig - deq).abs() <= scale * 0.5 + 1e-6);
         }
     }
