@@ -2,10 +2,12 @@
 //! kernel-subsystem comparison that records `BENCH_kernels.json` at the
 //! repository root: naive (scalar reference) vs blocked vs blocked+threaded
 //! GEMM at paper-relevant prefill shapes, and a decode (`m ≤ 2`) section
-//! comparing the streaming GEMV, a repack-weights-every-call strawman, and
-//! the pack-once `PackedMatrix` fast path — with tokens-equivalent
+//! comparing the f32 streaming GEMV, a repack-weights-every-call strawman,
+//! and the pack-once `PackedMatrix` fast path — with tokens-equivalent
 //! throughput so the perf trajectory of the kernel layer is tracked across
-//! PRs. Threaded columns are labeled with the *effective* worker count
+//! PRs. Every integer column goes through `matmul_i8_prepacked`, the path
+//! every quantized layer runs; serving-level numbers live in `benchmark/`.
+//! Threaded columns are labeled with the *effective* worker count
 //! after the host-core clamp, and the record carries an explicit
 //! `thread_scaling_valid` flag (false on a 1-core host, where "threaded"
 //! timings are a second single-threaded run, not thread scaling).
@@ -17,6 +19,7 @@ use std::time::Instant;
 use llmnpu_quant::outlier::{extract_outliers, ShadowLinear};
 use llmnpu_quant::per_group::GroupedLinear;
 use llmnpu_quant::per_tensor::{max_min_scale, QuantizedLinear, QuantizedMatrix};
+use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{
     gemm, PackedMatrixF32, PackedMatrixI2, PackedMatrixI4, PackedMatrixI8, Tensor,
 };
@@ -47,16 +50,24 @@ fn bench_gemm(c: &mut Criterion) {
     group.bench_function("i8_naive_32x256x256", |b| {
         b.iter(|| gemm::matmul_i8_reference(black_box(a_i.data()), black_box(b_i.data())).unwrap())
     });
+    let packed_i = PackedMatrixI8::from_tensor(b_i.data());
     group.bench_function("i8_blocked_32x256x256", |b| {
-        b.iter(|| gemm::matmul_i8(black_box(a_i.data()), black_box(b_i.data())).unwrap())
+        b.iter(|| {
+            gemm::matmul_i8_prepacked(black_box(a_i.data()), black_box(&packed_i), 1).unwrap()
+        })
     });
+    let mut out = Tensor::zeros([32, 256]);
+    let epilogue = Epilogue::PerTensor {
+        scale: a_i.scale() * b_i.scale(),
+    };
     group.bench_function("i8_fused_dequant_32x256x256", |b| {
         b.iter(|| {
-            gemm::matmul_i8_scaled(
+            gemm::matmul_i8_fused_prepacked(
+                &mut out,
                 black_box(a_i.data()),
-                black_box(b_i.data()),
-                a_i.scale(),
-                b_i.scale(),
+                black_box(&packed_i),
+                epilogue,
+                1,
             )
             .unwrap()
         })
@@ -149,10 +160,11 @@ struct KernelRow {
     i8_bit_exact: bool,
 }
 
-/// Decode (`m ≤ 2`) comparison: the streaming per-call GEMV, a
+/// Decode (`m ≤ 2`) comparison: the f32 streaming per-call GEMV, a
 /// repack-the-weights-every-call strawman (what any driver without a
 /// persistent weight cache must do to use a packed layout), and the
-/// pack-once `PackedMatrix` fast path.
+/// pack-once `PackedMatrix` fast path in both dtypes (the integer path
+/// has no per-call driver to compare against).
 #[derive(Debug, Serialize)]
 struct DecodeRow {
     shape: String,
@@ -166,42 +178,11 @@ struct DecodeRow {
     f32_speedup_vs_streaming: f64,
     /// Prepacked f32 GEMV bit-identical to the streaming driver.
     f32_bit_identical: bool,
-    i8_streaming_ms: f64,
-    i8_repack_per_call_ms: f64,
     i8_prepacked_ms: f64,
-    i8_speedup_vs_repack: f64,
-    i8_speedup_vs_streaming: f64,
     /// Prepacked i8 result bit-exact vs `matmul_i8_reference`.
     i8_bit_exact: bool,
-    /// Acceptance: prepacked ≥ 2× the per-call-repacking path (both
-    /// dtypes).
+    /// Acceptance: f32 prepacked ≥ 2× the per-call-repacking path.
     meets_2x_vs_repack: bool,
-}
-
-/// Spawn-per-call scoped threads vs the persistent `WorkerPool` on the
-/// same banded kernel call — the dispatch-overhead comparison behind
-/// the pool refactor. Honors `thread_scaling_valid`: on a 1-core host
-/// both paths timeshare one core, so the delta isolates dispatch
-/// (spawn/join vs condvar broadcast) overhead only, not scaling.
-#[derive(Debug, Serialize)]
-struct PoolRow {
-    shape: String,
-    m: usize,
-    k: usize,
-    n: usize,
-    /// Lanes used by both paths (requested band count).
-    workers: usize,
-    /// Banded kernel with per-call `std::thread::scope` spawning.
-    scope_spawn_ms: f64,
-    /// Same call dispatched to the persistent pool.
-    pool_ms: f64,
-    pool_speedup_vs_scope: f64,
-    /// Threads spawned per call on the scoped path (measured).
-    spawns_per_call_scope: u64,
-    /// Threads spawned per call on the pool path (must be 0).
-    spawns_per_call_pool: u64,
-    /// Outputs bit-identical across the two dispatch paths.
-    bit_identical: bool,
 }
 
 /// Batched-decode comparison: B concurrent requests' decode GEMVs run
@@ -334,43 +315,6 @@ struct PagedKvRow {
     bit_identical: bool,
 }
 
-/// Serving comparison: the same request queue served single-stream
-/// (admission cap 1) vs continuously batched on the engine's pool —
-/// aggregate tokens/s, mean TTFT, mean queue wait, and the interleave
-/// witness. Wall-clock columns are dispatch-granularity measurements of
-/// real GEMMs on a scaled-down model; on a 1-core host (see
-/// `thread_scaling_valid`) batching cannot beat single-stream makespan,
-/// but queue-wait and interleaving are still meaningful.
-#[derive(Debug, Serialize)]
-struct ServingRecord {
-    requests: usize,
-    total_tokens: usize,
-    max_active: usize,
-    pool_lanes: usize,
-    single_stream_makespan_ms: f64,
-    batched_makespan_ms: f64,
-    single_stream_tokens_per_s: f64,
-    batched_tokens_per_s: f64,
-    single_stream_mean_ttft_ms: f64,
-    batched_mean_ttft_ms: f64,
-    single_stream_mean_queue_wait_ms: f64,
-    batched_mean_queue_wait_ms: f64,
-    /// Some decode step ran inside another request's prefill window in
-    /// the batched run.
-    decode_interleaved_with_prefill: bool,
-    /// Per-request token streams identical between the two modes (they
-    /// must always be — streams are seed-determined, not schedule-
-    /// determined).
-    streams_bit_identical: bool,
-    /// Decode cohort width of the batched-decode serving run.
-    decode_batch_width: usize,
-    /// Aggregate tokens/s with same-position decode steps stacked into
-    /// m=B GEMMs.
-    batched_decode_tokens_per_s: f64,
-    /// Streams of the batched-decode run identical to single-stream.
-    batched_decode_streams_identical: bool,
-}
-
 #[derive(Debug, Serialize)]
 struct KernelRecord {
     id: &'static str,
@@ -391,8 +335,6 @@ struct KernelRecord {
     lut_decode: Vec<LutDecodeRow>,
     batched_decode: Vec<BatchedDecodeRow>,
     paged_kv: Vec<PagedKvRow>,
-    pool_vs_scope: Vec<PoolRow>,
-    serving: ServingRecord,
 }
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -417,9 +359,14 @@ fn compare_shape(m: usize, k: usize, n: usize, reps: usize) -> KernelRow {
 
     let ai = a.map(|x| (x * 120.0) as i8);
     let bi = b.map(|x| (x * 120.0) as i8);
+    let packed_i = PackedMatrixI8::from_tensor(&bi);
     let i8_naive = best_of(reps, || gemm::matmul_i8_reference(&ai, &bi).unwrap());
-    let i8_blocked = best_of(reps, || gemm::matmul_i8(&ai, &bi).unwrap());
-    let i8_bit_exact = gemm::matmul_i8(&ai, &bi).unwrap().as_slice()
+    let i8_blocked = best_of(reps, || {
+        gemm::matmul_i8_prepacked(&ai, &packed_i, 1).unwrap()
+    });
+    let i8_bit_exact = gemm::matmul_i8_prepacked(&ai, &packed_i, 1)
+        .unwrap()
+        .as_slice()
         == gemm::matmul_i8_reference(&ai, &bi).unwrap().as_slice();
 
     let fastest = blocked.min(threaded);
@@ -466,16 +413,9 @@ fn compare_decode(m: usize, k: usize, n: usize, reps: usize) -> DecodeRow {
             .unwrap()
             .as_slice();
 
-    // i8: same three paths, plus bit-exactness vs the scalar reference.
+    // i8: the pack-once path, plus bit-exactness vs the scalar reference.
     let ai = a.map(|x| (x * 120.0) as i8);
     let bi = b.map(|x| (x * 120.0) as i8);
-    let i8_streaming = best_of(reps, || {
-        gemm::matmul_i8_threaded(&ai, &bi, THREADS).unwrap()
-    });
-    let i8_repack = best_of(reps, || {
-        let packed = PackedMatrixI8::from_tensor(&bi);
-        gemm::matmul_i8_prepacked(&ai, &packed, THREADS).unwrap()
-    });
     let packed_i = PackedMatrixI8::from_tensor(&bi);
     let i8_prepacked = best_of(reps, || {
         gemm::matmul_i8_prepacked(&ai, &packed_i, THREADS).unwrap()
@@ -496,13 +436,9 @@ fn compare_decode(m: usize, k: usize, n: usize, reps: usize) -> DecodeRow {
         f32_speedup_vs_repack: f32_repack / f32_prepacked,
         f32_speedup_vs_streaming: f32_streaming / f32_prepacked,
         f32_bit_identical,
-        i8_streaming_ms: i8_streaming * 1e3,
-        i8_repack_per_call_ms: i8_repack * 1e3,
         i8_prepacked_ms: i8_prepacked * 1e3,
-        i8_speedup_vs_repack: i8_repack / i8_prepacked,
-        i8_speedup_vs_streaming: i8_streaming / i8_prepacked,
         i8_bit_exact,
-        meets_2x_vs_repack: f32_repack / f32_prepacked >= 2.0 && i8_repack / i8_prepacked >= 2.0,
+        meets_2x_vs_repack: f32_repack / f32_prepacked >= 2.0,
     }
 }
 
@@ -635,13 +571,13 @@ fn compare_lut_decode(
     let i4_bit_exact = gemm::matmul_i4_prepacked(&a, &packed_i4, THREADS)
         .unwrap()
         .as_slice()
-        == gemm::matmul_i4_reference(&a, &packed_i4)
+        == gemm::matmul_lut_reference(&a, &packed_i4)
             .unwrap()
             .as_slice();
     let i2_bit_exact = gemm::matmul_i2_prepacked(&a, &packed_i2, THREADS)
         .unwrap()
         .as_slice()
-        == gemm::matmul_i2_reference(&a, &packed_i2)
+        == gemm::matmul_lut_reference(&a, &packed_i2)
             .unwrap()
             .as_slice();
 
@@ -726,141 +662,6 @@ fn compare_paged_kv(q_rows: usize, kv_len: usize, block_tokens: usize, reps: usi
     }
 }
 
-fn compare_pool_vs_scope(m: usize, k: usize, n: usize, reps: usize) -> PoolRow {
-    use llmnpu_sched::WorkerPool;
-    use llmnpu_tensor::kernel;
-    use llmnpu_tensor::kernel::parallel;
-
-    let a = ramp(m, k, 1.0).into_vec();
-    let b = ramp(k, n, 1.0).into_vec();
-    // The raw banded driver honors the requested band count exactly, so
-    // both paths orchestrate the same `THREADS` bands even on a 1-core
-    // host; only the dispatch mechanism differs.
-    let run = |c: &mut [f32]| {
-        c.fill(0.0);
-        kernel::gemm_f32(m, k, n, &a, &b, c, THREADS);
-    };
-
-    let mut c_scope = vec![0.0f32; m * n];
-    let spawns0 = parallel::thread_spawns();
-    let scope_s = best_of(reps, || run(&mut c_scope));
-    let scope_spawns = parallel::thread_spawns() - spawns0;
-
-    let pool = std::sync::Arc::new(WorkerPool::new(THREADS));
-    let mut c_pool = vec![0.0f32; m * n];
-    let (pool_s, pool_spawns) = pool.install_scope(|| {
-        // Warm the pool workers' scratch arenas, then measure.
-        run(&mut c_pool);
-        let spawns0 = parallel::thread_spawns();
-        let t = best_of(reps, || run(&mut c_pool));
-        (t, parallel::thread_spawns() - spawns0)
-    });
-
-    PoolRow {
-        shape: format!("{m}x{k}x{n}"),
-        m,
-        k,
-        n,
-        workers: THREADS,
-        scope_spawn_ms: scope_s * 1e3,
-        pool_ms: pool_s * 1e3,
-        pool_speedup_vs_scope: scope_s / pool_s,
-        spawns_per_call_scope: scope_spawns / reps as u64,
-        spawns_per_call_pool: pool_spawns / reps as u64,
-        bit_identical: c_scope == c_pool,
-    }
-}
-
-fn serving_comparison() -> ServingRecord {
-    use llmnpu_core::engine::{EngineConfig, LlmNpuEngine};
-    use llmnpu_core::serve::{
-        decode_interleaved_with_prefill, GenerationRequest, ServeOptions, ServeReport,
-    };
-    use llmnpu_model::backend::FloatBackend;
-    use llmnpu_model::config::ModelConfig;
-    use llmnpu_model::forward::Transformer;
-    use llmnpu_model::weights::{synthesize, OutlierSpec};
-    use llmnpu_soc::spec::SocSpec;
-
-    let numeric_cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
-    let weights = synthesize(&numeric_cfg, 7, OutlierSpec::default()).unwrap();
-    let float = FloatBackend::new(weights.clone());
-    let t = Transformer::new(&weights, &float);
-    let mut cfg = EngineConfig::llmnpu(ModelConfig::qwen15_18b(), SocSpec::snapdragon_8gen3());
-    cfg.chunk_len = 6;
-    let engine = LlmNpuEngine::new(cfg).unwrap();
-
-    let shapes: [(usize, usize); 4] = [(24, 5), (6, 8), (18, 4), (10, 6)];
-    let requests: Vec<GenerationRequest> = shapes
-        .iter()
-        .enumerate()
-        .map(|(i, &(prompt_len, max_new))| {
-            GenerationRequest::synthetic(i, prompt_len, max_new, numeric_cfg.vocab)
-        })
-        .collect();
-    let max_active = requests.len();
-
-    // Timing varies run to run; streams never do. Keep the best-makespan
-    // run of each mode for the wall-clock columns.
-    let best_run = |cap: usize, decode_batch: usize| -> ServeReport {
-        let mut best: Option<ServeReport> = None;
-        for _ in 0..3 {
-            let r = engine
-                .serve(
-                    &t,
-                    &requests,
-                    &ServeOptions {
-                        max_active: cap,
-                        decode_batch,
-                        ..ServeOptions::default()
-                    },
-                )
-                .unwrap();
-            if best
-                .as_ref()
-                .is_none_or(|b| r.makespan_ms() < b.makespan_ms())
-            {
-                best = Some(r);
-            }
-        }
-        best.expect("at least one run")
-    };
-    let single = best_run(1, 1);
-    let batched = best_run(max_active, 1);
-    // Same queue with same-position decode steps stacked into m=B GEMMs.
-    let decode_batched = best_run(max_active, max_active);
-    let streams_bit_identical = single
-        .requests
-        .iter()
-        .zip(&batched.requests)
-        .all(|(a, b)| a.tokens == b.tokens);
-    let batched_decode_streams_identical = single
-        .requests
-        .iter()
-        .zip(&decode_batched.requests)
-        .all(|(a, b)| a.tokens == b.tokens);
-
-    ServingRecord {
-        requests: requests.len(),
-        total_tokens: batched.total_tokens(),
-        max_active,
-        pool_lanes: engine.pool().workers(),
-        single_stream_makespan_ms: single.makespan_ms(),
-        batched_makespan_ms: batched.makespan_ms(),
-        single_stream_tokens_per_s: single.tokens_per_s(),
-        batched_tokens_per_s: batched.tokens_per_s(),
-        single_stream_mean_ttft_ms: single.mean_ttft_ms(),
-        batched_mean_ttft_ms: batched.mean_ttft_ms(),
-        single_stream_mean_queue_wait_ms: single.mean_queue_wait_ms(),
-        batched_mean_queue_wait_ms: batched.mean_queue_wait_ms(),
-        decode_interleaved_with_prefill: decode_interleaved_with_prefill(&batched.timeline),
-        streams_bit_identical,
-        decode_batch_width: max_active,
-        batched_decode_tokens_per_s: decode_batched.tokens_per_s(),
-        batched_decode_streams_identical,
-    }
-}
-
 fn kernel_comparison() {
     let threads_effective = llmnpu_tensor::kernel::parallel::effective_threads(THREADS);
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -895,21 +696,22 @@ fn kernel_comparison() {
         })
         .collect();
 
-    println!("--- decode (m <= 2): streaming vs repack-per-call vs prepacked ---");
+    println!(
+        "--- decode (m <= 2): f32 streaming vs repack-per-call vs prepacked; i8 prepacked ---"
+    );
     let decode_shapes: [(usize, usize, usize, usize); 2] = [(1, 4096, 4096, 9), (2, 4096, 4096, 7)];
     let decode: Vec<DecodeRow> = decode_shapes
         .iter()
         .map(|&(m, k, n, reps)| {
             let row = compare_decode(m, k, n, reps);
             println!(
-                "{:<14} f32 stream {:>6.2} ms | repack {:>7.2} ms | prepacked {:>6.2} ms ({:>5.2}x vs repack) | i8 prepacked {:>6.2} ms ({:>5.2}x vs repack) exact={} | 2x-target={}",
+                "{:<14} f32 stream {:>6.2} ms | repack {:>7.2} ms | prepacked {:>6.2} ms ({:>5.2}x vs repack) | i8 prepacked {:>6.2} ms exact={} | 2x-target={}",
                 row.shape,
                 row.f32_streaming_ms,
                 row.f32_repack_per_call_ms,
                 row.f32_prepacked_ms,
                 row.f32_speedup_vs_repack,
                 row.i8_prepacked_ms,
-                row.i8_speedup_vs_repack,
                 row.i8_bit_exact,
                 row.meets_2x_vs_repack,
             );
@@ -1017,55 +819,13 @@ fn kernel_comparison() {
         })
         .collect();
 
-    println!("--- pool vs scope: spawn-per-call vs persistent WorkerPool dispatch ---");
-    let pool_shapes: [(usize, usize, usize, usize); 2] = [(1, 4096, 4096, 9), (512, 512, 512, 7)];
-    let pool_vs_scope: Vec<PoolRow> = pool_shapes
-        .iter()
-        .map(|&(m, k, n, reps)| {
-            let row = compare_pool_vs_scope(m, k, n, reps);
-            println!(
-                "{:<14} scope {:>7.2} ms ({} spawns/call) | pool {:>7.2} ms ({} spawns/call) | {:>5.2}x | bit-identical={}",
-                row.shape,
-                row.scope_spawn_ms,
-                row.spawns_per_call_scope,
-                row.pool_ms,
-                row.spawns_per_call_pool,
-                row.pool_speedup_vs_scope,
-                row.bit_identical,
-            );
-            row
-        })
-        .collect();
-
-    println!("--- serving: single-stream vs continuous batching ---");
-    let serving = serving_comparison();
-    println!(
-        "{} reqs ({} tokens) | single {:>7.1} ms ({:>6.1} tok/s, TTFT {:>6.1} ms, wait {:>6.1} ms) | batched {:>7.1} ms ({:>6.1} tok/s, TTFT {:>6.1} ms, wait {:>6.1} ms) | interleaved={} identical={}",
-        serving.requests,
-        serving.total_tokens,
-        serving.single_stream_makespan_ms,
-        serving.single_stream_tokens_per_s,
-        serving.single_stream_mean_ttft_ms,
-        serving.single_stream_mean_queue_wait_ms,
-        serving.batched_makespan_ms,
-        serving.batched_tokens_per_s,
-        serving.batched_mean_ttft_ms,
-        serving.batched_mean_queue_wait_ms,
-        serving.decode_interleaved_with_prefill,
-        serving.streams_bit_identical,
-    );
-    println!(
-        "decode-batched (B={}): {:>6.1} tok/s | streams identical={}",
-        serving.decode_batch_width,
-        serving.batched_decode_tokens_per_s,
-        serving.batched_decode_streams_identical,
-    );
-
     let record = KernelRecord {
         id: "kernels",
-        description: "Blocked+packed+threaded GEMM vs scalar reference; \
-                      decode section compares streaming GEMV, repack-per-call, \
-                      and pack-once PackedMatrix paths; lut_decode compares the \
+        description: "Blocked+packed+threaded GEMM vs scalar reference \
+                      (every i8 column is the prepacked path all quantized \
+                      layers run); decode section compares the f32 streaming \
+                      GEMV, repack-per-call and pack-once PackedMatrix paths, \
+                      plus the i8 pack-once GEMV; lut_decode compares the \
                       decode GEMV across f32/i8/int4/int2 prepacked weights with \
                       bytes moved per token, timed cold (LLC evicted before each \
                       rep so weights stream from DRAM, the steady state of a \
@@ -1079,14 +839,9 @@ fn kernel_comparison() {
                       the batched-decode driver (acceptance: >=1.3x aggregate \
                       tokens/s); paged_kv compares contiguous attention against \
                       the whole-page block-table walk (gather overhead + bit \
-                      identity); pool_vs_scope compares spawn-per-call scoped \
-                      threads against the persistent WorkerPool on identical \
-                      banded calls (dispatch overhead only when \
-                      thread_scaling_valid is false); serving compares \
-                      single-stream vs continuous-batched vs decode-batched \
-                      request serving (tokens/s, TTFT, queue wait) on real \
-                      GEMMs over the paged KV pool; tokens-equivalent = \
-                      activation rows per second",
+                      identity); serving-level and pool-dispatch numbers \
+                      live in benchmark/ (BENCHMARK.json); tokens-equivalent \
+                      = activation rows per second",
         threads_requested: THREADS,
         threads_effective,
         host_cpus,
@@ -1097,8 +852,6 @@ fn kernel_comparison() {
         lut_decode,
         batched_decode,
         paged_kv,
-        pool_vs_scope,
-        serving,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let json = serde_json::to_string_pretty(&record).expect("serialize kernel record");
@@ -1133,15 +886,6 @@ fn kernel_comparison() {
         let at = format!("paged kv q={} pages of {}", r.q_rows, r.block_tokens);
         flags.push((at, r.bit_identical));
     }
-    for r in &record.pool_vs_scope {
-        flags.push((format!("pool vs scope {}", r.shape), r.bit_identical));
-    }
-    let serving = &record.serving;
-    flags.push(("serving streams".into(), serving.streams_bit_identical));
-    flags.push((
-        "decode-batched serving streams".into(),
-        serving.batched_decode_streams_identical,
-    ));
     let inexact: Vec<&str> = flags
         .iter()
         .filter(|(_, ok)| !ok)

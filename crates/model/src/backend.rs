@@ -238,13 +238,13 @@ impl FloatBackend {
 
 impl LinearBackend for FloatBackend {
     fn linear(&self, layer: usize, kind: LinearKind, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        if let Some(packed) = self.packed.get(&(layer, kind)) {
-            return Ok(gemm::matmul_f32_prepacked(x, packed, host_threads())?);
-        }
-        // Out-of-range layers / absent projections fall through for the
-        // original diagnostics.
-        let w = site_weight(&self.weights, layer, kind)?;
-        Ok(gemm::matmul_f32_threaded(x, w, host_threads())?)
+        let Some(packed) = self.packed.get(&(layer, kind)) else {
+            // `packed` holds exactly the sites `site_weight` resolves, so
+            // a miss is an out-of-range layer or an absent projection.
+            return Err(site_weight(&self.weights, layer, kind)
+                .expect_err("every present site is packed at construction"));
+        };
+        Ok(gemm::matmul_f32_prepacked(x, packed, host_threads())?)
     }
 
     fn row_wise(&self) -> bool {

@@ -141,8 +141,8 @@ impl LutLinear {
     /// Returns an error on inner-dimension mismatch.
     pub fn forward_reference(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
         match &self.weights {
-            LutWeights::I4(p) => Ok(gemm::matmul_i4_reference(x, p)?),
-            LutWeights::I2(p) => Ok(gemm::matmul_i2_reference(x, p)?),
+            LutWeights::I4(p) => Ok(gemm::matmul_lut_reference(x, p)?),
+            LutWeights::I2(p) => Ok(gemm::matmul_lut_reference(x, p)?),
         }
     }
 

@@ -11,12 +11,13 @@
 //!
 //! The integer part executes as a single blocked W8A8 MatMul with the
 //! vector-wise rescale fused into the kernel epilogue
-//! (`gemm::matmul_i8_per_row`), replacing the seed's scalar per-product
+//! (`Epilogue::PerRow`), replacing the seed's scalar per-product
 //! dequantization loop.
 
+use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
-use crate::per_tensor::quantize_value;
+use crate::per_tensor::{matmul_dequant, quantize_value};
 use crate::Result;
 
 /// A linear layer with LLM.int8()-style execution.
@@ -130,12 +131,13 @@ impl MixedLinear {
                 };
             }
         }
-        let mut y = gemm::matmul_i8_per_row_prepacked(
+        let mut y = matmul_dequant(
             &xq,
             &self.packed,
-            &row_scales,
-            &self.w_scales,
-            llmnpu_tensor::kernel::parallel::default_threads(),
+            Epilogue::PerRow {
+                row_scales: &row_scales,
+                w_scales: &self.w_scales,
+            },
         )?;
 
         // Float part: outlier columns against float weight rows.

@@ -27,9 +27,12 @@
 //! * [`HotChannelPolicy`] — the memory policy that keeps only hot-channel
 //!   float weights resident (34.3% shadow-memory saving, §3.3).
 
+use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, Tensor};
 
-use crate::per_tensor::{max_min_scale, ChannelQuantizedMatrix, QuantizedMatrix, QMAX};
+use crate::per_tensor::{
+    matmul_dequant, max_min_scale, ChannelQuantizedMatrix, QuantizedMatrix, QMAX,
+};
 use crate::{Error, Result};
 
 /// Outlier channels of one activation batch, compacted into a dense tensor
@@ -331,13 +334,14 @@ impl ShadowLinear {
         let limit = QMAX * self.act_scale;
         let clipped = x.map(|v| v.clamp(-limit, limit));
         let xq = QuantizedMatrix::quantize_with_scale(&clipped, self.act_scale);
-        Ok(gemm::matmul_i8_per_channel_prepacked(
+        matmul_dequant(
             xq.data(),
             self.weight.packed(),
-            self.act_scale,
-            self.weight.scales(),
-            llmnpu_tensor::kernel::parallel::default_threads(),
-        )?)
+            Epilogue::PerChannel {
+                a_scale: self.act_scale,
+                w_scales: self.weight.scales(),
+            },
+        )
     }
 
     /// The CPU shadow half alone: compact outlier residuals × the same

@@ -9,6 +9,7 @@
 //! decomposition (real sub-MatMuls, real float reductions), and reports how
 //! many sub-MatMuls / float adds the NPU would have to schedule.
 
+use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
 use crate::per_tensor::{max_min_scale, quantize_value};
@@ -190,14 +191,16 @@ impl GroupedLinear {
             // group's prepacked weight slice: the i32 partial sums fold
             // straight into the float total without materializing a
             // per-group tensor, and no weight bytes are copied or packed
-            // here. Results are identical to the two-pass
-            // `matmul_i8_scaled` + `accumulate` pipeline.
-            gemm::matmul_i8_scaled_into_prepacked(
+            // here. Results are identical to the two-pass per-tensor
+            // dequantize + `accumulate` pipeline.
+            gemm::matmul_i8_fused_prepacked(
                 &mut out,
                 &xq,
                 &self.group_packed[g],
-                a_scale,
-                self.weight.scales[g],
+                Epilogue::PerTensorAcc {
+                    scale: a_scale * self.weight.scales[g],
+                },
+                1,
             )?;
             stats.sub_matmuls += 1;
             stats.float_adds += out.len();

@@ -6,6 +6,7 @@
 //! symmetry quantization" (§3.3) — and recovers accuracy through shadow
 //! outlier execution rather than finer granularity.
 
+use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
 use crate::Result;
@@ -26,6 +27,20 @@ pub fn max_min_scale(values: &[f32]) -> f32 {
     } else {
         abs_max / QMAX
     }
+}
+
+/// One fused W8A8 `MatMul → Dequantize` pass (Figure 5) into a fresh
+/// `[m, n]` tensor on the default thread count: the integer half of every
+/// quantized forward in this crate whose epilogue overwrites.
+pub(crate) fn matmul_dequant(
+    xq: &Tensor<i8>,
+    packed: &PackedMatrixI8,
+    epilogue: Epilogue<'_>,
+) -> Result<Tensor<f32>> {
+    let mut y = Tensor::zeros([xq.matrix_dims().0, packed.n()]);
+    let threads = llmnpu_tensor::kernel::parallel::default_threads();
+    gemm::matmul_i8_fused_prepacked(&mut y, xq, packed, epilogue, threads)?;
+    Ok(y)
 }
 
 /// Quantizes one float to `i8` with the given scale (round-to-nearest,
@@ -238,14 +253,13 @@ impl QuantizedLinear {
     /// Returns an error if `x`'s inner dimension does not match the weight.
     pub fn forward(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
         let xq = QuantizedMatrix::quantize_with_scale(x, self.act_scale);
-        let y = gemm::matmul_i8_scaled_prepacked(
+        matmul_dequant(
             xq.data(),
             &self.packed,
-            self.act_scale,
-            self.weight.scale(),
-            llmnpu_tensor::kernel::parallel::default_threads(),
-        )?;
-        Ok(y)
+            Epilogue::PerTensor {
+                scale: self.act_scale * self.weight.scale(),
+            },
+        )
     }
 
     /// The float reference `y = x W_dequant` (what an FP16 engine computes

@@ -9,9 +9,10 @@
 //! calibration profile still get clipped. The implementation below
 //! reproduces that behaviour with real arithmetic.
 
+use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
-use crate::per_tensor::{max_min_scale, quantize_value, QuantizedMatrix};
+use crate::per_tensor::{matmul_dequant, max_min_scale, quantize_value, QuantizedMatrix};
 use crate::{Error, Result};
 
 /// Per-channel smoothing factors `s_j = max|X_j|^α / max|W_j|^(1-α)`.
@@ -158,13 +159,13 @@ impl SmoothedLinear {
         let mut xs = x.clone();
         smooth_activations_inplace(&mut xs, &self.factors);
         let xq = xs.map(|v| quantize_value(v, self.act_scale));
-        Ok(gemm::matmul_i8_scaled_prepacked(
+        matmul_dequant(
             &xq,
             &self.packed,
-            self.act_scale,
-            self.weight.scale(),
-            llmnpu_tensor::kernel::parallel::default_threads(),
-        )?)
+            Epilogue::PerTensor {
+                scale: self.act_scale * self.weight.scale(),
+            },
+        )
     }
 
     /// Float reference with the same (smoothed, quantized) weights.

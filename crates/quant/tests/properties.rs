@@ -227,11 +227,11 @@ fn forward_passes_never_repack_weights() {
 }
 
 // ---------------------------------------------------------------------------
-// Prepacked forwards reproduce the per-call-packing pipelines bit-for-bit.
+// The fused forward reproduces the two-pass pipeline bit-for-bit.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn prepacked_forwards_bit_match_per_call_drivers() {
+fn fused_forward_bit_matches_two_pass_pipeline() {
     use llmnpu_quant::per_tensor::QuantizedLinear;
     use llmnpu_tensor::gemm;
 
@@ -253,16 +253,13 @@ fn prepacked_forwards_bit_match_per_call_drivers() {
         let scale = max_min_scale(x.as_slice());
         let layer = QuantizedLinear::new(&w, scale);
         let y = layer.forward(&x).unwrap();
-        // The per-call-packing pipeline on the same quantized operands.
+        // MatMul, then Dequantize, on the same quantized operands against
+        // a fresh pack of the layer's stored weight.
         let xq = QuantizedMatrix::quantize_with_scale(&x, scale);
-        let want = gemm::matmul_i8_scaled_threaded(
-            xq.data(),
-            layer.weight().data(),
-            scale,
-            layer.weight().scale(),
-            llmnpu_tensor::kernel::parallel::default_threads(),
-        )
-        .unwrap();
+        let packed = llmnpu_tensor::PackedMatrixI8::from_tensor(layer.weight().data());
+        let acc = gemm::matmul_i8_prepacked(xq.data(), &packed, 1).unwrap();
+        let rescale = scale * layer.weight().scale();
+        let want = acc.map(|v| v as f32 * rescale);
         assert_eq!(y.as_slice(), want.as_slice(), "rows = {rows}");
     }
 }

@@ -1,29 +1,42 @@
-//! Matrix multiplication kernels.
+//! Matrix multiplication entry points.
 //!
-//! Three flavours mirror the data paths in the paper's Figure 5:
+//! Twelve functions over the three data paths of the paper's Figure 5
+//! (the third, after T-MAN, is this repo's sub-8-bit extension):
 //!
-//! * [`matmul_f32`] — the floating-point path (FP16 in the paper, f32
-//!   here; the extra precision only tightens the reference),
-//! * [`matmul_i8`] — the NPU's per-tensor `W8A8` integer path with `i32`
-//!   accumulation,
-//! * [`matmul_i8_scaled`] / [`matmul_i8_scaled_into`] /
-//!   [`matmul_i8_per_channel`] / [`matmul_i8_per_row`] — integer matmul
-//!   with the dequantization fused into the kernel epilogue, covering the
-//!   `MatMul → Dequantize` node pair of Figure 5 in one pass.
+//! * **float** (FP16 in the paper, f32 here; the extra precision only
+//!   tightens the reference) — [`matmul_f32`] / [`matmul_f32_threaded`]
+//!   against a row-major right-hand side packed per call (dynamic
+//!   operands: the LM head, dequantized-weight yardsticks),
+//!   [`matmul_f32_prepacked`] against weights packed once,
+//!   [`matmul_f32_rows_prepacked`] for a batch of scattered decode rows,
+//!   and the scalar [`matmul_f32_reference`];
+//! * **W8A8 integer** (the NPU's native MatMul, §2.2 / Table 3) —
+//!   [`matmul_i8_prepacked`] (raw `i32` accumulators),
+//!   [`matmul_i8_fused_prepacked`] (the `MatMul → Dequantize` node pair
+//!   in one pass, for every [`Epilogue`]), and the scalar
+//!   [`matmul_i8_reference`]. Quantized weights are packed at
+//!   construction, so there is no per-call integer path;
+//! * **table lookup** (int4 / int2 group-quantized codes) —
+//!   [`matmul_i4_prepacked`], [`matmul_i4_rows_prepacked`],
+//!   [`matmul_i2_prepacked`], and the scalar [`matmul_lut_reference`]
+//!   for either width.
 //!
-//! All public functions execute on the blocked, packed, register-tiled
-//! kernels in [`crate::kernel`]. The scalar triple loops they replaced
-//! remain available as [`matmul_f32_reference`] and
-//! [`matmul_i8_reference`]: the integer kernels are **bit-exact** against
-//! the reference (integer accumulation is order-independent), and the f32
-//! kernels are reference-parity-tested to tight ULP bounds (blocking and
-//! FMA contraction legitimately reorder float sums).
+//! Every entry but the three references runs on the blocked, packed,
+//! register-tiled kernels in [`crate::kernel`] and reports to the kernel
+//! probe ([`kernel::probe`]) under its own site. The integer and LUT
+//! kernels are **bit-exact** against their references (integer
+//! accumulation is order-independent), and the f32 kernels are
+//! reference-parity-tested to tight ULP bounds (blocking and FMA
+//! contraction legitimately reorder float sums). Any thread count
+//! produces bit-identical results (see [`crate::kernel`] on
+//! determinism); `threads` only trades wall-clock for cores.
 //!
-//! All kernels interpret inputs through their matrix view (leading dims
+//! All entries interpret tensors through their matrix view (leading dims
 //! folded into rows), matching how linear layers consume `[batch, seq,
-//! hid]` activations.
+//! hid]` activations, and name themselves in the `op` field of the
+//! errors they return.
 
-use crate::kernel::lut::{PackedMatrixI2, PackedMatrixI4};
+use crate::kernel::lut::{PackedLut, PackedMatrixI2, PackedMatrixI4};
 use crate::kernel::pack::{PackedMatrixF32, PackedMatrixI8};
 use crate::kernel::{self, Epilogue};
 use crate::{Error, Result, Tensor};
@@ -37,6 +50,60 @@ fn check_matmul(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> R
         });
     }
     Ok(())
+}
+
+/// The path every kernel-backed entry takes: check the inner dimension,
+/// allocate the `[m, n]` output, and run `driver(out, threads)` under
+/// the kernel probe at `site` — so no entry can skip the probe, the
+/// host-aware thread cap, or the shape check.
+fn run<T: Copy + Default>(
+    op: &'static str,
+    site: &'static str,
+    lhs: (usize, usize),
+    rhs: (usize, usize),
+    threads: usize,
+    driver: impl FnOnce(&mut [T], usize),
+) -> Result<Tensor<T>> {
+    check_matmul(op, lhs, rhs)?;
+    let (m, k, n) = (lhs.0, lhs.1, rhs.1);
+    let mut out = Tensor::zeros([m, n]);
+    let threads = kernel::parallel::effective_threads(threads);
+    kernel::probe::profiled(site, m, n, k, || driver(out.as_mut_slice(), threads));
+    Ok(out)
+}
+
+/// Validates a decode batch (non-empty, every row `k` long) and stacks
+/// its scattered rows into one `[B, k]` operand.
+fn stack_rows(op: &'static str, rows: &[&[f32]], k: usize, n: usize) -> Result<Vec<f32>> {
+    if rows.is_empty() {
+        return Err(Error::InvalidDimension {
+            op,
+            what: "empty decode batch".to_owned(),
+        });
+    }
+    if let Some(bad) = rows.iter().find(|r| r.len() != k) {
+        return Err(Error::ShapeMismatch {
+            op,
+            lhs: vec![1, bad.len()],
+            rhs: vec![k, n],
+        });
+    }
+    Ok(rows.concat())
+}
+
+/// The float path against a row-major B packed per call, on behalf of
+/// the entry named `op`.
+fn matmul_f32_per_call(
+    op: &'static str,
+    a: &Tensor<f32>,
+    b: &Tensor<f32>,
+    threads: usize,
+) -> Result<Tensor<f32>> {
+    let (m, k) = a.matrix_dims();
+    let (k2, n) = b.matrix_dims();
+    run(op, "gemm.f32", (m, k), (k2, n), threads, |c, t| {
+        kernel::gemm_f32(m, k, n, a.as_slice(), b.as_slice(), c, t);
+    })
 }
 
 /// `C = A × B` over `f32`, on the blocked kernel (single-threaded; see
@@ -60,15 +127,11 @@ fn check_matmul(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> R
 /// # }
 /// ```
 pub fn matmul_f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f32>> {
-    matmul_f32_threaded(a, b, 1)
+    matmul_f32_per_call("matmul_f32", a, b, 1)
 }
 
 /// `C = A × B` over `f32` with the output row-partitioned across
-/// `threads` scoped workers.
-///
-/// Any thread count produces bit-identical results (see
-/// [`crate::kernel`] on determinism); the knob only trades wall-clock
-/// for cores.
+/// `threads` scoped workers; bit-identical for any thread count.
 ///
 /// # Errors
 ///
@@ -78,22 +141,7 @@ pub fn matmul_f32_threaded(
     b: &Tensor<f32>,
     threads: usize,
 ) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_f32", (m, k), (k2, n))?;
-    let mut out = Tensor::zeros([m, n]);
-    kernel::probe::profiled("gemm.f32", m, n, k, || {
-        kernel::gemm_f32(
-            m,
-            k,
-            n,
-            a.as_slice(),
-            b.as_slice(),
-            out.as_mut_slice(),
-            kernel::parallel::effective_threads(threads),
-        );
-    });
-    Ok(out)
+    matmul_f32_per_call("matmul_f32_threaded", a, b, threads)
 }
 
 /// Scalar reference for [`matmul_f32`]: the plain triple loop, kept for
@@ -110,7 +158,7 @@ pub fn matmul_f32_threaded(
 pub fn matmul_f32_reference(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f32>> {
     let (m, k) = a.matrix_dims();
     let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_f32", (m, k), (k2, n))?;
+    check_matmul("matmul_f32_reference", (m, k), (k2, n))?;
     let mut out = Tensor::zeros([m, n]);
     let a_data = a.as_slice();
     let b_data = b.as_slice();
@@ -124,283 +172,6 @@ pub fn matmul_f32_reference(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f
             }
         }
     }
-    Ok(out)
-}
-
-/// Integer `C = A × B` with `i8` inputs and `i32` accumulation, on the
-/// blocked kernel.
-///
-/// This is the per-tensor W8A8 MatMul the mobile NPU executes natively
-/// (paper §2.2, Table 3). No saturation occurs: `i32` accumulation is
-/// exact for any `K ≤ 2^16` with `i8` operands, which also makes the
-/// blocked kernel bit-exact against [`matmul_i8_reference`].
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_i8(a: &Tensor<i8>, b: &Tensor<i8>) -> Result<Tensor<i32>> {
-    matmul_i8_threaded(a, b, 1)
-}
-
-/// [`matmul_i8`] with the output row-partitioned across `threads`
-/// workers; bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_i8_threaded(a: &Tensor<i8>, b: &Tensor<i8>, threads: usize) -> Result<Tensor<i32>> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (k2, n))?;
-    let mut out = Tensor::zeros([m, n]);
-    kernel::probe::profiled("gemm.i8", m, n, k, || {
-        kernel::gemm_i8(
-            m,
-            k,
-            n,
-            a.as_slice(),
-            b.as_slice(),
-            out.as_mut_slice(),
-            kernel::parallel::effective_threads(threads),
-        );
-    });
-    Ok(out)
-}
-
-/// Scalar reference for [`matmul_i8`]: the plain triple loop, kept for
-/// bit-exactness tests and benchmark baselines.
-///
-/// The `a[i][p] == 0` skip survives *here* (and only here): for integers
-/// a zero term contributes exactly nothing, so skipping is a pure
-/// shortcut with no observable effect — unlike the float case.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_i8_reference(a: &Tensor<i8>, b: &Tensor<i8>) -> Result<Tensor<i32>> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (k2, n))?;
-    let mut out = Tensor::zeros([m, n]);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    for i in 0..m {
-        let a_row = &a_data[i * k..(i + 1) * k];
-        let out_row = out.row_mut(i);
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip == 0 {
-                continue;
-            }
-            let a_ip = i32::from(a_ip);
-            let b_row = &b_data[p * n..(p + 1) * n];
-            for (j, &b_pj) in b_row.iter().enumerate() {
-                out_row[j] += a_ip * i32::from(b_pj);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Integer matmul with fused dequantization:
-/// `C = (A × B) · a_scale · w_scale`.
-///
-/// Mirrors the `MatMul → Dequantize` pair of Figure 5 in a single pass:
-/// the rescale runs in the kernel epilogue while each `i32` tile is still
-/// in registers, with no intermediate `i32` tensor. Results are identical
-/// to the two-pass `matmul_i8` + `map` pipeline.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_i8_scaled(
-    a: &Tensor<i8>,
-    b: &Tensor<i8>,
-    a_scale: f32,
-    w_scale: f32,
-) -> Result<Tensor<f32>> {
-    matmul_i8_scaled_threaded(a, b, a_scale, w_scale, 1)
-}
-
-/// [`matmul_i8_scaled`] with the output row-partitioned across `threads`
-/// workers; bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_i8_scaled_threaded(
-    a: &Tensor<i8>,
-    b: &Tensor<i8>,
-    a_scale: f32,
-    w_scale: f32,
-    threads: usize,
-) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (k2, n))?;
-    let mut out = Tensor::zeros([m, n]);
-    kernel::gemm_i8_fused(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        out.as_mut_slice(),
-        Epilogue::PerTensor {
-            scale: a_scale * w_scale,
-        },
-        kernel::parallel::effective_threads(threads),
-    );
-    Ok(out)
-}
-
-/// Integer matmul with fused dequantize-and-accumulate:
-/// `out += (A × B) · a_scale · w_scale`.
-///
-/// The reduction step of per-group quantization (each group's sub-MatMul
-/// dequantizes and folds into the running float total) without
-/// materializing the per-group partial tensor. Results are identical to
-/// `matmul_i8_scaled` followed by [`accumulate`].
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree or
-/// `out` has the wrong shape.
-pub fn matmul_i8_scaled_into(
-    out: &mut Tensor<f32>,
-    a: &Tensor<i8>,
-    b: &Tensor<i8>,
-    a_scale: f32,
-    w_scale: f32,
-) -> Result<()> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (k2, n))?;
-    if out.matrix_dims() != (m, n) {
-        return Err(Error::ShapeMismatch {
-            op: "matmul_i8_scaled_into",
-            lhs: vec![m, n],
-            rhs: out.shape().dims().to_vec(),
-        });
-    }
-    kernel::gemm_i8_fused(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        out.as_mut_slice(),
-        Epilogue::PerTensorAcc {
-            scale: a_scale * w_scale,
-        },
-        1,
-    );
-    Ok(())
-}
-
-/// Integer matmul dequantized with a **per-output-channel** weight scale,
-/// fused into the kernel epilogue.
-///
-/// Used by per-channel weight quantization:
-/// `C[i][j] = acc[i][j] · a_scale · w_scales[j]`. Results are identical
-/// to the two-pass pipeline this replaces.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree, or
-/// [`Error::InvalidDimension`] if `w_scales.len()` differs from the
-/// output column count.
-pub fn matmul_i8_per_channel(
-    a: &Tensor<i8>,
-    b: &Tensor<i8>,
-    a_scale: f32,
-    w_scales: &[f32],
-) -> Result<Tensor<f32>> {
-    matmul_i8_per_channel_threaded(a, b, a_scale, w_scales, 1)
-}
-
-/// [`matmul_i8_per_channel`] with the output row-partitioned across
-/// `threads` workers; bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree, or
-/// [`Error::InvalidDimension`] if `w_scales.len()` differs from the
-/// output column count.
-pub fn matmul_i8_per_channel_threaded(
-    a: &Tensor<i8>,
-    b: &Tensor<i8>,
-    a_scale: f32,
-    w_scales: &[f32],
-    threads: usize,
-) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (k2, n))?;
-    if w_scales.len() != n {
-        return Err(Error::InvalidDimension {
-            op: "matmul_i8_per_channel",
-            what: format!("expected {n} weight scales, got {}", w_scales.len()),
-        });
-    }
-    let mut out = Tensor::zeros([m, n]);
-    kernel::gemm_i8_fused(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        out.as_mut_slice(),
-        Epilogue::PerChannel { a_scale, w_scales },
-        kernel::parallel::effective_threads(threads),
-    );
-    Ok(out)
-}
-
-/// Integer matmul with vector-wise dequantization fused into the kernel
-/// epilogue: `C[i][j] = acc[i][j] · row_scales[i] · w_scales[j]`.
-///
-/// The LLM.int8() decomposition uses this shape: one activation scale per
-/// row, one weight scale per output channel.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree, or
-/// [`Error::InvalidDimension`] if a scale vector has the wrong length.
-pub fn matmul_i8_per_row(
-    a: &Tensor<i8>,
-    b: &Tensor<i8>,
-    row_scales: &[f32],
-    w_scales: &[f32],
-) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (k2, n))?;
-    if w_scales.len() != n {
-        return Err(Error::InvalidDimension {
-            op: "matmul_i8_per_row",
-            what: format!("expected {n} weight scales, got {}", w_scales.len()),
-        });
-    }
-    if row_scales.len() != m {
-        return Err(Error::InvalidDimension {
-            op: "matmul_i8_per_row",
-            what: format!("expected {m} row scales, got {}", row_scales.len()),
-        });
-    }
-    let mut out = Tensor::zeros([m, n]);
-    kernel::gemm_i8_fused(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        out.as_mut_slice(),
-        Epilogue::PerRow {
-            row_scales,
-            w_scales,
-        },
-        1,
-    );
     Ok(out)
 }
 
@@ -419,19 +190,11 @@ pub fn matmul_f32_prepacked(
     b: &PackedMatrixF32,
     threads: usize,
 ) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    check_matmul("matmul_f32", (m, k), (b.k(), b.n()))?;
-    let mut out = Tensor::zeros([m, b.n()]);
-    kernel::probe::profiled("gemm.f32.prepacked", m, b.n(), k, || {
-        kernel::gemm_f32_prepacked(
-            m,
-            a.as_slice(),
-            b,
-            out.as_mut_slice(),
-            kernel::parallel::effective_threads(threads),
-        );
-    });
-    Ok(out)
+    const OP: &str = "matmul_f32_prepacked";
+    let (lhs, rhs) = (a.matrix_dims(), (b.k(), b.n()));
+    run(OP, "gemm.f32.prepacked", lhs, rhs, threads, |c, t| {
+        kernel::gemm_f32_prepacked(lhs.0, a.as_slice(), b, c, t);
+    })
 }
 
 /// The **batched-decode driver**: stacks B scattered activation rows
@@ -458,47 +221,28 @@ pub fn matmul_f32_rows_prepacked(
     b: &PackedMatrixF32,
     threads: usize,
 ) -> Result<Tensor<f32>> {
-    if rows.is_empty() {
-        return Err(Error::InvalidDimension {
-            op: "matmul_f32_rows",
-            what: "empty decode batch".to_owned(),
-        });
-    }
-    if let Some(bad) = rows.iter().find(|r| r.len() != b.k()) {
-        return Err(Error::ShapeMismatch {
-            op: "matmul_f32_rows",
-            lhs: vec![1, bad.len()],
-            rhs: vec![b.k(), b.n()],
-        });
-    }
-    let mut stacked = Vec::with_capacity(rows.len() * b.k());
-    for r in rows {
-        stacked.extend_from_slice(r);
-    }
-    if rows.len() == 1 {
+    const OP: &str = "matmul_f32_rows_prepacked";
+    let (m, k, n) = (rows.len(), b.k(), b.n());
+    let stacked = stack_rows(OP, rows, k, n)?;
+    if m == 1 {
         // A batch of one is just a decode GEMV — keep its latency path.
-        let a = Tensor::from_vec(stacked, [1, b.k()])?;
-        return matmul_f32_prepacked(&a, b, threads);
+        return matmul_f32_prepacked(&Tensor::from_vec(stacked, [1, k])?, b, threads);
     }
     // Force the tiled path even at B = 2: the point of stacking is one
     // weight stream per batch, which the m ≤ 2 GEMV fallback of
     // `matmul_f32_prepacked` (row-at-a-time slab walk) would forfeit.
-    let mut out = Tensor::zeros([rows.len(), b.n()]);
-    kernel::probe::profiled("gemv.f32.rows", rows.len(), b.n(), b.k(), || {
-        kernel::gemm_f32_prepacked_batched(
-            rows.len(),
-            &stacked,
-            b,
-            out.as_mut_slice(),
-            kernel::parallel::effective_threads(threads),
-        );
-    });
-    Ok(out)
+    run(OP, "gemv.f32.rows", (m, k), (k, n), threads, |c, t| {
+        kernel::gemm_f32_prepacked_batched(m, &stacked, b, c, t);
+    })
 }
 
-/// [`matmul_i8`] against a weight matrix packed **once** in a
-/// [`PackedMatrixI8`]; bit-exact vs [`matmul_i8_reference`], zero
-/// per-call weight packing.
+/// Integer `C = A × B` with `i8` inputs and `i32` accumulation, against
+/// a weight matrix packed **once** in a [`PackedMatrixI8`].
+///
+/// This is the per-tensor W8A8 MatMul the mobile NPU executes natively
+/// (paper §2.2, Table 3). No saturation occurs: `i32` accumulation is
+/// exact for any `K ≤ 2^16` with `i8` operands, which also makes the
+/// blocked kernel bit-exact against [`matmul_i8_reference`].
 ///
 /// # Errors
 ///
@@ -509,295 +253,193 @@ pub fn matmul_i8_prepacked(
     b: &PackedMatrixI8,
     threads: usize,
 ) -> Result<Tensor<i32>> {
+    const OP: &str = "matmul_i8_prepacked";
+    let (lhs, rhs) = (a.matrix_dims(), (b.k(), b.n()));
+    run(OP, "gemm.i8.prepacked", lhs, rhs, threads, |c, t| {
+        kernel::gemm_i8_prepacked(lhs.0, a.as_slice(), b, c, t);
+    })
+}
+
+/// Scalar reference for [`matmul_i8_prepacked`] over the unpacked
+/// row-major weight: the plain triple loop, kept for bit-exactness tests
+/// and benchmark baselines.
+///
+/// The `a[i][p] == 0` skip survives *here* (and only here): for integers
+/// a zero term contributes exactly nothing, so skipping is a pure
+/// shortcut with no observable effect — unlike the float case.
+///
+/// # Errors
+///
+/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree.
+pub fn matmul_i8_reference(a: &Tensor<i8>, b: &Tensor<i8>) -> Result<Tensor<i32>> {
     let (m, k) = a.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (b.k(), b.n()))?;
-    let mut out = Tensor::zeros([m, b.n()]);
-    kernel::probe::profiled("gemm.i8.prepacked", m, b.n(), k, || {
-        kernel::gemm_i8_prepacked(
-            m,
-            a.as_slice(),
-            b,
-            out.as_mut_slice(),
-            kernel::parallel::effective_threads(threads),
-        );
-    });
+    let (k2, n) = b.matrix_dims();
+    check_matmul("matmul_i8_reference", (m, k), (k2, n))?;
+    let mut out = Tensor::zeros([m, n]);
+    let a_data = a.as_slice();
+    let b_data = b.as_slice();
+    for i in 0..m {
+        let a_row = &a_data[i * k..(i + 1) * k];
+        let out_row = out.row_mut(i);
+        for (p, &a_ip) in a_row.iter().enumerate() {
+            if a_ip == 0 {
+                continue;
+            }
+            let a_ip = i32::from(a_ip);
+            let b_row = &b_data[p * n..(p + 1) * n];
+            for (j, &b_pj) in b_row.iter().enumerate() {
+                out_row[j] += a_ip * i32::from(b_pj);
+            }
+        }
+    }
     Ok(out)
 }
 
-/// [`matmul_i8_scaled`] against a prepacked weight matrix: one fused
-/// `MatMul → Dequantize` pass, zero per-call weight packing, bit-identical
-/// outputs.
+/// Integer matmul with the dequantization fused into the kernel
+/// epilogue, written into `out`: the `MatMul → Dequantize` pair of
+/// Figure 5 in a single pass, the rescale running while each `i32` tile
+/// is still in registers, with no intermediate `i32` tensor.
+///
+/// `epilogue` selects the rescale — per-tensor (`PerTensor`, the W8A8
+/// and SmoothQuant layers), per-tensor accumulating into `out`'s
+/// existing values (`PerTensorAcc`, the per-group reduction),
+/// per-output-channel (`PerChannel`, the shadow-outlier main path) or
+/// vector-wise (`PerRow`, LLM.int8()); the other three overwrite `out`.
+/// Each is bit-identical to its float expression (see [`Epilogue`])
+/// applied to [`matmul_i8_prepacked`]'s output, for any thread count.
+///
+/// # Errors
+///
+/// Returns [`Error::ShapeMismatch`] if `a`'s inner dimension differs
+/// from the packed matrix's `k` or `out` is not `[m, n]`, and
+/// [`Error::InvalidDimension`] if an epilogue scale vector has the wrong
+/// length (`n` weight scales, `m` row scales).
+pub fn matmul_i8_fused_prepacked(
+    out: &mut Tensor<f32>,
+    a: &Tensor<i8>,
+    b: &PackedMatrixI8,
+    epilogue: Epilogue<'_>,
+    threads: usize,
+) -> Result<()> {
+    const OP: &str = "matmul_i8_fused_prepacked";
+    let (m, k) = a.matrix_dims();
+    let n = b.n();
+    check_matmul(OP, (m, k), (b.k(), n))?;
+    if out.matrix_dims() != (m, n) {
+        return Err(Error::ShapeMismatch {
+            op: OP,
+            lhs: vec![m, n],
+            rhs: out.shape().dims().to_vec(),
+        });
+    }
+    let wrong = |what: &str, got: usize, want: usize| Error::InvalidDimension {
+        op: OP,
+        what: format!("expected {want} {what} scales, got {got}"),
+    };
+    match epilogue {
+        Epilogue::PerChannel { w_scales, .. } | Epilogue::PerRow { w_scales, .. }
+            if w_scales.len() != n =>
+        {
+            return Err(wrong("weight", w_scales.len(), n));
+        }
+        Epilogue::PerRow { row_scales, .. } if row_scales.len() != m => {
+            return Err(wrong("row", row_scales.len(), m));
+        }
+        _ => {}
+    }
+    let threads = kernel::parallel::effective_threads(threads);
+    kernel::probe::profiled("gemm.i8.fused.prepacked", m, n, k, || {
+        kernel::gemm_i8_fused_prepacked(m, a.as_slice(), b, out.as_mut_slice(), epilogue, threads);
+    });
+    Ok(())
+}
+
+/// `C = dequant(A × B)` against a weight matrix quantized and packed
+/// **once** in a [`PackedMatrixI4`] (4-bit table-lookup codes). `a` is
+/// f32; the driver quantizes each activation row with one dynamic
+/// max-min scale, runs the in-register LUT kernels, and dequantizes
+/// through the fused per-group epilogue. Bit-exact vs
+/// [`matmul_lut_reference`] for any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`Error::ShapeMismatch`] if `a`'s inner dimension differs
 /// from the packed matrix's `k`.
-pub fn matmul_i8_scaled_prepacked(
-    a: &Tensor<i8>,
-    b: &PackedMatrixI8,
-    a_scale: f32,
-    w_scale: f32,
+pub fn matmul_i4_prepacked(
+    a: &Tensor<f32>,
+    b: &PackedMatrixI4,
     threads: usize,
 ) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (b.k(), b.n()))?;
-    let mut out = Tensor::zeros([m, b.n()]);
-    kernel::probe::profiled("gemm.i8.fused.prepacked", m, b.n(), k, || {
-        kernel::gemm_i8_fused_prepacked(
-            m,
-            a.as_slice(),
-            b,
-            out.as_mut_slice(),
-            Epilogue::PerTensor {
-                scale: a_scale * w_scale,
-            },
-            kernel::parallel::effective_threads(threads),
-        );
-    });
-    Ok(out)
+    const OP: &str = "matmul_i4_prepacked";
+    let (lhs, rhs) = (a.matrix_dims(), (b.k(), b.n()));
+    run(OP, "lut.i4.prepacked", lhs, rhs, threads, |c, t| {
+        kernel::lut::gemm_lut(lhs.0, a.as_slice(), b, c, t);
+    })
 }
 
-/// [`matmul_i8_scaled_into`] against a prepacked weight matrix (the
-/// grouped-quantization reduction without per-call weight packing).
+/// The **batched-decode driver** over 4-bit LUT weights: stacks B
+/// scattered activation rows into one `[B, k]` operand and runs a single
+/// cohort GEMM, so the packed codes stream through memory once per
+/// *batch*. Row `i` is bit-identical to [`matmul_i4_prepacked`] on that
+/// row alone (the LUT driver's accumulation order per row is independent
+/// of the cohort size).
 ///
 /// # Errors
 ///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree or
-/// `out` has the wrong shape.
-pub fn matmul_i8_scaled_into_prepacked(
-    out: &mut Tensor<f32>,
-    a: &Tensor<i8>,
-    b: &PackedMatrixI8,
-    a_scale: f32,
-    w_scale: f32,
-) -> Result<()> {
-    let (m, k) = a.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (b.k(), b.n()))?;
-    if out.matrix_dims() != (m, b.n()) {
-        return Err(Error::ShapeMismatch {
-            op: "matmul_i8_scaled_into",
-            lhs: vec![m, b.n()],
-            rhs: out.shape().dims().to_vec(),
-        });
-    }
-    kernel::gemm_i8_fused_prepacked(
-        m,
-        a.as_slice(),
-        b,
-        out.as_mut_slice(),
-        Epilogue::PerTensorAcc {
-            scale: a_scale * w_scale,
-        },
-        1,
-    );
-    Ok(())
+/// Returns [`Error::ShapeMismatch`] if any row's length differs from the
+/// packed matrix's `k`, or [`Error::InvalidDimension`] on an empty
+/// batch.
+pub fn matmul_i4_rows_prepacked(
+    rows: &[&[f32]],
+    b: &PackedMatrixI4,
+    threads: usize,
+) -> Result<Tensor<f32>> {
+    const OP: &str = "matmul_i4_rows_prepacked";
+    let (m, k, n) = (rows.len(), b.k(), b.n());
+    let stacked = stack_rows(OP, rows, k, n)?;
+    run(OP, "lut.i4.rows", (m, k), (k, n), threads, |c, t| {
+        kernel::lut::gemm_lut(m, &stacked, b, c, t);
+    })
 }
 
-/// [`matmul_i8_per_channel`] against a prepacked weight matrix.
+/// [`matmul_i4_prepacked`] over 2-bit codes ([`PackedMatrixI2`]): a
+/// quarter of the i8 decode bytes, ternary weights.
 ///
 /// # Errors
 ///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree, or
-/// [`Error::InvalidDimension`] if `w_scales.len()` differs from the
-/// output column count.
-pub fn matmul_i8_per_channel_prepacked(
-    a: &Tensor<i8>,
-    b: &PackedMatrixI8,
-    a_scale: f32,
-    w_scales: &[f32],
+/// Returns [`Error::ShapeMismatch`] if `a`'s inner dimension differs
+/// from the packed matrix's `k`.
+pub fn matmul_i2_prepacked(
+    a: &Tensor<f32>,
+    b: &PackedMatrixI2,
     threads: usize,
 ) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (b.k(), b.n()))?;
-    if w_scales.len() != b.n() {
-        return Err(Error::InvalidDimension {
-            op: "matmul_i8_per_channel",
-            what: format!("expected {} weight scales, got {}", b.n(), w_scales.len()),
-        });
-    }
-    let mut out = Tensor::zeros([m, b.n()]);
-    kernel::gemm_i8_fused_prepacked(
-        m,
-        a.as_slice(),
-        b,
-        out.as_mut_slice(),
-        Epilogue::PerChannel { a_scale, w_scales },
-        kernel::parallel::effective_threads(threads),
-    );
-    Ok(out)
+    const OP: &str = "matmul_i2_prepacked";
+    let (lhs, rhs) = (a.matrix_dims(), (b.k(), b.n()));
+    run(OP, "lut.i2.prepacked", lhs, rhs, threads, |c, t| {
+        kernel::lut::gemm_lut(lhs.0, a.as_slice(), b, c, t);
+    })
 }
 
-/// [`matmul_i8_per_row`] against a prepacked weight matrix.
+/// The scalar LUT **reference** for either code width (`BITS` is
+/// inferred from the packed operand): materializes every partial-sum
+/// table and resolves codes by actual lookup. Ground truth for
+/// [`matmul_i4_prepacked`] and [`matmul_i2_prepacked`].
 ///
 /// # Errors
 ///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree, or
-/// [`Error::InvalidDimension`] if a scale vector has the wrong length.
-pub fn matmul_i8_per_row_prepacked(
-    a: &Tensor<i8>,
-    b: &PackedMatrixI8,
-    row_scales: &[f32],
-    w_scales: &[f32],
-    threads: usize,
+/// Returns [`Error::ShapeMismatch`] if `a`'s inner dimension differs
+/// from the packed matrix's `k`.
+pub fn matmul_lut_reference<const BITS: usize>(
+    a: &Tensor<f32>,
+    b: &PackedLut<BITS>,
 ) -> Result<Tensor<f32>> {
     let (m, k) = a.matrix_dims();
-    check_matmul("matmul_i8", (m, k), (b.k(), b.n()))?;
-    if w_scales.len() != b.n() {
-        return Err(Error::InvalidDimension {
-            op: "matmul_i8_per_row",
-            what: format!("expected {} weight scales, got {}", b.n(), w_scales.len()),
-        });
-    }
-    if row_scales.len() != m {
-        return Err(Error::InvalidDimension {
-            op: "matmul_i8_per_row",
-            what: format!("expected {m} row scales, got {}", row_scales.len()),
-        });
-    }
+    check_matmul("matmul_lut_reference", (m, k), (b.k(), b.n()))?;
     let mut out = Tensor::zeros([m, b.n()]);
-    kernel::gemm_i8_fused_prepacked(
-        m,
-        a.as_slice(),
-        b,
-        out.as_mut_slice(),
-        Epilogue::PerRow {
-            row_scales,
-            w_scales,
-        },
-        kernel::parallel::effective_threads(threads),
-    );
+    kernel::lut::gemm_lut_reference(m, a.as_slice(), b, out.as_mut_slice());
     Ok(out)
 }
-
-#[rustfmt::skip] // rustfmt oscillates on doc attributes inside macro bodies
-macro_rules! lut_matmul_api {
-    ($packed:ident, $bits:literal, $prepacked:ident, $rows:ident, $reference:ident,
-     $k_prepacked:path, $k_reference:path, $site_prepacked:literal, $site_rows:literal) => {
-        #[doc = concat!(
-            "`C = dequant(A × B)` against a weight matrix quantized and packed ",
-            "**once** in a [`",
-            stringify!($packed),
-            "`] (",
-            $bits,
-            "-bit table-lookup codes). `a` is f32; the driver quantizes each ",
-            "activation row with one dynamic max-min scale, runs the in-register ",
-            "LUT kernels, and dequantizes through the fused per-group epilogue. ",
-            "Bit-exact vs [`",
-            stringify!($reference),
-            "`] for any thread count.\n\n# Errors\n\nReturns ",
-            "[`Error::ShapeMismatch`] if `a`'s inner dimension differs from the ",
-            "packed matrix's `k`."
-        )]
-        pub fn $prepacked(a: &Tensor<f32>, b: &$packed, threads: usize) -> Result<Tensor<f32>> {
-            let (m, k) = a.matrix_dims();
-            check_matmul(
-                concat!("matmul_", stringify!($prepacked)),
-                (m, k),
-                (b.k(), b.n()),
-            )?;
-            let mut out = Tensor::zeros([m, b.n()]);
-            kernel::probe::profiled($site_prepacked, m, b.n(), k, || {
-                $k_prepacked(
-                    m,
-                    a.as_slice(),
-                    b,
-                    out.as_mut_slice(),
-                    kernel::parallel::effective_threads(threads),
-                );
-            });
-            Ok(out)
-        }
-
-        #[doc = concat!(
-            "The **batched-decode driver** over ",
-            $bits,
-            "-bit LUT weights: stacks B scattered activation rows into one ",
-            "`[B, k]` operand and runs a single cohort GEMM, so the packed ",
-            "codes stream through memory once per *batch*. Row `i` is ",
-            "bit-identical to [`",
-            stringify!($prepacked),
-            "`] on that row alone (the LUT driver's accumulation order per ",
-            "row is independent of the cohort size).\n\n# Errors\n\nReturns ",
-            "[`Error::ShapeMismatch`] if any row's length differs from the ",
-            "packed matrix's `k`, or [`Error::InvalidDimension`] on an empty ",
-            "batch."
-        )]
-        pub fn $rows(rows: &[&[f32]], b: &$packed, threads: usize) -> Result<Tensor<f32>> {
-            if rows.is_empty() {
-                return Err(Error::InvalidDimension {
-                    op: concat!("matmul_", stringify!($rows)),
-                    what: "empty decode batch".to_owned(),
-                });
-            }
-            if let Some(bad) = rows.iter().find(|r| r.len() != b.k()) {
-                return Err(Error::ShapeMismatch {
-                    op: concat!("matmul_", stringify!($rows)),
-                    lhs: vec![1, bad.len()],
-                    rhs: vec![b.k(), b.n()],
-                });
-            }
-            let mut stacked = Vec::with_capacity(rows.len() * b.k());
-            for r in rows {
-                stacked.extend_from_slice(r);
-            }
-            let mut out = Tensor::zeros([rows.len(), b.n()]);
-            kernel::probe::profiled($site_rows, rows.len(), b.n(), b.k(), || {
-                $k_prepacked(
-                    rows.len(),
-                    &stacked,
-                    b,
-                    out.as_mut_slice(),
-                    kernel::parallel::effective_threads(threads),
-                );
-            });
-            Ok(out)
-        }
-
-        #[doc = concat!(
-            "The scalar LUT **reference** for ",
-            $bits,
-            "-bit weights: materializes every partial-sum table and resolves ",
-            "codes by actual lookup. Ground truth for [`",
-            stringify!($prepacked),
-            "`].\n\n# Errors\n\nReturns [`Error::ShapeMismatch`] if `a`'s ",
-            "inner dimension differs from the packed matrix's `k`."
-        )]
-        pub fn $reference(a: &Tensor<f32>, b: &$packed) -> Result<Tensor<f32>> {
-            let (m, k) = a.matrix_dims();
-            check_matmul(
-                concat!("matmul_", stringify!($reference)),
-                (m, k),
-                (b.k(), b.n()),
-            )?;
-            let mut out = Tensor::zeros([m, b.n()]);
-            $k_reference(m, a.as_slice(), b, out.as_mut_slice());
-            Ok(out)
-        }
-    };
-}
-
-lut_matmul_api!(
-    PackedMatrixI4,
-    "4",
-    matmul_i4_prepacked,
-    matmul_i4_rows_prepacked,
-    matmul_i4_reference,
-    kernel::lut::gemm_i4_prepacked,
-    kernel::lut::gemm_i4_reference,
-    "lut.i4.prepacked",
-    "lut.i4.rows"
-);
-lut_matmul_api!(
-    PackedMatrixI2,
-    "2",
-    matmul_i2_prepacked,
-    matmul_i2_rows_prepacked,
-    matmul_i2_reference,
-    kernel::lut::gemm_i2_prepacked,
-    kernel::lut::gemm_i2_reference,
-    "lut.i2.prepacked",
-    "lut.i2.rows"
-);
 
 /// Adds `delta` into `acc` elementwise (the merge step of shadow outlier
 /// execution, Equation 1: NPU partial result + CPU outlier partial
@@ -828,6 +470,21 @@ mod tests {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
     }
 
+    fn tensor_i8(data: &[i8], shape: [usize; 2]) -> Tensor<i8> {
+        Tensor::from_vec(data.to_vec(), shape).unwrap()
+    }
+
+    fn packed_i8(data: &[i8], shape: [usize; 2]) -> PackedMatrixI8 {
+        PackedMatrixI8::from_tensor(&tensor_i8(data, shape))
+    }
+
+    /// The fused entry into a fresh zero tensor.
+    fn fused(a: &Tensor<i8>, b: &PackedMatrixI8, epilogue: Epilogue<'_>) -> Result<Tensor<f32>> {
+        let mut out = Tensor::zeros([a.matrix_dims().0, b.n()]);
+        matmul_i8_fused_prepacked(&mut out, a, b, epilogue, 1)?;
+        Ok(out)
+    }
+
     #[test]
     fn f32_identity() {
         let a = tensor_f32(&[1.0, 2.0, 3.0, 4.0], [2, 2]);
@@ -844,17 +501,85 @@ mod tests {
     }
 
     #[test]
-    fn f32_rejects_bad_inner_dim() {
-        let a = tensor_f32(&[0.0; 6], [2, 3]);
-        let b = tensor_f32(&[0.0; 8], [4, 2]);
-        assert!(matches!(
-            matmul_f32(&a, &b),
-            Err(Error::ShapeMismatch {
-                op: "matmul_f32",
-                ..
-            })
-        ));
-        assert!(matmul_f32_reference(&a, &b).is_err());
+    fn every_entry_names_itself_in_its_errors() {
+        // Every left-hand side has k = 3, every right-hand side k = 4.
+        let a = Tensor::<f32>::zeros([2, 3]);
+        let ai = Tensor::<i8>::zeros([2, 3]);
+        let b = Tensor::<f32>::zeros([4, 2]);
+        let bi = Tensor::<i8>::zeros([4, 2]);
+        let pf = PackedMatrixF32::from_tensor(&b);
+        let pi = PackedMatrixI8::from_tensor(&bi);
+        let p4 = PackedMatrixI4::from_tensor(&b, 4);
+        let p2 = PackedMatrixI2::from_tensor(&b, 4);
+        let row = [0.0f32; 3];
+        let rows = [&row[..], &row[..]];
+        let mut out = Tensor::zeros([2, 2]);
+        let per_tensor = Epilogue::PerTensor { scale: 1.0 };
+        let cases = [
+            ("matmul_f32", matmul_f32(&a, &b).unwrap_err()),
+            (
+                "matmul_f32_threaded",
+                matmul_f32_threaded(&a, &b, 2).unwrap_err(),
+            ),
+            (
+                "matmul_f32_reference",
+                matmul_f32_reference(&a, &b).unwrap_err(),
+            ),
+            (
+                "matmul_f32_prepacked",
+                matmul_f32_prepacked(&a, &pf, 1).unwrap_err(),
+            ),
+            (
+                "matmul_f32_rows_prepacked",
+                matmul_f32_rows_prepacked(&rows, &pf, 1).unwrap_err(),
+            ),
+            (
+                "matmul_f32_rows_prepacked",
+                matmul_f32_rows_prepacked(&[], &pf, 1).unwrap_err(),
+            ),
+            (
+                "matmul_i8_prepacked",
+                matmul_i8_prepacked(&ai, &pi, 1).unwrap_err(),
+            ),
+            (
+                "matmul_i8_reference",
+                matmul_i8_reference(&ai, &bi).unwrap_err(),
+            ),
+            (
+                "matmul_i8_fused_prepacked",
+                matmul_i8_fused_prepacked(&mut out, &ai, &pi, per_tensor, 1).unwrap_err(),
+            ),
+            (
+                "matmul_i4_prepacked",
+                matmul_i4_prepacked(&a, &p4, 1).unwrap_err(),
+            ),
+            (
+                "matmul_i4_rows_prepacked",
+                matmul_i4_rows_prepacked(&rows, &p4, 1).unwrap_err(),
+            ),
+            (
+                "matmul_i4_rows_prepacked",
+                matmul_i4_rows_prepacked(&[], &p4, 1).unwrap_err(),
+            ),
+            (
+                "matmul_i2_prepacked",
+                matmul_i2_prepacked(&a, &p2, 1).unwrap_err(),
+            ),
+            (
+                "matmul_lut_reference",
+                matmul_lut_reference(&a, &p4).unwrap_err(),
+            ),
+            (
+                "matmul_lut_reference",
+                matmul_lut_reference(&a, &p2).unwrap_err(),
+            ),
+        ];
+        for (entry, err) in cases {
+            let (Error::ShapeMismatch { op, .. } | Error::InvalidDimension { op, .. }) = err else {
+                panic!("{entry}: unexpected error {err:?}");
+            };
+            assert_eq!(op, entry);
+        }
     }
 
     #[test]
@@ -870,9 +595,9 @@ mod tests {
 
     #[test]
     fn i8_matches_f32_on_small_values() {
-        let a_i = Tensor::from_vec(vec![1i8, -2, 3, 4, 5, -6], [2, 3]).unwrap();
-        let b_i = Tensor::from_vec(vec![7i8, 8, -9, 10, 11, 12], [3, 2]).unwrap();
-        let c_i = matmul_i8(&a_i, &b_i).unwrap();
+        let a_i = tensor_i8(&[1, -2, 3, 4, 5, -6], [2, 3]);
+        let b_i = tensor_i8(&[7, 8, -9, 10, 11, 12], [3, 2]);
+        let c_i = matmul_i8_prepacked(&a_i, &PackedMatrixI8::from_tensor(&b_i), 1).unwrap();
 
         let a_f = a_i.map(f32::from);
         let b_f = b_i.map(f32::from);
@@ -887,54 +612,75 @@ mod tests {
         // K=1024 of -128*-128 = 16.7M per element; i32 holds it easily.
         let a = Tensor::full(-128i8, [1, 1024]);
         let b = Tensor::full(-128i8, [1024, 1]);
-        let c = matmul_i8(&a, &b).unwrap();
+        let c = matmul_i8_prepacked(&a, &PackedMatrixI8::from_tensor(&b), 1).unwrap();
         assert_eq!(c.as_slice(), &[128 * 128 * 1024]);
         let c_ref = matmul_i8_reference(&a, &b).unwrap();
         assert_eq!(c.as_slice(), c_ref.as_slice());
     }
 
     #[test]
-    fn scaled_dequantizes() {
-        let a = Tensor::from_vec(vec![2i8, 4], [1, 2]).unwrap();
-        let b = Tensor::from_vec(vec![3i8, 5], [2, 1]).unwrap();
-        let c = matmul_i8_scaled(&a, &b, 0.5, 0.1).unwrap();
+    fn fused_per_tensor_dequantizes() {
+        let a = tensor_i8(&[2, 4], [1, 2]);
+        let b = packed_i8(&[3, 5], [2, 1]);
+        let c = fused(&a, &b, Epilogue::PerTensor { scale: 0.5 * 0.1 }).unwrap();
         assert!((c.as_slice()[0] - (26.0 * 0.05)).abs() < 1e-6);
     }
 
     #[test]
-    fn scaled_into_accumulates_like_two_pass() {
-        let a = Tensor::from_vec(vec![2i8, 4, -1, 7], [2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![3i8, 5, 1, -2], [2, 2]).unwrap();
-        let mut fused = tensor_f32(&[1.0, -2.0, 0.5, 3.0], [2, 2]);
-        matmul_i8_scaled_into(&mut fused, &a, &b, 0.5, 0.1).unwrap();
+    fn fused_per_tensor_acc_accumulates_like_two_pass() {
+        let a = tensor_i8(&[2, 4, -1, 7], [2, 2]);
+        let b = packed_i8(&[3, 5, 1, -2], [2, 2]);
+        let scale = 0.5 * 0.1;
+        let mut acc = tensor_f32(&[1.0, -2.0, 0.5, 3.0], [2, 2]);
+        matmul_i8_fused_prepacked(&mut acc, &a, &b, Epilogue::PerTensorAcc { scale }, 1).unwrap();
 
         let mut two_pass = tensor_f32(&[1.0, -2.0, 0.5, 3.0], [2, 2]);
-        let partial = matmul_i8_scaled(&a, &b, 0.5, 0.1).unwrap();
+        let partial = fused(&a, &b, Epilogue::PerTensor { scale }).unwrap();
         accumulate(&mut two_pass, &partial).unwrap();
-        assert_eq!(fused.as_slice(), two_pass.as_slice());
+        assert_eq!(acc.as_slice(), two_pass.as_slice());
 
-        assert!(matmul_i8_scaled_into(&mut fused, &a, &Tensor::zeros([3, 2]), 1.0, 1.0).is_err());
+        // The overwriting epilogues ignore what `out` held.
+        matmul_i8_fused_prepacked(&mut acc, &a, &b, Epilogue::PerTensor { scale }, 1).unwrap();
+        assert_eq!(acc.as_slice(), partial.as_slice());
+
         let mut wrong_shape = Tensor::zeros([1, 2]);
-        assert!(matmul_i8_scaled_into(&mut wrong_shape, &a, &b, 1.0, 1.0).is_err());
+        let err =
+            matmul_i8_fused_prepacked(&mut wrong_shape, &a, &b, Epilogue::PerTensor { scale }, 1);
+        assert!(matches!(err, Err(Error::ShapeMismatch { .. })));
     }
 
     #[test]
-    fn per_channel_scales_apply_by_column() {
-        let a = Tensor::from_vec(vec![1i8, 1], [1, 2]).unwrap();
-        let b = Tensor::from_vec(vec![1i8, 2, 3, 4], [2, 2]).unwrap();
-        let c = matmul_i8_per_channel(&a, &b, 1.0, &[10.0, 100.0]).unwrap();
+    fn fused_per_channel_scales_apply_by_column() {
+        let a = tensor_i8(&[1, 1], [1, 2]);
+        let b = packed_i8(&[1, 2, 3, 4], [2, 2]);
+        let per_channel = |w_scales| Epilogue::PerChannel {
+            a_scale: 1.0,
+            w_scales,
+        };
+        let c = fused(&a, &b, per_channel(&[10.0, 100.0])).unwrap();
         assert_eq!(c.as_slice(), &[40.0, 600.0]);
-        assert!(matmul_i8_per_channel(&a, &b, 1.0, &[1.0]).is_err());
+        assert!(matches!(
+            fused(&a, &b, per_channel(&[1.0])),
+            Err(Error::InvalidDimension { .. })
+        ));
     }
 
     #[test]
-    fn per_row_scales_apply_by_row_and_column() {
-        let a = Tensor::from_vec(vec![1i8, 0, 0, 1], [2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![1i8, 2, 3, 4], [2, 2]).unwrap();
-        let c = matmul_i8_per_row(&a, &b, &[1.0, 10.0], &[1.0, 0.5]).unwrap();
+    fn fused_per_row_scales_apply_by_row_and_column() {
+        let a = tensor_i8(&[1, 0, 0, 1], [2, 2]);
+        let b = packed_i8(&[1, 2, 3, 4], [2, 2]);
+        let per_row = |row_scales, w_scales| Epilogue::PerRow {
+            row_scales,
+            w_scales,
+        };
+        let c = fused(&a, &b, per_row(&[1.0, 10.0], &[1.0, 0.5])).unwrap();
         assert_eq!(c.as_slice(), &[1.0, 1.0, 30.0, 20.0]);
-        assert!(matmul_i8_per_row(&a, &b, &[1.0], &[1.0, 1.0]).is_err());
-        assert!(matmul_i8_per_row(&a, &b, &[1.0, 1.0], &[1.0]).is_err());
+        for bad in [per_row(&[1.0], &[1.0, 1.0]), per_row(&[1.0, 1.0], &[1.0])] {
+            assert!(matches!(
+                fused(&a, &b, bad),
+                Err(Error::InvalidDimension { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1013,9 +759,9 @@ mod tests {
         assert_eq!(single.as_slice(), four.as_slice());
 
         let ai = a.map(|x| x as i8);
-        let bi = b.map(|x| x as i8);
-        let si = matmul_i8(&ai, &bi).unwrap();
-        let ti = matmul_i8_threaded(&ai, &bi, 4).unwrap();
+        let bi = PackedMatrixI8::from_tensor(&b.map(|x| x as i8));
+        let si = matmul_i8_prepacked(&ai, &bi, 1).unwrap();
+        let ti = matmul_i8_prepacked(&ai, &bi, 4).unwrap();
         assert_eq!(si.as_slice(), ti.as_slice());
     }
 }

@@ -22,18 +22,20 @@
 //!
 //! Two kernel families implement the same formulation:
 //!
-//! * the **scalar LUT reference** ([`gemm_i4_reference`] /
-//!   [`gemm_i2_reference`]) materializes every `T_p` and resolves each
-//!   code with an actual table lookup — the semantic ground truth, and
-//!   the thing the property suite pins the optimized drivers against;
-//! * the **optimized drivers** ([`gemm_i4_prepacked`] /
-//!   [`gemm_i2_prepacked`]) evaluate the same table entries in
-//!   registers as each code selects them (`aq[p] · (v − bias)` is exact
-//!   in i32, so distributed evaluation is bit-identical to the lookup —
-//!   and, unlike a gather, it auto-vectorizes). The hot path therefore
-//!   materializes **zero** tables: [`lut_tables_built`] counts
+//! * the **scalar LUT reference** ([`gemm_lut_reference`]) materializes
+//!   every `T_p` and resolves each code with an actual table lookup —
+//!   the semantic ground truth, and the thing the property suite pins
+//!   the optimized driver against;
+//! * the **optimized driver** ([`gemm_lut`]) evaluates the same table
+//!   entries in registers as each code selects them (`aq[p] · (v − bias)`
+//!   is exact in i32, so distributed evaluation is bit-identical to the
+//!   lookup — and, unlike a gather, it auto-vectorizes). The hot path
+//!   therefore materializes **zero** tables: [`lut_tables_built`] counts
 //!   materializations, and the steady-state invariant mirrors the
 //!   zero-repack one — a warm decode step builds no tables at all.
+//!
+//! Both are const-generic over the code width; `BITS` is inferred from
+//! the packed operand ([`PackedMatrixI4`] / [`PackedMatrixI2`]).
 //!
 //! # Packed layout
 //!
@@ -97,7 +99,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::microkernel::{lut_dot, lut_unpack, microkernel_lut, MR, NR};
+use super::microkernel::{lut_dot, lut_unpack, microkernel_int, MR, NR};
 use super::{pack, parallel, GEMV_MAX_ROWS};
 
 thread_local! {
@@ -135,8 +137,8 @@ fn note_table_build() {
 /// A `k × n` weight matrix packed **once** into the `BITS`-bit LUT
 /// format (see the module docs for the layout): plane-split codes in
 /// column panels with per-(column, group) f32 scales. Built at weight
-/// load/quantization time; the `*_prepacked` LUT drivers then never
-/// touch the float original again. Only the two widths below exist.
+/// load/quantization time; [`gemm_lut`] then never touches the float
+/// original again. Only the two widths below exist.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedLut<const BITS: usize> {
     k: usize,
@@ -408,60 +410,6 @@ fn quantize_rows<const BITS: usize>(
     QuantRows { aq, scales, sums }
 }
 
-/// `C = dequant(A · B)` against int4 LUT weights — the optimized
-/// driver. Activation rows are quantized with one dynamic per-row
-/// scale, every group's partial-sum table is evaluated in registers
-/// (zero materialized tables — see [`lut_tables_built`]), and group
-/// sums are dequantized by a fused `a_scale · w_scale` epilogue applied
-/// to a whole panel of output columns at once.
-///
-/// For `m ≤ 2` this is the N-partitioned decode GEMV; larger `m` (the
-/// batched-decode cohort and chunked prefill) runs the register-tiled
-/// walk over the same column panels, so the weights stream once per
-/// batch. Row `r` is bit-identical to a solo `m = 1` call on the same
-/// row, and results are bit-exact vs [`gemm_i4_reference`] for any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn gemm_i4_prepacked(m: usize, a: &[f32], b: &PackedMatrixI4, c: &mut [f32], threads: usize) {
-    gemm_lut(m, a, b, c, threads);
-}
-
-/// `C = dequant(A · B)` against int2 LUT weights — the optimized
-/// driver; see [`gemm_i4_prepacked`].
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn gemm_i2_prepacked(m: usize, a: &[f32], b: &PackedMatrixI2, c: &mut [f32], threads: usize) {
-    gemm_lut(m, a, b, c, threads);
-}
-
-/// The scalar LUT **reference** for int4: materializes every
-/// 16-entry partial-sum table (counted by [`lut_tables_built`]) and
-/// resolves each stored code with an actual lookup. Single-threaded,
-/// simple, and the ground truth the optimized drivers are pinned
-/// against bit-for-bit.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn gemm_i4_reference(m: usize, a: &[f32], b: &PackedMatrixI4, c: &mut [f32]) {
-    gemm_lut_reference(m, a, b, c);
-}
-
-/// The scalar LUT reference for int2 (4-entry tables); see
-/// [`gemm_i4_reference`].
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn gemm_i2_reference(m: usize, a: &[f32], b: &PackedMatrixI2, c: &mut [f32]) {
-    gemm_lut_reference(m, a, b, c);
-}
-
 /// One column panel as the walkers see it: its codes and its
 /// `[group][NR]` scale vectors, and how to cut both into groups.
 /// Chunking `codes` by `group_size · BITS / 8 · NR` bytes peels the
@@ -548,7 +496,7 @@ fn lut_panel_tiles<const BITS: usize>(
         for (tile, out_tile) in out.chunks_mut(MR).enumerate() {
             let a_panel = &q.aq[(tile * k_pad + g * panel.group_size) * MR..];
             let mut acc = [[0i32; NR]; MR];
-            microkernel_lut(len, a_panel, b_panel, &mut acc);
+            microkernel_int(len, a_panel, b_panel, &mut acc);
             let sums = &q.sums[(tile * groups + g) * MR..][..MR];
             let a_scales = &q.scales[tile * MR..];
             for (((out_row, acc_row), &sum), &a_scale) in
@@ -566,9 +514,26 @@ fn lut_panel_tiles<const BITS: usize>(
     }
 }
 
-/// The optimized driver: one layout, and one panel walker per shape
-/// class ([`lut_panel_row`], [`lut_panel_tiles`]) for every group size.
-fn gemm_lut<const BITS: usize>(
+/// `C = dequant(A · B)` against `BITS`-bit LUT weights — the optimized
+/// driver: one layout, and one panel walker per shape class
+/// (`lut_panel_row`, `lut_panel_tiles`) for every group size.
+/// Activation rows are quantized with one dynamic per-row scale, every
+/// group's partial-sum table is evaluated in registers (zero
+/// materialized tables — see [`lut_tables_built`]), and group sums are
+/// dequantized by a fused `a_scale · w_scale` epilogue applied to a
+/// whole panel of output columns at once.
+///
+/// For `m ≤ 2` this is the N-partitioned decode GEMV; larger `m` (the
+/// batched-decode cohort and chunked prefill) runs the register-tiled
+/// walk over the same column panels, so the weights stream once per
+/// batch. Row `r` is bit-identical to a solo `m = 1` call on the same
+/// row, and results are bit-exact vs [`gemm_lut_reference`] for any
+/// thread count.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the packed dimensions.
+pub fn gemm_lut<const BITS: usize>(
     m: usize,
     a: &[f32],
     p: &PackedLut<BITS>,
@@ -620,7 +585,20 @@ fn gemm_lut<const BITS: usize>(
     });
 }
 
-fn gemm_lut_reference<const BITS: usize>(m: usize, a: &[f32], p: &PackedLut<BITS>, c: &mut [f32]) {
+/// The scalar LUT **reference**: materializes every `2^BITS`-entry
+/// partial-sum table (counted by [`lut_tables_built`]) and resolves each
+/// stored code with an actual lookup. Single-threaded, simple, and the
+/// ground truth [`gemm_lut`] is pinned against bit-for-bit.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the packed dimensions.
+pub fn gemm_lut_reference<const BITS: usize>(
+    m: usize,
+    a: &[f32],
+    p: &PackedLut<BITS>,
+    c: &mut [f32],
+) {
     assert_eq!(a.len(), m * p.k, "lhs shape mismatch");
     assert_eq!(c.len(), m * p.n, "output shape mismatch");
     let q = quantize_rows(a, m, p, 1);
@@ -707,13 +685,13 @@ mod tests {
             let p4 = PackedMatrixI4::quantize_pack(&b, k, n, gs);
             let mut got = vec![0.0f32; m * n];
             let mut want = vec![0.0f32; m * n];
-            gemm_i4_prepacked(m, &a, &p4, &mut got, 3);
-            gemm_i4_reference(m, &a, &p4, &mut want);
+            gemm_lut(m, &a, &p4, &mut got, 3);
+            gemm_lut_reference(m, &a, &p4, &mut want);
             assert_eq!(got, want, "i4 m={m} k={k} n={n} gs={gs}");
 
             let p2 = PackedMatrixI2::quantize_pack(&b, k, n, gs);
-            gemm_i2_prepacked(m, &a, &p2, &mut got, 3);
-            gemm_i2_reference(m, &a, &p2, &mut want);
+            gemm_lut(m, &a, &p2, &mut got, 3);
+            gemm_lut_reference(m, &a, &p2, &mut want);
             assert_eq!(got, want, "i2 m={m} k={k} n={n} gs={gs}");
         }
     }
@@ -726,9 +704,9 @@ mod tests {
         let p4 = PackedMatrixI4::quantize_pack(&b, k, n, gs);
         let mut c = vec![0.0f32; m * n];
         let before = lut_tables_built();
-        gemm_i4_prepacked(m, &a, &p4, &mut c, 1);
+        gemm_lut(m, &a, &p4, &mut c, 1);
         assert_eq!(lut_tables_built(), before, "hot path must not build tables");
-        gemm_i4_reference(m, &a, &p4, &mut c);
+        gemm_lut_reference(m, &a, &p4, &mut c);
         assert_eq!(
             lut_tables_built(),
             before + m as u64,

@@ -75,14 +75,34 @@ pub fn microkernel_f32(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[
     }
 }
 
-/// `C_tile += A_panel · B_panel` over `kc` K steps, integer path.
+/// `C_tile += A_panel · B_panel` over `kc` K steps, integer path: the
+/// one body behind both integer tile loops, generic over the B-panel
+/// element so each instantiates exactly the function it needs.
 ///
-/// Operands arrive widened to `i16` (see [`super::pack`]); products are
-/// exact in `i32` and accumulation is exact for any `K ≤ 2^16`, so this
-/// kernel is bit-identical to the scalar reference regardless of
-/// blocking or thread count.
+/// The A panel arrives widened to `i16` (see [`super::pack`]); the B
+/// panel is either the i8 slabs, widened to `i16` the same way, or
+/// `lut_unpack`'s output, one **unsigned** byte per stored code.
+/// Products are exact in `i32` and accumulation is exact for any
+/// `K ≤ 2^16`, so both instantiations are bit-identical to the scalar
+/// reference regardless of blocking or thread count.
+///
+/// The operand type is not cosmetic. A product of a sign-extended `i16`
+/// and a value whose upper bits are known zero compiles to one paired
+/// widening multiply-accumulate (`vpmaddwd`/`vpdpwssd`-class on x86)
+/// where two signed `i16` operands need a full-width 32-bit multiply
+/// plus an add, and a byte per code halves the panel traffic — so the
+/// `u8` instantiation is the faster of the two (`BENCH_kernels.json`,
+/// `lut_decode`), and the `i16` one is what ROADMAP's offset-operand
+/// item would retire. `#[inline(never)]` keeps each instantiation a
+/// standalone function, which is the shape the vectorizer is checked
+/// against.
 #[inline(never)]
-pub fn microkernel_i8(kc: usize, a_panel: &[i16], b_panel: &[i16], acc: &mut [[i32; NR]; MR]) {
+pub fn microkernel_int<B: Copy + Into<i32>>(
+    kc: usize,
+    a_panel: &[i16],
+    b_panel: &[B],
+    acc: &mut [[i32; NR]; MR],
+) {
     let mut lo = [[0i32; NR]; 4];
     let mut hi = [[0i32; NR]; 4];
     for (a, b) in a_panel
@@ -92,7 +112,7 @@ pub fn microkernel_i8(kc: usize, a_panel: &[i16], b_panel: &[i16], acc: &mut [[i
     {
         let mut bv = [0i32; NR];
         for j in 0..NR {
-            bv[j] = i32::from(b[j]);
+            bv[j] = b[j].into();
         }
         for r in 0..4 {
             let ar = i32::from(a[r]);
@@ -118,7 +138,7 @@ pub fn microkernel_i8(kc: usize, a_panel: &[i16], b_panel: &[i16], acc: &mut [[i
 }
 
 /// Splits one group of a LUT column panel into one stored code per byte:
-/// the K-major `NR`-wide B operand [`microkernel_lut`] consumes.
+/// the K-major `NR`-wide `u8` B operand [`microkernel_int`] consumes.
 ///
 /// `codes` is the group's run of `NR`-byte rows in the plane-split panel
 /// layout of [`super::lut`]: byte `j` of row `i` carries column `j`'s
@@ -137,62 +157,10 @@ pub(super) fn lut_unpack<const BITS: usize>(codes: &[u8], panel: &mut [u8]) {
     }
 }
 
-/// `C_tile += A_panel · B_panel` over `kc` K steps against unpacked LUT
-/// codes: [`microkernel_i8`] with the B panel one **unsigned** byte per
-/// element ([`lut_unpack`]'s output) instead of a widened `i16`.
-///
-/// The body is deliberately the same; the operand type is the point. A
-/// product of a sign-extended `i16` and a value whose upper bits are
-/// known zero compiles to one paired widening multiply-accumulate
-/// (`vpmaddwd`/`vpdpwssd`-class on x86) where two signed `i16` operands
-/// need a full-width 32-bit multiply plus an add, and a byte per code
-/// halves the panel traffic. Exact in `i32` like every integer kernel
-/// here, so the choice is invisible in the results.
-#[inline(never)]
-pub(super) fn microkernel_lut(
-    kc: usize,
-    a_panel: &[i16],
-    b_panel: &[u8],
-    acc: &mut [[i32; NR]; MR],
-) {
-    let mut lo = [[0i32; NR]; 4];
-    let mut hi = [[0i32; NR]; 4];
-    for (a, b) in a_panel
-        .chunks_exact(MR)
-        .zip(b_panel.chunks_exact(NR))
-        .take(kc)
-    {
-        let mut bv = [0i32; NR];
-        for j in 0..NR {
-            bv[j] = i32::from(b[j]);
-        }
-        for r in 0..4 {
-            let ar = i32::from(a[r]);
-            let row = &mut lo[r];
-            for j in 0..NR {
-                row[j] += ar * bv[j];
-            }
-        }
-        for r in 0..4 {
-            let ar = i32::from(a[4 + r]);
-            let row = &mut hi[r];
-            for j in 0..NR {
-                row[j] += ar * bv[j];
-            }
-        }
-    }
-    for r in 0..4 {
-        for j in 0..NR {
-            acc[r][j] += lo[r][j];
-            acc[4 + r][j] += hi[r][j];
-        }
-    }
-}
-
 /// One group of one LUT column panel against one quantized activation
 /// row, lanes = output columns: `acc[j] = Σ_p code(p, j) · aq[p]` over
 /// the group's positions, reading `codes` in place (the GEMV-shaped
-/// counterpart of [`lut_unpack`] + [`microkernel_lut`]; same layout,
+/// counterpart of [`lut_unpack`] + [`microkernel_int`]; same layout,
 /// `aq` in position order).
 ///
 /// The partial-sum table `T[p][v] = aq[p] · (v − bias)` is evaluated in
@@ -271,21 +239,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn i8_tile_is_exact() {
+    /// One tile of the integer body against the scalar product, for
+    /// either B-panel element type.
+    fn check_int_tile<B: Copy + Into<i32>>(b_elem: impl Fn(usize) -> B) {
         let kc = 9;
         let a: Vec<i16> = (0..kc * MR).map(|x| (x % 255) as i16 - 127).collect();
-        let b: Vec<i16> = (0..kc * NR).map(|x| (x % 251) as i16 - 125).collect();
-        let mut acc = [[0i32; NR]; MR];
-        microkernel_i8(kc, &a, &b, &mut acc);
+        let b: Vec<B> = (0..kc * NR).map(b_elem).collect();
+        let mut acc = [[1i32; NR]; MR];
+        microkernel_int(kc, &a, &b, &mut acc);
         for r in 0..MR {
             for j in 0..NR {
                 let want: i32 = (0..kc)
-                    .map(|p| i32::from(a[p * MR + r]) * i32::from(b[p * NR + j]))
+                    .map(|p| i32::from(a[p * MR + r]) * b[p * NR + j].into())
                     .sum();
-                assert_eq!(acc[r][j], want, "tile ({r},{j})");
+                assert_eq!(acc[r][j], 1 + want, "tile ({r},{j})");
             }
         }
+    }
+
+    #[test]
+    fn int_tile_is_exact_in_both_instantiations() {
+        // The i8 slabs' widened `i16` (full signed range) and the LUT
+        // panels' `u8` (values past `i8::MAX` must not sign-extend).
+        check_int_tile::<i16>(|x| (x % 251) as i16 - 125);
+        check_int_tile::<u8>(|x| (x * 7 % 256) as u8);
     }
 
     #[test]
@@ -308,7 +285,7 @@ mod tests {
         codes
     }
 
-    /// `lut_dot` and `lut_unpack` + `microkernel_lut` against the
+    /// `lut_dot` and `lut_unpack` + `microkernel_int` against the
     /// semantic ground truth: a materialized table per position, indexed
     /// by the stored code, for one group of `len` positions.
     fn check_group<const BITS: usize>(len: usize) {
@@ -344,7 +321,7 @@ mod tests {
             }
         }
         let mut acc = [[0i32; NR]; MR];
-        microkernel_lut(len, &a_panel, &panel, &mut acc);
+        microkernel_int(len, &a_panel, &panel, &mut acc);
         for (r, acc_row) in acc.iter().enumerate() {
             for (j, &got) in acc_row.iter().enumerate() {
                 let want: i32 = (0..len)

@@ -27,21 +27,27 @@
 //!
 //! # Prepacked weights: pack once, multiply forever
 //!
-//! The drivers above re-pack the B operand on **every** call — correct
-//! for one-shot products, wasteful for weights, which are multiplied
-//! thousands of times against changing activations. The `*_prepacked`
-//! entry points ([`gemm_f32_prepacked`], [`gemm_i8_prepacked`],
-//! [`gemm_i8_fused_prepacked`], [`gemv_f32_prepacked`],
-//! [`gemv_i8_prepacked`], [`gemv_i8_fused_prepacked`]) instead consume a
-//! [`pack::PackedMatrixF32`] / [`pack::PackedMatrixI8`] built once at
-//! weight load/quantization time:
+//! Weights are multiplied thousands of times against changing
+//! activations, so every driver but one ([`gemm_f32_prepacked`],
+//! [`gemm_f32_prepacked_batched`], [`gemm_i8_prepacked`],
+//! [`gemm_i8_fused_prepacked`], and the [`lut`] pair) consumes a
+//! [`pack::PackedMatrixF32`] / [`pack::PackedMatrixI8`] /
+//! [`lut::PackedLut`] built once at weight load/quantization time. The
+//! exception is [`gemm_f32`], which packs a row-major B per call: the
+//! float path has genuinely *dynamic* right-hand sides — the LM head
+//! multiplies by a weight the model does not own a packed copy of, and
+//! the `forward_float` yardsticks multiply by a matrix dequantized on
+//! the spot — and a per-call pack is the right cost for a one-shot
+//! product. The integer path has no such caller (every quantized layer
+//! packs at construction), so it has no per-call driver: one fewer path
+//! to keep bit-identical.
 //!
 //! * **Ownership**: the `PackedMatrix` owns the panel-ordered
-//!   (i16-widened, for i8) slab sequence keyed by the same `KC`/`NC`
-//!   blocking the per-call drivers use; the i8 variant additionally
-//!   carries a transposed (`n × k`, 1-byte) copy for decode. Callers
-//!   hold it next to the quantized payload (e.g. a linear layer's
-//!   weight struct) and hand out `&` borrows per call.
+//!   (i16-widened, for i8) slab sequence keyed by the `KC`/`NC` blocking
+//!   of the tile loops; the i8 variant additionally carries a transposed
+//!   (`n × k`, 1-byte) copy for decode. Callers hold it next to the
+//!   quantized payload (e.g. a linear layer's weight struct) and hand
+//!   out `&` borrows per call.
 //! * **When packing happens**: exactly once, inside
 //!   `PackedMatrix::pack`. The prepacked drivers perform **zero** B-side
 //!   packing per call ([`pack::pack_b_calls`] observes this); only the
@@ -62,11 +68,14 @@
 //!   panels — decode is memory-bound, and integer exactness lets its
 //!   dot products reassociate freely for vectorization.
 //!
-//! Prepacked and per-call drivers are **bit-identical**: the slab bytes
-//! are equal by construction, and the GEMV keeps the per-element
-//! operation sequence of the streaming path (same `KC`-slab reset/add
-//! structure, same `fmadd` contraction rule as the microkernel), so
-//! `C[i][j]` matches bit-for-bit in both f32 and fused-dequant outputs.
+//! The f32 prepacked and per-call drivers are **bit-identical**: one
+//! tile loop and one GEMV serve both B sources, the slab bytes are equal
+//! by construction, and the GEMV keeps the per-element operation
+//! sequence of the tile loop (same `KC`-slab reset/add structure, same
+//! `fmadd` contraction rule as the microkernel), so `C[i][j]` matches
+//! bit-for-bit. The two integer drivers are one body with two per-element
+//! `apply` closures, so the fused output is exactly the epilogue of the
+//! raw `i32` output.
 //!
 //! # Sub-8-bit weights: the LUT family
 //!
@@ -115,7 +124,7 @@ pub mod pack;
 pub mod parallel;
 pub mod probe;
 
-use microkernel::{microkernel_f32, microkernel_i8, MR, NR};
+use microkernel::{microkernel_f32, microkernel_int, MR, NR};
 use pack::{PackedMatrixF32, PackedMatrixI8};
 
 /// K-slab depth for the f32 driver.
@@ -171,7 +180,7 @@ pub enum Epilogue<'a> {
 /// results. The requested count is honored exactly (so tests can
 /// exercise multi-band execution on any host); callers that want
 /// host-aware capping apply [`parallel::effective_threads`] first, as
-/// the `gemm::matmul_*_threaded` wrappers do.
+/// the `gemm::matmul_*` wrappers do.
 ///
 /// # Panics
 ///
@@ -184,19 +193,24 @@ pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
         return;
     }
     if m <= GEMV_MAX_ROWS {
-        gemv_f32(m, k, n, a, GemvBF32::RowMajor(b), c, threads);
+        gemv_f32(m, k, n, a, F32Rhs::RowMajor(b), c, threads);
         return;
     }
-    gemm_f32_tiled(m, k, n, a, F32Slabs::PerCall(b), c, threads);
+    gemm_f32_tiled(m, k, n, a, F32Rhs::RowMajor(b), c, threads);
 }
 
-/// Where the tiled f32 driver gets its B slabs.
+/// Where the f32 drivers read B from — the one place that decision lives
+/// for both the tile loop and the GEMV.
 #[derive(Clone, Copy)]
-enum F32Slabs<'a> {
-    /// Pack each `(p0, j0)` block from the row-major operand per call.
-    PerCall(&'a [f32]),
-    /// Persistent pre-packed slabs (zero packing per call).
-    Prepacked(&'a PackedMatrixF32),
+enum F32Rhs<'a> {
+    /// Dense row-major `k × n`: the tile loop packs each `(p0, j0)` block
+    /// per call, the GEMV streams it unpacked.
+    RowMajor(&'a [f32]),
+    /// Persistent pre-packed slabs (zero packing per call); the GEMV walks
+    /// them in place — each `NR`-column panel already gives the K loop
+    /// unit-stride, SIMD-width column access, so f32 needs no separate
+    /// decode copy.
+    Packed(&'a PackedMatrixF32),
 }
 
 /// The shared f32 tile loop: **one** body serves both the per-call and
@@ -210,7 +224,7 @@ fn gemm_f32_tiled(
     k: usize,
     n: usize,
     a: &[f32],
-    src: F32Slabs<'_>,
+    b: F32Rhs<'_>,
     c: &mut [f32],
     threads: usize,
 ) {
@@ -222,12 +236,12 @@ fn gemm_f32_tiled(
         let mut j0 = 0;
         while j0 < n {
             let nc = NC.min(n - j0);
-            let b_slab: &[f32] = match src {
-                F32Slabs::PerCall(b) => {
+            let b_slab: &[f32] = match b {
+                F32Rhs::RowMajor(b) => {
                     pack::pack_b_f32(b, n, p0, j0, kc, nc, &mut b_pack);
                     &b_pack
                 }
-                F32Slabs::Prepacked(pm) => pm.slab(slab_idx),
+                F32Rhs::Packed(pm) => pm.slab(slab_idx),
             };
             slab_idx += 1;
             parallel::run_row_partitioned(threads, m, n, c, |row0, rows, band| {
@@ -288,29 +302,6 @@ fn gemm_f32_band(
     });
 }
 
-/// How the f32 GEMV reads its right-hand operand.
-#[derive(Clone, Copy)]
-enum GemvBF32<'a> {
-    /// Dense row-major `k × n` (the per-call, unpacked path).
-    RowMajor(&'a [f32]),
-    /// A persistent slab sequence: each `NR`-column panel already gives
-    /// the K loop unit-stride, SIMD-width column access, so no separate
-    /// decode copy is needed for f32.
-    Packed(&'a PackedMatrixF32),
-}
-
-/// How the integer GEMV reads its right-hand operand.
-#[derive(Clone, Copy)]
-enum GemvBI8<'a> {
-    /// Dense row-major `k × n` (the per-call, unpacked path).
-    RowMajor(&'a [i8]),
-    /// Dense transposed `n × k` (a [`PackedMatrixI8`]'s decode layout:
-    /// each output column's K run is contiguous at 1 byte per element —
-    /// half the traffic of the i16-widened panels on a memory-bound
-    /// decode).
-    Transposed(&'a [i8]),
-}
-
 /// Decode fast path (`m ≤ 2`), f32: no per-call packing — B is streamed
 /// row-major or read from the persistent slabs — with the output columns
 /// N-partitioned across `threads` workers.
@@ -319,20 +310,12 @@ enum GemvBI8<'a> {
 /// `KC`-slab reset/add structure as the blocked path, so per-element
 /// results stay bit-identical to the microkernel's (shape stability) and
 /// to each other, for any thread count.
-fn gemv_f32(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: GemvBF32<'_>,
-    c: &mut [f32],
-    threads: usize,
-) {
+fn gemv_f32(m: usize, k: usize, n: usize, a: &[f32], b: F32Rhs<'_>, c: &mut [f32], threads: usize) {
     // NR-aligned bands keep every packed panel inside one worker.
     parallel::run_col_partitioned(threads, m, n, NR, c, |row, col0, cols, band| {
         let a_row = &a[row * k..(row + 1) * k];
         match b {
-            GemvBF32::RowMajor(b) => {
+            F32Rhs::RowMajor(b) => {
                 let mut slab = vec![0.0f32; cols];
                 let mut p0 = 0;
                 while p0 < k {
@@ -350,7 +333,7 @@ fn gemv_f32(
                     p0 += kc;
                 }
             }
-            GemvBF32::Packed(pm) => gemv_f32_packed_band(k, n, a_row, pm, col0, cols, band),
+            F32Rhs::Packed(pm) => gemv_f32_packed_band(k, n, a_row, pm, col0, cols, band),
         }
     });
 }
@@ -430,10 +413,10 @@ pub fn gemm_f32_prepacked(m: usize, a: &[f32], b: &PackedMatrixF32, c: &mut [f32
         return;
     }
     if m <= GEMV_MAX_ROWS {
-        gemv_f32(m, k, n, a, GemvBF32::Packed(b), c, threads);
+        gemv_f32(m, k, n, a, F32Rhs::Packed(b), c, threads);
         return;
     }
-    gemm_f32_tiled(m, k, n, a, F32Slabs::Prepacked(b), c, threads);
+    gemm_f32_tiled(m, k, n, a, F32Rhs::Packed(b), c, threads);
 }
 
 /// [`gemm_f32_prepacked`] that **always** takes the tiled path, even
@@ -460,232 +443,26 @@ pub fn gemm_f32_prepacked_batched(
     if m == 0 || n == 0 {
         return;
     }
-    gemm_f32_tiled(m, k, n, a, F32Slabs::Prepacked(b), c, threads);
-}
-
-/// The decode GEMV over a prepacked f32 matrix — walks the persistent
-/// panel slabs; usable for any `m`, but built for `m ≤ 2` (larger `m`
-/// should prefer the tiled [`gemm_f32_prepacked`], which reuses each B
-/// element across rows from cache). Output columns are N-partitioned
-/// across `threads`.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn gemv_f32_prepacked(m: usize, a: &[f32], b: &PackedMatrixF32, c: &mut [f32], threads: usize) {
-    assert_eq!(a.len(), m * b.k(), "lhs shape mismatch");
-    assert_eq!(c.len(), m * b.n(), "output shape mismatch");
-    gemv_f32(m, b.k(), b.n(), a, GemvBF32::Packed(b), c, threads);
-}
-
-/// `C = A · B` over `i8 → i32`, blocked + packed + register-tiled.
-///
-/// Bit-exact: identical to the scalar reference for any `K ≤ 2^16`.
-/// `threads` row-partitions the output.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32], threads: usize) {
-    assert_eq!(a.len(), m * k, "lhs shape mismatch");
-    assert_eq!(b.len(), k * n, "rhs shape mismatch");
-    assert_eq!(c.len(), m * n, "output shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if m <= GEMV_MAX_ROWS {
-        gemv_i8(
-            m,
-            k,
-            n,
-            a,
-            GemvBI8::RowMajor(b),
-            c,
-            threads,
-            |_, _, acc, dst| *dst = acc,
-        );
-        return;
-    }
-    gemm_i8_tiled(
-        m,
-        k,
-        n,
-        a,
-        I8Slabs::PerCall(b),
-        c,
-        threads,
-        |_, _, acc, dst| *dst = acc,
-    );
-}
-
-/// Where the tiled integer driver gets its i16 B slabs.
-#[derive(Clone, Copy)]
-enum I8Slabs<'a> {
-    /// Pack each `NC`-column block from the row-major operand per call.
-    PerCall(&'a [i8]),
-    /// Persistent pre-packed slabs (zero packing per call).
-    Prepacked(&'a PackedMatrixI8),
-}
-
-/// The shared integer tile loop: **one** body serves the plain and fused
-/// entry points on both the per-call and the prepacked slab source, so
-/// the documented bit-identity between them can never drift. `apply`
-/// receives `(global_row, global_col, acc, &mut dst)` for every
-/// completed full-K `i32` dot product.
-#[allow(clippy::too_many_arguments)] // BLAS-style driver signature
-fn gemm_i8_tiled<T: Send>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    src: I8Slabs<'_>,
-    c: &mut [T],
-    threads: usize,
-    apply: impl Fn(usize, usize, i32, &mut T) + Sync,
-) {
-    let mut b_pack: Vec<i16> = Vec::new();
-    let mut slab_idx = 0;
-    let mut j0 = 0;
-    while j0 < n {
-        let nc = NC.min(n - j0);
-        let b_slab: &[i16] = match src {
-            I8Slabs::PerCall(b) => {
-                pack::pack_b_i8(b, n, 0, j0, k, nc, &mut b_pack);
-                &b_pack
-            }
-            I8Slabs::Prepacked(pm) => pm.slab(slab_idx),
-        };
-        slab_idx += 1;
-        parallel::run_row_partitioned(threads, m, n, c, |row0, rows, band| {
-            gemm_i8_band(row0, rows, k, a, j0, nc, b_slab, |i, j, acc| {
-                apply(row0 + i, j, acc, &mut band[i * n + j]);
-            });
-        });
-        j0 += nc;
-    }
+    gemm_f32_tiled(m, k, n, a, F32Rhs::Packed(b), c, threads);
 }
 
 /// `C = A · B` over `i8 → i32` with B packed once in a
-/// [`PackedMatrixI8`]. Bit-exact against [`gemm_i8`] and the scalar
-/// reference; performs **zero** B-side packing per call. `m ≤ 2` routes
-/// to the N-partitioned transposed-layout GEMV.
+/// [`PackedMatrixI8`]. Bit-exact against the scalar reference for any
+/// `K ≤ 2^16` and any thread count; performs **zero** B-side packing per
+/// call. `m ≤ 2` routes to the N-partitioned transposed-layout GEMV.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the packed dimensions.
 pub fn gemm_i8_prepacked(m: usize, a: &[i8], b: &PackedMatrixI8, c: &mut [i32], threads: usize) {
-    let (k, n) = (b.k(), b.n());
-    assert_eq!(a.len(), m * k, "lhs shape mismatch");
-    assert_eq!(c.len(), m * n, "output shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if m <= GEMV_MAX_ROWS {
-        gemv_i8(
-            m,
-            k,
-            n,
-            a,
-            GemvBI8::Transposed(b.bt()),
-            c,
-            threads,
-            |_, _, acc, dst| *dst = acc,
-        );
-        return;
-    }
-    gemm_i8_tiled(
-        m,
-        k,
-        n,
-        a,
-        I8Slabs::Prepacked(b),
-        c,
-        threads,
-        |_, _, acc, dst| *dst = acc,
-    );
-}
-
-/// The decode GEMV over a prepacked transposed layout, `i8 → i32` —
-/// output columns N-partitioned across `threads`.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn gemv_i8_prepacked(m: usize, a: &[i8], b: &PackedMatrixI8, c: &mut [i32], threads: usize) {
-    assert_eq!(a.len(), m * b.k(), "lhs shape mismatch");
-    assert_eq!(c.len(), m * b.n(), "output shape mismatch");
-    gemv_i8(
-        m,
-        b.k(),
-        b.n(),
-        a,
-        GemvBI8::Transposed(b.bt()),
-        c,
-        threads,
-        |_, _, acc, dst| *dst = acc,
-    );
-}
-
-/// `C = dequant(A · B)` over `i8` with a fused [`Epilogue`], blocked +
-/// packed + register-tiled. The `i32` accumulation is exact; the fused
-/// float expression matches the equivalent two-pass pipeline exactly.
-///
-/// # Panics
-///
-/// Panics if a slice length (including epilogue scale vectors) disagrees
-/// with its dimensions.
-#[allow(clippy::too_many_arguments)] // BLAS-style driver signature
-pub fn gemm_i8_fused(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    b: &[i8],
-    c: &mut [f32],
-    epilogue: Epilogue<'_>,
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs shape mismatch");
-    assert_eq!(b.len(), k * n, "rhs shape mismatch");
-    assert_eq!(c.len(), m * n, "output shape mismatch");
-    check_epilogue_scales(&epilogue, m, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if m <= GEMV_MAX_ROWS {
-        gemv_i8(
-            m,
-            k,
-            n,
-            a,
-            GemvBI8::RowMajor(b),
-            c,
-            threads,
-            |row, col, acc, dst| {
-                apply_epilogue(epilogue, dst, row, col, acc);
-            },
-        );
-        return;
-    }
-    gemm_i8_tiled(
-        m,
-        k,
-        n,
-        a,
-        I8Slabs::PerCall(b),
-        c,
-        threads,
-        |row, col, acc, dst| {
-            apply_epilogue(epilogue, dst, row, col, acc);
-        },
-    );
+    gemm_i8_with(m, a, b, c, threads, |_, _, acc, dst| *dst = acc);
 }
 
 /// `C = dequant(A · B)` over `i8` with a fused [`Epilogue`] and B packed
 /// once in a [`PackedMatrixI8`]. The `i32` accumulation is exact and the
-/// epilogue is applied once per element, so outputs are bit-identical to
-/// [`gemm_i8_fused`] for any thread count; performs **zero** B-side
-/// packing per call.
+/// epilogue is applied once per completed element, so outputs are
+/// bit-identical to the epilogue's float expression over
+/// [`gemm_i8_prepacked`]'s output, for any thread count.
 ///
 /// # Panics
 ///
@@ -699,70 +476,46 @@ pub fn gemm_i8_fused_prepacked(
     epilogue: Epilogue<'_>,
     threads: usize,
 ) {
+    check_epilogue_scales(&epilogue, m, b.n());
+    gemm_i8_with(m, a, b, c, threads, |row, col, acc, dst| {
+        apply_epilogue(epilogue, dst, row, col, acc);
+    });
+}
+
+/// The one integer driver body: decode-shaped inputs (`m ≤ 2`) take the
+/// transposed-layout GEMV, everything else the tile loop over the
+/// persistent slabs. `apply` receives `(global_row, global_col, acc,
+/// &mut dst)` for every completed full-K `i32` dot product; the raw and
+/// fused drivers differ in nothing else.
+fn gemm_i8_with<T: Send>(
+    m: usize,
+    a: &[i8],
+    b: &PackedMatrixI8,
+    c: &mut [T],
+    threads: usize,
+    apply: impl Fn(usize, usize, i32, &mut T) + Sync,
+) {
     let (k, n) = (b.k(), b.n());
     assert_eq!(a.len(), m * k, "lhs shape mismatch");
     assert_eq!(c.len(), m * n, "output shape mismatch");
-    check_epilogue_scales(&epilogue, m, n);
     if m == 0 || n == 0 {
         return;
     }
     if m <= GEMV_MAX_ROWS {
-        gemv_i8(
-            m,
-            k,
-            n,
-            a,
-            GemvBI8::Transposed(b.bt()),
-            c,
-            threads,
-            |row, col, acc, dst| {
-                apply_epilogue(epilogue, dst, row, col, acc);
-            },
-        );
+        gemv_i8(m, k, n, a, b.bt(), c, threads, apply);
         return;
     }
-    gemm_i8_tiled(
-        m,
-        k,
-        n,
-        a,
-        I8Slabs::Prepacked(b),
-        c,
-        threads,
-        |row, col, acc, dst| {
-            apply_epilogue(epilogue, dst, row, col, acc);
-        },
-    );
-}
-
-/// The decode GEMV over a prepacked transposed layout with a fused
-/// [`Epilogue`] — output columns N-partitioned across `threads`.
-///
-/// # Panics
-///
-/// Panics if a slice length (including epilogue scale vectors) disagrees
-/// with the packed dimensions.
-pub fn gemv_i8_fused_prepacked(
-    m: usize,
-    a: &[i8],
-    b: &PackedMatrixI8,
-    c: &mut [f32],
-    epilogue: Epilogue<'_>,
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * b.k(), "lhs shape mismatch");
-    assert_eq!(c.len(), m * b.n(), "output shape mismatch");
-    check_epilogue_scales(&epilogue, m, b.n());
-    gemv_i8(
-        m,
-        b.k(),
-        b.n(),
-        a,
-        GemvBI8::Transposed(b.bt()),
-        c,
-        threads,
-        |row, col, acc, dst| apply_epilogue(epilogue, dst, row, col, acc),
-    );
+    let mut j0 = 0;
+    while j0 < n {
+        let nc = NC.min(n - j0);
+        let b_slab = b.slab(j0 / NC);
+        parallel::run_row_partitioned(threads, m, n, c, |row0, rows, band| {
+            gemm_i8_band(row0, rows, k, a, j0, nc, b_slab, |i, j, acc| {
+                apply(row0 + i, j, acc, &mut band[i * n + j]);
+            });
+        });
+        j0 += nc;
+    }
 }
 
 /// Asserts that an epilogue's scale vectors match the output dimensions.
@@ -802,70 +555,49 @@ fn apply_epilogue(epilogue: Epilogue<'_>, dst: &mut f32, row: usize, col: usize,
     }
 }
 
-/// Decode-shaped integer fast path (`m ≤ 2`): panel-packing B (`k × n`
-/// widened to `i16`) would dwarf the single row's arithmetic, so B is
-/// streamed row-major or read from a prepacked transposed layout.
-/// Integer accumulation is exact and order-independent (the streaming
-/// arm's zero-skip and the transposed arm's lane-partitioned sums are
-/// both bit-invisible), so both layouts stay bit-identical to the tiled
-/// path for any thread count. Output columns are N-partitioned across
-/// `threads`; `apply` receives `(row, col, acc, &mut dst)` for each
-/// completed dot product.
+/// Decode-shaped integer fast path (`m ≤ 2`): the i16-widened panels
+/// would double the bytes a memory-bound single row streams, so B is
+/// read from the packed matrix's transposed `n × k` layout (`bt`: each
+/// output column's K run contiguous at 1 byte per element). Integer
+/// accumulation is exact and order-independent, so the lane-partitioned
+/// sums stay bit-identical to the tiled path for any thread count.
+/// Output columns are N-partitioned across `threads`; `apply` receives
+/// `(row, col, acc, &mut dst)` for each completed dot product.
 #[allow(clippy::too_many_arguments)] // BLAS-style driver signature
 fn gemv_i8<T: Send>(
     m: usize,
     k: usize,
     n: usize,
     a: &[i8],
-    b: GemvBI8<'_>,
+    bt: &[i8],
     c: &mut [T],
     threads: usize,
     apply: impl Fn(usize, usize, i32, &mut T) + Sync,
 ) {
-    parallel::run_col_partitioned(threads, m, n, 1, c, |row, col0, cols, band| {
+    parallel::run_col_partitioned(threads, m, n, 1, c, |row, col0, _, band| {
         let a_row = &a[row * k..(row + 1) * k];
-        match b {
-            GemvBI8::RowMajor(b) => {
-                let mut acc = vec![0i32; cols];
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0 {
-                        continue;
-                    }
-                    let a_ip = i32::from(a_ip);
-                    let b_row = &b[p * n + col0..p * n + col0 + cols];
-                    for (s, &b_pj) in acc.iter_mut().zip(b_row) {
-                        *s += a_ip * i32::from(b_pj);
-                    }
-                }
-                for (jj, (dst, &v)) in band.iter_mut().zip(&acc).enumerate() {
-                    apply(row, col0 + jj, v, dst);
-                }
-            }
-            GemvBI8::Transposed(bt) => {
-                // No zero-skip here: a branch in the dot product defeats
-                // auto-vectorization, and skipping an exactly-zero term
-                // is bit-invisible for integers anyway. Lane-partitioned
-                // partial sums let the compiler keep SIMD accumulators;
-                // integer addition is associative, so the result is
-                // identical to the sequential sum.
-                const LANES: usize = 16;
-                for (jj, dst) in band.iter_mut().enumerate() {
-                    let col = &bt[(col0 + jj) * k..(col0 + jj + 1) * k];
-                    let mut lanes = [0i32; LANES];
-                    let mut a_chunks = a_row.chunks_exact(LANES);
-                    let mut b_chunks = col.chunks_exact(LANES);
-                    for (ac, bc) in (&mut a_chunks).zip(&mut b_chunks) {
-                        for (s, (&a_ip, &b_pj)) in lanes.iter_mut().zip(ac.iter().zip(bc)) {
-                            *s += i32::from(a_ip) * i32::from(b_pj);
-                        }
-                    }
-                    let mut s: i32 = lanes.iter().sum();
-                    for (&a_ip, &b_pj) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
-                        s += i32::from(a_ip) * i32::from(b_pj);
-                    }
-                    apply(row, col0 + jj, s, dst);
+        // No zero-skip here: a branch in the dot product defeats
+        // auto-vectorization, and skipping an exactly-zero term is
+        // bit-invisible for integers anyway. Lane-partitioned partial
+        // sums let the compiler keep SIMD accumulators; integer addition
+        // is associative, so the result is identical to the sequential
+        // sum.
+        const LANES: usize = 16;
+        for (jj, dst) in band.iter_mut().enumerate() {
+            let col = &bt[(col0 + jj) * k..(col0 + jj + 1) * k];
+            let mut lanes = [0i32; LANES];
+            let mut a_chunks = a_row.chunks_exact(LANES);
+            let mut b_chunks = col.chunks_exact(LANES);
+            for (ac, bc) in (&mut a_chunks).zip(&mut b_chunks) {
+                for (s, (&a_ip, &b_pj)) in lanes.iter_mut().zip(ac.iter().zip(bc)) {
+                    *s += i32::from(a_ip) * i32::from(b_pj);
                 }
             }
+            let mut s: i32 = lanes.iter().sum();
+            for (&a_ip, &b_pj) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
+                s += i32::from(a_ip) * i32::from(b_pj);
+            }
+            apply(row, col0 + jj, s, dst);
         }
     });
 }
@@ -902,7 +634,7 @@ fn gemm_i8_band(
                     let cols = (nc - pj * NR).min(NR);
                     let b_panel = &b_pack[pj * k * NR..(pj + 1) * k * NR];
                     let mut acc = [[0i32; NR]; MR];
-                    microkernel_i8(k, a_panel, b_panel, &mut acc);
+                    microkernel_int(k, a_panel, b_panel, &mut acc);
                     for (r, acc_row) in acc.iter().take(rows).enumerate() {
                         let row = i0 + pi * MR + r;
                         for (j, &v) in acc_row.iter().take(cols).enumerate() {
@@ -1012,14 +744,25 @@ mod tests {
     }
 
     #[test]
-    fn i8_blocked_is_bit_exact() {
-        for (m, k, n) in [(1, 3, 2), (7, 40, 5), (13, 129, 17), (33, 64, 70)] {
+    fn i8_prepacked_is_bit_exact() {
+        // Ragged shapes straddling MR/NR edges, both sides of the
+        // GEMV/tile switch.
+        for (m, k, n) in [
+            (1, 3, 2),
+            (2, 600, 21),
+            (3, 17, 33),
+            (7, 40, 5),
+            (13, 129, 17),
+            (20, 513, 18),
+            (33, 64, 70),
+        ] {
             let a = ramp_i8(m * k, 37, 11);
             let b = ramp_i8(k * n, 29, 7);
+            let bp = PackedMatrixI8::pack(&b, k, n);
             let want = scalar_i8(m, k, n, &a, &b);
             for threads in [1, 4] {
                 let mut c = vec![0i32; m * n];
-                gemm_i8(m, k, n, &a, &b, &mut c, threads);
+                gemm_i8_prepacked(m, &a, &bp, &mut c, threads);
                 assert_eq!(c, want, "({m},{k},{n}) x{threads}");
             }
         }
@@ -1032,13 +775,10 @@ mod tests {
         let mut c = vec![0.0f32; 6];
         gemm_f32(2, 0, 3, &[], &[], &mut c, 1);
         assert!(c.iter().all(|&x| x == 0.0));
-        let mut ci = vec![0i32; 6];
-        gemm_i8(2, 0, 3, &[], &[], &mut ci, 1);
-        assert!(ci.iter().all(|&x| x == 0));
     }
 
     #[test]
-    fn prepacked_drivers_bit_match_per_call_packing() {
+    fn f32_prepacked_bit_matches_per_call_packing() {
         // Ragged shapes straddling MR/NR/KC edges, plus decode rows.
         for (m, k, n) in [
             (1, 5, 9),
@@ -1057,39 +797,26 @@ mod tests {
                 gemm_f32_prepacked(m, &a, &bp, &mut prepacked, threads);
                 assert_eq!(per_call, prepacked, "f32 ({m},{k},{n}) x{threads}");
             }
-
-            let ai = ramp_i8(m * k, 37, 11);
-            let bi = ramp_i8(k * n, 29, 7);
-            let bip = PackedMatrixI8::pack(&bi, k, n);
-            let want = scalar_i8(m, k, n, &ai, &bi);
-            for threads in [1, 4] {
-                let mut ci = vec![0i32; m * n];
-                gemm_i8_prepacked(m, &ai, &bip, &mut ci, threads);
-                assert_eq!(ci, want, "i8 ({m},{k},{n}) x{threads}");
-            }
         }
     }
 
     #[test]
     fn threaded_gemv_bit_matches_single_thread() {
         // Decode shapes: the N-partitioned GEMV must be bit-identical
-        // across thread counts, in all four flavours (f32/i8 ×
-        // unpacked/prepacked).
+        // across thread counts — f32 from either B source, i8 raw and
+        // fused.
         for (m, k, n) in [(1, 700, 37), (2, 129, 95)] {
             let a = ramp_f32(m * k, 37, 11, 127);
             let b = ramp_f32(k * n, 29, 7, 113);
             let bp = PackedMatrixF32::pack(&b, k, n);
             let mut single = vec![0.0f32; m * n];
             gemm_f32(m, k, n, &a, &b, &mut single, 1);
-            let mut single_pre = vec![0.0f32; m * n];
-            gemv_f32_prepacked(m, &a, &bp, &mut single_pre, 1);
-            assert_eq!(single, single_pre, "prepacked vs streaming ({m},{k},{n})");
-            for threads in [2, 3, 8] {
+            for threads in [1, 2, 3, 8] {
                 let mut multi = vec![0.0f32; m * n];
                 gemm_f32(m, k, n, &a, &b, &mut multi, threads);
                 assert_eq!(single, multi, "f32 unpacked x{threads}");
                 let mut multi_pre = vec![0.0f32; m * n];
-                gemv_f32_prepacked(m, &a, &bp, &mut multi_pre, threads);
+                gemm_f32_prepacked(m, &a, &bp, &mut multi_pre, threads);
                 assert_eq!(single, multi_pre, "f32 prepacked x{threads}");
             }
 
@@ -1103,20 +830,14 @@ mod tests {
                 w_scales: &w_scales,
             };
             let mut fused_single = vec![0.0f32; m * n];
-            gemv_i8_fused_prepacked(m, &ai, &bip, &mut fused_single, epi, 1);
+            gemm_i8_fused_prepacked(m, &ai, &bip, &mut fused_single, epi, 1);
             for threads in [1, 2, 8] {
                 let mut ci = vec![0i32; m * n];
-                gemm_i8(m, k, n, &ai, &bi, &mut ci, threads);
-                assert_eq!(ci, want, "i8 unpacked x{threads}");
-                let mut cip = vec![0i32; m * n];
-                gemv_i8_prepacked(m, &ai, &bip, &mut cip, threads);
-                assert_eq!(cip, want, "i8 prepacked x{threads}");
+                gemm_i8_prepacked(m, &ai, &bip, &mut ci, threads);
+                assert_eq!(ci, want, "i8 x{threads}");
                 let mut fused = vec![0.0f32; m * n];
-                gemv_i8_fused_prepacked(m, &ai, &bip, &mut fused, epi, threads);
-                assert_eq!(fused, fused_single, "i8 fused prepacked x{threads}");
-                let mut fused_unpacked = vec![0.0f32; m * n];
-                gemm_i8_fused(m, k, n, &ai, &bi, &mut fused_unpacked, epi, threads);
-                assert_eq!(fused_unpacked, fused_single, "i8 fused unpacked x{threads}");
+                gemm_i8_fused_prepacked(m, &ai, &bip, &mut fused, epi, threads);
+                assert_eq!(fused, fused_single, "i8 fused x{threads}");
             }
         }
     }
@@ -1138,87 +859,44 @@ mod tests {
 
     #[test]
     fn fused_epilogues_match_two_pass() {
-        let (m, k, n) = (9, 37, 12);
-        let a = ramp_i8(m * k, 37, 11);
-        let b = ramp_i8(k * n, 29, 7);
-        let mut acc = vec![0i32; m * n];
-        gemm_i8(m, k, n, &a, &b, &mut acc, 1);
+        // Both sides of the GEMV/tile switch: every epilogue is its float
+        // expression over the raw driver's i32 output, element by element.
+        for m in [2usize, 9] {
+            let (k, n) = (37, 12);
+            let a = ramp_i8(m * k, 37, 11);
+            let bp = PackedMatrixI8::pack(&ramp_i8(k * n, 29, 7), k, n);
+            let mut acc = vec![0i32; m * n];
+            gemm_i8_prepacked(m, &a, &bp, &mut acc, 1);
 
-        // Per-tensor overwrite.
-        let scale = 0.031f32;
-        let mut fused = vec![7.0f32; m * n];
-        gemm_i8_fused(
-            m,
-            k,
-            n,
-            &a,
-            &b,
-            &mut fused,
-            Epilogue::PerTensor { scale },
-            2,
-        );
-        let two_pass: Vec<f32> = acc.iter().map(|&x| x as f32 * scale).collect();
-        assert_eq!(fused, two_pass);
-
-        // Per-tensor accumulate.
-        let mut fused_acc = vec![1.5f32; m * n];
-        gemm_i8_fused(
-            m,
-            k,
-            n,
-            &a,
-            &b,
-            &mut fused_acc,
-            Epilogue::PerTensorAcc { scale },
-            1,
-        );
-        let two_pass_acc: Vec<f32> = acc.iter().map(|&x| 1.5 + x as f32 * scale).collect();
-        assert_eq!(fused_acc, two_pass_acc);
-
-        // Per-channel.
-        let w_scales: Vec<f32> = (0..n).map(|j| 0.01 + j as f32 * 0.003).collect();
-        let a_scale = 0.12f32;
-        let mut fused_ch = vec![0.0f32; m * n];
-        gemm_i8_fused(
-            m,
-            k,
-            n,
-            &a,
-            &b,
-            &mut fused_ch,
-            Epilogue::PerChannel {
-                a_scale,
-                w_scales: &w_scales,
-            },
-            3,
-        );
-        for i in 0..m {
-            for j in 0..n {
-                let want = acc[i * n + j] as f32 * a_scale * w_scales[j];
-                assert_eq!(fused_ch[i * n + j], want);
-            }
-        }
-
-        // Per-row (vector-wise).
-        let row_scales: Vec<f32> = (0..m).map(|i| 0.05 + i as f32 * 0.01).collect();
-        let mut fused_row = vec![0.0f32; m * n];
-        gemm_i8_fused(
-            m,
-            k,
-            n,
-            &a,
-            &b,
-            &mut fused_row,
-            Epilogue::PerRow {
-                row_scales: &row_scales,
-                w_scales: &w_scales,
-            },
-            2,
-        );
-        for i in 0..m {
-            for j in 0..n {
-                let want = acc[i * n + j] as f32 * row_scales[i] * w_scales[j];
-                assert_eq!(fused_row[i * n + j], want);
+            let (scale, a_scale, init) = (0.031f32, 0.12f32, 1.5f32);
+            let w_scales: Vec<f32> = (0..n).map(|j| 0.01 + j as f32 * 0.003).collect();
+            let row_scales: Vec<f32> = (0..m).map(|i| 0.05 + i as f32 * 0.01).collect();
+            let (w_scales, row_scales) = (&w_scales[..], &row_scales[..]);
+            for epilogue in [
+                Epilogue::PerTensor { scale },
+                Epilogue::PerTensorAcc { scale },
+                Epilogue::PerChannel { a_scale, w_scales },
+                Epilogue::PerRow {
+                    row_scales,
+                    w_scales,
+                },
+            ] {
+                for threads in [1, 3] {
+                    let mut fused = vec![init; m * n];
+                    gemm_i8_fused_prepacked(m, &a, &bp, &mut fused, epilogue, threads);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let x = acc[i * n + j] as f32;
+                            let want = match epilogue {
+                                Epilogue::PerTensor { .. } => x * scale,
+                                Epilogue::PerTensorAcc { .. } => init + x * scale,
+                                Epilogue::PerChannel { .. } => x * a_scale * w_scales[j],
+                                Epilogue::PerRow { .. } => x * row_scales[i] * w_scales[j],
+                            };
+                            assert_eq!(fused[i * n + j], want, "{epilogue:?} m={m} ({i},{j})");
+                        }
+                    }
+                }
             }
         }
     }

@@ -345,9 +345,9 @@ impl PackedMatrixF32 {
 
 /// A `k × n` i8 right-hand operand packed **once** for repeated use.
 ///
-/// Holds the full-K, i16-widened `NC`-column slab sequence
-/// `super::gemm_i8` would build per call (the integer path never blocks
-/// K — see the [`super`] docs), plus a transposed (`n × k`) `i8` copy for
+/// Holds the full-K, i16-widened `NC`-column slab sequence the integer
+/// tile loop walks (the integer path never blocks K — see the [`super`]
+/// docs), plus a transposed (`n × k`) `i8` copy for
 /// the decode GEMV. The transposed layout stays 1 byte per element
 /// because decode is memory-bound: the GEMV widens in registers, unlike
 /// the microkernel, which wants its operands pre-widened.

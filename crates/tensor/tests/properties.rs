@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 
-use llmnpu_tensor::{gemm, kernel, norm, ops, rope, Tensor};
+use llmnpu_tensor::kernel::Epilogue;
+use llmnpu_tensor::{gemm, kernel, norm, ops, rope, PackedMatrixI8, Tensor};
 
 fn matrix(rows: usize, cols: usize, mag: f32) -> impl Strategy<Value = Tensor<f32>> {
     prop::collection::vec(-mag..mag, rows * cols)
@@ -220,13 +221,13 @@ proptest! {
         prop_assert_eq!(single.as_slice(), &c_multi[..]);
 
         let ai = a.map(|x| (x * 30.0) as i8);
-        let bi = b.map(|x| (x * 50.0) as i8);
-        let si = gemm::matmul_i8(&ai, &bi).unwrap();
-        let mi = gemm::matmul_i8_threaded(&ai, &bi, threads).unwrap();
+        let bi = PackedMatrixI8::from_tensor(&b.map(|x| (x * 50.0) as i8));
+        let si = gemm::matmul_i8_prepacked(&ai, &bi, 1).unwrap();
+        let mi = gemm::matmul_i8_prepacked(&ai, &bi, threads).unwrap();
         prop_assert_eq!(si.as_slice(), mi.as_slice());
 
         let mut ci_multi = vec![0i32; m * n];
-        kernel::gemm_i8(m, k, n, ai.as_slice(), bi.as_slice(), &mut ci_multi, threads);
+        kernel::gemm_i8_prepacked(m, ai.as_slice(), &bi, &mut ci_multi, threads);
         prop_assert_eq!(si.as_slice(), &ci_multi[..]);
     }
 
@@ -243,49 +244,10 @@ proptest! {
             .map(|i| (((i * 43 + 5) % 255) as i32 - 127) as i8)
             .collect();
         let b = Tensor::from_vec(b_data, [k, n]).unwrap();
-        let blocked = gemm::matmul_i8_threaded(&a, &b, threads).unwrap();
+        let packed = PackedMatrixI8::from_tensor(&b);
+        let blocked = gemm::matmul_i8_prepacked(&a, &packed, threads).unwrap();
         let reference = gemm::matmul_i8_reference(&a, &b).unwrap();
         prop_assert_eq!(blocked.as_slice(), reference.as_slice());
-    }
-
-    /// Fused dequantization epilogues reproduce the two-pass
-    /// `matmul → dequantize` pipelines bit-for-bit.
-    #[test]
-    fn fused_epilogues_bit_match_two_pass(
-        a in i8_matrix(1usize..12, 1usize..50),
-        n in 1usize..30,
-        a_scale in 0.001f32..0.5,
-        w_scale in 0.001f32..0.5,
-    ) {
-        let (m, k) = a.matrix_dims();
-        let b_data: Vec<i8> = (0..k * n)
-            .map(|i| (((i * 43 + 5) % 255) as i32 - 127) as i8)
-            .collect();
-        let b = Tensor::from_vec(b_data, [k, n]).unwrap();
-        let acc = gemm::matmul_i8(&a, &b).unwrap();
-
-        // Per-tensor: acc.map(x * (a_scale*w_scale)).
-        let fused = gemm::matmul_i8_scaled(&a, &b, a_scale, w_scale).unwrap();
-        let scale = a_scale * w_scale;
-        let two_pass = acc.map(|x| x as f32 * scale);
-        prop_assert_eq!(fused.as_slice(), two_pass.as_slice());
-
-        // Per-tensor accumulate: out += partial.
-        let mut fused_into = Tensor::full(0.25_f32, [m, n]);
-        gemm::matmul_i8_scaled_into(&mut fused_into, &a, &b, a_scale, w_scale).unwrap();
-        let mut two_pass_into = Tensor::full(0.25_f32, [m, n]);
-        gemm::accumulate(&mut two_pass_into, &two_pass).unwrap();
-        prop_assert_eq!(fused_into.as_slice(), two_pass_into.as_slice());
-
-        // Per-channel: acc * a_scale * w_scales[j], left-to-right.
-        let w_scales: Vec<f32> = (0..n).map(|j| 0.01 + 0.002 * j as f32).collect();
-        let fused_ch = gemm::matmul_i8_per_channel(&a, &b, a_scale, &w_scales).unwrap();
-        for i in 0..m {
-            for ((&got, &av), &ws) in fused_ch.row(i).iter().zip(acc.row(i)).zip(&w_scales) {
-                let want = av as f32 * a_scale * ws;
-                prop_assert_eq!(got, want);
-            }
-        }
     }
 
     /// Empty dimensions are well-defined no-ops for every kernel entry.
@@ -300,7 +262,8 @@ proptest! {
 
         let ai = Tensor::<i8>::zeros([m, k]);
         let bi = Tensor::<i8>::zeros([k, n]);
-        let ci = gemm::matmul_i8(&ai, &bi).unwrap();
+        let ci = gemm::matmul_i8_prepacked(&ai, &PackedMatrixI8::from_tensor(&bi), 1).unwrap();
+        prop_assert_eq!(ci.shape().dims(), &[m, n]);
         prop_assert!(ci.as_slice().iter().all(|&x| x == 0));
         let reference = gemm::matmul_i8_reference(&ai, &bi).unwrap();
         prop_assert_eq!(ci.as_slice(), reference.as_slice());
@@ -308,7 +271,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Prepacked (pack-once) drivers vs. the per-call-packing drivers.
+// Prepacked (pack-once) drivers: f32 vs. its per-call-packing driver, the
+// integer path (which has no per-call driver) vs. the scalar reference and
+// the two-pass dequantization it fuses.
 //
 // The PackedMatrix layouts must be bit-invisible: same slab bytes for the
 // tiled path, same per-element operation sequence for the decode GEMV.
@@ -347,74 +312,93 @@ proptest! {
         kernel::gemm_f32_prepacked(m, a.as_slice(), &packed, &mut c_driver, threads);
         prop_assert_eq!(per_call.as_slice(), &c_driver[..]);
     }
+}
 
-    /// The prepacked i8 drivers (plain and fused-dequant) are bit-exact
-    /// vs the scalar reference and bit-identical to the per-call drivers
-    /// across ragged shapes and thread counts. This pins the acceptance
-    /// property: i8 prepacked == reference, f32 dequant outputs identical
-    /// between packed-per-call and prepacked.
+/// The float expression a fused [`Epilogue`] stands for, applied to the
+/// raw `i32` accumulators in a second pass over an output that held
+/// `init` everywhere — written out here independently of the kernel.
+fn two_pass(epilogue: Epilogue<'_>, acc: &Tensor<i32>, init: f32) -> Vec<f32> {
+    let (_, n) = acc.matrix_dims();
+    acc.as_slice()
+        .iter()
+        .enumerate()
+        .map(|(idx, &x)| {
+            let (i, j, x) = (idx / n, idx % n, x as f32);
+            match epilogue {
+                Epilogue::PerTensor { scale } => x * scale,
+                Epilogue::PerTensorAcc { scale } => init + x * scale,
+                Epilogue::PerChannel { a_scale, w_scales } => x * a_scale * w_scales[j],
+                Epilogue::PerRow {
+                    row_scales,
+                    w_scales,
+                } => x * row_scales[i] * w_scales[j],
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The served integer path, whole: the raw prepacked entry is
+    /// bit-exact vs the scalar reference, and the fused entry is — for
+    /// **every** epilogue, on both sides of the GEMV/tile switch, at any
+    /// thread count — bit-identical to the epilogue's float expression
+    /// applied in a second pass over the raw entry's `i32` output.
     #[test]
     fn prepacked_i8_bit_exact_and_fused_matches(
-        m in prop::sample::select(vec![1usize, 2, 3, 9, 13]),
         k in prop::sample::select(vec![1usize, 7, 40, 129, 513]),
         n in prop::sample::select(vec![1usize, 2, 16, 17, 33]),
-        threads in 1usize..6,
         a_scale in 0.001f32..0.5,
         w_scale in 0.001f32..0.5,
+        init in -2.0f32..2.0,
     ) {
-        let a_data: Vec<i8> = (0..m * k)
-            .map(|i| (((i * 61 + 13) % 255) as i32 - 127) as i8)
-            .collect();
         let b_data: Vec<i8> = (0..k * n)
             .map(|i| (((i * 43 + 5) % 255) as i32 - 127) as i8)
             .collect();
-        let a = Tensor::from_vec(a_data, [m, k]).unwrap();
         let b = Tensor::from_vec(b_data, [k, n]).unwrap();
-        let packed = llmnpu_tensor::PackedMatrixI8::from_tensor(&b);
-
-        let reference = gemm::matmul_i8_reference(&a, &b).unwrap();
-        let prepacked = gemm::matmul_i8_prepacked(&a, &packed, threads).unwrap();
-        prop_assert_eq!(reference.as_slice(), prepacked.as_slice());
-
-        let mut c_driver = vec![0i32; m * n];
-        kernel::gemm_i8_prepacked(m, a.as_slice(), &packed, &mut c_driver, threads);
-        prop_assert_eq!(reference.as_slice(), &c_driver[..]);
-
-        // Fused per-tensor dequant: prepacked == per-call, bit-for-bit.
-        let per_call = gemm::matmul_i8_scaled_threaded(&a, &b, a_scale, w_scale, threads).unwrap();
-        let fused = gemm::matmul_i8_scaled_prepacked(&a, &packed, a_scale, w_scale, threads).unwrap();
-        prop_assert_eq!(per_call.as_slice(), fused.as_slice());
-
-        // Fused per-channel dequant: same property.
+        let packed = PackedMatrixI8::from_tensor(&b);
         let w_scales: Vec<f32> = (0..n).map(|j| 0.01 + 0.002 * j as f32).collect();
-        let per_call_ch = gemm::matmul_i8_per_channel_threaded(&a, &b, a_scale, &w_scales, threads).unwrap();
-        let fused_ch = gemm::matmul_i8_per_channel_prepacked(&a, &packed, a_scale, &w_scales, threads).unwrap();
-        prop_assert_eq!(per_call_ch.as_slice(), fused_ch.as_slice());
-    }
 
-    /// The grouped-reduction prepacked accumulate matches the per-call
-    /// variant bit-for-bit (accumulation order is per-element identical).
-    #[test]
-    fn prepacked_scaled_into_matches_per_call(
-        m in 1usize..6,
-        k in prop::sample::select(vec![4usize, 16, 64]),
-        n in 1usize..20,
-        a_scale in 0.001f32..0.5,
-        w_scale in 0.001f32..0.5,
-    ) {
-        let a_data: Vec<i8> = (0..m * k)
-            .map(|i| (((i * 17 + 3) % 255) as i32 - 127) as i8)
-            .collect();
-        let b_data: Vec<i8> = (0..k * n)
-            .map(|i| (((i * 23 + 9) % 255) as i32 - 127) as i8)
-            .collect();
-        let a = Tensor::from_vec(a_data, [m, k]).unwrap();
-        let b = Tensor::from_vec(b_data, [k, n]).unwrap();
-        let packed = llmnpu_tensor::PackedMatrixI8::from_tensor(&b);
-        let mut per_call = Tensor::full(0.75_f32, [m, n]);
-        gemm::matmul_i8_scaled_into(&mut per_call, &a, &b, a_scale, w_scale).unwrap();
-        let mut prepacked = Tensor::full(0.75_f32, [m, n]);
-        gemm::matmul_i8_scaled_into_prepacked(&mut prepacked, &a, &packed, a_scale, w_scale).unwrap();
-        prop_assert_eq!(per_call.as_slice(), prepacked.as_slice());
+        for m in [1usize, 2, 3, 9, 33] {
+            let a_data: Vec<i8> = (0..m * k)
+                .map(|i| (((i * 61 + 13) % 255) as i32 - 127) as i8)
+                .collect();
+            let a = Tensor::from_vec(a_data, [m, k]).unwrap();
+            let row_scales: Vec<f32> = (0..m).map(|i| a_scale + 0.003 * i as f32).collect();
+            let reference = gemm::matmul_i8_reference(&a, &b).unwrap();
+            let epilogues = [
+                Epilogue::PerTensor { scale: a_scale * w_scale },
+                Epilogue::PerTensorAcc { scale: a_scale * w_scale },
+                Epilogue::PerChannel { a_scale, w_scales: &w_scales },
+                Epilogue::PerRow { row_scales: &row_scales, w_scales: &w_scales },
+            ];
+            for threads in 1usize..=4 {
+                let acc = gemm::matmul_i8_prepacked(&a, &packed, threads).unwrap();
+                prop_assert_eq!(reference.as_slice(), acc.as_slice());
+                // The entries cap `threads` at the host's cores; the
+                // slice-level drivers honour it, so on a small CI host
+                // only they run several bands.
+                let mut c_driver = vec![0i32; m * n];
+                kernel::gemm_i8_prepacked(m, a.as_slice(), &packed, &mut c_driver, threads);
+                prop_assert_eq!(reference.as_slice(), &c_driver[..]);
+
+                for epilogue in epilogues {
+                    let want = two_pass(epilogue, &acc, init);
+                    let mut fused = Tensor::full(init, [m, n]);
+                    gemm::matmul_i8_fused_prepacked(&mut fused, &a, &packed, epilogue, threads)
+                        .unwrap();
+                    prop_assert_eq!(
+                        fused.as_slice(), &want[..],
+                        "{:?} m={} threads={}", epilogue, m, threads
+                    );
+                    let mut c_fused = vec![init; m * n];
+                    kernel::gemm_i8_fused_prepacked(
+                        m, a.as_slice(), &packed, &mut c_fused, epilogue, threads,
+                    );
+                    prop_assert_eq!(&c_fused[..], &want[..]);
+                }
+            }
+        }
     }
 }

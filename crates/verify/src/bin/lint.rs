@@ -23,6 +23,11 @@
 //! - `arg-escape` — no `allow(clippy::too_many_arguments)` anywhere
 //!   under `crates/core/src`: long positional plumbing there becomes a
 //!   context struct, not an escape (this rule has no escape hatch).
+//! - `probe-site` — every `pub fn matmul_*` in `tensor::gemm` whose name
+//!   does not end in `_reference` reaches `probe::profiled(`, in its own
+//!   body or through functions of that file it calls: an entry the kernel
+//!   probe cannot see is a lane the calibration table and the benchmark's
+//!   `tensor.kernel_*` rows are blind to.
 //! - `dead-scope` — every path a scoped rule names must match at least
 //!   one file, so moving a file cannot silently retire its checks.
 //!
@@ -64,6 +69,10 @@ const NUMERIC_PLANE: &[&str] = &[
 /// `arg-escape`).
 const NO_ARG_ESCAPES: &str = "crates/core/src/";
 
+/// File whose public `matmul_*` entries must report to the kernel probe
+/// (rule `probe-site`).
+const PROBED_ENTRIES: &str = "crates/tensor/src/gemm.rs";
+
 /// The one sanctioned scoped `#![allow(unsafe_code)]`.
 const UNSAFE_ALLOW_EXCEPTION: &str = "crates/sched/src/pool.rs";
 
@@ -82,7 +91,7 @@ fn dead_scopes(files: &[String]) -> Vec<&'static str> {
     PANIC_FREE
         .iter()
         .chain(NUMERIC_PLANE)
-        .chain([&NO_ARG_ESCAPES])
+        .chain([&NO_ARG_ESCAPES, &PROBED_ENTRIES])
         .copied()
         .filter(|entry| !files.iter().any(|f| in_scope(entry, f)))
         .collect()
@@ -126,6 +135,9 @@ fn main() -> ExitCode {
         }
         if NUMERIC_PLANE.iter().any(|e| in_scope(e, &rel)) {
             check_wall_clock(&rel, &lines, &test_mask, &mut violations);
+        }
+        if in_scope(PROBED_ENTRIES, &rel) {
+            check_probe_sites(&rel, &lines, &test_mask, &mut violations);
         }
         check_unsafe_attr(&rel, &lines, &mut violations);
         check_safety_comments(&rel, &lines, &mut violations);
@@ -186,9 +198,31 @@ fn crate_sources(root: &Path) -> Vec<String> {
     files
 }
 
-/// Marks the lines inside `#[cfg(test)]`-attributed items by brace
-/// tracking: from the attribute, skip to the item's opening brace, then
-/// mask until the braces balance.
+/// One past the last line of the item that starts at (or is attributed
+/// on) line `start`, by brace tracking: skip to the item's opening
+/// brace, then run until the braces balance.
+fn item_end(lines: &[&str], start: usize) -> usize {
+    let mut depth: i64 = 0;
+    let mut opened = false;
+    for (j, line) in lines.iter().enumerate().skip(start) {
+        for c in line.chars() {
+            match c {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => depth -= 1,
+                _ => {}
+            }
+        }
+        if opened && depth <= 0 {
+            return j + 1;
+        }
+    }
+    lines.len()
+}
+
+/// Marks the lines inside `#[cfg(test)]`-attributed items.
 fn test_code_mask(lines: &[&str]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut i = 0;
@@ -197,27 +231,9 @@ fn test_code_mask(lines: &[&str]) -> Vec<bool> {
             i += 1;
             continue;
         }
-        let mut depth: i64 = 0;
-        let mut opened = false;
-        let mut j = i;
-        while j < lines.len() {
-            mask[j] = true;
-            for c in lines[j].chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            j += 1;
-            if opened && depth <= 0 {
-                break;
-            }
-        }
-        i = j;
+        let end = item_end(lines, i);
+        mask[i..end].fill(true);
+        i = end;
     }
     mask
 }
@@ -329,6 +345,105 @@ fn check_arg_escapes(file: &str, lines: &[&str], violations: &mut Vec<Violation>
                 rule: "arg-escape",
                 what: "pass a context struct instead of escaping `too_many_arguments`".to_string(),
             });
+        }
+    }
+}
+
+/// A non-test `fn` item as the `probe-site` rule sees it.
+struct FnItem {
+    name: String,
+    public: bool,
+    /// Index of the declaration line.
+    line: usize,
+    /// The item's code from the declaration to its closing brace,
+    /// comments stripped.
+    body: String,
+}
+
+/// Every non-test `fn` in `lines`.
+fn fn_items(lines: &[&str], test_mask: &[bool]) -> Vec<FnItem> {
+    let mut items = Vec::new();
+    for (i, raw) in lines.iter().enumerate() {
+        let decl = code_part(raw).trim_start();
+        let public = decl.starts_with("pub fn ");
+        let Some(rest) = decl.strip_prefix("pub fn ").or(decl.strip_prefix("fn ")) else {
+            continue;
+        };
+        if test_mask[i] {
+            continue;
+        }
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        if name.is_empty() {
+            // A macro metavariable (`fn $name`): nothing to call by name.
+            continue;
+        }
+        let body: String = lines[i..item_end(lines, i)]
+            .iter()
+            .flat_map(|line| [code_part(line), "\n"])
+            .collect();
+        items.push(FnItem {
+            name,
+            public,
+            line: i,
+            body,
+        });
+    }
+    items
+}
+
+/// Whether `body` calls `name` (`name(` or `name::<`, not as the tail of
+/// a longer identifier).
+fn calls(body: &str, name: &str) -> bool {
+    body.match_indices(name).any(|(at, _)| {
+        let before = body[..at].chars().next_back();
+        let after = body[at + name.len()..].chars().next();
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_') && matches!(after, Some('(' | ':'))
+    })
+}
+
+fn check_probe_sites(
+    file: &str,
+    lines: &[&str],
+    test_mask: &[bool],
+    violations: &mut Vec<Violation>,
+) {
+    let items = fn_items(lines, test_mask);
+    let mut reaches: Vec<bool> = items
+        .iter()
+        .map(|f| f.body.contains("probe::profiled("))
+        .collect();
+    // Propagate through calls within the file until nothing changes.
+    loop {
+        let newly: Vec<usize> = (0..items.len())
+            .filter(|&i| {
+                !reaches[i]
+                    && items
+                        .iter()
+                        .zip(&reaches)
+                        .any(|(g, &r)| r && calls(&items[i].body, &g.name))
+            })
+            .collect();
+        if newly.is_empty() {
+            break;
+        }
+        for i in newly {
+            reaches[i] = true;
+        }
+    }
+    for (f, reached) in items.iter().zip(reaches) {
+        let entry = f.public && f.name.starts_with("matmul_") && !f.name.ends_with("_reference");
+        if entry && !reached {
+            flag(
+                violations,
+                lines,
+                file,
+                f.line,
+                "probe-site",
+                format!("`{}` never reaches `probe::profiled(`", f.name),
+            );
         }
     }
 }
@@ -460,5 +575,46 @@ mod tests {
         check_arg_escapes("crates/core/src/x.rs", &lines, &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].line, v[0].rule), (2, "arg-escape"));
+    }
+
+    #[test]
+    fn probe_site_follows_helpers_and_exempts_references_and_escapes() {
+        let lines = [
+            "fn run(site: &str) {",
+            "    kernel::probe::profiled(site, || ());",
+            "}",
+            "fn per_call() {",
+            "    run(\"a\");",
+            "}",
+            "pub fn matmul_direct() {",
+            "    kernel::probe::profiled(\"d\", || ());",
+            "}",
+            "pub fn matmul_via_helpers() {",
+            "    per_call();",
+            "}",
+            "pub fn matmul_blind() {",
+            "    // a comment naming run( is not a call",
+            "    rerun(); kernel::gemm();",
+            "}",
+            "pub fn matmul_blind_reference() {",
+            "    scalar();",
+            "}",
+            "// lint: allow(probe-site) — timed by its caller",
+            "pub fn matmul_escaped() {}",
+            "macro_rules! stamp {",
+            "    ($name:ident) => {",
+            "        pub fn $name() { kernel::probe::profiled(\"m\", || ()); }",
+            "    };",
+            "}",
+            "#[cfg(test)]",
+            "mod tests {",
+            "    pub fn matmul_in_tests() {}",
+            "}",
+        ];
+        let mut v = Vec::new();
+        check_probe_sites("gemm.rs", &lines, &test_code_mask(&lines), &mut v);
+        assert_eq!(v.len(), 1, "one blind entry");
+        assert_eq!((v[0].line, v[0].rule), (13, "probe-site"));
+        assert!(v[0].what.contains("matmul_blind"));
     }
 }

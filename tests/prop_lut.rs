@@ -37,8 +37,8 @@ fn ragged_shape_matrix_is_bit_exact() {
             let p2 = PackedMatrixI2::from_tensor(&b, gs);
             for &m in &[1usize, 2, 5] {
                 let a = ramp(m, k, 1.3);
-                let r4 = gemm::matmul_i4_reference(&a, &p4).unwrap();
-                let r2 = gemm::matmul_i2_reference(&a, &p2).unwrap();
+                let r4 = gemm::matmul_lut_reference(&a, &p4).unwrap();
+                let r2 = gemm::matmul_lut_reference(&a, &p2).unwrap();
                 for threads in [1, 2, 4] {
                     let f4 = gemm::matmul_i4_prepacked(&a, &p4, threads).unwrap();
                     let f2 = gemm::matmul_i2_prepacked(&a, &p2, threads).unwrap();
@@ -146,8 +146,8 @@ fn every_shape_class_is_bit_exact_and_row_transparent() {
             .collect();
         for m in [1usize, 2, 3, 7, 8, 9, 17, 33] {
             let am = rows(m);
-            let r4 = gemm::matmul_i4_reference(&am, &p4).unwrap();
-            let r2 = gemm::matmul_i2_reference(&am, &p2).unwrap();
+            let r4 = gemm::matmul_lut_reference(&am, &p4).unwrap();
+            let r2 = gemm::matmul_lut_reference(&am, &p2).unwrap();
             for threads in 1..=4 {
                 let f4 = gemm::matmul_i4_prepacked(&am, &p4, threads).unwrap();
                 let f2 = gemm::matmul_i2_prepacked(&am, &p2, threads).unwrap();
@@ -178,9 +178,9 @@ fn non_finite_activation_rows_come_back_all_nan_and_stay_row_local() {
         let a = Tensor::from_vec(x, [3, k]).unwrap();
         let outs = [
             gemm::matmul_i4_prepacked(&a, &p4, 2).unwrap(),
-            gemm::matmul_i4_reference(&a, &p4).unwrap(),
+            gemm::matmul_lut_reference(&a, &p4).unwrap(),
             gemm::matmul_i2_prepacked(&a, &p2, 2).unwrap(),
-            gemm::matmul_i2_reference(&a, &p2).unwrap(),
+            gemm::matmul_lut_reference(&a, &p2).unwrap(),
         ];
         for (which, out) in outs.iter().enumerate() {
             assert!(
@@ -229,7 +229,7 @@ fn warm_decode_builds_zero_tables() {
         "steady-state decode materialized a table"
     );
     // The reference, by contrast, really does build tables.
-    gemm::matmul_i4_reference(&a, &p4).unwrap();
+    gemm::matmul_lut_reference(&a, &p4).unwrap();
     assert!(lut_tables_built() > before);
 }
 
@@ -248,7 +248,7 @@ proptest! {
         let a = Tensor::from_vec(x, [2, 31]).unwrap();
         let p = PackedMatrixI4::from_tensor(&b, 8);
         let fast = gemm::matmul_i4_prepacked(&a, &p, threads).unwrap();
-        let reference = gemm::matmul_i4_reference(&a, &p).unwrap();
+        let reference = gemm::matmul_lut_reference(&a, &p).unwrap();
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
 
@@ -263,7 +263,7 @@ proptest! {
         let a = Tensor::from_vec(x, [3, 27]).unwrap();
         let p = PackedMatrixI2::from_tensor(&b, 4);
         let fast = gemm::matmul_i2_prepacked(&a, &p, threads).unwrap();
-        let reference = gemm::matmul_i2_reference(&a, &p).unwrap();
+        let reference = gemm::matmul_lut_reference(&a, &p).unwrap();
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
 

@@ -156,7 +156,8 @@ proptest! {
         let bi: Vec<i8> = b.iter().map(|&v| v as i8).collect();
         let ta = Tensor::from_vec(ai.clone(), [3, 4]).unwrap();
         let tb = Tensor::from_vec(bi.clone(), [4, 3]).unwrap();
-        let ci = gemm::matmul_i8(&ta, &tb).unwrap();
+        let packed = llmnpu::tensor::PackedMatrixI8::from_tensor(&tb);
+        let ci = gemm::matmul_i8_prepacked(&ta, &packed, 1).unwrap();
         let fa = ta.map(f32::from);
         let fb = tb.map(f32::from);
         let cf = gemm::matmul_f32(&fa, &fb).unwrap();
