@@ -292,18 +292,23 @@ struct LutDecodeRow {
     zero_warm_table_builds: bool,
 }
 
-/// Paged-KV attention comparison: the same multi-head attention read
-/// from one contiguous K/V slab vs walked page-by-page through a block
-/// table (`attention_over_pages`). Measures the page-gather overhead —
-/// the inner loop is whole-page unit-stride either way, so the tax
-/// should be a few percent — and pins bit-identity between layouts.
+/// Paged-KV attention: the tiled kernel behind `attention_over_pages`
+/// reading one contiguous K/V slab vs the same rows through a block
+/// table. The key tile is a constant of the kernel, so paging changes
+/// only where a tile is gathered from: the tax should be a few percent
+/// and the outputs bit-identical. Each row also states what it achieved
+/// against this core's FMA roofline — the chunk shapes the serving
+/// benchmark runs (32 heads × 16 dims: 32 × 64, 32 × 640, decode
+/// 1 × 112) beside the long-context 8 × 64 ones.
 #[derive(Debug, Serialize)]
 struct PagedKvRow {
+    heads: usize,
+    head_dim: usize,
     /// Query rows (1 = decode step, >1 = prefill chunk).
     q_rows: usize,
     /// Cached positions attended over.
     kv_len: usize,
-    /// Tokens per page (0 row = the contiguous baseline shape).
+    /// Tokens per page.
     block_tokens: usize,
     /// Pages the cache splits into.
     pages: usize,
@@ -311,6 +316,11 @@ struct PagedKvRow {
     paged_ms: f64,
     /// paged / contiguous (1.0 = free paging).
     overhead_ratio: f64,
+    /// `4 · heads · q_rows · kv_len · head_dim` (QKᵀ + PV, unmasked) over
+    /// the paged time.
+    paged_gflops: f64,
+    /// `paged_gflops` over the record's `fma_roofline_gflops`.
+    roofline_frac: f64,
     /// Paged output bit-identical to contiguous.
     bit_identical: bool,
 }
@@ -334,7 +344,28 @@ struct KernelRecord {
     decode: Vec<DecodeRow>,
     lut_decode: Vec<LutDecodeRow>,
     batched_decode: Vec<BatchedDecodeRow>,
+    /// One core's fused multiply-add rate on register-resident data —
+    /// the roof the `paged_kv` rows are stated against.
+    fma_roofline_gflops: f64,
     paged_kv: Vec<PagedKvRow>,
+}
+
+/// Fused multiply-add rate of one core on register-resident data (the
+/// same probe `benchmark/` takes its `tensor.roofline_fma_gflops` from).
+fn fma_roofline_gflops() -> f64 {
+    const LANES: usize = 128;
+    const STEPS: usize = 200_000;
+    let secs = best_of(5, || {
+        let (a, b) = (black_box(0.999f32), black_box(0.001f32));
+        let mut acc = [1.0f32; LANES];
+        for _ in 0..STEPS {
+            for x in &mut acc {
+                *x = x.mul_add(a, b);
+            }
+        }
+        acc
+    });
+    (2 * LANES * STEPS) as f64 / secs / 1e9
 }
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -616,18 +647,22 @@ fn compare_lut_decode(
     }
 }
 
-fn compare_paged_kv(q_rows: usize, kv_len: usize, block_tokens: usize, reps: usize) -> PagedKvRow {
+/// One `paged_kv` shape: `(heads, head_dim, q_rows, kv_len, block_tokens,
+/// reps)`.
+type PagedKvShape = (usize, usize, usize, usize, usize, usize);
+
+fn compare_paged_kv(shape: PagedKvShape, roofline_gflops: f64) -> PagedKvRow {
     use llmnpu_model::config::ModelConfig;
     use llmnpu_model::forward::attention_over_pages;
 
-    // A decode-scale attention shape: 8 heads × 64 dims over kv_len
-    // cached positions (config fields beyond the head geometry are
-    // irrelevant to the attention kernel).
+    let (heads, head_dim, q_rows, kv_len, block_tokens, reps) = shape;
+    // Config fields beyond the head geometry are irrelevant to the
+    // attention kernel.
     let mut cfg = ModelConfig::qwen15_18b();
-    cfg.hidden = 512;
-    cfg.heads = 8;
-    cfg.kv_heads = 8;
-    cfg.head_dim = 64;
+    cfg.hidden = heads * head_dim;
+    cfg.heads = heads;
+    cfg.kv_heads = heads;
+    cfg.head_dim = head_dim;
     let kv_dim = cfg.kv_heads * cfg.head_dim;
     let q = ramp(q_rows, cfg.heads * cfg.head_dim, 1.0);
     let keys = ramp(kv_len, kv_dim, 0.7).into_vec();
@@ -649,8 +684,11 @@ fn compare_paged_kv(q_rows: usize, kv_len: usize, block_tokens: usize, reps: usi
         == attention_over_pages(&q, &[&keys], &[&values], &cfg, start_pos)
             .unwrap()
             .as_slice();
+    let paged_gflops = (4 * heads * q_rows * kv_len * head_dim) as f64 / paged / 1e9;
 
     PagedKvRow {
+        heads,
+        head_dim,
         q_rows,
         kv_len,
         block_tokens,
@@ -658,6 +696,8 @@ fn compare_paged_kv(q_rows: usize, kv_len: usize, block_tokens: usize, reps: usi
         contiguous_ms: contiguous * 1e3,
         paged_ms: paged * 1e3,
         overhead_ratio: paged / contiguous,
+        paged_gflops,
+        roofline_frac: paged_gflops / roofline_gflops,
         bit_identical,
     }
 }
@@ -797,15 +837,26 @@ fn kernel_comparison() {
         })
         .collect();
 
-    println!("--- paged kv: contiguous attention vs whole-page block-table walk ---");
-    let paged_shapes: [(usize, usize, usize, usize); 3] =
-        [(1, 2048, 16, 9), (1, 2048, 64, 9), (32, 2048, 16, 5)];
+    let fma_roofline_gflops = fma_roofline_gflops();
+    println!(
+        "--- paged kv: tiled attention, contiguous vs block table (FMA roofline {fma_roofline_gflops:.0} GFLOP/s) ---"
+    );
+    let paged_shapes: [PagedKvShape; 6] = [
+        (32, 16, 32, 64, 16, 25),
+        (32, 16, 32, 640, 16, 15),
+        (32, 16, 1, 112, 16, 25),
+        (8, 64, 1, 2048, 16, 9),
+        (8, 64, 1, 2048, 64, 9),
+        (8, 64, 32, 2048, 16, 9),
+    ];
     let paged_kv: Vec<PagedKvRow> = paged_shapes
         .iter()
-        .map(|&(q, kv, bt, reps)| {
-            let row = compare_paged_kv(q, kv, bt, reps);
+        .map(|&shape| {
+            let row = compare_paged_kv(shape, fma_roofline_gflops);
             println!(
-                "q={:<3} kv={:<5} pages of {:<3} ({:>3} pages): contiguous {:>6.2} ms | paged {:>6.2} ms | overhead {:>5.3}x | identical={}",
+                "{:>2}x{:<2} q={:<3} kv={:<5} pages of {:<3} ({:>3} pages): contiguous {:>7.3} ms | paged {:>7.3} ms | overhead {:>5.3}x | {:>5.1} GFLOP/s ({:>4.2} of roofline) | identical={}",
+                row.heads,
+                row.head_dim,
                 row.q_rows,
                 row.kv_len,
                 row.block_tokens,
@@ -813,6 +864,8 @@ fn kernel_comparison() {
                 row.contiguous_ms,
                 row.paged_ms,
                 row.overhead_ratio,
+                row.paged_gflops,
+                row.roofline_frac,
                 row.bit_identical,
             );
             row
@@ -837,9 +890,10 @@ fn kernel_comparison() {
                       batched_decode compares \
                       B separate m=1 decode GEMVs against one m=B GEMM through \
                       the batched-decode driver (acceptance: >=1.3x aggregate \
-                      tokens/s); paged_kv compares contiguous attention against \
-                      the whole-page block-table walk (gather overhead + bit \
-                      identity); serving-level and pool-dispatch numbers \
+                      tokens/s); paged_kv times the tiled attention kernel over \
+                      a contiguous cache and over a block table (gather \
+                      overhead + bit identity) and states each shape as \
+                      achieved GFLOP/s against fma_roofline_gflops; serving-level and pool-dispatch numbers \
                       live in benchmark/ (BENCHMARK.json); tokens-equivalent \
                       = activation rows per second",
         threads_requested: THREADS,
@@ -851,6 +905,7 @@ fn kernel_comparison() {
         decode,
         lut_decode,
         batched_decode,
+        fma_roofline_gflops,
         paged_kv,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

@@ -7,6 +7,7 @@
 //! the invariant that makes llm.npu's chunk-sharing graphs (§3.2) sound —
 //! and the tests at the bottom pin that property down.
 
+use llmnpu_tensor::kernel::attention::{attention_paged, HeadGeometry};
 use llmnpu_tensor::{norm, ops, rope, Tensor};
 
 use crate::backend::{CalibrationSet, LinearBackend, LinearKind};
@@ -192,23 +193,32 @@ impl<'a> Transformer<'a> {
             });
         }
         let cfg = self.config();
-        let (layers, heads, kv_heads, hd) = (cfg.layers, cfg.heads, cfg.kv_heads, cfg.head_dim);
         let tokens: Vec<u32> = entries.iter().map(|e| e.token).collect();
         let positions: Vec<usize> = entries.iter().map(|e| e.pos).collect();
         let mut h = self.embed(&tokens)?;
-        for layer in 0..layers {
+        for layer in 0..cfg.layers {
             let a_in = self.stage_attn_pre(layer, &h)?;
             let mains = self.stage_qkv_main(layer, &a_in)?;
             let shadows = self.stage_qkv_shadow(layer, &a_in)?;
             let (mut q, mut k, v) = self.stage_qkv_merge(mains, shadows)?;
-            rope_rows(&mut q, heads, hd, &positions)?;
-            rope_rows(&mut k, kv_heads, hd, &positions)?;
-            let mut attn = Tensor::zeros([entries.len(), heads * hd]);
+            rope::apply_rope_heads_inplace(
+                &mut q,
+                cfg.head_dim,
+                positions.iter().copied(),
+                rope::DEFAULT_THETA,
+            )?;
+            rope::apply_rope_heads_inplace(
+                &mut k,
+                cfg.head_dim,
+                positions.iter().copied(),
+                rope::DEFAULT_THETA,
+            )?;
+            let mut attn = Tensor::zeros([entries.len(), cfg.q_dim()]);
             for (i, e) in entries.iter_mut().enumerate() {
                 e.kv.write_position(layer, e.pos, k.row(i), v.row(i))?;
-                let q_i = Tensor::from_vec(q.row(i).to_vec(), [1, heads * hd])?;
-                let a_i = self.stage_attention_paged(layer, &q_i, e.kv, e.pos + 1, e.pos)?;
-                attn.row_mut(i).copy_from_slice(a_i.row(0));
+                e.kv.view(layer, e.pos + 1, |pages_k, pages_v| {
+                    attend(q.row(i), pages_k, pages_v, cfg, e.pos, attn.row_mut(i))
+                })??;
             }
             h = self.stage_attn_out(layer, &h, &attn)?;
             let f_in = self.stage_ffn_pre(layer, &h)?;
@@ -481,11 +491,12 @@ impl<'a> Transformer<'a> {
         shadows: QkvShadows,
         start_pos: usize,
     ) -> Result<(Tensor<f32>, Tensor<f32>, Tensor<f32>)> {
-        let cfg = self.config();
-        let (q, k, v) = self.stage_qkv_merge(mains, shadows)?;
+        let hd = self.config().head_dim;
+        let (mut q, mut k, v) = self.stage_qkv_merge(mains, shadows)?;
         let (seq, _) = q.matrix_dims();
-        let q = rope_heads(&q, seq, cfg.heads, cfg.head_dim, start_pos)?;
-        let k = rope_heads(&k, seq, cfg.kv_heads, cfg.head_dim, start_pos)?;
+        let positions = start_pos..start_pos + seq;
+        rope::apply_rope_heads_inplace(&mut q, hd, positions.clone(), rope::DEFAULT_THETA)?;
+        rope::apply_rope_heads_inplace(&mut k, hd, positions, rope::DEFAULT_THETA)?;
         Ok((q, k, v))
     }
 
@@ -742,55 +753,6 @@ pub struct PagedDecodeEntry<'a> {
     pub kv: &'a mut PagedKvCache,
 }
 
-/// Applies RoPE to `[batch, heads*head_dim]` where row `r` rotates at
-/// its own absolute position `positions[r]` — the batched-decode
-/// counterpart of [`rope_heads`] (which rotates consecutive rows of one
-/// sequence). Row `r` gets exactly the floats `rope_heads` would give a
-/// single-row tensor at `start_pos = positions[r]`.
-fn rope_rows(
-    x: &mut Tensor<f32>,
-    heads: usize,
-    head_dim: usize,
-    positions: &[usize],
-) -> Result<()> {
-    // One scratch for every (row, head) — this runs per decode step,
-    // which must not allocate per head (cf. `zero_beta`).
-    let mut scratch = Tensor::zeros([1, head_dim]);
-    for (r, &pos) in positions.iter().enumerate() {
-        for head in 0..heads {
-            scratch
-                .row_mut(0)
-                .copy_from_slice(&x.row(r)[head * head_dim..(head + 1) * head_dim]);
-            rope::apply_rope_inplace(&mut scratch, pos, rope::DEFAULT_THETA)?;
-            x.row_mut(r)[head * head_dim..(head + 1) * head_dim].copy_from_slice(scratch.row(0));
-        }
-    }
-    Ok(())
-}
-
-/// Applies RoPE to `[seq, heads*head_dim]` per head slice.
-fn rope_heads(
-    x: &Tensor<f32>,
-    seq: usize,
-    heads: usize,
-    head_dim: usize,
-    start_pos: usize,
-) -> Result<Tensor<f32>> {
-    let mut out = x.clone();
-    for head in 0..heads {
-        let mut slice = Tensor::zeros([seq, head_dim]);
-        for r in 0..seq {
-            let src = &x.row(r)[head * head_dim..(head + 1) * head_dim];
-            slice.row_mut(r).copy_from_slice(src);
-        }
-        rope::apply_rope_inplace(&mut slice, start_pos, rope::DEFAULT_THETA)?;
-        for r in 0..seq {
-            out.row_mut(r)[head * head_dim..(head + 1) * head_dim].copy_from_slice(slice.row(r));
-        }
-    }
-    Ok(out)
-}
-
 /// Multi-head attention with GQA/MQA head sharing and chunk-offset causal
 /// masking. `q` is `[seq, heads*head_dim]`; `keys`/`values` are
 /// `[kv_len, kv_heads*head_dim]` from the cache. A contiguous cache is
@@ -808,11 +770,13 @@ fn attention(
 /// Multi-head attention over **paged** K/V storage: `pages_k[i]` /
 /// `pages_v[i]` each hold a whole page of `rows_i × kv_dim` contiguous
 /// elements (`kv_dim = kv_heads × head_dim`), covering cache positions in
-/// order. The inner loops walk each page with unit stride — no per-row
-/// gather — and visit positions in exactly the order the contiguous path
-/// does, so a contiguous cache (one big page) and any paging of the same
-/// rows produce **bit-identical** outputs: same dots, same adds, same
-/// order.
+/// order. Runs the tiled kernel
+/// [`llmnpu_tensor::kernel::attention::attention_paged`], whose key tile
+/// is a constant of the kernel rather than the page size and whose every
+/// output row depends only on its own query row and the keys it may see
+/// — so a contiguous cache (one big page) and any paging of the same rows
+/// produce **bit-identical** outputs, and row `r` equals the one-row call
+/// at `start_pos + r`.
 ///
 /// # Errors
 ///
@@ -825,64 +789,56 @@ pub fn attention_over_pages(
     start_pos: usize,
 ) -> Result<Tensor<f32>> {
     let (seq, _) = q.matrix_dims();
-    let hd = cfg.head_dim;
-    let kv_dim = cfg.kv_heads * hd;
-    let group = cfg.heads / cfg.kv_heads;
-    let scale = 1.0 / (hd as f32).sqrt();
-
-    let mut kv_len = 0usize;
-    for (pk, pv) in pages_k.iter().zip(pages_v) {
-        if pk.len() != pv.len() || pk.len() % kv_dim != 0 {
-            return Err(Error::Tensor(llmnpu_tensor::Error::InvalidDimension {
-                op: "attention_over_pages",
-                what: format!(
-                    "page of {} / {} elements not a multiple of kv_dim {kv_dim}",
-                    pk.len(),
-                    pv.len()
-                ),
-            }));
-        }
-        kv_len += pk.len() / kv_dim;
-    }
-
-    let mut out = Tensor::zeros([seq, cfg.heads * hd]);
-    for head in 0..cfg.heads {
-        let kv_head = head / group;
-        let col0 = kv_head * hd;
-        // Scores [seq, kv_len], filled page by page.
-        let mut scores = Tensor::zeros([seq, kv_len]);
-        for r in 0..seq {
-            let q_slice = &q.row(r)[head * hd..(head + 1) * hd];
-            let s_row = scores.row_mut(r);
-            let mut c = 0;
-            for page in pages_k {
-                for k_row in page.chunks_exact(kv_dim) {
-                    s_row[c] = ops::dot(q_slice, &k_row[col0..col0 + hd]) * scale;
-                    c += 1;
-                }
-            }
-        }
-        ops::causal_mask_inplace(&mut scores, start_pos);
-        let probs = ops::softmax(&scores);
-        for r in 0..seq {
-            let p_row = probs.row(r);
-            let o_slice = &mut out.row_mut(r)[head * hd..(head + 1) * hd];
-            let mut c = 0;
-            for page in pages_v {
-                for v_row in page.chunks_exact(kv_dim) {
-                    let p = p_row[c];
-                    c += 1;
-                    if p == 0.0 {
-                        continue;
-                    }
-                    for (o, &vv) in o_slice.iter_mut().zip(&v_row[col0..col0 + hd]) {
-                        *o += p * vv;
-                    }
-                }
-            }
-        }
-    }
+    let mut out = Tensor::zeros([seq, cfg.q_dim()]);
+    attend(
+        q.as_slice(),
+        pages_k,
+        pages_v,
+        cfg,
+        start_pos,
+        out.as_mut_slice(),
+    )?;
     Ok(out)
+}
+
+/// [`attention_over_pages`] on bare query rows, into the caller's output
+/// rows (batched decode attends one row of a `[B, q_dim]` activation per
+/// request).
+fn attend(
+    q: &[f32],
+    pages_k: &[&[f32]],
+    pages_v: &[&[f32]],
+    cfg: &ModelConfig,
+    start_pos: usize,
+    out: &mut [f32],
+) -> Result<()> {
+    let kv_dim = cfg.kv_dim();
+    let rows = |pages: &[&[f32]]| pages.iter().map(|p| p.len() / kv_dim).sum::<usize>();
+    let whole = |pages: &[&[f32]]| pages.iter().all(|p| p.len().is_multiple_of(kv_dim));
+    let shapes_agree = whole(pages_k)
+        && whole(pages_v)
+        && rows(pages_k) == rows(pages_v)
+        && q.len() == out.len()
+        && q.len().is_multiple_of(cfg.q_dim());
+    if !shapes_agree {
+        return Err(Error::Tensor(llmnpu_tensor::Error::InvalidDimension {
+            op: "attention_over_pages",
+            what: format!(
+                "query of {} elements (rows of {}) over K / V pages of {} / {} rows of kv_dim {kv_dim}",
+                q.len(),
+                cfg.q_dim(),
+                rows(pages_k),
+                rows(pages_v)
+            ),
+        }));
+    }
+    let geom = HeadGeometry {
+        heads: cfg.heads,
+        kv_heads: cfg.kv_heads,
+        head_dim: cfg.head_dim,
+    };
+    attention_paged(geom, start_pos, q, pages_k, pages_v, out);
+    Ok(())
 }
 
 #[cfg(test)]

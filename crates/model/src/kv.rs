@@ -197,9 +197,10 @@ impl KvCache {
 ///
 /// Positions are absolute and writes are position-addressed, matching
 /// the out-of-order prefill executor's invariant. Attention reads go
-/// through [`PagedKvCache::view`] as whole-page slices — the gather-free
-/// loop `forward::attention_over_pages` consumes, bit-identical to the
-/// contiguous path.
+/// through [`PagedKvCache::view`] as whole-page slices — what
+/// `forward::attention_over_pages` hands the tiled attention kernel,
+/// whose key tile is its own constant, so any paging is bit-identical to
+/// the contiguous path.
 #[derive(Debug)]
 pub struct PagedKvCache {
     pool: Arc<BlockPool>,

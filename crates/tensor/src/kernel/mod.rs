@@ -98,6 +98,50 @@
 //! the row-cohort column partitioner
 //! [`parallel::run_col_partitioned_rows`] in whole panels.
 //!
+//! # Attention
+//!
+//! [`attention`] is the one kernel here that is not a GEMM: causal
+//! multi-head attention over paged K/V, the float operator the paper
+//! leaves on the CPU lane (§3.2). Per KV head, the `group` query heads
+//! that share it stack into one `m = group × seq` row block (row `i` is
+//! head `i % group` of position `i / group`, so causal limits ascend),
+//! walked in three passes over one scratch that every head reuses:
+//!
+//! 1. **Scores.** Keys are walked in tiles of [`attention::KEY_TILE`]
+//!    (`= NR`) positions — a constant of the kernel, never the page size;
+//!    paging only decides where a tile's rows are gathered from. A tile
+//!    is transposed once into a K-major panel and run through
+//!    [`microkernel::microkernel_f32`] against `MR`-row query panels, so
+//!    a score is `(0 + Σ_k q[k]·key[k]) · scale`: one ascending-`k`
+//!    `fmadd` chain (the microkernel's contraction rule) from zero. Row
+//!    blocks of at most two rows (decode) skip the transpose and evaluate
+//!    the same expression straight from the row-major page row —
+//!    bit-identical by construction, selected by nothing but the block's
+//!    height. The causal mask is a loop bound: a tile past every row's
+//!    limit is skipped, and a row never reads a score past its own.
+//! 2. **Softmax.** Row maximum (NaN-ignoring, so a NaN score survives to
+//!    poison its own row), then the branch-free
+//!    [`attention::exp_nonpos`] — exactly `0` for a masked entry — into
+//!    `NR` lane sums folded by one fixed tree. Normalisation is deferred
+//!    to the `head_dim` outputs.
+//! 3. **PV.** Lanes are output dimensions (`NR`-wide panels of the value
+//!    head, read in place — value rows are already row-major); each
+//!    output is one ascending-position `fmadd` chain from zero, `MR` rows
+//!    sharing every loaded value row up to the shortest causal limit and
+//!    finishing their own tails, so no masked position is multiplied —
+//!    there is no `p == 0` test, and a `0 × ∞` cannot arise from a row
+//!    that is not visible.
+//!
+//! Every output row therefore depends on its own query row, the
+//! positions it may see, and `head_dim` — not on the page size, the
+//! other rows of the block, `seq`, or how much cache lies beyond its
+//! limit. That one property is what the serving identities reduce to:
+//! any paging of the same rows, chunked ≡ whole prefill, row `r` of a
+//! block ≡ the one-row call at `start_pos + r`, batched decode row ≡
+//! solo row (`tests/prop_attention.rs` pins them, non-finite data past a
+//! row's limit included). The floats differ from the scalar
+//! [`attention::attention_reference`] by rounding only.
+//!
 //! # Determinism
 //!
 //! For a fixed build, every driver is deterministic and
@@ -118,6 +162,7 @@
 //! keeps the full K per tile (exactness makes partial-K accumulation
 //! unnecessary, and fused epilogues require complete `i32` sums).
 
+pub mod attention;
 pub mod lut;
 pub mod microkernel;
 pub mod pack;

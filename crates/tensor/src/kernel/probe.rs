@@ -145,9 +145,27 @@ mod tests {
                 w_scales: &w_scales,
             },
         );
+        // Attention is the one kernel entry outside `gemm`: 3 query rows
+        // × 2 heads per KV head → m = 6, over 5 cached rows.
+        let geom = crate::kernel::attention::HeadGeometry {
+            heads: 4,
+            kv_heads: 2,
+            head_dim: 6,
+        };
+        let (q, kv) = (vec![0.0f32; 3 * 24], vec![0.0f32; 5 * 12]);
+        crate::kernel::attention::attention_paged(geom, 2, &q, &[&kv], &[&kv], &mut [0.0; 72]);
         uninstall();
 
         let recorded = table.rows();
+        let attention: u64 = recorded
+            .iter()
+            .filter(|r| r.site == "attention" && (r.m, r.n, r.k) == (6, 5, 6))
+            .map(|r| r.count)
+            .sum();
+        assert_eq!(
+            attention, 1,
+            "attention at m = group · seq, n = kv_len, k = head_dim"
+        );
         for (site, m) in [
             ("gemm.f32", 3),
             ("gemm.f32", 4),

@@ -18,23 +18,56 @@ use crate::{Error, Result, Tensor};
 /// Returns [`Error::InvalidDimension`] if the row width is odd.
 pub fn apply_rope_inplace(x: &mut Tensor<f32>, start_pos: usize, theta: f32) -> Result<()> {
     let (rows, cols) = x.matrix_dims();
-    if cols % 2 != 0 {
+    apply_rope_heads_inplace(x, cols, start_pos..start_pos + rows, theta)
+}
+
+/// [`apply_rope_inplace`] on every `head_dim`-wide head slice of a
+/// `[rows, heads · head_dim]` tensor, row `r` at absolute position
+/// `positions[r]` (consecutive for a prefill chunk, one per request for a
+/// batched decode step). The rotation of pair `i` at one position is the
+/// same for every head, so its `sin`/`cos` is evaluated once per (row,
+/// pair) and its frequency once per pair; each head slice gets exactly
+/// the floats [`apply_rope_inplace`] gives a copy of it.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidDimension`] if `head_dim` is odd or does not
+/// divide the row width, or `positions` does not yield one position per
+/// row.
+pub fn apply_rope_heads_inplace(
+    x: &mut Tensor<f32>,
+    head_dim: usize,
+    positions: impl IntoIterator<Item = usize>,
+    theta: f32,
+) -> Result<()> {
+    let (rows, cols) = x.matrix_dims();
+    if head_dim == 0 || !head_dim.is_multiple_of(2) || !cols.is_multiple_of(head_dim) {
         return Err(Error::InvalidDimension {
             op: "apply_rope_inplace",
-            what: format!("head dimension {cols} must be even"),
+            what: format!("head dimension {head_dim} must be even and divide {cols}"),
         });
     }
+    let freqs: Vec<f32> = (0..head_dim / 2)
+        .map(|i| theta.powf(-2.0 * i as f32 / head_dim as f32))
+        .collect();
+    let mut sin_cos = vec![(0.0f32, 0.0f32); freqs.len()];
+    let mut positions = positions.into_iter();
     for r in 0..rows {
-        let pos = (start_pos + r) as f32;
-        let row = x.row_mut(r);
-        for i in 0..cols / 2 {
-            let freq = theta.powf(-2.0 * i as f32 / cols as f32);
-            let angle = pos * freq;
-            let (sin, cos) = angle.sin_cos();
-            let a = row[2 * i];
-            let b = row[2 * i + 1];
-            row[2 * i] = a * cos - b * sin;
-            row[2 * i + 1] = a * sin + b * cos;
+        let Some(pos) = positions.next() else {
+            return Err(Error::InvalidDimension {
+                op: "apply_rope_inplace",
+                what: format!("{r} positions for {rows} rows"),
+            });
+        };
+        for (sc, &freq) in sin_cos.iter_mut().zip(&freqs) {
+            *sc = (pos as f32 * freq).sin_cos();
+        }
+        for head in x.row_mut(r).chunks_exact_mut(head_dim) {
+            for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(&sin_cos) {
+                let (a, b) = (pair[0], pair[1]);
+                pair[0] = a * cos - b * sin;
+                pair[1] = a * sin + b * cos;
+            }
         }
     }
     Ok(())
@@ -99,6 +132,41 @@ mod tests {
     fn rejects_odd_dim() {
         let x = Tensor::<f32>::zeros([1, 3]);
         assert!(apply_rope(&x, 0, DEFAULT_THETA).is_err());
+    }
+
+    #[test]
+    fn head_slices_rotate_bit_identically_to_a_copied_head() {
+        // The shared per-(position, pair) table must give every head slice
+        // exactly what rotating a copy of that slice alone gives, for
+        // consecutive positions (prefill) and scattered ones (batched
+        // decode).
+        let (rows, heads, head_dim) = (5usize, 3usize, 8usize);
+        let x = Tensor::from_vec(
+            (0..rows * heads * head_dim)
+                .map(|v| (v as f32 * 0.37).sin())
+                .collect(),
+            [rows, heads * head_dim],
+        )
+        .unwrap();
+        for positions in [vec![7usize, 8, 9, 10, 11], vec![40, 3, 3, 1000, 0]] {
+            let mut got = x.clone();
+            apply_rope_heads_inplace(&mut got, head_dim, positions.iter().copied(), DEFAULT_THETA)
+                .unwrap();
+            for (r, &pos) in positions.iter().enumerate() {
+                for h in 0..heads {
+                    let span = h * head_dim..(h + 1) * head_dim;
+                    let mut head =
+                        Tensor::from_vec(x.row(r)[span.clone()].to_vec(), [1, head_dim]).unwrap();
+                    apply_rope_inplace(&mut head, pos, DEFAULT_THETA).unwrap();
+                    let want: Vec<u32> = head.row(0).iter().map(|v| v.to_bits()).collect();
+                    let have: Vec<u32> = got.row(r)[span].iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(have, want, "row {r} head {h} at position {pos}");
+                }
+            }
+        }
+        let mut y = x.clone();
+        assert!(apply_rope_heads_inplace(&mut y, 5, 0..rows, DEFAULT_THETA).is_err());
+        assert!(apply_rope_heads_inplace(&mut y, head_dim, 0..rows - 1, DEFAULT_THETA).is_err());
     }
 
     #[test]

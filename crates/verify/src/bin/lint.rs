@@ -23,9 +23,10 @@
 //! - `arg-escape` — no `allow(clippy::too_many_arguments)` anywhere
 //!   under `crates/core/src`: long positional plumbing there becomes a
 //!   context struct, not an escape (this rule has no escape hatch).
-//! - `probe-site` — every `pub fn matmul_*` in `tensor::gemm` whose name
-//!   does not end in `_reference` reaches `probe::profiled(`, in its own
-//!   body or through functions of that file it calls: an entry the kernel
+//! - `probe-site` — every `pub fn matmul_*` in `tensor::gemm` and every
+//!   `pub fn attention_*` in `tensor::kernel::attention` whose name does
+//!   not end in `_reference` reaches `probe::profiled(`, in its own body
+//!   or through functions of that file it calls: an entry the kernel
 //!   probe cannot see is a lane the calibration table and the benchmark's
 //!   `tensor.kernel_*` rows are blind to.
 //! - `dead-scope` — every path a scoped rule names must match at least
@@ -69,9 +70,12 @@ const NUMERIC_PLANE: &[&str] = &[
 /// `arg-escape`).
 const NO_ARG_ESCAPES: &str = "crates/core/src/";
 
-/// File whose public `matmul_*` entries must report to the kernel probe
-/// (rule `probe-site`).
-const PROBED_ENTRIES: &str = "crates/tensor/src/gemm.rs";
+/// Files whose public entries (by name prefix) must report to the kernel
+/// probe (rule `probe-site`).
+const PROBED_ENTRIES: &[(&str, &str)] = &[
+    ("crates/tensor/src/gemm.rs", "matmul_"),
+    ("crates/tensor/src/kernel/attention.rs", "attention_"),
+];
 
 /// The one sanctioned scoped `#![allow(unsafe_code)]`.
 const UNSAFE_ALLOW_EXCEPTION: &str = "crates/sched/src/pool.rs";
@@ -91,7 +95,8 @@ fn dead_scopes(files: &[String]) -> Vec<&'static str> {
     PANIC_FREE
         .iter()
         .chain(NUMERIC_PLANE)
-        .chain([&NO_ARG_ESCAPES, &PROBED_ENTRIES])
+        .chain([&NO_ARG_ESCAPES])
+        .chain(PROBED_ENTRIES.iter().map(|(file, _)| file))
         .copied()
         .filter(|entry| !files.iter().any(|f| in_scope(entry, f)))
         .collect()
@@ -136,8 +141,8 @@ fn main() -> ExitCode {
         if NUMERIC_PLANE.iter().any(|e| in_scope(e, &rel)) {
             check_wall_clock(&rel, &lines, &test_mask, &mut violations);
         }
-        if in_scope(PROBED_ENTRIES, &rel) {
-            check_probe_sites(&rel, &lines, &test_mask, &mut violations);
+        for (_, prefix) in PROBED_ENTRIES.iter().filter(|(f, _)| in_scope(f, &rel)) {
+            check_probe_sites(&rel, prefix, &lines, &test_mask, &mut violations);
         }
         check_unsafe_attr(&rel, &lines, &mut violations);
         check_safety_comments(&rel, &lines, &mut violations);
@@ -406,6 +411,7 @@ fn calls(body: &str, name: &str) -> bool {
 
 fn check_probe_sites(
     file: &str,
+    prefix: &str,
     lines: &[&str],
     test_mask: &[bool],
     violations: &mut Vec<Violation>,
@@ -434,7 +440,7 @@ fn check_probe_sites(
         }
     }
     for (f, reached) in items.iter().zip(reaches) {
-        let entry = f.public && f.name.starts_with("matmul_") && !f.name.ends_with("_reference");
+        let entry = f.public && f.name.starts_with(prefix) && !f.name.ends_with("_reference");
         if entry && !reached {
             flag(
                 violations,
@@ -612,7 +618,13 @@ mod tests {
             "}",
         ];
         let mut v = Vec::new();
-        check_probe_sites("gemm.rs", &lines, &test_code_mask(&lines), &mut v);
+        check_probe_sites(
+            "gemm.rs",
+            "matmul_",
+            &lines,
+            &test_code_mask(&lines),
+            &mut v,
+        );
         assert_eq!(v.len(), 1, "one blind entry");
         assert_eq!((v[0].line, v[0].rule), (13, "probe-site"));
         assert!(v[0].what.contains("matmul_blind"));

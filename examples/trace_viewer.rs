@@ -158,6 +158,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         !obs.calibration.is_empty(),
         "kernel probes recorded nothing"
     );
+    assert!(
+        obs.calibration.rows().iter().any(|r| r.site == "attention"),
+        "the CPU lane's largest operator is missing from the calibration table"
+    );
     std::fs::write(out_dir.join("calibration.json"), obs.calibration.to_json())?;
     println!(
         "calibration.json: {} (site, shape) rows",
@@ -177,7 +181,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             outcome.status
         );
     }
-    println!("asserts passed: trace validates, every request appears, calibration non-empty.");
+    println!(
+        "asserts passed: trace validates, every request appears, calibration has attention rows."
+    );
 
     println!("\n--- metrics registry ---");
     print!("{}", report.metrics.render());
