@@ -157,6 +157,11 @@ struct KernelRow {
     i8_naive_ms: f64,
     i8_blocked_ms: f64,
     i8_speedup: f64,
+    /// The prepacked i8 kernel as an achieved rate (`2·m·k·n` operations
+    /// per second) and against the f32 blocked column of this row — the
+    /// quantized path is meant to be the fast one.
+    i8_gops: f64,
+    i8_vs_f32: f64,
     i8_bit_exact: bool,
 }
 
@@ -232,11 +237,15 @@ struct LutDecodeRow {
     /// Quantization group width of the int4/int2 formats.
     group_size: usize,
     /// Weight bytes streamed per decode step by each dtype's path
-    /// (f32 panel slabs; i8 transposed copy; int4/int2 packed codes +
-    /// group scales). At m > 1 the stream is shared by the whole
-    /// cohort, so bytes per *token* are these divided by m.
+    /// (f32 panel slabs; i8 offset-`u8` panels; int4/int2 packed codes +
+    /// group scales). At m > 1 the stream is shared by the whole cohort,
+    /// so bytes per *token* are these divided by m.
     f32_bytes_per_token: usize,
     i8_bytes_per_token: usize,
+    /// What the packed i8 operand actually keeps resident per weight
+    /// (`resident_bytes / (k·n)`): 1 when the streamed bytes above are
+    /// all there is.
+    i8_resident_bytes_per_weight: f64,
     i4_bytes_per_token: usize,
     i2_bytes_per_token: usize,
     /// Warm timings: weights LLC-resident across reps. On a
@@ -419,6 +428,8 @@ fn compare_shape(m: usize, k: usize, n: usize, reps: usize) -> KernelRow {
         i8_naive_ms: i8_naive * 1e3,
         i8_blocked_ms: i8_blocked * 1e3,
         i8_speedup: i8_naive / i8_blocked,
+        i8_gops: flops / i8_blocked / 1e9,
+        i8_vs_f32: blocked / i8_blocked,
         i8_bit_exact,
     }
 }
@@ -621,6 +632,7 @@ fn compare_lut_decode(
         group_size,
         f32_bytes_per_token: k * n * std::mem::size_of::<f32>(),
         i8_bytes_per_token: k * n,
+        i8_resident_bytes_per_weight: packed_i8.resident_bytes() as f64 / (k * n) as f64,
         i4_bytes_per_token: packed_i4.packed_bytes(),
         i2_bytes_per_token: packed_i2.packed_bytes(),
         f32_warm_ms: f32_warm * 1e3,
@@ -720,15 +732,18 @@ fn kernel_comparison() {
         .map(|&(m, k, n, reps)| {
             let row = compare_shape(m, k, n, reps);
             println!(
-                "{:<14} naive {:>8.2} ms | blocked {:>7.2} ms ({:>4.2}x) | {}t {:>7.2} ms ({:>4.2}x) | i8 {:>4.2}x exact={} | {:>9.0} tok-eq/s",
+                "{:<14} naive {:>8.2} ms | blocked {:>7.2} ms ({:>4.2}x, {:>5.1} GFLOP/s) | {}t {:>7.2} ms ({:>4.2}x) | i8 {:>7.2} ms {:>5.1} Gop/s ({:>4.2}x f32) exact={} | {:>9.0} tok-eq/s",
                 row.shape,
                 row.naive_ms,
                 row.blocked_ms,
                 row.speedup_blocked,
+                row.blocked_gflops,
                 row.threads_effective,
                 row.threaded_ms,
                 row.speedup_threaded,
-                row.i8_speedup,
+                row.i8_blocked_ms,
+                row.i8_gops,
+                row.i8_vs_f32,
                 row.i8_bit_exact,
                 row.tokens_equiv_per_s,
             );

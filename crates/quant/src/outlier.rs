@@ -327,13 +327,17 @@ impl ShadowLinear {
     /// epilogue. The full result is `main + forward_shadow` (elementwise
     /// accumulate), in that order.
     ///
+    /// The clip of Equation 1 *is* the quantizer's saturation:
+    /// `quantize_value` rounds `v / s` and clamps to ±127, which for
+    /// `|v| > 127·s` lands on ±127 exactly as quantizing the pre-clipped
+    /// `±127·s` does, so `x` is quantized directly — one pass, no
+    /// clipped `[m, k]` copy.
+    ///
     /// # Errors
     ///
     /// Returns an error on inner-dimension mismatch.
     pub fn forward_main(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        let limit = QMAX * self.act_scale;
-        let clipped = x.map(|v| v.clamp(-limit, limit));
-        let xq = QuantizedMatrix::quantize_with_scale(&clipped, self.act_scale);
+        let xq = QuantizedMatrix::quantize_with_scale(x, self.act_scale);
         matmul_dequant(
             xq.data(),
             self.weight.packed(),
@@ -752,6 +756,44 @@ mod tests {
             .mse(&plain.forward_float(&x).unwrap())
             .unwrap();
         assert!(err_shadow <= err_plain * 1.5 + 1e-9);
+    }
+
+    #[test]
+    fn saturating_quantizer_subsumes_the_pre_clip() {
+        // `forward_main` quantizes `x` directly; the old pre-clip to
+        // `±127·s` must have been invisible for every input class.
+        use crate::per_tensor::quantize_value;
+        // Subnormal, tiny, ordinary, huge, and one whose limit overflows.
+        for scale in [1e-40_f32, 1e-30, 0.01, 1.0, 1e30, 3e36] {
+            let limit = QMAX * scale;
+            let mut values = vec![
+                0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::from_bits(1),
+                f32::MIN_POSITIVE / 2.0,
+                f32::MAX,
+                0.5 * scale,
+                126.5 * scale,
+                limit,
+                limit.next_down(),
+                limit.next_up(),
+                limit * (1.0 - 1e-3),
+                limit * (1.0 + 1e-3),
+                2.0 * limit,
+            ];
+            values.extend(values.clone().iter().map(|v| -v));
+            for v in values {
+                let clipped = v.clamp(-limit, limit);
+                assert_eq!(
+                    quantize_value(v, scale),
+                    quantize_value(clipped, scale),
+                    "v = {v:e}, scale = {scale:e}"
+                );
+            }
+        }
+        assert_eq!(quantize_value(f32::NAN, 0.01), 0);
+        assert_eq!(quantize_value(f32::NEG_INFINITY, 0.01), -127);
     }
 
     #[test]

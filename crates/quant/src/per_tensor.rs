@@ -138,13 +138,17 @@ impl ChannelQuantizedMatrix {
     #[must_use]
     pub fn quantize(w: &Tensor<f32>) -> Self {
         let (k, n) = w.matrix_dims();
-        let mut scales = vec![1.0_f32; n];
-        for (c, sc) in scales.iter_mut().enumerate() {
-            let mut abs_max = 0.0_f32;
-            for r in 0..k {
-                abs_max = abs_max.max(w.row(r)[c].abs());
+        // One row-major pass: `f32::max` ignores NaN and is otherwise
+        // order-independent, so walking rows (the storage order) gives
+        // the same per-column maxima as walking each column.
+        let mut scales = vec![0.0_f32; n];
+        for r in 0..k {
+            for (abs_max, &v) in scales.iter_mut().zip(w.row(r)) {
+                *abs_max = abs_max.max(v.abs());
             }
-            *sc = if abs_max == 0.0 { 1.0 } else { abs_max / QMAX };
+        }
+        for sc in &mut scales {
+            *sc = if *sc == 0.0 { 1.0 } else { *sc / QMAX };
         }
         let mut data = Tensor::zeros([k, n]);
         for r in 0..k {
@@ -345,6 +349,38 @@ mod tests {
         // quantized, they contribute 0 (they round to zero at scale ~0.39).
         let err = (y_q.as_slice()[0] - y_f.as_slice()[0]).abs();
         assert!(err > 1e-4, "expected visible outlier-induced error");
+    }
+
+    #[test]
+    fn channel_scales_match_the_column_major_scan() {
+        // The per-column abs-max, one column at a time — what `quantize`
+        // computed before it became a single row-major pass.
+        let (k, n) = (37, 19);
+        let mut w = Tensor::from_vec(
+            (0..k * n)
+                .map(|i| ((i * 53 + 5) % 211) as f32 / 211.0 - 0.5)
+                .collect(),
+            [k, n],
+        )
+        .unwrap();
+        w.row_mut(3)[4] = f32::NAN; // ignored by `max`, in either order
+        w.row_mut(0)[7] = -9.5;
+        for r in 0..k {
+            w.row_mut(r)[11] = 0.0; // all-zero column: unit scale
+        }
+        let want: Vec<f32> = (0..n)
+            .map(|c| {
+                let abs_max = (0..k).fold(0.0_f32, |m, r| m.max(w.row(r)[c].abs()));
+                if abs_max == 0.0 {
+                    1.0
+                } else {
+                    abs_max / QMAX
+                }
+            })
+            .collect();
+        let q = ChannelQuantizedMatrix::quantize(&w);
+        assert_eq!(q.scales(), &want[..]);
+        assert_eq!(q.scales()[11], 1.0);
     }
 
     #[test]

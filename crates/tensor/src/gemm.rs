@@ -178,7 +178,7 @@ pub fn matmul_f32_reference(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f
 /// `C = A × B` over `f32` against a weight matrix packed **once** in a
 /// [`PackedMatrixF32`] (see `kernel::pack`): the per-call weight packing
 /// of [`matmul_f32_threaded`] disappears, and `m ≤ 2` decode inputs run
-/// the N-partitioned transposed-layout GEMV. Bit-identical to
+/// the N-partitioned panel-walking GEMV. Bit-identical to
 /// [`matmul_f32`] for any thread count.
 ///
 /// # Errors
@@ -237,11 +237,13 @@ pub fn matmul_f32_rows_prepacked(
 }
 
 /// Integer `C = A × B` with `i8` inputs and `i32` accumulation, against
-/// a weight matrix packed **once** in a [`PackedMatrixI8`].
+/// a weight matrix packed **once** in a [`PackedMatrixI8`] (one byte
+/// per weight, one layout for prefill and decode).
 ///
 /// This is the per-tensor W8A8 MatMul the mobile NPU executes natively
 /// (paper §2.2, Table 3). No saturation occurs: `i32` accumulation is
-/// exact for any `K ≤ 2^16` with `i8` operands, which also makes the
+/// exact for any `K ≤ 2^16` with `i8` operands (the bound the kernel's
+/// offset operand needs — see [`crate::kernel`]), which also makes the
 /// blocked kernel bit-exact against [`matmul_i8_reference`].
 ///
 /// # Errors

@@ -2,7 +2,7 @@
 //! group-quantized storage and the GEMV/GEMM drivers that consume it.
 //!
 //! Decode is memory-bandwidth-bound, so weight bytes are the single
-//! biggest lever on tokens/s: the i8 transposed decode layout streams
+//! biggest lever on tokens/s: the i8 column panels stream
 //! `k · n` bytes per token, the [`PackedMatrixI4`] stream is half that
 //! and [`PackedMatrixI2`] a quarter. The arithmetic follows the unified
 //! table-lookup formulation of T-MAN-style low-bit inference:
@@ -156,7 +156,7 @@ pub struct PackedLut<const BITS: usize> {
 }
 
 /// int4: codes `0..=15` decode to `[-7, 7]` (bias 8), 2 per byte,
-/// 16-entry tables — half the bytes of the i8 decode copy.
+/// 16-entry tables — half the bytes of the i8 panels.
 pub type PackedMatrixI4 = PackedLut<4>;
 
 /// int2: codes `1..=3` decode to `[-1, 1]` (bias 2; ternary, BitNet /

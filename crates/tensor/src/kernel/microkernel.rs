@@ -76,33 +76,32 @@ pub fn microkernel_f32(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[
 }
 
 /// `C_tile += A_panel · B_panel` over `kc` K steps, integer path: the
-/// one body behind both integer tile loops, generic over the B-panel
-/// element so each instantiates exactly the function it needs.
+/// one body behind both integer tile loops.
 ///
 /// The A panel arrives widened to `i16` (see [`super::pack`]); the B
-/// panel is either the i8 slabs, widened to `i16` the same way, or
-/// `lut_unpack`'s output, one **unsigned** byte per stored code.
-/// Products are exact in `i32` and accumulation is exact for any
-/// `K ≤ 2^16`, so both instantiations are bit-identical to the scalar
-/// reference regardless of blocking or thread count.
+/// panel is one **unsigned** byte per element — either a column panel of
+/// [`super::pack::PackedMatrixI8`] (`b + 128`) or `lut_unpack`'s output
+/// (one stored code per byte). Either way the signed value is
+/// `byte − bias`, and the caller removes `bias · Σ a` afterwards, once
+/// per (row, group). Products are exact in `i32`, and no partial sum can
+/// leave `i32` while `128 · 255 · K < 2^31`, i.e. for any `K ≤ 2^16`, so
+/// the result is bit-identical to the scalar reference regardless of
+/// blocking or thread count.
 ///
 /// The operand type is not cosmetic. A product of a sign-extended `i16`
 /// and a value whose upper bits are known zero compiles to one paired
 /// widening multiply-accumulate (`vpmaddwd`/`vpdpwssd`-class on x86)
 /// where two signed `i16` operands need a full-width 32-bit multiply
-/// plus an add, and a byte per code halves the panel traffic — so the
-/// `u8` instantiation is the faster of the two (`BENCH_kernels.json`,
-/// `lut_decode`), and the `i16` one is what ROADMAP's offset-operand
-/// item would retire. `#[inline(never)]` keeps each instantiation a
-/// standalone function, which is the shape the vectorizer is checked
-/// against.
+/// plus an add, and a byte per element halves the panel traffic
+/// (`BENCH_kernels.json`, `rows` / `lut_decode`). Pairing two K steps
+/// per `i32` lane — the shape those instructions really have, twice the
+/// MACs each — does *not* survive the auto-vectorizer: both the
+/// interleaved-panel and the two-rows-per-iteration formulation
+/// scalarize (≈ 6 Gop/s), so under `forbid(unsafe_code)` this body is
+/// the ceiling. `#[inline(never)]` keeps it a standalone function, which
+/// is the shape the vectorizer is checked against.
 #[inline(never)]
-pub fn microkernel_int<B: Copy + Into<i32>>(
-    kc: usize,
-    a_panel: &[i16],
-    b_panel: &[B],
-    acc: &mut [[i32; NR]; MR],
-) {
+pub fn microkernel_int(kc: usize, a_panel: &[i16], b_panel: &[u8], acc: &mut [[i32; NR]; MR]) {
     let mut lo = [[0i32; NR]; 4];
     let mut hi = [[0i32; NR]; 4];
     for (a, b) in a_panel
@@ -112,7 +111,7 @@ pub fn microkernel_int<B: Copy + Into<i32>>(
     {
         let mut bv = [0i32; NR];
         for j in 0..NR {
-            bv[j] = b[j].into();
+            bv[j] = i32::from(b[j]);
         }
         for r in 0..4 {
             let ar = i32::from(a[r]);
@@ -161,7 +160,9 @@ pub(super) fn lut_unpack<const BITS: usize>(codes: &[u8], panel: &mut [u8]) {
 /// row, lanes = output columns: `acc[j] = Σ_p code(p, j) · aq[p]` over
 /// the group's positions, reading `codes` in place (the GEMV-shaped
 /// counterpart of [`lut_unpack`] + [`microkernel_int`]; same layout,
-/// `aq` in position order).
+/// `aq` in position order). At `BITS = 8` a byte-row is one position of
+/// one plane and the "group" is a whole offset-`u8` column panel of
+/// [`super::pack::PackedMatrixI8`]: the i8 GEMV is this function.
 ///
 /// The partial-sum table `T[p][v] = aq[p] · (v − bias)` is evaluated in
 /// registers, entry by entry as each code selects it, rather than
@@ -181,7 +182,7 @@ pub(super) fn lut_unpack<const BITS: usize>(codes: &[u8], panel: &mut [u8]) {
 /// known-zero upper bits are what select the paired widening
 /// multiply-accumulate, `vpmaddwd`/`vpdpwssd`-class); and the sum runs
 /// through **four** accumulator rows — `BITS / 2` byte-rows per step ×
-/// `8 / BITS` planes, for either format — which is the shape the
+/// `8 / BITS` planes, for every width — which is the shape the
 /// vectorizer keeps in 16-lane registers (with one row, or eight, it
 /// vectorizes across byte-rows with gathers instead). An integer sum is
 /// freely reassociable, so none of this is visible in the result.
@@ -239,30 +240,23 @@ mod tests {
         }
     }
 
-    /// One tile of the integer body against the scalar product, for
-    /// either B-panel element type.
-    fn check_int_tile<B: Copy + Into<i32>>(b_elem: impl Fn(usize) -> B) {
+    #[test]
+    fn int_tile_is_exact_over_the_whole_unsigned_range() {
+        // A spans the full signed `i8` range; B bytes past `i8::MAX` must
+        // not sign-extend (the offset i8 panels use all of `0..=255`).
         let kc = 9;
-        let a: Vec<i16> = (0..kc * MR).map(|x| (x % 255) as i16 - 127).collect();
-        let b: Vec<B> = (0..kc * NR).map(b_elem).collect();
+        let a: Vec<i16> = (0..kc * MR).map(|x| (x % 256) as i16 - 128).collect();
+        let b: Vec<u8> = (0..kc * NR).map(|x| (x * 7 % 256) as u8).collect();
         let mut acc = [[1i32; NR]; MR];
         microkernel_int(kc, &a, &b, &mut acc);
         for r in 0..MR {
             for j in 0..NR {
                 let want: i32 = (0..kc)
-                    .map(|p| i32::from(a[p * MR + r]) * b[p * NR + j].into())
+                    .map(|p| i32::from(a[p * MR + r]) * i32::from(b[p * NR + j]))
                     .sum();
                 assert_eq!(acc[r][j], 1 + want, "tile ({r},{j})");
             }
         }
-    }
-
-    #[test]
-    fn int_tile_is_exact_in_both_instantiations() {
-        // The i8 slabs' widened `i16` (full signed range) and the LUT
-        // panels' `u8` (values past `i8::MAX` must not sign-extend).
-        check_int_tile::<i16>(|x| (x % 251) as i16 - 125);
-        check_int_tile::<u8>(|x| (x * 7 % 256) as u8);
     }
 
     #[test]
@@ -328,6 +322,22 @@ mod tests {
                     .map(|p| i32::from(a_panel[p * MR + r]) * i32::from(code(p, j)))
                     .sum();
                 assert_eq!(got, want, "tile ({r},{j}), len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn lut_dot_at_eight_bits_is_a_plain_panel_dot() {
+        // One plane, one byte per position: the offset-`u8` i8 panel.
+        for len in [0usize, 4, 8, 36] {
+            let codes: Vec<u8> = (0..len * NR).map(|x| (x * 11 % 256) as u8).collect();
+            let aq: Vec<i16> = (0..len).map(|p| (p * 29 % 256) as i16 - 128).collect();
+            let got = lut_dot::<8>(&codes, &aq);
+            for (j, &s) in got.iter().enumerate() {
+                let want: i32 = (0..len)
+                    .map(|p| i32::from(codes[p * NR + j]) * i32::from(aq[p]))
+                    .sum();
+                assert_eq!(s, want, "lane {j}, len {len}");
             }
         }
     }

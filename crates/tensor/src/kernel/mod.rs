@@ -11,7 +11,8 @@
 //!    packed A block in L1 while they are reused.
 //! 2. **Packing** ([`pack`]): operand blocks are copied once into
 //!    panel-ordered buffers that the inner loop reads with unit stride;
-//!    integer operands are widened to `i16` during the copy.
+//!    integer activations are widened to `i16` during the copy, integer
+//!    weights are stored as offset `u8` (one byte each).
 //! 3. **Register tiling** ([`microkernel`]): an `MR × NR` tile of C is
 //!    held in SIMD registers across the whole K loop (with hardware FMA
 //!    when the build target has it).
@@ -42,12 +43,12 @@
 //! packs at construction), so it has no per-call driver: one fewer path
 //! to keep bit-identical.
 //!
-//! * **Ownership**: the `PackedMatrix` owns the panel-ordered
-//!   (i16-widened, for i8) slab sequence keyed by the `KC`/`NC` blocking
-//!   of the tile loops; the i8 variant additionally carries a transposed
-//!   (`n × k`, 1-byte) copy for decode. Callers hold it next to the
-//!   quantized payload (e.g. a linear layer's weight struct) and hand
-//!   out `&` borrows per call.
+//! * **Ownership**: the f32 `PackedMatrix` owns the panel-ordered slab
+//!   sequence keyed by the `KC`/`NC` blocking of its tile loop; the i8
+//!   one owns full-K `NR`-column panels of `b + 128` as `u8` — one byte
+//!   per weight, one copy for prefill and decode. Callers hold it next
+//!   to the quantized payload (e.g. a linear layer's weight struct) and
+//!   hand out `&` borrows per call.
 //! * **When packing happens**: exactly once, inside
 //!   `PackedMatrix::pack`. The prepacked drivers perform **zero** B-side
 //!   packing per call ([`pack::pack_b_calls`] observes this); only the
@@ -60,22 +61,36 @@
 //!   switch to a GEMV that N-partitions the output columns across
 //!   `threads` workers ([`parallel::run_col_partitioned`]) — decode no
 //!   longer silently ignores the thread count the way the
-//!   row-partitioned path (capped at `m` bands) necessarily did. The
-//!   f32 GEMV reads the persistent panel slabs directly (each
-//!   `NR`-column panel already gives the K loop unit-stride, SIMD-width
-//!   column access); the i8 GEMV reads the transposed copy, whose
-//!   1-byte elements halve decode memory traffic vs the i16-widened
-//!   panels — decode is memory-bound, and integer exactness lets its
+//!   row-partitioned path (capped at `m` bands) necessarily did. Both
+//!   GEMVs read the persistent panels in place (each `NR`-column panel
+//!   already gives the K loop unit-stride, SIMD-width column access):
+//!   the f32 one walks the slab sequence, the i8 one is
+//!   `microkernel::lut_dot` at `BITS = 8` over a whole panel, both
+//!   rows of an `m = 2` call finished against a panel while it is hot.
+//!   Decode streams one byte per weight, and integer exactness lets the
 //!   dot products reassociate freely for vectorization.
+//!
+//! # The offset operand
+//!
+//! The i8 weights are stored as `b + 128`, so both integer kernels
+//! multiply a sign-extended `i16` activation by a byte whose upper bits
+//! are known zero — the operand shape that compiles to one paired
+//! widening multiply-accumulate ([`microkernel::microkernel_int`]) — and
+//! the drivers subtract `128 · Σₖ a[i, k]` from every output of row `i`
+//! (the row sum is taken once, where the A panel is packed). This is the
+//! `bias · Σ aq` identity the [`lut`] epilogue uses with `bias = 8` and
+//! `2`: i8 is the `BITS = 8`, one-group case of the same algebra, and
+//! the tile loop, the GEMV and the LUT walkers share their two inner
+//! kernels.
 //!
 //! The f32 prepacked and per-call drivers are **bit-identical**: one
 //! tile loop and one GEMV serve both B sources, the slab bytes are equal
 //! by construction, and the GEMV keeps the per-element operation
 //! sequence of the tile loop (same `KC`-slab reset/add structure, same
 //! `fmadd` contraction rule as the microkernel), so `C[i][j]` matches
-//! bit-for-bit. The two integer drivers are one body with two per-element
-//! `apply` closures, so the fused output is exactly the epilogue of the
-//! raw `i32` output.
+//! bit-for-bit. The two integer drivers are one body with two
+//! per-row-segment `apply` closures, so the fused output is exactly the
+//! epilogue of the raw `i32` output.
 //!
 //! # Sub-8-bit weights: the LUT family
 //!
@@ -152,7 +167,10 @@
 //! changes the K-summation order of any element, so 1-thread and
 //! N-thread runs are bit-identical. The integer kernels are exact (and
 //! therefore also bit-identical to the scalar reference) for any
-//! `K ≤ 2^16`.
+//! `K ≤ 2^16`: the largest partial sum the offset operand can produce is
+//! `128 · 255 · K`, which stays below `2^31` up to exactly that depth, so
+//! no intermediate wraps (the debug profile's overflow checks hold this
+//! in `tests/prop_gemm_i8.rs`).
 //!
 //! # Blocking
 //!
@@ -494,13 +512,15 @@ pub fn gemm_f32_prepacked_batched(
 /// `C = A · B` over `i8 → i32` with B packed once in a
 /// [`PackedMatrixI8`]. Bit-exact against the scalar reference for any
 /// `K ≤ 2^16` and any thread count; performs **zero** B-side packing per
-/// call. `m ≤ 2` routes to the N-partitioned transposed-layout GEMV.
+/// call. `m ≤ 2` routes to the N-partitioned panel GEMV.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the packed dimensions.
 pub fn gemm_i8_prepacked(m: usize, a: &[i8], b: &PackedMatrixI8, c: &mut [i32], threads: usize) {
-    gemm_i8_with(m, a, b, c, threads, |_, _, acc, dst| *dst = acc);
+    gemm_i8_with(m, a, b, c, threads, |_, _, acc, dst| {
+        dst.copy_from_slice(acc);
+    });
 }
 
 /// `C = dequant(A · B)` over `i8` with a fused [`Epilogue`] and B packed
@@ -522,23 +542,26 @@ pub fn gemm_i8_fused_prepacked(
     threads: usize,
 ) {
     check_epilogue_scales(&epilogue, m, b.n());
-    gemm_i8_with(m, a, b, c, threads, |row, col, acc, dst| {
-        apply_epilogue(epilogue, dst, row, col, acc);
+    gemm_i8_with(m, a, b, c, threads, |row, col0, acc, dst| {
+        apply_epilogue(epilogue, row, col0, acc, dst);
     });
 }
 
-/// The one integer driver body: decode-shaped inputs (`m ≤ 2`) take the
-/// transposed-layout GEMV, everything else the tile loop over the
-/// persistent slabs. `apply` receives `(global_row, global_col, acc,
-/// &mut dst)` for every completed full-K `i32` dot product; the raw and
-/// fused drivers differ in nothing else.
+/// The one integer driver body: decode-shaped inputs (`m ≤ 2`) dot each
+/// column panel in place ([`microkernel::lut_dot`] at `BITS = 8`),
+/// everything else runs the register tile over the same panels. Both
+/// compute `Σ a · (b + 128)` and subtract `128 · Σ a` per row (see
+/// [`pack::PackedMatrixI8`]). `apply` receives `(global_row, global_col0,
+/// acc, dst)` for every completed **row segment** — up to `NR` full-K
+/// `i32` dot products of one output row and the output elements they
+/// belong to; the raw and fused drivers differ in nothing else.
 fn gemm_i8_with<T: Send>(
     m: usize,
     a: &[i8],
     b: &PackedMatrixI8,
     c: &mut [T],
     threads: usize,
-    apply: impl Fn(usize, usize, i32, &mut T) + Sync,
+    apply: impl Fn(usize, usize, &[i32], &mut [T]) + Sync,
 ) {
     let (k, n) = (b.k(), b.n());
     assert_eq!(a.len(), m * k, "lhs shape mismatch");
@@ -546,21 +569,57 @@ fn gemm_i8_with<T: Send>(
     if m == 0 || n == 0 {
         return;
     }
-    if m <= GEMV_MAX_ROWS {
-        gemv_i8(m, k, n, a, b.bt(), c, threads, apply);
-        return;
-    }
-    let mut j0 = 0;
-    while j0 < n {
-        let nc = NC.min(n - j0);
-        let b_slab = b.slab(j0 / NC);
+    if m > GEMV_MAX_ROWS {
         parallel::run_row_partitioned(threads, m, n, c, |row0, rows, band| {
-            gemm_i8_band(row0, rows, k, a, j0, nc, b_slab, |i, j, acc| {
-                apply(row0 + i, j, acc, &mut band[i * n + j]);
+            gemm_i8_band(row0, rows, a, b, |i, col0, acc| {
+                apply(row0 + i, col0, acc, &mut band[i * n + col0..][..acc.len()]);
             });
         });
-        j0 += nc;
+        return;
     }
+    // Decode: the rows widened once to the panel depth (zero-padded, so
+    // the padded panel rows contribute nothing), with their corrections.
+    let k_pad = b.k_pad();
+    let mut aq = vec![0i16; m * k_pad];
+    let mut corr = [0i32; GEMV_MAX_ROWS];
+    for ((aq_row, a_row), corr) in aq
+        .chunks_mut(k_pad.max(1))
+        .zip(a.chunks(k.max(1)))
+        .zip(&mut corr)
+    {
+        for (q, &v) in aq_row.iter_mut().zip(a_row) {
+            *q = i16::from(v);
+        }
+        *corr = pack::i8_offset_correction(a_row);
+    }
+    // NR-aligned bands keep every panel inside one worker, which finishes
+    // both rows against a panel while its bytes are hot: the weights
+    // stream from memory once per call, not once per row.
+    parallel::run_col_partitioned_rows(threads, m, n, NR, c, |col0, cols, group| {
+        for j0 in (0..cols).step_by(NR) {
+            let panel = b.panel((col0 + j0) / NR);
+            let width = NR.min(cols - j0);
+            for (row, band) in group.iter_mut() {
+                let aq_row = &aq[*row * k_pad..(*row + 1) * k_pad];
+                let acc = gemv_i8_panel(panel, aq_row, corr[*row]);
+                apply(*row, col0 + j0, &acc[..width], &mut band[j0..j0 + width]);
+            }
+        }
+    });
+}
+
+/// One activation row against one column panel: the `NR` signed dot
+/// products, offset correction applied. `#[inline(never)]` around the
+/// `#[inline(always)]` [`microkernel::lut_dot`] is the pairing the LUT
+/// row walker uses — one standalone function per panel walk, the shape
+/// the vectorizer is checked against.
+#[inline(never)]
+fn gemv_i8_panel(panel: &[u8], aq: &[i16], corr: i32) -> [i32; NR] {
+    let mut acc = microkernel::lut_dot::<8>(panel, aq);
+    for s in &mut acc {
+        *s -= corr;
+    }
+    acc
 }
 
 /// Asserts that an epilogue's scale vectors match the output dimensions.
@@ -580,111 +639,82 @@ fn check_epilogue_scales(epilogue: &Epilogue<'_>, m: usize, n: usize) {
     }
 }
 
-/// Applies a fused [`Epilogue`] to one completed `i32` dot product.
-/// `row`/`col` are global output coordinates (the per-row scale indexes
-/// by absolute row).
+/// Applies a fused [`Epilogue`] to one completed row segment: `acc[j]`
+/// is the `i32` dot product of output `(row, col0 + j)`, `dst[j]` that
+/// output. The variant is matched once per segment and each arm is a
+/// straight loop over the lanes, so the dequantization vectorizes; the
+/// float expression per element is the documented one.
 #[inline(always)]
-fn apply_epilogue(epilogue: Epilogue<'_>, dst: &mut f32, row: usize, col: usize, acc: i32) {
+fn apply_epilogue(epilogue: Epilogue<'_>, row: usize, col0: usize, acc: &[i32], dst: &mut [f32]) {
+    let lanes = dst.iter_mut().zip(acc);
     match epilogue {
-        Epilogue::PerTensor { scale } => *dst = acc as f32 * scale,
-        Epilogue::PerTensorAcc { scale } => *dst += acc as f32 * scale,
+        Epilogue::PerTensor { scale } => {
+            for (d, &s) in lanes {
+                *d = s as f32 * scale;
+            }
+        }
+        Epilogue::PerTensorAcc { scale } => {
+            for (d, &s) in lanes {
+                *d += s as f32 * scale;
+            }
+        }
         Epilogue::PerChannel { a_scale, w_scales } => {
-            *dst = acc as f32 * a_scale * w_scales[col];
+            for ((d, &s), &w) in lanes.zip(&w_scales[col0..]) {
+                *d = s as f32 * a_scale * w;
+            }
         }
         Epilogue::PerRow {
             row_scales,
             w_scales,
         } => {
-            *dst = acc as f32 * row_scales[row] * w_scales[col];
+            let a_scale = row_scales[row];
+            for ((d, &s), &w) in lanes.zip(&w_scales[col0..]) {
+                *d = s as f32 * a_scale * w;
+            }
         }
     }
 }
 
-/// Decode-shaped integer fast path (`m ≤ 2`): the i16-widened panels
-/// would double the bytes a memory-bound single row streams, so B is
-/// read from the packed matrix's transposed `n × k` layout (`bt`: each
-/// output column's K run contiguous at 1 byte per element). Integer
-/// accumulation is exact and order-independent, so the lane-partitioned
-/// sums stay bit-identical to the tiled path for any thread count.
-/// Output columns are N-partitioned across `threads`; `apply` receives
-/// `(row, col, acc, &mut dst)` for each completed dot product.
-#[allow(clippy::too_many_arguments)] // BLAS-style driver signature
-fn gemv_i8<T: Send>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    bt: &[i8],
-    c: &mut [T],
-    threads: usize,
-    apply: impl Fn(usize, usize, i32, &mut T) + Sync,
-) {
-    parallel::run_col_partitioned(threads, m, n, 1, c, |row, col0, _, band| {
-        let a_row = &a[row * k..(row + 1) * k];
-        // No zero-skip here: a branch in the dot product defeats
-        // auto-vectorization, and skipping an exactly-zero term is
-        // bit-invisible for integers anyway. Lane-partitioned partial
-        // sums let the compiler keep SIMD accumulators; integer addition
-        // is associative, so the result is identical to the sequential
-        // sum.
-        const LANES: usize = 16;
-        for (jj, dst) in band.iter_mut().enumerate() {
-            let col = &bt[(col0 + jj) * k..(col0 + jj + 1) * k];
-            let mut lanes = [0i32; LANES];
-            let mut a_chunks = a_row.chunks_exact(LANES);
-            let mut b_chunks = col.chunks_exact(LANES);
-            for (ac, bc) in (&mut a_chunks).zip(&mut b_chunks) {
-                for (s, (&a_ip, &b_pj)) in lanes.iter_mut().zip(ac.iter().zip(bc)) {
-                    *s += i32::from(a_ip) * i32::from(b_pj);
-                }
-            }
-            let mut s: i32 = lanes.iter().sum();
-            for (&a_ip, &b_pj) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
-                s += i32::from(a_ip) * i32::from(b_pj);
-            }
-            apply(row, col0 + jj, s, dst);
-        }
-    });
-}
-
-/// Integer tile loop over one contiguous row band, for one packed `j0`
-/// B slab (full K — see module docs on why the integer path never blocks
-/// K). Hands every completed `i32` dot product to `emit(band_row,
-/// global_col, acc)`; the full-K accumulation is the invariant that makes
-/// fused dequantization sound.
-#[allow(clippy::too_many_arguments)] // BLAS-style driver signature
+/// Integer tile loop over one contiguous row band (full K — see module
+/// docs on why the integer path never blocks K). Each column panel is
+/// taken through every row tile of the block while it is hot, so the
+/// weights stream once per `MC` rows. Hands every completed row segment
+/// to `emit(band_row, global_col0, acc)`; the full-K accumulation is the
+/// invariant that makes fused dequantization sound.
 fn gemm_i8_band(
     row0: usize,
     m: usize,
-    k: usize,
     a: &[i8],
-    j0: usize,
-    nc: usize,
-    b_pack: &[i16],
-    mut emit: impl FnMut(usize, usize, i32),
+    b: &PackedMatrixI8,
+    mut emit: impl FnMut(usize, usize, &[i32]),
 ) {
+    let (k, n) = (b.k(), b.n());
     // A panels live in the worker's persistent scratch arena (see the
     // f32 band driver above).
     pack::with_a_scratch_i16(|a_pack| {
-        let n_panels = nc.div_ceil(NR);
         let mut i0 = 0;
         while i0 < m {
             let mc = MC.min(m - i0);
             pack::pack_a_i8(a, k, row0 + i0, 0, mc, k, a_pack);
-            let m_panels = mc.div_ceil(MR);
-            for pi in 0..m_panels {
-                let rows = (mc - pi * MR).min(MR);
-                let a_panel = &a_pack[pi * k * MR..(pi + 1) * k * MR];
-                for pj in 0..n_panels {
-                    let cols = (nc - pj * NR).min(NR);
-                    let b_panel = &b_pack[pj * k * NR..(pj + 1) * k * NR];
+            let mut corr = [0i32; MC];
+            for (corr, a_row) in corr[..mc]
+                .iter_mut()
+                .zip(a[(row0 + i0) * k..].chunks(k.max(1)))
+            {
+                *corr = pack::i8_offset_correction(a_row);
+            }
+            for pj in 0..n.div_ceil(NR) {
+                let cols = NR.min(n - pj * NR);
+                let b_panel = b.panel(pj);
+                for (pi, corr) in corr[..mc].chunks(MR).enumerate() {
+                    let a_panel = &a_pack[pi * k * MR..(pi + 1) * k * MR];
                     let mut acc = [[0i32; NR]; MR];
                     microkernel_int(k, a_panel, b_panel, &mut acc);
-                    for (r, acc_row) in acc.iter().take(rows).enumerate() {
-                        let row = i0 + pi * MR + r;
-                        for (j, &v) in acc_row.iter().take(cols).enumerate() {
-                            emit(row, j0 + pj * NR + j, v);
+                    for (r, (acc_row, &corr)) in acc.iter_mut().zip(corr).enumerate() {
+                        for s in acc_row.iter_mut() {
+                            *s -= corr;
                         }
+                        emit(i0 + pi * MR + r, pj * NR, &acc_row[..cols]);
                     }
                 }
             }

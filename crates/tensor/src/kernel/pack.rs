@@ -13,21 +13,24 @@
 //!
 //! Ragged edges are zero-padded to the full `MR`/`NR` width, which keeps
 //! the microkernel branch-free; the writeback step simply ignores the
-//! padded lanes. Integer operands are widened to `i16` during packing so
-//! the microkernel multiplies without per-element conversions (every
-//! `i8` value is exactly representable in `i16`, so this loses nothing).
+//! padded lanes. Integer **A** panels are widened to `i16` during packing
+//! so the microkernel multiplies without per-element conversions (every
+//! `i8` value is exactly representable in `i16`, so this loses nothing);
+//! integer **B** panels are one unsigned byte per weight (below).
 //!
 //! # Persistent packing: [`PackedMatrixF32`] / [`PackedMatrixI8`]
 //!
-//! The per-call packers above copy a B block on **every** driver
+//! The per-call packer above copies a B block on **every** driver
 //! invocation. For weights — which never change between forward passes —
-//! that work can be done exactly once: a `PackedMatrix` owns the complete
-//! panel-ordered slab sequence the blocked driver would otherwise rebuild
-//! per call (keyed by the driver's `KC`/`NC` blocking so the slab contents
-//! are byte-identical to the per-call path), plus a transposed copy of B
-//! for the decode GEMV, whose per-output-column dot products want the K
-//! dimension contiguous. The `*_prepacked` drivers in [`super`] consume
-//! these and never touch the per-call packers.
+//! that work can be done exactly once. A [`PackedMatrixF32`] owns the
+//! complete panel-ordered slab sequence the blocked driver would
+//! otherwise rebuild per call (keyed by the driver's `KC`/`NC` blocking
+//! so the slab contents are byte-identical to the per-call path). A
+//! [`PackedMatrixI8`] owns full-K `NR`-column panels of `b + 128` as
+//! `u8` — one byte per weight, one layout for the tile loop and the
+//! decode GEMV alike (the `BITS = 8`, one-group case of the
+//! [`super::lut`] column-panel format). The `*_prepacked` drivers in
+//! [`super`] consume these and never pack B.
 //!
 //! For observability (and the "weights pack once" regression tests), every
 //! B-side pack — per-call or constructor — bumps a thread-local counter
@@ -178,21 +181,19 @@ pub fn pack_b_f32(
     nc: usize,
     out: &mut Vec<f32>,
 ) {
-    pack_b_with(b, ldb, row0, col0, kc, nc, |x| x, out);
-}
-
-/// Packs a `kc × nc` block of an `i8` matrix into `NR`-column panels,
-/// widening to `i16`.
-pub fn pack_b_i8(
-    b: &[i8],
-    ldb: usize,
-    row0: usize,
-    col0: usize,
-    kc: usize,
-    nc: usize,
-    out: &mut Vec<i16>,
-) {
-    pack_b_with(b, ldb, row0, col0, kc, nc, i16::from, out);
+    note_pack_b();
+    out.clear();
+    let panels = nc.div_ceil(NR);
+    out.reserve(panels * kc * NR);
+    for pj in 0..panels {
+        let c0 = col0 + pj * NR;
+        let cols = (col0 + nc - c0).min(NR);
+        for p in 0..kc {
+            let base = (row0 + p) * ldb + c0;
+            out.extend_from_slice(&b[base..base + cols]);
+            out.extend(std::iter::repeat_n(0.0, NR - cols));
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)] // BLAS-style packing signature
@@ -233,45 +234,6 @@ pub(super) fn note_pack_b() {
     PACK_B_CALLS_GLOBAL.fetch_add(1, Ordering::Relaxed);
 }
 
-#[allow(clippy::too_many_arguments)] // BLAS-style packing signature
-fn pack_b_with<TI: Copy, TO: Copy + Default>(
-    b: &[TI],
-    ldb: usize,
-    row0: usize,
-    col0: usize,
-    kc: usize,
-    nc: usize,
-    widen: impl Fn(TI) -> TO,
-    out: &mut Vec<TO>,
-) {
-    note_pack_b();
-    out.clear();
-    let panels = nc.div_ceil(NR);
-    out.reserve(panels * kc * NR);
-    for pj in 0..panels {
-        let c0 = col0 + pj * NR;
-        let cols = (col0 + nc - c0).min(NR);
-        for p in 0..kc {
-            let base = (row0 + p) * ldb + c0;
-            out.extend(b[base..base + cols].iter().map(|&x| widen(x)));
-            out.extend(std::iter::repeat_n(TO::default(), NR - cols));
-        }
-    }
-}
-
-/// Transposes a row-major `k × n` matrix into a dense `n × k` buffer
-/// (each output column of the product becomes one contiguous run).
-fn transpose<T: Copy + Default>(b: &[T], k: usize, n: usize) -> Vec<T> {
-    let mut bt = vec![T::default(); n * k];
-    for p in 0..k {
-        let row = &b[p * n..(p + 1) * n];
-        for (j, &v) in row.iter().enumerate() {
-            bt[j * k + p] = v;
-        }
-    }
-    bt
-}
-
 /// A `k × n` f32 right-hand operand packed **once** for repeated use.
 ///
 /// Holds the exact `KC × NC` slab sequence `super::gemm_f32` would build
@@ -279,10 +241,9 @@ fn transpose<T: Copy + Default>(b: &[T], k: usize, n: usize) -> Vec<T> {
 /// prepacked driver is bit-identical to the per-call path. The decode
 /// GEMV reads these same slabs (each `NR`-column panel already gives the
 /// K loop unit-stride, SIMD-width column access, so a separate
-/// transposed copy would add memory without adding speed — unlike the
-/// integer case, where the panels are i16-widened and a 1-byte
-/// transposed copy halves decode traffic). Built once at weight
-/// load/quantization time; `forward()`-style callers then never pack.
+/// transposed copy would add memory without adding speed). Built once at
+/// weight load/quantization time; `forward()`-style callers then never
+/// pack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMatrixF32 {
     k: usize,
@@ -343,22 +304,37 @@ impl PackedMatrixF32 {
     }
 }
 
-/// A `k × n` i8 right-hand operand packed **once** for repeated use.
+/// Added to every stored weight of a [`PackedMatrixI8`] so the panel
+/// bytes are unsigned: the stored byte is `b + 128`, and a dot product
+/// over stored bytes exceeds the signed one by `128 · Σ a` — which the
+/// drivers subtract once per output row (the `bias · Σ aq` identity of
+/// the [`super::lut`] epilogue, at `BITS = 8`).
+const I8_OFFSET: i32 = 128;
+
+/// What a dot product of activation row `a_row` over stored panel bytes
+/// exceeds the signed one by: `128 · Σ a`. Fits `i32` for any
+/// `K ≤ 2^16`.
+pub(super) fn i8_offset_correction(a_row: &[i8]) -> i32 {
+    I8_OFFSET * a_row.iter().map(|&v| i32::from(v)).sum::<i32>()
+}
+
+/// A `k × n` i8 right-hand operand packed **once** for repeated use, at
+/// one byte per weight.
 ///
-/// Holds the full-K, i16-widened `NC`-column slab sequence the integer
-/// tile loop walks (the integer path never blocks K — see the [`super`]
-/// docs), plus a transposed (`n × k`) `i8` copy for
-/// the decode GEMV. The transposed layout stays 1 byte per element
-/// because decode is memory-bound: the GEMV widens in registers, unlike
-/// the microkernel, which wants its operands pre-widened.
+/// One layout serves both shape classes: `ceil(n / NR)` column panels,
+/// each the full K deep (the integer path never blocks K — see the
+/// [`super`] docs) and `NR` bytes wide, holding `b + 128` as `u8`. The
+/// tile loop hands a panel to the microkernel as is; the decode GEMV
+/// dots it in place. K is padded to a multiple of 4 (the GEMV walks four
+/// positions per step, so it needs no tail) and N to a whole panel;
+/// every padding byte is the offset zero, 128, so equal matrices pack to
+/// equal values and a padded position contributes `0 · 128`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMatrixI8 {
     k: usize,
     n: usize,
-    /// Per-`j0` block slabs (full K, widened to `i16`), in `j0` order.
-    slabs: Vec<Vec<i16>>,
-    /// Transposed `n × k` copy for the column-partitioned GEMV.
-    bt: Vec<i8>,
+    /// `panels[pj * k_pad * NR ..]` is column panel `pj`, K-major.
+    panels: Vec<u8>,
 }
 
 impl PackedMatrixI8 {
@@ -370,21 +346,19 @@ impl PackedMatrixI8 {
     #[must_use]
     pub fn pack(b: &[i8], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        let mut slabs = Vec::new();
-        let mut j0 = 0;
-        while j0 < n {
-            let nc = NC.min(n - j0);
-            let mut slab = Vec::new();
-            pack_b_i8(b, n, 0, j0, k, nc, &mut slab);
-            slabs.push(slab);
-            j0 += nc;
+        note_pack_b();
+        let k_pad = k.next_multiple_of(4);
+        let mut panels = Vec::with_capacity(n.div_ceil(NR) * k_pad * NR);
+        for c0 in (0..n).step_by(NR) {
+            let cols = NR.min(n - c0);
+            for p in 0..k {
+                let row = &b[p * n + c0..][..cols];
+                panels.extend(row.iter().map(|&x| (i32::from(x) + I8_OFFSET) as u8));
+                panels.extend(std::iter::repeat_n(I8_OFFSET as u8, NR - cols));
+            }
+            panels.extend(std::iter::repeat_n(I8_OFFSET as u8, (k_pad - k) * NR));
         }
-        PackedMatrixI8 {
-            k,
-            n,
-            slabs,
-            bt: transpose(b, k, n),
-        }
+        PackedMatrixI8 { k, n, panels }
     }
 
     /// Packs the matrix view of a tensor.
@@ -406,14 +380,23 @@ impl PackedMatrixI8 {
         self.n
     }
 
-    /// Slab for the `idx`-th `NC`-column block.
-    pub(crate) fn slab(&self, idx: usize) -> &[i16] {
-        &self.slabs[idx]
+    /// Bytes of weight storage held: `ceil4(k) · ceil16(n)`, one per
+    /// (padded) weight and nothing else.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.panels.len()
     }
 
-    /// The transposed `n × k` decode layout.
-    pub(crate) fn bt(&self) -> &[i8] {
-        &self.bt
+    /// `k` rounded up to the GEMV walker's step of 4: the depth of every
+    /// panel.
+    pub(crate) fn k_pad(&self) -> usize {
+        self.k.next_multiple_of(4)
+    }
+
+    /// Column panel `pj`: `k_pad × NR` offset bytes, K-major.
+    pub(crate) fn panel(&self, pj: usize) -> &[u8] {
+        let len = self.k_pad() * NR;
+        &self.panels[pj * len..(pj + 1) * len]
     }
 }
 
@@ -478,13 +461,6 @@ mod tests {
         assert_eq!(reused_b, fresh_b);
 
         let ai: Vec<i8> = (0..32 * 32).map(|x| (x % 251) as i8).collect();
-        let mut reused_i = Vec::new();
-        pack_b_i8(&ai, 32, 0, 0, 30, 30, &mut reused_i);
-        pack_b_i8(&ai, 32, 1, 2, 3, 4, &mut reused_i);
-        let mut fresh_i = Vec::new();
-        pack_b_i8(&ai, 32, 1, 2, 3, 4, &mut fresh_i);
-        assert_eq!(reused_i, fresh_i);
-
         let mut reused_ai = Vec::new();
         pack_a_i8(&ai, 32, 0, 0, 30, 30, &mut reused_ai);
         pack_a_i8(&ai, 32, 4, 1, 2, 6, &mut reused_ai);
@@ -517,15 +493,32 @@ mod tests {
     }
 
     #[test]
-    fn packed_i8_slabs_are_full_k_and_widened() {
-        let k = 5;
+    fn packed_i8_panels_are_full_k_offset_bytes() {
+        let k = 5; // pads to 8
         let n = NR + 3; // one ragged panel
-        let b: Vec<i8> = (0..k * n).map(|x| ((x * 11 + 1) % 255) as i8).collect();
+        let mut b: Vec<i8> = (0..k * n)
+            .map(|x| ((x * 11 + 1) % 256) as u8 as i8)
+            .collect();
+        (b[3], b[n + 1]) = (-128, 127);
         let pm = PackedMatrixI8::pack(&b, k, n);
-        let mut want = Vec::new();
-        pack_b_i8(&b, n, 0, 0, k, n, &mut want);
-        assert_eq!(pm.slab(0), &want[..]);
-        assert_eq!(pm.bt()[2 * k], b[2]); // column 2, p = 0
+        assert_eq!(pm.k_pad(), 8);
+        assert_eq!(pm.resident_bytes(), 8 * 2 * NR);
+        for pj in 0..2 {
+            let panel = pm.panel(pj);
+            assert_eq!(panel.len(), 8 * NR);
+            for (p, row) in panel.chunks_exact(NR).enumerate() {
+                for (l, &byte) in row.iter().enumerate() {
+                    let col = pj * NR + l;
+                    let want = if p < k && col < n {
+                        (i32::from(b[p * n + col]) + 128) as u8
+                    } else {
+                        128
+                    };
+                    assert_eq!(byte, want, "panel {pj} row {p} lane {l}");
+                }
+            }
+        }
+        assert_eq!(pm, PackedMatrixI8::pack(&b, k, n));
     }
 
     #[test]
