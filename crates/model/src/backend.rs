@@ -168,6 +168,12 @@ pub fn merge_linear(main: &mut Tensor<f32>, shadow: &Tensor<f32>) -> Result<()> 
     Ok(())
 }
 
+fn no_gate_projection() -> Error {
+    Error::InvalidConfig {
+        what: "model has no gate projection".to_owned(),
+    }
+}
+
 fn site_weight(weights: &ModelWeights, layer: usize, kind: LinearKind) -> Result<&Tensor<f32>> {
     let l = weights.layers.get(layer).ok_or(Error::LayerOutOfRange {
         layer,
@@ -178,9 +184,7 @@ fn site_weight(weights: &ModelWeights, layer: usize, kind: LinearKind) -> Result
         LinearKind::K => &l.wk,
         LinearKind::V => &l.wv,
         LinearKind::O => &l.wo,
-        LinearKind::Gate => l.w_gate.as_ref().ok_or(Error::InvalidConfig {
-            what: "model has no gate projection".to_owned(),
-        })?,
+        LinearKind::Gate => l.w_gate.as_ref().ok_or_else(no_gate_projection)?,
         LinearKind::Up => &l.w_up,
         LinearKind::Down => &l.w_down,
     };
@@ -205,44 +209,57 @@ pub fn model_sites(weights: &ModelWeights) -> Vec<LinearSite> {
 /// FP32 reference backend (the paper's FP16 row, with extra precision).
 ///
 /// Every projection weight is packed **once** at construction into the
-/// kernel's persistent layout ([`PackedMatrixF32`]); `linear` calls then
-/// run the prepacked driver — bit-identical to the per-call-packing
-/// path, with zero weight packing per call.
+/// kernel's persistent layout ([`PackedMatrixF32`]), and the packed
+/// panels are the only copy kept; `linear` calls then run the prepacked
+/// driver — bit-identical to the per-call-packing path, with zero weight
+/// packing per call.
 #[derive(Debug, Clone)]
 pub struct FloatBackend {
-    weights: ModelWeights,
     packed: HashMap<LinearSite, PackedMatrixF32>,
+    /// Layer count of the consumed model, for `LayerOutOfRange`.
+    layers: usize,
 }
 
 impl FloatBackend {
-    /// Wraps model weights, packing every projection once.
+    /// Consumes model weights: each projection is moved out, packed and
+    /// dropped in turn.
     #[must_use]
     pub fn new(weights: ModelWeights) -> Self {
-        let packed = model_sites(&weights)
-            .into_iter()
-            .map(|site| {
-                let w = site_weight(&weights, site.0, site.1)
-                    .expect("model_sites only yields present sites");
-                (site, PackedMatrixF32::from_tensor(w))
-            })
-            .collect();
-        FloatBackend { weights, packed }
-    }
-
-    /// The wrapped weights.
-    #[must_use]
-    pub fn weights(&self) -> &ModelWeights {
-        &self.weights
+        let layers = weights.layers.len();
+        let mut packed = HashMap::new();
+        for (layer, l) in weights.layers.into_iter().enumerate() {
+            let sites = [
+                (LinearKind::Q, Some(l.wq)),
+                (LinearKind::K, Some(l.wk)),
+                (LinearKind::V, Some(l.wv)),
+                (LinearKind::O, Some(l.wo)),
+                (LinearKind::Gate, l.w_gate),
+                (LinearKind::Up, Some(l.w_up)),
+                (LinearKind::Down, Some(l.w_down)),
+            ];
+            for (kind, w) in sites {
+                if let Some(w) = w {
+                    packed.insert((layer, kind), PackedMatrixF32::from_tensor(&w));
+                }
+            }
+        }
+        FloatBackend { packed, layers }
     }
 }
 
 impl LinearBackend for FloatBackend {
     fn linear(&self, layer: usize, kind: LinearKind, x: &Tensor<f32>) -> Result<Tensor<f32>> {
         let Some(packed) = self.packed.get(&(layer, kind)) else {
-            // `packed` holds exactly the sites `site_weight` resolves, so
-            // a miss is an out-of-range layer or an absent projection.
-            return Err(site_weight(&self.weights, layer, kind)
-                .expect_err("every present site is packed at construction"));
+            // Every projection but the optional gate is packed for every
+            // layer, so a miss is an out-of-range layer or an ungated FFN.
+            return Err(if layer >= self.layers {
+                Error::LayerOutOfRange {
+                    layer,
+                    layers: self.layers,
+                }
+            } else {
+                no_gate_projection()
+            });
         };
         Ok(gemm::matmul_f32_prepacked(x, packed, host_threads())?)
     }
@@ -675,6 +692,14 @@ mod tests {
         let sites = model_sites(&w);
         assert!(sites.iter().all(|(_, k)| *k != LinearKind::Gate));
         assert_eq!(sites.len(), 2 * 6);
+        // The float backend kept no weights to look the gate up in; it
+        // still names the absent projection, not the layer.
+        let x = Tensor::from_vec(vec![0.0_f32; 40], [1, 40]).unwrap();
+        let err = FloatBackend::new(w).linear(1, LinearKind::Gate, &x);
+        assert!(
+            matches!(&err, Err(Error::InvalidConfig { what }) if what.contains("no gate projection")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -766,9 +791,10 @@ mod tests {
         let w = tiny_weights();
         let be = FloatBackend::new(w);
         let x = Tensor::from_vec(vec![0.0_f32; 32], [1, 32]).unwrap();
+        let layers = ModelConfig::tiny().layers;
         assert!(matches!(
             be.linear(99, LinearKind::Q, &x),
-            Err(Error::LayerOutOfRange { .. })
+            Err(Error::LayerOutOfRange { layer: 99, layers: l }) if l == layers
         ));
     }
 

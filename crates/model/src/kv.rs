@@ -136,12 +136,6 @@ impl KvCache {
         }
     }
 
-    /// Number of layers.
-    #[must_use]
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Cached sequence length (positions in layer 0).
     #[must_use]
     pub fn seq_len(&self) -> usize {

@@ -23,6 +23,22 @@
 //!   plane's table-lookup kernels: pack once at construction, stream
 //!   half/quarter the weight bytes per decode step.
 //!
+//! # Value types and layer types
+//!
+//! Two kinds of type live here. The *value* types
+//! ([`per_tensor::QuantizedMatrix`],
+//! [`per_tensor::ChannelQuantizedMatrix`],
+//! [`per_group::GroupQuantizedMatrix`]) are row-major algebra: quantize,
+//! inspect scales, dequantize. The *layer* types (`*Linear`) multiply,
+//! and hold their weight **once**, in the kernel's packed layout
+//! (`PackedMatrixI8`, or the LUT formats) plus its scales — the value
+//! type lives for the duration of `new`, then drops, and whatever a
+//! layer reads back (shadow-outlier rows, the `forward_float`
+//! yardsticks) comes out of the packed panels. The one exception is
+//! [`mixed::MixedLinear`]: LLM.int8() multiplies its outlier columns by
+//! the *float* weights, so the float matrix beside the i8 one is the
+//! method, not a twin.
+//!
 //! # Example
 //!
 //! ```

@@ -17,18 +17,19 @@
 use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
-use crate::per_tensor::{matmul_dequant, quantize_value};
+use crate::per_tensor::{matmul_dequant, quantize_value, ChannelQuantizedMatrix};
 use crate::Result;
 
 /// A linear layer with LLM.int8()-style execution.
 #[derive(Debug, Clone)]
 pub struct MixedLinear {
-    /// Float weights `[in, out]` (kept for outlier rows and reference).
+    /// Float weights `[in, out]`: LLM.int8() multiplies its outlier
+    /// columns by these, so this layer alone holds a weight twice.
+    // lint: allow(one-copy) — the float outlier rows are the method
     weight_f: Tensor<f32>,
     /// Per-column (output channel) weight scales.
     w_scales: Vec<f32>,
-    /// Quantized weights, packed once into the kernel's persistent layout
-    /// (the integer MatMul never sees the row-major payload again).
+    /// The per-channel quantized weights, in the kernel's packed layout.
     packed: PackedMatrixI8,
     /// Activation magnitude above which a column is treated as an outlier.
     threshold: f32,
@@ -41,28 +42,11 @@ impl MixedLinear {
     /// (6.0 in the LLM.int8() paper; callers calibrate it per model).
     #[must_use]
     pub fn new(weight: &Tensor<f32>, threshold: f32) -> Self {
-        let (k, n) = weight.matrix_dims();
-        // Per-output-channel symmetric scales.
-        let mut w_scales = vec![1.0_f32; n];
-        for (c, ws) in w_scales.iter_mut().enumerate() {
-            let mut abs_max = 0.0_f32;
-            for r in 0..k {
-                abs_max = abs_max.max(weight.row(r)[c].abs());
-            }
-            *ws = if abs_max == 0.0 { 1.0 } else { abs_max / 127.0 };
-        }
-        let mut weight_q = Tensor::zeros([k, n]);
-        for r in 0..k {
-            let src = weight.row(r);
-            let dst = weight_q.row_mut(r);
-            for c in 0..n {
-                dst[c] = quantize_value(src[c], w_scales[c]);
-            }
-        }
+        let weight_q = ChannelQuantizedMatrix::quantize(weight);
         MixedLinear {
             weight_f: weight.clone(),
-            w_scales,
-            packed: PackedMatrixI8::from_tensor(&weight_q),
+            w_scales: weight_q.scales().to_vec(),
+            packed: PackedMatrixI8::from_tensor(weight_q.data()),
             threshold,
         }
     }
@@ -190,6 +174,35 @@ mod tests {
         let layer = MixedLinear::new(&w, 6.0);
         let x = Tensor::from_vec(vec![0.1_f32, 7.0, -0.2, 0.3], [1, 4]).unwrap();
         assert_eq!(layer.outlier_columns(&x), vec![1]);
+    }
+
+    #[test]
+    fn integer_half_matches_the_column_major_quantization_loop() {
+        // What `new` computed before it went through
+        // `ChannelQuantizedMatrix`: per-column abs-max one column at a
+        // time, then `quantize_value` per element.
+        let (k, n) = (21, 19);
+        let mut w = ramp(k, n, 1.0);
+        w.row_mut(3)[4] = f32::NAN; // ignored by `max`, quantizes to 0
+        w.row_mut(0)[7] = -9.5; // a negative extreme sets its column's scale
+        for r in 0..k {
+            w.row_mut(r)[11] = 0.0; // all-zero column: unit scale
+        }
+        let mut w_scales = vec![1.0_f32; n];
+        for (c, ws) in w_scales.iter_mut().enumerate() {
+            let abs_max = (0..k).fold(0.0_f32, |m, r| m.max(w.row(r)[c].abs()));
+            *ws = if abs_max == 0.0 { 1.0 } else { abs_max / 127.0 };
+        }
+        let mut weight_q = Tensor::zeros([k, n]);
+        for r in 0..k {
+            for (c, &ws) in w_scales.iter().enumerate() {
+                weight_q.row_mut(r)[c] = quantize_value(w.row(r)[c], ws);
+            }
+        }
+        let layer = MixedLinear::new(&w, 6.0);
+        assert_eq!(layer.w_scales, w_scales);
+        assert_eq!(layer.packed, PackedMatrixI8::from_tensor(&weight_q));
+        assert_eq!((w_scales[11], weight_q.row(0)[7]), (1.0, -127));
     }
 
     #[test]

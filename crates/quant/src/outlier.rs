@@ -28,10 +28,10 @@
 //!   float weights resident (34.3% shadow-memory saving, §3.3).
 
 use llmnpu_tensor::kernel::Epilogue;
-use llmnpu_tensor::{gemm, Tensor};
+use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
 use crate::per_tensor::{
-    matmul_dequant, max_min_scale, ChannelQuantizedMatrix, QuantizedMatrix, QMAX,
+    dequantize_packed, matmul_dequant, ChannelQuantizedMatrix, QuantizedMatrix, QMAX,
 };
 use crate::{Error, Result};
 
@@ -241,7 +241,12 @@ impl HotChannelPolicy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShadowLinear {
-    weight: ChannelQuantizedMatrix,
+    /// The per-channel quantized weight, held once, in the kernel's
+    /// packed layout: the dense half multiplies by it and the shadow
+    /// half reads its outlier channels' rows back out of it.
+    packed: PackedMatrixI8,
+    /// Per-output-channel weight scales.
+    w_scales: Vec<f32>,
     /// Calibrated activation scale (`s` in Equation 1) from offline
     /// profiling; outliers are values beyond `±127·s`.
     act_scale: f32,
@@ -265,8 +270,10 @@ impl ShadowLinear {
     /// calibrated activation scale.
     #[must_use]
     pub fn new(weight: &Tensor<f32>, act_scale: f32) -> Self {
+        let weight = ChannelQuantizedMatrix::quantize(weight);
         ShadowLinear {
-            weight: ChannelQuantizedMatrix::quantize(weight),
+            packed: PackedMatrixI8::from_tensor(weight.data()),
+            w_scales: weight.scales().to_vec(),
             act_scale,
             shadow_enabled: true,
         }
@@ -289,12 +296,6 @@ impl ShadowLinear {
     #[must_use]
     pub fn act_scale(&self) -> f32 {
         self.act_scale
-    }
-
-    /// The quantized weight (per-output-channel scales).
-    #[must_use]
-    pub fn weight(&self) -> &ChannelQuantizedMatrix {
-        &self.weight
     }
 
     /// Runs the decomposed forward pass of Equation 1.
@@ -340,10 +341,10 @@ impl ShadowLinear {
         let xq = QuantizedMatrix::quantize_with_scale(x, self.act_scale);
         matmul_dequant(
             xq.data(),
-            self.weight.packed(),
+            &self.packed,
             Epilogue::PerChannel {
                 a_scale: self.act_scale,
-                w_scales: self.weight.scales(),
+                w_scales: &self.w_scales,
             },
         )
     }
@@ -369,24 +370,26 @@ impl ShadowLinear {
     }
 
     /// The compact CPU-side MatMul: residuals `[m, |C|]` × the selected
-    /// dequantized weight rows `[|C|, n]`.
+    /// dequantized weight rows `[|C|, n]`, each gathered out of the
+    /// packed panels into one `n`-byte scratch.
     ///
     /// # Errors
     ///
     /// Returns an error if an extracted channel is out of range for the
     /// weight matrix.
     pub fn shadow_matmul(&self, outliers: &CompactOutliers) -> Result<Tensor<f32>> {
-        let (k, n) = self.weight.data().matrix_dims();
+        let (k, n) = (self.packed.k(), self.packed.n());
         let (m, _) = outliers.residuals.matrix_dims();
         let mut out = Tensor::zeros([m, n]);
-        let w_scales = self.weight.scales();
+        let w_scales = &self.w_scales;
+        let mut w_row = vec![0_i8; n];
         for (j, &c) in outliers.channels.iter().enumerate() {
             if c >= k {
                 return Err(Error::InvalidCalibration {
                     what: format!("outlier channel {c} out of range for weight rows {k}"),
                 });
             }
-            let w_row = self.weight.data().row(c);
+            self.packed.copy_row(c, &mut w_row);
             for r in 0..m {
                 let v = outliers.residuals.row(r)[j];
                 if v == 0.0 {
@@ -407,7 +410,8 @@ impl ShadowLinear {
     ///
     /// Returns an error on inner-dimension mismatch.
     pub fn forward_float(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        Ok(gemm::matmul_f32(x, &self.weight.dequantize())?)
+        let w = dequantize_packed(std::slice::from_ref(&self.packed), |_, c| self.w_scales[c]);
+        Ok(gemm::matmul_f32(x, &w)?)
     }
 }
 
@@ -593,28 +597,10 @@ pub fn calibrate_scale(corpus: &[Tensor<f32>], quantile: f64) -> Result<f32> {
     Ok(bound / QMAX)
 }
 
-/// Convenience: calibrated scale using plain max-min over the corpus
-/// (quantile = 1.0, i.e. no clipping — every value is inlier).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidCalibration`] on an empty corpus.
-pub fn max_min_corpus_scale(corpus: &[Tensor<f32>]) -> Result<f32> {
-    if corpus.is_empty() {
-        return Err(Error::InvalidCalibration {
-            what: "empty calibration corpus".to_owned(),
-        });
-    }
-    let all: Vec<f32> = corpus
-        .iter()
-        .flat_map(|t| t.as_slice().iter().copied())
-        .collect();
-    Ok(max_min_scale(&all))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::per_tensor::max_min_scale;
 
     fn ramp(k: usize, n: usize, amp: f32) -> Tensor<f32> {
         Tensor::from_vec(
@@ -895,6 +881,47 @@ mod tests {
         assert!((s_full - 100.0 / QMAX).abs() < 1e-5);
         assert!(calibrate_scale(&[], 0.9).is_err());
         assert!(calibrate_scale(&corpus, 0.0).is_err());
+    }
+
+    #[test]
+    fn shadow_rows_and_float_yardstick_read_the_quantized_rows_back() {
+        // Ragged against the panel layout: n spans two panels, k pads.
+        let (k, n, m) = (21, 19, 3);
+        let w = ramp(k, n, 0.7);
+        let layer = ShadowLinear::new(&w, 0.01);
+        // The row-major payload the layer no longer keeps.
+        let q = ChannelQuantizedMatrix::quantize(&w);
+
+        // First row, last row, and one channel listed twice; a zero
+        // residual is skipped.
+        let channels = vec![0, k - 1, 7, 7];
+        let mut residuals = ramp(m, channels.len(), 9.0);
+        residuals.row_mut(1)[2] = 0.0;
+        let mut want = Tensor::zeros([m, n]);
+        for (j, &c) in channels.iter().enumerate() {
+            for r in 0..m {
+                let v = residuals.row(r)[j];
+                if v == 0.0 {
+                    continue;
+                }
+                for (col, &wq) in q.data().row(c).iter().enumerate() {
+                    want.row_mut(r)[col] += v * f32::from(wq) * q.scales()[col];
+                }
+            }
+        }
+        let got = layer
+            .shadow_matmul(&CompactOutliers {
+                channels,
+                residuals,
+            })
+            .unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+
+        let x = ramp(m, k, 1.0);
+        assert_eq!(
+            layer.forward_float(&x).unwrap().as_slice(),
+            gemm::matmul_f32(&x, &q.dequantize()).unwrap().as_slice()
+        );
     }
 
     #[test]

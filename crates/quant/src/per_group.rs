@@ -12,7 +12,7 @@
 use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
-use crate::per_tensor::{max_min_scale, quantize_value};
+use crate::per_tensor::{dequantize_packed, max_min_scale, quantize_value};
 use crate::{Error, Result};
 
 /// A matrix quantized with an independent scale per `group_size`-wide slice
@@ -110,11 +110,12 @@ pub struct GroupExecStats {
 /// A linear layer with per-group W8A8 quantization of both operands.
 #[derive(Debug, Clone)]
 pub struct GroupedLinear {
-    weight: GroupQuantizedMatrix,
-    /// One persistent kernel layout per weight group (`[group_size, n]`),
-    /// sliced and packed once at construction — the per-call `wg` copy
-    /// the seed made on every forward is gone.
+    /// The quantized weight, held once: one persistent kernel layout per
+    /// weight group (`[group_size, n]`), sliced and packed at
+    /// construction.
     group_packed: Vec<PackedMatrixI8>,
+    /// One scale per group.
+    scales: Vec<f32>,
 }
 
 impl GroupedLinear {
@@ -137,15 +138,9 @@ impl GroupedLinear {
             .map(|group| PackedMatrixI8::pack(group, gs, n))
             .collect();
         Ok(GroupedLinear {
-            weight,
             group_packed,
+            scales: weight.scales,
         })
-    }
-
-    /// The quantized weight.
-    #[must_use]
-    pub fn weight(&self) -> &GroupQuantizedMatrix {
-        &self.weight
     }
 
     /// Runs the grouped forward pass, returning the output and the
@@ -162,7 +157,8 @@ impl GroupedLinear {
     /// reduction dimension.
     pub fn forward(&self, x: &Tensor<f32>) -> Result<(Tensor<f32>, GroupExecStats)> {
         let (m, k) = x.matrix_dims();
-        let (wk, n) = self.weight.data.matrix_dims();
+        let (gs, n) = self.group_packed.first().map_or((0, 0), |p| (p.k(), p.n()));
+        let wk = gs * self.group_packed.len();
         if k != wk {
             return Err(Error::Tensor(llmnpu_tensor::Error::ShapeMismatch {
                 op: "grouped_forward",
@@ -170,12 +166,10 @@ impl GroupedLinear {
                 rhs: vec![wk, n],
             }));
         }
-        let gs = self.weight.group_size;
-        let groups = self.weight.group_count();
         let mut out = Tensor::zeros([m, n]);
         let mut stats = GroupExecStats::default();
 
-        for g in 0..groups {
+        for (g, packed) in self.group_packed.iter().enumerate() {
             let cols = g * gs..(g + 1) * gs;
             // Slice the activation group [m, gs] (activations change per
             // call — only the weight side is pre-sliced and pre-packed).
@@ -196,9 +190,9 @@ impl GroupedLinear {
             gemm::matmul_i8_fused_prepacked(
                 &mut out,
                 &xq,
-                &self.group_packed[g],
+                packed,
                 Epilogue::PerTensorAcc {
-                    scale: a_scale * self.weight.scales[g],
+                    scale: a_scale * self.scales[g],
                 },
                 1,
             )?;
@@ -214,7 +208,8 @@ impl GroupedLinear {
     ///
     /// Returns an error on inner-dimension mismatch.
     pub fn forward_float(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        Ok(gemm::matmul_f32(x, &self.weight.dequantize())?)
+        let w = dequantize_packed(&self.group_packed, |g, _| self.scales[g]);
+        Ok(gemm::matmul_f32(x, &w)?)
     }
 }
 
@@ -276,6 +271,17 @@ mod tests {
         let (y, _) = layer.forward(&x).unwrap();
         let y_f = layer.forward_float(&x).unwrap();
         assert!(y.mse(&y_f).unwrap() < 1e-3);
+    }
+
+    #[test]
+    fn float_yardstick_multiplies_by_the_dequantized_value() {
+        // Groups of 5 rows pad inside their panels; n spans two panels.
+        let w = ramp(20, 19, 0.8);
+        let x = ramp(3, 20, 1.2);
+        let layer = GroupedLinear::new(&w, 5).unwrap();
+        let q = GroupQuantizedMatrix::quantize(&w, 5).unwrap();
+        let want = gemm::matmul_f32(&x, &q.dequantize()).unwrap();
+        assert_eq!(layer.forward_float(&x).unwrap().as_slice(), want.as_slice());
     }
 
     #[test]

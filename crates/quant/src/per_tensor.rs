@@ -43,6 +43,33 @@ pub(crate) fn matmul_dequant(
     Ok(y)
 }
 
+/// Reads packed weights back as the float matrix they stand for: the
+/// `groups` stack along K (a whole-matrix layer passes one), and element
+/// `(r, c)` of group `g` is `f32::from(w[r][c]) · scale(g, c)` — the
+/// right-hand side of every `forward_float` yardstick in this crate,
+/// read through [`PackedMatrixI8::copy_row`] because the layers keep no
+/// row-major copy.
+pub(crate) fn dequantize_packed(
+    groups: &[PackedMatrixI8],
+    scale: impl Fn(usize, usize) -> f32,
+) -> Tensor<f32> {
+    let n = groups.first().map_or(0, PackedMatrixI8::n);
+    let k: usize = groups.iter().map(PackedMatrixI8::k).sum();
+    let mut out = Tensor::zeros([k, n]);
+    let mut wq = vec![0_i8; n];
+    let mut row = 0;
+    for (g, packed) in groups.iter().enumerate() {
+        for r in 0..packed.k() {
+            packed.copy_row(r, &mut wq);
+            for (c, (dst, &q)) in out.row_mut(row).iter_mut().zip(&wq).enumerate() {
+                *dst = f32::from(q) * scale(g, c);
+            }
+            row += 1;
+        }
+    }
+    out
+}
+
 /// Quantizes one float to `i8` with the given scale (round-to-nearest,
 /// saturating at ±127).
 #[must_use]
@@ -109,12 +136,6 @@ impl QuantizedMatrix {
         let scale = self.scale;
         self.data.map(|v| f32::from(v) * scale)
     }
-
-    /// Bytes occupied by the integer payload.
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len()
-    }
 }
 
 /// A weight matrix quantized with one scale per **output channel**
@@ -127,14 +148,10 @@ impl QuantizedMatrix {
 pub struct ChannelQuantizedMatrix {
     data: Tensor<i8>,
     scales: Vec<f32>,
-    /// Kernel-ready weight layout, built once here so forward passes
-    /// never repack (llm.npu's fixed prepared-graph weight residency).
-    packed: PackedMatrixI8,
 }
 
 impl ChannelQuantizedMatrix {
-    /// Quantizes a `[k, n]` float matrix with per-column scales and packs
-    /// the payload once into the kernel's persistent weight layout.
+    /// Quantizes a `[k, n]` float matrix with per-column scales.
     #[must_use]
     pub fn quantize(w: &Tensor<f32>) -> Self {
         let (k, n) = w.matrix_dims();
@@ -158,24 +175,13 @@ impl ChannelQuantizedMatrix {
                 dst[c] = quantize_value(src[c], scales[c]);
             }
         }
-        let packed = PackedMatrixI8::from_tensor(&data);
-        ChannelQuantizedMatrix {
-            data,
-            scales,
-            packed,
-        }
+        ChannelQuantizedMatrix { data, scales }
     }
 
-    /// The integer payload.
-    #[must_use]
-    pub fn data(&self) -> &Tensor<i8> {
+    /// The integer payload, for the layers that pack it and drop the
+    /// value.
+    pub(crate) fn data(&self) -> &Tensor<i8> {
         &self.data
-    }
-
-    /// The persistent kernel layout (packed once at quantization time).
-    #[must_use]
-    pub fn packed(&self) -> &PackedMatrixI8 {
-        &self.packed
     }
 
     /// Per-output-channel scales.
@@ -206,10 +212,11 @@ impl ChannelQuantizedMatrix {
 /// activation, integer MatMul, dequantize.
 #[derive(Debug, Clone)]
 pub struct QuantizedLinear {
-    weight: QuantizedMatrix,
-    /// Weight payload packed once at construction into the kernel's
-    /// persistent layout; forward passes never repack.
+    /// The quantized weight, held once: packed at construction into the
+    /// kernel's persistent layout; forward passes never repack.
     packed: PackedMatrixI8,
+    /// The weight's per-tensor scale.
+    w_scale: f32,
     /// Activation scale fixed at calibration time (`s` in Equation 1).
     act_scale: f32,
 }
@@ -221,18 +228,11 @@ impl QuantizedLinear {
     #[must_use]
     pub fn new(weight: &Tensor<f32>, act_scale: f32) -> Self {
         let weight = QuantizedMatrix::quantize(weight);
-        let packed = PackedMatrixI8::from_tensor(weight.data());
         QuantizedLinear {
-            weight,
-            packed,
+            packed: PackedMatrixI8::from_tensor(weight.data()),
+            w_scale: weight.scale(),
             act_scale,
         }
-    }
-
-    /// The quantized weight matrix.
-    #[must_use]
-    pub fn weight(&self) -> &QuantizedMatrix {
-        &self.weight
     }
 
     /// The persistent kernel layout of the weight.
@@ -261,7 +261,7 @@ impl QuantizedLinear {
             xq.data(),
             &self.packed,
             Epilogue::PerTensor {
-                scale: self.act_scale * self.weight.scale(),
+                scale: self.act_scale * self.w_scale,
             },
         )
     }
@@ -273,7 +273,8 @@ impl QuantizedLinear {
     ///
     /// Returns an error if `x`'s inner dimension does not match the weight.
     pub fn forward_float(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        Ok(gemm::matmul_f32(x, &self.weight.dequantize())?)
+        let w = dequantize_packed(std::slice::from_ref(&self.packed), |_, _| self.w_scale);
+        Ok(gemm::matmul_f32(x, &w)?)
     }
 }
 
@@ -333,6 +334,23 @@ mod tests {
     }
 
     #[test]
+    fn float_yardstick_multiplies_by_the_dequantized_value() {
+        // Ragged against the panel layout: n spans two panels, k pads.
+        let w = Tensor::from_vec(
+            (0..21 * 19)
+                .map(|i| ((i * 29 + 3) % 113) as f32 / 113.0 - 0.5)
+                .collect(),
+            [21, 19],
+        )
+        .unwrap();
+        let x =
+            Tensor::from_vec((0..42).map(|i| (i as f32 - 20.0) / 9.0).collect(), [2, 21]).unwrap();
+        let layer = QuantizedLinear::new(&w, 0.02);
+        let want = gemm::matmul_f32(&x, &QuantizedMatrix::quantize(&w).dequantize()).unwrap();
+        assert_eq!(layer.forward_float(&x).unwrap().as_slice(), want.as_slice());
+    }
+
+    #[test]
     fn linear_suffers_from_outliers() {
         // Inject a single huge activation channel: the per-tensor scale
         // explodes and the normal channels lose all precision. This is the
@@ -381,11 +399,5 @@ mod tests {
         let q = ChannelQuantizedMatrix::quantize(&w);
         assert_eq!(q.scales(), &want[..]);
         assert_eq!(q.scales()[11], 1.0);
-    }
-
-    #[test]
-    fn payload_bytes_counts_elements() {
-        let q = QuantizedMatrix::quantize(&Tensor::<f32>::zeros([3, 5]));
-        assert_eq!(q.payload_bytes(), 15);
     }
 }

@@ -12,7 +12,9 @@
 use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
-use crate::per_tensor::{matmul_dequant, max_min_scale, quantize_value, QuantizedMatrix};
+use crate::per_tensor::{
+    dequantize_packed, matmul_dequant, max_min_scale, quantize_value, QuantizedMatrix,
+};
 use crate::{Error, Result};
 
 /// Per-channel smoothing factors `s_j = max|X_j|^α / max|W_j|^(1-α)`.
@@ -66,10 +68,11 @@ pub fn channel_abs_max(x: &Tensor<f32>) -> Vec<f32> {
 /// the inverse smoothing folded into activation preprocessing.
 #[derive(Debug, Clone)]
 pub struct SmoothedLinear {
-    weight: QuantizedMatrix,
-    /// Smoothed, quantized weight packed once into the kernel's
-    /// persistent layout at construction time.
+    /// The smoothed, quantized weight, held once: packed into the
+    /// kernel's persistent layout at construction time.
     packed: PackedMatrixI8,
+    /// The smoothed weight's per-tensor scale.
+    w_scale: f32,
     /// Per-input-channel division factors applied to activations.
     factors: Vec<f32>,
     /// Static activation scale calibrated on *smoothed* activations.
@@ -120,10 +123,9 @@ impl SmoothedLinear {
         let act_scale = max_min_scale(smoothed_cal.as_slice());
 
         let weight = QuantizedMatrix::quantize(&smoothed_w);
-        let packed = PackedMatrixI8::from_tensor(weight.data());
         Ok(SmoothedLinear {
-            weight,
-            packed,
+            packed: PackedMatrixI8::from_tensor(weight.data()),
+            w_scale: weight.scale(),
             factors,
             act_scale,
         })
@@ -163,7 +165,7 @@ impl SmoothedLinear {
             &xq,
             &self.packed,
             Epilogue::PerTensor {
-                scale: self.act_scale * self.weight.scale(),
+                scale: self.act_scale * self.w_scale,
             },
         )
     }
@@ -176,7 +178,8 @@ impl SmoothedLinear {
     pub fn forward_float(&self, x: &Tensor<f32>) -> Result<Tensor<f32>> {
         let mut xs = x.clone();
         smooth_activations_inplace(&mut xs, &self.factors);
-        Ok(gemm::matmul_f32(&xs, &self.weight.dequantize())?)
+        let w = dequantize_packed(std::slice::from_ref(&self.packed), |_, _| self.w_scale);
+        Ok(gemm::matmul_f32(&xs, &w)?)
     }
 }
 
@@ -245,6 +248,26 @@ mod tests {
         smooth_activations_inplace(&mut xs, layer.factors());
         let y_exact = gemm::matmul_f32(&xs, &smoothed_w).unwrap();
         assert!(y_smoothed.mse(&y_exact).unwrap() < 1e-3);
+    }
+
+    #[test]
+    fn float_yardstick_multiplies_by_the_dequantized_value() {
+        // Ragged against the panel layout: n spans two panels, k pads.
+        let w = ramp(21, 19, 1.0);
+        let x = ramp(2, 21, 2.0);
+        let layer = SmoothedLinear::new(&w, &x, 0.5).unwrap();
+        // The smoothed weight, quantized here as `new` quantized it.
+        let mut smoothed_w = w.clone();
+        for (r, &f) in layer.factors().iter().enumerate() {
+            for v in smoothed_w.row_mut(r) {
+                *v *= f;
+            }
+        }
+        let mut xs = x.clone();
+        smooth_activations_inplace(&mut xs, layer.factors());
+        let want =
+            gemm::matmul_f32(&xs, &QuantizedMatrix::quantize(&smoothed_w).dequantize()).unwrap();
+        assert_eq!(layer.forward_float(&x).unwrap().as_slice(), want.as_slice());
     }
 
     #[test]

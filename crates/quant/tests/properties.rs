@@ -254,11 +254,13 @@ fn fused_forward_bit_matches_two_pass_pipeline() {
         let layer = QuantizedLinear::new(&w, scale);
         let y = layer.forward(&x).unwrap();
         // MatMul, then Dequantize, on the same quantized operands against
-        // a fresh pack of the layer's stored weight.
+        // a fresh pack of the weight quantized here, independently of the
+        // layer.
         let xq = QuantizedMatrix::quantize_with_scale(&x, scale);
-        let packed = llmnpu_tensor::PackedMatrixI8::from_tensor(layer.weight().data());
+        let wq = QuantizedMatrix::quantize(&w);
+        let packed = llmnpu_tensor::PackedMatrixI8::from_tensor(wq.data());
         let acc = gemm::matmul_i8_prepacked(xq.data(), &packed, 1).unwrap();
-        let rescale = scale * layer.weight().scale();
+        let rescale = scale * wq.scale();
         let want = acc.map(|v| v as f32 * rescale);
         assert_eq!(y.as_slice(), want.as_slice(), "rows = {rows}");
     }

@@ -78,7 +78,9 @@ use std::time::{Duration, Instant};
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{PrefillDag, Task, TaskRole};
 use llmnpu_graph::layer::Stage;
-use llmnpu_model::forward::{FfnMains, FfnShadows, QkvMains, QkvShadows, Transformer};
+use llmnpu_model::forward::{
+    attention_over_pages, FfnMains, FfnShadows, QkvMains, QkvShadows, Transformer,
+};
 use llmnpu_model::kv::{KvCache, PagedKvCache};
 use llmnpu_obs::{EventKind, Plane, TraceSink};
 use llmnpu_soc::des::{Timeline, TimelineEntry};
@@ -419,26 +421,6 @@ impl ExecCtx<'_, '_> {
         Ok(())
     }
 
-    fn read_kv(
-        &self,
-        bufs: &[LayerKvBuf],
-        layer: usize,
-        visible_rows: usize,
-    ) -> std::result::Result<(Tensor<f32>, Tensor<f32>), String> {
-        let hi = visible_rows * self.kv_dim;
-        let k = Tensor::from_vec(
-            bufs[layer].k.lock().unwrap_or_else(PoisonError::into_inner)[..hi].to_vec(),
-            [visible_rows, self.kv_dim],
-        )
-        .map_err(|e| format!("kv key shape: {e}"))?;
-        let v = Tensor::from_vec(
-            bufs[layer].v.lock().unwrap_or_else(PoisonError::into_inner)[..hi].to_vec(),
-            [visible_rows, self.kv_dim],
-        )
-        .map_err(|e| format!("kv value shape: {e}"))?;
-        Ok((k, v))
-    }
-
     /// Attention over everything visible to `chunk` (Equation 2: all
     /// positions through the chunk's end), from whichever store holds
     /// the rows.
@@ -453,9 +435,12 @@ impl ExecCtx<'_, '_> {
         let start_pos = start;
         match &self.store {
             KvStore::Buffered(bufs) => {
-                let (keys, values) = self.read_kv(bufs, layer, visible)?;
-                self.t
-                    .stage_attention(q, &keys, &values, start_pos)
+                // The single-page case of the paged walk, over the
+                // locked buffers in place.
+                let hi = visible * self.kv_dim;
+                let k = bufs[layer].k.lock().unwrap_or_else(PoisonError::into_inner);
+                let v = bufs[layer].v.lock().unwrap_or_else(PoisonError::into_inner);
+                attention_over_pages(q, &[&k[..hi]], &[&v[..hi]], self.t.config(), start_pos)
                     .map_err(|e| e.to_string())
             }
             KvStore::Paged(slot) => {

@@ -84,14 +84,6 @@ pub struct GraphProfile {
     pub weight_bytes: Vec<u64>,
 }
 
-impl GraphProfile {
-    /// Total weight bytes.
-    #[must_use]
-    pub fn total_weight_bytes(&self) -> u64 {
-        self.weight_bytes.iter().sum()
-    }
-}
-
 /// Computes the lifecycle cost of one graph.
 #[must_use]
 pub fn lifecycle_cost(params: &LifecycleParams, profile: &GraphProfile) -> LifecycleCost {

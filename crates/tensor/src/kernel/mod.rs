@@ -46,9 +46,14 @@
 //! * **Ownership**: the f32 `PackedMatrix` owns the panel-ordered slab
 //!   sequence keyed by the `KC`/`NC` blocking of its tile loop; the i8
 //!   one owns full-K `NR`-column panels of `b + 128` as `u8` — one byte
-//!   per weight, one copy for prefill and decode. Callers hold it next
-//!   to the quantized payload (e.g. a linear layer's weight struct) and
-//!   hand out `&` borrows per call.
+//!   per weight, one copy for prefill and decode. The packed matrix
+//!   *is* the payload: a layer holds it plus its scales and nothing
+//!   row-major, and hands out `&` borrows per call. What a layer reads
+//!   *back* — the weight rows of the shadow-outlier channels, the
+//!   matrix the `forward_float` yardsticks dequantize — comes through
+//!   [`pack::PackedMatrixI8::copy_row`], the i8 twin of
+//!   [`lut::PackedLut::code_at`], so the panel bytes stay known to
+//!   [`pack`] alone.
 //! * **When packing happens**: exactly once, inside
 //!   `PackedMatrix::pack`. The prepacked drivers perform **zero** B-side
 //!   packing per call ([`pack::pack_b_calls`] observes this); only the

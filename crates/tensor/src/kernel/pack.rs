@@ -30,7 +30,10 @@
 //! `u8` — one byte per weight, one layout for the tile loop and the
 //! decode GEMV alike (the `BITS = 8`, one-group case of the
 //! [`super::lut`] column-panel format). The `*_prepacked` drivers in
-//! [`super`] consume these and never pack B.
+//! [`super`] consume these and never pack B. The packed matrix is the
+//! weight's only resident copy: [`PackedMatrixI8::copy_row`] reads a row
+//! back for the callers that need one, and nothing outside this module
+//! knows the offset or the panel order.
 //!
 //! For observability (and the "weights pack once" regression tests), every
 //! B-side pack — per-call or constructor — bumps a thread-local counter
@@ -385,6 +388,26 @@ impl PackedMatrixI8 {
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         self.panels.len()
+    }
+
+    /// Copies weight row `r` (all `n` columns of reduction position `r`)
+    /// out of the panels, undoing the offset: the one reader of the
+    /// stored bytes besides the kernels, and the i8 twin of
+    /// [`super::lut::PackedLut::code_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= k` or `out.len() != n`.
+    pub fn copy_row(&self, r: usize, out: &mut [i8]) {
+        assert!(r < self.k, "row {r} out of range for k = {}", self.k);
+        assert_eq!(out.len(), self.n, "row buffer length mismatch");
+        let panel_len = self.k_pad() * NR;
+        for (pj, dst) in out.chunks_mut(NR).enumerate() {
+            let src = &self.panels[pj * panel_len + r * NR..][..dst.len()];
+            for (d, &byte) in dst.iter_mut().zip(src) {
+                *d = (i32::from(byte) - I8_OFFSET) as i8;
+            }
+        }
     }
 
     /// `k` rounded up to the GEMV walker's step of 4: the depth of every

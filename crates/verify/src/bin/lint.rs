@@ -29,6 +29,11 @@
 //!   or through functions of that file it calls: an entry the kernel
 //!   probe cannot see is a lane the calibration table and the benchmark's
 //!   `tensor.kernel_*` rows are blind to.
+//! - `one-copy` — in `crates/quant/src/` and `model::backend`, a `struct`
+//!   with a packed-weights field (`PackedMatrix*`, `LutWeights`) has no
+//!   `Tensor<i8>`, `Tensor<f32>`, `*QuantizedMatrix` or `ModelWeights`
+//!   field beside it: a layer holds its weight once, in the layout the
+//!   kernel multiplies by, and reads rows back through the packed type.
 //! - `dead-scope` — every path a scoped rule names must match at least
 //!   one file, so moving a file cannot silently retire its checks.
 //!
@@ -77,6 +82,20 @@ const PROBED_ENTRIES: &[(&str, &str)] = &[
     ("crates/tensor/src/kernel/attention.rs", "attention_"),
 ];
 
+/// Where a struct that owns packed kernel weights may own no second,
+/// row-major copy of them (rule `one-copy`).
+const ONE_COPY: &[&str] = &["crates/quant/src/", "crates/model/src/backend.rs"];
+
+/// Field types that are kernel-layout weights / a row-major copy of
+/// weights, by substring (rule `one-copy`).
+const PACKED_TYPES: &[&str] = &["PackedMatrix", "LutWeights"];
+const ROW_MAJOR_TYPES: &[&str] = &[
+    "Tensor<i8>",
+    "Tensor<f32>",
+    "QuantizedMatrix",
+    "ModelWeights",
+];
+
 /// The one sanctioned scoped `#![allow(unsafe_code)]`.
 const UNSAFE_ALLOW_EXCEPTION: &str = "crates/sched/src/pool.rs";
 
@@ -97,6 +116,7 @@ fn dead_scopes(files: &[String]) -> Vec<&'static str> {
         .chain(NUMERIC_PLANE)
         .chain([&NO_ARG_ESCAPES])
         .chain(PROBED_ENTRIES.iter().map(|(file, _)| file))
+        .chain(ONE_COPY)
         .copied()
         .filter(|entry| !files.iter().any(|f| in_scope(entry, f)))
         .collect()
@@ -143,6 +163,9 @@ fn main() -> ExitCode {
         }
         for (_, prefix) in PROBED_ENTRIES.iter().filter(|(f, _)| in_scope(f, &rel)) {
             check_probe_sites(&rel, prefix, &lines, &test_mask, &mut violations);
+        }
+        if ONE_COPY.iter().any(|e| in_scope(e, &rel)) {
+            check_one_copy(&rel, &lines, &test_mask, &mut violations);
         }
         check_unsafe_attr(&rel, &lines, &mut violations);
         check_safety_comments(&rel, &lines, &mut violations);
@@ -454,6 +477,47 @@ fn check_probe_sites(
     }
 }
 
+fn check_one_copy(file: &str, lines: &[&str], test_mask: &[bool], violations: &mut Vec<Violation>) {
+    let mut i = 0;
+    while i < lines.len() {
+        let decl = code_part(lines[i]).trim_start();
+        let braced_struct = ["struct ", "pub struct ", "pub(crate) struct "]
+            .iter()
+            .any(|p| decl.starts_with(p))
+            && !decl.contains(';');
+        if test_mask[i] || !braced_struct {
+            i += 1;
+            continue;
+        }
+        let end = item_end(lines, i);
+        // `name: Type,` lines; the first `:` is the field's (paths in the
+        // type come after it).
+        let fields: Vec<(usize, &str)> = (i + 1..end)
+            .filter_map(|j| Some((j, code_part(lines[j]).split_once(':')?.1)))
+            .collect();
+        let names =
+            |ty: &str, kinds: &[&'static str]| kinds.iter().copied().find(|k| ty.contains(k));
+        if fields
+            .iter()
+            .any(|(_, ty)| names(ty, PACKED_TYPES).is_some())
+        {
+            for (j, ty) in &fields {
+                if let Some(kind) = names(ty, ROW_MAJOR_TYPES) {
+                    flag(
+                        violations,
+                        lines,
+                        file,
+                        *j,
+                        "one-copy",
+                        format!("`{kind}` field beside packed kernel weights: the packed layout is the payload"),
+                    );
+                }
+            }
+        }
+        i = end;
+    }
+}
+
 fn check_unsafe_attr(file: &str, lines: &[&str], violations: &mut Vec<Violation>) {
     let is_crate_root =
         file == "src/lib.rs" || (file.starts_with("crates/") && file.ends_with("/src/lib.rs"));
@@ -581,6 +645,52 @@ mod tests {
         check_arg_escapes("crates/core/src/x.rs", &lines, &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].line, v[0].rule), (2, "arg-escape"));
+    }
+
+    #[test]
+    fn one_copy_flags_a_row_major_twin_beside_packed_weights() {
+        let lines = [
+            "pub struct ValueType {",
+            "    data: Tensor<i8>,",
+            "    scales: Vec<f32>,",
+            "}",
+            "pub struct Layer {",
+            "    /// doc: naming Tensor<f32> in a comment is not a field",
+            "    packed: PackedMatrixI8,",
+            "    weight: ChannelQuantizedMatrix,",
+            "    scales: Vec<f32>,",
+            "}",
+            "struct Backend {",
+            "    packed: HashMap<LinearSite, PackedMatrixF32>,",
+            "    pub weights: ModelWeights,",
+            "}",
+            "struct Lut {",
+            "    weights: LutWeights,",
+            "    group_size: usize,",
+            "}",
+            "struct Mixed {",
+            "    // lint: allow(one-copy) — the float rows are the method",
+            "    weight_f: Tensor<f32>,",
+            "    // lint: allow(one-copy)",
+            "    twin: Tensor<i8>,",
+            "    packed: PackedMatrixI8,",
+            "}",
+            "struct Marker;",
+            "#[cfg(test)]",
+            "mod tests {",
+            "    struct Fixture {",
+            "        packed: PackedMatrixI8,",
+            "        data: Tensor<i8>,",
+            "    }",
+            "}",
+        ];
+        let mut v = Vec::new();
+        check_one_copy("layer.rs", &lines, &test_code_mask(&lines), &mut v);
+        let got: Vec<(usize, &str)> = v.iter().map(|x| (x.line, x.rule)).collect();
+        assert_eq!(got, [(8, "one-copy"), (13, "one-copy"), (23, "one-copy")]);
+        assert!(v[0].what.contains("QuantizedMatrix"), "{}", v[0].what);
+        assert!(v[1].what.contains("ModelWeights"), "{}", v[1].what);
+        assert!(v[2].what.contains("no justification"), "{}", v[2].what);
     }
 
     #[test]

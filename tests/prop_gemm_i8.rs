@@ -231,6 +231,41 @@ fn packed_matrix_holds_one_byte_per_weight() {
     );
 }
 
+/// The reader is the pack's inverse: `pack(b).copy_row(r) == b[r]` for
+/// every row over the ragged grid (a lone column, one short of / exactly
+/// / one past a panel, past one `NC` block; K on both sides of the pad to
+/// 4), with both extremes of the range placed in every matrix that has
+/// two elements.
+#[test]
+fn copy_row_round_trips_every_row() {
+    for k in [1usize, 3, 5, 37, 513] {
+        for n in [1usize, 15, 16, 17, 1025] {
+            let mut b = data(k * n, (k * 4099 + n) as u64);
+            b[0] = -128;
+            b[k * n - 1] = 127;
+            let packed = PackedMatrixI8::pack(&b, k, n);
+            let mut row = vec![0i8; n];
+            for r in 0..k {
+                packed.copy_row(r, &mut row);
+                assert_eq!(&row[..], &b[r * n..(r + 1) * n], "row {r} k={k} n={n}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn copy_row_rejects_a_row_past_k() {
+    // Row 5 exists in the panel (k pads to 8) but not in the matrix.
+    PackedMatrixI8::pack(&data(5 * 17, 1), 5, 17).copy_row(5, &mut [0; 17]);
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn copy_row_rejects_a_wrong_length_buffer() {
+    PackedMatrixI8::pack(&data(5 * 17, 1), 5, 17).copy_row(0, &mut [0; 16]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
