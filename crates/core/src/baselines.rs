@@ -10,8 +10,7 @@
 //! calibrated against Table 5's measured prefill latencies; the NPU-based
 //! baselines reuse the full DAG/scheduler machinery with their respective
 //! handicaps (per-group quantization, FIFO scheduling, per-prompt graph
-//! rebuilds). Each factor is documented where it is defined and recorded
-//! in `EXPERIMENTS.md`.
+//! rebuilds). Each factor is documented where it is defined.
 //!
 //! The CPU engines' closed-form `matmul_ms` terms model a host GEMM of
 //! llama.cpp/MNN quality; this repo's own host-side equivalent is the

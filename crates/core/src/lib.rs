@@ -35,8 +35,7 @@
 //!
 //! Latency/energy numbers come from the calibrated SoC simulator
 //! (`llmnpu-soc`); accuracy numbers come from the numeric plane
-//! (`llmnpu-model` + `llmnpu-workloads`). See `DESIGN.md` for the full
-//! substitution table.
+//! (`llmnpu-model` + `llmnpu-workloads`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -146,7 +146,7 @@ impl<'run> Prefill<'run> {
             let suffix = &ctx.round.requests[seg.req].prompt[shared_tokens..];
             let dag_cfg = engine.dag_config(suffix.len())?;
             let dag = build_prefill_dag(ctx.t.config(), &dag_cfg, engine.latency_model())?;
-            pre.programs.push(PrefillProgram::new_paged(
+            pre.programs.push(PrefillProgram::new(
                 ctx.t,
                 suffix,
                 &dag,

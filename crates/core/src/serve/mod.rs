@@ -68,8 +68,10 @@
 //! # Determinism
 //!
 //! Each request's decode chain stays a serial dependency over its own
-//! paged cache and its own seeded [`Sampler`]; paged attention is
-//! bit-identical to the contiguous path by construction; and stacking
+//! paged cache and its own seeded [`Sampler`]; attention over any page
+//! size is bit-identical to the one-page store solo `generate` runs on
+//! (the same layer loop, the same kernel, its key tile a constant); and
+//! stacking
 //! rows into an `m = B` GEMM never changes a row's bits for a row-wise
 //! backend — so every request's token stream is **bit-identical** to
 //! its solo [`Transformer::generate`] run at every worker count,

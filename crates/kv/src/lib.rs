@@ -6,7 +6,12 @@
 //! or die on how KV-cache bytes are managed. Giving every request a
 //! private, contiguous, eagerly-sized cache makes admission control a
 //! guess (a request *count*) and forbids both prefix sharing and
-//! preemption. This crate replaces that with a real memory model:
+//! preemption. This crate replaces that with a real memory model — and
+//! it is the *only* K/V store: `llmnpu-model` keeps no contiguous cache
+//! beside it. A solo run (`generate`, calibration, a single-request
+//! executed prefill) opens a private pool of exactly one page sized to
+//! the run (`PagedKvCache::solo`), so it reads and writes through the
+//! same block table the served requests do:
 //!
 //! * [`BlockPool`] — one fixed-size slab of KV **pages** per layer. A
 //!   page (block) holds `block_tokens × kv_dim` f32 keys plus the same

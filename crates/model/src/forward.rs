@@ -6,13 +6,20 @@
 //! prefill with the KV cache is bit-compatible with whole-prompt prefill —
 //! the invariant that makes llm.npu's chunk-sharing graphs (§3.2) sound —
 //! and the tests at the bottom pin that property down.
+//!
+//! There is one layer loop (`Transformer::forward_rows`) over
+//! `(kv, start_pos, rows)` segments of one stacked activation: a prefill
+//! chunk is one segment of `seq` rows, a batched decode step is B segments
+//! of one row, and solo `generate` / `last_hidden` / `calibrate` are the
+//! same calls on a one-page [`PagedKvCache::solo`] store. Every K/V row is
+//! written to, and attended from, [`PagedKvCache`] pages.
 
 use llmnpu_tensor::kernel::attention::{attention_paged, HeadGeometry};
 use llmnpu_tensor::{norm, ops, rope, Tensor};
 
 use crate::backend::{CalibrationSet, LinearBackend, LinearKind};
 use crate::config::{ActKind, ModelConfig, NormKind};
-use crate::kv::{KvCache, PagedKvCache};
+use crate::kv::{PagedKvCache, PagedKvReader};
 use crate::sample::{Sampler, SamplerConfig};
 use crate::weights::ModelWeights;
 use crate::{Error, Result};
@@ -75,31 +82,20 @@ impl<'a> Transformer<'a> {
         Ok(Tensor::from_vec(data, [tokens.len(), h])?)
     }
 
-    /// Prefills `tokens` in one pass, appending K/V to `cache`.
-    /// Returns the final hidden states `[seq, hidden]`.
+    /// Prefills `tokens` from position 0 in fixed-size chunks, processed
+    /// causally (§3.2's chunk-wise prefill) — the sequential reference
+    /// the out-of-order executor is held bit-identical to. Returns the
+    /// final hidden states `[seq, hidden]`.
     ///
     /// # Errors
     ///
-    /// Returns an error on invalid tokens or backend failures.
-    pub fn prefill(&self, tokens: &[u32], cache: &mut KvCache) -> Result<Tensor<f32>> {
-        let start = cache.seq_len();
-        let x = self.embed(tokens)?;
-        self.forward_hidden(x, start, cache, None)
-    }
-
-    /// Prefills `tokens` in fixed-size chunks, processed causally
-    /// (§3.2's chunk-wise prefill). Produces the same final hidden states
-    /// as [`Transformer::prefill`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on invalid tokens, a zero chunk length, or backend
-    /// failures.
+    /// Returns an error on invalid tokens, a zero chunk length, backend
+    /// failures, or if `kv` cannot hold `tokens.len()` positions.
     pub fn prefill_chunked(
         &self,
         tokens: &[u32],
         chunk_len: usize,
-        cache: &mut KvCache,
+        kv: &mut PagedKvCache,
     ) -> Result<Tensor<f32>> {
         if chunk_len == 0 {
             return Err(Error::InvalidConfig {
@@ -108,39 +104,27 @@ impl<'a> Transformer<'a> {
         }
         let h = self.config().hidden;
         let mut out = Vec::with_capacity(tokens.len() * h);
-        for chunk in tokens.chunks(chunk_len) {
-            let hidden = self.prefill(chunk, cache)?;
+        for (c, chunk) in tokens.chunks(chunk_len).enumerate() {
+            let hidden = self.prefill_paged(chunk, c * chunk_len, kv)?;
             out.extend_from_slice(hidden.as_slice());
         }
         Ok(Tensor::from_vec(out, [tokens.len(), h])?)
     }
 
-    /// Runs one decode step for `token`, returning logits `[1, vocab]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on invalid tokens or backend failures.
-    pub fn decode_step(&self, token: u32, cache: &mut KvCache) -> Result<Tensor<f32>> {
-        let hidden = self.prefill(&[token], cache)?;
-        self.logits(&hidden)
-    }
-
     /// Prefills `tokens` starting at absolute position `start_pos`,
-    /// writing K/V into a **paged** cache and reading attention through
-    /// its block table. The composition of stage functions is identical
-    /// to [`Transformer::prefill`], and the paged attention read is
-    /// bit-identical to the contiguous one, so for any backend this
-    /// produces the same hidden states as the contiguous path with the
-    /// same chunking.
+    /// writing K/V into `kv`'s pages and reading attention through its
+    /// block table. Returns the final hidden states `[seq, hidden]`.
+    /// Page size never changes a float: any paging of `kv` produces the
+    /// hidden states and cached rows of the one-page store.
     ///
     /// A non-zero `start_pos` resumes after an already-populated prefix
-    /// (prefix sharing: `kv`'s leading blocks hold another request's
-    /// identical prompt prefix).
+    /// (an earlier chunk, a decode history, or prefix sharing: `kv`'s
+    /// leading blocks hold another request's identical prompt prefix).
     ///
     /// # Errors
     ///
     /// Returns an error on invalid tokens, backend failures, or if the
-    /// paged cache's reserved capacity cannot hold
+    /// cache's reserved capacity cannot hold
     /// `start_pos + tokens.len()` positions.
     pub fn prefill_paged(
         &self,
@@ -148,22 +132,12 @@ impl<'a> Transformer<'a> {
         start_pos: usize,
         kv: &mut PagedKvCache,
     ) -> Result<Tensor<f32>> {
-        let seq = tokens.len();
-        let layers = self.config().layers;
-        let mut h = self.embed(tokens)?;
-        for layer in 0..layers {
-            let a_in = self.stage_attn_pre(layer, &h)?;
-            let (q, k, v) = self.stage_qkv(layer, &a_in, start_pos)?;
-            for r in 0..seq {
-                kv.write_position(layer, start_pos + r, k.row(r), v.row(r))?;
-            }
-            let attn = self.stage_attention_paged(layer, &q, kv, start_pos + seq, start_pos)?;
-            h = self.stage_attn_out(layer, &h, &attn)?;
-            let f_in = self.stage_ffn_pre(layer, &h)?;
-            let ffn_mid = self.stage_ffn_mid(layer, &f_in)?;
-            h = self.stage_ffn_down(layer, &h, &ffn_mid)?;
-        }
-        Ok(h)
+        let segment = Segment {
+            kv,
+            start_pos,
+            rows: tokens.len(),
+        };
+        self.forward_rows(self.embed(tokens)?, &mut [segment], None)
     }
 
     /// One decode step for a **batch** of concurrent requests: embeds
@@ -192,46 +166,23 @@ impl<'a> Transformer<'a> {
                 what: "batched decode needs at least one entry".to_owned(),
             });
         }
-        let cfg = self.config();
         let tokens: Vec<u32> = entries.iter().map(|e| e.token).collect();
-        let positions: Vec<usize> = entries.iter().map(|e| e.pos).collect();
-        let mut h = self.embed(&tokens)?;
-        for layer in 0..cfg.layers {
-            let a_in = self.stage_attn_pre(layer, &h)?;
-            let mains = self.stage_qkv_main(layer, &a_in)?;
-            let shadows = self.stage_qkv_shadow(layer, &a_in)?;
-            let (mut q, mut k, v) = self.stage_qkv_merge(mains, shadows)?;
-            rope::apply_rope_heads_inplace(
-                &mut q,
-                cfg.head_dim,
-                positions.iter().copied(),
-                rope::DEFAULT_THETA,
-            )?;
-            rope::apply_rope_heads_inplace(
-                &mut k,
-                cfg.head_dim,
-                positions.iter().copied(),
-                rope::DEFAULT_THETA,
-            )?;
-            let mut attn = Tensor::zeros([entries.len(), cfg.q_dim()]);
-            for (i, e) in entries.iter_mut().enumerate() {
-                e.kv.write_position(layer, e.pos, k.row(i), v.row(i))?;
-                e.kv.view(layer, e.pos + 1, |pages_k, pages_v| {
-                    attend(q.row(i), pages_k, pages_v, cfg, e.pos, attn.row_mut(i))
-                })??;
-            }
-            h = self.stage_attn_out(layer, &h, &attn)?;
-            let f_in = self.stage_ffn_pre(layer, &h)?;
-            let ffn_mid = self.stage_ffn_mid(layer, &f_in)?;
-            h = self.stage_ffn_down(layer, &h, &ffn_mid)?;
-        }
-        Ok(h)
+        let mut segments: Vec<Segment<'_>> = entries
+            .iter_mut()
+            .map(|e| Segment {
+                kv: &mut *e.kv,
+                start_pos: e.pos,
+                rows: 1,
+            })
+            .collect();
+        self.forward_rows(self.embed(&tokens)?, &mut segments, None)
     }
 
     /// Autoregressive generation: prefills `prompt` (chunked when
     /// `chunk_len` is given), then samples `max_new_tokens` tokens with a
     /// fresh seeded [`Sampler`], forwarding each sampled token through
-    /// the decode path to extend the KV cache.
+    /// the decode path to extend the KV cache — a solo store of exactly
+    /// the `prompt + max_new_tokens − 1` positions the run writes.
     ///
     /// This is the single-stream reference the continuous-batching
     /// scheduler in `llmnpu-core` is held bit-identical to: it performs
@@ -255,11 +206,9 @@ impl<'a> Transformer<'a> {
                 what: "cannot generate from an empty prompt".to_owned(),
             });
         }
-        let mut cache = KvCache::new(self.config().layers);
-        let hidden = match chunk_len {
-            Some(c) => self.prefill_chunked(prompt, c, &mut cache)?,
-            None => self.prefill(prompt, &mut cache)?,
-        };
+        let capacity = prompt.len() + max_new_tokens.saturating_sub(1);
+        let mut kv = PagedKvCache::solo(self.config(), capacity)?;
+        let hidden = self.prefill_solo(prompt, chunk_len, &mut kv)?;
         let (rows, h) = hidden.matrix_dims();
         let mut last = Tensor::from_vec(hidden.row(rows - 1).to_vec(), [1, h])?;
         let mut sampler = Sampler::new(sampler_cfg)?;
@@ -269,7 +218,7 @@ impl<'a> Transformer<'a> {
             let token = sampler.sample(logits.row(0))?;
             out.push(token);
             if step + 1 < max_new_tokens {
-                last = self.prefill(&[token], &mut cache)?;
+                last = self.prefill_paged(&[token], prompt.len() + step, &mut kv)?;
             }
         }
         Ok(out)
@@ -304,13 +253,24 @@ impl<'a> Transformer<'a> {
                 what: "empty token sequence".to_owned(),
             });
         }
-        let mut cache = KvCache::new(self.config().layers);
-        let hidden = match chunk_len {
-            Some(c) => self.prefill_chunked(tokens, c, &mut cache)?,
-            None => self.prefill(tokens, &mut cache)?,
-        };
+        let mut kv = PagedKvCache::solo(self.config(), tokens.len())?;
+        let hidden = self.prefill_solo(tokens, chunk_len, &mut kv)?;
         let (rows, _) = hidden.matrix_dims();
         Ok(hidden.row(rows - 1).to_vec())
+    }
+
+    /// The prompt pass of a solo run: whole-prompt, or chunked when
+    /// `chunk_len` is given.
+    fn prefill_solo(
+        &self,
+        tokens: &[u32],
+        chunk_len: Option<usize>,
+        kv: &mut PagedKvCache,
+    ) -> Result<Tensor<f32>> {
+        match chunk_len {
+            Some(c) => self.prefill_chunked(tokens, c, kv),
+            None => self.prefill_paged(tokens, 0, kv),
+        }
     }
 
     fn apply_norm(&self, x: &Tensor<f32>, gamma: &[f32], beta: &[f32]) -> Result<Tensor<f32>> {
@@ -320,7 +280,11 @@ impl<'a> Transformer<'a> {
         })
     }
 
-    /// Core forward over already-embedded hidden states.
+    /// The one layer loop: the forward over already-embedded hidden
+    /// states `h`, whose rows are the concatenation of `segments` — each
+    /// a run of `rows` consecutive positions from `start_pos` of one
+    /// request's cache. Linear sites see the whole stacked activation;
+    /// RoPE, the K/V write and attention are per segment.
     ///
     /// `recorder`, when present, captures the input activation of every
     /// linear site — the calibration hook used to build quantized backends.
@@ -329,15 +293,19 @@ impl<'a> Transformer<'a> {
     /// functions below — the same closures the out-of-order prefill
     /// executor dispatches — so the sequential and DAG-executed paths can
     /// never numerically drift: they *are* the same code.
-    fn forward_hidden(
+    fn forward_rows(
         &self,
         mut h: Tensor<f32>,
-        start_pos: usize,
-        cache: &mut KvCache,
+        segments: &mut [Segment<'_>],
         mut recorder: Option<&mut CalibrationSet>,
     ) -> Result<Tensor<f32>> {
-        let layers = self.config().layers;
-        for layer in 0..layers {
+        let cfg = self.config();
+        let q_dim = cfg.q_dim();
+        let positions: Vec<usize> = segments
+            .iter()
+            .flat_map(|s| s.start_pos..s.start_pos + s.rows)
+            .collect();
+        for layer in 0..cfg.layers {
             // --- Attention block ---
             let a_in = self.stage_attn_pre(layer, &h)?;
             if let Some(rec) = recorder.as_deref_mut() {
@@ -345,14 +313,29 @@ impl<'a> Transformer<'a> {
                     rec.entry((layer, kind)).or_default().push(a_in.clone());
                 }
             }
-            let (q, k, v) = self.stage_qkv(layer, &a_in, start_pos)?;
+            let mains = self.stage_qkv_main(layer, &a_in)?;
+            let shadows = self.stage_qkv_shadow(layer, &a_in)?;
+            let (q, k, v) = self.qkv_finish_at(mains, shadows, positions.iter().copied())?;
 
-            cache.layer_mut(layer)?.append(&k, &v)?;
-            let layer_kv = cache.layer(layer)?;
-            let keys = layer_kv.keys_tensor()?;
-            let values = layer_kv.values_tensor()?;
-
-            let attn = self.stage_attention(&q, keys, values, start_pos)?;
+            let mut attn = Tensor::zeros([positions.len(), q_dim]);
+            let mut row = 0;
+            for s in segments.iter_mut() {
+                let end = row + s.rows;
+                for r in 0..s.rows {
+                    s.kv.write_position(layer, s.start_pos + r, k.row(row + r), v.row(row + r))?;
+                }
+                s.kv.view(layer, s.start_pos + s.rows, |pages_k, pages_v| {
+                    attend(
+                        &q.as_slice()[row * q_dim..end * q_dim],
+                        pages_k,
+                        pages_v,
+                        cfg,
+                        s.start_pos,
+                        &mut attn.as_mut_slice()[row * q_dim..end * q_dim],
+                    )
+                })??;
+                row = end;
+            }
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.entry((layer, LinearKind::O))
                     .or_default()
@@ -387,7 +370,7 @@ impl<'a> Transformer<'a> {
     //
     // One public function per prefill-DAG stage (llmnpu-graph's six-stage
     // decomposition, collapsed to the numeric boundaries): the sequential
-    // `forward_hidden` composes them in program order, and the
+    // `forward_rows` composes them in program order, and the
     // out-of-order executor in `llmnpu-sched` wraps each in a task
     // closure and dispatches them as dependencies resolve. Shadow-host
     // stages additionally split into `_main` / `_shadow` / finish parts
@@ -449,18 +432,30 @@ impl<'a> Transformer<'a> {
         })
     }
 
-    /// Merges the QKV halves (the §3.3 CPU→NPU merge) **without** the
-    /// position encoding — the pre-RoPE half of
-    /// [`Transformer::stage_qkv_finish`], split out so batched decode
-    /// can rotate each row at its own absolute position.
+    /// Merges the QKV halves and applies RoPE — the §3.3 CPU→NPU merge
+    /// followed by the position encoding.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch.
-    pub fn stage_qkv_merge(
+    pub fn stage_qkv_finish(
         &self,
         mains: QkvMains,
         shadows: QkvShadows,
+        start_pos: usize,
+    ) -> Result<(Tensor<f32>, Tensor<f32>, Tensor<f32>)> {
+        let (seq, _) = mains.q.matrix_dims();
+        self.qkv_finish_at(mains, shadows, start_pos..start_pos + seq)
+    }
+
+    /// [`Transformer::stage_qkv_finish`] with row `i` rotated at
+    /// `positions[i]` — rows of a batched decode step sit at unrelated
+    /// absolute positions.
+    fn qkv_finish_at(
+        &self,
+        mains: QkvMains,
+        shadows: QkvShadows,
+        positions: impl Iterator<Item = usize> + Clone,
     ) -> Result<(Tensor<f32>, Tensor<f32>, Tensor<f32>)> {
         let QkvMains {
             mut q,
@@ -476,84 +471,28 @@ impl<'a> Transformer<'a> {
         if let Some(s) = &shadows.v {
             crate::backend::merge_linear(&mut v, s)?;
         }
-        Ok((q, k, v))
-    }
-
-    /// Merges the QKV halves and applies RoPE — the §3.3 CPU→NPU merge
-    /// followed by the position encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn stage_qkv_finish(
-        &self,
-        mains: QkvMains,
-        shadows: QkvShadows,
-        start_pos: usize,
-    ) -> Result<(Tensor<f32>, Tensor<f32>, Tensor<f32>)> {
         let hd = self.config().head_dim;
-        let (mut q, mut k, v) = self.stage_qkv_merge(mains, shadows)?;
-        let (seq, _) = q.matrix_dims();
-        let positions = start_pos..start_pos + seq;
         rope::apply_rope_heads_inplace(&mut q, hd, positions.clone(), rope::DEFAULT_THETA)?;
         rope::apply_rope_heads_inplace(&mut k, hd, positions, rope::DEFAULT_THETA)?;
         Ok((q, k, v))
     }
 
-    /// `Attention`: scores, causal mask, softmax, A·V over the cached
-    /// keys/values visible to this chunk.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn stage_attention(
-        &self,
-        q: &Tensor<f32>,
-        keys: &Tensor<f32>,
-        values: &Tensor<f32>,
-        start_pos: usize,
-    ) -> Result<Tensor<f32>> {
-        attention(q, keys, values, self.config(), start_pos)
-    }
-
-    /// [`Transformer::stage_attention`] reading K/V **through a block
-    /// table**: the first `visible_rows` positions of `kv`'s layer
-    /// `layer`, walked page by page — no per-row gather, and
-    /// bit-identical to the contiguous path by construction (both run
-    /// [`attention_over_pages`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch or if `visible_rows` exceeds
-    /// the table's reserved capacity.
-    pub fn stage_attention_paged(
-        &self,
-        layer: usize,
-        q: &Tensor<f32>,
-        kv: &PagedKvCache,
-        visible_rows: usize,
-        start_pos: usize,
-    ) -> Result<Tensor<f32>> {
-        kv.view(layer, visible_rows, |pages_k, pages_v| {
-            attention_over_pages(q, pages_k, pages_v, self.config(), start_pos)
-        })?
-    }
-
-    /// [`Transformer::stage_attention_paged`] over a detached
-    /// [`crate::kv::PagedKvReader`] snapshot — the executor's read path, so a long
-    /// attention walk never holds the lock that owns the request's
-    /// cache (concurrent stage tasks of the same request would
-    /// serialize on it otherwise).
+    /// `Attention`: scores, causal mask, softmax, A·V over the first
+    /// `visible_rows` cached positions of `kv`'s layer `layer`, walked
+    /// page by page — no per-row gather. `kv` is a detached
+    /// [`PagedKvReader`] snapshot so a long attention walk never holds
+    /// the lock that owns the request's cache (concurrent stage tasks of
+    /// the same request would serialize on it otherwise).
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch or if `visible_rows` exceeds
     /// the snapshot's reserved capacity.
-    pub fn stage_attention_reader(
+    pub fn stage_attention(
         &self,
         layer: usize,
         q: &Tensor<f32>,
-        kv: &crate::kv::PagedKvReader,
+        kv: &PagedKvReader,
         visible_rows: usize,
         start_pos: usize,
     ) -> Result<Tensor<f32>> {
@@ -692,9 +631,12 @@ impl<'a> Transformer<'a> {
     pub fn calibrate(&self, prompts: &[Vec<u32>]) -> Result<CalibrationSet> {
         let mut set = CalibrationSet::new();
         for prompt in prompts {
-            let mut cache = KvCache::new(self.config().layers);
-            let x = self.embed(prompt)?;
-            self.forward_hidden(x, 0, &mut cache, Some(&mut set))?;
+            let segment = Segment {
+                kv: &mut PagedKvCache::solo(self.config(), prompt.len())?,
+                start_pos: 0,
+                rows: prompt.len(),
+            };
+            self.forward_rows(self.embed(prompt)?, &mut [segment], Some(&mut set))?;
         }
         Ok(set)
     }
@@ -753,29 +695,24 @@ pub struct PagedDecodeEntry<'a> {
     pub kv: &'a mut PagedKvCache,
 }
 
-/// Multi-head attention with GQA/MQA head sharing and chunk-offset causal
-/// masking. `q` is `[seq, heads*head_dim]`; `keys`/`values` are
-/// `[kv_len, kv_heads*head_dim]` from the cache. A contiguous cache is
-/// just the single-page case of [`attention_over_pages`].
-fn attention(
-    q: &Tensor<f32>,
-    keys: &Tensor<f32>,
-    values: &Tensor<f32>,
-    cfg: &ModelConfig,
+/// One run of consecutive rows of a stacked activation: `rows` positions
+/// from `start_pos` of the request that owns `kv`.
+struct Segment<'a> {
+    kv: &'a mut PagedKvCache,
     start_pos: usize,
-) -> Result<Tensor<f32>> {
-    attention_over_pages(q, &[keys.as_slice()], &[values.as_slice()], cfg, start_pos)
+    rows: usize,
 }
 
-/// Multi-head attention over **paged** K/V storage: `pages_k[i]` /
-/// `pages_v[i]` each hold a whole page of `rows_i × kv_dim` contiguous
+/// Multi-head attention with GQA/MQA head sharing and chunk-offset causal
+/// masking over **paged** K/V storage: `q` is `[seq, heads*head_dim]`;
+/// `pages_k[i]` / `pages_v[i]` each hold a whole page of `rows_i × kv_dim` contiguous
 /// elements (`kv_dim = kv_heads × head_dim`), covering cache positions in
 /// order. Runs the tiled kernel
 /// [`llmnpu_tensor::kernel::attention::attention_paged`], whose key tile
 /// is a constant of the kernel rather than the page size and whose every
 /// output row depends only on its own query row and the keys it may see
-/// — so a contiguous cache (one big page) and any paging of the same rows
-/// produce **bit-identical** outputs, and row `r` equals the one-row call
+/// — so the one-page store and any paging of the same rows produce
+/// **bit-identical** outputs, and row `r` equals the one-row call
 /// at `start_pos + r`.
 ///
 /// # Errors
@@ -857,6 +794,58 @@ mod tests {
         (0..n as u32).map(|i| (i * 7 + 3) % 64).collect()
     }
 
+    /// The reference layout: a one-page store of `tokens` positions.
+    fn solo(t: &Transformer<'_>, tokens: usize) -> PagedKvCache {
+        PagedKvCache::solo(t.config(), tokens).unwrap()
+    }
+
+    /// `tokens` positions on a caller-supplied pool of `block_tokens`-row
+    /// pages.
+    fn paged_store(
+        t: &Transformer<'_>,
+        block_tokens: usize,
+        tokens: usize,
+    ) -> (std::sync::Arc<llmnpu_kv::BlockPool>, PagedKvCache) {
+        let pool = std::sync::Arc::new(
+            llmnpu_kv::BlockPool::new(llmnpu_kv::PoolConfig {
+                layers: t.config().layers,
+                kv_dim: t.config().kv_dim(),
+                block_tokens,
+                blocks: tokens.div_ceil(block_tokens) + 2,
+            })
+            .unwrap(),
+        );
+        let kv = PagedKvCache::reserve(&pool, tokens).unwrap();
+        (pool, kv)
+    }
+
+    /// Leading positions of `kv` that hold a written (non-zero) K row in
+    /// every layer.
+    fn filled_positions(t: &Transformer<'_>, kv: &PagedKvCache) -> usize {
+        let kv_dim = t.config().kv_dim();
+        (0..t.config().layers)
+            .map(|layer| {
+                let (k, _) = kv.rows(layer, kv.capacity_tokens()).unwrap();
+                k.chunks(kv_dim)
+                    .take_while(|row| row.iter().any(|&x| x != 0.0))
+                    .count()
+            })
+            .min()
+            .unwrap()
+    }
+
+    /// The first `tokens` cached K **and** V rows of every layer agree to
+    /// the bit, page layout aside.
+    fn assert_same_rows(t: &Transformer<'_>, a: &PagedKvCache, b: &PagedKvCache, tokens: usize) {
+        for layer in 0..t.config().layers {
+            assert_eq!(
+                a.rows(layer, tokens).unwrap(),
+                b.rows(layer, tokens).unwrap(),
+                "cached rows diverged at layer {layer}"
+            );
+        }
+    }
+
     #[test]
     fn embed_validates_tokens() {
         let (w, be) = setup();
@@ -872,10 +861,10 @@ mod tests {
     fn prefill_fills_cache() {
         let (w, be) = setup();
         let t = Transformer::new(&w, &be);
-        let mut cache = KvCache::new(t.config().layers);
-        let h = t.prefill(&tokens(6), &mut cache).unwrap();
+        let mut cache = solo(&t, 8);
+        let h = t.prefill_paged(&tokens(6), 0, &mut cache).unwrap();
         assert_eq!(h.shape().dims(), &[6, 32]);
-        assert_eq!(cache.seq_len(), 6);
+        assert_eq!(filled_positions(&t, &cache), 6);
     }
 
     #[test]
@@ -886,17 +875,17 @@ mod tests {
         let t = Transformer::new(&w, &be);
         let toks = tokens(10);
 
-        let mut cache_whole = KvCache::new(t.config().layers);
-        let whole = t.prefill(&toks, &mut cache_whole).unwrap();
+        let mut cache_whole = solo(&t, toks.len());
+        let whole = t.prefill_paged(&toks, 0, &mut cache_whole).unwrap();
 
         for chunk_len in [1usize, 3, 4, 5, 10, 16] {
-            let mut cache_chunked = KvCache::new(t.config().layers);
+            let mut cache_chunked = solo(&t, toks.len());
             let chunked = t
                 .prefill_chunked(&toks, chunk_len, &mut cache_chunked)
                 .unwrap();
             let mse = whole.mse(&chunked).unwrap();
             assert!(mse < 1e-9, "chunk_len {chunk_len}: mse {mse} should be ~0");
-            assert_eq!(cache_chunked.seq_len(), toks.len());
+            assert_eq!(filled_positions(&t, &cache_chunked), toks.len());
         }
     }
 
@@ -904,7 +893,7 @@ mod tests {
     fn chunked_prefill_rejects_zero_chunk() {
         let (w, be) = setup();
         let t = Transformer::new(&w, &be);
-        let mut cache = KvCache::new(t.config().layers);
+        let mut cache = solo(&t, 4);
         assert!(t.prefill_chunked(&tokens(4), 0, &mut cache).is_err());
     }
 
@@ -912,11 +901,13 @@ mod tests {
     fn decode_extends_cache_and_yields_logits() {
         let (w, be) = setup();
         let t = Transformer::new(&w, &be);
-        let mut cache = KvCache::new(t.config().layers);
-        t.prefill(&tokens(5), &mut cache).unwrap();
-        let logits = t.decode_step(9, &mut cache).unwrap();
+        let mut cache = solo(&t, 8);
+        t.prefill_paged(&tokens(5), 0, &mut cache).unwrap();
+        assert_eq!(filled_positions(&t, &cache), 5);
+        let hidden = t.prefill_paged(&[9], 5, &mut cache).unwrap();
+        let logits = t.logits(&hidden).unwrap();
         assert_eq!(logits.shape().dims(), &[1, 64]);
-        assert_eq!(cache.seq_len(), 6);
+        assert_eq!(filled_positions(&t, &cache), 6);
     }
 
     #[test]
@@ -951,12 +942,12 @@ mod tests {
             .unwrap();
 
         // Manual loop: prefill, then argmax over logits per step.
-        let mut cache = KvCache::new(t.config().layers);
-        let hidden = t.prefill(&prompt, &mut cache).unwrap();
+        let mut cache = solo(&t, prompt.len() + 3);
+        let hidden = t.prefill_paged(&prompt, 0, &mut cache).unwrap();
         let (rows, h) = hidden.matrix_dims();
         let mut last = Tensor::from_vec(hidden.row(rows - 1).to_vec(), [1, h]).unwrap();
         let mut manual = Vec::new();
-        for _ in 0..4 {
+        for step in 0..4 {
             let logits = t.logits(&last).unwrap();
             let row = logits.row(0);
             let mut best = 0usize;
@@ -966,7 +957,10 @@ mod tests {
                 }
             }
             manual.push(best as u32);
-            last = t.prefill(&[best as u32], &mut cache).unwrap();
+            if step < 3 {
+                let pos = prompt.len() + step;
+                last = t.prefill_paged(&[best as u32], pos, &mut cache).unwrap();
+            }
         }
         assert_eq!(generated, manual);
     }
@@ -985,10 +979,10 @@ mod tests {
         let (w, be) = setup();
         let t = Transformer::new(&w, &be);
 
-        let mut c1 = KvCache::new(t.config().layers);
-        let h1 = t.prefill(&[1, 2, 3, 4], &mut c1).unwrap();
-        let mut c2 = KvCache::new(t.config().layers);
-        let h2 = t.prefill(&[1, 60, 61, 62], &mut c2).unwrap();
+        let h1 = t.prefill_paged(&[1, 2, 3, 4], 0, &mut solo(&t, 4)).unwrap();
+        let h2 = t
+            .prefill_paged(&[1, 60, 61, 62], 0, &mut solo(&t, 4))
+            .unwrap();
         for (a, b) in h1.row(0).iter().zip(h2.row(0)) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -1004,8 +998,7 @@ mod tests {
             let w = synthesize(&cfg, 9, OutlierSpec::default()).unwrap();
             let be = FloatBackend::new(w.clone());
             let t = Transformer::new(&w, &be);
-            let mut cache = KvCache::new(cfg.layers);
-            let h = t.prefill(&tokens(6), &mut cache).unwrap();
+            let h = t.prefill_paged(&tokens(6), 0, &mut solo(&t, 6)).unwrap();
             assert_eq!(h.shape().dims(), &[6, cfg.hidden]);
             assert!(h.as_slice().iter().all(|v| v.is_finite()));
         }
@@ -1028,8 +1021,7 @@ mod tests {
         let (w, be) = setup();
         let t = Transformer::new(&w, &be);
         let toks = tokens(7);
-        let mut cache = KvCache::new(t.config().layers);
-        let h = t.prefill(&toks, &mut cache).unwrap();
+        let h = t.prefill_paged(&toks, 0, &mut solo(&t, 7)).unwrap();
         let last = t.last_hidden(&toks, None).unwrap();
         assert_eq!(h.row(6), last.as_slice());
         let last_chunked = t.last_hidden(&toks, Some(3)).unwrap();
@@ -1040,41 +1032,23 @@ mod tests {
 
     #[test]
     fn paged_prefill_bit_identical_to_contiguous_at_any_page_size() {
+        // N-token pages ≡ the one-page (contiguous) store: hidden states
+        // and cached K and V rows.
         let (w, be) = setup();
         let t = Transformer::new(&w, &be);
         let toks = tokens(10);
-        let mut contiguous = KvCache::new(t.config().layers);
-        let whole = t.prefill(&toks, &mut contiguous).unwrap();
-        let kv_dim = t.config().kv_dim();
+        let mut contiguous = solo(&t, toks.len());
+        let whole = t.prefill_paged(&toks, 0, &mut contiguous).unwrap();
 
         for block_tokens in [1usize, 3, 4, 16] {
-            let pool = std::sync::Arc::new(
-                llmnpu_kv::BlockPool::new(llmnpu_kv::PoolConfig {
-                    layers: t.config().layers,
-                    kv_dim,
-                    block_tokens,
-                    blocks: toks.len().div_ceil(block_tokens) + 2,
-                })
-                .unwrap(),
-            );
-            let mut paged = PagedKvCache::reserve(&pool, toks.len()).unwrap();
+            let (pool, mut paged) = paged_store(&t, block_tokens, toks.len());
             let h = t.prefill_paged(&toks, 0, &mut paged).unwrap();
             assert_eq!(
                 h.as_slice(),
                 whole.as_slice(),
                 "hidden states diverged at page size {block_tokens}"
             );
-            // The cached rows themselves are identical, page layout aside.
-            for layer in 0..t.config().layers {
-                let keys = contiguous.layer(layer).unwrap().keys_tensor().unwrap();
-                paged
-                    .view(layer, toks.len(), |pages_k, _| {
-                        let flat: Vec<f32> =
-                            pages_k.iter().flat_map(|p| p.iter().copied()).collect();
-                        assert_eq!(flat.as_slice(), keys.as_slice());
-                    })
-                    .unwrap();
-            }
+            assert_same_rows(&t, &paged, &contiguous, toks.len());
             paged.release().unwrap();
             assert_eq!(pool.used_blocks(), 0, "pages leaked");
         }
@@ -1083,23 +1057,14 @@ mod tests {
     #[test]
     fn paged_chunked_prefill_matches_contiguous_chunked() {
         // Chunk-at-a-time paged prefill (what the serving executor runs)
-        // against the contiguous chunked reference.
+        // against the chunked reference on the one-page store.
         let (w, be) = setup();
         let t = Transformer::new(&w, &be);
         let toks = tokens(11);
-        let mut contiguous = KvCache::new(t.config().layers);
+        let mut contiguous = solo(&t, toks.len());
         let reference = t.prefill_chunked(&toks, 4, &mut contiguous).unwrap();
 
-        let pool = std::sync::Arc::new(
-            llmnpu_kv::BlockPool::new(llmnpu_kv::PoolConfig {
-                layers: t.config().layers,
-                kv_dim: t.config().kv_dim(),
-                block_tokens: 3,
-                blocks: 8,
-            })
-            .unwrap(),
-        );
-        let mut paged = PagedKvCache::reserve(&pool, toks.len()).unwrap();
+        let (_pool, mut paged) = paged_store(&t, 3, toks.len());
         let mut hidden = Vec::new();
         let mut pos = 0;
         for chunk in toks.chunks(4) {
@@ -1108,7 +1073,35 @@ mod tests {
             pos += chunk.len();
         }
         assert_eq!(hidden.as_slice(), reference.as_slice());
+        assert_same_rows(&t, &paged, &contiguous, toks.len());
         paged.release().unwrap();
+    }
+
+    #[test]
+    fn prefill_past_solo_capacity_is_out_of_range_and_keeps_earlier_rows() {
+        let (w, be) = setup();
+        let t = Transformer::new(&w, &be);
+        let toks = tokens(6);
+        let mut kv = solo(&t, toks.len());
+        t.prefill_paged(&toks, 0, &mut kv).unwrap();
+        let before: Vec<_> = (0..t.config().layers)
+            .map(|layer| kv.rows(layer, toks.len()).unwrap())
+            .collect();
+        assert!(matches!(
+            t.prefill_paged(&[9], toks.len(), &mut kv),
+            Err(Error::Kv(llmnpu_kv::Error::OutOfRange { .. }))
+        ));
+        for (layer, rows) in before.iter().enumerate() {
+            assert_eq!(&kv.rows(layer, toks.len()).unwrap(), rows);
+        }
+        // A chunk straddling the end fails too, and no row before its
+        // start is rewritten.
+        assert!(t.prefill_paged(&[9, 9], toks.len() - 1, &mut kv).is_err());
+        for (layer, rows) in before.iter().enumerate() {
+            let (k, v) = kv.rows(layer, toks.len() - 1).unwrap();
+            let n = k.len();
+            assert_eq!((&k[..], &v[..]), (&rows.0[..n], &rows.1[..n]));
+        }
     }
 
     #[test]

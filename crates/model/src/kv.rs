@@ -1,186 +1,28 @@
-//! Per-layer key/value cache.
+//! A request's key/value store: pages of the [`BlockPool`] behind a
+//! block table.
 //!
 //! The KV cache is one of the custom operators llm.npu implements on top of
 //! QNN (§4). Its semantic role in this reproduction is the chunk-level
 //! causal dependency of §3.2: chunk *i*'s attention reads the keys/values
-//! appended by chunks `0..i`, which is exactly the cross-chunk dependency
+//! written by chunks `0..i`, which is exactly the cross-chunk dependency
 //! the scheduler must respect (Equation 2).
+//!
+//! There is **one** store. A K/V row exists only in a pool page, reached
+//! through a [`PagedKvCache`]: serving reserves pages of the shared pool,
+//! and a solo run (`generate`, `last_hidden`, `calibrate`, the
+//! single-request DAG executor) opens a private pool of exactly one page
+//! ([`PagedKvCache::solo`]) — contiguous memory behind the same block
+//! table, so every forward runs the same code over the same layout.
 
 use std::sync::Arc;
 
-use llmnpu_kv::{BlockPool, BlockTable};
-use llmnpu_tensor::Tensor;
+use llmnpu_kv::{BlockPool, BlockTable, PoolConfig};
 
-use crate::{Error, Result};
+use crate::config::ModelConfig;
+use crate::Result;
 
-/// Key/value storage for one layer: rows are token positions, columns are
-/// the `kv_dim` feature width.
-///
-/// Keys and values live in **flat contiguous** `[len, kv_dim]` tensors
-/// that grow in place (amortized, no per-position heap allocation — the
-/// seed held one `Vec` per token position and re-materialized the full
-/// history on every attention call). [`LayerKv::keys_tensor`] /
-/// [`LayerKv::values_tensor`] are zero-copy borrows of that storage.
-#[derive(Debug, Clone)]
-pub struct LayerKv {
-    keys: Tensor<f32>,
-    values: Tensor<f32>,
-}
-
-impl Default for LayerKv {
-    fn default() -> Self {
-        LayerKv {
-            keys: Tensor::zeros([0, 0]),
-            values: Tensor::zeros([0, 0]),
-        }
-    }
-}
-
-/// Extends a flat `[rows, width]` tensor with `new_rows` more rows.
-fn grow(t: &mut Tensor<f32>, src: &Tensor<f32>, rows: usize, new_rows: usize, width: usize) {
-    let grown = std::mem::replace(t, Tensor::zeros([0, 0]));
-    let mut data = grown.into_vec();
-    data.extend_from_slice(src.as_slice());
-    *t = Tensor::from_vec(data, [rows + new_rows, width]).expect("kv growth arithmetic");
-}
-
-impl LayerKv {
-    /// Number of cached positions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.keys.matrix_dims().0
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends `rows` new positions from `[rows, kv_dim]` tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if key/value shapes disagree, or if the feature
-    /// width differs from previously appended positions.
-    pub fn append(&mut self, k: &Tensor<f32>, v: &Tensor<f32>) -> Result<()> {
-        if k.shape() != v.shape() {
-            return Err(Error::Tensor(llmnpu_tensor::Error::ShapeMismatch {
-                op: "kv_append",
-                lhs: k.shape().dims().to_vec(),
-                rhs: v.shape().dims().to_vec(),
-            }));
-        }
-        let (rows, width) = k.matrix_dims();
-        let (cur, cur_width) = self.keys.matrix_dims();
-        if cur > 0 && width != cur_width {
-            return Err(Error::Tensor(llmnpu_tensor::Error::ShapeMismatch {
-                op: "kv_append",
-                lhs: vec![cur, cur_width],
-                rhs: k.shape().dims().to_vec(),
-            }));
-        }
-        grow(&mut self.keys, k, cur, rows, width);
-        grow(&mut self.values, v, cur, rows, width);
-        Ok(())
-    }
-
-    /// All cached keys as a `[len, kv_dim]` tensor — a zero-copy borrow
-    /// of the flat storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only if the cache is empty (no width known).
-    pub fn keys_tensor(&self) -> Result<&Tensor<f32>> {
-        check_non_empty("kv_keys", &self.keys)
-    }
-
-    /// All cached values as a `[len, kv_dim]` tensor — a zero-copy borrow
-    /// of the flat storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only if the cache is empty.
-    pub fn values_tensor(&self) -> Result<&Tensor<f32>> {
-        check_non_empty("kv_values", &self.values)
-    }
-
-    /// Elements held (keys + values).
-    pub(crate) fn elements(&self) -> usize {
-        self.keys.len() + self.values.len()
-    }
-}
-
-fn check_non_empty<'a>(op: &'static str, t: &'a Tensor<f32>) -> Result<&'a Tensor<f32>> {
-    if t.is_empty() {
-        return Err(Error::Tensor(llmnpu_tensor::Error::InvalidDimension {
-            op,
-            what: "empty kv cache".to_owned(),
-        }));
-    }
-    Ok(t)
-}
-
-/// KV caches for every layer of a model.
-#[derive(Debug, Clone, Default)]
-pub struct KvCache {
-    layers: Vec<LayerKv>,
-}
-
-impl KvCache {
-    /// Creates an empty cache for `layers` layers.
-    #[must_use]
-    pub fn new(layers: usize) -> Self {
-        KvCache {
-            layers: vec![LayerKv::default(); layers],
-        }
-    }
-
-    /// Cached sequence length (positions in layer 0).
-    #[must_use]
-    pub fn seq_len(&self) -> usize {
-        self.layers.first().map_or(0, LayerKv::len)
-    }
-
-    /// Access one layer's cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LayerOutOfRange`] for a bad index.
-    pub fn layer(&self, idx: usize) -> Result<&LayerKv> {
-        self.layers.get(idx).ok_or(Error::LayerOutOfRange {
-            layer: idx,
-            layers: self.layers.len(),
-        })
-    }
-
-    /// Mutable access to one layer's cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LayerOutOfRange`] for a bad index.
-    pub fn layer_mut(&mut self, idx: usize) -> Result<&mut LayerKv> {
-        let layers = self.layers.len();
-        self.layers
-            .get_mut(idx)
-            .ok_or(Error::LayerOutOfRange { layer: idx, layers })
-    }
-
-    /// Bytes held by the cache assuming `dtype_bytes` per element.
-    #[must_use]
-    pub fn bytes(&self, dtype_bytes: usize) -> u64 {
-        let elems: usize = self.layers.iter().map(LayerKv::elements).sum();
-        (elems * dtype_bytes) as u64
-    }
-}
-
-/// A request's KV cache backed by the shared paged [`BlockPool`]
-/// (`llmnpu-kv`): block-table addressing instead of private contiguous
-/// growth.
-///
-/// This is the serving-side sibling of [`KvCache`]: same per-layer
-/// `[len, kv_dim]` semantics, but rows live in fixed pool pages named by
-/// a per-request [`BlockTable`], so
+/// A request's KV cache: per-layer `[len, kv_dim]` rows living in fixed
+/// [`BlockPool`] pages named by a per-request [`BlockTable`], so
 ///
 /// * capacity is **reserved** against the pool (admission by free
 ///   pages),
@@ -191,28 +33,47 @@ impl KvCache {
 ///
 /// Positions are absolute and writes are position-addressed, matching
 /// the out-of-order prefill executor's invariant. Attention reads go
-/// through [`PagedKvCache::view`] as whole-page slices — what
-/// `forward::attention_over_pages` hands the tiled attention kernel,
-/// whose key tile is its own constant, so any paging is bit-identical to
-/// the contiguous path.
+/// through [`PagedKvReader::view`] (a cache dereferences to its reader)
+/// as whole-page slices — what `forward::attention_over_pages` hands the
+/// tiled attention kernel, whose key tile is its own constant, so any
+/// paging is bit-identical to the one-page store.
 #[derive(Debug)]
-pub struct PagedKvCache {
-    pool: Arc<BlockPool>,
-    table: BlockTable,
-}
+pub struct PagedKvCache(PagedKvReader);
 
 impl PagedKvCache {
+    /// A private store for one solo run: its own pool of exactly **one
+    /// page** of `tokens` positions (contiguous, sized exactly — nothing
+    /// grows), already reserved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Kv`](crate::Error::Kv) for zero `tokens`.
+    pub fn solo(cfg: &ModelConfig, tokens: usize) -> Result<Self> {
+        let pool = Arc::new(BlockPool::new(PoolConfig {
+            layers: cfg.layers,
+            kv_dim: cfg.kv_dim(),
+            block_tokens: tokens,
+            blocks: 1,
+        })?);
+        Self::reserve(&pool, tokens)
+    }
+
+    fn over(pool: &Arc<BlockPool>, table: BlockTable) -> Self {
+        PagedKvCache(PagedKvReader {
+            pool: Arc::clone(pool),
+            table,
+        })
+    }
+
     /// Reserves pool capacity for `tokens` positions (every block
     /// fresh).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Kv`] if the pool cannot supply the pages.
+    /// Returns [`Error::Kv`](crate::Error::Kv) if the pool cannot supply
+    /// the pages.
     pub fn reserve(pool: &Arc<BlockPool>, tokens: usize) -> Result<Self> {
-        Ok(PagedKvCache {
-            pool: Arc::clone(pool),
-            table: BlockTable::reserve(pool, tokens)?,
-        })
+        Ok(Self::over(pool, BlockTable::reserve(pool, tokens)?))
     }
 
     /// Reserves capacity for `total_tokens`, sharing the first
@@ -221,17 +82,16 @@ impl PagedKvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Kv`] on misalignment or pool exhaustion.
+    /// Returns [`Error::Kv`](crate::Error::Kv) on misalignment or pool
+    /// exhaustion.
     pub fn reserve_shared(
         pool: &Arc<BlockPool>,
         donor: &PagedKvCache,
         shared_tokens: usize,
         total_tokens: usize,
     ) -> Result<Self> {
-        Ok(PagedKvCache {
-            pool: Arc::clone(pool),
-            table: BlockTable::reserve_shared(pool, &donor.table, shared_tokens, total_tokens)?,
-        })
+        let table = BlockTable::reserve_shared(pool, &donor.0.table, shared_tokens, total_tokens)?;
+        Ok(Self::over(pool, table))
     }
 
     /// Reserves capacity for `total_tokens` on top of already-resident
@@ -241,35 +101,34 @@ impl PagedKvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Kv`] if any prefix block is invalid or free, or
-    /// on pool exhaustion (the retain is rolled back).
+    /// Returns [`Error::Kv`](crate::Error::Kv) if any prefix block is
+    /// invalid or free, or on pool exhaustion (the retain is rolled
+    /// back).
     pub fn reserve_with_prefix(
         pool: &Arc<BlockPool>,
         prefix_blocks: &[llmnpu_kv::BlockId],
         total_tokens: usize,
     ) -> Result<Self> {
-        Ok(PagedKvCache {
-            pool: Arc::clone(pool),
-            table: BlockTable::reserve_with_prefix(pool, prefix_blocks, total_tokens)?,
-        })
+        let table = BlockTable::reserve_with_prefix(pool, prefix_blocks, total_tokens)?;
+        Ok(Self::over(pool, table))
     }
 
     /// The backing pool.
     #[must_use]
     pub fn pool(&self) -> &Arc<BlockPool> {
-        &self.pool
+        &self.0.pool
     }
 
     /// The request's block table.
     #[must_use]
     pub fn table(&self) -> &BlockTable {
-        &self.table
+        &self.0.table
     }
 
     /// Reserved token capacity.
     #[must_use]
     pub fn capacity_tokens(&self) -> usize {
-        self.table.capacity_tokens()
+        self.0.table.capacity_tokens()
     }
 
     /// Writes one position's K/V rows in one layer (copy-on-write if the
@@ -277,7 +136,8 @@ impl PagedKvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Kv`] on bad addressing or width.
+    /// Returns [`Error::Kv`](crate::Error::Kv) on bad addressing or
+    /// width.
     pub fn write_position(
         &mut self,
         layer: usize,
@@ -285,23 +145,8 @@ impl PagedKvCache {
         k_row: &[f32],
         v_row: &[f32],
     ) -> Result<()> {
-        self.table.write_row(&self.pool, layer, pos, k_row, v_row)?;
-        Ok(())
-    }
-
-    /// Runs `f` over the first `visible_rows` cached positions of one
-    /// layer as whole-page K/V slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Kv`] if `visible_rows` exceeds capacity.
-    pub fn view<R>(
-        &self,
-        layer: usize,
-        visible_rows: usize,
-        f: impl FnOnce(&[&[f32]], &[&[f32]]) -> R,
-    ) -> Result<R> {
-        Ok(self.table.with_pages(&self.pool, layer, visible_rows, f)?)
+        let PagedKvReader { pool, table } = &mut self.0;
+        Ok(table.write_row(pool, layer, pos, k_row, v_row)?)
     }
 
     /// Returns every page to the pool (eviction / request completion).
@@ -309,9 +154,10 @@ impl PagedKvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Kv`] on a double release.
+    /// Returns [`Error::Kv`](crate::Error::Kv) on a double release.
     pub fn release(&mut self) -> Result<usize> {
-        Ok(self.table.release(&self.pool)?)
+        let PagedKvReader { pool, table } = &mut self.0;
+        Ok(table.release(pool)?)
     }
 
     /// A read-only snapshot of this cache (shared pool handle + a copy
@@ -327,15 +173,23 @@ impl PagedKvCache {
     /// snapshot block out from under a reader).
     #[must_use]
     pub fn reader(&self) -> PagedKvReader {
-        PagedKvReader {
-            pool: Arc::clone(&self.pool),
-            table: self.table.clone(),
-        }
+        self.0.clone()
     }
 }
 
-/// A detached read-only view of a [`PagedKvCache`] — see
-/// [`PagedKvCache::reader`] for the validity contract.
+/// A cache reads through its own reader: [`PagedKvReader::view`] is the
+/// one page walk, whoever holds the rows.
+impl std::ops::Deref for PagedKvCache {
+    type Target = PagedKvReader;
+
+    fn deref(&self) -> &PagedKvReader {
+        &self.0
+    }
+}
+
+/// The read half of a [`PagedKvCache`]: a pool handle plus a block
+/// table. Detached from its cache by [`PagedKvCache::reader`] — see
+/// there for the validity contract.
 #[derive(Debug, Clone)]
 pub struct PagedKvReader {
     pool: Arc<BlockPool>,
@@ -344,12 +198,12 @@ pub struct PagedKvReader {
 
 impl PagedKvReader {
     /// Runs `f` over the first `visible_rows` cached positions of one
-    /// layer as whole-page K/V slices (the same walk as
-    /// [`PagedKvCache::view`]).
+    /// layer as whole-page K/V slices.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Kv`] if `visible_rows` exceeds capacity.
+    /// Returns [`Error::Kv`](crate::Error::Kv) if `visible_rows` exceeds
+    /// capacity.
     pub fn view<R>(
         &self,
         layer: usize,
@@ -358,111 +212,174 @@ impl PagedKvReader {
     ) -> Result<R> {
         Ok(self.table.with_pages(&self.pool, layer, visible_rows, f)?)
     }
+
+    /// The first `visible_rows` K and V rows of one layer, each copied
+    /// out as one flat row-major `[visible_rows × kv_dim]` vector: the
+    /// cached rows with the page layout erased, which is what two stores
+    /// of different page sizes are compared by.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Kv`](crate::Error::Kv) if `visible_rows` exceeds
+    /// capacity.
+    pub fn rows(&self, layer: usize, visible_rows: usize) -> Result<(Vec<f32>, Vec<f32>)> {
+        self.view(layer, visible_rows, |pages_k, pages_v| {
+            (pages_k.concat(), pages_v.concat())
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Error;
 
-    fn kv_pair(rows: usize, width: usize, base: f32) -> (Tensor<f32>, Tensor<f32>) {
-        let k = Tensor::from_vec(
-            (0..rows * width).map(|i| base + i as f32).collect(),
-            [rows, width],
-        )
+    /// `tiny`: 2 layers, `kv_dim` 16.
+    fn cfg() -> ModelConfig {
+        ModelConfig::tiny()
+    }
+
+    fn row(base: f32) -> Vec<f32> {
+        (0..cfg().kv_dim()).map(|i| base + i as f32).collect()
+    }
+
+    fn neg(row: &[f32]) -> Vec<f32> {
+        row.iter().map(|x| -x).collect()
+    }
+
+    /// Writes position `p`'s rows (`row(100·p)`, negated for V) in layer 0.
+    fn write(kv: &mut PagedKvCache, positions: impl IntoIterator<Item = usize>) {
+        for p in positions {
+            let k = row(100.0 * p as f32);
+            kv.write_position(0, p, &k, &neg(&k)).unwrap();
+        }
+    }
+
+    fn paged(block_tokens: usize, tokens: usize) -> PagedKvCache {
+        let pool = Arc::new(
+            BlockPool::new(PoolConfig {
+                layers: cfg().layers,
+                kv_dim: cfg().kv_dim(),
+                block_tokens,
+                blocks: tokens.div_ceil(block_tokens),
+            })
+            .unwrap(),
+        );
+        PagedKvCache::reserve(&pool, tokens).unwrap()
+    }
+
+    #[test]
+    fn solo_is_one_exact_page() {
+        let kv = PagedKvCache::solo(&cfg(), 7).unwrap();
+        assert_eq!(kv.capacity_tokens(), 7);
+        assert_eq!(kv.table().blocks().len(), 1);
+        assert_eq!(kv.pool().total_blocks(), 1);
+        assert_eq!(kv.pool().free_blocks(), 0);
+        kv.view(0, 7, |pages_k, pages_v| {
+            assert_eq!(pages_k.len(), 1);
+            assert_eq!(pages_v[0].len(), 7 * cfg().kv_dim());
+        })
         .unwrap();
-        let v = Tensor::from_vec(
-            (0..rows * width).map(|i| -(base + i as f32)).collect(),
-            [rows, width],
-        )
-        .unwrap();
-        (k, v)
+        assert!(matches!(
+            PagedKvCache::solo(&cfg(), 0),
+            Err(Error::Kv(llmnpu_kv::Error::InvalidConfig { .. }))
+        ));
     }
 
     #[test]
     fn append_accumulates_positions() {
-        let mut cache = KvCache::new(2);
-        let (k, v) = kv_pair(3, 4, 0.0);
-        cache.layer_mut(0).unwrap().append(&k, &v).unwrap();
-        assert_eq!(cache.seq_len(), 3);
-        let (k2, v2) = kv_pair(2, 4, 100.0);
-        cache.layer_mut(0).unwrap().append(&k2, &v2).unwrap();
-        assert_eq!(cache.layer(0).unwrap().len(), 5);
+        let mut kv = PagedKvCache::solo(&cfg(), 5).unwrap();
+        write(&mut kv, 0..3);
+        write(&mut kv, 3..5);
+        let (k, _) = kv.rows(0, 5).unwrap();
+        for p in 0..5 {
+            let w = cfg().kv_dim();
+            assert_eq!(&k[p * w..(p + 1) * w], row(100.0 * p as f32).as_slice());
+        }
         // Layer 1 untouched.
-        assert!(cache.layer(1).unwrap().is_empty());
+        let (k1, v1) = kv.rows(1, 5).unwrap();
+        assert!(k1.iter().chain(&v1).all(|&x| x == 0.0));
     }
 
     #[test]
     fn tensors_round_trip() {
-        let mut cache = KvCache::new(1);
-        let (k, v) = kv_pair(2, 3, 1.0);
-        cache.layer_mut(0).unwrap().append(&k, &v).unwrap();
-        let kt = cache.layer(0).unwrap().keys_tensor().unwrap();
-        assert_eq!(kt.shape().dims(), &[2, 3]);
-        assert_eq!(kt.as_slice(), k.as_slice());
-        let vt = cache.layer(0).unwrap().values_tensor().unwrap();
-        assert_eq!(vt.as_slice(), v.as_slice());
+        for mut kv in [PagedKvCache::solo(&cfg(), 5).unwrap(), paged(2, 5)] {
+            write(&mut kv, 0..5);
+            let (k, v) = kv.rows(0, 5).unwrap();
+            let want: Vec<f32> = (0..5).flat_map(|p| row(100.0 * p as f32)).collect();
+            assert_eq!(k, want);
+            assert_eq!(v, neg(&want));
+            // A shorter view is a prefix of the same rows.
+            assert_eq!(kv.rows(0, 3).unwrap().0, want[..3 * cfg().kv_dim()]);
+            // A detached reader walks the same pages.
+            assert_eq!(kv.reader().rows(0, 5).unwrap(), (k, v));
+        }
     }
 
     #[test]
     fn chunked_appends_equal_one_big_append() {
-        // The §3.2 invariant at the cache level.
-        let (k, v) = kv_pair(6, 4, 0.0);
-        let mut whole = LayerKv::default();
-        whole.append(&k, &v).unwrap();
-
-        let mut chunked = LayerKv::default();
-        for chunk in 0..3 {
-            let rows: Vec<f32> = (chunk * 2 * 4..(chunk + 1) * 2 * 4)
-                .map(|i| i as f32)
-                .collect();
-            let kc = Tensor::from_vec(rows.clone(), [2, 4]).unwrap();
-            let vc = Tensor::from_vec(rows.iter().map(|&x| -x).collect(), [2, 4]).unwrap();
-            chunked.append(&kc, &vc).unwrap();
+        // The §3.2 invariant at the cache level: writes are
+        // position-addressed, so chunks landing in any order — on any
+        // paging — leave the rows one in-order pass leaves.
+        let mut whole = PagedKvCache::solo(&cfg(), 6).unwrap();
+        write(&mut whole, 0..6);
+        for mut chunked in [PagedKvCache::solo(&cfg(), 6).unwrap(), paged(4, 6)] {
+            for chunk in [2usize, 0, 1] {
+                write(&mut chunked, chunk * 2..(chunk + 1) * 2);
+            }
+            assert_eq!(whole.rows(0, 6).unwrap(), chunked.rows(0, 6).unwrap());
         }
-        assert_eq!(
-            whole.keys_tensor().unwrap().as_slice(),
-            chunked.keys_tensor().unwrap().as_slice()
-        );
     }
 
     #[test]
     fn mismatched_kv_shapes_rejected() {
-        let mut cache = LayerKv::default();
-        let (k, _) = kv_pair(2, 3, 0.0);
-        let (_, v) = kv_pair(2, 4, 0.0);
-        assert!(cache.append(&k, &v).is_err());
-    }
-
-    #[test]
-    fn empty_cache_errors_on_tensor_view() {
-        let cache = LayerKv::default();
-        assert!(cache.keys_tensor().is_err());
+        let mut kv = PagedKvCache::solo(&cfg(), 2).unwrap();
+        let k = row(0.0);
+        assert!(matches!(
+            kv.write_position(0, 0, &k, &k[1..]),
+            Err(Error::Kv(llmnpu_kv::Error::WidthMismatch { .. }))
+        ));
     }
 
     #[test]
     fn inconsistent_widths_across_appends_rejected() {
-        let mut cache = LayerKv::default();
-        let (k, v) = kv_pair(2, 3, 0.0);
-        cache.append(&k, &v).unwrap();
-        let (k2, v2) = kv_pair(2, 4, 0.0);
-        assert!(cache.append(&k2, &v2).is_err());
-        // The failed append must not have corrupted the cache.
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.keys_tensor().unwrap().shape().dims(), &[2, 3]);
+        let mut kv = PagedKvCache::solo(&cfg(), 4).unwrap();
+        write(&mut kv, 0..2);
+        let before = kv.rows(0, 4).unwrap();
+        let wide = vec![9.0; cfg().kv_dim() + 1];
+        assert!(kv.write_position(0, 2, &wide, &wide).is_err());
+        // The failed write must not have touched the store.
+        assert_eq!(kv.rows(0, 4).unwrap(), before);
     }
 
     #[test]
     fn layer_bounds_checked() {
-        let mut cache = KvCache::new(2);
-        assert!(cache.layer(2).is_err());
-        assert!(cache.layer_mut(5).is_err());
+        let mut kv = PagedKvCache::solo(&cfg(), 3).unwrap();
+        let k = row(0.0);
+        assert!(kv.write_position(cfg().layers, 0, &k, &k).is_err());
+        assert!(kv.view(5, 1, |_, _| ()).is_err());
+    }
+
+    #[test]
+    fn position_bounds_checked() {
+        let mut kv = PagedKvCache::solo(&cfg(), 3).unwrap();
+        let k = row(0.0);
+        assert!(matches!(
+            kv.write_position(0, 3, &k, &k),
+            Err(Error::Kv(llmnpu_kv::Error::OutOfRange { .. }))
+        ));
+        assert!(matches!(
+            kv.view(0, 4, |_, _| ()),
+            Err(Error::Kv(llmnpu_kv::Error::OutOfRange { .. }))
+        ));
     }
 
     #[test]
     fn bytes_accounts_keys_and_values() {
-        let mut cache = KvCache::new(1);
-        let (k, v) = kv_pair(4, 8, 0.0);
-        cache.layer_mut(0).unwrap().append(&k, &v).unwrap();
-        assert_eq!(cache.bytes(2), (4 * 8 * 2 * 2) as u64);
+        // A solo store holds exactly its rows: nothing is rounded up to a
+        // page size and nothing doubles.
+        let kv = PagedKvCache::solo(&cfg(), 4).unwrap();
+        let f32s = 4 * cfg().kv_dim() * 2 * cfg().layers;
+        assert_eq!(kv.pool().bytes(), (f32s * 4) as u64);
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use llmnpu_model::backend::FloatBackend;
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
-use llmnpu_model::kv::KvCache;
+use llmnpu_model::kv::PagedKvCache;
 use llmnpu_model::weights::{synthesize, OutlierSpec};
 
 fn arbitrary_mini() -> impl Strategy<Value = (ModelConfig, u64)> {
@@ -40,12 +40,19 @@ proptest! {
         let t = Transformer::new(&w, &be);
         let toks: Vec<u32> = (0..prompt_len as u32).map(|i| (i * 7 + seed as u32) % 64).collect();
 
-        let mut c1 = KvCache::new(cfg.layers);
-        let whole = t.prefill(&toks, &mut c1).unwrap();
-        let mut c2 = KvCache::new(cfg.layers);
+        let mut c1 = PagedKvCache::solo(&cfg, toks.len()).unwrap();
+        let whole = t.prefill_paged(&toks, 0, &mut c1).unwrap();
+        let mut c2 = PagedKvCache::solo(&cfg, toks.len()).unwrap();
         let chunked = t.prefill_chunked(&toks, chunk_len, &mut c2).unwrap();
         prop_assert!(whole.mse(&chunked).unwrap() < 1e-8);
-        prop_assert_eq!(c1.seq_len(), c2.seq_len());
+        // Both passes cached every position, and the same rows.
+        for layer in 0..cfg.layers {
+            let (k1, v1) = c1.rows(layer, toks.len()).unwrap();
+            let (k2, v2) = c2.rows(layer, toks.len()).unwrap();
+            for (a, b) in k1.iter().chain(&v1).zip(k2.iter().chain(&v2)) {
+                prop_assert!((a - b).abs() < 1e-3, "layer {} row {} vs {}", layer, a, b);
+            }
+        }
     }
 
     /// Hidden states stay finite for any seed (no NaN blowups from the
@@ -59,9 +66,10 @@ proptest! {
         let h = t.last_hidden(&toks, None).unwrap();
         prop_assert!(h.iter().all(|v| v.is_finite()));
         let logits = {
-            let mut cache = KvCache::new(cfg.layers);
-            t.prefill(&toks, &mut cache).unwrap();
-            t.decode_step(1, &mut cache).unwrap()
+            let mut cache = PagedKvCache::solo(&cfg, toks.len() + 1).unwrap();
+            t.prefill_paged(&toks, 0, &mut cache).unwrap();
+            let hidden = t.prefill_paged(&[1], toks.len(), &mut cache).unwrap();
+            t.logits(&hidden).unwrap()
         };
         prop_assert!(logits.as_slice().iter().all(|v| v.is_finite()));
     }
@@ -119,10 +127,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Paged attention over an arbitrary page size is bit-identical to
-    /// the contiguous path for every architecture, prompt, and seed —
-    /// the invariant the paged KV pool's gather-free read path stands
-    /// on, as a universal property.
+    /// Any page size is bit-identical to the one-page (contiguous) store
+    /// — hidden states and cached K and V rows — for every architecture,
+    /// prompt, and seed: the invariant the paged KV pool's gather-free
+    /// read path stands on, as a universal property.
     #[test]
     fn paged_prefill_equals_contiguous_universal(
         (cfg, seed) in arbitrary_mini(),
@@ -130,7 +138,6 @@ proptest! {
         prompt_len in 2usize..14,
     ) {
         use llmnpu_kv::{BlockPool, PoolConfig};
-        use llmnpu_model::kv::PagedKvCache;
         use std::sync::Arc;
 
         let w = synthesize(&cfg, seed, OutlierSpec::default()).unwrap();
@@ -138,8 +145,8 @@ proptest! {
         let t = Transformer::new(&w, &be);
         let toks: Vec<u32> = (0..prompt_len as u32).map(|i| (i * 11 + seed as u32) % 64).collect();
 
-        let mut contiguous = KvCache::new(cfg.layers);
-        let reference = t.prefill(&toks, &mut contiguous).unwrap();
+        let mut contiguous = PagedKvCache::solo(&cfg, toks.len()).unwrap();
+        let reference = t.prefill_paged(&toks, 0, &mut contiguous).unwrap();
 
         let pool = Arc::new(BlockPool::new(PoolConfig {
             layers: cfg.layers,
@@ -151,6 +158,12 @@ proptest! {
         let h = t.prefill_paged(&toks, 0, &mut paged).unwrap();
 
         prop_assert_eq!(h.as_slice(), reference.as_slice());
+        for layer in 0..cfg.layers {
+            prop_assert_eq!(
+                paged.rows(layer, toks.len()).unwrap(),
+                contiguous.rows(layer, toks.len()).unwrap()
+            );
+        }
         paged.release().unwrap();
         prop_assert_eq!(pool.used_blocks(), 0);
     }

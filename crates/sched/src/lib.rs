@@ -70,8 +70,8 @@ pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use pool::WorkerPool;
 pub use runner::{
     execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, validate_timeline,
-    ExecutedTask, ExecutedTimeline, GateFn, KvSink, LaneGraph, LaneTask, NumericPrefill,
-    PrefillProgram, SkipReason, TaskFn, TaskOutcome,
+    ExecutedTask, ExecutedTimeline, GateFn, LaneGraph, LaneTask, NumericPrefill, PrefillProgram,
+    SkipReason, TaskFn, TaskOutcome,
 };
 
 /// Crate-wide result alias.

@@ -33,7 +33,8 @@
 //!
 //! # Determinism
 //!
-//! Executed outputs are **bit-identical** to the sequential
+//! Executed outputs — hidden states and the K/V rows left in the
+//! request's pages — are **bit-identical** to the sequential
 //! [`Transformer::prefill_chunked`] at every worker count, every policy,
 //! and across repeated runs: each task closure *is* the corresponding
 //! stage call of the sequential forward (the sequential path is composed
@@ -63,8 +64,8 @@
 //!   skipped ([`SkipReason::Gated`]), not run.
 //!
 //! Because a task may panic mid-stage in isolated mode, the data-plane
-//! locks here (stage hand-off slots, contiguous KV buffers, paged-KV
-//! write slots) recover from poisoning via
+//! locks here (stage hand-off slots, the request's paged-KV slot)
+//! recover from poisoning via
 //! [`PoisonError::into_inner`](std::sync::PoisonError::into_inner): each
 //! guards a plain value slab that a panicking *reader or whole-value
 //! writer* cannot leave half-mutated, and a truly torn write only
@@ -78,10 +79,8 @@ use std::time::{Duration, Instant};
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{PrefillDag, Task, TaskRole};
 use llmnpu_graph::layer::Stage;
-use llmnpu_model::forward::{
-    attention_over_pages, FfnMains, FfnShadows, QkvMains, QkvShadows, Transformer,
-};
-use llmnpu_model::kv::{KvCache, PagedKvCache};
+use llmnpu_model::forward::{FfnMains, FfnShadows, QkvMains, QkvShadows, Transformer};
+use llmnpu_model::kv::PagedKvCache;
 use llmnpu_obs::{EventKind, Plane, TraceSink};
 use llmnpu_soc::des::{Timeline, TimelineEntry};
 use llmnpu_soc::Processor;
@@ -322,8 +321,10 @@ pub struct NumericPrefill {
     /// Final hidden states `[prompt_len, hidden]`, row-concatenated in
     /// chunk order — bit-identical to `Transformer::prefill_chunked`.
     pub hidden: Tensor<f32>,
-    /// The populated KV cache, ready for decode.
-    pub cache: KvCache,
+    /// The populated KV cache — a solo one-page store with one position
+    /// of headroom past the prompt, so it takes the first decode step as
+    /// it stands.
+    pub cache: PagedKvCache,
     /// The measured execution timeline.
     pub timeline: ExecutedTimeline,
 }
@@ -343,47 +344,22 @@ struct ChunkSlots {
     ffn_shadows: Mutex<Option<FfnShadows>>,
 }
 
-/// Position-addressed K/V storage for one layer: chunk `c` writes rows
-/// `[c·chunk_len, c·chunk_len + len_c)`, so append *order* across
-/// out-of-order chunks cannot matter — the dependency edges only have to
-/// guarantee the rows are present before attention reads them, which is
-/// exactly Equation 2.
-struct LayerKvBuf {
-    k: Mutex<Vec<f32>>,
-    v: Mutex<Vec<f32>>,
-}
-
-/// Where a prefill program's K/V rows go (and attention reads from).
-///
-/// `Buffered` is the classic single-request path: private per-layer
-/// buffers, later assembled into a contiguous [`KvCache`]. `Paged`
-/// writes straight into a request's [`PagedKvCache`] — shared-pool
-/// pages behind a block table — which is how the serving scheduler
-/// runs prefill: the slot is `None` until the request's admission task
-/// reserves its pages, and the dependency edges guarantee admission
-/// precedes every write. Both paths address **absolute** positions, so
-/// out-of-order chunk completion cannot reorder either cache.
-pub enum KvSink<'t> {
-    /// Private per-layer buffers; `assemble_cache` is available.
-    Buffered,
-    /// A request's paged cache, reserved at admission time by the
-    /// serving scheduler.
-    Paged(&'t Mutex<Option<PagedKvCache>>),
-}
-
-enum KvStore<'t> {
-    Buffered(Vec<LayerKvBuf>),
-    Paged(&'t Mutex<Option<PagedKvCache>>),
-}
-
 struct ExecCtx<'t, 'w> {
     t: &'t Transformer<'w>,
     chunks: Vec<ChunkSlots>,
-    store: KvStore<'t>,
+    /// The request's K/V pages. Serving fills the slot in the request's
+    /// admission task (`None` until its pages are reserved; the
+    /// dependency edges put admission before every write);
+    /// [`execute_chunked_prefill`] hands in a solo store. Writes and
+    /// reads address **absolute** positions — chunk `c` owns rows
+    /// `[base + c·chunk_len, … + len_c)` — so out-of-order chunk
+    /// completion cannot reorder the cache: the edges only have to put
+    /// the rows there before attention reads them, which is exactly
+    /// Equation 2.
+    slot: &'t Mutex<Option<PagedKvCache>>,
     /// `(token_start, token_len)` per chunk, **absolute** positions
     /// (token_start includes `base_pos`; last chunk may be short).
     bounds: Vec<(usize, usize)>,
-    kv_dim: usize,
     /// Tokens this program computes (the suffix length when resuming
     /// after a shared prefix; `bounds` already folds the base offset
     /// into every start position).
@@ -399,31 +375,19 @@ impl ExecCtx<'_, '_> {
         v: &Tensor<f32>,
     ) -> std::result::Result<(), String> {
         let (start, len) = self.bounds[chunk];
-        match &self.store {
-            KvStore::Buffered(bufs) => {
-                let lo = start * self.kv_dim;
-                let hi = (start + len) * self.kv_dim;
-                bufs[layer].k.lock().unwrap_or_else(PoisonError::into_inner)[lo..hi]
-                    .copy_from_slice(k.as_slice());
-                bufs[layer].v.lock().unwrap_or_else(PoisonError::into_inner)[lo..hi]
-                    .copy_from_slice(v.as_slice());
-            }
-            KvStore::Paged(slot) => {
-                let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                let cache = guard.as_mut().ok_or("kv pages not reserved before write")?;
-                for r in 0..len {
-                    cache
-                        .write_position(layer, start + r, k.row(r), v.row(r))
-                        .map_err(|e| e.to_string())?;
-                }
-            }
+        let mut guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = guard.as_mut().ok_or("kv pages not reserved before write")?;
+        for r in 0..len {
+            cache
+                .write_position(layer, start + r, k.row(r), v.row(r))
+                .map_err(|e| e.to_string())?;
         }
         Ok(())
     }
 
     /// Attention over everything visible to `chunk` (Equation 2: all
-    /// positions through the chunk's end), from whichever store holds
-    /// the rows.
+    /// positions through the chunk's end, including any shared prefix
+    /// before `base_pos`).
     fn attention(
         &self,
         layer: usize,
@@ -431,35 +395,20 @@ impl ExecCtx<'_, '_> {
         q: &Tensor<f32>,
     ) -> std::result::Result<Tensor<f32>, String> {
         let (start, len) = self.bounds[chunk];
-        let visible = start + len;
-        let start_pos = start;
-        match &self.store {
-            KvStore::Buffered(bufs) => {
-                // The single-page case of the paged walk, over the
-                // locked buffers in place.
-                let hi = visible * self.kv_dim;
-                let k = bufs[layer].k.lock().unwrap_or_else(PoisonError::into_inner);
-                let v = bufs[layer].v.lock().unwrap_or_else(PoisonError::into_inner);
-                attention_over_pages(q, &[&k[..hi]], &[&v[..hi]], self.t.config(), start_pos)
-                    .map_err(|e| e.to_string())
-            }
-            KvStore::Paged(slot) => {
-                // Snapshot the block table and drop the slot lock
-                // before the page walk: attention is the long pole, and
-                // holding the owner's mutex across it would serialize
-                // this request's independent stage tasks.
-                let reader = {
-                    let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                    guard
-                        .as_ref()
-                        .ok_or("kv pages not reserved before read")?
-                        .reader()
-                };
-                self.t
-                    .stage_attention_reader(layer, q, &reader, visible, start_pos)
-                    .map_err(|e| e.to_string())
-            }
-        }
+        // Snapshot the block table and drop the slot lock before the
+        // page walk: attention is the long pole, and holding the owner's
+        // mutex across it would serialize this request's independent
+        // stage tasks.
+        let reader = {
+            let guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            guard
+                .as_ref()
+                .ok_or("kv pages not reserved before read")?
+                .reader()
+        };
+        self.t
+            .stage_attention(layer, q, &reader, start + len, start)
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -539,9 +488,6 @@ fn task_closure<'run>(ctx: &'run ExecCtx<'_, '_>, task: &Task, split: bool) -> T
             }
             (TaskRole::Main, Stage::Attention) => {
                 let q = take(&slots.q, "q")?;
-                // Equation 2's visibility: all positions through this
-                // chunk's end (including any shared prefix before
-                // base_pos), from whichever store holds the rows.
                 let attn = ctx.attention(layer, chunk, &q)?;
                 *slots.attn.lock().unwrap_or_else(PoisonError::into_inner) = Some(attn);
             }
@@ -608,8 +554,8 @@ fn task_closure<'run>(ctx: &'run ExecCtx<'_, '_>, task: &Task, split: bool) -> T
 }
 
 /// One request's prefill, prepared for execution: the per-chunk
-/// activation slots, position-addressed KV buffers, and the mapping from
-/// DAG tasks to stage closures.
+/// activation slots, the request's K/V slot, and the mapping from DAG
+/// tasks to stage closures.
 ///
 /// [`execute_chunked_prefill`] drives one of these through the
 /// dispatcher on its own; the serving scheduler in `llmnpu-core`
@@ -624,8 +570,13 @@ pub struct PrefillProgram<'t, 'w> {
 
 impl<'t, 'w> PrefillProgram<'t, 'w> {
     /// Validates the DAG/plan/model agreement and seeds the per-chunk
-    /// slots with the embedded hidden states. K/V rows go to private
-    /// buffers ([`PrefillProgram::assemble_cache`] is available).
+    /// slots with the embedded hidden states. K/V rows are written to,
+    /// and attended from, the [`PagedKvCache`] in `slot`, starting at
+    /// absolute position `base_pos` (non-zero when `tokens` is the
+    /// suffix after a shared, already-cached prompt prefix). The slot
+    /// may still be `None` here — the serving scheduler's admission task
+    /// fills it — but every DAG task that touches K/V must depend
+    /// (transitively) on whatever does.
     ///
     /// # Errors
     ///
@@ -635,48 +586,9 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
         tokens: &[u32],
         dag: &PrefillDag,
         plan: &ChunkPlan,
-    ) -> Result<Self> {
-        Self::with_sink(t, tokens, dag, plan, 0, KvSink::Buffered)
-    }
-
-    /// A prefill program writing K/V into a **paged** cache slot,
-    /// starting at absolute position `base_pos` (non-zero when `tokens`
-    /// is the suffix after a shared, already-cached prompt prefix). The
-    /// slot is filled by the serving scheduler's admission task; every
-    /// DAG task that touches K/V must depend (transitively) on it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Exec`] on a plan/DAG/model mismatch.
-    pub fn new_paged(
-        t: &'t Transformer<'w>,
-        tokens: &[u32],
-        dag: &PrefillDag,
-        plan: &ChunkPlan,
         base_pos: usize,
         slot: &'t Mutex<Option<PagedKvCache>>,
     ) -> Result<Self> {
-        Self::with_sink(t, tokens, dag, plan, base_pos, KvSink::Paged(slot))
-    }
-
-    /// Shared constructor body behind the two public entry points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Exec`] on a plan/DAG/model mismatch.
-    pub fn with_sink(
-        t: &'t Transformer<'w>,
-        tokens: &[u32],
-        dag: &PrefillDag,
-        plan: &ChunkPlan,
-        base_pos: usize,
-        sink: KvSink<'t>,
-    ) -> Result<Self> {
-        if base_pos != 0 && matches!(sink, KvSink::Buffered) {
-            return Err(Error::Exec {
-                what: "buffered prefill cannot resume at a non-zero base position".to_owned(),
-            });
-        }
         if tokens.len() != plan.prompt_len {
             return Err(Error::Exec {
                 what: format!(
@@ -732,25 +644,12 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
                 ),
             });
         }
-        let kv_dim = cfg.kv_dim();
-        let store = match sink {
-            KvSink::Buffered => KvStore::Buffered(
-                (0..cfg.layers)
-                    .map(|_| LayerKvBuf {
-                        k: Mutex::new(vec![0.0; tokens.len() * kv_dim]),
-                        v: Mutex::new(vec![0.0; tokens.len() * kv_dim]),
-                    })
-                    .collect(),
-            ),
-            KvSink::Paged(slot) => KvStore::Paged(slot),
-        };
         Ok(PrefillProgram {
             ctx: ExecCtx {
                 t,
                 chunks,
-                store,
+                slot,
                 bounds,
-                kv_dim,
                 prompt_len: tokens.len(),
             },
             split,
@@ -810,45 +709,6 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
         Tensor::from_vec(h.row(rows - 1).to_vec(), [1, hidden_w]).map_err(|e| Error::Exec {
             what: format!("last hidden row: {e}"),
         })
-    }
-
-    /// Assembles the populated KV cache (valid once every task has run)
-    /// — bit-identical to the cache `Transformer::prefill_chunked`
-    /// produces.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Exec`] on a shape inconsistency.
-    pub fn assemble_cache(&self) -> Result<KvCache> {
-        let cfg = self.ctx.t.config();
-        let KvStore::Buffered(bufs) = &self.ctx.store else {
-            return Err(Error::Exec {
-                what: "paged prefill keeps its cache in the pool; nothing to assemble".to_owned(),
-            });
-        };
-        let mut cache = KvCache::new(cfg.layers);
-        for (layer, buf) in bufs.iter().enumerate() {
-            let k = Tensor::from_vec(
-                buf.k.lock().unwrap_or_else(PoisonError::into_inner).clone(),
-                [self.ctx.prompt_len, self.ctx.kv_dim],
-            )
-            .map_err(|e| Error::Exec {
-                what: format!("kv assembly: {e}"),
-            })?;
-            let v = Tensor::from_vec(
-                buf.v.lock().unwrap_or_else(PoisonError::into_inner).clone(),
-                [self.ctx.prompt_len, self.ctx.kv_dim],
-            )
-            .map_err(|e| Error::Exec {
-                what: format!("kv assembly: {e}"),
-            })?;
-            cache
-                .layer_mut(layer)
-                .map_err(exec_err)?
-                .append(&k, &v)
-                .map_err(exec_err)?;
-        }
-        Ok(cache)
     }
 }
 
@@ -1363,9 +1223,11 @@ pub fn execute_lane_graph_contained<'run>(
 ///
 /// The DAG must have been built (`llmnpu_graph::dag::build_prefill_dag`)
 /// for `t.config()` and for `plan` (`plan.prompt_len == tokens.len()`).
-/// Returns the final hidden states — bit-identical to
-/// [`Transformer::prefill_chunked`] with the same chunk length — plus
-/// the populated KV cache and the measured execution timeline.
+/// K/V rows go to a solo one-page store (the prompt plus one decode
+/// position), filled by the tasks and returned. Returns the final hidden
+/// states and that cache — both bit-identical to
+/// [`Transformer::prefill_chunked`] with the same chunk length — plus the
+/// measured execution timeline.
 ///
 /// # Errors
 ///
@@ -1380,7 +1242,9 @@ pub fn execute_chunked_prefill(
     policy: Policy,
     pool: &WorkerPool,
 ) -> Result<NumericPrefill> {
-    let program = PrefillProgram::new(t, tokens, dag, plan)?;
+    let solo = PagedKvCache::solo(t.config(), tokens.len() + 1).map_err(exec_err)?;
+    let slot = Mutex::new(Some(solo));
+    let program = PrefillProgram::new(t, tokens, dag, plan, 0, &slot)?;
     let graph = LaneGraph::from_prefill_dag(dag)?;
     let spans = execute_lane_graph(&graph, program.closures(dag), policy, pool)?;
 
@@ -1399,9 +1263,17 @@ pub fn execute_chunked_prefill(
         });
     }
 
+    let hidden = program.assemble_hidden()?;
+    drop(program);
+    let cache = slot
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .ok_or_else(|| Error::Exec {
+            what: "prefill left no kv cache in its slot".to_owned(),
+        })?;
     Ok(NumericPrefill {
-        hidden: program.assemble_hidden()?,
-        cache: program.assemble_cache()?,
+        hidden,
+        cache,
         timeline,
     })
 }

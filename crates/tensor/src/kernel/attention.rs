@@ -9,7 +9,7 @@
 use super::microkernel::{fmadd, microkernel_f32, MR, NR};
 use std::ops::Range;
 
-use super::probe;
+use super::{probe, GEMV_MAX_ROWS};
 use crate::{ops, Tensor};
 
 /// Keys per tile: one K-major `NR`-wide panel, the B operand of
@@ -19,11 +19,6 @@ pub const KEY_TILE: usize = NR;
 /// Query rows scored against one packed key tile before the next tile
 /// is packed; bounds the score scratch at `ROW_BLOCK × kv_len` floats.
 const ROW_BLOCK: usize = 8 * MR;
-
-/// Row-block height at or below which scores are dotted straight from
-/// the row-major page rows (decode-shaped calls): transposing a key tile
-/// costs as much as scoring one or two rows against it.
-const DIRECT_MAX_ROWS: usize = 2;
 
 /// Head geometry of one attention call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,9 +204,10 @@ impl HeadRows {
     }
 }
 
-/// Scores of the block `rows` (at most `DIRECT_MAX_ROWS` of a head's
-/// rows) dotted straight from the row-major key rows: the tile path's
-/// expression without the transpose.
+/// Scores of the block `rows` (at most `GEMV_MAX_ROWS` of a head's
+/// rows — transposing a key tile costs as much as scoring one or two
+/// rows against it) dotted straight from the row-major key rows: the
+/// tile path's expression without the transpose.
 fn scores_direct(
     head: HeadRows,
     rows: Range<usize>,
@@ -342,7 +338,7 @@ pub fn attention_paged(
             for i0 in (0..m).step_by(ROW_BLOCK) {
                 let rows = (m - i0).min(ROW_BLOCK);
                 let scores = &mut scores[..rows * stride];
-                if rows <= DIRECT_MAX_ROWS {
+                if rows <= GEMV_MAX_ROWS {
                     scores_direct(head, i0..i0 + rows, q, &k_rows, scores, stride);
                 } else {
                     scores_tiled(head, i0..i0 + rows, q, &k_rows, scores, stride, panels);

@@ -202,8 +202,10 @@ pub const MC: usize = 128;
 /// Column-block width packed per B slab.
 pub const NC: usize = 1024;
 
-/// Row count at or below which the f32 driver takes the packing-free
-/// GEMV path (decode-shaped inputs).
+/// Row count at or below which staging a tile costs more than dotting
+/// the rows in place (decode-shaped inputs): the GEMM drivers take the
+/// packing-free GEMV path, and attention scores a block straight from
+/// the row-major page rows instead of transposing key tiles.
 const GEMV_MAX_ROWS: usize = 2;
 
 /// Fused dequantization applied to completed `i32` tiles of the integer

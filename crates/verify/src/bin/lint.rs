@@ -6,8 +6,10 @@
 //!
 //! - `panic` — no `.unwrap()` / `.expect(` in the non-test code of the
 //!   serving hot paths (`core::serve`, `sched::runner`, `sched::pool`,
-//!   `kv::pool`). These paths process user input; a panic there is a
-//!   containment bug, not a shortcut.
+//!   `kv::pool`, `kv::prefix`, the LUT kernels) or of `model::forward`
+//!   and `model::kv`, the one layer loop and the one K/V store every
+//!   solo and served forward runs. These paths process user input; a
+//!   panic there is a containment bug, not a shortcut.
 //! - `wall-clock` — no `Instant::now` / `SystemTime::now` in the
 //!   numeric plane (`tensor`, `quant`, `kv`, `model`, `graph`, `obs`):
 //!   results must be bit-identical across runs, and wall-clock reads
@@ -54,6 +56,8 @@ const PANIC_FREE: &[&str] = &[
     "crates/sched/src/pool.rs",
     "crates/kv/src/pool.rs",
     "crates/kv/src/prefix.rs",
+    "crates/model/src/forward.rs",
+    "crates/model/src/kv.rs",
     "crates/tensor/src/kernel/lut.rs",
     "crates/quant/src/lut.rs",
 ];

@@ -17,8 +17,9 @@
 //! The original system requires Qualcomm Hexagon silicon and the
 //! closed-source QNN SDK; this reproduction substitutes a calibrated
 //! mobile-SoC simulator ([`soc`]) for the hardware while keeping every
-//! algorithm as real, tested Rust (see `DESIGN.md` for the substitution
-//! table and `EXPERIMENTS.md` for paper-vs-measured results).
+//! algorithm as real, tested Rust (the README's architecture map says
+//! which crate stands in for what; the `llmnpu-bench` figure and table
+//! binaries print paper-vs-measured results).
 //!
 //! # Quickstart
 //!

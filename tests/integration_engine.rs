@@ -230,7 +230,7 @@ fn unified_planes_simulate_and_execute_the_same_dag() {
     // the sequential chunked forward bit-for-bit.
     use llmnpu::model::backend::FloatBackend;
     use llmnpu::model::forward::Transformer;
-    use llmnpu::model::kv::KvCache;
+    use llmnpu::model::kv::PagedKvCache;
     use llmnpu::model::weights::{synthesize, OutlierSpec};
 
     let numeric_cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
@@ -265,7 +265,14 @@ fn unified_planes_simulate_and_execute_the_same_dag() {
     assert!(unified.executed_ms() > 0.0);
 
     // Numeric plane matches the sequential chunked forward exactly.
-    let mut cache = KvCache::new(numeric_cfg.layers);
+    let mut cache = PagedKvCache::solo(&numeric_cfg, toks.len()).unwrap();
     let sequential = t.prefill_chunked(&toks, 4, &mut cache).unwrap();
     assert_eq!(unified.execution.hidden.as_slice(), sequential.as_slice());
+    for layer in 0..numeric_cfg.layers {
+        assert_eq!(
+            unified.execution.cache.rows(layer, toks.len()).unwrap(),
+            cache.rows(layer, toks.len()).unwrap(),
+            "executed K/V rows diverged at layer {layer}"
+        );
+    }
 }

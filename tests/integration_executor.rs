@@ -13,7 +13,7 @@ use llmnpu::model::backend::{
 };
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
-use llmnpu::model::kv::KvCache;
+use llmnpu::model::kv::PagedKvCache;
 use llmnpu::model::weights::{synthesize, ModelWeights, OutlierSpec};
 use llmnpu::sched::{execute_chunked_prefill, validate_timeline, LaneGraph, Policy, WorkerPool};
 use llmnpu::soc::latency::LatencyModel;
@@ -50,8 +50,9 @@ fn calibration(w: &ModelWeights) -> llmnpu::model::backend::CalibrationSet {
 }
 
 /// Every backend, every worker count, every policy: the executed hidden
-/// states and KV cache must be bit-identical to the sequential chunked
-/// forward, and runs must be repeatable bit-for-bit.
+/// states and cached K and V rows must be bit-identical to the sequential
+/// chunked forward on the one-page store, and runs must be repeatable
+/// bit-for-bit.
 #[test]
 fn executor_determinism_bit_identical_across_workers_and_backends() {
     let w = mini_model();
@@ -82,7 +83,7 @@ fn executor_determinism_bit_identical_across_workers_and_backends() {
 
     for be in &backends {
         let t = Transformer::new(&w, be.as_ref());
-        let mut seq_cache = KvCache::new(cfg.layers);
+        let mut seq_cache = PagedKvCache::solo(&cfg, toks.len()).unwrap();
         let sequential = t.prefill_chunked(&toks, chunk_len, &mut seq_cache).unwrap();
 
         for &workers in &worker_counts {
@@ -96,37 +97,17 @@ fn executor_determinism_bit_identical_across_workers_and_backends() {
                     be.name()
                 );
                 for layer in 0..cfg.layers {
+                    let (exec_k, exec_v) = first.cache.rows(layer, toks.len()).unwrap();
+                    let (seq_k, seq_v) = seq_cache.rows(layer, toks.len()).unwrap();
                     assert_eq!(
-                        first
-                            .cache
-                            .layer(layer)
-                            .unwrap()
-                            .keys_tensor()
-                            .unwrap()
-                            .as_slice(),
-                        seq_cache
-                            .layer(layer)
-                            .unwrap()
-                            .keys_tensor()
-                            .unwrap()
-                            .as_slice(),
+                        exec_k,
+                        seq_k,
                         "{} kv keys diverged at layer {layer}",
                         be.name()
                     );
                     assert_eq!(
-                        first
-                            .cache
-                            .layer(layer)
-                            .unwrap()
-                            .values_tensor()
-                            .unwrap()
-                            .as_slice(),
-                        seq_cache
-                            .layer(layer)
-                            .unwrap()
-                            .values_tensor()
-                            .unwrap()
-                            .as_slice(),
+                        exec_v,
+                        seq_v,
                         "{} kv values diverged at layer {layer}",
                         be.name()
                     );
@@ -166,8 +147,8 @@ fn executor_bit_matches_whole_prompt_for_rowwise_backends() {
     ];
     for be in &backends {
         let t = Transformer::new(&w, be.as_ref());
-        let mut whole_cache = KvCache::new(cfg.layers);
-        let whole = t.prefill(&toks, &mut whole_cache).unwrap();
+        let mut whole_cache = PagedKvCache::solo(&cfg, toks.len()).unwrap();
+        let whole = t.prefill_paged(&toks, 0, &mut whole_cache).unwrap();
         let exec =
             execute_chunked_prefill(&t, &toks, &dag, &plan, Policy::OutOfOrder, &pool).unwrap();
         assert_eq!(
@@ -181,7 +162,7 @@ fn executor_bit_matches_whole_prompt_for_rowwise_backends() {
 
 /// Decode after a DAG-executed prefill continues bit-identically to
 /// decode after the sequential chunked prefill — the cache the executor
-/// assembles is the real thing.
+/// fills is the real thing — and releasing it frees exactly its pages.
 #[test]
 fn decode_continues_bit_identically_from_executed_cache() {
     let w = mini_model();
@@ -192,14 +173,24 @@ fn decode_continues_bit_identically_from_executed_cache() {
     let (dag, plan) = dag_for(&cfg, toks.len(), 3, 0.15);
     let pool = Arc::new(WorkerPool::new(2));
 
-    let mut seq_cache = KvCache::new(cfg.layers);
+    let decode_step = |cache: &mut PagedKvCache| {
+        let hidden = t.prefill_paged(&[5], toks.len(), cache).unwrap();
+        t.logits(&hidden).unwrap()
+    };
+    let mut seq_cache = PagedKvCache::solo(&cfg, toks.len() + 1).unwrap();
     t.prefill_chunked(&toks, 3, &mut seq_cache).unwrap();
-    let seq_logits = t.decode_step(5, &mut seq_cache).unwrap();
+    let seq_logits = decode_step(&mut seq_cache);
 
     let exec = execute_chunked_prefill(&t, &toks, &dag, &plan, Policy::OutOfOrder, &pool).unwrap();
     let mut exec_cache = exec.cache;
-    let exec_logits = t.decode_step(5, &mut exec_cache).unwrap();
+    let exec_logits = decode_step(&mut exec_cache);
     assert_eq!(seq_logits.as_slice(), exec_logits.as_slice());
+
+    let kv_pool = Arc::clone(exec_cache.pool());
+    let held = kv_pool.config().blocks_for(exec_cache.capacity_tokens());
+    assert_eq!(kv_pool.used_blocks(), held);
+    assert_eq!(exec_cache.release().unwrap(), held);
+    assert_eq!(kv_pool.used_blocks(), 0, "executed prefill leaked pages");
 }
 
 /// The §3.4 payoff, measured: shadow-outlier tasks (float lane) must

@@ -7,7 +7,7 @@ use llmnpu::model::backend::{
 };
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
-use llmnpu::model::kv::KvCache;
+use llmnpu::model::kv::PagedKvCache;
 use llmnpu::model::weights::{synthesize, OutlierSpec};
 use llmnpu::workloads::accuracy::{generate, BenchmarkSpec};
 use llmnpu::workloads::random_prompt;
@@ -39,9 +39,9 @@ fn chunked_prefill_invariant_holds_for_every_architecture() {
         let t = Transformer::new(&w, &be);
         let toks: Vec<u32> = (0..12u32).map(|i| (i * 5 + 1) % 64).collect();
 
-        let mut whole_cache = KvCache::new(mini.layers);
-        let whole = t.prefill(&toks, &mut whole_cache).unwrap();
-        let mut chunk_cache = KvCache::new(mini.layers);
+        let mut whole_cache = PagedKvCache::solo(&mini, toks.len()).unwrap();
+        let whole = t.prefill_paged(&toks, 0, &mut whole_cache).unwrap();
+        let mut chunk_cache = PagedKvCache::solo(&mini, toks.len()).unwrap();
         let chunked = t.prefill_chunked(&toks, 4, &mut chunk_cache).unwrap();
         let mse = whole.mse(&chunked).unwrap();
         assert!(
@@ -209,28 +209,31 @@ fn decode_after_chunked_prefill_matches_whole_prefill() {
     let t = Transformer::new(&w, &float_be);
     let toks = prompts(&w, 1, 9).pop().unwrap();
 
-    let mut cache_a = KvCache::new(w.config.layers);
-    t.prefill(&toks, &mut cache_a).unwrap();
-    let logits_a = t.decode_step(5, &mut cache_a).unwrap();
+    let decode_step = |cache: &mut PagedKvCache| {
+        let hidden = t.prefill_paged(&[5], toks.len(), cache).unwrap();
+        t.logits(&hidden).unwrap()
+    };
+    let mut cache_a = PagedKvCache::solo(&w.config, toks.len() + 1).unwrap();
+    t.prefill_paged(&toks, 0, &mut cache_a).unwrap();
+    let logits_a = decode_step(&mut cache_a);
 
-    let mut cache_b = KvCache::new(w.config.layers);
+    let mut cache_b = PagedKvCache::solo(&w.config, toks.len() + 1).unwrap();
     t.prefill_chunked(&toks, 3, &mut cache_b).unwrap();
-    let logits_b = t.decode_step(5, &mut cache_b).unwrap();
+    let logits_b = decode_step(&mut cache_b);
 
     let mse = logits_a.mse(&logits_b).unwrap();
     assert!(mse < 1e-9, "decode diverged after chunked prefill: {mse}");
 }
 
-/// Paged K/V reads are bit-transparent for **every** backend and worker
-/// count: a prefill that writes through a block table and attends over
-/// whole pages produces exactly the floats of the contiguous cache —
+/// Paging is bit-transparent for **every** backend and worker count: a
+/// prefill over 3-token pages produces exactly the floats of the
+/// one-page (contiguous) store, hidden states and cached K and V rows —
 /// the invariant the paged serving layer stands on. Chunk boundaries
 /// are held fixed, so even batch-dynamic quantizers must agree to the
 /// bit.
 #[test]
 fn paged_prefill_bit_identical_for_every_backend_and_worker_count() {
     use llmnpu::kv::{BlockPool, PoolConfig};
-    use llmnpu::model::kv::PagedKvCache;
     use llmnpu::sched::WorkerPool;
     use std::sync::Arc;
 
@@ -253,7 +256,7 @@ fn paged_prefill_bit_identical_for_every_backend_and_worker_count() {
         for workers in [1usize, 4] {
             let pool_threads = Arc::new(WorkerPool::new(workers));
             let (contig_hidden, paged_hidden, identical_kv) = pool_threads.install_scope(|| {
-                let mut contig = llmnpu::model::kv::KvCache::new(t.config().layers);
+                let mut contig = PagedKvCache::solo(t.config(), toks.len()).unwrap();
                 let contig_hidden = t.prefill_chunked(&toks, chunk, &mut contig).unwrap();
 
                 let pool = Arc::new(
@@ -273,17 +276,10 @@ fn paged_prefill_bit_identical_for_every_backend_and_worker_count() {
                     paged_hidden.extend_from_slice(h.as_slice());
                     pos += c.len();
                 }
-                let mut identical_kv = true;
-                for layer in 0..t.config().layers {
-                    let keys = contig.layer(layer).unwrap().keys_tensor().unwrap();
-                    paged
-                        .view(layer, toks.len(), |pk, _| {
-                            let flat: Vec<f32> =
-                                pk.iter().flat_map(|p| p.iter().copied()).collect();
-                            identical_kv &= flat.as_slice() == keys.as_slice();
-                        })
-                        .unwrap();
-                }
+                let identical_kv = (0..t.config().layers).all(|layer| {
+                    paged.rows(layer, toks.len()).unwrap()
+                        == contig.rows(layer, toks.len()).unwrap()
+                });
                 paged.release().unwrap();
                 assert_eq!(pool.used_blocks(), 0);
                 (contig_hidden, paged_hidden, identical_kv)
@@ -296,9 +292,79 @@ fn paged_prefill_bit_identical_for_every_backend_and_worker_count() {
             );
             assert!(
                 identical_kv,
-                "{} at {workers} workers: paged K rows diverged",
+                "{} at {workers} workers: paged K / V rows diverged",
                 be.name()
             );
+        }
+    }
+}
+
+/// Solo `generate` (a private one-page store) emits exactly the stream
+/// the same prompt, sampler and decode loop emit through 1-, 3- and
+/// 16-token pages of a caller-supplied pool — float, shadow-int8 and
+/// int4-LUT weights. Page size is not an input of any token.
+#[test]
+fn generate_stream_is_invariant_to_page_size() {
+    use llmnpu::kv::{BlockPool, PoolConfig};
+    use llmnpu::model::backend::LutBackend;
+    use llmnpu::model::sample::{Sampler, SamplerConfig};
+    use std::sync::Arc;
+
+    let (w, float) = mini_model();
+    let cal = Transformer::new(&w, &float)
+        .calibrate(&prompts(&w, 2, 8))
+        .unwrap();
+    let backends: Vec<Box<dyn LinearBackend>> = vec![
+        Box::new(float.clone()),
+        Box::new(ShadowBackend::new(&w, &cal, 0.997, 0.85).unwrap()),
+        Box::new(LutBackend::int4(&w, 16).unwrap()),
+    ];
+    let prompt = prompts(&w, 1, 7).pop().unwrap();
+    let max_new = 6usize;
+    let sampler_cfg = SamplerConfig::top_k(8, 0.9, 1234);
+
+    for be in &backends {
+        let t = Transformer::new(&w, be.as_ref());
+        let solo = t.generate(&prompt, None, max_new, &sampler_cfg).unwrap();
+        assert_eq!(solo.len(), max_new);
+
+        for block_tokens in [1usize, 3, 16] {
+            let capacity = prompt.len() + max_new - 1;
+            let pool = Arc::new(
+                BlockPool::new(PoolConfig {
+                    layers: t.config().layers,
+                    kv_dim: t.config().kv_dim(),
+                    block_tokens,
+                    blocks: capacity.div_ceil(block_tokens),
+                })
+                .unwrap(),
+            );
+            let mut kv = PagedKvCache::reserve(&pool, capacity).unwrap();
+            let mut sampler = Sampler::new(&sampler_cfg).unwrap();
+            let mut hidden = t.prefill_paged(&prompt, 0, &mut kv).unwrap();
+            let mut stream = Vec::new();
+            for step in 0..max_new {
+                let (rows, _) = hidden.matrix_dims();
+                let last = hidden.row(rows - 1).to_vec();
+                let width = last.len();
+                let last = llmnpu::tensor::Tensor::from_vec(last, [1, width]).unwrap();
+                let logits = t.logits(&last).unwrap();
+                let token = sampler.sample(logits.row(0)).unwrap();
+                stream.push(token);
+                if step + 1 < max_new {
+                    hidden = t
+                        .prefill_paged(&[token], prompt.len() + step, &mut kv)
+                        .unwrap();
+                }
+            }
+            assert_eq!(
+                stream,
+                solo,
+                "{}: {block_tokens}-token pages diverged from solo generate",
+                be.name()
+            );
+            assert_eq!(kv.release().unwrap(), capacity.div_ceil(block_tokens));
+            assert_eq!(pool.used_blocks(), 0);
         }
     }
 }

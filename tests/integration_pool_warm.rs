@@ -13,7 +13,7 @@ use llmnpu::graph::dag::{build_prefill_dag, DagConfig};
 use llmnpu::model::backend::FloatBackend;
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
-use llmnpu::model::kv::KvCache;
+use llmnpu::model::kv::PagedKvCache;
 use llmnpu::model::weights::{synthesize, OutlierSpec};
 use llmnpu::sched::{execute_chunked_prefill, Policy, WorkerPool};
 use llmnpu::soc::latency::LatencyModel;
@@ -45,8 +45,8 @@ fn warm_forward_spawns_no_threads_and_allocates_no_panels() {
         // whole-prompt (m = 24) and the DAG-executed chunked shapes. The
         // deterministic lane partition sends the same band of the same
         // GEMM to the same worker on every pass, so one pass suffices.
-        let mut cache = KvCache::new(cfg.layers);
-        t.prefill(&toks, &mut cache).unwrap();
+        let mut cache = PagedKvCache::solo(&cfg, toks.len()).unwrap();
+        t.prefill_paged(&toks, 0, &mut cache).unwrap();
         execute_chunked_prefill(&t, &toks, &dag, &plan, Policy::OutOfOrder, &pool).unwrap();
 
         let spawns = parallel::thread_spawns();
@@ -57,8 +57,8 @@ fn warm_forward_spawns_no_threads_and_allocates_no_panels() {
         let grows = pack::a_scratch_grows();
 
         // Steady state: the same forwards again.
-        let mut cache = KvCache::new(cfg.layers);
-        t.prefill(&toks, &mut cache).unwrap();
+        let mut cache = PagedKvCache::solo(&cfg, toks.len()).unwrap();
+        t.prefill_paged(&toks, 0, &mut cache).unwrap();
         let exec =
             execute_chunked_prefill(&t, &toks, &dag, &plan, Policy::OutOfOrder, &pool).unwrap();
         assert!(exec.hidden.as_slice().iter().all(|v| v.is_finite()));
@@ -97,8 +97,8 @@ fn scope_fallback_still_spawns_but_pool_does_not() {
     let pool = Arc::new(WorkerPool::new(4));
     let spawns_before = parallel::thread_spawns();
     pool.install_scope(|| {
-        let mut cache = KvCache::new(cfg.layers);
-        t.prefill(&toks, &mut cache).unwrap();
+        let mut cache = PagedKvCache::solo(&cfg, toks.len()).unwrap();
+        t.prefill_paged(&toks, 0, &mut cache).unwrap();
         // With the pool installed, the kernel reports the pool's width
         // as its effective concurrency even on a 1-core host.
         assert_eq!(parallel::effective_threads(8), 4);
