@@ -349,6 +349,9 @@ struct KernelRecord {
     /// second single-threaded run and say nothing about thread scaling.
     thread_scaling_valid: bool,
     fma: bool,
+    /// Which body of the integer tile (`microkernel_int`) every i8 and
+    /// LUT tile row ran: `"avx512-vnni"` or `"portable"`.
+    int_body: &'static str,
     rows: Vec<KernelRow>,
     decode: Vec<DecodeRow>,
     lut_decode: Vec<LutDecodeRow>,
@@ -375,6 +378,21 @@ fn fma_roofline_gflops() -> f64 {
         acc
     });
     (2 * LANES * STEPS) as f64 / secs / 1e9
+}
+
+/// The integer tile body this host runs, decided by the same feature
+/// test `microkernel_int` dispatches on (the library exposes no API for
+/// it: the choice never changes a result).
+fn int_body() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vnni")
+        && is_x86_feature_detected!("avx512vbmi")
+    {
+        return "avx512-vnni";
+    }
+    "portable"
 }
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -717,9 +735,10 @@ fn compare_paged_kv(shape: PagedKvShape, roofline_gflops: f64) -> PagedKvRow {
 fn kernel_comparison() {
     let threads_effective = llmnpu_tensor::kernel::parallel::effective_threads(THREADS);
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let int_body = int_body();
     println!(
         "\n=== kernel subsystem: naive vs blocked vs blocked+{threads_effective}-thread \
-         (requested {THREADS}, host has {host_cpus} cpus) ==="
+         (requested {THREADS}, host has {host_cpus} cpus; integer tile body: {int_body}) ==="
     );
     let shapes: [(usize, usize, usize, usize); 4] = [
         (256, 256, 256, 9),
@@ -916,6 +935,7 @@ fn kernel_comparison() {
         host_cpus,
         thread_scaling_valid: host_cpus > 1,
         fma: cfg!(target_feature = "fma"),
+        int_body,
         rows,
         decode,
         lut_decode,

@@ -348,17 +348,29 @@ impl<const BITS: usize> PackedLut<BITS> {
 /// quantization plane).
 const A_QMAX: f32 = 127.0;
 
-/// Activation rows quantized to i16-widened i8, one dynamic max-min
-/// scale per row, with the per-(row, group) sums the bias correction
-/// needs. Rows are stored in tiles of `mr`, K-major within a tile:
-/// element `(r, p)` is `aq[(r / mr * k_pad + p) * mr + r % mr]` and sum
+/// Activation rows quantized to i8 values — held as `i16` for the
+/// GEMV's [`lut_dot`], as `i8` for the register tile — with one dynamic
+/// max-min scale per row and the per-(row, group) sums the bias
+/// correction needs. Rows are stored in tiles of `mr`, K-major by quads
+/// within a tile: element `(r, p)` is
+/// `aq[((r / mr · k_pad / 4 + p / 4) · mr + r % mr) · 4 + p % 4]` and sum
 /// `(r, g)` is `sums[(r / mr * groups + g) * mr + r % mr]` — row-major
-/// for `mr = 1`, the A-panel order of the register tile for `mr = MR`.
-/// Rows are zero-padded to `k_pad` and to a whole tile.
-struct QuantRows {
-    aq: Vec<i16>,
+/// for `mr = 1`, the `[k/4][MR][4]` A-panel order of the register tile
+/// for `mr = MR`. Group starts are multiples of 4, so a group's sub-panel
+/// of a tile starts at `(tile · k_pad + g0) · mr`. Rows are zero-padded
+/// to `k_pad` and to a whole tile.
+struct QuantRows<T> {
+    aq: Vec<T>,
     scales: Vec<f32>,
     sums: Vec<i32>,
+}
+
+/// The quantized rows in the layout their walker reads.
+enum Activations {
+    /// Row-major `i16` rows for [`lut_panel_row`] (`m ≤ 2`).
+    Rows(QuantRows<i16>),
+    /// `MR`-row `i8` A panels for [`lut_panel_tiles`].
+    Tiles(QuantRows<i8>),
 }
 
 /// Quantizes `m` activation rows (row-major, stride `k`) in one pass.
@@ -366,15 +378,15 @@ struct QuantRows {
 /// never quantize differently. A row holding a NaN or an infinity gets a
 /// NaN scale — every output of that row is NaN, as in the float drivers —
 /// and no other row is affected.
-fn quantize_rows<const BITS: usize>(
+fn quantize_rows<const BITS: usize, T: Copy + Default + From<i8>>(
     a: &[f32],
     m: usize,
     p: &PackedLut<BITS>,
     mr: usize,
-) -> QuantRows {
+) -> QuantRows<T> {
     let groups = p.groups();
     let tiles = m.div_ceil(mr);
-    let mut aq = vec![0i16; tiles * p.k_pad * mr];
+    let mut aq = vec![T::default(); tiles * p.k_pad * mr];
     let mut sums = vec![0i32; tiles * groups * mr];
     let mut scales = Vec::with_capacity(m);
     for r in 0..m {
@@ -399,8 +411,9 @@ fn quantize_rows<const BITS: usize>(
             for (g, group) in row.chunks(p.group_size).enumerate() {
                 let mut sum = 0i32;
                 for (i, &v) in group.iter().enumerate() {
-                    let q = (v / scale).round().clamp(-A_QMAX, A_QMAX) as i16;
-                    aq[(tile * p.k_pad + g * p.group_size + i) * mr + lane] = q;
+                    let q = (v / scale).round().clamp(-A_QMAX, A_QMAX) as i8;
+                    let pos = g * p.group_size + i;
+                    aq[((tile * p.k_pad / 4 + pos / 4) * mr + lane) * 4 + pos % 4] = T::from(q);
                     sum += i32::from(q);
                 }
                 sums[(tile * groups + g) * mr + lane] = sum;
@@ -470,14 +483,14 @@ fn lut_panel_row<const BITS: usize>(
     out
 }
 
-/// The tiled walker (`m > 2`): every row tile of `q` (K-major,
+/// The tiled walker (`m > 2`): every row tile of `q` (`MR`-row A panels,
 /// `k_pad` deep) against one panel. Each group is unpacked **once** into
 /// `scratch` and the register tile runs over every row tile against it,
 /// so the unpack is amortized over the whole cohort; `out[r]` receives
 /// row `r`'s 16 outputs.
 fn lut_panel_tiles<const BITS: usize>(
     panel: &Panel<'_>,
-    q: &QuantRows,
+    q: &QuantRows<i8>,
     k_pad: usize,
     out: &mut [[f32; NR]],
     scratch: &mut [u8],
@@ -550,8 +563,11 @@ pub fn gemm_lut<const BITS: usize>(
         c.fill(0.0);
         return;
     }
-    let gemv = m <= GEMV_MAX_ROWS;
-    let q = quantize_rows(a, m, p, if gemv { 1 } else { MR });
+    let q = if m <= GEMV_MAX_ROWS {
+        Activations::Rows(quantize_rows(a, m, p, 1))
+    } else {
+        Activations::Tiles(quantize_rows(a, m, p, MR))
+    };
     let (groups, k_pad) = (p.groups(), p.k_pad);
     // NR-aligned bands keep every packed panel inside one worker, which
     // finishes all rows of a panel while its bytes are hot: the weights
@@ -567,14 +583,17 @@ pub fn gemm_lut<const BITS: usize>(
                 scales: &p.scales[pj * groups * NR..][..groups * NR],
                 group_size: p.group_size,
             };
-            if gemv {
-                for (r, out_row) in out.iter_mut().enumerate() {
-                    let aq = &q.aq[r * k_pad..(r + 1) * k_pad];
-                    let sums = &q.sums[r * groups..(r + 1) * groups];
-                    *out_row = lut_panel_row::<BITS>(&panel, aq, sums, q.scales[r]);
+            match &q {
+                Activations::Rows(q) => {
+                    for (r, out_row) in out.iter_mut().enumerate() {
+                        let aq = &q.aq[r * k_pad..(r + 1) * k_pad];
+                        let sums = &q.sums[r * groups..(r + 1) * groups];
+                        *out_row = lut_panel_row::<BITS>(&panel, aq, sums, q.scales[r]);
+                    }
                 }
-            } else {
-                lut_panel_tiles::<BITS>(&panel, &q, k_pad, &mut out, &mut scratch);
+                Activations::Tiles(q) => {
+                    lut_panel_tiles::<BITS>(&panel, q, k_pad, &mut out, &mut scratch);
+                }
             }
             for ((_, band), out_row) in group.iter_mut().zip(&out) {
                 for (dst, &v) in band[j0..].iter_mut().zip(out_row) {
@@ -601,7 +620,7 @@ pub fn gemm_lut_reference<const BITS: usize>(
 ) {
     assert_eq!(a.len(), m * p.k, "lhs shape mismatch");
     assert_eq!(c.len(), m * p.n, "output shape mismatch");
-    let q = quantize_rows(a, m, p, 1);
+    let q: QuantRows<i16> = quantize_rows(a, m, p, 1);
     let groups = p.groups();
     let tl = 1usize << BITS;
     for r in 0..m {

@@ -18,6 +18,24 @@
 //! otherwise lower to a libm call. The choice is fixed at compile time,
 //! so results are deterministic for any given build; across *different*
 //! builds the fused and unfused kernels may differ by one rounding.
+//!
+//! # The integer dot-product engine: one audited `unsafe` block
+//!
+//! The integer tile ([`microkernel_int`]) has two bodies and one
+//! dispatch. On `x86_64`, when the running CPU reports AVX-512 VNNI and
+//! VBMI, it runs a `#[target_feature]` body built on `vpdpbusd` — four
+//! `u8 × i8` products summed into each `i32` lane per instruction, the
+//! CPU's INT8 matrix-engine analogue; everywhere else it runs the
+//! portable body, [`microkernel_int_portable`], which is also the
+//! reference the tests hold the dispatched body to. Calling a
+//! `#[target_feature]` function from code compiled without those features
+//! is the one `unsafe` operation here, so this module is the crate's one
+//! scoped `allow(unsafe_code)` and the dispatch is its one `unsafe`
+//! block; the VNNI body itself uses value intrinsics only. Both bodies
+//! are exact integer arithmetic over `K ≤ 2^16`, so which one runs never
+//! changes a bit: results stay fixed per build on every host.
+
+#![allow(unsafe_code)]
 
 /// Rows per microkernel tile.
 pub const MR: usize = 8;
@@ -76,55 +94,88 @@ pub fn microkernel_f32(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[
 }
 
 /// `C_tile += A_panel · B_panel` over `kc` K steps, integer path: the
-/// one body behind both integer tile loops.
+/// one tile behind both integer tile loops (the i8 tile loop and the LUT
+/// tile walker), dispatched once per call to the fastest body the
+/// running CPU has (see the module docs).
 ///
-/// The A panel arrives widened to `i16` (see [`super::pack`]); the B
-/// panel is one **unsigned** byte per element — either a column panel of
+/// The A panel is signed `i8` in `[kc / 4][MR][4]` order (see
+/// [`super::pack::pack_a_i8`]): each row's four consecutive K values are
+/// adjacent, one 32-bit broadcast. The B panel is K-major, `NR`
+/// **unsigned** bytes per K step — either a column panel of
 /// [`super::pack::PackedMatrixI8`] (`b + 128`) or `lut_unpack`'s output
 /// (one stored code per byte). Either way the signed value is
 /// `byte − bias`, and the caller removes `bias · Σ a` afterwards, once
-/// per (row, group). Products are exact in `i32`, and no partial sum can
-/// leave `i32` while `128 · 255 · K < 2^31`, i.e. for any `K ≤ 2^16`, so
-/// the result is bit-identical to the scalar reference regardless of
-/// blocking or thread count.
+/// per (row, group). `kc` is the panel depth, a multiple of 4 (both
+/// packers pad K with zero activations). Products are exact in `i32`,
+/// and no partial sum can leave `i32` while `128 · 255 · K < 2^31`, i.e.
+/// for any `K ≤ 2^16`, so the result is bit-identical to the scalar
+/// reference regardless of body, blocking or thread count.
+#[inline]
+pub fn microkernel_int(kc: usize, a_panel: &[i8], b_panel: &[u8], acc: &mut [[i32; NR]; MR]) {
+    debug_assert!(kc <= 1 << 16, "K = {kc} is past the exactness bound 2^16");
+    debug_assert!(kc.is_multiple_of(4), "K = {kc} is not a multiple of 4");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vnni")
+        && is_x86_feature_detected!("avx512vbmi")
+    {
+        // SAFETY: the only precondition of calling a `#[target_feature]`
+        // function is that the running CPU supports every feature it
+        // enables; `vnni::microkernel_int` enables exactly the four
+        // `is_x86_feature_detected!` just reported present.
+        return unsafe { vnni::microkernel_int(kc, a_panel, b_panel, acc) };
+    }
+    microkernel_int_portable(kc, a_panel, b_panel, acc);
+}
+
+/// The portable body of [`microkernel_int`] (same contract): the path on
+/// every CPU without AVX-512 VNNI + VBMI, and the reference the tests pin
+/// the dispatched body to.
 ///
-/// The operand type is not cosmetic. A product of a sign-extended `i16`
+/// The operand types are not cosmetic. A product of a sign-extended `i8`
 /// and a value whose upper bits are known zero compiles to one paired
-/// widening multiply-accumulate (`vpmaddwd`/`vpdpwssd`-class on x86)
-/// where two signed `i16` operands need a full-width 32-bit multiply
-/// plus an add, and a byte per element halves the panel traffic
-/// (`BENCH_kernels.json`, `rows` / `lut_decode`). Pairing two K steps
-/// per `i32` lane — the shape those instructions really have, twice the
-/// MACs each — does *not* survive the auto-vectorizer: both the
-/// interleaved-panel and the two-rows-per-iteration formulation
-/// scalarize (≈ 6 Gop/s), so under `forbid(unsafe_code)` this body is
-/// the ceiling. `#[inline(never)]` keeps it a standalone function, which
-/// is the shape the vectorizer is checked against.
+/// widening multiply-accumulate (`vpmovzxbd` + `vpdpwssd` on an AVX-512
+/// host) where a full-width 32-bit multiply plus an add would be needed
+/// otherwise, and a byte per element keeps panel traffic low
+/// (`BENCH_kernels.json`, `rows` / `lut_decode`). Pairing K steps per
+/// `i32` lane — the shape those instructions really have — does *not*
+/// survive the auto-vectorizer (it scalarizes, ≈ 6 Gop/s), which is why
+/// the four-MACs-per-lane `vpdpbusd` body is written with intrinsics.
+/// `#[inline(never)]` keeps this a standalone function, which is the
+/// shape the vectorizer is checked against.
 #[inline(never)]
-pub fn microkernel_int(kc: usize, a_panel: &[i16], b_panel: &[u8], acc: &mut [[i32; NR]; MR]) {
+pub fn microkernel_int_portable(
+    kc: usize,
+    a_panel: &[i8],
+    b_panel: &[u8],
+    acc: &mut [[i32; NR]; MR],
+) {
     let mut lo = [[0i32; NR]; 4];
     let mut hi = [[0i32; NR]; 4];
     for (a, b) in a_panel
-        .chunks_exact(MR)
-        .zip(b_panel.chunks_exact(NR))
-        .take(kc)
+        .chunks_exact(4 * MR)
+        .zip(b_panel.chunks_exact(4 * NR))
+        .take(kc / 4)
     {
-        let mut bv = [0i32; NR];
-        for j in 0..NR {
-            bv[j] = i32::from(b[j]);
-        }
-        for r in 0..4 {
-            let ar = i32::from(a[r]);
-            let row = &mut lo[r];
+        for (t, b) in b.chunks_exact(NR).enumerate() {
+            let mut bv = [0i32; NR];
             for j in 0..NR {
-                row[j] += ar * bv[j];
+                bv[j] = i32::from(b[j]);
             }
-        }
-        for r in 0..4 {
-            let ar = i32::from(a[4 + r]);
-            let row = &mut hi[r];
-            for j in 0..NR {
-                row[j] += ar * bv[j];
+            for r in 0..4 {
+                let ar = i32::from(a[4 * r + t]);
+                let row = &mut lo[r];
+                for j in 0..NR {
+                    row[j] += ar * bv[j];
+                }
+            }
+            for r in 0..4 {
+                let ar = i32::from(a[4 * (4 + r) + t]);
+                let row = &mut hi[r];
+                for j in 0..NR {
+                    row[j] += ar * bv[j];
+                }
             }
         }
     }
@@ -133,6 +184,100 @@ pub fn microkernel_int(kc: usize, a_panel: &[i16], b_panel: &[u8], acc: &mut [[i
             acc[r][j] += lo[r][j];
             acc[4 + r][j] += hi[r][j];
         }
+    }
+}
+
+/// The AVX-512 VNNI body of [`microkernel_int`]. Compiled on every
+/// `x86_64` build whatever `target-cpu` says, run only where detected.
+#[cfg(target_arch = "x86_64")]
+mod vnni {
+    use std::arch::x86_64::{
+        __m512i, _mm512_dpbusd_epi32, _mm512_extracti32x4_epi32, _mm512_permutexvar_epi8,
+        _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512, _mm_extract_epi32,
+    };
+
+    use super::{MR, NR};
+
+    /// `vpermb` indices turning four K-major 16-byte B rows into
+    /// `[16 columns][4 k]`: output byte `4j + t` is input byte `16t + j`,
+    /// so `i32` lane `j` holds column `j`'s four K steps, lowest first.
+    const QUAD_TRANSPOSE: [i32; NR] = {
+        let mut lanes = [0; NR];
+        let mut j = 0;
+        while j < NR {
+            lanes[j] = 0x3020_1000 + 0x0101_0101 * j as i32;
+            j += 1;
+        }
+        lanes
+    };
+
+    /// Four K steps per iteration: one 64-byte B load and one `vpermb`,
+    /// then per row one 32-bit broadcast of its four A bytes and one
+    /// `vpdpbusd` (`u8` B × `i8` A, four products summed into each `i32`
+    /// lane, no saturation). The eight accumulators are the tile.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512vbmi")]
+    #[inline(never)]
+    pub(super) fn microkernel_int(
+        kc: usize,
+        a_panel: &[i8],
+        b_panel: &[u8],
+        acc: &mut [[i32; NR]; MR],
+    ) {
+        let transpose = from_lanes(QUAD_TRANSPOSE);
+        let mut tile = [_mm512_setzero_si512(); MR];
+        for (a, b) in a_panel
+            .chunks_exact(4 * MR)
+            .zip(b_panel.chunks_exact(4 * NR))
+            .take(kc / 4)
+        {
+            let b = from_lanes(std::array::from_fn(|j| quad(b, j)));
+            let b = _mm512_permutexvar_epi8(transpose, b);
+            for (r, row) in tile.iter_mut().enumerate() {
+                let a = i32::from_le_bytes(std::array::from_fn(|t| a[4 * r + t] as u8));
+                *row = _mm512_dpbusd_epi32(*row, b, _mm512_set1_epi32(a));
+            }
+        }
+        for (acc_row, row) in acc.iter_mut().zip(tile) {
+            for (s, lane) in acc_row.iter_mut().zip(to_lanes(row)) {
+                *s += lane;
+            }
+        }
+    }
+
+    /// Bytes `4j .. 4j + 4` of `bytes` as one little-endian lane.
+    #[inline(always)]
+    fn quad(bytes: &[u8], j: usize) -> i32 {
+        i32::from_le_bytes(std::array::from_fn(|t| bytes[4 * j + t]))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn from_lanes(l: [i32; NR]) -> __m512i {
+        _mm512_setr_epi32(
+            l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7], l[8], l[9], l[10], l[11], l[12], l[13],
+            l[14], l[15],
+        )
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn to_lanes(v: __m512i) -> [i32; NR] {
+        let quarters = [
+            _mm512_extracti32x4_epi32::<0>(v),
+            _mm512_extracti32x4_epi32::<1>(v),
+            _mm512_extracti32x4_epi32::<2>(v),
+            _mm512_extracti32x4_epi32::<3>(v),
+        ];
+        let mut lanes = [0; NR];
+        for (out, q) in lanes.chunks_exact_mut(4).zip(quarters) {
+            out.copy_from_slice(&[
+                _mm_extract_epi32::<0>(q),
+                _mm_extract_epi32::<1>(q),
+                _mm_extract_epi32::<2>(q),
+                _mm_extract_epi32::<3>(q),
+            ]);
+        }
+        lanes
     }
 }
 
@@ -240,21 +385,44 @@ mod tests {
         }
     }
 
+    /// An A panel in the tile's `[kc / 4][MR][4]` order, `a(p, r)` at
+    /// K step `p` of row `r`.
+    fn a_quads(kc: usize, a: impl Fn(usize, usize) -> i8) -> Vec<i8> {
+        let mut panel = vec![0i8; kc * MR];
+        for p in 0..kc {
+            for r in 0..MR {
+                panel[(p / 4 * MR + r) * 4 + p % 4] = a(p, r);
+            }
+        }
+        panel
+    }
+
+    /// Runs both integer bodies into copies of `init` and pins them
+    /// bit-identical to each other.
+    fn int_tile(kc: usize, a: &[i8], b: &[u8], init: i32) -> [[i32; NR]; MR] {
+        let mut portable = [[init; NR]; MR];
+        microkernel_int_portable(kc, a, b, &mut portable);
+        let mut dispatched = [[init; NR]; MR];
+        microkernel_int(kc, a, b, &mut dispatched);
+        assert_eq!(portable, dispatched, "bodies disagree, kc {kc}");
+        dispatched
+    }
+
     #[test]
     fn int_tile_is_exact_over_the_whole_unsigned_range() {
         // A spans the full signed `i8` range; B bytes past `i8::MAX` must
         // not sign-extend (the offset i8 panels use all of `0..=255`).
-        let kc = 9;
-        let a: Vec<i16> = (0..kc * MR).map(|x| (x % 256) as i16 - 128).collect();
+        // Every A value and every B byte occurs.
+        let kc = 32;
+        let a = |p: usize, r: usize| (p * MR + r) as u8 as i8;
         let b: Vec<u8> = (0..kc * NR).map(|x| (x * 7 % 256) as u8).collect();
-        let mut acc = [[1i32; NR]; MR];
-        microkernel_int(kc, &a, &b, &mut acc);
-        for r in 0..MR {
-            for j in 0..NR {
+        let acc = int_tile(kc, &a_quads(kc, a), &b, 1);
+        for (r, acc_row) in acc.iter().enumerate() {
+            for (j, &got) in acc_row.iter().enumerate() {
                 let want: i32 = (0..kc)
-                    .map(|p| i32::from(a[p * MR + r]) * i32::from(b[p * NR + j]))
+                    .map(|p| i32::from(a(p, r)) * i32::from(b[p * NR + j]))
                     .sum();
-                assert_eq!(acc[r][j], 1 + want, "tile ({r},{j})");
+                assert_eq!(got, 1 + want, "tile ({r},{j})");
             }
         }
     }
@@ -308,18 +476,12 @@ mod tests {
             }
         }
         // Row r of the tile carries `(r + 1) · aq`.
-        let mut a_panel = vec![0i16; len * MR];
-        for (p, &av) in aq.iter().enumerate() {
-            for r in 0..MR {
-                a_panel[p * MR + r] = av * (r as i16 + 1) % 128;
-            }
-        }
-        let mut acc = [[0i32; NR]; MR];
-        microkernel_int(len, &a_panel, &panel, &mut acc);
+        let a = |p: usize, r: usize| (aq[p] * (r as i16 + 1) % 128) as i8;
+        let acc = int_tile(len, &a_quads(len, a), &panel, 0);
         for (r, acc_row) in acc.iter().enumerate() {
             for (j, &got) in acc_row.iter().enumerate() {
                 let want: i32 = (0..len)
-                    .map(|p| i32::from(a_panel[p * MR + r]) * i32::from(code(p, j)))
+                    .map(|p| i32::from(a(p, r)) * i32::from(code(p, j)))
                     .sum();
                 assert_eq!(got, want, "tile ({r},{j}), len {len}");
             }

@@ -3,7 +3,8 @@
 //! This module is the performance engine behind [`crate::gemm`]: every
 //! public matmul in the crate is a thin wrapper over the drivers here.
 //! The design is the classic three-level GotoBLAS decomposition, in
-//! `#![forbid(unsafe_code)]` Rust:
+//! safe Rust with exactly one `unsafe` block — the runtime dispatch to
+//! the AVX-512 VNNI integer tile ([`microkernel`] module docs):
 //!
 //! 1. **Cache blocking** ([`blocking constants`](self#blocking)): the
 //!    K dimension is split into `KC`-deep slabs and the output into
@@ -11,11 +12,12 @@
 //!    packed A block in L1 while they are reused.
 //! 2. **Packing** ([`pack`]): operand blocks are copied once into
 //!    panel-ordered buffers that the inner loop reads with unit stride;
-//!    integer activations are widened to `i16` during the copy, integer
-//!    weights are stored as offset `u8` (one byte each).
+//!    integer activations stay `i8`, four K steps per row adjacent,
+//!    integer weights are stored as offset `u8` (one byte each).
 //! 3. **Register tiling** ([`microkernel`]): an `MR × NR` tile of C is
 //!    held in SIMD registers across the whole K loop (with hardware FMA
-//!    when the build target has it).
+//!    when the build target has it; with `vpdpbusd` for the integer tile
+//!    when the running CPU has it).
 //!
 //! # Fused epilogues
 //!
@@ -78,9 +80,9 @@
 //! # The offset operand
 //!
 //! The i8 weights are stored as `b + 128`, so both integer kernels
-//! multiply a sign-extended `i16` activation by a byte whose upper bits
-//! are known zero — the operand shape that compiles to one paired
-//! widening multiply-accumulate ([`microkernel::microkernel_int`]) — and
+//! multiply a signed activation by an unsigned byte — the operand shape
+//! of `vpdpbusd` (`u8 × i8`, [`microkernel::microkernel_int`]) and, in
+//! the portable bodies, of the paired widening multiply-accumulate — and
 //! the drivers subtract `128 · Σₖ a[i, k]` from every output of row `i`
 //! (the row sum is taken once, where the A panel is packed). This is the
 //! `bias · Σ aq` identity the [`lut`] epilogue uses with `bias = 8` and
@@ -171,11 +173,12 @@
 //! ([`parallel`]) — or output columns in the GEMV paths — which never
 //! changes the K-summation order of any element, so 1-thread and
 //! N-thread runs are bit-identical. The integer kernels are exact (and
-//! therefore also bit-identical to the scalar reference) for any
-//! `K ≤ 2^16`: the largest partial sum the offset operand can produce is
-//! `128 · 255 · K`, which stays below `2^31` up to exactly that depth, so
-//! no intermediate wraps (the debug profile's overflow checks hold this
-//! in `tests/prop_gemm_i8.rs`).
+//! therefore also bit-identical to the scalar reference, whichever tile
+//! body the CPU runs) for any `K ≤ 2^16`: the largest partial sum the
+//! offset operand can produce is `128 · 255 · K`, which stays below
+//! `2^31` up to exactly that depth, so no intermediate wraps (the debug
+//! profile's overflow checks hold this on the portable body in
+//! `tests/prop_gemm_i8.rs`; `vpdpbusd` does not saturate).
 //!
 //! # Blocking
 //!
@@ -698,7 +701,8 @@ fn gemm_i8_band(
     let (k, n) = (b.k(), b.n());
     // A panels live in the worker's persistent scratch arena (see the
     // f32 band driver above).
-    pack::with_a_scratch_i16(|a_pack| {
+    let k_pad = b.k_pad();
+    pack::with_a_scratch_i8(|a_pack| {
         let mut i0 = 0;
         while i0 < m {
             let mc = MC.min(m - i0);
@@ -714,9 +718,9 @@ fn gemm_i8_band(
                 let cols = NR.min(n - pj * NR);
                 let b_panel = b.panel(pj);
                 for (pi, corr) in corr[..mc].chunks(MR).enumerate() {
-                    let a_panel = &a_pack[pi * k * MR..(pi + 1) * k * MR];
+                    let a_panel = &a_pack[pi * k_pad * MR..(pi + 1) * k_pad * MR];
                     let mut acc = [[0i32; NR]; MR];
-                    microkernel_int(k, a_panel, b_panel, &mut acc);
+                    microkernel_int(k_pad, a_panel, b_panel, &mut acc);
                     for (r, (acc_row, &corr)) in acc.iter_mut().zip(corr).enumerate() {
                         for s in acc_row.iter_mut() {
                             *s -= corr;

@@ -13,10 +13,12 @@
 //!
 //! Ragged edges are zero-padded to the full `MR`/`NR` width, which keeps
 //! the microkernel branch-free; the writeback step simply ignores the
-//! padded lanes. Integer **A** panels are widened to `i16` during packing
-//! so the microkernel multiplies without per-element conversions (every
-//! `i8` value is exactly representable in `i16`, so this loses nothing);
-//! integer **B** panels are one unsigned byte per weight (below).
+//! padded lanes. Integer **A** panels stay `i8` and go K-major by
+//! *quads*, `[k / 4][MR][4]` ([`pack_a_i8`]): a row's four consecutive K
+//! values are one 32-bit broadcast for the four-products-per-lane
+//! integer tile, and K is zero-padded to a multiple of 4 so a padded
+//! step contributes nothing; integer **B** panels are one unsigned byte
+//! per weight (below).
 //!
 //! # Persistent packing: [`PackedMatrixF32`] / [`PackedMatrixI8`]
 //!
@@ -45,7 +47,7 @@
 //!
 //! Packing activations per call is correct — *allocating* for them per
 //! call is not. Each worker thread owns a persistent scratch arena
-//! ([`with_a_scratch_f32`] / [`with_a_scratch_i16`]) that the tiled
+//! ([`with_a_scratch_f32`] / [`with_a_scratch_i8`]) that the tiled
 //! drivers pack A panels into; after the first forward pass has sized it
 //! (warmup), every later pack reuses the capacity and the allocator is
 //! never touched again. Growth events are counted in a process-global
@@ -65,7 +67,7 @@ thread_local! {
     static PACK_B_CALLS: Cell<u64> = const { Cell::new(0) };
     /// Persistent per-thread A-panel buffers for the tiled drivers.
     static A_SCRATCH_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static A_SCRATCH_I16: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+    static A_SCRATCH_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A-panel scratch-arena growth events across all threads (each is one
@@ -122,9 +124,9 @@ pub fn with_a_scratch_f32<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
     with_a_scratch(&A_SCRATCH_F32, f)
 }
 
-/// Hands `f` this thread's persistent i16 A-panel buffer.
-pub fn with_a_scratch_i16<R>(f: impl FnOnce(&mut Vec<i16>) -> R) -> R {
-    with_a_scratch(&A_SCRATCH_I16, f)
+/// Hands `f` this thread's persistent i8 A-panel buffer.
+pub fn with_a_scratch_i8<R>(f: impl FnOnce(&mut Vec<i8>) -> R) -> R {
+    with_a_scratch(&A_SCRATCH_I8, f)
 }
 
 /// Number of B-operand pack operations performed by this thread so far
@@ -153,11 +155,30 @@ pub fn pack_a_f32(
     kc: usize,
     out: &mut Vec<f32>,
 ) {
-    pack_a_with(a, lda, row0, col0, mc, kc, |x| x, out);
+    out.clear();
+    let panels = mc.div_ceil(MR);
+    out.reserve(panels * kc * MR);
+    for pi in 0..panels {
+        let r0 = row0 + pi * MR;
+        let rows = (row0 + mc - r0).min(MR);
+        for p in 0..kc {
+            let col = col0 + p;
+            for r in 0..MR {
+                out.push(if r < rows {
+                    a[(r0 + r) * lda + col]
+                } else {
+                    0.0
+                });
+            }
+        }
+    }
 }
 
-/// Packs an `mc × kc` block of an `i8` matrix into `MR`-row panels,
-/// widening to `i16`.
+/// Packs an `mc × kc` block of an `i8` matrix into `MR`-row panels in
+/// the integer tile's `[kc / 4][MR][4]` order: element `(r, p)` of panel
+/// `pi` is `out[pi · kq · MR · 4 + (p / 4 · MR + r) · 4 + p % 4]` with
+/// `kq = ⌈kc / 4⌉`. Output length is `⌈mc / MR⌉ · 4 · kq · MR`; rows past
+/// `row0 + mc` and K steps past `kc` are zero.
 pub fn pack_a_i8(
     a: &[i8],
     lda: usize,
@@ -165,9 +186,20 @@ pub fn pack_a_i8(
     col0: usize,
     mc: usize,
     kc: usize,
-    out: &mut Vec<i16>,
+    out: &mut Vec<i8>,
 ) {
-    pack_a_with(a, lda, row0, col0, mc, kc, i16::from, out);
+    let panel_len = kc.next_multiple_of(4) * MR;
+    out.clear();
+    out.resize(mc.div_ceil(MR) * panel_len, 0);
+    for pi in 0..mc.div_ceil(MR) {
+        let panel = &mut out[pi * panel_len..][..panel_len];
+        for r in 0..(mc - pi * MR).min(MR) {
+            let row = &a[(row0 + pi * MR + r) * lda + col0..][..kc];
+            for (q, quad) in row.chunks(4).enumerate() {
+                panel[(q * MR + r) * 4..][..quad.len()].copy_from_slice(quad);
+            }
+        }
+    }
 }
 
 /// Packs a `kc × nc` block of `b` (row-major, leading dimension `ldb`)
@@ -195,36 +227,6 @@ pub fn pack_b_f32(
             let base = (row0 + p) * ldb + c0;
             out.extend_from_slice(&b[base..base + cols]);
             out.extend(std::iter::repeat_n(0.0, NR - cols));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // BLAS-style packing signature
-fn pack_a_with<TI: Copy, TO: Copy + Default>(
-    a: &[TI],
-    lda: usize,
-    row0: usize,
-    col0: usize,
-    mc: usize,
-    kc: usize,
-    widen: impl Fn(TI) -> TO,
-    out: &mut Vec<TO>,
-) {
-    out.clear();
-    let panels = mc.div_ceil(MR);
-    out.reserve(panels * kc * MR);
-    for pi in 0..panels {
-        let r0 = row0 + pi * MR;
-        let rows = (row0 + mc - r0).min(MR);
-        for p in 0..kc {
-            let col = col0 + p;
-            for r in 0..MR {
-                out.push(if r < rows {
-                    widen(a[(r0 + r) * lda + col])
-                } else {
-                    TO::default()
-                });
-            }
         }
     }
 }
@@ -454,13 +456,21 @@ mod tests {
     }
 
     #[test]
-    fn i8_packing_widens_exactly() {
-        let a: Vec<i8> = vec![-128, 127, -1, 0];
+    fn i8_a_panels_are_k_quads_with_padding() {
+        // 2x5 block of a 3x6 matrix starting at (1, 1): K pads to 8.
+        let a: Vec<i8> = (0..18).map(|x| x as i8 - 9).collect();
         let mut out = Vec::new();
-        pack_a_i8(&a, 2, 0, 0, 2, 2, &mut out);
-        assert_eq!(out[0], -128i16);
-        assert_eq!(out[1], -1i16);
-        assert_eq!(out[MR], 127i16);
+        pack_a_i8(&a, 6, 1, 1, 2, 5, &mut out);
+        assert_eq!(out.len(), 8 * MR);
+        // Quad 0: row 0 = a[1][1..5], row 1 = a[2][1..5], then zero rows.
+        assert_eq!(&out[0..8], &[-2, -1, 0, 1, 4, 5, 6, 7]);
+        assert!(out[8..4 * MR].iter().all(|&x| x == 0));
+        // Quad 1: column 5 of each row, then K padding.
+        assert_eq!(&out[4 * MR..4 * MR + 8], &[2, 0, 0, 0, 8, 0, 0, 0]);
+        assert!(out[4 * MR + 8..].iter().all(|&x| x == 0));
+        // The extremes survive unchanged.
+        pack_a_i8(&[-128, 127], 2, 0, 0, 1, 2, &mut out);
+        assert_eq!(&out[..4], &[-128, 127, 0, 0]);
     }
 
     #[test]

@@ -20,12 +20,16 @@
 //! cache-blocked GEMM with panel packing, an `MR × NR` register-tiled
 //! microkernel (auto-vectorized, with hardware FMA when the build target
 //! has it), fused dequantization epilogues, and deterministic
-//! row-partitioned threading — all in `#![forbid(unsafe_code)]` Rust with
-//! zero dependencies. The original scalar triple loops survive as
+//! row-partitioned threading — all in safe Rust with zero dependencies
+//! but for one audited `unsafe` block: the runtime dispatch of the
+//! integer tile to its AVX-512 VNNI body (`kernel::microkernel`, the one
+//! module allowed `unsafe_code` under this crate's
+//! `#![deny(unsafe_code)]`). The original scalar triple loops survive as
 //! `gemm::matmul_*_reference` for parity testing: integer kernels are
 //! bit-exact against them, float kernels are held to tight ULP bounds.
 //! Determinism guarantee: for a fixed build, results do not depend on the
-//! blocking constants or the thread count (see [`kernel`] docs).
+//! blocking constants, the thread count, or which integer tile body the
+//! host CPU selects (see [`kernel`] docs).
 //! The "timing plane" (how fast a mobile NPU would run these shapes) lives
 //! in `llmnpu-soc`.
 //!
@@ -43,7 +47,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -10,10 +10,17 @@
 //! `cargo test -q`): there the overflow checks are armed, so the
 //! extreme-operand cases also prove that no intermediate sum relies on
 //! wrapping.
+//!
+//! The integer tile has two bodies behind one runtime dispatch
+//! (`kernel::microkernel` docs). The drivers run whichever this host
+//! selects; (f) and (g) also run the portable body directly, so both are
+//! pinned to the reference and to each other on every host that has the
+//! fast one, and (h) names the body the drivers ran.
 
 use proptest::prelude::*;
 
-use llmnpu::tensor::kernel::{self, Epilogue};
+use llmnpu::tensor::kernel::microkernel::{microkernel_int_portable, MR, NR};
+use llmnpu::tensor::kernel::{self, pack, Epilogue};
 use llmnpu::tensor::{gemm, PackedMatrixI8, Tensor};
 
 /// Full-range `i8` data (both `-128` and `127` occur) from a seed.
@@ -264,6 +271,120 @@ fn copy_row_rejects_a_row_past_k() {
 #[should_panic(expected = "length mismatch")]
 fn copy_row_rejects_a_wrong_length_buffer() {
     PackedMatrixI8::pack(&data(5 * 17, 1), 5, 17).copy_row(0, &mut [0; 16]);
+}
+
+/// `A · B` through the **portable** tile body called directly, with the
+/// operands laid out as the kernel documents them — A panels from
+/// `pack::pack_a_i8`, B as `[k_pad][NR]` panels of `b + 128` — and the
+/// `128 · Σ a` correction taken here: the dispatch-free twin of the i8
+/// tile loop.
+fn portable_gemm_i8(a: &[i8], b: &[i8], (m, k, n): (usize, usize, usize)) -> Vec<i32> {
+    let k_pad = k.next_multiple_of(4);
+    let mut a_pack = Vec::new();
+    pack::pack_a_i8(a, k, 0, 0, m, k, &mut a_pack);
+    let mut c = vec![0i32; m * n];
+    for j0 in (0..n).step_by(NR) {
+        let mut b_panel = vec![128u8; k_pad * NR];
+        for p in 0..k {
+            for (l, col) in (j0..n.min(j0 + NR)).enumerate() {
+                b_panel[p * NR + l] = (i32::from(b[p * n + col]) + 128) as u8;
+            }
+        }
+        for (pi, a_panel) in a_pack.chunks(k_pad * MR).enumerate() {
+            let mut acc = [[0i32; NR]; MR];
+            microkernel_int_portable(k_pad, a_panel, &b_panel, &mut acc);
+            for (r, acc_row) in acc.iter().enumerate().take(m - pi * MR) {
+                let i = pi * MR + r;
+                let corr: i32 = a[i * k..(i + 1) * k]
+                    .iter()
+                    .map(|&x| 128 * i32::from(x))
+                    .sum();
+                for (l, col) in (j0..n.min(j0 + NR)).enumerate() {
+                    c[i * n + col] = acc_row[l] - corr;
+                }
+            }
+        }
+    }
+    c
+}
+
+/// Portable body ≡ dispatched driver ≡ scalar reference, raw, for one
+/// tile-shaped problem at each thread count.
+fn check_bodies(a: &[i8], b: &[i8], (m, k, n): (usize, usize, usize), threads: &[usize]) {
+    let reference = gemm::matmul_i8_reference(
+        &Tensor::from_vec(a.to_vec(), [m, k]).unwrap(),
+        &Tensor::from_vec(b.to_vec(), [k, n]).unwrap(),
+    )
+    .unwrap();
+    let portable = portable_gemm_i8(a, b, (m, k, n));
+    assert_eq!(
+        portable,
+        reference.as_slice(),
+        "portable, m={m} k={k} n={n}"
+    );
+    let packed = PackedMatrixI8::pack(b, k, n);
+    for &t in threads {
+        let mut dispatched = vec![i32::MIN; m * n];
+        kernel::gemm_i8_prepacked(m, a, &packed, &mut dispatched, t);
+        assert_eq!(
+            dispatched, portable,
+            "dispatched, m={m} k={k} n={n} threads={t}"
+        );
+    }
+}
+
+/// (f) The two tile bodies at the depth bound: (a)'s extreme operands
+/// with the portable body called directly, so in the debug profile its
+/// overflow checks see the `−128 · 255 · 2^16` partial sums too, not
+/// only whichever body the drivers dispatch to.
+#[test]
+fn both_int_bodies_are_exact_at_the_depth_bound() {
+    let (k, n) = (1usize << 16, 17usize);
+    let pick = |p: usize, lo: i8, hi: i8| if p.is_multiple_of(2) { lo } else { hi };
+    for (a_lo, a_hi, b_lo, b_hi) in [
+        (-128i8, -128i8, 127i8, 127i8),
+        (127, 127, -128, -128),
+        (-128, 127, 127, -128),
+        (-128, 127, -128, 127),
+    ] {
+        let b: Vec<i8> = (0..k * n).map(|i| pick(i / n, b_lo, b_hi)).collect();
+        let a: Vec<i8> = (0..3 * k).map(|i| pick(i % k, a_lo, a_hi)).collect();
+        check_bodies(&a, &b, (3, k, n), &[1]);
+    }
+}
+
+/// (g) The two tile bodies over ragged K (inside one quad, across quads,
+/// across `KC`) and every tile-shaped `m` around the 8-row tile, at 1
+/// and 4 threads.
+#[test]
+fn portable_and_dispatched_int_bodies_are_bit_identical() {
+    for k in [1usize, 3, 5, 17, 513] {
+        for n in [17usize, 40] {
+            let b = data(k * n, (k * 31 + n) as u64);
+            for m in [3usize, 8, 9, 33] {
+                let a = data(m * k, (m * 7 + k) as u64);
+                check_bodies(&a, &b, (m, k, n), &[1, 4]);
+            }
+        }
+    }
+}
+
+/// (h) Which body the drivers ran above, by the kernel's own feature
+/// test, printed for the CI log (`-- --nocapture`) — and one more
+/// identity check under that name.
+#[test]
+fn names_the_dispatched_int_body() {
+    #[cfg(target_arch = "x86_64")]
+    let vnni = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vnni")
+        && is_x86_feature_detected!("avx512vbmi");
+    #[cfg(not(target_arch = "x86_64"))]
+    let vnni = false;
+    let body = if vnni { "avx512-vnni" } else { "portable" };
+    println!("microkernel_int dispatches to the {body} body on this host");
+    let (m, k, n) = (9usize, 130usize, 33usize);
+    check_bodies(&data(m * k, 1), &data(k * n, 2), (m, k, n), &[1]);
 }
 
 proptest! {

@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use llmnpu::quant::lut::LutLinear;
-use llmnpu::tensor::kernel::lut::{lut_tables_built, PackedLut};
+use llmnpu::tensor::kernel::lut::{gemm_lut, lut_tables_built, PackedLut};
+use llmnpu::tensor::kernel::microkernel::{microkernel_int_portable, MR, NR};
+use llmnpu::tensor::kernel::pack;
 use llmnpu::tensor::{gemm, PackedMatrixI2, PackedMatrixI4, Tensor};
 
 fn finite_vec(len: usize, mag: f32) -> impl Strategy<Value = Vec<f32>> {
@@ -202,6 +204,102 @@ fn non_finite_activation_rows_come_back_all_nan_and_stay_row_local() {
                     "driver {which} row {r}"
                 );
             }
+        }
+    }
+}
+
+/// `C = dequant(A · B)` through the **portable** integer tile body called
+/// directly, from the documented semantics alone: activation rows
+/// quantized with one max-abs scale each, every group's stored codes
+/// (`code_at`) as a `[len][NR]` B panel, `pack::pack_a_i8` A panels, the
+/// `bias · Σ aq` correction and the `a_scale · w_scale` epilogue added in
+/// ascending group order — the dispatch-free twin of the LUT tile walker.
+fn portable_gemm_lut<const BITS: usize>(a: &[f32], m: usize, p: &PackedLut<BITS>) -> Vec<f32> {
+    let (k, n, gs) = (p.k(), p.n(), p.group_size());
+    let k_pad = k.next_multiple_of(4);
+    let bias = 1i32 << (BITS - 1);
+    let mut aq = vec![0i8; m * k_pad];
+    let mut a_scales = vec![0.0f32; m];
+    for (r, row) in a.chunks(k).enumerate() {
+        let amax = row.iter().fold(0.0f32, |x, v| x.max(v.abs()));
+        a_scales[r] = amax / 127.0;
+        for (q, &v) in aq[r * k_pad..].iter_mut().zip(row) {
+            *q = (v / a_scales[r]).round().clamp(-127.0, 127.0) as i8;
+        }
+    }
+    let mut c = vec![0.0f32; m * n];
+    for j0 in (0..n).step_by(NR) {
+        let cols = j0..n.min(j0 + NR);
+        for (g, g0) in (0..k).step_by(gs).enumerate() {
+            let len = gs.min(k_pad - g0);
+            let mut b_panel = vec![0u8; len * NR];
+            for pos in 0..len {
+                for (l, col) in cols.clone().enumerate() {
+                    b_panel[pos * NR + l] = p.code_at(g0 + pos, col);
+                }
+            }
+            let mut a_pack = Vec::new();
+            pack::pack_a_i8(&aq, k_pad, 0, g0, m, len, &mut a_pack);
+            for (pi, a_panel) in a_pack.chunks(len * MR).enumerate() {
+                let mut acc = [[0i32; NR]; MR];
+                microkernel_int_portable(len, a_panel, &b_panel, &mut acc);
+                for (r, acc_row) in acc.iter().enumerate().take(m - pi * MR) {
+                    let i = pi * MR + r;
+                    let sum: i32 = aq[i * k_pad + g0..][..len]
+                        .iter()
+                        .map(|&x| i32::from(x))
+                        .sum();
+                    for (l, col) in cols.clone().enumerate() {
+                        let w = a_scales[i] * p.scale_at(col, g);
+                        c[i * n + col] += (acc_row[l] - bias * sum) as f32 * w;
+                    }
+                }
+            }
+        }
+    }
+    c
+}
+
+/// Portable tile body ≡ dispatched driver (`gemm_lut`, which honours
+/// `threads` exactly) ≡ scalar LUT reference, bit for bit.
+fn check_lut_bodies<const BITS: usize>(a: &Tensor<f32>, p: &PackedLut<BITS>, threads: &[usize]) {
+    let (m, n) = (a.matrix_dims().0, p.n());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let at = format!("i{BITS} m={m} k={} gs={}", p.k(), p.group_size());
+    let reference = gemm::matmul_lut_reference(a, p).unwrap();
+    let portable = portable_gemm_lut(a.as_slice(), m, p);
+    assert_eq!(
+        bits(&portable),
+        bits(reference.as_slice()),
+        "portable, {at}"
+    );
+    for &t in threads {
+        let mut dispatched = vec![f32::NAN; m * n];
+        gemm_lut(m, a.as_slice(), p, &mut dispatched, t);
+        assert_eq!(
+            bits(&dispatched),
+            bits(&portable),
+            "dispatched, {at} threads={t}"
+        );
+    }
+}
+
+/// The two integer tile bodies under the LUT tile walker: int4 and int2
+/// at group sizes from one quad to wider than a cohort, every `k` leaving
+/// a ragged last group (14 → 4 + 4 + 4 + 2, 70 → 32 + 32 + 6,
+/// 300 → 128 + 128 + 44), every tile-shaped `m` around the 8-row tile,
+/// at 1 and 4 threads.
+#[test]
+fn portable_and_dispatched_lut_tiles_are_bit_identical() {
+    let n = 37;
+    for (gs, k) in [(4usize, 14usize), (32, 70), (128, 300)] {
+        let b = ramp(k, n, 0.8);
+        let p4 = PackedMatrixI4::from_tensor(&b, gs);
+        let p2 = PackedMatrixI2::from_tensor(&b, gs);
+        for m in [3usize, 8, 9, 33] {
+            let a = ramp(m, k, 1.3);
+            check_lut_bodies(&a, &p4, &[1, 4]);
+            check_lut_bodies(&a, &p2, &[1, 4]);
         }
     }
 }
