@@ -334,6 +334,44 @@ struct PagedKvRow {
     bit_identical: bool,
 }
 
+/// One shadow-int8 decoder layer's NPU-lane stages at the benchmark
+/// model's shape (hidden 512, FFN 1376), split by where the time goes —
+/// measured, where ROADMAP item 13 had only inferred the share spent
+/// outside the tile. Two compositions of the same work:
+///
+/// * `fused` is this code: the served `Transformer` stage on a layer
+///   whose outlier paths are all pruned (the main half is the NPU
+///   lane's work), with one activation quantization and one GEMM per
+///   input — Q | K | V and Gate | Up each one `[k, Σ n]` product.
+/// * `per_site` is the composition those stages ran before siblings
+///   were fused: a quantization pass (the per-lane-convert
+///   `round().clamp() as i8` expression) and a GEMM per projection, and
+///   SiLU on libm `exp` — rebuilt here from the same public primitives.
+///
+/// Parts are timed on their own (best of `reps`, one thread, warm) on
+/// the stage's inputs; `rest_ms` is the stage minus its parts: RoPE, the
+/// Q | K | V and Gate | Up splits, the gate multiply, the residual add
+/// and the allocations between them.
+#[derive(Debug, Serialize)]
+struct LayerI8Row {
+    /// `qkv` (QkvLinear + RoPE), `o` (OProj + residual) or `ffn`
+    /// (gate/up, SiLU × up, down + residual).
+    stage: &'static str,
+    /// Activation rows: a prefill chunk (32) or a batched decode cohort (8).
+    m: usize,
+    composition: &'static str,
+    /// Projection GEMMs the stage makes.
+    gemms: usize,
+    quantize_ms: f64,
+    /// i8 tile loop with the fused per-channel dequantization epilogue.
+    tile_ms: f64,
+    silu_ms: f64,
+    rest_ms: f64,
+    stage_ms: f64,
+    /// Share of the stage spent outside the tile and its epilogue.
+    outside_tile_frac: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct KernelRecord {
     id: &'static str,
@@ -360,6 +398,7 @@ struct KernelRecord {
     /// the roof the `paged_kv` rows are stated against.
     fma_roofline_gflops: f64,
     paged_kv: Vec<PagedKvRow>,
+    layer_i8: Vec<LayerI8Row>,
 }
 
 /// Fused multiply-add rate of one core on register-resident data (the
@@ -732,6 +771,148 @@ fn compare_paged_kv(shape: PagedKvShape, roofline_gflops: f64) -> PagedKvRow {
     }
 }
 
+/// The `layer_i8` rows (see [`LayerI8Row`]) at `m` activation rows.
+fn compare_layer_i8(m: usize, reps: usize) -> Vec<LayerI8Row> {
+    use llmnpu_model::backend::{FloatBackend, ShadowBackend};
+    use llmnpu_model::config::ModelConfig;
+    use llmnpu_model::forward::Transformer;
+    use llmnpu_model::weights::{synthesize, OutlierSpec};
+    use llmnpu_quant::outlier::calibrate_scale;
+    use llmnpu_tensor::kernel::parallel::{with_backend, InlineBackend};
+    use llmnpu_tensor::{ops, rope};
+
+    let cfg = ModelConfig::qwen15_18b().scaled_down(512, 1, 64).unwrap();
+    let w = synthesize(&cfg, 29, OutlierSpec::default()).unwrap();
+    let (hidden, ffn, qd, kvd) = (cfg.hidden, cfg.ffn_hidden, cfg.q_dim(), cfg.kv_dim());
+    let tokens: Vec<u32> = (0..m as u32).map(|i| (i * 7 + 3) % 64).collect();
+    let float = FloatBackend::new(w.clone());
+    let cal = Transformer::new(&w, &float)
+        .calibrate(std::slice::from_ref(&tokens))
+        .unwrap();
+    let shadow = ShadowBackend::new(&w, &cal, 0.997, 1.0).unwrap();
+    let t = Transformer::new(&w, &shadow);
+
+    let h = t.embed(&tokens).unwrap();
+    let a_in = t.stage_attn_pre(0, &h).unwrap();
+    let attn = t.stage_qkv(0, &a_in, 0).unwrap().0;
+    let f_in = t.stage_ffn_pre(0, &h).unwrap();
+    let mid = t.stage_ffn_mid(0, &f_in).unwrap();
+    let gate = ramp(m, ffn, 4.0);
+    let scale = |x: &Tensor<f32>| calibrate_scale(std::slice::from_ref(x), 0.997).unwrap();
+    let (s_attn, s_out, s_ffn, s_mid) = (scale(&a_in), scale(&attn), scale(&f_in), scale(&mid));
+
+    // Weights of each projection shape, for the parts timed alone.
+    let weight = |k: usize, n: usize| {
+        let b = ramp(k, n, 1.0).map(|x| (x * 200.0) as i8);
+        (PackedMatrixI8::from_tensor(&b), vec![0.01f32; n])
+    };
+    let tile = |xq: &Tensor<i8>, (packed, w_scales): &(PackedMatrixI8, Vec<f32>), a_scale| {
+        let mut out = Tensor::zeros([xq.matrix_dims().0, packed.n()]);
+        let epilogue = Epilogue::PerChannel { a_scale, w_scales };
+        gemm::matmul_i8_fused_prepacked(&mut out, xq, packed, epilogue, 1).unwrap();
+        out
+    };
+    let quantize = QuantizedMatrix::quantize_with_scale;
+    let quantize_per_lane =
+        |x: &Tensor<f32>, s: f32| x.map(|v| (v / s).round().clamp(-127.0, 127.0) as i8);
+    let silu_libm = |x: &Tensor<f32>| x.map(|v| v / (1.0 + (-v).exp()));
+    let (w_q, w_kv, w_o) = (weight(hidden, qd), weight(hidden, kvd), weight(qd, hidden));
+    let (w_ffn, w_down) = (weight(hidden, ffn), weight(ffn, hidden));
+    let (w_qkv, w_gate_up) = (weight(hidden, qd + 2 * kvd), weight(hidden, 2 * ffn));
+    let (a_q, f_q, attn_q, mid_q) = (
+        quantize(&a_in, s_attn).data().clone(),
+        quantize(&f_in, s_ffn).data().clone(),
+        quantize(&attn, s_out).data().clone(),
+        quantize(&mid, s_mid).data().clone(),
+    );
+    let rope_qk = |q: &mut Tensor<f32>, k: &mut Tensor<f32>| {
+        let hd = cfg.head_dim;
+        rope::apply_rope_heads_inplace(q, hd, 0..m, rope::DEFAULT_THETA).unwrap();
+        rope::apply_rope_heads_inplace(k, hd, 0..m, rope::DEFAULT_THETA).unwrap();
+    };
+
+    let row =
+        |stage, composition, gemms, quantize_ms: f64, tile_ms: f64, silu_ms: f64, stage_ms: f64| {
+            LayerI8Row {
+                stage,
+                m,
+                composition,
+                gemms,
+                quantize_ms,
+                tile_ms,
+                silu_ms,
+                rest_ms: stage_ms - quantize_ms - tile_ms - silu_ms,
+                stage_ms,
+                outside_tile_frac: 1.0 - tile_ms / stage_ms,
+            }
+        };
+    let ms = |f: &mut dyn FnMut()| best_of(reps, f) * 1e3;
+    with_backend(std::sync::Arc::new(InlineBackend), || {
+        let mut rows = Vec::new();
+        // QkvLinear.
+        let q_ms = ms(&mut || drop(black_box(quantize(&a_in, s_attn))));
+        let t_ms = ms(&mut || drop(black_box(tile(&a_q, &w_qkv, s_attn))));
+        let st_ms = ms(&mut || drop(black_box(t.stage_qkv(0, &a_in, 0).unwrap())));
+        rows.push(row("qkv", "fused", 1, q_ms, t_ms, 0.0, st_ms));
+        let q_ms = 3.0 * ms(&mut || drop(black_box(quantize_per_lane(&a_in, s_attn))));
+        let t_ms = ms(&mut || drop(black_box(tile(&a_q, &w_q, s_attn))))
+            + 2.0 * ms(&mut || drop(black_box(tile(&a_q, &w_kv, s_attn))));
+        let st_ms = ms(&mut || {
+            let mut q = tile(&quantize_per_lane(&a_in, s_attn), &w_q, s_attn);
+            let mut k = tile(&quantize_per_lane(&a_in, s_attn), &w_kv, s_attn);
+            let v = tile(&quantize_per_lane(&a_in, s_attn), &w_kv, s_attn);
+            rope_qk(&mut q, &mut k);
+            black_box((q, k, v));
+        });
+        rows.push(row("qkv", "per_site", 3, q_ms, t_ms, 0.0, st_ms));
+
+        // OProj: one site either way; only the quantizer differs.
+        for (composition, per_lane) in [("fused", false), ("per_site", true)] {
+            let q_ms = if per_lane {
+                ms(&mut || drop(black_box(quantize_per_lane(&attn, s_out))))
+            } else {
+                ms(&mut || drop(black_box(quantize(&attn, s_out))))
+            };
+            let t_ms = ms(&mut || drop(black_box(tile(&attn_q, &w_o, s_out))));
+            let st_ms = if per_lane {
+                ms(&mut || {
+                    let y = tile(&quantize_per_lane(&attn, s_out), &w_o, s_out);
+                    black_box(ops::add(&h, &y).unwrap());
+                })
+            } else {
+                ms(&mut || drop(black_box(t.stage_attn_out(0, &h, &attn).unwrap())))
+            };
+            rows.push(row("o", composition, 1, q_ms, t_ms, 0.0, st_ms));
+        }
+
+        // Ffn: gate | up, the activation, down.
+        let q_ms = ms(&mut || drop(black_box(quantize(&f_in, s_ffn))))
+            + ms(&mut || drop(black_box(quantize(&mid, s_mid))));
+        let t_ms = ms(&mut || drop(black_box(tile(&f_q, &w_gate_up, s_ffn))))
+            + ms(&mut || drop(black_box(tile(&mid_q, &w_down, s_mid))));
+        let s_ms = ms(&mut || drop(black_box(ops::silu(&gate))));
+        let st_ms = ms(&mut || {
+            let mid = t.stage_ffn_mid(0, &f_in).unwrap();
+            black_box(t.stage_ffn_down(0, &h, &mid).unwrap());
+        });
+        rows.push(row("ffn", "fused", 2, q_ms, t_ms, s_ms, st_ms));
+        let q_ms = 2.0 * ms(&mut || drop(black_box(quantize_per_lane(&f_in, s_ffn))))
+            + ms(&mut || drop(black_box(quantize_per_lane(&mid, s_mid))));
+        let t_ms = 2.0 * ms(&mut || drop(black_box(tile(&f_q, &w_ffn, s_ffn))))
+            + ms(&mut || drop(black_box(tile(&mid_q, &w_down, s_mid))));
+        let s_ms = ms(&mut || drop(black_box(silu_libm(&gate))));
+        let st_ms = ms(&mut || {
+            let g = tile(&quantize_per_lane(&f_in, s_ffn), &w_ffn, s_ffn);
+            let u = tile(&quantize_per_lane(&f_in, s_ffn), &w_ffn, s_ffn);
+            let act = ops::mul(&silu_libm(&g), &u).unwrap();
+            let y = tile(&quantize_per_lane(&act, s_mid), &w_down, s_mid);
+            black_box(ops::add(&h, &y).unwrap());
+        });
+        rows.push(row("ffn", "per_site", 3, q_ms, t_ms, s_ms, st_ms));
+        rows
+    })
+}
+
 fn kernel_comparison() {
     let threads_effective = llmnpu_tensor::kernel::parallel::effective_threads(THREADS);
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -906,6 +1087,29 @@ fn kernel_comparison() {
         })
         .collect();
 
+    println!(
+        "--- layer i8: one shadow-int8 layer's NPU-lane stages, per-site (before fusion) vs fused, 1 thread ---"
+    );
+    let layer_i8: Vec<LayerI8Row> = [(32, 40), (8, 60)]
+        .into_iter()
+        .flat_map(|(m, reps)| compare_layer_i8(m, reps))
+        .inspect(|row| {
+            println!(
+                "{:<4} m={:<3} {:<9} {} gemm(s) | quantize {:>6.3} | tile {:>6.3} | silu {:>6.3} | rest {:>6.3} | stage {:>6.3} ms | outside tile {:>4.2}",
+                row.stage,
+                row.m,
+                row.composition,
+                row.gemms,
+                row.quantize_ms,
+                row.tile_ms,
+                row.silu_ms,
+                row.rest_ms,
+                row.stage_ms,
+                row.outside_tile_frac,
+            );
+        })
+        .collect();
+
     let record = KernelRecord {
         id: "kernels",
         description: "Blocked+packed+threaded GEMM vs scalar reference \
@@ -927,7 +1131,11 @@ fn kernel_comparison() {
                       tokens/s); paged_kv times the tiled attention kernel over \
                       a contiguous cache and over a block table (gather \
                       overhead + bit identity) and states each shape as \
-                      achieved GFLOP/s against fma_roofline_gflops; serving-level and pool-dispatch numbers \
+                      achieved GFLOP/s against fma_roofline_gflops; layer_i8 splits \
+                      one shadow-int8 layer's NPU-lane stages (QKV, O, FFN) into \
+                      activation quantize, tile + epilogue, SiLU and the rest, \
+                      per-site (the composition before sibling projections were \
+                      fused) vs fused; serving-level and pool-dispatch numbers \
                       live in benchmark/ (BENCHMARK.json); tokens-equivalent \
                       = activation rows per second",
         threads_requested: THREADS,
@@ -942,6 +1150,7 @@ fn kernel_comparison() {
         batched_decode,
         fma_roofline_gflops,
         paged_kv,
+        layer_i8,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let json = serde_json::to_string_pretty(&record).expect("serialize kernel record");

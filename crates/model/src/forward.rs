@@ -13,11 +13,18 @@
 //! of one row, and solo `generate` / `last_hidden` / `calibrate` are the
 //! same calls on a one-page [`PagedKvCache::solo`] store. Every K/V row is
 //! written to, and attended from, [`PagedKvCache`] pages.
+//!
+//! A layer makes four backend calls, one per activation
+//! ([`LinearInput`]): Q | K | V come back side by side from one call and
+//! are split after the shadow merge, Gate | Up likewise before the
+//! activation, then O and Down. On the int8 lane that is four activation
+//! quantizations and four GEMMs per layer, where the seven projections
+//! used to cost seven of each.
 
 use llmnpu_tensor::kernel::attention::{attention_paged, HeadGeometry};
 use llmnpu_tensor::{norm, ops, rope, Tensor};
 
-use crate::backend::{CalibrationSet, LinearBackend, LinearKind};
+use crate::backend::{CalibrationSet, LinearBackend, LinearInput, LinearKind};
 use crate::config::{ActKind, ModelConfig, NormKind};
 use crate::kv::{PagedKvCache, PagedKvReader};
 use crate::sample::{Sampler, SamplerConfig};
@@ -313,9 +320,9 @@ impl<'a> Transformer<'a> {
                     rec.entry((layer, kind)).or_default().push(a_in.clone());
                 }
             }
-            let mains = self.stage_qkv_main(layer, &a_in)?;
-            let shadows = self.stage_qkv_shadow(layer, &a_in)?;
-            let (q, k, v) = self.qkv_finish_at(mains, shadows, positions.iter().copied())?;
+            let main = self.stage_linear_main(layer, LinearInput::Attn, &a_in)?;
+            let shadow = self.stage_linear_shadow(layer, LinearInput::Attn, &a_in)?;
+            let (q, k, v) = self.qkv_finish_at(main, shadow, positions.iter().copied())?;
 
             let mut attn = Tensor::zeros([positions.len(), q_dim]);
             let mut row = 0;
@@ -372,11 +379,13 @@ impl<'a> Transformer<'a> {
     // decomposition, collapsed to the numeric boundaries): the sequential
     // `forward_rows` composes them in program order, and the
     // out-of-order executor in `llmnpu-sched` wraps each in a task
-    // closure and dispatches them as dependencies resolve. Shadow-host
-    // stages additionally split into `_main` / `_shadow` / finish parts
-    // so the quantized main path and the float shadow path can run on
-    // different lanes; each fused stage is *defined as* that composition,
-    // so split and fused execution are bit-identical by construction.
+    // closure and dispatches them as dependencies resolve. The two
+    // shadow-host stages (`QkvLinear`, `Ffn`) additionally split into the
+    // input's main and shadow halves (`stage_linear_main` /
+    // `stage_linear_shadow`) and a finish that merges them, so the
+    // quantized main path and the float shadow path can run on different
+    // lanes; each fused stage is *defined as* that composition, so split
+    // and fused execution are bit-identical by construction.
 
     /// `AttnPre`: the pre-attention norm.
     ///
@@ -400,52 +409,56 @@ impl<'a> Transformer<'a> {
         a_in: &Tensor<f32>,
         start_pos: usize,
     ) -> Result<(Tensor<f32>, Tensor<f32>, Tensor<f32>)> {
-        let mains = self.stage_qkv_main(layer, a_in)?;
-        let shadows = self.stage_qkv_shadow(layer, a_in)?;
-        self.stage_qkv_finish(mains, shadows, start_pos)
+        let main = self.stage_linear_main(layer, LinearInput::Attn, a_in)?;
+        let shadow = self.stage_linear_shadow(layer, LinearInput::Attn, a_in)?;
+        self.stage_qkv_finish(main, shadow, start_pos)
     }
 
-    /// The main (quantized-lane) halves of the Q/K/V projections.
+    /// The main (quantized-lane) half of `input`'s projections: one
+    /// `[rows, Σ n]` output, the sibling sites side by side (see
+    /// [`LinearBackend`]).
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch or backend failure.
-    pub fn stage_qkv_main(&self, layer: usize, a_in: &Tensor<f32>) -> Result<QkvMains> {
-        Ok(QkvMains {
-            q: self.backend.linear_main(layer, LinearKind::Q, a_in)?,
-            k: self.backend.linear_main(layer, LinearKind::K, a_in)?,
-            v: self.backend.linear_main(layer, LinearKind::V, a_in)?,
-        })
+    pub fn stage_linear_main(
+        &self,
+        layer: usize,
+        input: LinearInput,
+        x: &Tensor<f32>,
+    ) -> Result<Tensor<f32>> {
+        self.backend.linear_main(layer, input, x)
     }
 
-    /// The shadow (float-lane) halves of the Q/K/V projections — `None`
-    /// per site when there is nothing to merge.
+    /// The shadow (float-lane) half of `input`'s projections — `None`
+    /// when there is nothing to merge.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch.
-    pub fn stage_qkv_shadow(&self, layer: usize, a_in: &Tensor<f32>) -> Result<QkvShadows> {
-        Ok(QkvShadows {
-            q: self.backend.linear_shadow(layer, LinearKind::Q, a_in)?,
-            k: self.backend.linear_shadow(layer, LinearKind::K, a_in)?,
-            v: self.backend.linear_shadow(layer, LinearKind::V, a_in)?,
-        })
+    pub fn stage_linear_shadow(
+        &self,
+        layer: usize,
+        input: LinearInput,
+        x: &Tensor<f32>,
+    ) -> Result<Option<Tensor<f32>>> {
+        self.backend.linear_shadow(layer, input, x)
     }
 
-    /// Merges the QKV halves and applies RoPE — the §3.3 CPU→NPU merge
-    /// followed by the position encoding.
+    /// Merges the Q | K | V halves, splits them, and applies RoPE — the
+    /// §3.3 CPU→NPU merge followed by the position encoding.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch.
     pub fn stage_qkv_finish(
         &self,
-        mains: QkvMains,
-        shadows: QkvShadows,
+        main: Tensor<f32>,
+        shadow: Option<Tensor<f32>>,
         start_pos: usize,
     ) -> Result<(Tensor<f32>, Tensor<f32>, Tensor<f32>)> {
-        let (seq, _) = mains.q.matrix_dims();
-        self.qkv_finish_at(mains, shadows, start_pos..start_pos + seq)
+        let (seq, _) = main.matrix_dims();
+        self.qkv_finish_at(main, shadow, start_pos..start_pos + seq)
     }
 
     /// [`Transformer::stage_qkv_finish`] with row `i` rotated at
@@ -453,25 +466,19 @@ impl<'a> Transformer<'a> {
     /// absolute positions.
     fn qkv_finish_at(
         &self,
-        mains: QkvMains,
-        shadows: QkvShadows,
+        mut qkv: Tensor<f32>,
+        shadow: Option<Tensor<f32>>,
         positions: impl Iterator<Item = usize> + Clone,
     ) -> Result<(Tensor<f32>, Tensor<f32>, Tensor<f32>)> {
-        let QkvMains {
-            mut q,
-            mut k,
-            mut v,
-        } = mains;
-        if let Some(s) = &shadows.q {
-            crate::backend::merge_linear(&mut q, s)?;
+        if let Some(s) = &shadow {
+            crate::backend::merge_linear(&mut qkv, s)?;
         }
-        if let Some(s) = &shadows.k {
-            crate::backend::merge_linear(&mut k, s)?;
-        }
-        if let Some(s) = &shadows.v {
-            crate::backend::merge_linear(&mut v, s)?;
-        }
-        let hd = self.config().head_dim;
+        let cfg = self.config();
+        let (q_dim, kv_dim) = (cfg.q_dim(), cfg.kv_dim());
+        let mut q = take_cols(&qkv, 0..q_dim)?;
+        let mut k = take_cols(&qkv, q_dim..q_dim + kv_dim)?;
+        let v = take_cols(&qkv, q_dim + kv_dim..q_dim + 2 * kv_dim)?;
+        let hd = cfg.head_dim;
         rope::apply_rope_heads_inplace(&mut q, hd, positions.clone(), rope::DEFAULT_THETA)?;
         rope::apply_rope_heads_inplace(&mut k, hd, positions, rope::DEFAULT_THETA)?;
         Ok((q, k, v))
@@ -512,7 +519,7 @@ impl<'a> Transformer<'a> {
         h: &Tensor<f32>,
         attn: &Tensor<f32>,
     ) -> Result<Tensor<f32>> {
-        let attn_out = self.backend.linear(layer, LinearKind::O, attn)?;
+        let attn_out = self.backend.linear(layer, LinearInput::AttnOut, attn)?;
         Ok(ops::add(h, &attn_out)?)
     }
 
@@ -532,78 +539,45 @@ impl<'a> Transformer<'a> {
     ///
     /// Returns an error on shape mismatch or backend failure.
     pub fn stage_ffn_mid(&self, layer: usize, f_in: &Tensor<f32>) -> Result<Tensor<f32>> {
-        let mains = self.stage_ffn_mid_main(layer, f_in)?;
-        let shadows = self.stage_ffn_mid_shadow(layer, f_in)?;
-        self.stage_ffn_mid_finish(mains, shadows)
+        let main = self.stage_linear_main(layer, LinearInput::Ffn, f_in)?;
+        let shadow = self.stage_linear_shadow(layer, LinearInput::Ffn, f_in)?;
+        self.stage_ffn_mid_finish(main, shadow)
     }
 
-    /// The main halves of the FFN gate/up projections.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch or backend failure.
-    pub fn stage_ffn_mid_main(&self, layer: usize, f_in: &Tensor<f32>) -> Result<FfnMains> {
-        let gate = if self.config().act.gated() {
-            Some(self.backend.linear_main(layer, LinearKind::Gate, f_in)?)
-        } else {
-            None
-        };
-        Ok(FfnMains {
-            gate,
-            up: self.backend.linear_main(layer, LinearKind::Up, f_in)?,
-        })
-    }
-
-    /// The shadow halves of the FFN gate/up projections.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn stage_ffn_mid_shadow(&self, layer: usize, f_in: &Tensor<f32>) -> Result<FfnShadows> {
-        let gate = if self.config().act.gated() {
-            self.backend.linear_shadow(layer, LinearKind::Gate, f_in)?
-        } else {
-            None
-        };
-        Ok(FfnShadows {
-            gate,
-            up: self.backend.linear_shadow(layer, LinearKind::Up, f_in)?,
-        })
-    }
-
-    /// Merges the FFN halves and applies the activation.
+    /// Merges the Gate | Up halves and applies the activation.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch.
     pub fn stage_ffn_mid_finish(
         &self,
-        mains: FfnMains,
-        shadows: FfnShadows,
+        mut main: Tensor<f32>,
+        shadow: Option<Tensor<f32>>,
     ) -> Result<Tensor<f32>> {
-        let FfnMains { gate, mut up } = mains;
-        let mut gate = gate;
-        if let (Some(g), Some(s)) = (gate.as_mut(), &shadows.gate) {
-            crate::backend::merge_linear(g, s)?;
+        if let Some(s) = &shadow {
+            crate::backend::merge_linear(&mut main, s)?;
         }
-        if let Some(s) = &shadows.up {
-            crate::backend::merge_linear(&mut up, s)?;
+        let ffn = self.config().ffn_hidden;
+        let act = match self.config().act {
+            ActKind::Gelu => return Ok(ops::gelu(&main)),
+            ActKind::SiluGated => ops::silu,
+            ActKind::GeluGated => ops::gelu,
+        };
+        let (rows, width) = main.matrix_dims();
+        if width != 2 * ffn {
+            return Err(Error::Tensor(llmnpu_tensor::Error::InvalidDimension {
+                op: "stage_ffn_mid_finish",
+                what: format!("gate | up is {width} wide, expected 2 × {ffn}"),
+            }));
         }
-        Ok(match self.config().act {
-            ActKind::SiluGated => {
-                let gate = gate.ok_or(Error::InvalidConfig {
-                    what: "gated activation without gate projection".to_owned(),
-                })?;
-                ops::mul(&ops::silu(&gate), &up)?
+        // `act(gate) · up`, reading `up` in place from the fused rows.
+        let mut mid = act(&take_cols(&main, 0..ffn)?);
+        for r in 0..rows {
+            for (g, &u) in mid.row_mut(r).iter_mut().zip(&main.row(r)[ffn..]) {
+                *g *= u;
             }
-            ActKind::GeluGated => {
-                let gate = gate.ok_or(Error::InvalidConfig {
-                    what: "gated activation without gate projection".to_owned(),
-                })?;
-                ops::mul(&ops::gelu(&gate), &up)?
-            }
-            ActKind::Gelu => ops::gelu(&up),
-        })
+        }
+        Ok(mid)
     }
 
     /// The FFN down projection plus residual add (the tail of the `Ffn`
@@ -618,7 +592,7 @@ impl<'a> Transformer<'a> {
         h: &Tensor<f32>,
         ffn_mid: &Tensor<f32>,
     ) -> Result<Tensor<f32>> {
-        let ffn_out = self.backend.linear(layer, LinearKind::Down, ffn_mid)?;
+        let ffn_out = self.backend.linear(layer, LinearInput::FfnOut, ffn_mid)?;
         Ok(ops::add(h, &ffn_out)?)
     }
 
@@ -642,44 +616,21 @@ impl<'a> Transformer<'a> {
     }
 }
 
-/// The pre-merge main (quantized-lane) halves of a QKV stage.
-#[derive(Debug, Clone)]
-pub struct QkvMains {
-    /// Query projection main half.
-    pub q: Tensor<f32>,
-    /// Key projection main half.
-    pub k: Tensor<f32>,
-    /// Value projection main half.
-    pub v: Tensor<f32>,
-}
-
-/// The optional shadow (float-lane) halves of a QKV stage.
-#[derive(Debug, Clone, Default)]
-pub struct QkvShadows {
-    /// Query shadow correction, if any.
-    pub q: Option<Tensor<f32>>,
-    /// Key shadow correction, if any.
-    pub k: Option<Tensor<f32>>,
-    /// Value shadow correction, if any.
-    pub v: Option<Tensor<f32>>,
-}
-
-/// The pre-merge main halves of an FFN mid section.
-#[derive(Debug, Clone)]
-pub struct FfnMains {
-    /// Gate projection main half (`None` for ungated FFNs).
-    pub gate: Option<Tensor<f32>>,
-    /// Up projection main half.
-    pub up: Tensor<f32>,
-}
-
-/// The optional shadow halves of an FFN mid section.
-#[derive(Debug, Clone, Default)]
-pub struct FfnShadows {
-    /// Gate shadow correction, if any.
-    pub gate: Option<Tensor<f32>>,
-    /// Up shadow correction, if any.
-    pub up: Option<Tensor<f32>>,
+/// Columns `cols` of `t`'s matrix view, as a `[rows, cols.len()]` tensor:
+/// one site's block of a fused projection's output.
+fn take_cols(t: &Tensor<f32>, cols: std::ops::Range<usize>) -> Result<Tensor<f32>> {
+    let (rows, width) = t.matrix_dims();
+    if cols.end > width {
+        return Err(Error::Tensor(llmnpu_tensor::Error::InvalidDimension {
+            op: "take_cols",
+            what: format!("columns {cols:?} of a {width}-wide activation"),
+        }));
+    }
+    let mut data = Vec::with_capacity(rows * cols.len());
+    for r in 0..rows {
+        data.extend_from_slice(&t.row(r)[cols.clone()]);
+    }
+    Ok(Tensor::from_vec(data, [rows, cols.len()])?)
 }
 
 /// One request's slot in a batched decode step: the token to forward,

@@ -39,6 +39,10 @@ pub struct LutLinear {
 impl LutLinear {
     /// Quantizes float weights `[in, out]` to int4 codes with one f32
     /// scale per `group_size` reduction elements, packing them once.
+    /// `weights` lie side by side — the projections of one activation,
+    /// `weights[i]` filling the next `n_i` output columns; scales are per
+    /// column, so each one packs exactly as it would alone. A single
+    /// projection passes one.
     ///
     /// Unlike the per-group i8 scheme, the reduction dim does **not**
     /// have to be a multiple of `group_size` — the packed format
@@ -48,11 +52,11 @@ impl LutLinear {
     ///
     /// Returns [`Error::InvalidGranularity`] if `group_size` is not a
     /// positive multiple of 4 (the packed planes split a group into
-    /// quarters).
-    pub fn int4(weight: &Tensor<f32>, group_size: usize) -> Result<Self> {
+    /// quarters), or an error if the weights disagree on `k`.
+    pub fn int4(weights: &[&Tensor<f32>], group_size: usize) -> Result<Self> {
         check_lut_group("lut_int4", group_size)?;
         Ok(LutLinear {
-            weights: LutWeights::I4(PackedMatrixI4::from_tensor(weight, group_size)),
+            weights: LutWeights::I4(PackedMatrixI4::from_blocks(weights, group_size)?),
             group_size,
         })
     }
@@ -63,11 +67,11 @@ impl LutLinear {
     /// # Errors
     ///
     /// Returns [`Error::InvalidGranularity`] if `group_size` is not a
-    /// positive multiple of 4.
-    pub fn int2(weight: &Tensor<f32>, group_size: usize) -> Result<Self> {
+    /// positive multiple of 4, or an error if the weights disagree on `k`.
+    pub fn int2(weights: &[&Tensor<f32>], group_size: usize) -> Result<Self> {
         check_lut_group("lut_int2", group_size)?;
         Ok(LutLinear {
-            weights: LutWeights::I2(PackedMatrixI2::from_tensor(weight, group_size)),
+            weights: LutWeights::I2(PackedMatrixI2::from_blocks(weights, group_size)?),
             group_size,
         })
     }
@@ -196,7 +200,7 @@ mod tests {
     #[test]
     fn int4_forward_matches_reference_bit_exact() {
         let w = ramp(40, 17, 0.8); // ragged k and n
-        let lin = LutLinear::int4(&w, 16).unwrap();
+        let lin = LutLinear::int4(&[&w], 16).unwrap();
         let x = ramp(3, 40, 1.0);
         for threads in [1, 2, 4] {
             let fast = lin.forward(&x, threads).unwrap();
@@ -208,7 +212,7 @@ mod tests {
     #[test]
     fn int2_forward_matches_reference_bit_exact() {
         let w = ramp(40, 17, 0.8);
-        let lin = LutLinear::int2(&w, 8).unwrap();
+        let lin = LutLinear::int2(&[&w], 8).unwrap();
         let x = ramp(2, 40, 1.0);
         let fast = lin.forward(&x, 2).unwrap();
         let reference = lin.forward_reference(&x).unwrap();
@@ -218,8 +222,8 @@ mod tests {
     #[test]
     fn quantization_error_is_bounded() {
         let w = ramp(64, 24, 1.0);
-        let i4 = LutLinear::int4(&w, 16).unwrap();
-        let i2 = LutLinear::int2(&w, 16).unwrap();
+        let i4 = LutLinear::int4(&[&w], 16).unwrap();
+        let i2 = LutLinear::int2(&[&w], 16).unwrap();
         let mse4 = w.mse(&i4.dequantize()).unwrap();
         let mse2 = w.mse(&i2.dequantize()).unwrap();
         assert!(mse4 < 5e-3, "int4 mse {mse4}");
@@ -231,8 +235,8 @@ mod tests {
     #[test]
     fn weight_bytes_shrink_with_bits() {
         let w = ramp(128, 32, 0.5);
-        let i4 = LutLinear::int4(&w, 32).unwrap();
-        let i2 = LutLinear::int2(&w, 32).unwrap();
+        let i4 = LutLinear::int4(&[&w], 32).unwrap();
+        let i2 = LutLinear::int2(&[&w], 32).unwrap();
         let f32_bytes = 128 * 32 * 4;
         assert!(i4.weight_bytes() * 6 < f32_bytes, "int4 ≈ f32/8 + scales");
         assert!(i2.weight_bytes() < i4.weight_bytes());
@@ -245,11 +249,11 @@ mod tests {
         let w = ramp(16, 4, 0.5);
         for gs in [0, 2, 6] {
             assert!(matches!(
-                LutLinear::int4(&w, gs),
+                LutLinear::int4(&[&w], gs),
                 Err(Error::InvalidGranularity { .. })
             ));
             assert!(matches!(
-                LutLinear::int2(&w, gs),
+                LutLinear::int2(&[&w], gs),
                 Err(Error::InvalidGranularity { .. })
             ));
         }

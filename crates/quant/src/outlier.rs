@@ -27,6 +27,8 @@
 //! * [`HotChannelPolicy`] — the memory policy that keeps only hot-channel
 //!   float weights resident (34.3% shadow-memory saving, §3.3).
 
+use std::ops::Range;
+
 use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{gemm, PackedMatrixI8, Tensor};
 
@@ -250,9 +252,11 @@ pub struct ShadowLinear {
     /// Calibrated activation scale (`s` in Equation 1) from offline
     /// profiling; outliers are values beyond `±127·s`.
     act_scale: f32,
-    /// When `false`, the CPU shadow path is skipped entirely (the layer was
-    /// pruned as unimportant, Figure 12 right).
-    shadow_enabled: bool,
+    /// Output columns the CPU shadow path corrects: all of them, none
+    /// when the layer was pruned as unimportant (Figure 12 right), or —
+    /// for a layer holding several projections side by side — the
+    /// column ranges of the unpruned ones.
+    shadow_cols: Vec<Range<usize>>,
 }
 
 /// Output of a shadow forward pass, with the bookkeeping the scheduler and
@@ -271,25 +275,69 @@ impl ShadowLinear {
     #[must_use]
     pub fn new(weight: &Tensor<f32>, act_scale: f32) -> Self {
         let weight = ChannelQuantizedMatrix::quantize(weight);
+        let packed = PackedMatrixI8::from_tensor(weight.data());
+        Self::from_packed(packed, weight.scales().to_vec(), act_scale)
+    }
+
+    /// One layer for several projections of the same activation, side by
+    /// side: `weights[i]` fills the next `n_i` output columns. Each weight
+    /// is quantized per column on its own, exactly as
+    /// [`ShadowLinear::new`] quantizes it, and the i8 payloads are packed
+    /// side by side — so every output column is bit-identical to its own
+    /// projection's layer, and no `[k, Σ n_i]` copy is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the weights disagree on `k`.
+    pub fn side_by_side(weights: &[&Tensor<f32>], act_scale: f32) -> Result<Self> {
+        let parts: Vec<ChannelQuantizedMatrix> = weights
+            .iter()
+            .map(|w| ChannelQuantizedMatrix::quantize(w))
+            .collect();
+        let data: Vec<&Tensor<i8>> = parts.iter().map(ChannelQuantizedMatrix::data).collect();
+        let packed = PackedMatrixI8::from_blocks(&data)?;
+        let w_scales = parts.iter().flat_map(|p| p.scales().to_vec()).collect();
+        Ok(Self::from_packed(packed, w_scales, act_scale))
+    }
+
+    /// A layer over packed weights, its shadow path covering every column.
+    fn from_packed(packed: PackedMatrixI8, w_scales: Vec<f32>, act_scale: f32) -> Self {
+        let all = 0..packed.n();
         ShadowLinear {
-            packed: PackedMatrixI8::from_tensor(weight.data()),
-            w_scales: weight.scales().to_vec(),
+            packed,
+            w_scales,
             act_scale,
-            shadow_enabled: true,
+            shadow_cols: std::iter::once(all).collect(),
         }
     }
 
     /// Disables the shadow path (outlier pruning for unimportant layers).
     #[must_use]
-    pub fn with_shadow_disabled(mut self) -> Self {
-        self.shadow_enabled = false;
+    pub fn with_shadow_disabled(self) -> Self {
+        self.with_shadow_columns(Vec::new())
+    }
+
+    /// Restricts the shadow path to the output columns in `cols` (ranges
+    /// past the weight's `n` are cut at `n`): the layer fuses several
+    /// projections of one activation side by side, and only some of them
+    /// keep their outliers. The other columns' shadow half is `−0.0`, the
+    /// additive identity, so merging it leaves their main half's bits —
+    /// the pruned projections' whole output — untouched.
+    #[must_use]
+    pub fn with_shadow_columns(mut self, cols: Vec<Range<usize>>) -> Self {
+        let n = self.packed.n();
+        self.shadow_cols = cols
+            .into_iter()
+            .map(|c| c.start.min(n)..c.end.min(n))
+            .filter(|c| !c.is_empty())
+            .collect();
         self
     }
 
-    /// Whether the shadow path is active.
+    /// Whether the shadow path is active for any output column.
     #[must_use]
     pub fn shadow_enabled(&self) -> bool {
-        self.shadow_enabled
+        !self.shadow_cols.is_empty()
     }
 
     /// The calibrated activation scale.
@@ -358,7 +406,7 @@ impl ShadowLinear {
     ///
     /// Returns an error if an extracted channel is out of range.
     pub fn forward_shadow(&self, x: &Tensor<f32>) -> Result<Option<(Tensor<f32>, Vec<usize>)>> {
-        if !self.shadow_enabled {
+        if !self.shadow_enabled() {
             return Ok(None);
         }
         let outliers = extract_outliers(x, self.act_scale);
@@ -371,7 +419,9 @@ impl ShadowLinear {
 
     /// The compact CPU-side MatMul: residuals `[m, |C|]` × the selected
     /// dequantized weight rows `[|C|, n]`, each gathered out of the
-    /// packed panels into one `n`-byte scratch.
+    /// packed panels into one `n`-byte scratch. Only the shadow columns
+    /// are computed (see [`ShadowLinear::with_shadow_columns`]); the rest
+    /// of the `[m, n]` result is `−0.0`.
     ///
     /// # Errors
     ///
@@ -380,8 +430,12 @@ impl ShadowLinear {
     pub fn shadow_matmul(&self, outliers: &CompactOutliers) -> Result<Tensor<f32>> {
         let (k, n) = (self.packed.k(), self.packed.n());
         let (m, _) = outliers.residuals.matrix_dims();
-        let mut out = Tensor::zeros([m, n]);
-        let w_scales = &self.w_scales;
+        let mut out = Tensor::full(-0.0, [m, n]);
+        for r in 0..m {
+            for cols in &self.shadow_cols {
+                out.row_mut(r)[cols.clone()].fill(0.0);
+            }
+        }
         let mut w_row = vec![0_i8; n];
         for (j, &c) in outliers.channels.iter().enumerate() {
             if c >= k {
@@ -396,8 +450,11 @@ impl ShadowLinear {
                     continue;
                 }
                 let out_row = out.row_mut(r);
-                for (col, &wq) in w_row.iter().enumerate() {
-                    out_row[col] += v * f32::from(wq) * w_scales[col];
+                for cols in &self.shadow_cols {
+                    let lanes = out_row[cols.clone()].iter_mut().zip(&w_row[cols.clone()]);
+                    for ((o, &wq), &s) in lanes.zip(&self.w_scales[cols.clone()]) {
+                        *o += v * f32::from(wq) * s;
+                    }
                 }
             }
         }

@@ -70,11 +70,14 @@ pub(crate) fn dequantize_packed(
     out
 }
 
-/// Quantizes one float to `i8` with the given scale (round-to-nearest,
-/// saturating at ±127).
+/// Quantizes one float to `i8` with the given scale (round half away
+/// from zero, saturating at ±[`QMAX`], NaN to 0) — the tensor plane's
+/// branch-free [`llmnpu_tensor::ops::quantize_i8`], so every quantizer in
+/// the workspace rounds the same way.
 #[must_use]
+#[inline]
 pub fn quantize_value(x: f32, scale: f32) -> i8 {
-    (x / scale).round().clamp(-QMAX, QMAX) as i8
+    llmnpu_tensor::ops::quantize_i8(x, scale)
 }
 
 /// A per-tensor quantized matrix: `i8` payload plus one float scale.

@@ -79,7 +79,8 @@ use std::time::{Duration, Instant};
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{PrefillDag, Task, TaskRole};
 use llmnpu_graph::layer::Stage;
-use llmnpu_model::forward::{FfnMains, FfnShadows, QkvMains, QkvShadows, Transformer};
+use llmnpu_model::backend::LinearInput;
+use llmnpu_model::forward::Transformer;
 use llmnpu_model::kv::PagedKvCache;
 use llmnpu_obs::{EventKind, Plane, TraceSink};
 use llmnpu_soc::des::{Timeline, TimelineEntry};
@@ -338,10 +339,30 @@ struct ChunkSlots {
     q: Mutex<Option<Tensor<f32>>>,
     attn: Mutex<Option<Tensor<f32>>>,
     f_in: Mutex<Option<std::sync::Arc<Tensor<f32>>>>,
-    qkv_mains: Mutex<Option<QkvMains>>,
-    qkv_shadows: Mutex<Option<QkvShadows>>,
-    ffn_mains: Mutex<Option<FfnMains>>,
-    ffn_shadows: Mutex<Option<FfnShadows>>,
+    /// The pre-merge halves of a split stage — the QKV and the FFN
+    /// stages in turn: the chain runs one's merge before the other's
+    /// halves start, so one pair of slots serves both.
+    main_half: Mutex<Option<Tensor<f32>>>,
+    shadow_half: Mutex<Option<Option<Tensor<f32>>>>,
+}
+
+impl ChunkSlots {
+    /// The activation a shadow-host stage projects, and which one it is.
+    fn stage_input(
+        &self,
+        stage: Stage,
+    ) -> std::result::Result<(LinearInput, std::sync::Arc<Tensor<f32>>), String> {
+        let (input, slot) = match stage {
+            Stage::QkvLinear => (LinearInput::Attn, &self.a_in),
+            _ => (LinearInput::Ffn, &self.f_in),
+        };
+        let x = slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+            .ok_or_else(|| format!("missing {input:?} input"))?;
+        Ok((input, x))
+    }
 }
 
 struct ExecCtx<'t, 'w> {
@@ -443,45 +464,35 @@ fn task_closure<'run>(ctx: &'run ExecCtx<'_, '_>, task: &Task, split: bool) -> T
                 *slots.a_in.lock().unwrap_or_else(PoisonError::into_inner) =
                     Some(std::sync::Arc::new(a_in));
             }
-            (TaskRole::Main, Stage::QkvLinear) => {
-                let a_in = slots
-                    .a_in
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .ok_or("missing a_in input")?;
-                if split {
-                    // Shadow task attached: compute the quantized mains
-                    // only; the merge task finishes the stage.
-                    let mains = t.stage_qkv_main(layer, &a_in).map_err(err)?;
-                    *slots
-                        .qkv_mains
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner) = Some(mains);
-                } else {
-                    let (q, k, v) = t.stage_qkv(layer, &a_in, start_pos).map_err(err)?;
-                    *slots.a_in.lock().unwrap_or_else(PoisonError::into_inner) = None;
-                    ctx.write_kv(layer, chunk, &k, &v)?;
-                    *slots.q.lock().unwrap_or_else(PoisonError::into_inner) = Some(q);
-                }
-            }
-            (TaskRole::Shadow, Stage::QkvLinear) => {
-                let a_in = slots
-                    .a_in
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .ok_or("missing a_in input")?;
-                let shadows = t.stage_qkv_shadow(layer, &a_in).map_err(err)?;
+            // Shadow task attached: the main task computes the quantized
+            // main half only, and the merge task finishes the stage.
+            (TaskRole::Main, Stage::QkvLinear | Stage::Ffn) if split => {
+                let (input, x) = slots.stage_input(stage)?;
+                let main = t.stage_linear_main(layer, input, &x).map_err(err)?;
                 *slots
-                    .qkv_shadows
+                    .main_half
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = Some(shadows);
+                    .unwrap_or_else(PoisonError::into_inner) = Some(main);
+            }
+            (TaskRole::Shadow, Stage::QkvLinear | Stage::Ffn) => {
+                let (input, x) = slots.stage_input(stage)?;
+                let shadow = t.stage_linear_shadow(layer, input, &x).map_err(err)?;
+                *slots
+                    .shadow_half
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner) = Some(shadow);
+            }
+            (TaskRole::Main, Stage::QkvLinear) => {
+                let (_, a_in) = slots.stage_input(stage)?;
+                let (q, k, v) = t.stage_qkv(layer, &a_in, start_pos).map_err(err)?;
+                *slots.a_in.lock().unwrap_or_else(PoisonError::into_inner) = None;
+                ctx.write_kv(layer, chunk, &k, &v)?;
+                *slots.q.lock().unwrap_or_else(PoisonError::into_inner) = Some(q);
             }
             (TaskRole::MergeSync, Stage::QkvLinear) => {
-                let mains = take(&slots.qkv_mains, "qkv mains")?;
-                let shadows = take(&slots.qkv_shadows, "qkv shadows")?;
-                let (q, k, v) = t.stage_qkv_finish(mains, shadows, start_pos).map_err(err)?;
+                let main = take(&slots.main_half, "qkv main half")?;
+                let shadow = take(&slots.shadow_half, "qkv shadow half")?;
+                let (q, k, v) = t.stage_qkv_finish(main, shadow, start_pos).map_err(err)?;
                 *slots.a_in.lock().unwrap_or_else(PoisonError::into_inner) = None;
                 ctx.write_kv(layer, chunk, &k, &v)?;
                 *slots.q.lock().unwrap_or_else(PoisonError::into_inner) = Some(q);
@@ -505,42 +516,16 @@ fn task_closure<'run>(ctx: &'run ExecCtx<'_, '_>, task: &Task, split: bool) -> T
                     Some(std::sync::Arc::new(f_in));
             }
             (TaskRole::Main, Stage::Ffn) => {
-                let f_in = slots
-                    .f_in
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .ok_or("missing f_in input")?;
-                if split {
-                    let mains = t.stage_ffn_mid_main(layer, &f_in).map_err(err)?;
-                    *slots
-                        .ffn_mains
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner) = Some(mains);
-                } else {
-                    let mid = t.stage_ffn_mid(layer, &f_in).map_err(err)?;
-                    *slots.f_in.lock().unwrap_or_else(PoisonError::into_inner) = None;
-                    let mut h = slots.h.lock().unwrap_or_else(PoisonError::into_inner);
-                    *h = t.stage_ffn_down(layer, &h, &mid).map_err(err)?;
-                }
-            }
-            (TaskRole::Shadow, Stage::Ffn) => {
-                let f_in = slots
-                    .f_in
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .ok_or("missing f_in input")?;
-                let shadows = t.stage_ffn_mid_shadow(layer, &f_in).map_err(err)?;
-                *slots
-                    .ffn_shadows
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = Some(shadows);
+                let (_, f_in) = slots.stage_input(stage)?;
+                let mid = t.stage_ffn_mid(layer, &f_in).map_err(err)?;
+                *slots.f_in.lock().unwrap_or_else(PoisonError::into_inner) = None;
+                let mut h = slots.h.lock().unwrap_or_else(PoisonError::into_inner);
+                *h = t.stage_ffn_down(layer, &h, &mid).map_err(err)?;
             }
             (TaskRole::MergeSync, Stage::Ffn) => {
-                let mains = take(&slots.ffn_mains, "ffn mains")?;
-                let shadows = take(&slots.ffn_shadows, "ffn shadows")?;
-                let mid = t.stage_ffn_mid_finish(mains, shadows).map_err(err)?;
+                let main = take(&slots.main_half, "ffn main half")?;
+                let shadow = take(&slots.shadow_half, "ffn shadow half")?;
+                let mid = t.stage_ffn_mid_finish(main, shadow).map_err(err)?;
                 *slots.f_in.lock().unwrap_or_else(PoisonError::into_inner) = None;
                 let mut h = slots.h.lock().unwrap_or_else(PoisonError::into_inner);
                 *h = t.stage_ffn_down(layer, &h, &mid).map_err(err)?;
@@ -629,10 +614,8 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
                 q: Mutex::new(None),
                 attn: Mutex::new(None),
                 f_in: Mutex::new(None),
-                qkv_mains: Mutex::new(None),
-                qkv_shadows: Mutex::new(None),
-                ffn_mains: Mutex::new(None),
-                ffn_shadows: Mutex::new(None),
+                main_half: Mutex::new(None),
+                shadow_half: Mutex::new(None),
             });
         }
         if bounds.len() != plan.chunks {

@@ -10,7 +10,8 @@ use super::microkernel::{fmadd, microkernel_f32, MR, NR};
 use std::ops::Range;
 
 use super::{probe, GEMV_MAX_ROWS};
-use crate::{ops, Tensor};
+use crate::ops::{self, exp_nonpos};
+use crate::Tensor;
 
 /// Keys per tile: one K-major `NR`-wide panel, the B operand of
 /// [`microkernel_f32`]. A constant of the kernel, never the page size.
@@ -52,43 +53,6 @@ fn page_rows<'a>(pages: &[&'a [f32]], kv_dim: usize) -> Vec<&'a [f32]> {
         .inspect(|p| assert_eq!(p.len() % kv_dim, 0, "page is not whole rows"))
         .flat_map(|p| p.chunks_exact(kv_dim))
         .collect()
-}
-
-/// `e^x` for `x ≤ 0` (a softmax argument after the row maximum is
-/// subtracted), branch-free so a loop over it vectorizes: ≤ 2 ulp of
-/// `f32::exp` down to `ln(2⁻¹²⁶)`, exactly `0` below that (including
-/// `−∞`, which is what a masked score holds), exactly `1` at `±0`, and
-/// NaN for NaN.
-///
-/// Range reduction `x = n·ln 2 + r` with `n` rounded through the
-/// `1.5 · 2²³` add (an integer lands in the low mantissa bits, so the
-/// same value feeds the exponent of `2ⁿ` without a float→int convert),
-/// `ln 2` split so `n · LN2_HI` is exact, and `e^r = 1 + r + r²·p(r)`
-/// with a degree-5 `p` on `|r| ≤ ln 2 / 2`.
-#[inline(always)]
-#[must_use]
-pub fn exp_nonpos(x: f32) -> f32 {
-    const ROUND: f32 = 12_582_912.0;
-    const LN2_HI: f32 = 0.693_145_75;
-    const LN2_LO: f32 = 1.428_606_8e-6;
-    /// `ln(2⁻¹²⁶)`: below it `e^x` is subnormal and flushed to zero.
-    const MIN_X: f32 = -87.336_54;
-    let t = fmadd(x, std::f32::consts::LOG2_E, ROUND);
-    let n = t - ROUND;
-    let r = fmadd(n, -LN2_LO, fmadd(n, -LN2_HI, x));
-    let mut p = 0.000_198_527_62;
-    p = fmadd(p, r, 0.001_393_043_6);
-    p = fmadd(p, r, 0.008_333_361);
-    p = fmadd(p, r, 0.041_666_485);
-    p = fmadd(p, r, 0.166_666_67);
-    p = fmadd(p, r, 0.5);
-    let y = fmadd(p, r * r, r) + 1.0;
-    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
-    if x < MIN_X {
-        0.0
-    } else {
-        y * two_n
-    }
 }
 
 /// Softmax numerators of one score row, in place, and their sum.

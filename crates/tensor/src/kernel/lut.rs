@@ -100,7 +100,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::microkernel::{lut_dot, lut_unpack, microkernel_int, MR, NR};
-use super::{pack, parallel, GEMV_MAX_ROWS};
+use super::pack::{self, ColumnBlocks};
+use super::{parallel, GEMV_MAX_ROWS};
 
 thread_local! {
     /// Materialized partial-sum table builds on this thread.
@@ -184,27 +185,59 @@ impl<const BITS: usize> PackedLut<BITS> {
     /// both code widths).
     #[must_use]
     pub fn quantize_pack(b: &[f32], k: usize, n: usize, group_size: usize) -> Self {
+        Self::quantize_pack_blocks(&ColumnBlocks::whole(b, k, n), group_size)
+    }
+
+    /// [`PackedLut::quantize_pack`] over the matrix views of `blocks` laid
+    /// side by side — the `[k, Σ n_i]` weight of several projections of
+    /// one activation — without building that matrix. Scales are per
+    /// column, so each block's columns pack exactly as the block alone
+    /// would.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`](crate::Error::ShapeMismatch) if
+    /// the blocks disagree on `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group_size` is not a positive multiple of 4.
+    pub fn from_blocks(blocks: &[&crate::Tensor<f32>], group_size: usize) -> crate::Result<Self> {
+        Ok(Self::quantize_pack_blocks(
+            &ColumnBlocks::side_by_side(blocks)?,
+            group_size,
+        ))
+    }
+
+    fn quantize_pack_blocks(b: &ColumnBlocks<'_, f32>, group_size: usize) -> Self {
         const { assert!(BITS == 4 || BITS == 2, "LUT codes are 4 or 2 bits wide") };
-        assert_eq!(b.len(), k * n, "rhs shape mismatch");
         assert!(
             group_size >= 4 && group_size.is_multiple_of(4),
             "LUT group size must be a positive multiple of 4, got {group_size}"
         );
         pack::note_pack_b();
+        let (k, n) = (b.k, b.n);
         let k_pad = k.next_multiple_of(4);
         let groups = k.div_ceil(group_size);
         let panels = n.div_ceil(NR);
         let mut codes = Vec::with_capacity(panels * NR * k_pad / Self::PLANES);
         let mut scales = Vec::with_capacity(panels * groups * NR);
+        // One group of one panel, row by row. Padding (positions past `k`,
+        // lanes past `n`) stays zero and quantizes to the bias code,
+        // decoding to 0.
+        let mut tile = vec![[0.0f32; NR]; group_size];
         for j0 in (0..n).step_by(NR) {
             let cols = NR.min(n - j0);
             for g0 in (0..k).step_by(group_size) {
-                // Every read is a panel-wide run of one B row: the pack
-                // walks the float matrix with unit stride. Lanes past `n`
-                // keep scale 0.
+                let rows = (k - g0).min(group_size);
+                tile.fill([0.0; NR]);
+                for (p, lanes) in tile[..rows].iter_mut().enumerate() {
+                    b.read_row(g0 + p, j0, &mut lanes[..cols]);
+                }
+                // Lanes past `n` keep scale 0.
                 let mut scale = [0.0f32; NR];
-                for p in g0..(g0 + group_size).min(k) {
-                    for (s, &x) in scale.iter_mut().zip(&b[p * n + j0..][..cols]) {
+                for lanes in &tile[..rows] {
+                    for (s, &x) in scale.iter_mut().zip(&lanes[..cols]) {
                         *s = s.max(x.abs());
                     }
                 }
@@ -216,20 +249,13 @@ impl<const BITS: usize> PackedLut<BITS> {
                     };
                 }
                 scales.extend_from_slice(&scale);
-                let rows = (k_pad - g0).min(group_size) / Self::PLANES;
-                for i in 0..rows {
+                let byte_rows = (k_pad - g0).min(group_size) / Self::PLANES;
+                for i in 0..byte_rows {
                     let mut bytes = [0u8; NR];
                     for t in 0..Self::PLANES {
-                        let p = g0 + t * rows + i;
+                        let lanes = &tile[t * byte_rows + i];
                         for (l, byte) in bytes.iter_mut().enumerate() {
-                            // Padding (positions past `k`, lanes past `n`)
-                            // quantizes a zero: the bias code, decoding to 0.
-                            let x = if p < k && l < cols {
-                                b[p * n + j0 + l]
-                            } else {
-                                0.0
-                            };
-                            *byte |= Self::quantize_code(x, scale[l]) << (BITS * t);
+                            *byte |= Self::quantize_code(lanes[l], scale[l]) << (BITS * t);
                         }
                     }
                     codes.extend_from_slice(&bytes);
@@ -411,7 +437,7 @@ fn quantize_rows<const BITS: usize, T: Copy + Default + From<i8>>(
             for (g, group) in row.chunks(p.group_size).enumerate() {
                 let mut sum = 0i32;
                 for (i, &v) in group.iter().enumerate() {
-                    let q = (v / scale).round().clamp(-A_QMAX, A_QMAX) as i8;
+                    let q = crate::ops::quantize_i8(v, scale);
                     let pos = g * p.group_size + i;
                     aq[((tile * p.k_pad / 4 + pos / 4) * mr + lane) * 4 + pos % 4] = T::from(q);
                     sum += i32::from(q);

@@ -43,9 +43,10 @@ pub const MR: usize = 8;
 pub const NR: usize = 16;
 
 /// Fused (or contracted) multiply-add; see the module docs. Shared with
-/// the driver's GEMV path so both always use the same contraction rule.
+/// the driver's GEMV path and [`crate::ops::exp_nonpos`] so all of them
+/// use the same contraction rule.
 #[inline(always)]
-pub(super) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
+pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     #[cfg(target_feature = "fma")]
     {
         a.mul_add(b, c)

@@ -143,7 +143,7 @@
 //!    limit is skipped, and a row never reads a score past its own.
 //! 2. **Softmax.** Row maximum (NaN-ignoring, so a NaN score survives to
 //!    poison its own row), then the branch-free
-//!    [`attention::exp_nonpos`] — exactly `0` for a masked entry — into
+//!    [`crate::ops::exp_nonpos`] — exactly `0` for a masked entry — into
 //!    `NR` lane sums folded by one fixed tree. Normalisation is deferred
 //!    to the `head_dim` outputs.
 //! 3. **PV.** Lanes are output dimensions (`NR`-wide panels of the value

@@ -239,6 +239,74 @@ pub(super) fn note_pack_b() {
     PACK_B_CALLS_GLOBAL.fetch_add(1, Ordering::Relaxed);
 }
 
+/// A `k × n` right-hand operand as row-major `[k, n_i]` column blocks
+/// laid side by side — one block for a plain matrix, several for the
+/// fused weight of sibling projections — read in place, so the packers
+/// never need the `[k, Σ n_i]` matrix built first.
+pub(crate) struct ColumnBlocks<'a, T> {
+    /// Each block's elements and width.
+    blocks: Vec<(&'a [T], usize)>,
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+}
+
+impl<'a, T: Copy> ColumnBlocks<'a, T> {
+    /// One row-major `k × n` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n`.
+    pub(crate) fn whole(b: &'a [T], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "rhs shape mismatch");
+        ColumnBlocks {
+            blocks: vec![(b, n)],
+            k,
+            n,
+        }
+    }
+
+    /// The matrix views of `blocks`, side by side.
+    pub(crate) fn side_by_side(blocks: &[&'a crate::Tensor<T>]) -> crate::Result<Self> {
+        let k = blocks.first().map_or(0, |b| b.matrix_dims().0);
+        let mut parts = Vec::with_capacity(blocks.len());
+        for b in blocks {
+            let (rows, cols) = b.matrix_dims();
+            if rows != k {
+                return Err(crate::Error::ShapeMismatch {
+                    op: "side_by_side",
+                    lhs: vec![k, parts.iter().map(|&(_, w)| w).sum()],
+                    rhs: vec![rows, cols],
+                });
+            }
+            parts.push((b.as_slice(), cols));
+        }
+        let n = parts.iter().map(|&(_, w)| w).sum();
+        Ok(ColumnBlocks {
+            blocks: parts,
+            k,
+            n,
+        })
+    }
+
+    /// Copies columns `c0..c0 + out.len()` of row `p` into `out`.
+    pub(crate) fn read_row(&self, p: usize, mut c0: usize, mut out: &mut [T]) {
+        for &(b, w) in &self.blocks {
+            if out.is_empty() {
+                return;
+            }
+            if c0 >= w {
+                c0 -= w;
+                continue;
+            }
+            let take = (w - c0).min(out.len());
+            let (head, tail) = std::mem::take(&mut out).split_at_mut(take);
+            head.copy_from_slice(&b[p * w + c0..][..take]);
+            out = tail;
+            c0 = 0;
+        }
+    }
+}
+
 /// A `k × n` f32 right-hand operand packed **once** for repeated use.
 ///
 /// Holds the exact `KC × NC` slab sequence `super::gemm_f32` would build
@@ -266,22 +334,7 @@ impl PackedMatrixF32 {
     /// Panics if `b.len() != k * n`.
     #[must_use]
     pub fn pack(b: &[f32], k: usize, n: usize) -> Self {
-        assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        let mut slabs = Vec::new();
-        let mut p0 = 0;
-        while p0 < k {
-            let kc = KC.min(k - p0);
-            let mut j0 = 0;
-            while j0 < n {
-                let nc = NC.min(n - j0);
-                let mut slab = Vec::new();
-                pack_b_f32(b, n, p0, j0, kc, nc, &mut slab);
-                slabs.push(slab);
-                j0 += nc;
-            }
-            p0 += kc;
-        }
-        PackedMatrixF32 { k, n, slabs }
+        Self::pack_blocks(&ColumnBlocks::whole(b, k, n))
     }
 
     /// Packs the matrix view of a tensor.
@@ -289,6 +342,46 @@ impl PackedMatrixF32 {
     pub fn from_tensor(b: &crate::Tensor<f32>) -> Self {
         let (k, n) = b.matrix_dims();
         Self::pack(b.as_slice(), k, n)
+    }
+
+    /// Packs the matrix views of `blocks` laid side by side — the
+    /// `[k, Σ n_i]` weight of several projections of one activation —
+    /// without building that matrix: the slabs are byte-identical to
+    /// packing it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`](crate::Error::ShapeMismatch) if
+    /// the blocks disagree on `k`.
+    pub fn from_blocks(blocks: &[&crate::Tensor<f32>]) -> crate::Result<Self> {
+        Ok(Self::pack_blocks(&ColumnBlocks::side_by_side(blocks)?))
+    }
+
+    /// The slab sequence [`pack_b_f32`] builds per call, from any source.
+    fn pack_blocks(b: &ColumnBlocks<'_, f32>) -> Self {
+        let (k, n) = (b.k, b.n);
+        let mut slabs = Vec::new();
+        let mut p0 = 0;
+        while p0 < k {
+            let kc = KC.min(k - p0);
+            let mut j0 = 0;
+            while j0 < n {
+                let nc = NC.min(n - j0);
+                note_pack_b();
+                let mut slab = vec![0.0; nc.div_ceil(NR) * kc * NR];
+                for (pj, panel) in slab.chunks_exact_mut(kc * NR).enumerate() {
+                    let c0 = j0 + pj * NR;
+                    let cols = (j0 + nc - c0).min(NR);
+                    for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
+                        b.read_row(p0 + p, c0, &mut row[..cols]);
+                    }
+                }
+                slabs.push(slab);
+                j0 += nc;
+            }
+            p0 += kc;
+        }
+        PackedMatrixF32 { k, n, slabs }
     }
 
     /// Reduction-dimension length (`k`).
@@ -350,20 +443,7 @@ impl PackedMatrixI8 {
     /// Panics if `b.len() != k * n`.
     #[must_use]
     pub fn pack(b: &[i8], k: usize, n: usize) -> Self {
-        assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        note_pack_b();
-        let k_pad = k.next_multiple_of(4);
-        let mut panels = Vec::with_capacity(n.div_ceil(NR) * k_pad * NR);
-        for c0 in (0..n).step_by(NR) {
-            let cols = NR.min(n - c0);
-            for p in 0..k {
-                let row = &b[p * n + c0..][..cols];
-                panels.extend(row.iter().map(|&x| (i32::from(x) + I8_OFFSET) as u8));
-                panels.extend(std::iter::repeat_n(I8_OFFSET as u8, NR - cols));
-            }
-            panels.extend(std::iter::repeat_n(I8_OFFSET as u8, (k_pad - k) * NR));
-        }
-        PackedMatrixI8 { k, n, panels }
+        Self::pack_blocks(&ColumnBlocks::whole(b, k, n))
     }
 
     /// Packs the matrix view of a tensor.
@@ -371,6 +451,40 @@ impl PackedMatrixI8 {
     pub fn from_tensor(b: &crate::Tensor<i8>) -> Self {
         let (k, n) = b.matrix_dims();
         Self::pack(b.as_slice(), k, n)
+    }
+
+    /// Packs the matrix views of `blocks` laid side by side without
+    /// building the `[k, Σ n_i]` matrix; see
+    /// [`PackedMatrixF32::from_blocks`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`](crate::Error::ShapeMismatch) if
+    /// the blocks disagree on `k`.
+    pub fn from_blocks(blocks: &[&crate::Tensor<i8>]) -> crate::Result<Self> {
+        Ok(Self::pack_blocks(&ColumnBlocks::side_by_side(blocks)?))
+    }
+
+    fn pack_blocks(b: &ColumnBlocks<'_, i8>) -> Self {
+        let (k, n) = (b.k, b.n);
+        note_pack_b();
+        let k_pad = k.next_multiple_of(4);
+        let mut panels = Vec::with_capacity(n.div_ceil(NR) * k_pad * NR);
+        let mut row = [0i8; NR];
+        for c0 in (0..n).step_by(NR) {
+            let cols = NR.min(n - c0);
+            for p in 0..k {
+                b.read_row(p, c0, &mut row[..cols]);
+                panels.extend(
+                    row[..cols]
+                        .iter()
+                        .map(|&x| (i32::from(x) + I8_OFFSET) as u8),
+                );
+                panels.extend(std::iter::repeat_n(I8_OFFSET as u8, NR - cols));
+            }
+            panels.extend(std::iter::repeat_n(I8_OFFSET as u8, (k_pad - k) * NR));
+        }
+        PackedMatrixI8 { k, n, panels }
     }
 
     /// Reduction-dimension length (`k`).

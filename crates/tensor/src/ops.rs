@@ -1,8 +1,70 @@
 //! Elementwise and reduction kernels: softmax, activations, masking,
 //! arithmetic. These are the float operators that the paper keeps on
-//! CPU/GPU (Figure 5, orange nodes).
+//! CPU/GPU (Figure 5, orange nodes) — plus the two branch-free scalar
+//! kernels the vectorized loops share: [`exp_nonpos`] (attention's
+//! softmax) and [`quantize_i8`] (every static-scale activation
+//! quantizer and the LUT drivers' per-row one).
 
+use crate::kernel::microkernel::fmadd;
 use crate::{Error, Result, Tensor};
+
+/// `e^x` for `x ≤ 0` (a softmax argument after the row maximum is
+/// subtracted), branch-free so a loop over it vectorizes: ≤ 2 ulp of
+/// `f32::exp` down to `ln(2⁻¹²⁶)`, exactly `0` below that (including
+/// `−∞`, which is what a masked score holds), exactly `1` at `±0`, and
+/// NaN for NaN.
+///
+/// Range reduction `x = n·ln 2 + r` with `n` rounded through the
+/// `1.5 · 2²³` add (an integer lands in the low mantissa bits, so the
+/// same value feeds the exponent of `2ⁿ` without a float→int convert),
+/// `ln 2` split so `n · LN2_HI` is exact, and `e^r = 1 + r + r²·p(r)`
+/// with a degree-5 `p` on `|r| ≤ ln 2 / 2`.
+#[inline(always)]
+#[must_use]
+pub fn exp_nonpos(x: f32) -> f32 {
+    const LN2_HI: f32 = 0.693_145_75;
+    const LN2_LO: f32 = 1.428_606_8e-6;
+    /// `ln(2⁻¹²⁶)`: below it `e^x` is subnormal and flushed to zero.
+    const MIN_X: f32 = -87.336_54;
+    let t = fmadd(x, std::f32::consts::LOG2_E, ROUND);
+    let n = t - ROUND;
+    let r = fmadd(n, -LN2_LO, fmadd(n, -LN2_HI, x));
+    let mut p = 0.000_198_527_62;
+    p = fmadd(p, r, 0.001_393_043_6);
+    p = fmadd(p, r, 0.008_333_361);
+    p = fmadd(p, r, 0.041_666_485);
+    p = fmadd(p, r, 0.166_666_67);
+    p = fmadd(p, r, 0.5);
+    let y = fmadd(p, r * r, r) + 1.0;
+    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    if x < MIN_X {
+        0.0
+    } else {
+        y * two_n
+    }
+}
+
+/// `1.5 · 2²³`: adding it to a float of magnitude ≤ 2²² rounds that float
+/// to an integer and leaves the integer, offset by `2²²`, in the low
+/// mantissa bits — a float → int conversion with no convert instruction.
+const ROUND: f32 = 12_582_912.0;
+
+/// Symmetric i8 quantization of `x` at `scale`: `x / scale` rounded half
+/// away from zero, saturated to `±127`, NaN to `0`.
+///
+/// Bit for bit `(x / scale).round().clamp(-127.0, 127.0) as i8` for every
+/// input, NaN, `±∞`, `−0` and subnormals included — but branch-free with
+/// no float → int convert: the `as` cast compiles to one scalar
+/// `cvttss2si` per lane, which keeps a loop of these from vectorizing.
+/// Here the clamped integer is read back out of the bits of `r + 1.5·2²³`
+/// instead.
+#[inline(always)]
+#[must_use]
+pub fn quantize_i8(x: f32, scale: f32) -> i8 {
+    let r = (x / scale).round();
+    let r = if r.is_nan() { 0.0 } else { r }.clamp(-127.0, 127.0);
+    (r + ROUND).to_bits().wrapping_sub(ROUND.to_bits()) as i8
+}
 
 /// Row-wise softmax over the matrix view.
 ///

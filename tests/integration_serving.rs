@@ -711,9 +711,12 @@ fn token_sink_streams_in_request_order() {
     }
 }
 
-/// A non-row-wise backend (dynamic per-tensor activation quantization)
-/// still serves correctly: sharing and batching silently disable, and
-/// streams match the backend's own solo runs.
+/// A backend that does not claim row-wise execution still serves
+/// correctly: sharing and batching silently disable, and streams match
+/// the backend's own solo runs. `PerTensorBackend` quantizes activations
+/// with a static calibrated scale, so nothing in it couples rows by
+/// reading; it keeps the conservative `row_wise() == false` default until
+/// a stacked ≡ solo property test pins the i8 backends (ROADMAP item 14).
 #[test]
 fn quantized_backend_serves_with_batching_auto_disabled() {
     let w = mini_model();
@@ -735,7 +738,7 @@ fn quantized_backend_serves_with_batching_auto_disabled() {
             &requests,
             &ServeOptions {
                 max_active: 2,
-                decode_batch: 4,      // ignored: backend is not row-wise
+                decode_batch: 4,      // ignored: backend does not claim row-wise
                 share_prefixes: true, // ignored likewise
                 ..ServeOptions::default()
             },

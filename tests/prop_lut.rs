@@ -402,7 +402,7 @@ proptest! {
     fn lut_linear_matches_reference(w in finite_vec(20 * 11, 2.0), x in finite_vec(2 * 20, 5.0)) {
         let b = Tensor::from_vec(w, [20, 11]).unwrap();
         let a = Tensor::from_vec(x, [2, 20]).unwrap();
-        for lin in [LutLinear::int4(&b, 8).unwrap(), LutLinear::int2(&b, 8).unwrap()] {
+        for lin in [LutLinear::int4(&[&b], 8).unwrap(), LutLinear::int2(&[&b], 8).unwrap()] {
             let fast = lin.forward(&a, 3).unwrap();
             let reference = lin.forward_reference(&a).unwrap();
             prop_assert_eq!(fast.as_slice(), reference.as_slice());
