@@ -831,86 +831,173 @@ fn compare_layer_i8(m: usize, reps: usize) -> Vec<LayerI8Row> {
         rope::apply_rope_heads_inplace(k, hd, 0..m, rope::DEFAULT_THETA).unwrap();
     };
 
-    let row =
-        |stage, composition, gemms, quantize_ms: f64, tile_ms: f64, silu_ms: f64, stage_ms: f64| {
-            LayerI8Row {
-                stage,
-                m,
-                composition,
-                gemms,
-                quantize_ms,
-                tile_ms,
-                silu_ms,
-                rest_ms: stage_ms - quantize_ms - tile_ms - silu_ms,
-                stage_ms,
-                outside_tile_frac: 1.0 - tile_ms / stage_ms,
-            }
-        };
-    let ms = |f: &mut dyn FnMut()| best_of(reps, f) * 1e3;
     with_backend(std::sync::Arc::new(InlineBackend), || {
+        let split = |stage, composition, gemms, parts: &mut LayerParts<'_>| {
+            split_stage(stage, composition, gemms, m, reps, parts)
+        };
         let mut rows = Vec::new();
         // QkvLinear.
-        let q_ms = ms(&mut || drop(black_box(quantize(&a_in, s_attn))));
-        let t_ms = ms(&mut || drop(black_box(tile(&a_q, &w_qkv, s_attn))));
-        let st_ms = ms(&mut || drop(black_box(t.stage_qkv(0, &a_in, 0).unwrap())));
-        rows.push(row("qkv", "fused", 1, q_ms, t_ms, 0.0, st_ms));
-        let q_ms = 3.0 * ms(&mut || drop(black_box(quantize_per_lane(&a_in, s_attn))));
-        let t_ms = ms(&mut || drop(black_box(tile(&a_q, &w_q, s_attn))))
-            + 2.0 * ms(&mut || drop(black_box(tile(&a_q, &w_kv, s_attn))));
-        let st_ms = ms(&mut || {
-            let mut q = tile(&quantize_per_lane(&a_in, s_attn), &w_q, s_attn);
-            let mut k = tile(&quantize_per_lane(&a_in, s_attn), &w_kv, s_attn);
-            let v = tile(&quantize_per_lane(&a_in, s_attn), &w_kv, s_attn);
-            rope_qk(&mut q, &mut k);
-            black_box((q, k, v));
-        });
-        rows.push(row("qkv", "per_site", 3, q_ms, t_ms, 0.0, st_ms));
+        rows.push(split(
+            "qkv",
+            "fused",
+            1,
+            &mut LayerParts {
+                quantize: &mut || drop(black_box(quantize(&a_in, s_attn))),
+                tile: &mut || drop(black_box(tile(&a_q, &w_qkv, s_attn))),
+                silu: None,
+                stage: &mut || drop(black_box(t.stage_qkv(0, &a_in, 0).unwrap())),
+            },
+        ));
+        rows.push(split(
+            "qkv",
+            "per_site",
+            3,
+            &mut LayerParts {
+                quantize: &mut || {
+                    for _ in 0..3 {
+                        black_box(quantize_per_lane(&a_in, s_attn));
+                    }
+                },
+                tile: &mut || {
+                    for w in [&w_q, &w_kv, &w_kv] {
+                        black_box(tile(&a_q, w, s_attn));
+                    }
+                },
+                silu: None,
+                stage: &mut || {
+                    let mut q = tile(&quantize_per_lane(&a_in, s_attn), &w_q, s_attn);
+                    let mut k = tile(&quantize_per_lane(&a_in, s_attn), &w_kv, s_attn);
+                    let v = tile(&quantize_per_lane(&a_in, s_attn), &w_kv, s_attn);
+                    rope_qk(&mut q, &mut k);
+                    black_box((q, k, v));
+                },
+            },
+        ));
 
         // OProj: one site either way; only the quantizer differs.
-        for (composition, per_lane) in [("fused", false), ("per_site", true)] {
-            let q_ms = if per_lane {
-                ms(&mut || drop(black_box(quantize_per_lane(&attn, s_out))))
-            } else {
-                ms(&mut || drop(black_box(quantize(&attn, s_out))))
-            };
-            let t_ms = ms(&mut || drop(black_box(tile(&attn_q, &w_o, s_out))));
-            let st_ms = if per_lane {
-                ms(&mut || {
+        rows.push(split(
+            "o",
+            "fused",
+            1,
+            &mut LayerParts {
+                quantize: &mut || drop(black_box(quantize(&attn, s_out))),
+                tile: &mut || drop(black_box(tile(&attn_q, &w_o, s_out))),
+                silu: None,
+                stage: &mut || drop(black_box(t.stage_attn_out(0, &h, &attn).unwrap())),
+            },
+        ));
+        rows.push(split(
+            "o",
+            "per_site",
+            1,
+            &mut LayerParts {
+                quantize: &mut || drop(black_box(quantize_per_lane(&attn, s_out))),
+                tile: &mut || drop(black_box(tile(&attn_q, &w_o, s_out))),
+                silu: None,
+                stage: &mut || {
                     let y = tile(&quantize_per_lane(&attn, s_out), &w_o, s_out);
                     black_box(ops::add(&h, &y).unwrap());
-                })
-            } else {
-                ms(&mut || drop(black_box(t.stage_attn_out(0, &h, &attn).unwrap())))
-            };
-            rows.push(row("o", composition, 1, q_ms, t_ms, 0.0, st_ms));
-        }
+                },
+            },
+        ));
 
         // Ffn: gate | up, the activation, down.
-        let q_ms = ms(&mut || drop(black_box(quantize(&f_in, s_ffn))))
-            + ms(&mut || drop(black_box(quantize(&mid, s_mid))));
-        let t_ms = ms(&mut || drop(black_box(tile(&f_q, &w_gate_up, s_ffn))))
-            + ms(&mut || drop(black_box(tile(&mid_q, &w_down, s_mid))));
-        let s_ms = ms(&mut || drop(black_box(ops::silu(&gate))));
-        let st_ms = ms(&mut || {
-            let mid = t.stage_ffn_mid(0, &f_in).unwrap();
-            black_box(t.stage_ffn_down(0, &h, &mid).unwrap());
-        });
-        rows.push(row("ffn", "fused", 2, q_ms, t_ms, s_ms, st_ms));
-        let q_ms = 2.0 * ms(&mut || drop(black_box(quantize_per_lane(&f_in, s_ffn))))
-            + ms(&mut || drop(black_box(quantize_per_lane(&mid, s_mid))));
-        let t_ms = 2.0 * ms(&mut || drop(black_box(tile(&f_q, &w_ffn, s_ffn))))
-            + ms(&mut || drop(black_box(tile(&mid_q, &w_down, s_mid))));
-        let s_ms = ms(&mut || drop(black_box(silu_libm(&gate))));
-        let st_ms = ms(&mut || {
-            let g = tile(&quantize_per_lane(&f_in, s_ffn), &w_ffn, s_ffn);
-            let u = tile(&quantize_per_lane(&f_in, s_ffn), &w_ffn, s_ffn);
-            let act = ops::mul(&silu_libm(&g), &u).unwrap();
-            let y = tile(&quantize_per_lane(&act, s_mid), &w_down, s_mid);
-            black_box(ops::add(&h, &y).unwrap());
-        });
-        rows.push(row("ffn", "per_site", 3, q_ms, t_ms, s_ms, st_ms));
+        rows.push(split(
+            "ffn",
+            "fused",
+            2,
+            &mut LayerParts {
+                quantize: &mut || {
+                    black_box(quantize(&f_in, s_ffn));
+                    black_box(quantize(&mid, s_mid));
+                },
+                tile: &mut || {
+                    black_box(tile(&f_q, &w_gate_up, s_ffn));
+                    black_box(tile(&mid_q, &w_down, s_mid));
+                },
+                silu: Some(&mut || drop(black_box(ops::silu(&gate)))),
+                stage: &mut || {
+                    let mid = t.stage_ffn_mid(0, &f_in).unwrap();
+                    black_box(t.stage_ffn_down(0, &h, &mid).unwrap());
+                },
+            },
+        ));
+        rows.push(split(
+            "ffn",
+            "per_site",
+            3,
+            &mut LayerParts {
+                quantize: &mut || {
+                    black_box(quantize_per_lane(&f_in, s_ffn));
+                    black_box(quantize_per_lane(&f_in, s_ffn));
+                    black_box(quantize_per_lane(&mid, s_mid));
+                },
+                tile: &mut || {
+                    black_box(tile(&f_q, &w_ffn, s_ffn));
+                    black_box(tile(&f_q, &w_ffn, s_ffn));
+                    black_box(tile(&mid_q, &w_down, s_mid));
+                },
+                silu: Some(&mut || drop(black_box(silu_libm(&gate)))),
+                stage: &mut || {
+                    let g = tile(&quantize_per_lane(&f_in, s_ffn), &w_ffn, s_ffn);
+                    let u = tile(&quantize_per_lane(&f_in, s_ffn), &w_ffn, s_ffn);
+                    let act = ops::mul(&silu_libm(&g), &u).unwrap();
+                    let y = tile(&quantize_per_lane(&act, s_mid), &w_down, s_mid);
+                    black_box(ops::add(&h, &y).unwrap());
+                },
+            },
+        ));
         rows
     })
+}
+
+/// One stage's work for a `layer_i8` row: its parts, and the whole.
+struct LayerParts<'a> {
+    quantize: &'a mut dyn FnMut(),
+    tile: &'a mut dyn FnMut(),
+    silu: Option<&'a mut dyn FnMut()>,
+    stage: &'a mut dyn FnMut(),
+}
+
+/// Times a stage and its parts round-robin — rep `r` of every one runs
+/// before rep `r + 1` of any — so host drift moves them alike and `rest`,
+/// a difference of best times, stays meaningful.
+fn split_stage(
+    stage: &'static str,
+    composition: &'static str,
+    gemms: usize,
+    m: usize,
+    reps: usize,
+    parts: &mut LayerParts<'_>,
+) -> LayerI8Row {
+    let mut best = [f64::MAX; 4];
+    for _ in 0..reps {
+        let mut time = |slot: usize, f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            best[slot] = best[slot].min(t.elapsed().as_secs_f64() * 1e3);
+        };
+        time(0, parts.quantize);
+        time(1, parts.tile);
+        if let Some(silu) = parts.silu.as_deref_mut() {
+            time(2, silu);
+        }
+        time(3, parts.stage);
+    }
+    let [quantize_ms, tile_ms, silu_ms, stage_ms] = best;
+    let silu_ms = if parts.silu.is_some() { silu_ms } else { 0.0 };
+    LayerI8Row {
+        stage,
+        m,
+        composition,
+        gemms,
+        quantize_ms,
+        tile_ms,
+        silu_ms,
+        rest_ms: stage_ms - quantize_ms - tile_ms - silu_ms,
+        stage_ms,
+        outside_tile_frac: 1.0 - tile_ms / stage_ms,
+    }
 }
 
 fn kernel_comparison() {
@@ -1090,7 +1177,7 @@ fn kernel_comparison() {
     println!(
         "--- layer i8: one shadow-int8 layer's NPU-lane stages, per-site (before fusion) vs fused, 1 thread ---"
     );
-    let layer_i8: Vec<LayerI8Row> = [(32, 40), (8, 60)]
+    let layer_i8: Vec<LayerI8Row> = [(32, 150), (8, 400)]
         .into_iter()
         .flat_map(|(m, reps)| compare_layer_i8(m, reps))
         .inspect(|row| {
