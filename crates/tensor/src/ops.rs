@@ -2,8 +2,8 @@
 //! arithmetic. These are the float operators that the paper keeps on
 //! CPU/GPU (Figure 5, orange nodes) — plus the two branch-free scalar
 //! kernels the vectorized loops share: [`exp_nonpos`] (attention's
-//! softmax) and [`quantize_i8`] (every static-scale activation
-//! quantizer and the LUT drivers' per-row one).
+//! softmax and [`silu`]) and [`quantize_i8`] (every static-scale
+//! activation quantizer and the LUT drivers' per-row one).
 
 use crate::kernel::microkernel::fmadd;
 use crate::{Error, Result, Tensor};
@@ -106,10 +106,23 @@ pub fn softmax(x: &Tensor<f32>) -> Tensor<f32> {
     out
 }
 
-/// SiLU activation `x · sigmoid(x)` (used by LLaMA/Qwen/Mistral FFNs).
+/// SiLU activation `x · sigmoid(x)` (used by LLaMA/Qwen/Mistral FFNs),
+/// as `v / (1 + e^{−v})`.
+///
+/// `e^{−v}` comes from `e = e^{−|v|}` on the branch-free [`exp_nonpos`]
+/// — `e` itself for `v ≥ 0`, `1 / e` below — so the loop vectorizes
+/// where libm's `expf` is a call per element, and the result does not
+/// depend on the host's libm. Within 4 ulp of the libm expression
+/// wherever that is at least `1e-35` in magnitude; below it (`v` under
+/// ≈ −80, where `exp_nonpos` flushes past `ln 2⁻¹²⁶`) within `1e-35`.
+/// NaN stays NaN, `±∞` gives `+∞` / NaN and `±0` gives `±0`, as before.
 #[must_use]
 pub fn silu(x: &Tensor<f32>) -> Tensor<f32> {
-    x.map(|v| v / (1.0 + (-v).exp()))
+    x.map(|v| {
+        let e = exp_nonpos(-v.abs());
+        let exp_neg_v = if v >= 0.0 { e } else { 1.0 / e };
+        v / (1.0 + exp_neg_v)
+    })
 }
 
 /// GELU activation (tanh approximation, used by Gemma/Phi FFNs).

@@ -1,11 +1,12 @@
 //! Contracts of the tensor plane's branch-free scalar kernels
 //! (`llmnpu::tensor::ops`): the polynomial `exp_nonpos` the attention
-//! softmax runs on, and the i8 quantizer every static-scale activation
-//! path and the LUT drivers share. Each is written so a loop over it
-//! vectorizes; each is held here to the scalar expression it stands for.
+//! softmax and SiLU run on, the SiLU itself, and the i8 quantizer every
+//! static-scale activation path and the LUT drivers share. Each is
+//! written so a loop over it vectorizes; each is held here to the scalar
+//! expression it stands for.
 
 use llmnpu::quant::per_tensor::{quantize_value, QuantizedMatrix};
-use llmnpu::tensor::ops::{exp_nonpos, quantize_i8};
+use llmnpu::tensor::ops::{exp_nonpos, quantize_i8, silu};
 use llmnpu::tensor::Tensor;
 
 /// Distance in representable floats between two finite same-sign values.
@@ -98,4 +99,40 @@ fn quantizer_is_bit_identical_to_round_clamp_cast_for_every_input() {
     assert_eq!(quantize_i8(0.0, 0.0), 0);
     assert_eq!(quantize_i8(-1.0, 0.0), -127);
     assert_eq!(quantize_i8(-0.0, 1.0), 0);
+}
+
+/// The SiLU every FFN ran before it moved onto `exp_nonpos`.
+fn silu_libm(v: f32) -> f32 {
+    v / (1.0 + (-v).exp())
+}
+
+#[test]
+fn silu_on_the_kernel_exp_stays_within_four_ulp_of_libm() {
+    let mut inputs: Vec<f32> = (0..=u32::MAX).step_by(4_099).map(f32::from_bits).collect();
+    // Dense around zero, through the flush point of `exp_nonpos`, and
+    // every special value.
+    inputs.extend((-2000..=2000).map(|i| i as f32 * 0.05));
+    inputs.extend((0..4000).map(|i| -75.0 - i as f32 * 0.01));
+    inputs.extend([0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+    inputs.extend([f32::MAX, f32::MIN, f32::MIN_POSITIVE, f32::from_bits(1)]);
+    let got = silu(&Tensor::from_vec(inputs.clone(), [inputs.len()]).expect("1-d tensor"));
+    let mut worst = 0;
+    for (&v, &g) in inputs.iter().zip(got.as_slice()) {
+        let want = silu_libm(v);
+        if want.is_nan() || want.is_infinite() || want == 0.0 {
+            // NaN, ±∞ and both zeros come back exactly as they did.
+            assert!(
+                g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()),
+                "silu({v:e}) = {g:e}, was {want:e}"
+            );
+        } else if want.abs() >= 1e-35 {
+            assert_eq!(g.is_sign_negative(), want.is_sign_negative(), "silu({v:e})");
+            let d = ulps(g, want);
+            assert!(d <= 4, "silu({v:e}) = {g:e} vs {want:e} ({d} ulp)");
+            worst = worst.max(d);
+        } else {
+            assert!((g - want).abs() <= 1e-35, "silu({v:e}) = {g:e} vs {want:e}");
+        }
+    }
+    assert!(worst >= 1, "the sweep should not be trivially exact");
 }
