@@ -16,6 +16,7 @@ use criterion::{criterion_group, BatchSize, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use llmnpu_obs::json::{self, ToJson, Value};
 use llmnpu_quant::outlier::{extract_outliers, ShadowLinear};
 use llmnpu_quant::per_group::GroupedLinear;
 use llmnpu_quant::per_tensor::{max_min_scale, QuantizedLinear, QuantizedMatrix};
@@ -23,7 +24,6 @@ use llmnpu_tensor::kernel::Epilogue;
 use llmnpu_tensor::{
     gemm, PackedMatrixF32, PackedMatrixI2, PackedMatrixI4, PackedMatrixI8, Tensor,
 };
-use serde::Serialize;
 
 fn ramp(rows: usize, cols: usize, amp: f32) -> Tensor<f32> {
     Tensor::from_vec(
@@ -132,273 +132,299 @@ fn bench_outlier_extraction(c: &mut Criterion) {
 /// clamp.
 const THREADS: usize = 4;
 
-#[derive(Debug, Serialize)]
-struct KernelRow {
-    shape: String,
-    m: usize,
-    k: usize,
-    n: usize,
-    naive_ms: f64,
-    blocked_ms: f64,
-    /// Blocked kernel with `threads_effective` workers (see the record
-    /// header — NOT necessarily the requested count).
-    threaded_ms: f64,
-    /// Workers actually used for `threaded_ms` after the host-core clamp.
-    threads_effective: usize,
-    naive_gflops: f64,
-    blocked_gflops: f64,
-    threaded_gflops: f64,
-    speedup_blocked: f64,
-    speedup_threaded: f64,
-    /// Rows of A pushed through the layer per second on the fastest
-    /// kernel — "tokens-equivalent" throughput, since one token's hidden
-    /// state is one activation row of a linear layer.
-    tokens_equiv_per_s: f64,
-    i8_naive_ms: f64,
-    i8_blocked_ms: f64,
-    i8_speedup: f64,
-    /// The prepacked i8 kernel as an achieved rate (`2·m·k·n` operations
-    /// per second) and against the f32 blocked column of this row — the
-    /// quantized path is meant to be the fast one.
-    i8_gops: f64,
-    i8_vs_f32: f64,
-    i8_bit_exact: bool,
+/// Declares a record struct and its [`ToJson`] impl: one JSON field per
+/// struct field, in declaration order.
+macro_rules! json_record {
+    ($(#[$meta:meta])* struct $name:ident {
+        $($(#[$field_meta:meta])* $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        struct $name {
+            $($(#[$field_meta])* $field: $ty,)*
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Value {
+                Value::Obj(vec![$((stringify!($field), self.$field.to_json()),)*])
+            }
+        }
+    };
 }
 
-/// Decode (`m ≤ 2`) comparison: the f32 streaming per-call GEMV, a
-/// repack-the-weights-every-call strawman (what any driver without a
-/// persistent weight cache must do to use a packed layout), and the
-/// pack-once `PackedMatrix` fast path in both dtypes (the integer path
-/// has no per-call driver to compare against).
-#[derive(Debug, Serialize)]
-struct DecodeRow {
-    shape: String,
-    m: usize,
-    k: usize,
-    n: usize,
-    f32_streaming_ms: f64,
-    f32_repack_per_call_ms: f64,
-    f32_prepacked_ms: f64,
-    f32_speedup_vs_repack: f64,
-    f32_speedup_vs_streaming: f64,
-    /// Prepacked f32 GEMV bit-identical to the streaming driver.
-    f32_bit_identical: bool,
-    i8_prepacked_ms: f64,
-    /// Prepacked i8 result bit-exact vs `matmul_i8_reference`.
-    i8_bit_exact: bool,
-    /// Acceptance: f32 prepacked ≥ 2× the per-call-repacking path.
-    meets_2x_vs_repack: bool,
+json_record! {
+    struct KernelRow {
+        shape: String,
+        m: usize,
+        k: usize,
+        n: usize,
+        naive_ms: f64,
+        blocked_ms: f64,
+        /// Blocked kernel with `threads_effective` workers (see the record
+        /// header — NOT necessarily the requested count).
+        threaded_ms: f64,
+        /// Workers actually used for `threaded_ms` after the host-core clamp.
+        threads_effective: usize,
+        naive_gflops: f64,
+        blocked_gflops: f64,
+        threaded_gflops: f64,
+        speedup_blocked: f64,
+        speedup_threaded: f64,
+        /// Rows of A pushed through the layer per second on the fastest
+        /// kernel — "tokens-equivalent" throughput, since one token's hidden
+        /// state is one activation row of a linear layer.
+        tokens_equiv_per_s: f64,
+        i8_naive_ms: f64,
+        i8_blocked_ms: f64,
+        i8_speedup: f64,
+        /// The prepacked i8 kernel as an achieved rate (`2·m·k·n` operations
+        /// per second) and against the f32 blocked column of this row — the
+        /// quantized path is meant to be the fast one.
+        i8_gops: f64,
+        i8_vs_f32: f64,
+        i8_bit_exact: bool,
+    }
 }
 
-/// Batched-decode comparison: B concurrent requests' decode GEMVs run
-/// one at a time (each streaming the full weight matrix) vs stacked
-/// into a single m=B GEMM through the batched-decode driver
-/// (`gemm::matmul_f32_rows_prepacked`). The acceptance bar for the
-/// paged-KV serving PR: ≥ 1.3× aggregate decode tokens/s at B=8. The
-/// win is memory-bandwidth arithmetic (weights stream once per batch,
-/// not once per request), so it holds on a 1-core host too — but
-/// `thread_scaling_valid` still labels the record's provenance.
-#[derive(Debug, Serialize)]
-struct BatchedDecodeRow {
-    /// Requests decoding concurrently (the GEMM's m).
-    batch: usize,
-    k: usize,
-    n: usize,
-    /// Total time for B separate m=1 prepacked GEMVs.
-    gemv_total_ms: f64,
-    /// One m=B prepacked GEMM over the same B rows.
-    batched_ms: f64,
-    /// Aggregate decode throughput of the B-GEMV path (rows/s).
-    gemv_tokens_per_s: f64,
-    /// Aggregate decode throughput of the batched path (rows/s).
-    batched_tokens_per_s: f64,
-    speedup: f64,
-    /// Row i of the batched GEMM bit-identical to its solo GEMV.
-    bit_identical: bool,
-    /// Acceptance: batched ≥ 1.3× the separate-GEMV aggregate.
-    meets_1_3x: bool,
+json_record! {
+    /// Decode (`m ≤ 2`) comparison: the f32 streaming per-call GEMV, a
+    /// repack-the-weights-every-call strawman (what any driver without a
+    /// persistent weight cache must do to use a packed layout), and the
+    /// pack-once `PackedMatrix` fast path in both dtypes (the integer path
+    /// has no per-call driver to compare against).
+    struct DecodeRow {
+        shape: String,
+        m: usize,
+        k: usize,
+        n: usize,
+        f32_streaming_ms: f64,
+        f32_repack_per_call_ms: f64,
+        f32_prepacked_ms: f64,
+        f32_speedup_vs_repack: f64,
+        f32_speedup_vs_streaming: f64,
+        /// Prepacked f32 GEMV bit-identical to the streaming driver.
+        f32_bit_identical: bool,
+        i8_prepacked_ms: f64,
+        /// Prepacked i8 result bit-exact vs `matmul_i8_reference`.
+        i8_bit_exact: bool,
+        /// Acceptance: f32 prepacked ≥ 2× the per-call-repacking path.
+        meets_2x_vs_repack: bool,
+    }
 }
 
-/// Sub-8-bit LUT decode comparison: the same decode-shaped product run
-/// against f32, i8, int4, and int2 prepacked weights. Decode is
-/// memory-bandwidth-bound, so the column to watch is bytes moved per
-/// token — the packed int4/int2 streams are 1/8 and 1/16 of the f32
-/// panels — and tok/s should track it. The acceptance bar for the LUT
-/// PR: int4 decode GEMV ≥ 1.5× i8 tok/s on the same host. Bit-exactness
-/// columns pin the optimized in-register drivers to the scalar LUT
-/// reference, and `zero_warm_table_builds` pins the table-free hot path
-/// (the LUT twin of the zero-repack invariant).
-#[derive(Debug, Serialize)]
-struct LutDecodeRow {
-    shape: String,
-    m: usize,
-    k: usize,
-    n: usize,
-    /// Quantization group width of the int4/int2 formats.
-    group_size: usize,
-    /// Weight bytes streamed per decode step by each dtype's path
-    /// (f32 panel slabs; i8 offset-`u8` panels; int4/int2 packed codes +
-    /// group scales). At m > 1 the stream is shared by the whole cohort,
-    /// so bytes per *token* are these divided by m.
-    f32_bytes_per_token: usize,
-    i8_bytes_per_token: usize,
-    /// What the packed i8 operand actually keeps resident per weight
-    /// (`resident_bytes / (k·n)`): 1 when the streamed bytes above are
-    /// all there is.
-    i8_resident_bytes_per_weight: f64,
-    i4_bytes_per_token: usize,
-    i2_bytes_per_token: usize,
-    /// Warm timings: weights LLC-resident across reps. On a
-    /// large-cache host this regime is compute-bound on the shared
-    /// MAC count, so every format reads ≈ the same — it says nothing
-    /// about the bytes-moved advantage and is reported only for
-    /// transparency.
-    f32_warm_ms: f64,
-    i8_warm_ms: f64,
-    i4_warm_ms: f64,
-    i2_warm_ms: f64,
-    /// Warm LUT throughput, `2·m·k·n` operations per second: the
-    /// column that is comparable across shapes and group sizes (the
-    /// group epilogue's cost shows up here as a gs = 32 vs gs = 256
-    /// gap).
-    i4_gops: f64,
-    i2_gops: f64,
-    /// Cold timings: the LLC is evicted before every rep so weights
-    /// stream from DRAM. This is the regime a real decode step lives
-    /// in — the model's full weight set is walked once per token and
-    /// does not fit any cache, so each layer's matrix is gone again by
-    /// the time the next token needs it. The tok/s and speedup columns
-    /// below are computed from these.
-    f32_cold_ms: f64,
-    i8_cold_ms: f64,
-    i4_cold_ms: f64,
-    i2_cold_ms: f64,
-    f32_tokens_per_s: f64,
-    i8_tokens_per_s: f64,
-    i4_tokens_per_s: f64,
-    i2_tokens_per_s: f64,
-    /// Cold int4-vs-i8 ratio. At m = 1 the weight stream dominates and
-    /// the halved bytes show up directly; as m grows the stream is
-    /// amortized over the cohort and the ratio converges back to the
-    /// compute-bound warm parity.
-    i4_vs_i8_speedup: f64,
-    i2_vs_i8_speedup: f64,
-    /// Optimized int4 driver bit-exact vs the scalar LUT reference.
-    i4_bit_exact: bool,
-    /// Optimized int2 driver bit-exact vs the scalar LUT reference.
-    i2_bit_exact: bool,
-    /// True for the solo decode GEMV row the ≥1.5× acceptance is
-    /// evaluated on — at the group size the serving stack uses
-    /// (gs = 32), where the scales are a fifth of the stream and the
-    /// group epilogue runs eight times as often as at gs = 256. Cohort
-    /// rows (m > 1) share one weight stream across m tokens, so the
-    /// per-token bytes advantage — and with it the expected ratio —
-    /// shrinks by design.
-    gate_row: bool,
-    /// Acceptance: cold int4 ≥ 1.5× cold i8 tok/s at this shape.
-    meets_1_5x_vs_i8: bool,
-    /// Warm int4/int2 calls materialized zero partial-sum tables.
-    zero_warm_table_builds: bool,
+json_record! {
+    /// Batched-decode comparison: B concurrent requests' decode GEMVs run
+    /// one at a time (each streaming the full weight matrix) vs stacked
+    /// into a single m=B GEMM through the batched-decode driver
+    /// (`gemm::matmul_f32_rows_prepacked`). The acceptance bar for the
+    /// paged-KV serving PR: ≥ 1.3× aggregate decode tokens/s at B=8. The
+    /// win is memory-bandwidth arithmetic (weights stream once per batch,
+    /// not once per request), so it holds on a 1-core host too — but
+    /// `thread_scaling_valid` still labels the record's provenance.
+    struct BatchedDecodeRow {
+        /// Requests decoding concurrently (the GEMM's m).
+        batch: usize,
+        k: usize,
+        n: usize,
+        /// Total time for B separate m=1 prepacked GEMVs.
+        gemv_total_ms: f64,
+        /// One m=B prepacked GEMM over the same B rows.
+        batched_ms: f64,
+        /// Aggregate decode throughput of the B-GEMV path (rows/s).
+        gemv_tokens_per_s: f64,
+        /// Aggregate decode throughput of the batched path (rows/s).
+        batched_tokens_per_s: f64,
+        speedup: f64,
+        /// Row i of the batched GEMM bit-identical to its solo GEMV.
+        bit_identical: bool,
+        /// Acceptance: batched ≥ 1.3× the separate-GEMV aggregate.
+        meets_1_3x: bool,
+    }
 }
 
-/// Paged-KV attention: the tiled kernel behind `attention_over_pages`
-/// reading one contiguous K/V slab vs the same rows through a block
-/// table. The key tile is a constant of the kernel, so paging changes
-/// only where a tile is gathered from: the tax should be a few percent
-/// and the outputs bit-identical. Each row also states what it achieved
-/// against this core's FMA roofline — the chunk shapes the serving
-/// benchmark runs (32 heads × 16 dims: 32 × 64, 32 × 640, decode
-/// 1 × 112) beside the long-context 8 × 64 ones.
-#[derive(Debug, Serialize)]
-struct PagedKvRow {
-    heads: usize,
-    head_dim: usize,
-    /// Query rows (1 = decode step, >1 = prefill chunk).
-    q_rows: usize,
-    /// Cached positions attended over.
-    kv_len: usize,
-    /// Tokens per page.
-    block_tokens: usize,
-    /// Pages the cache splits into.
-    pages: usize,
-    contiguous_ms: f64,
-    paged_ms: f64,
-    /// paged / contiguous (1.0 = free paging).
-    overhead_ratio: f64,
-    /// `4 · heads · q_rows · kv_len · head_dim` (QKᵀ + PV, unmasked) over
-    /// the paged time.
-    paged_gflops: f64,
-    /// `paged_gflops` over the record's `fma_roofline_gflops`.
-    roofline_frac: f64,
-    /// Paged output bit-identical to contiguous.
-    bit_identical: bool,
+json_record! {
+    /// Sub-8-bit LUT decode comparison: the same decode-shaped product run
+    /// against f32, i8, int4, and int2 prepacked weights. Decode is
+    /// memory-bandwidth-bound, so the column to watch is bytes moved per
+    /// token — the packed int4/int2 streams are 1/8 and 1/16 of the f32
+    /// panels — and tok/s should track it. The acceptance bar for the LUT
+    /// PR: int4 decode GEMV ≥ 1.5× i8 tok/s on the same host. Bit-exactness
+    /// columns pin the optimized in-register drivers to the scalar LUT
+    /// reference, and `zero_warm_table_builds` pins the table-free hot path
+    /// (the LUT twin of the zero-repack invariant).
+    struct LutDecodeRow {
+        shape: String,
+        m: usize,
+        k: usize,
+        n: usize,
+        /// Quantization group width of the int4/int2 formats.
+        group_size: usize,
+        /// Weight bytes streamed per decode step by each dtype's path
+        /// (f32 panel slabs; i8 offset-`u8` panels; int4/int2 packed codes +
+        /// group scales). At m > 1 the stream is shared by the whole cohort,
+        /// so bytes per *token* are these divided by m.
+        f32_bytes_per_token: usize,
+        i8_bytes_per_token: usize,
+        /// What the packed i8 operand actually keeps resident per weight
+        /// (`resident_bytes / (k·n)`): 1 when the streamed bytes above are
+        /// all there is.
+        i8_resident_bytes_per_weight: f64,
+        i4_bytes_per_token: usize,
+        i2_bytes_per_token: usize,
+        /// Warm timings: weights LLC-resident across reps. On a
+        /// large-cache host this regime is compute-bound on the shared
+        /// MAC count, so every format reads ≈ the same — it says nothing
+        /// about the bytes-moved advantage and is reported only for
+        /// transparency.
+        f32_warm_ms: f64,
+        i8_warm_ms: f64,
+        i4_warm_ms: f64,
+        i2_warm_ms: f64,
+        /// Warm LUT throughput, `2·m·k·n` operations per second: the
+        /// column that is comparable across shapes and group sizes (the
+        /// group epilogue's cost shows up here as a gs = 32 vs gs = 256
+        /// gap).
+        i4_gops: f64,
+        i2_gops: f64,
+        /// Cold timings: the LLC is evicted before every rep so weights
+        /// stream from DRAM. This is the regime a real decode step lives
+        /// in — the model's full weight set is walked once per token and
+        /// does not fit any cache, so each layer's matrix is gone again by
+        /// the time the next token needs it. The tok/s and speedup columns
+        /// below are computed from these.
+        f32_cold_ms: f64,
+        i8_cold_ms: f64,
+        i4_cold_ms: f64,
+        i2_cold_ms: f64,
+        f32_tokens_per_s: f64,
+        i8_tokens_per_s: f64,
+        i4_tokens_per_s: f64,
+        i2_tokens_per_s: f64,
+        /// Cold int4-vs-i8 ratio. At m = 1 the weight stream dominates and
+        /// the halved bytes show up directly; as m grows the stream is
+        /// amortized over the cohort and the ratio converges back to the
+        /// compute-bound warm parity.
+        i4_vs_i8_speedup: f64,
+        i2_vs_i8_speedup: f64,
+        /// Optimized int4 driver bit-exact vs the scalar LUT reference.
+        i4_bit_exact: bool,
+        /// Optimized int2 driver bit-exact vs the scalar LUT reference.
+        i2_bit_exact: bool,
+        /// True for the solo decode GEMV row the ≥1.5× acceptance is
+        /// evaluated on — at the group size the serving stack uses
+        /// (gs = 32), where the scales are a fifth of the stream and the
+        /// group epilogue runs eight times as often as at gs = 256. Cohort
+        /// rows (m > 1) share one weight stream across m tokens, so the
+        /// per-token bytes advantage — and with it the expected ratio —
+        /// shrinks by design.
+        gate_row: bool,
+        /// Acceptance: cold int4 ≥ 1.5× cold i8 tok/s at this shape.
+        meets_1_5x_vs_i8: bool,
+        /// Warm int4/int2 calls materialized zero partial-sum tables.
+        zero_warm_table_builds: bool,
+    }
 }
 
-/// One shadow-int8 decoder layer's NPU-lane stages at the benchmark
-/// model's shape (hidden 512, FFN 1376), split by where the time goes —
-/// measured, where ROADMAP item 13 had only inferred the share spent
-/// outside the tile. Two compositions of the same work:
-///
-/// * `fused` is this code: the served `Transformer` stage on a layer
-///   whose outlier paths are all pruned (the main half is the NPU
-///   lane's work), with one activation quantization and one GEMM per
-///   input — Q | K | V and Gate | Up each one `[k, Σ n]` product.
-/// * `per_site` is the composition those stages ran before siblings
-///   were fused: a quantization pass (the per-lane-convert
-///   `round().clamp() as i8` expression) and a GEMM per projection, and
-///   SiLU on libm `exp` — rebuilt here from the same public primitives.
-///
-/// Parts are timed on their own (best of `reps`, one thread, warm) on
-/// the stage's inputs; `rest_ms` is the stage minus its parts: RoPE, the
-/// Q | K | V and Gate | Up splits, the gate multiply, the residual add
-/// and the allocations between them.
-#[derive(Debug, Serialize)]
-struct LayerI8Row {
-    /// `qkv` (QkvLinear + RoPE), `o` (OProj + residual) or `ffn`
-    /// (gate/up, SiLU × up, down + residual).
-    stage: &'static str,
-    /// Activation rows: a prefill chunk (32) or a batched decode cohort (8).
-    m: usize,
-    composition: &'static str,
-    /// Projection GEMMs the stage makes.
-    gemms: usize,
-    quantize_ms: f64,
-    /// i8 tile loop with the fused per-channel dequantization epilogue.
-    tile_ms: f64,
-    silu_ms: f64,
-    rest_ms: f64,
-    stage_ms: f64,
-    /// Share of the stage spent outside the tile and its epilogue.
-    outside_tile_frac: f64,
+json_record! {
+    /// Paged-KV attention: the tiled kernel behind `attention_over_pages`
+    /// reading one contiguous K/V slab vs the same rows through a block
+    /// table. The key tile is a constant of the kernel, so paging changes
+    /// only where a tile is gathered from: the tax should be a few percent
+    /// and the outputs bit-identical. Each row also states what it achieved
+    /// against this core's FMA roofline — the chunk shapes the serving
+    /// benchmark runs (32 heads × 16 dims: 32 × 64, 32 × 640, decode
+    /// 1 × 112) beside the long-context 8 × 64 ones.
+    struct PagedKvRow {
+        heads: usize,
+        head_dim: usize,
+        /// Query rows (1 = decode step, >1 = prefill chunk).
+        q_rows: usize,
+        /// Cached positions attended over.
+        kv_len: usize,
+        /// Tokens per page.
+        block_tokens: usize,
+        /// Pages the cache splits into.
+        pages: usize,
+        contiguous_ms: f64,
+        paged_ms: f64,
+        /// paged / contiguous (1.0 = free paging).
+        overhead_ratio: f64,
+        /// `4 · heads · q_rows · kv_len · head_dim` (QKᵀ + PV, unmasked) over
+        /// the paged time.
+        paged_gflops: f64,
+        /// `paged_gflops` over the record's `fma_roofline_gflops`.
+        roofline_frac: f64,
+        /// Paged output bit-identical to contiguous.
+        bit_identical: bool,
+    }
 }
 
-#[derive(Debug, Serialize)]
-struct KernelRecord {
-    id: &'static str,
-    description: &'static str,
-    /// Worker count requested for the threaded rows.
-    threads_requested: usize,
-    /// Worker count actually used after the host-core clamp — on a
-    /// 1-core host the threaded rows are effectively single-threaded
-    /// and should read ≈ the blocked rows.
-    threads_effective: usize,
-    host_cpus: usize,
-    /// False when `host_cpus == 1`: the `threaded_*` columns are then a
-    /// second single-threaded run and say nothing about thread scaling.
-    thread_scaling_valid: bool,
-    fma: bool,
-    /// Which body of the integer tile (`microkernel_int`) every i8 and
-    /// LUT tile row ran: `"avx512-vnni"` or `"portable"`.
-    int_body: &'static str,
-    rows: Vec<KernelRow>,
-    decode: Vec<DecodeRow>,
-    lut_decode: Vec<LutDecodeRow>,
-    batched_decode: Vec<BatchedDecodeRow>,
-    /// One core's fused multiply-add rate on register-resident data —
-    /// the roof the `paged_kv` rows are stated against.
-    fma_roofline_gflops: f64,
-    paged_kv: Vec<PagedKvRow>,
-    layer_i8: Vec<LayerI8Row>,
+json_record! {
+    /// One shadow-int8 decoder layer's NPU-lane stages at the benchmark
+    /// model's shape (hidden 512, FFN 1376), split by where the time goes —
+    /// measured, where ROADMAP item 13 had only inferred the share spent
+    /// outside the tile. Two compositions of the same work:
+    ///
+    /// * `fused` is this code: the served `Transformer` stage on a layer
+    ///   whose outlier paths are all pruned (the main half is the NPU
+    ///   lane's work), with one activation quantization and one GEMM per
+    ///   input — Q | K | V and Gate | Up each one `[k, Σ n]` product.
+    /// * `per_site` is the composition those stages ran before siblings
+    ///   were fused: a quantization pass (the per-lane-convert
+    ///   `round().clamp() as i8` expression) and a GEMM per projection, and
+    ///   SiLU on libm `exp` — rebuilt here from the same public primitives.
+    ///
+    /// Parts are timed on their own (best of `reps`, one thread, warm) on
+    /// the stage's inputs; `rest_ms` is the stage minus its parts: RoPE, the
+    /// Q | K | V and Gate | Up splits, the gate multiply, the residual add
+    /// and the allocations between them.
+    struct LayerI8Row {
+        /// `qkv` (QkvLinear + RoPE), `o` (OProj + residual) or `ffn`
+        /// (gate/up, SiLU × up, down + residual).
+        stage: &'static str,
+        /// Activation rows: a prefill chunk (32) or a batched decode cohort (8).
+        m: usize,
+        composition: &'static str,
+        /// Projection GEMMs the stage makes.
+        gemms: usize,
+        quantize_ms: f64,
+        /// i8 tile loop with the fused per-channel dequantization epilogue.
+        tile_ms: f64,
+        silu_ms: f64,
+        rest_ms: f64,
+        stage_ms: f64,
+        /// Share of the stage spent outside the tile and its epilogue.
+        outside_tile_frac: f64,
+    }
+}
+
+json_record! {
+    struct KernelRecord {
+        id: &'static str,
+        description: &'static str,
+        /// Worker count requested for the threaded rows.
+        threads_requested: usize,
+        /// Worker count actually used after the host-core clamp — on a
+        /// 1-core host the threaded rows are effectively single-threaded
+        /// and should read ≈ the blocked rows.
+        threads_effective: usize,
+        host_cpus: usize,
+        /// False when `host_cpus == 1`: the `threaded_*` columns are then a
+        /// second single-threaded run and say nothing about thread scaling.
+        thread_scaling_valid: bool,
+        fma: bool,
+        /// Which body of the integer tile (`microkernel_int`) every i8 and
+        /// LUT tile row ran: `"avx512-vnni"` or `"portable"`.
+        int_body: &'static str,
+        rows: Vec<KernelRow>,
+        decode: Vec<DecodeRow>,
+        lut_decode: Vec<LutDecodeRow>,
+        batched_decode: Vec<BatchedDecodeRow>,
+        /// One core's fused multiply-add rate on register-resident data —
+        /// the roof the `paged_kv` rows are stated against.
+        fma_roofline_gflops: f64,
+        paged_kv: Vec<PagedKvRow>,
+        layer_i8: Vec<LayerI8Row>,
+    }
 }
 
 /// Fused multiply-add rate of one core on register-resident data (the
@@ -1240,7 +1266,7 @@ fn kernel_comparison() {
         layer_i8,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    let json = serde_json::to_string_pretty(&record).expect("serialize kernel record");
+    let json = json::to_string_pretty(&record.to_json());
     std::fs::write(path, json + "\n").expect("write BENCH_kernels.json");
     println!("wrote {path}");
 

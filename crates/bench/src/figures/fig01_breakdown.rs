@@ -5,24 +5,15 @@
 //! Paper reference values (prefill share): CPU — UI automation 98.8%,
 //! context-aware QA 94.4%, chat summary 88.3%; GPU — 91.7%, 81.0%, 54.2%.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::baselines::{AnalyticEngine, BaselineKind, Engine};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
 use llmnpu_workloads::suites::Suite;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    processor: &'static str,
-    category: &'static str,
-    prefill_pct: f64,
-    decode_pct: f64,
-    paper_prefill_pct: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 1.
+pub fn run() -> Result {
     let soc = SocSpec::snapdragon_8gen3();
     // CPU rows use llama.cpp + Qwen (as in §2.1); GPU rows use the
     // TFLite-like engine + Gemma (TFLite's supported model).
@@ -39,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Chat-Summary", 88.3, 54.2),
     ];
 
-    let mut rows = Vec::new();
     header("Figure 1: prefill/decode breakdown");
     println!(
         "{:<6} {:<18} {:>12} {:>12} {:>14}",
@@ -63,22 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 100.0 - prefill_pct,
                 paper_ref
             );
-            rows.push(Row {
-                processor: proc_name,
-                category: suite.category,
-                prefill_pct,
-                decode_pct: 100.0 - prefill_pct,
-                paper_prefill_pct: paper_ref,
-            });
         }
     }
-    let path = ExperimentRecord {
-        id: "fig01_breakdown",
-        description: "Prefill vs decode latency share per app category (Figure 1)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("\nsaved {}", path.display());
     Ok(())
 }

@@ -5,25 +5,14 @@
 //! optimize 3.30 s, execute 149 ms; Gemma build 360 ms, optimize 11.54 s,
 //! execute 108 ms.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_graph::memory::graph_profile;
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::lifecycle::{lifecycle_cost, LifecycleParams};
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    setup_ms: f64,
-    build_ms: f64,
-    optimize_ms: f64,
-    free_ms: f64,
-    paper_build_ms: f64,
-    paper_optimize_ms: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 2.
+pub fn run() -> Result {
     let params = LifecycleParams::default();
     let cases = [
         (ModelConfig::qwen15_18b(), 450.0, 3300.0),
@@ -35,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<14} {:>9} {:>9} {:>12} {:>8} {:>12} {:>14}",
         "model", "setup", "build", "optimize", "free", "paper build", "paper optimize"
     );
-    let mut rows = Vec::new();
     for (cfg, paper_build, paper_opt) in cases {
         let profile = graph_profile(&cfg, 256);
         let cost = lifecycle_cost(&params, &profile);
@@ -49,27 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             paper_build,
             paper_opt
         );
-        rows.push(Row {
-            model: cfg.name,
-            setup_ms: cost.setup_ms,
-            build_ms: cost.build_ms,
-            optimize_ms: cost.optimize_ms,
-            free_ms: cost.free_ms,
-            paper_build_ms: paper_build,
-            paper_optimize_ms: paper_opt,
-        });
     }
     println!(
         "\nThe §2.3 takeaway: preparation costs seconds per shape, so a naive\n\
          engine that rebuilds per prompt length cannot beat the CPU."
     );
-    let path = ExperimentRecord {
-        id: "fig02_graph_workflow",
-        description: "QNN-like graph lifecycle latencies (Figure 2)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

@@ -10,7 +10,6 @@
 //! the simulated NPU); accuracy comes from the numeric plane (real
 //! quantized forward passes on scaled-down models).
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{build_prefill_dag, DagConfig};
 use llmnpu_model::backend::{FloatBackend, PerGroupBackend, PerTensorBackend, SmoothQuantBackend};
@@ -25,22 +24,10 @@ use llmnpu_workloads::accuracy::{generate, BenchmarkSpec};
 use llmnpu_workloads::random_prompt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    scheme: &'static str,
-    prefill_ms: f64,
-    latency_vs_per_tensor: f64,
-    accuracy_pct: f64,
-}
+use crate::{header, Result};
 
-fn prefill_ms(
-    model: &ModelConfig,
-    lat: &LatencyModel,
-    group: Option<usize>,
-) -> Result<f64, Box<dyn std::error::Error>> {
+fn prefill_ms(model: &ModelConfig, lat: &LatencyModel, group: Option<usize>) -> Result<f64> {
     let dag_cfg = DagConfig {
         plan: ChunkPlan::new(512, 256)?,
         float_processor: Processor::Cpu,
@@ -53,8 +40,8 @@ fn prefill_ms(
     Ok(schedule(&dag, Policy::OutOfOrder)?.makespan_ms)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 4.
+pub fn run(seed: u64) -> Result {
     let lat = LatencyModel::new(&SocSpec::snapdragon_8gen3());
     let schemes: [(&'static str, Option<usize>); 4] = [
         ("PerTensor", None),
@@ -63,7 +50,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("SmoothQuant", None), // per-tensor granularity → per-tensor speed
     ];
 
-    let mut rows = Vec::new();
     for full_cfg in [ModelConfig::llama2_7b(), ModelConfig::qwen15_18b()] {
         header(&format!("Figure 4: {} (prompt 512, 8gen3)", full_cfg.name));
 
@@ -117,13 +103,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ms / base_ms,
                 acc * 100.0
             );
-            rows.push(Row {
-                model: full_cfg.name,
-                scheme: name,
-                prefill_ms: ms,
-                latency_vs_per_tensor: ms / base_ms,
-                accuracy_pct: acc * 100.0,
-            });
         }
         println!(
             "reference accuracy (float): {:.1}%  | paper: per-group is 8.1-10.7x\n\
@@ -131,13 +110,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bench.reference_accuracy * 100.0
         );
     }
-    let path = ExperimentRecord {
-        id: "fig04_quant_methods",
-        description: "Quantization scheme latency/accuracy on NPU (Figure 4)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("\nsaved {}", path.display());
     Ok(())
 }

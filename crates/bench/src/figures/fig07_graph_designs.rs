@@ -7,24 +7,16 @@
 //! (7.2 GB for Qwen at prompt 1024 / chunk 256). A whole-prompt graph is
 //! cheapest in memory but must be rebuilt for every prompt length.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::memory::{graph_memory, graph_profile};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::lifecycle::{lifecycle_cost, LifecycleParams};
 use llmnpu_soc::Processor;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    design: &'static str,
-    prepare_ms_per_new_prompt_len: f64,
-    graph_memory_gib: f64,
-    handles_any_length: bool,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 7.
+pub fn run() -> Result {
     let cfg = ModelConfig::qwen15_18b();
     let params = LifecycleParams::default();
     let plan = ChunkPlan::new(1024, 256)?;
@@ -41,25 +33,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (c) Chunk-sharing graph: static subgraphs built once, dynamic
     // attention subgraphs per chunk (weightless, cheap to build).
-    let rows = vec![
-        Row {
-            design: "prompt graph (Figure 7a)",
-            prepare_ms_per_new_prompt_len: prompt_cost.prepare_ms(),
-            graph_memory_gib: gib(mem.weight_bytes + mem.shared_buffer_bytes),
-            handles_any_length: false,
-        },
-        Row {
-            design: "chunk graphs (Figure 7b)",
-            prepare_ms_per_new_prompt_len: 0.0, // pre-built offline
-            graph_memory_gib: gib(mem.no_sharing_total()),
-            handles_any_length: true,
-        },
-        Row {
-            design: "chunk-sharing graph (Figure 7c)",
-            prepare_ms_per_new_prompt_len: 0.0, // pre-built offline
-            graph_memory_gib: gib(mem.sharing_total()),
-            handles_any_length: true,
-        },
+    // Columns: prepare ms per new prompt length, graph GiB, any length.
+    // The chunk designs are pre-built offline, so they prepare nothing.
+    let rows = [
+        (
+            "prompt graph (Figure 7a)",
+            prompt_cost.prepare_ms(),
+            gib(mem.weight_bytes + mem.shared_buffer_bytes),
+            false,
+        ),
+        (
+            "chunk graphs (Figure 7b)",
+            0.0,
+            gib(mem.no_sharing_total()),
+            true,
+        ),
+        (
+            "chunk-sharing graph (Figure 7c)",
+            0.0,
+            gib(mem.sharing_total()),
+            true,
+        ),
     ];
 
     header("Figure 7: graph designs (Qwen1.5-1.8B, prompt 1024, chunk 256)");
@@ -67,11 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<34} {:>22} {:>12} {:>12}",
         "design", "prepare/new length (ms)", "memory GiB", "any length"
     );
-    for r in &rows {
-        println!(
-            "{:<34} {:>22.0} {:>12.2} {:>12}",
-            r.design, r.prepare_ms_per_new_prompt_len, r.graph_memory_gib, r.handles_any_length
-        );
+    for (design, prepare_ms, memory_gib, any_length) in rows {
+        println!("{design:<34} {prepare_ms:>22.0} {memory_gib:>12.2} {any_length:>12}");
     }
     println!(
         "\noffline (one-time) preparation of the chunk-sharing graph: {:.1} s;\n\
@@ -80,13 +71,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chunk_cost.prepare_ms() / 1e3,
         mem.saving_fraction() * 100.0
     );
-    let path = ExperimentRecord {
-        id: "fig07_graph_designs",
-        description: "Prompt vs chunk vs chunk-sharing graphs (Figure 7)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

@@ -5,29 +5,20 @@
 //! flattens; llm.npu picks 256 on the Xiaomi-14-class device as the
 //! latency-optimal chunk that minimizes intra-chunk padding.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::latency::LatencyModel;
 use llmnpu_soc::spec::SocSpec;
 use llmnpu_soc::{DataType, Processor};
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    chunk_len: usize,
-    qkv_per_token_ms: f64,
-    ffn_per_token_ms: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 8.
+pub fn run() -> Result {
     let soc = SocSpec::snapdragon_8gen3();
     let lat = LatencyModel::new(&soc);
     let chunks = [32usize, 64, 128, 256, 384, 512, 768, 1024];
 
-    let mut rows = Vec::new();
     for cfg in [ModelConfig::qwen15_18b(), ModelConfig::gemma_2b()] {
         header(&format!("Figure 8: {}", cfg.name));
         println!(
@@ -55,24 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .sum::<f64>()
                 / c as f64;
             println!("{c:>10} {qkv:>18.4} {ffn:>18.4}");
-            rows.push(Row {
-                model: cfg.name,
-                chunk_len: c,
-                qkv_per_token_ms: qkv,
-                ffn_per_token_ms: ffn,
-            });
         }
         let engine = LlmNpuEngine::new(EngineConfig::llmnpu(cfg.clone(), soc.clone()))?;
         let picked = engine.select_chunk_len(&chunks);
         println!("chunk length selected: {picked}  (paper picks 256)");
     }
-    let path = ExperimentRecord {
-        id: "fig08_chunk_length",
-        description: "Per-token QKV/FFN latency vs chunk length (Figure 8)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("\nsaved {}", path.display());
     Ok(())
 }

@@ -7,27 +7,19 @@
 //! 0.3% of channels have outliers during one inference, with q/o/up/down
 //! projection inputs all behaving similarly.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_model::backend::{model_sites, FloatBackend, LinearKind};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
 use llmnpu_model::weights::{synthesize, OutlierSpec};
 use llmnpu_quant::outlier::{calibrate_scale, OutlierProfiler};
 use llmnpu_workloads::corpus::{CorpusSampler, CorpusSpec};
-use serde::Serialize;
+
+use crate::{header, Result};
 
 const INFERENCES: usize = 48;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    layer: usize,
-    site: &'static str,
-    mean_outliers_per_inference: f64,
-    outlier_channel_pct: f64,
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 10.
+pub fn run(seed: u64) -> Result {
     // A wider small model so channel percentages are meaningful.
     let cfg = ModelConfig::qwen15_18b().scaled_down(128, 4, 128)?;
     let weights = synthesize(&cfg, seed, OutlierSpec::default())?;
@@ -56,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LinearKind::Up,
         LinearKind::Down,
     ];
-    let mut rows = Vec::new();
+    let mut pcts = Vec::new();
     for (layer, kind) in model_sites(&weights) {
         if !watched.contains(&kind) {
             continue;
@@ -80,25 +72,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mean,
             pct
         );
-        rows.push(Row {
-            layer,
-            site: kind.label(),
-            mean_outliers_per_inference: mean,
-            outlier_channel_pct: pct,
-        });
+        pcts.push(pct);
     }
-    let overall: f64 = rows.iter().map(|r| r.outlier_channel_pct).sum::<f64>() / rows.len() as f64;
+    let overall: f64 = pcts.iter().sum::<f64>() / pcts.len() as f64;
     println!(
         "\nmean outlier-channel share: {overall:.2}% (paper: 0.1%-0.3% of\n\
          channels per inference; sparsity is what makes shadow execution cheap)"
     );
-    let path = ExperimentRecord {
-        id: "fig10_outlier_stats",
-        description: "Outlier channels per layer/site (Figure 10)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

@@ -5,27 +5,19 @@
 //! over a long corpus (~78% of channels are hit at least once), but fewer
 //! than 3% of channels produce more than 80% of all outlier events.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_model::backend::{model_sites, FloatBackend, LinearKind};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
 use llmnpu_model::weights::{synthesize, OutlierSpec};
-use llmnpu_quant::outlier::{calibrate_scale, HotChannelPolicy, OutlierProfiler};
+use llmnpu_quant::outlier::{calibrate_scale, HotChannelPolicy, OutlierProfile, OutlierProfiler};
 use llmnpu_workloads::corpus::{CorpusSampler, CorpusSpec};
-use serde::Serialize;
+
+use crate::{header, Result};
 
 const INFERENCES: usize = 64;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    site: &'static str,
-    active_channel_pct: f64,
-    channels_for_80pct: f64,
-    hot_memory_fraction: f64,
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 11.
+pub fn run(seed: u64) -> Result {
     let cfg = ModelConfig::qwen15_18b().scaled_down(128, 4, 128)?;
     let weights = synthesize(&cfg, seed, OutlierSpec::default())?;
     let float_be = FloatBackend::new(weights.clone());
@@ -52,11 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LinearKind::Up,
         LinearKind::Down,
     ];
-    let mut rows = Vec::new();
     // Aggregate each site kind across layers (Figure 11 plots per kind).
     for kind in watched {
-        let mut counts_acc: Vec<u64> = Vec::new();
-        let mut batches = 0u64;
+        let mut site = OutlierProfile {
+            channel_counts: Vec::new(),
+            batches: 0,
+            total_outliers: 0,
+            max_ratio: 0.0,
+        };
         for (layer, k) in model_sites(&weights) {
             if k != kind {
                 continue;
@@ -64,62 +59,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let acts = &cal[&(layer, kind)];
             let scale = calibrate_scale(acts, 0.997)?;
             let channels = acts[0].matrix_dims().1;
-            if counts_acc.is_empty() {
-                counts_acc = vec![0; channels];
+            if site.channel_counts.is_empty() {
+                site.channel_counts = vec![0; channels];
             }
             let mut profiler = OutlierProfiler::new(channels, scale);
             for a in acts {
                 profiler.record(a);
             }
             let p = profiler.finish();
-            batches += p.batches;
-            for (acc, c) in counts_acc.iter_mut().zip(&p.channel_counts) {
+            for (acc, c) in site.channel_counts.iter_mut().zip(&p.channel_counts) {
                 *acc += c;
             }
+            site.batches += p.batches;
+            site.total_outliers += p.total_outliers;
+            site.max_ratio = site.max_ratio.max(p.max_ratio);
         }
-        let total: u64 = counts_acc.iter().sum();
-        let active = counts_acc.iter().filter(|&&c| c > 0).count() as f64 / counts_acc.len() as f64;
-        // Smallest channel fraction covering 80% of events.
-        let mut sorted = counts_acc.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let target = (total as f64 * 0.8).ceil() as u64;
-        let mut covered = 0u64;
-        let mut used = 0usize;
-        for c in &sorted {
-            if covered >= target {
-                break;
-            }
-            covered += c;
-            used += 1;
-        }
-        let skew = used as f64 / counts_acc.len() as f64;
-        let policy = HotChannelPolicy::from_counts(&counts_acc, 0.8)?;
+        let policy = HotChannelPolicy::from_counts(&site.channel_counts, 0.8)?;
         println!(
             "{:<10} {:>15.1}% {:>19.1}% {:>19.1}%",
             kind.label(),
-            active * 100.0,
-            skew * 100.0,
+            site.active_channel_fraction() * 100.0,
+            site.channel_fraction_for_coverage(0.8) * 100.0,
             policy.memory_fraction() * 100.0
         );
-        rows.push(Row {
-            site: kind.label(),
-            active_channel_pct: active * 100.0,
-            channels_for_80pct: skew * 100.0,
-            hot_memory_fraction: policy.memory_fraction() * 100.0,
-        });
-        let _ = batches;
     }
     println!(
         "\nPaper: <3% of channels contribute >80% of outliers, so keeping only\n\
          hot-channel float weights in memory cuts shadow memory by 34.3%."
     );
-    let path = ExperimentRecord {
-        id: "fig11_outlier_channels",
-        description: "Per-channel outlier frequency skew (Figure 11)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

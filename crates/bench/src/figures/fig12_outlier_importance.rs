@@ -6,7 +6,6 @@
 //! important layers' outliers costs almost no accuracy, after which the
 //! curve falls off.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_model::backend::{model_sites, FloatBackend, ShadowBackend};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
@@ -18,29 +17,11 @@ use llmnpu_workloads::accuracy::{generate, BenchmarkSpec};
 use llmnpu_workloads::random_prompt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct ImportanceRow {
-    layer: usize,
-    mean_importance: f64,
-}
+use crate::{header, Result};
 
-#[derive(Debug, Serialize)]
-struct PruningRow {
-    pruning_rate: f64,
-    accuracy_pct: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct Rows {
-    importance: Vec<ImportanceRow>,
-    pruning: Vec<PruningRow>,
-    reference_accuracy_pct: f64,
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 12.
+pub fn run(seed: u64) -> Result {
     let cfg = ModelConfig::qwen15_18b().scaled_down(64, 8, 96)?;
     let weights = synthesize(&cfg, seed, OutlierSpec::default())?;
     let float_be = FloatBackend::new(weights.clone());
@@ -69,14 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
         println!("layer {layer:>2}: importance {mean:>7.2} {}", bar(mean));
-        importance.push(ImportanceRow {
-            layer,
-            mean_importance: mean,
-        });
+        importance.push(mean);
     }
-    let first = importance.first().map(|r| r.mean_importance).unwrap_or(0.0);
-    let last = importance.last().map(|r| r.mean_importance).unwrap_or(0.0);
-    let mid = importance[cfg.layers / 2].mean_importance;
+    let first = importance.first().copied().unwrap_or(0.0);
+    let last = importance.last().copied().unwrap_or(0.0);
+    let mid = importance[cfg.layers / 2];
     println!(
         "edges vs middle: first {first:.2}, middle {mid:.2}, last {last:.2} — the\n\
          paper's U-shape (input/output layers matter most)"
@@ -96,32 +74,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "accuracy",
         bench.reference_accuracy * 100.0
     );
-    let mut pruning = Vec::new();
     for rate in [0.0, 0.25, 0.5, 0.75, 0.85, 0.95, 1.0] {
         let backend = ShadowBackend::new(&weights, &cal, 0.997, rate)?;
         let acc = bench.evaluate(&weights, &backend)?;
         println!("{:>13.0}% {:>11.1}%", rate * 100.0, acc * 100.0);
-        pruning.push(PruningRow {
-            pruning_rate: rate,
-            accuracy_pct: acc * 100.0,
-        });
     }
     println!(
         "\nPaper: accuracy is flat until ~85% pruning (the default), then\n\
          degrades as important outliers start being dropped."
     );
-    let path = ExperimentRecord {
-        id: "fig12_outlier_importance",
-        description: "Outlier importance and pruning-accuracy curves (Figure 12)",
-        seed,
-        rows: Rows {
-            importance,
-            pruning,
-            reference_accuracy_pct: bench.reference_accuracy * 100.0,
-        },
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }
 

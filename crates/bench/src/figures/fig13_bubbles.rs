@@ -6,7 +6,6 @@
 //! the ablation (Figure 19) attributes an 18–44% prefill improvement to
 //! this.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{build_prefill_dag, DagConfig};
 use llmnpu_model::config::ModelConfig;
@@ -14,22 +13,12 @@ use llmnpu_sched::{schedule, Policy};
 use llmnpu_soc::latency::LatencyModel;
 use llmnpu_soc::spec::SocSpec;
 use llmnpu_soc::Processor;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    prompt_len: usize,
-    policy: &'static str,
-    makespan_ms: f64,
-    npu_bubble_rate_pct: f64,
-    improvement_over_fifo_pct: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 13.
+pub fn run() -> Result {
     let lat = LatencyModel::new(&SocSpec::snapdragon_8gen3());
-    let mut rows = Vec::new();
 
     for model in [ModelConfig::qwen15_18b(), ModelConfig::gemma_2b()] {
         for prompt in [512usize, 1024, 2048] {
@@ -59,14 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     outcome.npu_bubble_rate * 100.0,
                     improvement
                 );
-                rows.push(Row {
-                    model: model.name,
-                    prompt_len: prompt,
-                    policy,
-                    makespan_ms: outcome.makespan_ms,
-                    npu_bubble_rate_pct: outcome.npu_bubble_rate * 100.0,
-                    improvement_over_fifo_pct: improvement,
-                });
             }
         }
     }
@@ -74,13 +55,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nPaper: 37% bubbles under naive overlapping vs 0.7% under OOE; the\n\
          makespan improvement lands in Figure 19's 18-44% OOE band."
     );
-    let path = ExperimentRecord {
-        id: "fig13_bubbles",
-        description: "NPU bubble rates: naive overlap vs out-of-order (Figure 13)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

@@ -6,27 +6,15 @@
 //! MLC-GPU, 1.27–2.34× than TFLite-GPU, and 3.28–5.32× than
 //! PowerInfer-v2; >1,000 tokens/s on billion-scale models.
 
-use llmnpu_bench::{header, ratio, seed_from_args, ExperimentRecord};
 use llmnpu_core::baselines::{applicable_baselines, Engine, LlmNpuAsEngine};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    device: &'static str,
-    model: &'static str,
-    prompt_len: usize,
-    engine: String,
-    tokens_per_s: f64,
-    latency_ms: f64,
-    speedup_vs_ours: f64,
-}
+use crate::{header, ratio, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 14.
+pub fn run() -> Result {
     let prompts = [64usize, 256, 1024];
-    let mut rows = Vec::new();
 
     for soc in [SocSpec::snapdragon_8gen3(), SocSpec::snapdragon_8gen2()] {
         header(&format!("Figure 14: prefill speed on {}", soc.name));
@@ -37,11 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{:<20} {:>10} {:>10} {:>10}",
                 "engine", "64 tok/s", "256 tok/s", "1024 tok/s"
             );
-            let mut engines: Vec<Box<dyn Engine>> = applicable_baselines(&model, &soc);
             let our_speeds: Vec<f64> = prompts
                 .iter()
                 .map(|&p| ours.prefill(p).map(|r| r.tokens_per_s))
-                .collect::<Result<_, _>>()?;
+                .collect::<std::result::Result<_, _>>()?;
             // Ours first.
             println!(
                 "{:<20} {:>10.0} {:>10.0} {:>10.0}",
@@ -50,33 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 our_speeds[1],
                 our_speeds[2]
             );
-            for (i, &p) in prompts.iter().enumerate() {
-                let r = ours.prefill(p)?;
-                rows.push(Row {
-                    device: soc.name,
-                    model: model.name,
-                    prompt_len: p,
-                    engine: ours.name().to_owned(),
-                    tokens_per_s: our_speeds[i],
-                    latency_ms: r.latency_ms,
-                    speedup_vs_ours: 1.0,
-                });
-            }
-            for engine in engines.drain(..) {
-                let mut speeds = Vec::new();
-                for (i, &p) in prompts.iter().enumerate() {
-                    let r = engine.prefill(p)?;
-                    speeds.push(r.tokens_per_s);
-                    rows.push(Row {
-                        device: soc.name,
-                        model: model.name,
-                        prompt_len: p,
-                        engine: engine.name().to_owned(),
-                        tokens_per_s: r.tokens_per_s,
-                        latency_ms: r.latency_ms,
-                        speedup_vs_ours: our_speeds[i] / r.tokens_per_s,
-                    });
-                }
+            for engine in applicable_baselines(&model, &soc) {
+                let speeds: Vec<f64> = prompts
+                    .iter()
+                    .map(|&p| engine.prefill(p).map(|r| r.tokens_per_s))
+                    .collect::<std::result::Result<_, _>>()?;
                 println!(
                     "{:<20} {:>10.0} {:>10.0} {:>10.0}   (ours {} at 1024)",
                     engine.name(),
@@ -92,13 +57,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nHeadline check: billion-scale models exceed 1,000 tokens/s of\n\
          prefill at 1024 tokens on the 8gen3 (the paper's first-ever mark)."
     );
-    let path = ExperimentRecord {
-        id: "fig14_prefill_speed",
-        description: "Prefill speed grid (Figure 14)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

@@ -5,26 +5,16 @@
 //! llama.cpp-CPU, 35.2–59.3× vs MLC-GPU, and 1.85–4.32× vs TFLite-GPU;
 //! at 64 tokens the savings shrink to ~10–18× and ~3.2–3.7×.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::baselines::{applicable_baselines, Engine, LlmNpuAsEngine};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    prompt_len: usize,
-    engine: String,
-    energy_j: f64,
-    savings_vs_engine: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 15.
+pub fn run() -> Result {
     let soc = SocSpec::snapdragon_8gen2(); // K60 Pro
     let prompts = [64usize, 256, 1024];
-    let mut rows = Vec::new();
 
     header(&format!("Figure 15: prefill energy on {}", soc.name));
     for model in ModelConfig::all_evaluated() {
@@ -37,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let our_energy: Vec<f64> = prompts
             .iter()
             .map(|&p| ours.prefill(p).map(|r| r.energy_j))
-            .collect::<Result<_, _>>()?;
+            .collect::<std::result::Result<_, _>>()?;
         println!(
             "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>16}",
             ours.name(),
@@ -46,28 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             our_energy[2],
             "1.0x"
         );
-        for (i, &p) in prompts.iter().enumerate() {
-            rows.push(Row {
-                model: model.name,
-                prompt_len: p,
-                engine: ours.name().to_owned(),
-                energy_j: our_energy[i],
-                savings_vs_engine: 1.0,
-            });
-        }
         for engine in applicable_baselines(&model, &soc) {
-            let mut energies = Vec::new();
-            for (i, &p) in prompts.iter().enumerate() {
-                let r = engine.prefill(p)?;
-                energies.push(r.energy_j);
-                rows.push(Row {
-                    model: model.name,
-                    prompt_len: p,
-                    engine: engine.name().to_owned(),
-                    energy_j: r.energy_j,
-                    savings_vs_engine: r.energy_j / our_energy[i],
-                });
-            }
+            let energies: Vec<f64> = prompts
+                .iter()
+                .map(|&p| engine.prefill(p).map(|r| r.energy_j))
+                .collect::<std::result::Result<_, _>>()?;
             println!(
                 "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>15.1}x",
                 engine.name(),
@@ -82,13 +55,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nThe savings grow with prompt length: NPU power (~1.5 W) vs all-core\n\
          CPU prefill (~8 W) compounds with the latency gap."
     );
-    let path = ExperimentRecord {
-        id: "fig15_energy",
-        description: "Prefill energy grid on the K60 Pro (Figure 15)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

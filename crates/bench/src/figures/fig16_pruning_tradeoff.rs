@@ -10,7 +10,6 @@
 //! and gate NPU successors); accuracy from real quantized forward passes
 //! at matching pruning rates.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu_model::backend::{FloatBackend, ShadowBackend};
 use llmnpu_model::config::ModelConfig;
@@ -21,21 +20,13 @@ use llmnpu_workloads::accuracy::{generate, BenchmarkSpec};
 use llmnpu_workloads::random_prompt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    pruning_rate: f64,
-    prefill_tokens_per_s: f64,
-    accuracy_pct: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 16.
+pub fn run(seed: u64) -> Result {
     let soc = SocSpec::snapdragon_8gen3();
     let rates = [0.0, 0.2, 0.43, 0.6, 0.81, 0.85, 0.95, 1.0];
-    let mut rows = Vec::new();
 
     for full_cfg in [ModelConfig::qwen15_18b(), ModelConfig::gemma_2b()] {
         header(&format!("Figure 16: {}", full_cfg.name));
@@ -84,25 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 speed,
                 acc * 100.0
             );
-            rows.push(Row {
-                model: full_cfg.name,
-                pruning_rate: rate,
-                prefill_tokens_per_s: speed,
-                accuracy_pct: acc * 100.0,
-            });
         }
     }
     println!(
         "\nThe frontier's shape matches the paper: pruning trades accuracy for\n\
          speed; the default 85% sits at the knee (near-max speed, small loss)."
     );
-    let path = ExperimentRecord {
-        id: "fig16_pruning_tradeoff",
-        description: "Pruning-rate speed/accuracy frontier (Figure 16)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

@@ -6,26 +6,15 @@
 //! QNN allocate per-operator activation buffers); the shadow-outlier
 //! float weights are only 0.6-1% of the total.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::memory::figure17_rows;
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    engine: &'static str,
-    total_gib: f64,
-    weights_gib: f64,
-    activations_gib: f64,
-    shadow_mib: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 17.
+pub fn run() -> Result {
     let soc = SocSpec::snapdragon_8gen2(); // K60 Pro, as in the paper
-    let mut rows = Vec::new();
 
     for model in [ModelConfig::gemma_2b(), ModelConfig::phi2_27b()] {
         header(&format!("Figure 17: {} (prompt 512)", model.name));
@@ -45,14 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 (r.activation_bytes + r.kv_bytes) as f64 / (1u64 << 30) as f64,
                 r.shadow_bytes as f64 / (1u64 << 20) as f64,
             );
-            rows.push(Row {
-                model: model.name,
-                engine: c.engine,
-                total_gib: r.total_gib(),
-                weights_gib: r.weight_bytes as f64 / (1u64 << 30) as f64,
-                activations_gib: (r.activation_bytes + r.kv_bytes) as f64 / (1u64 << 30) as f64,
-                shadow_mib: r.shadow_bytes as f64 / (1u64 << 20) as f64,
-            });
         }
         let ours_total = comparison[3].report.total_gib();
         println!(
@@ -60,13 +41,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ours_total / llamacpp_total
         );
     }
-    let path = ExperimentRecord {
-        id: "fig17_memory",
-        description: "Engine memory footprints at prompt 512 (Figure 17)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("\nsaved {}", path.display());
     Ok(())
 }

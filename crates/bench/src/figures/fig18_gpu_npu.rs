@@ -5,37 +5,16 @@
 //! (b) GPU-NPU cuts end-to-end latency by 80–90 ms on the LongBench
 //! datasets thanks to faster GPU decoding.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
 use llmnpu_soc::Processor;
 use llmnpu_workloads::suites::Suite;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct SpeedRow {
-    prompt_len: usize,
-    cpu_npu_tokens_per_s: f64,
-    gpu_npu_tokens_per_s: f64,
-}
+use crate::{header, Result};
 
-#[derive(Debug, Serialize)]
-struct E2eRow {
-    suite: &'static str,
-    cpu_npu_total_ms: f64,
-    gpu_npu_total_ms: f64,
-    saving_ms: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct Rows {
-    prefill: Vec<SpeedRow>,
-    e2e: Vec<E2eRow>,
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 18.
+pub fn run() -> Result {
     let soc = SocSpec::snapdragon_8gen3();
     let model = ModelConfig::gemma_2b();
 
@@ -50,16 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>8} {:>16} {:>16}",
         "prompt", "CPU-NPU tok/s", "GPU-NPU tok/s"
     );
-    let mut prefill_rows = Vec::new();
     for p in [64usize, 256, 1024] {
         let a = cpu_npu.prefill(p)?.tokens_per_s;
         let b = gpu_npu.prefill(p)?.tokens_per_s;
         println!("{p:>8} {a:>16.0} {b:>16.0}");
-        prefill_rows.push(SpeedRow {
-            prompt_len: p,
-            cpu_npu_tokens_per_s: a,
-            gpu_npu_tokens_per_s: b,
-        });
     }
 
     header("Figure 18(b): end-to-end latency on LongBench");
@@ -67,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<32} {:>12} {:>12} {:>10}",
         "suite", "CPU-NPU ms", "GPU-NPU ms", "saving"
     );
-    let mut e2e_rows = Vec::new();
     for suite in [Suite::longbench_2wikimqa(), Suite::longbench_triviaqa()] {
         let sample = suite.midpoint();
         let a = cpu_npu.e2e(&sample)?.total_ms();
@@ -79,28 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             b,
             a - b
         );
-        e2e_rows.push(E2eRow {
-            suite: suite.name,
-            cpu_npu_total_ms: a,
-            gpu_npu_total_ms: b,
-            saving_ms: a - b,
-        });
     }
     println!(
         "\nPrefill parity + a decode-side saving (paper: 80-90 ms) — the float\n\
          backend choice \"is not essential\" for prefill because the NPU is\n\
          the critical path (§4.6)."
     );
-    let path = ExperimentRecord {
-        id: "fig18_gpu_npu",
-        description: "CPU-NPU vs GPU-NPU coordination (Figure 18)",
-        seed,
-        rows: Rows {
-            prefill: prefill_rows,
-            e2e: e2e_rows,
-        },
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

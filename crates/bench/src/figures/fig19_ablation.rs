@@ -5,19 +5,11 @@
 //! Paper reference (tokens/s): Gemma 46 → 18 → 91 → 355 → 420;
 //! Qwen 65 → 25 → 37 → 395 → 569; LLaMA 13 → 5 → 15 → 133 → 186.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::ablation::{run_ladder, AblationStep};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    model: &'static str,
-    step: &'static str,
-    tokens_per_s: f64,
-    paper_tokens_per_s: f64,
-}
+use crate::{header, Result};
 
 fn paper_value(model: &str, step: AblationStep) -> f64 {
     let ladder: [f64; 5] = match model {
@@ -33,10 +25,9 @@ fn paper_value(model: &str, step: AblationStep) -> f64 {
     ladder[idx]
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Figure 19.
+pub fn run() -> Result {
     let soc = SocSpec::snapdragon_8gen3();
-    let mut rows = Vec::new();
 
     for model in [
         ModelConfig::gemma_2b(),
@@ -51,12 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (step, speed) in run_ladder(&model, &soc, 512)? {
             let paper = paper_value(model.name, step);
             println!("{:<32} {:>12.0} {:>12.0}", step.label(), speed, paper);
-            rows.push(Row {
-                model: model.name,
-                step: step.label(),
-                tokens_per_s: speed,
-                paper_tokens_per_s: paper,
-            });
         }
     }
     println!(
@@ -64,13 +49,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          CPU; chunk-sharing recovers part of it; shadow outlier execution is\n\
          the order-of-magnitude jump; OOE adds the final 18-44%."
     );
-    let path = ExperimentRecord {
-        id: "fig19_ablation",
-        description: "Technique ablation ladder (Figure 19)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

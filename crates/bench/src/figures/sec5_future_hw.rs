@@ -11,7 +11,6 @@
 //! 3. **Mixed-precision operands** — FP16×INT8 compute units would let
 //!    attention run on the NPU instead of shuttling to the CPU.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_core::baselines::{Engine, NaiveNpu};
 use llmnpu_core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu_graph::chunk::ChunkPlan;
@@ -21,14 +20,8 @@ use llmnpu_sched::{schedule, Policy};
 use llmnpu_soc::latency::LatencyModel;
 use llmnpu_soc::spec::SocSpec;
 use llmnpu_soc::Processor;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    scenario: String,
-    prefill_tokens_per_s: f64,
-    speedup_vs_baseline: f64,
-}
+use crate::{header, Result};
 
 const PROMPT: usize = 1024;
 
@@ -56,40 +49,34 @@ fn llmnpu_npu_float_speed(soc: &SocSpec) -> f64 {
     PROMPT as f64 / (outcome.makespan_ms / 1e3)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints the §5 what-if table.
+pub fn run() -> Result {
     let base_soc = SocSpec::snapdragon_8gen3();
     let baseline = llmnpu_speed(&base_soc);
-    let mut rows = Vec::new();
-    let mut push = |scenario: String, speed: f64| {
+    let row = |scenario: &str, speed: f64| {
         println!(
             "{:<52} {:>10.0} {:>9.2}x",
             scenario,
             speed,
             speed / baseline
         );
-        rows.push(Row {
-            scenario,
-            prefill_tokens_per_s: speed,
-            speedup_vs_baseline: speed / baseline,
-        });
     };
 
     header("§5 hardware what-ifs (Qwen1.5-1.8B, prompt 1024, 8gen3 base)");
     println!("{:<52} {:>10} {:>10}", "scenario", "tok/s", "vs base");
-    push("llm.npu on shipping hardware (baseline)".into(), baseline);
+    row("llm.npu on shipping hardware (baseline)", baseline);
 
     // (1) Dynamic shape-aware optimization: rebuilds become free.
     let naive = NaiveNpu::new(ModelConfig::qwen15_18b(), base_soc.clone());
     let naive_report = naive.prefill(PROMPT)?;
-    push(
-        "naive engine, shipping hw (rebuild per prompt)".into(),
+    row(
+        "naive engine, shipping hw (rebuild per prompt)",
         naive_report.tokens_per_s,
     );
     let rebuild = naive.rebuild_ms(PROMPT);
     let naive_no_rebuild_ms = naive_report.latency_ms - rebuild;
-    push(
-        "naive engine + dynamic-shape hw (free rebuilds)".into(),
+    row(
+        "naive engine + dynamic-shape hw (free rebuilds)",
         PROMPT as f64 / (naive_no_rebuild_ms / 1e3),
     );
 
@@ -97,8 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut big_cache = base_soc.clone();
     big_cache.npu.gemm_ceiling *= 1.3;
     big_cache.table3_anchors = false; // no longer the measured silicon
-    push(
-        "llm.npu + 1.3x NPU data cache (higher ceiling)".into(),
+    row(
+        "llm.npu + 1.3x NPU data cache (higher ceiling)",
         llmnpu_speed(&big_cache),
     );
 
@@ -107,12 +94,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mixed = base_soc.clone();
     mixed.npu_fp16_factor = 0.25;
     mixed.table3_anchors = false;
-    push(
-        "llm.npu + mixed-precision units, float on NPU".into(),
+    row(
+        "llm.npu + mixed-precision units, float on NPU",
         llmnpu_npu_float_speed(&mixed),
     );
-    push(
-        "llm.npu + mixed-precision units, float on CPU".into(),
+    row(
+        "llm.npu + mixed-precision units, float on CPU",
         llmnpu_speed(&mixed),
     );
 
@@ -121,8 +108,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     future.npu.gemm_ceiling *= 1.3;
     future.npu_fp16_factor = 0.25;
     future.table3_anchors = false;
-    push(
-        "all three combined (float on NPU)".into(),
+    row(
+        "all three combined (float on NPU)",
         llmnpu_npu_float_speed(&future),
     );
 
@@ -135,13 +122,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          exploits — supporting the paper's §5 position that INT8 NPU compute\n\
          plus CPU/GPU float assist will stay the right architecture."
     );
-    let path = ExperimentRecord {
-        id: "sec5_future_hw",
-        description: "What-if study of the paper's §5 hardware implications",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

@@ -6,27 +6,14 @@
 //! shows what the smooth fallback model predicts for the same shape, so
 //! the calibration error off-anchor is visible.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_soc::latency::{LatencyModel, TABLE3_ANCHORS};
 use llmnpu_soc::spec::SocSpec;
 use llmnpu_soc::{DataType, Processor};
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    m: usize,
-    k: usize,
-    n: usize,
-    npu_int8_ms: f64,
-    cpu_int8_ms: f64,
-    gpu_fp16_ms: f64,
-    npu_fp16_ms: f64,
-    cpu_over_npu: f64,
-    gpu_over_npu: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Table 3.
+pub fn run() -> Result {
     let lat = LatencyModel::new(&SocSpec::snapdragon_8gen3());
     let shapes: [(usize, usize, usize); 6] = [
         (64, 2048, 2048),
@@ -42,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<18} {:>9} {:>9} {:>9} {:>10} {:>9} {:>9}",
         "shape", "NPU INT8", "CPU INT8", "GPU FP16", "NPU FP16", "CPU/NPU", "GPU/NPU"
     );
-    let mut rows = Vec::new();
     for (m, k, n) in shapes {
         let npu = lat.matmul_ms(Processor::Npu, DataType::Int8, m, k, n);
         let cpu = lat.matmul_ms(Processor::Cpu, DataType::Int8, m, k, n);
@@ -58,17 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cpu / npu,
             gpu / npu
         );
-        rows.push(Row {
-            m,
-            k,
-            n,
-            npu_int8_ms: npu,
-            cpu_int8_ms: cpu,
-            gpu_fp16_ms: gpu,
-            npu_fp16_ms: npu_fp,
-            cpu_over_npu: cpu / npu,
-            gpu_over_npu: gpu / npu,
-        });
     }
 
     header("Parametric fallback vs anchors (model calibration error)");
@@ -91,13 +66,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nPaper's takeaways hold: NPU INT8 beats CPU INT8 by 4.5-5.8x and GPU\n\
          FP16 by 1.8-3.5x, while NPU FP16 is catastrophically slow."
     );
-    let path = ExperimentRecord {
-        id: "table03_matmul",
-        description: "MatMul microbenchmark grid (Table 3)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }

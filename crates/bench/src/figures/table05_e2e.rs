@@ -6,28 +6,18 @@
 //! the bottom of each dataset block (e.g. 34.7x over MLC, 21.8x over
 //! llama.cpp, 4.8x over MNN, 1.7x over TFLite for 2wikimqa).
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
+use std::collections::BTreeMap;
+
 use llmnpu_core::baselines::{applicable_baselines, Engine, LlmNpuAsEngine};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
 use llmnpu_workloads::suites::Suite;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
-struct Row {
-    dataset: &'static str,
-    model: &'static str,
-    engine: String,
-    total_s: f64,
-    prefill_s: f64,
-    decode_s: f64,
-    speedup_vs_ours: f64,
-}
+use crate::{header, Result};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
+/// Prints Table 5.
+pub fn run() -> Result {
     let soc = SocSpec::snapdragon_8gen3();
-    let mut rows = Vec::new();
 
     for suite in Suite::all_e2e() {
         header(&format!(
@@ -41,8 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sample = suite.midpoint();
 
         // Per-engine geometric mean of speedups across models.
-        let mut geo: std::collections::BTreeMap<String, (f64, usize)> =
-            std::collections::BTreeMap::new();
+        let mut geo: BTreeMap<String, (f64, usize)> = BTreeMap::new();
 
         for model in ModelConfig::all_evaluated() {
             let ours = LlmNpuAsEngine::with_defaults(model.clone(), soc.clone())?;
@@ -60,15 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 our_r.decode_ms / 1e3,
                 "-"
             );
-            rows.push(Row {
-                dataset: suite.name,
-                model: model.name,
-                engine: ours.name().to_owned(),
-                total_s: our_r.total_ms() / 1e3,
-                prefill_s: our_r.prefill_ms / 1e3,
-                decode_s: our_r.decode_ms / 1e3,
-                speedup_vs_ours: 1.0,
-            });
             for engine in applicable_baselines(&model, &soc) {
                 let r = engine.e2e(&sample)?;
                 let speedup = r.total_ms() / our_r.total_ms();
@@ -83,15 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let entry = geo.entry(engine.name().to_owned()).or_insert((0.0, 0));
                 entry.0 += speedup.ln();
                 entry.1 += 1;
-                rows.push(Row {
-                    dataset: suite.name,
-                    model: model.name,
-                    engine: engine.name().to_owned(),
-                    total_s: r.total_ms() / 1e3,
-                    prefill_s: r.prefill_ms / 1e3,
-                    decode_s: r.decode_ms / 1e3,
-                    speedup_vs_ours: speedup,
-                });
             }
         }
         println!("\n  geometric-mean speedup of ours over each baseline:");
@@ -99,13 +70,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("    {:<20} {:>6.1}x", name, (log_sum / n as f64).exp());
         }
     }
-    let path = ExperimentRecord {
-        id: "table05_e2e",
-        description: "End-to-end latency across datasets/models/engines (Table 5)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("\nsaved {}", path.display());
     Ok(())
 }

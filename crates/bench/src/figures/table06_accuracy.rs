@@ -7,14 +7,12 @@
 //! quantized forward passes on scaled-down synthetic models. The quantity
 //! to compare against the paper is the per-scheme **degradation** row
 //! ordering: ours ≈ LLM.int8() ≈ FP16, K-Quant slightly behind,
-//! SmoothQuant and naive per-tensor clearly behind.
+//! SmoothQuant clearly behind.
 //!
-//! This is the heaviest experiment binary; run it with `--release`.
+//! This is the heaviest figure; run it in release.
 
-use llmnpu_bench::{header, seed_from_args, ExperimentRecord};
 use llmnpu_model::backend::{
-    FloatBackend, LinearBackend, LlmInt8Backend, PerGroupBackend, PerTensorBackend, ShadowBackend,
-    SmoothQuantBackend,
+    FloatBackend, LinearBackend, LlmInt8Backend, PerGroupBackend, ShadowBackend, SmoothQuantBackend,
 };
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
@@ -23,18 +21,10 @@ use llmnpu_workloads::accuracy::{generate, BenchmarkSpec};
 use llmnpu_workloads::random_prompt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+
+use crate::{header, Result};
 
 const TASKS: usize = 60;
-
-#[derive(Debug, Serialize)]
-struct Row {
-    benchmark: &'static str,
-    model: &'static str,
-    scheme: &'static str,
-    accuracy_pct: f64,
-    fp16_anchor_pct: f64,
-}
 
 /// The paper's Table 6 FP16 column, used as calibration anchors.
 fn fp16_anchor(benchmark: &str, model: &str) -> f64 {
@@ -68,19 +58,16 @@ fn fp16_anchor(benchmark: &str, model: &str) -> f64 {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = seed_from_args();
-    let mut rows = Vec::new();
-    let schemes = ["FP16", "SmoothQuant", "LLM.int8()", "K-Quant", "Ours"];
-
+/// Prints Table 6.
+pub fn run(seed: u64) -> Result {
     for bench_spec in BenchmarkSpec::all() {
         header(&format!("Table 6: {}", bench_spec.name));
         println!(
             "{:<14} {:>8} {:>12} {:>12} {:>9} {:>8}",
             "model", "FP16", "SmoothQuant", "LLM.int8()", "K-Quant", "Ours"
         );
-        // Per-scheme degradation accumulators.
-        let mut degradation = vec![0.0_f64; schemes.len()];
+        // Per-scheme degradation accumulators, in column order.
+        let mut degradation = [0.0_f64; 5];
 
         for full_cfg in ModelConfig::all_evaluated() {
             let mini = full_cfg.scaled_down(48, 3, 96)?;
@@ -107,17 +94,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let int8 = LlmInt8Backend::new(&weights, 6.0)?;
             let kquant = PerGroupBackend::new(&weights, 16)?;
             let ours = ShadowBackend::new(&weights, &cal, 0.9995, 0.85)?;
-            // Naive per-tensor shown in the JSON record for completeness.
-            let per_tensor = PerTensorBackend::new(&weights, &cal)?;
 
             let accs: Vec<f64> = {
                 let backends: [&dyn LinearBackend; 5] = [&float_be, &smooth, &int8, &kquant, &ours];
                 backends
                     .iter()
                     .map(|b| bench.evaluate(&weights, *b))
-                    .collect::<Result<_, _>>()?
+                    .collect::<std::result::Result<_, _>>()?
             };
-            let pt_acc = bench.evaluate(&weights, &per_tensor)?;
 
             println!(
                 "{:<14} {:>7.1}% {:>11.1}% {:>11.1}% {:>8.1}% {:>7.1}%",
@@ -128,23 +112,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 accs[3] * 100.0,
                 accs[4] * 100.0
             );
-            for (i, scheme) in schemes.iter().enumerate() {
-                degradation[i] += accs[i] - accs[0];
-                rows.push(Row {
-                    benchmark: bench_spec.name,
-                    model: full_cfg.name,
-                    scheme,
-                    accuracy_pct: accs[i] * 100.0,
-                    fp16_anchor_pct: anchor * 100.0,
-                });
+            for (d, acc) in degradation.iter_mut().zip(&accs) {
+                *d += acc - accs[0];
             }
-            rows.push(Row {
-                benchmark: bench_spec.name,
-                model: full_cfg.name,
-                scheme: "PerTensor(naive)",
-                accuracy_pct: pt_acc * 100.0,
-                fp16_anchor_pct: anchor * 100.0,
-            });
         }
         let n = ModelConfig::all_evaluated().len() as f64;
         println!(
@@ -162,14 +132,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          FP16 on average; K-Quant trails slightly; SmoothQuant degrades the\n\
          most (its static smoothing misses runtime outliers)."
     );
-    let path = ExperimentRecord {
-        id: "table06_accuracy",
-        description: "Quantization accuracy proxy grid (Table 6)",
-        seed,
-        rows,
-    }
-    .save()?;
-    println!("saved {}", path.display());
     Ok(())
 }
 

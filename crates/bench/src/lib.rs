@@ -1,65 +1,19 @@
-//! Shared helpers for the experiment binaries.
+//! The paper's evaluation, regenerated: one module per figure or table.
 //!
-//! Every binary under `src/bin/` regenerates one table or figure from the
-//! paper: it prints an aligned text table with a `paper=` reference column
-//! where the paper states a number, and writes a JSON record to
-//! `target/experiments/<id>.json` for downstream analysis.
+//! Each module under [`figures`] prints one of the paper's tables or
+//! figures as an aligned text table, with a `paper` reference column
+//! where the paper states a number. The `paper` binary runs them all in
+//! file-name order (or the ones named by `--fig`, at `--seed N`); its
+//! default output is committed as `BENCH_paper.txt` at the repository
+//! root, and CI regenerates it and fails on any byte of difference, so a
+//! change that moves a figure updates that record in the same commit.
 
 #![forbid(unsafe_code)]
 
-use std::fs;
-use std::path::PathBuf;
+pub mod figures;
 
-use serde::Serialize;
-
-/// Where experiment JSON records are written.
-#[must_use]
-pub fn experiments_dir() -> PathBuf {
-    PathBuf::from("target/experiments")
-}
-
-/// One experiment's machine-readable output.
-#[derive(Debug, Serialize)]
-pub struct ExperimentRecord<T: Serialize> {
-    /// Experiment id, e.g. `"fig14_prefill_speed"`.
-    pub id: &'static str,
-    /// One-line description.
-    pub description: &'static str,
-    /// Seed used for any stochastic generation.
-    pub seed: u64,
-    /// The result rows.
-    pub rows: T,
-}
-
-impl<T: Serialize> ExperimentRecord<T> {
-    /// Writes the record to `target/experiments/<id>.json`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the directory or file cannot be written.
-    pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = experiments_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let json = serde_json::to_string_pretty(self).map_err(std::io::Error::other)?;
-        fs::write(&path, json)?;
-        Ok(path)
-    }
-}
-
-/// Default experiment seed (override with `--seed N`).
-#[must_use]
-pub fn seed_from_args() -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--seed" {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    42
-}
+/// What a figure returns: any error aborts the run.
+pub type Result<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
 
 /// Prints a section header.
 pub fn header(title: &str) {
@@ -78,20 +32,6 @@ pub fn ratio(ours: f64, theirs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_round_trips_to_disk() {
-        let rec = ExperimentRecord {
-            id: "unit_test_record",
-            description: "test",
-            seed: 1,
-            rows: vec![1, 2, 3],
-        };
-        let path = rec.save().unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("unit_test_record"));
-        std::fs::remove_file(path).unwrap();
-    }
 
     #[test]
     fn ratio_formats() {

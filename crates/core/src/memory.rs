@@ -6,7 +6,6 @@
 //! operator "to enhance speed", costing up to 1.32× llama.cpp — plus the
 //! tiny (0.6–1%) float shadow weights.
 
-use llmnpu_kv::PoolConfig;
 use llmnpu_model::config::ModelConfig;
 use llmnpu_soc::spec::SocSpec;
 
@@ -32,57 +31,6 @@ pub fn baseline_memory(
         activation_bytes: activation,
         kv_bytes: kv_cache_bytes(model, prompt_len),
         shadow_bytes: 0,
-    }
-}
-
-/// The paged-KV pool shape for a model: one block materializes
-/// `block_tokens × kv_dim` K and V rows in every layer (`llmnpu-kv`'s
-/// layout), so pool sizing becomes model-aware byte arithmetic.
-#[must_use]
-pub fn kv_pool_config(model: &ModelConfig, block_tokens: usize, blocks: usize) -> PoolConfig {
-    PoolConfig {
-        layers: model.layers,
-        kv_dim: model.kv_dim(),
-        block_tokens,
-        blocks,
-    }
-}
-
-/// Eager-vs-paged KV footprint for a request mix: what per-request
-/// contiguous worst-case caches cost versus a paged pool sized to the
-/// same aggregate demand. Statically the pool pays a small internal
-/// fragmentation tax (the partial last page of each request); what it
-/// buys is runtime — prefix sharing, early release, page-count
-/// admission, and eviction all come out of the *same* fixed slab, and
-/// `ServeReport::kv`'s peak/shared counters measure that recovery.
-#[derive(Debug, Clone, Copy)]
-pub struct PagedKvComparison {
-    /// Sum of per-request worst-case contiguous caches (f32 bytes).
-    pub eager_bytes: u64,
-    /// A pool with exactly the blocks those requests can touch.
-    pub pool_bytes: u64,
-    /// Blocks in that pool.
-    pub pool_blocks: usize,
-}
-
-/// Compares eager per-request KV allocation against a paged pool for a
-/// `(prompt_len, max_new_tokens)` request mix.
-#[must_use]
-pub fn paged_vs_eager(
-    model: &ModelConfig,
-    requests: &[(usize, usize)],
-    block_tokens: usize,
-) -> PagedKvComparison {
-    let eager_bytes: u64 = requests
-        .iter()
-        .map(|&(p, n)| (2 * (p + n) * model.kv_dim() * model.layers * 4) as u64)
-        .sum();
-    let cfg = kv_pool_config(model, block_tokens, 1);
-    let pool_blocks: usize = requests.iter().map(|&(p, n)| cfg.blocks_for(p + n)).sum();
-    PagedKvComparison {
-        eager_bytes,
-        pool_bytes: cfg.block_bytes() * pool_blocks as u64,
-        pool_blocks,
     }
 }
 
@@ -166,21 +114,6 @@ mod tests {
         let ours = &rows[3].report;
         let frac = ours.shadow_bytes as f64 / ours.total() as f64;
         assert!(frac > 0.0005 && frac < 0.05, "shadow fraction {frac:.4}");
-    }
-
-    #[test]
-    fn paged_pool_bounded_by_eager_plus_fragmentation() {
-        let model = ModelConfig::qwen15_18b();
-        let requests = [(100usize, 30usize), (7, 5), (250, 20)];
-        let cmp = paged_vs_eager(&model, &requests, 16);
-        // The pool never costs more than eager rounded up by one page
-        // per request.
-        let page = kv_pool_config(&model, 16, 1).block_bytes();
-        assert!(cmp.pool_bytes >= cmp.eager_bytes);
-        assert!(cmp.pool_bytes <= cmp.eager_bytes + page * requests.len() as u64);
-        // Blocks cover every request's worst case.
-        let need: usize = requests.iter().map(|&(p, n)| (p + n).div_ceil(16)).sum();
-        assert_eq!(cmp.pool_blocks, need);
     }
 
     #[test]

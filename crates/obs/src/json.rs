@@ -1,12 +1,12 @@
 //! A minimal self-contained JSON value, writer, and parser.
 //!
-//! The workspace's vendored `serde_json` stand-in only *serializes*;
-//! the trace-viewer example and the CI `obs` job need to parse the
-//! Chrome trace back to validate its shape. Rather than grow the
-//! vendored crate, this module carries the ~150 lines of recursive-
-//! descent JSON the exporters and validators need. It is not a
-//! general-purpose JSON library: numbers are `f64`, no `\u` surrogate
-//! pairing beyond the BMP, and input depth is bounded by recursion.
+//! The trace-viewer example and the CI `obs` job parse the Chrome
+//! trace back to validate its shape, and the kernel bench writes its
+//! `BENCH_kernels.json` record through [`to_string_pretty`]. This
+//! module carries the recursive-descent JSON those exporters and
+//! validators need. It is not a general-purpose JSON library: parsed
+//! numbers are `f64`, no `\u` surrogate pairing beyond the BMP, and
+//! input depth is bounded by recursion.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -247,6 +247,113 @@ pub fn write_ms(out: &mut String, v: f64) {
     let _ = write!(out, "{v:.3}");
 }
 
+/// A value for [`to_string_pretty`]: unlike a parsed [`Json`], objects
+/// keep their fields in insertion order and integers stay integers.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// `true` / `false`
+    Bool(bool),
+    /// An unsigned integer, written without a fraction.
+    Int(u64),
+    /// A float: integral values are written as `x.0`, non-finite ones
+    /// as `null`.
+    Float(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object, fields in insertion order.
+    Obj(Vec<(&'static str, Value)>),
+}
+
+/// Conversion into a [`Value`].
+pub trait ToJson {
+    /// The value `self` is written as.
+    fn to_json(&self) -> Value;
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> Value {
+        Value::Int(*self as u64)
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Value {
+        Value::Str(self.to_owned())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Value {
+        Value::Str(self.clone())
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+/// Renders `v` as pretty-printed JSON: two-space indent, one field or
+/// element per line, `[]` for an empty array, no trailing newline.
+#[must_use]
+pub fn to_string_pretty(v: &Value) -> String {
+    let mut out = String::new();
+    write_pretty(&mut out, v, 0);
+    out
+}
+
+fn write_pretty(out: &mut String, v: &Value, indent: usize) {
+    let (open, close, items): (char, char, Vec<(Option<&str>, &Value)>) = match v {
+        Value::Arr(a) => ('[', ']', a.iter().map(|e| (None, e)).collect()),
+        Value::Obj(o) => ('{', '}', o.iter().map(|(k, e)| (Some(*k), e)).collect()),
+        Value::Str(s) => return write_str(out, s),
+        Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => return out.push_str(&i.to_string()),
+        Value::Float(x) if !x.is_finite() => return out.push_str("null"),
+        // Integral floats keep a fraction so they read back as floats.
+        Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => {
+            return out.push_str(&format!("{x:.1}"));
+        }
+        Value::Float(x) => return out.push_str(&x.to_string()),
+    };
+    out.push(open);
+    for (i, (key, item)) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(indent + 1));
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        write_pretty(out, item, indent + 1);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        out.push_str(&"  ".repeat(indent));
+    }
+    out.push(close);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,6 +383,50 @@ mod tests {
         write_str(&mut out, "a\"b\\c\nd\u{1}");
         let back = Json::parse(&out).unwrap();
         assert_eq!(back.as_str().unwrap(), "a\"b\\c\nd\u{1}");
+    }
+
+    #[test]
+    fn pretty_layout_matches_serde_json() {
+        let point =
+            |label: &str, x: f64| Value::Obj(vec![("label", label.to_json()), ("x", x.to_json())]);
+        let record = Value::Obj(vec![
+            ("id", "layout".to_json()),
+            ("count", 3usize.to_json()),
+            ("whole", 2.0.to_json()),
+            ("ratio", 0.125.to_json()),
+            ("ok", true.to_json()),
+            ("text", "a\"b\\c\u{1}".to_json()),
+            ("missing", f64::NAN.to_json()),
+            (
+                "points",
+                Value::Arr(vec![point("p0", 1.5), point("p1", -4.0)]),
+            ),
+            ("empty", Vec::<usize>::new().to_json()),
+        ]);
+        // What `serde_json::to_string_pretty` prints for this record: the
+        // layout `BENCH_kernels.json` has always been written in.
+        let expected = r#"{
+  "id": "layout",
+  "count": 3,
+  "whole": 2.0,
+  "ratio": 0.125,
+  "ok": true,
+  "text": "a\"b\\c\u0001",
+  "missing": null,
+  "points": [
+    {
+      "label": "p0",
+      "x": 1.5
+    },
+    {
+      "label": "p1",
+      "x": -4.0
+    }
+  ],
+  "empty": []
+}"#;
+        assert_eq!(to_string_pretty(&record), expected);
+        assert!(Json::parse(expected).is_ok());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The core integration (active power × busy time + idle power × idle
 //! time, per processor) lives on [`crate::des::Timeline::energy`]; this
-//! module adds per-processor breakdowns and the joules-per-token metrics
-//! that Figure 15 reports.
+//! module adds the per-processor breakdown.
 
 use std::collections::BTreeMap;
 
@@ -49,15 +48,6 @@ pub fn breakdown(timeline: &Timeline, spec: &SocSpec) -> EnergyBreakdown {
     out
 }
 
-/// Joules per token for a prefill of `tokens` tokens.
-#[must_use]
-pub fn joules_per_token(timeline: &Timeline, spec: &SocSpec, tokens: usize) -> Joules {
-    if tokens == 0 {
-        return 0.0;
-    }
-    timeline.energy(spec) / tokens as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,16 +81,5 @@ mod tests {
         tl.record(busy(Processor::Cpu, 0.0, 1000.0));
         let b = breakdown(&tl, &spec);
         assert!(b.active_of(Processor::Cpu) > 4.0 * b.active_of(Processor::Npu));
-    }
-
-    #[test]
-    fn joules_per_token_divides() {
-        let spec = SocSpec::snapdragon_8gen3();
-        let mut tl = Timeline::new();
-        tl.record(busy(Processor::Npu, 0.0, 1000.0));
-        let jpt = joules_per_token(&tl, &spec, 100);
-        assert!(jpt > 0.0);
-        assert!((jpt * 100.0 - tl.energy(&spec)).abs() < 1e-9);
-        assert_eq!(joules_per_token(&tl, &spec, 0), 0.0);
     }
 }

@@ -111,18 +111,6 @@ impl ArrivalTrace {
         let span = self.arrivals_ms.last().unwrap() - self.arrivals_ms.first().unwrap();
         span / (self.arrivals_ms.len() - 1) as f64
     }
-
-    /// Offered load in requests per second over the trace's span (0 for
-    /// traces shorter than 2 or zero-span bursts).
-    #[must_use]
-    pub fn offered_rate_per_s(&self) -> f64 {
-        let gap = self.mean_gap_ms();
-        if gap > 0.0 {
-            1e3 / gap
-        } else {
-            0.0
-        }
-    }
 }
 
 /// A seeded request-shape mix: `(prompt_len, max_new_tokens)` pairs.
@@ -294,17 +282,6 @@ impl ChatTrace {
             .map(|p| p.tokens.len() + p.max_new_tokens)
             .sum()
     }
-
-    /// Prompt tokens covered by shared system prefixes — the tokens a
-    /// perfect global prefix cache would prefill exactly once per
-    /// system prompt instead of once per request.
-    #[must_use]
-    pub fn shared_prefix_tokens(&self) -> usize {
-        self.prompts
-            .iter()
-            .map(|p| self.system_prompts[p.system].len())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -332,8 +309,6 @@ mod tests {
         let t = ArrivalTrace::poisson(7, 10.0, 512);
         let gap = t.mean_gap_ms();
         assert!((66.0..150.0).contains(&gap), "mean gap {gap:.1} ms");
-        let rate = t.offered_rate_per_s();
-        assert!((6.6..15.0).contains(&rate), "rate {rate:.2}/s");
     }
 
     #[test]
@@ -409,9 +384,6 @@ mod tests {
             .collect();
         assert!(counts[0] > counts[2], "popularity skew: {counts:?}");
         assert!(counts.iter().all(|&c| c > 0), "dead persona: {counts:?}");
-        // The shared fraction is what a global cache can save.
-        assert_eq!(t.shared_prefix_tokens(), 200 * 12);
-        assert!(t.total_tokens() > t.shared_prefix_tokens());
         for w in t.arrivals_ms.windows(2) {
             assert!(w[1] >= w[0]);
         }
@@ -424,7 +396,7 @@ mod tests {
         assert!((u.mean_gap_ms() - 50.0).abs() < 1e-12);
         let b = ArrivalTrace::burst(3);
         assert_eq!(b.arrivals_ms, vec![0.0, 0.0, 0.0]);
-        assert_eq!(b.offered_rate_per_s(), 0.0);
+        assert_eq!(b.mean_gap_ms(), 0.0);
         assert!(ArrivalTrace::burst(0).is_empty());
     }
 }
