@@ -102,3 +102,37 @@ impl Observability {
         Arc::new(WallProbe::new(Arc::clone(&self.calibration)))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::json::{to_string_pretty, ToJson, Value};
+
+    #[test]
+    fn primitives_map_to_expected_variants() {
+        assert_eq!(3usize.to_json(), Value::Int(3));
+        assert_eq!(2.5.to_json(), Value::Float(2.5));
+        assert_eq!(true.to_json(), Value::Bool(true));
+        assert_eq!("x".to_json(), Value::Str("x".to_owned()));
+        assert_eq!(
+            vec![1usize, 2].to_json(),
+            Value::Arr(vec![Value::Int(1), Value::Int(2)])
+        );
+    }
+
+    #[test]
+    fn renders_nested_structures() {
+        let v = Value::Obj(vec![
+            ("id", Value::Str("x".to_owned())),
+            ("rows", Value::Arr(vec![Value::Int(1), Value::Float(2.5)])),
+        ]);
+        let s = to_string_pretty(&v);
+        assert!(s.contains("\"id\": \"x\""));
+        assert!(s.contains("2.5"));
+    }
+
+    #[test]
+    fn escapes_strings() {
+        let s = to_string_pretty(&Value::Str("a\"b\nc".to_owned()));
+        assert_eq!(s, "\"a\\\"b\\nc\"");
+    }
+}
