@@ -206,6 +206,51 @@ fn every_row_of_a_block_equals_its_one_row_call() {
     }
 }
 
+/// Both sides of every block height where the kernel changes how it
+/// lays rows out (decode rows, whole and partial lane groups, the row
+/// block): oracle agreement, every row ≡ its one-row call and paging
+/// identity. `seq` is the rows per KV head at group 1 and a quarter of
+/// them at group 4. The history ends inside a key tile, so lanes' causal
+/// limits do too.
+#[test]
+fn every_block_height_around_an_orientation_switch_keeps_its_identities() {
+    let history = 2 * KEY_TILE + 5;
+    for group in [1usize, 4] {
+        for seq in [1usize, 2, 3, 15, 16, 17, 31, 32, 33, 64, 65] {
+            let case = Case::new(8, group, 64, seq, history + seq, seq as u64);
+            let block = case.run();
+            let mut want = vec![0.0; block.len()];
+            attention_reference(
+                case.geom,
+                case.start_pos(),
+                &case.q,
+                &[&case.keys],
+                &[&case.values],
+                &mut want,
+            );
+            let scale = want.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            for (i, (g, w)) in block.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-5 * scale,
+                    "group={group} seq={seq} out[{i}]: {g} vs {w}"
+                );
+            }
+            assert_eq!(
+                bits(&case.run_paged(&case.keys, &case.values, 16)),
+                bits(&block),
+                "group={group} seq={seq}: paging moved a bit"
+            );
+            for r in 0..seq {
+                assert_eq!(
+                    bits(&case.run_row(r, true)),
+                    bits(&block[r * case.q_dim()..(r + 1) * case.q_dim()]),
+                    "group={group} seq={seq} row {r}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn masked_rows_cannot_reach_a_row_and_visible_ones_cannot_hide() {
     for (group, seq, kv_len) in [
@@ -251,6 +296,76 @@ fn masked_rows_cannot_reach_a_row_and_visible_ones_cannot_hide() {
             );
         }
     }
+}
+
+/// FNV-1a over the output bits, every NaN hashed as one value: Rust
+/// leaves a NaN's sign and payload unspecified, so they are not part of
+/// the kernel's contract — a NaN's position is.
+fn hash_bits(hash: &mut u64, x: &[f32]) {
+    for v in x {
+        let bits = if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() };
+        for byte in bits.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// The kernel's output bits over a fixed seeded matrix, hashed: any
+/// change to a reduction order, a contraction or the masking moves it.
+/// The matrix covers both head widths the models serve, MHA and GQA,
+/// block heights on both sides of every row-count threshold, histories
+/// to 900 positions, pages of 1, 16 and 64 rows, NaN and ±∞ in K and V
+/// past every row's limit, and one row whose scores hold a NaN. Only
+/// fused builds are pinned: the unfused fallback rounds each product
+/// separately, by design.
+#[cfg(target_feature = "fma")]
+#[test]
+fn output_bits_match_the_recorded_hash() {
+    let heads = 4;
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut case_seed = 1000;
+    for head_dim in [16usize, 64] {
+        for group in [1usize, 4] {
+            let kv_dim = heads / group * head_dim;
+            for seq in [1usize, 2, 3, 16, 17, 32, 33] {
+                for (history, tail) in [(0usize, 0usize), (45, 7), (900 - 33, 0)] {
+                    case_seed += 1;
+                    let kv_len = history + seq + tail;
+                    let geom = HeadGeometry {
+                        heads,
+                        kv_heads: heads / group,
+                        head_dim,
+                    };
+                    let mut q = noise(case_seed, seq * heads * head_dim, 2.0);
+                    let mut keys = noise(case_seed + 1, kv_len * kv_dim, 1.5);
+                    let mut values = noise(case_seed + 2, kv_len * kv_dim, 1.0);
+                    // Cache rows past the last query row's limit: no row
+                    // may see them.
+                    let past = (history + seq) * kv_dim;
+                    for (i, (k, v)) in keys[past..].iter_mut().zip(&mut values[past..]).enumerate()
+                    {
+                        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                        *k = poison[i % 3];
+                        *v = poison[(i + 1) % 3];
+                    }
+                    if seq == 17 && history == 45 {
+                        // One row's query: every score of its head is NaN.
+                        q[5 * heads * head_dim + head_dim + 3] = f32::NAN;
+                    }
+                    let page_rows = [1usize, 16, 64][case_seed as usize % 3];
+                    let pages_k: Vec<&[f32]> = keys.chunks(page_rows * kv_dim).collect();
+                    let pages_v: Vec<&[f32]> = values.chunks(page_rows * kv_dim).collect();
+                    let mut out = vec![0.0; q.len()];
+                    attention_paged(geom, history, &q, &pages_k, &pages_v, &mut out);
+                    hash_bits(&mut hash, &out);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        hash, 0x915a_e4ae_d569_6969,
+        "attention_paged's output bits moved: {hash:#018x}"
+    );
 }
 
 proptest! {
