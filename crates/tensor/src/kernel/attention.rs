@@ -1,25 +1,90 @@
-//! Tiled causal attention over paged K/V: `QKᵀ` → softmax → `PV`.
+//! Causal attention over paged K/V: `QKᵀ` → softmax → `PV`.
 //!
 //! The operator the paper keeps out of the chunk-shared NPU subgraphs
 //! and runs in float on the CPU lane (§3.2) — its shape is dynamic — so
-//! it is the CPU lane's largest kernel. The contract, the reduction
-//! orders and the identities they buy are stated in the
-//! [module docs](super#attention); this file is the implementation.
+//! it is the CPU lane's largest kernel. The contract, the two
+//! orientations, the reduction orders and the identities they buy are
+//! stated in the [module docs](super#attention); this file is the
+//! implementation.
+//!
+//! No pass transposes a key or value row, and no dependent chain runs
+//! alone. A block of query rows puts one row per SIMD lane
+//! ([`lane_block`]): every score and `PV` step multiplies one page
+//! element, broadcast from its row in place, into a lane vector, and
+//! [`SCORE_KEYS`] keys' (or `PV_DIMS` dimensions') chains run side by
+//! side. A decode row ([`decode_row`]) has no rows to fill lanes with:
+//! its dot products run [`SCORE_KEYS`] keys' scalar chains side by side,
+//! its softmax puts the call's heads in the lanes, and its `PV` runs
+//! [`DECODE_HEADS`] heads' chains side by side. Both orientations
+//! evaluate every output with the same operations in the same order, so
+//! which one runs never changes a bit.
 
-use super::microkernel::{fmadd, microkernel_f32, MR, NR};
+use std::cell::RefCell;
 use std::ops::Range;
 
-use super::{probe, GEMV_MAX_ROWS};
+use super::microkernel::{fmadd, NR};
+use super::probe;
 use crate::ops::{self, exp_nonpos};
 use crate::Tensor;
 
-/// Keys per tile: one K-major `NR`-wide panel, the B operand of
-/// [`microkernel_f32`]. A constant of the kernel, never the page size.
+/// Keys per softmax tile: a score row's sum keeps one partial per
+/// position mod `KEY_TILE`, folded by one fixed tree. A constant of the
+/// kernel, never the page size.
 pub const KEY_TILE: usize = NR;
 
-/// Query rows scored against one packed key tile before the next tile
-/// is packed; bounds the score scratch at `ROW_BLOCK × kv_len` floats.
-const ROW_BLOCK: usize = 8 * MR;
+/// Query rows per lane group: a block holds one query row per SIMD lane.
+const LANES: usize = NR;
+
+/// Rows per lane block: the lane groups that share each key element's
+/// broadcast in the score pass.
+const BLOCK_ROWS: usize = 2 * LANES;
+
+/// Keys scored at once (per lane group of a block, or per decode row):
+/// their dot chains are independent, so this many `fmadd`s are in flight
+/// where one chain would wait on each.
+const SCORE_KEYS: usize = 8;
+
+/// Output dimensions per `PV` pass of a block: one accumulator each.
+const PV_DIMS: usize = NR;
+
+/// Positions per block of a lane block's `PV` passes: every pass takes
+/// its turn on a block of value rows while the block is in cache.
+const PV_BLOCK: usize = 64;
+
+/// Rows per KV head at or below which a call runs in the decode
+/// orientation: a lane group costs about three decode rows (measured at
+/// 32 heads × 16 dims over 704 keys), so fewer rows than that would
+/// leave most lanes empty.
+const DECODE_MAX_ROWS: usize = 3;
+
+/// Query heads whose decode-orientation `PV` chains run side by side.
+const DECODE_HEADS: usize = 8;
+
+/// Positions per block of a decode row's `PV` pass: every head takes its
+/// turn on a block of page rows while the block is in cache, so the
+/// pages stream through once rather than once per head.
+const DECODE_BLOCK: usize = 16;
+
+/// One value per lane: per query row of a lane group.
+type Lanes = [f32; LANES];
+
+thread_local! {
+    /// Per-thread scratch: the scores (and a block's transposed queries
+    /// and `PV` accumulators), and the allocation behind the K / V row
+    /// table, which is empty between calls. A warm call allocates
+    /// nothing.
+    static SCRATCH: RefCell<(Vec<f32>, Vec<&'static [f32]>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// `v`'s allocation, emptied, as a table of another lifetime: collecting
+/// an emptied vector's own iterator reuses its buffer in place.
+fn recycle<'b>(mut v: Vec<&[f32]>) -> Vec<&'b [f32]> {
+    v.clear();
+    v.into_iter()
+        .map(|_| -> &'b [f32] { unreachable!("the table is empty") })
+        .collect()
+}
 
 /// Head geometry of one attention call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,99 +109,44 @@ impl HeadGeometry {
     fn group(self) -> usize {
         self.heads / self.kv_heads
     }
+
+    /// `1 / √head_dim`, applied to every dot product.
+    fn scale(self) -> f32 {
+        1.0 / (self.head_dim as f32).sqrt()
+    }
 }
 
 /// One row per cached position, in position order, whatever the paging.
-fn page_rows<'a>(pages: &[&'a [f32]], kv_dim: usize) -> Vec<&'a [f32]> {
+fn page_rows<'p, 'a: 'p>(
+    pages: &'p [&'a [f32]],
+    kv_dim: usize,
+) -> impl Iterator<Item = &'a [f32]> + 'p {
     pages
         .iter()
-        .inspect(|p| assert_eq!(p.len() % kv_dim, 0, "page is not whole rows"))
-        .flat_map(|p| p.chunks_exact(kv_dim))
-        .collect()
+        .inspect(move |p| assert_eq!(p.len() % kv_dim, 0, "page is not whole rows"))
+        .flat_map(move |p| p.chunks_exact(kv_dim))
 }
 
-/// Softmax numerators of one score row, in place, and their sum.
-///
-/// `row` is a whole number of `NR`-wide lane groups with every masked
-/// entry already `−∞`. The maximum ignores NaN (so a NaN score survives
-/// into its own numerator and from there into the sum); the sum keeps
-/// `NR` lane partials in ascending position order and folds them in one
-/// fixed tree, so it depends on the row's values and length only.
-/// Masked entries come out exactly `0`. Normalisation is the caller's:
-/// dividing the `head_dim` outputs is cheaper than dividing the row.
-fn softmax_numerators(row: &mut [f32]) -> f32 {
-    let mut max = [f32::NEG_INFINITY; NR];
-    for lanes in row.chunks_exact(NR) {
-        for j in 0..NR {
-            max[j] = if lanes[j] > max[j] { lanes[j] } else { max[j] };
-        }
-    }
-    let max = max
-        .iter()
-        .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
-    let mut sum = [0.0f32; NR];
-    for lanes in row.chunks_exact_mut(NR) {
-        for j in 0..NR {
-            let e = exp_nonpos(lanes[j] - max);
-            lanes[j] = e;
-            sum[j] += e;
-        }
-    }
-    let mut width = NR / 2;
-    while width > 0 {
-        for j in 0..width {
-            sum[j] += sum[j + width];
-        }
-        width /= 2;
-    }
-    sum[0]
+/// `(0 + chain) · scale`: every score's expression. The zero start turns
+/// a `−0` chain into `+0`.
+#[inline(always)]
+fn score(chain: f32, scale: f32) -> f32 {
+    (0.0 + chain) * scale
 }
 
-/// `(Σ_c probs[r][c] · v[c][col..col + w]) / sums[r]` for `R` rows against
-/// one `≤ NR`-wide panel of the value head (lanes past `w` are padding),
-/// ascending `c` from zero per output. Rows share each loaded value row
-/// up to the shortest row's causal limit (`probs` rows arrive in
-/// ascending-limit order, each cut at its limit), then finish their own
-/// tails, so no masked position is ever multiplied.
-fn pv_panel<const R: usize>(
-    probs: [&[f32]; R],
-    sums: [f32; R],
-    v_rows: &[&[f32]],
-    col: usize,
-    w: usize,
-) -> [[f32; NR]; R] {
-    let load = |v_row: &[f32]| -> [f32; NR] {
-        let src = &v_row[col..col + w];
-        <[f32; NR]>::try_from(src).unwrap_or_else(|_| {
-            let mut padded = [0.0; NR];
-            padded[..w].copy_from_slice(src);
-            padded
-        })
-    };
-    let shared = probs[0].len();
-    let mut acc = [[0.0f32; NR]; R];
-    for (c, v_row) in v_rows[..shared].iter().enumerate() {
-        let v = load(v_row);
-        for r in 0..R {
-            let p = probs[r][c];
-            for j in 0..NR {
-                acc[r][j] = fmadd(p, v[j], acc[r][j]);
+/// The one tree every softmax sum folds its [`KEY_TILE`] partials with,
+/// lane by lane.
+#[inline(always)]
+fn fold_partials<const L: usize>(mut part: [[f32; L]; KEY_TILE]) -> [f32; L] {
+    for width in [KEY_TILE / 2, KEY_TILE / 4, KEY_TILE / 8, KEY_TILE / 16] {
+        let (lo, hi) = part.split_at_mut(width);
+        for (a, b) in lo.iter_mut().zip(&*hi) {
+            for (a, b) in a.iter_mut().zip(b) {
+                *a += b;
             }
         }
     }
-    for r in 0..R {
-        for (c, v_row) in v_rows[..probs[r].len()].iter().enumerate().skip(shared) {
-            let v = load(v_row);
-            let p = probs[r][c];
-            for j in 0..NR {
-                acc[r][j] = fmadd(p, v[j], acc[r][j]);
-            }
-        }
-        for a in &mut acc[r] {
-            *a /= sums[r];
-        }
-    }
-    acc
+    part[0]
 }
 
 /// The `m = group × seq` query rows that share one KV head: row `i` is
@@ -162,87 +172,417 @@ impl HeadRows {
         (self.start_pos + i / self.geom.group() + 1).min(self.kv_len)
     }
 
-    /// This KV head's columns of a cached row.
-    fn columns<'a>(&self, kv_row: &'a [f32]) -> &'a [f32] {
-        &kv_row[self.kv_head * self.geom.head_dim..][..self.geom.head_dim]
+    /// Offset of this KV head's columns in a cached row.
+    fn col(&self) -> usize {
+        self.kv_head * self.geom.head_dim
     }
 }
 
-/// Scores of the block `rows` (at most `GEMV_MAX_ROWS` of a head's
-/// rows — transposing a key tile costs as much as scoring one or two
-/// rows against it) dotted straight from the row-major key rows: the
-/// tile path's expression without the transpose.
-fn scores_direct(
+/// Dot products of keys `keys[..T]` for every lane of `G` lane groups,
+/// into `tiles[g][t]`: lane `j` of group `g` gets `Σ_d key[d] ·
+/// qt[g][d][j]`, one ascending-`d` `fmadd` chain from zero per key and
+/// lane, each key element broadcast straight from its page row and shared
+/// by the groups.
+#[inline(never)]
+fn score_lanes<const T: usize, const G: usize>(
     head: HeadRows,
-    rows: Range<usize>,
-    q: &[f32],
-    k_rows: &[&[f32]],
-    scores: &mut [f32],
-    stride: usize,
+    qt: [&[Lanes]; G],
+    keys: &[&[f32]],
+    tiles: [&mut [Lanes; T]; G],
 ) {
     let hd = head.geom.head_dim;
-    let scale = 1.0 / (hd as f32).sqrt();
-    for (i, s_row) in rows.zip(scores.chunks_exact_mut(stride)) {
-        let q_row = &q[head.at(i)..][..hd];
-        for (s, k_row) in s_row.iter_mut().zip(&k_rows[..head.limit(i)]) {
-            let chain = q_row
-                .iter()
-                .zip(head.columns(k_row))
-                .fold(0.0, |acc, (&a, &b)| fmadd(a, b, acc));
-            // The tile path adds its chain into a zeroed accumulator,
-            // which turns −0 into +0.
-            *s = (0.0 + chain) * scale;
-        }
-    }
-}
-
-/// Scores of the block `rows` through the microkernel: query rows packed
-/// once into K-major `MR`-wide A panels, each key tile transposed once
-/// into the K-major `NR`-wide B panel (`panels` holds both) and run
-/// against every row panel it is not fully masked for.
-fn scores_tiled(
-    head: HeadRows,
-    rows: Range<usize>,
-    q: &[f32],
-    k_rows: &[&[f32]],
-    scores: &mut [f32],
-    stride: usize,
-    panels: &mut [f32],
-) {
-    let hd = head.geom.head_dim;
-    let scale = 1.0 / (hd as f32).sqrt();
-    let (q_panels, k_panel) = panels.split_at_mut(ROW_BLOCK * hd);
-    let q_panels = &mut q_panels[..rows.len().next_multiple_of(MR) * hd];
-    q_panels.fill(0.0);
-    for (r, i) in rows.clone().enumerate() {
-        let panel = &mut q_panels[(r / MR) * MR * hd..];
-        for (k, &x) in q[head.at(i)..][..hd].iter().enumerate() {
-            panel[k * MR + r % MR] = x;
-        }
-    }
-    for c0 in (0..head.limit(rows.end - 1)).step_by(KEY_TILE) {
-        // Lanes past the cache's end keep stale keys: their scores land
-        // past every row's limit and are never read.
-        for (j, k_row) in k_rows[c0..].iter().take(KEY_TILE).enumerate() {
-            for (k, &x) in head.columns(k_row).iter().enumerate() {
-                k_panel[k * NR + j] = x;
-            }
-        }
-        for (a_panel, r0) in q_panels.chunks_exact(MR * hd).zip((0..).step_by(MR)) {
-            let r1 = (r0 + MR).min(rows.len());
-            if c0 >= head.limit(rows.start + r1 - 1) {
-                continue; // tile fully masked for these rows
-            }
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel_f32(hd, a_panel, k_panel, &mut acc);
-            for (s_row, acc_row) in scores[r0 * stride..r1 * stride]
-                .chunks_exact_mut(stride)
-                .zip(&acc)
-            {
-                for (s, &a) in s_row[c0..c0 + NR].iter_mut().zip(acc_row) {
-                    *s = a * scale;
+    let keys: [&[f32]; T] = std::array::from_fn(|t| &keys[t][head.col()..][..hd]);
+    let qt = qt.map(|qt| &qt[..hd]);
+    let mut acc = [[[0.0f32; LANES]; T]; G];
+    for d in 0..hd {
+        for t in 0..T {
+            let k = keys[t][d];
+            for g in 0..G {
+                for j in 0..LANES {
+                    acc[g][t][j] = fmadd(k, qt[g][d][j], acc[g][t][j]);
                 }
             }
+        }
+    }
+    for (tile, acc) in tiles.into_iter().zip(acc) {
+        *tile = acc;
+    }
+}
+
+/// The dot products of every key of `k_rows` for `G` lane groups, into
+/// `scores[g][c]`: `T` keys at a time, then one by one.
+fn score_rows<const T: usize, const G: usize>(
+    head: HeadRows,
+    qt: [&[Lanes]; G],
+    k_rows: &[&[f32]],
+    scores: [&mut [Lanes]; G],
+) {
+    let mut tiles = scores.map(|s| {
+        let (tiles, rest) = s.as_chunks_mut::<T>();
+        (tiles.iter_mut(), rest.as_chunks_mut::<1>().0.iter_mut())
+    });
+    let (whole, rest) = k_rows.as_chunks::<T>();
+    for keys in whole {
+        let tile = std::array::from_fn(|g| tiles[g].0.next().expect("a tile per key tile"));
+        score_lanes::<T, G>(head, qt, keys, tile);
+    }
+    for key in rest {
+        let tile = std::array::from_fn(|g| tiles[g].1.next().expect("a score per key"));
+        score_lanes::<1, G>(head, qt, std::slice::from_ref(key), tile);
+    }
+}
+
+/// Scores from dot products, in place, and each lane's maximum, which
+/// ignores NaN (a NaN score survives into its own numerator, and from
+/// there into the lane's sum). `−∞` (masked) stays `−∞`.
+#[inline(never)]
+fn scale_lanes(scores: &mut [Lanes], scale: f32) -> Lanes {
+    let mut max = [f32::NEG_INFINITY; LANES];
+    for s in scores {
+        for j in 0..LANES {
+            let x = score(s[j], scale);
+            s[j] = x;
+            max[j] = if x > max[j] { x } else { max[j] };
+        }
+    }
+    max
+}
+
+/// Softmax numerators of positions `c0..` for every lane, in place:
+/// `exp(score − max)` per lane, each summed into the partial of its
+/// position mod [`KEY_TILE`], so partial `t` takes positions `≡ t` in
+/// ascending order. A masked (`−∞`) score gives exactly `0`, which adds
+/// nothing: the sums are those of each lane's row alone. Normalisation
+/// is the caller's: dividing the `head_dim` outputs is cheaper than
+/// dividing the row.
+#[inline(always)]
+fn numerators(scores: &mut [Lanes], c0: usize, max: &Lanes, sum: &mut [Lanes; KEY_TILE]) {
+    for (c, s) in (c0..).zip(scores) {
+        for j in 0..LANES {
+            s[j] = exp_nonpos(s[j] - max[j]);
+        }
+        let part = &mut sum[c % KEY_TILE];
+        for j in 0..LANES {
+            part[j] += s[j];
+        }
+    }
+}
+
+/// `acc[d][j] += Σ_c p[c][j] · v[c][col + d]` for every lane `j` over
+/// positions `c0..` that every lane sees, ascending, each value element
+/// broadcast from its page row. With `EXP`, `probs` holds scores and `p`
+/// is their [`numerators`], computed in the pass (so the `exp` work
+/// covers the value rows' fetch) and written back over them. The
+/// accumulators are four banks of four dimensions, which rustc keeps in
+/// registers (see [`super::microkernel`]).
+#[inline(never)]
+fn pv_lanes<const EXP: bool>(
+    probs: &mut [Lanes],
+    c0: usize,
+    max: &Lanes,
+    v_rows: &[&[f32]],
+    col: usize,
+    sum: &mut [Lanes; KEY_TILE],
+    acc: &mut [Lanes; PV_DIMS],
+) {
+    let mut banks: [[Lanes; 4]; PV_DIMS / 4] =
+        std::array::from_fn(|b| std::array::from_fn(|d| acc[4 * b + d]));
+    for (c, (p, v_row)) in (c0..).zip(probs.iter_mut().zip(v_rows)) {
+        if EXP {
+            numerators(std::slice::from_mut(p), c, max, sum);
+        }
+        let v = &v_row[col..][..PV_DIMS];
+        for (b, bank) in banks.iter_mut().enumerate() {
+            for (d, a) in bank.iter_mut().enumerate() {
+                let x = v[4 * b + d];
+                for j in 0..LANES {
+                    a[j] = fmadd(p[j], x, a[j]);
+                }
+            }
+        }
+    }
+    *acc = std::array::from_fn(|d| banks[d / 4][d % 4]);
+}
+
+/// Lane `j`'s own rest of its `PV` sums: `acc[d] += Σ_c p[c][j] ·
+/// v[c][col + d]` for `d < w` over the positions of `probs`, ascending,
+/// with the dimensions in the lanes. Runs each lane's tail past the
+/// positions every lane sees (so no masked position is ever multiplied)
+/// and whole rows of a head narrower than a pass.
+fn pv_lane(
+    probs: &[Lanes],
+    j: usize,
+    v_rows: &[&[f32]],
+    col: usize,
+    w: usize,
+    acc: &mut [f32; PV_DIMS],
+) {
+    for (p, v_row) in probs.iter().zip(v_rows) {
+        for (a, &x) in acc.iter_mut().zip(&v_row[col..][..w]) {
+            *a = fmadd(p[j], x, *a);
+        }
+    }
+}
+
+/// Rows `rows` of one KV head (at most [`BLOCK_ROWS`], in a call with
+/// more than [`DECODE_MAX_ROWS`] per KV head), one query row per lane.
+///
+/// The queries are transposed once; then per lane group the dot
+/// products ([`score_rows`]), the causal mask as `−∞`, the scale and
+/// maxima ([`scale_lanes`]), and the numerators and `PV` over the
+/// positions every lane sees ([`pv_lanes`]), block by block. Past those,
+/// each lane finishes its own tail ([`pv_lane`]).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn lane_block(
+    head: HeadRows,
+    rows: Range<usize>,
+    q: &[f32],
+    k_rows: &[&[f32]],
+    v_rows: &[&[f32]],
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    let hd = head.geom.head_dim;
+    let groups = rows.len().div_ceil(LANES);
+    // Lanes past the block's last row repeat it; nothing reads them.
+    let row = |g: usize, j: usize| (rows.start + g * LANES + j).min(rows.end - 1);
+    let visible = head.limit(rows.end - 1);
+    let passes = hd / PV_DIMS;
+    let len = (groups * (hd + visible) + passes * PV_DIMS) * LANES;
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    let (acc_t, rest) = scratch[..len]
+        .as_chunks_mut::<LANES>()
+        .0
+        .split_at_mut(passes * PV_DIMS);
+    let acc_t = acc_t.as_chunks_mut::<PV_DIMS>().0;
+    let (qt, scores) = rest.split_at_mut(groups * hd);
+    for (g, qt) in qt.chunks_exact_mut(hd).enumerate() {
+        for j in 0..LANES {
+            for (lanes, &x) in qt.iter_mut().zip(&q[head.at(row(g, j))..][..hd]) {
+                lanes[j] = x;
+            }
+        }
+    }
+    let (qt, k_rows) = (&*qt, &k_rows[..visible]);
+    let mut per_group = scores.chunks_exact_mut(visible);
+    match (per_group.next(), per_group.next()) {
+        (Some(s0), Some(s1)) => {
+            let qt = [&qt[..hd], &qt[hd..]];
+            score_rows::<{ SCORE_KEYS / 2 }, 2>(head, qt, k_rows, [s0, s1]);
+        }
+        (Some(s0), None) => score_rows::<SCORE_KEYS, 1>(head, [qt], k_rows, [s0]),
+        _ => unreachable!("a block holds one or two lane groups"),
+    }
+
+    for (g, scores) in scores.chunks_exact_mut(visible).enumerate() {
+        let limits: [usize; LANES] = std::array::from_fn(|j| head.limit(row(g, j)));
+        for (j, &limit) in limits.iter().enumerate() {
+            for s in &mut scores[limit..] {
+                s[j] = f32::NEG_INFINITY;
+            }
+        }
+        let max = scale_lanes(scores, head.geom.scale());
+        let mut parts = [[0.0f32; LANES]; KEY_TILE];
+        // Positions every lane sees, in whole passes of `PV_DIMS`
+        // dimensions, a block of positions at a time.
+        let shared = if passes > 0 { limits[0] } else { 0 };
+        let (seen, tail) = scores.split_at_mut(shared);
+        acc_t.fill([[0.0; LANES]; PV_DIMS]);
+        let blocks = seen.chunks_mut(PV_BLOCK).zip(v_rows.chunks(PV_BLOCK));
+        for (c0, (probs, v_rows)) in (0..).step_by(PV_BLOCK).zip(blocks) {
+            for (p, acc) in acc_t.iter_mut().enumerate() {
+                let col = head.col() + p * PV_DIMS;
+                if p == 0 {
+                    pv_lanes::<true>(probs, c0, &max, v_rows, col, &mut parts, acc);
+                } else {
+                    pv_lanes::<false>(probs, c0, &max, v_rows, col, &mut parts, acc);
+                }
+            }
+        }
+        numerators(tail, shared, &max, &mut parts);
+        let sum = fold_partials(parts);
+        for d0 in (0..hd).step_by(PV_DIMS) {
+            let w = (hd - d0).min(PV_DIMS);
+            let from = if w == PV_DIMS { shared } else { 0 };
+            for (j, i) in (rows.start + g * LANES..rows.end).take(LANES).enumerate() {
+                let mut a = [0.0f32; PV_DIMS];
+                if w == PV_DIMS {
+                    for (a, acc) in a.iter_mut().zip(&acc_t[d0 / PV_DIMS]) {
+                        *a = acc[j];
+                    }
+                }
+                let probs = &scores[from..limits[j]];
+                pv_lane(probs, j, &v_rows[from..], head.col() + d0, w, &mut a);
+                for (o, a) in out[head.at(i) + d0..][..w].iter_mut().zip(&a) {
+                    *o = a / sum[j];
+                }
+            }
+        }
+    }
+}
+
+/// Dot products of one query row with `T` keys, their chains side by
+/// side: `Σ_d q[d] · key[d]` in ascending `d` from zero, the expression
+/// [`score_lanes`] evaluates per lane.
+#[inline(always)]
+fn dots<const T: usize>(q_row: &[f32], keys: [&[f32]; T]) -> [f32; T] {
+    let hd = q_row.len();
+    let keys = keys.map(|k| &k[..hd]);
+    let mut acc = [0.0f32; T];
+    for d in 0..hd {
+        let x = q_row[d];
+        for t in 0..T {
+            acc[t] = fmadd(x, keys[t][d], acc[t]);
+        }
+    }
+    acc
+}
+
+/// `acc[x][j] += Σ_c probs[c · heads + h0 + x] · v[c][cols[x] + j]` for
+/// `H` heads over the positions of `v_rows`, ascending; lanes are output
+/// dimensions and the `H` heads' chains run side by side.
+#[inline(never)]
+fn pv_heads<const H: usize, const W: usize>(
+    probs: &[f32],
+    heads: usize,
+    h0: usize,
+    v_rows: &[&[f32]],
+    cols: [usize; H],
+    acc: &mut [[f32; W]; H],
+) {
+    let mut a = *acc;
+    for (p, v_row) in probs.chunks_exact(heads).zip(v_rows) {
+        let p: &[f32; H] = p[h0..][..H].try_into().expect("H heads");
+        for h in 0..H {
+            let v: &[f32; W] = v_row[cols[h]..][..W].try_into().expect("W columns");
+            for j in 0..W {
+                a[h][j] = fmadd(p[h], v[j], a[h][j]);
+            }
+        }
+    }
+    *acc = a;
+}
+
+/// [`pv_heads`] for heads `h0..h0 + H` and dimensions `d0..d0 + W` over
+/// one block of positions, accumulating into `acc` (`heads × head_dim`,
+/// head-major).
+fn pv_block<const H: usize, const W: usize>(
+    geom: HeadGeometry,
+    probs: &[f32],
+    v_rows: &[&[f32]],
+    (h0, d0): (usize, usize),
+    acc: &mut [f32],
+) {
+    let hd = geom.head_dim;
+    let at = |x: usize| (h0 + x) * hd + d0;
+    let mut a: [[f32; W]; H] =
+        std::array::from_fn(|x| acc[at(x)..][..W].try_into().expect("W dims"));
+    let cols = std::array::from_fn(|x| (h0 + x) / geom.group() * hd + d0);
+    pv_heads::<H, W>(probs, geom.heads, h0, v_rows, cols, &mut a);
+    for (x, a) in a.iter().enumerate() {
+        acc[at(x)..][..W].copy_from_slice(a);
+    }
+}
+
+/// Query position `pos` of a call with at most [`DECODE_MAX_ROWS`] rows
+/// per KV head: every query head, all at causal limit `limit`.
+///
+/// Scores are position-major across the heads (`scores[c · heads + h]`),
+/// so the softmax runs with the heads in the lanes: per head the same
+/// maximum, the same [`KEY_TILE`] partials in the same order and the
+/// same [`fold_partials`] tree as a lane of a block. Each head's dot
+/// products run [`SCORE_KEYS`] keys' chains side by side, scalar: the
+/// keys' elements are a page row apart, so packing them into one vector
+/// would cost an insert per element. `PV` runs [`DECODE_HEADS`] heads'
+/// chains side by side, [`DECODE_BLOCK`] positions at a time.
+#[allow(clippy::too_many_arguments)]
+fn decode_row(
+    geom: HeadGeometry,
+    pos: usize,
+    limit: usize,
+    q: &[f32],
+    k_rows: &[&[f32]],
+    v_rows: &[&[f32]],
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    let (hd, heads) = (geom.head_dim, geom.heads);
+    let rows = limit.next_multiple_of(KEY_TILE);
+    let len = (rows + KEY_TILE + 1 + hd) * heads;
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    let (scores, rest) = scratch[..len].split_at_mut(rows * heads);
+    let (parts, rest) = rest.split_at_mut(KEY_TILE * heads);
+    let (max, acc) = rest.split_at_mut(heads);
+    let col = |h: usize| (h / geom.group()) * hd;
+    let q_row = |h: usize| &q[pos * geom.q_dim() + h * hd..][..hd];
+    let scale = geom.scale();
+    let (whole, rest) = k_rows[..limit].as_chunks::<SCORE_KEYS>();
+    for (c0, keys) in (0..).step_by(SCORE_KEYS).zip(whole) {
+        for h in 0..heads {
+            let keys = keys.map(|k| &k[col(h)..][..hd]);
+            for (t, a) in dots(q_row(h), keys).into_iter().enumerate() {
+                scores[(c0 + t) * heads + h] = score(a, scale);
+            }
+        }
+    }
+    for (c, k_row) in (limit - rest.len()..).zip(rest) {
+        for h in 0..heads {
+            let [a] = dots(q_row(h), [&k_row[col(h)..][..hd]]);
+            scores[c * heads + h] = score(a, scale);
+        }
+    }
+    // The causal mask: positions past the limit, to the end of the tile.
+    scores[limit * heads..].fill(f32::NEG_INFINITY);
+    max.fill(f32::NEG_INFINITY);
+    for row in scores.chunks_exact(heads) {
+        for (m, &x) in max.iter_mut().zip(row) {
+            *m = if x > *m { x } else { *m };
+        }
+    }
+    parts.fill(0.0);
+    for (c, row) in scores.chunks_exact_mut(heads).enumerate() {
+        let part = &mut parts[(c % KEY_TILE) * heads..][..heads];
+        for ((x, &m), p) in row.iter_mut().zip(&*max).zip(part) {
+            *x = exp_nonpos(*x - m);
+            *p += *x;
+        }
+    }
+    for width in [KEY_TILE / 2, KEY_TILE / 4, KEY_TILE / 8, KEY_TILE / 16] {
+        let (lo, hi) = parts.split_at_mut(width * heads);
+        for (p, &x) in lo.iter_mut().zip(&hi[..width * heads]) {
+            *p += x;
+        }
+    }
+
+    acc.fill(0.0);
+    let blocks = scores[..limit * heads].chunks(DECODE_BLOCK * heads);
+    for (probs, v_rows) in blocks.zip(v_rows[..limit].chunks(DECODE_BLOCK)) {
+        let mut h0 = 0;
+        while h0 < heads {
+            let wide = heads - h0 >= DECODE_HEADS;
+            for d0 in (0..hd).step_by(NR) {
+                match (wide, hd - d0 >= NR) {
+                    (true, true) => {
+                        pv_block::<DECODE_HEADS, NR>(geom, probs, v_rows, (h0, d0), acc)
+                    }
+                    (true, false) => (d0..hd).for_each(|d| {
+                        pv_block::<DECODE_HEADS, 1>(geom, probs, v_rows, (h0, d), acc)
+                    }),
+                    (false, _) => (d0..hd.min(d0 + NR))
+                        .for_each(|d| pv_block::<1, 1>(geom, probs, v_rows, (h0, d), acc)),
+                }
+            }
+            h0 += if wide { DECODE_HEADS } else { 1 };
+        }
+    }
+    for (h, (a, &sum)) in acc.chunks_exact(hd).zip(&parts[..heads]).enumerate() {
+        for (o, &a) in out[pos * geom.q_dim() + h * hd..][..hd].iter_mut().zip(a) {
+            *o = a / sum;
         }
     }
 }
@@ -270,78 +610,51 @@ pub fn attention_paged(
     pages_v: &[&[f32]],
     out: &mut [f32],
 ) {
-    let hd = geom.head_dim;
     assert_eq!(geom.heads % geom.kv_heads, 0, "heads must group evenly");
     assert_eq!(q.len() % geom.q_dim(), 0, "query is not whole rows");
     assert_eq!(q.len(), out.len(), "output shape mismatch");
-    let k_rows = page_rows(pages_k, geom.kv_dim());
-    let v_rows = page_rows(pages_v, geom.kv_dim());
-    assert_eq!(k_rows.len(), v_rows.len(), "K and V row counts differ");
-    let kv_len = k_rows.len();
-    let m = geom.group() * (q.len() / geom.q_dim());
-    if m == 0 {
-        return;
-    }
-    if kv_len == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let visible = (start_pos + q.len() / geom.q_dim()).min(kv_len);
-    let stride = visible.next_multiple_of(NR);
-    let mut scratch = vec![0.0f32; m.min(ROW_BLOCK) * stride + ROW_BLOCK * hd + hd * NR];
-    let (scores, panels) = scratch.split_at_mut(m.min(ROW_BLOCK) * stride);
-
-    probe::profiled("attention", m, kv_len, hd, || {
-        for kv_head in 0..geom.kv_heads {
-            let head = HeadRows {
-                geom,
-                kv_head,
-                start_pos,
-                kv_len,
-            };
-            for i0 in (0..m).step_by(ROW_BLOCK) {
-                let rows = (m - i0).min(ROW_BLOCK);
-                let scores = &mut scores[..rows * stride];
-                if rows <= GEMV_MAX_ROWS {
-                    scores_direct(head, i0..i0 + rows, q, &k_rows, scores, stride);
-                } else {
-                    scores_tiled(head, i0..i0 + rows, q, &k_rows, scores, stride, panels);
+    let seq = q.len() / geom.q_dim();
+    let m = geom.group() * seq;
+    SCRATCH.with(|cell| {
+        let mut fresh = Default::default();
+        let mut held = cell.try_borrow_mut();
+        // A re-entrant call (none today) gets throwaway buffers.
+        let (scratch, table) = match &mut held {
+            Ok(held) => &mut **held,
+            Err(_) => &mut fresh,
+        };
+        let mut rows = recycle(std::mem::take(table));
+        rows.extend(page_rows(pages_k, geom.kv_dim()));
+        let kv_len = rows.len();
+        rows.extend(page_rows(pages_v, geom.kv_dim()));
+        assert_eq!(rows.len(), 2 * kv_len, "K and V row counts differ");
+        let (k_rows, v_rows) = rows.split_at(kv_len);
+        if kv_len == 0 {
+            out.fill(0.0);
+        } else if m > 0 {
+            probe::profiled("attention", m, kv_len, geom.head_dim, || {
+                if m <= DECODE_MAX_ROWS {
+                    for pos in 0..seq {
+                        let limit = (start_pos + pos + 1).min(kv_len);
+                        decode_row(geom, pos, limit, q, k_rows, v_rows, out, scratch);
+                    }
+                    return;
                 }
-                // The causal mask is each row's length.
-                let mut sums = [0.0f32; ROW_BLOCK];
-                for ((r, s_row), sum) in scores.chunks_exact_mut(stride).enumerate().zip(&mut sums)
-                {
-                    let limit = head.limit(i0 + r);
-                    let row = &mut s_row[..limit.next_multiple_of(NR)];
-                    row[limit..].fill(f32::NEG_INFINITY);
-                    *sum = softmax_numerators(row);
-                }
-                let probs = |r: usize| &scores[r * stride..][..head.limit(i0 + r)];
-                for d0 in (0..hd).step_by(NR) {
-                    let w = (hd - d0).min(NR);
-                    let col = kv_head * hd + d0;
-                    let mut store = |r: usize, acc: &[f32; NR]| {
-                        out[head.at(i0 + r) + d0..][..w].copy_from_slice(&acc[..w]);
+                for kv_head in 0..geom.kv_heads {
+                    let head = HeadRows {
+                        geom,
+                        kv_head,
+                        start_pos,
+                        kv_len,
                     };
-                    for r0 in (0..rows - rows % MR).step_by(MR) {
-                        let acc = pv_panel::<MR>(
-                            std::array::from_fn(|x| probs(r0 + x)),
-                            std::array::from_fn(|x| sums[r0 + x]),
-                            &v_rows,
-                            col,
-                            w,
-                        );
-                        for (x, acc_row) in acc.iter().enumerate() {
-                            store(r0 + x, acc_row);
-                        }
-                    }
-                    for (r, &sum) in sums.iter().enumerate().take(rows).skip(rows - rows % MR) {
-                        let [acc] = pv_panel::<1>([probs(r)], [sum], &v_rows, col, w);
-                        store(r, &acc);
+                    for r0 in (0..m).step_by(BLOCK_ROWS) {
+                        let rows = r0..m.min(r0 + BLOCK_ROWS);
+                        lane_block(head, rows, q, k_rows, v_rows, out, scratch);
                     }
                 }
-            }
+            });
         }
+        *table = recycle(rows);
     });
 }
 
@@ -365,9 +678,9 @@ pub fn attention_reference(
     let (hd, group, q_dim) = (geom.head_dim, geom.group(), geom.q_dim());
     assert_eq!(q.len(), out.len(), "output shape mismatch");
     let seq = q.len() / q_dim;
-    let k_rows = page_rows(pages_k, geom.kv_dim());
-    let v_rows = page_rows(pages_v, geom.kv_dim());
-    let scale = 1.0 / (hd as f32).sqrt();
+    let k_rows: Vec<&[f32]> = page_rows(pages_k, geom.kv_dim()).collect();
+    let v_rows: Vec<&[f32]> = page_rows(pages_v, geom.kv_dim()).collect();
+    let scale = geom.scale();
     out.fill(0.0);
     for head in 0..geom.heads {
         let col0 = (head / group) * hd;
