@@ -325,16 +325,19 @@ json_record! {
 }
 
 json_record! {
-    /// Paged-KV attention: the tiled kernel behind `attention_over_pages`
+    /// Paged-KV attention: the kernel behind `attention_over_pages`
     /// reading one contiguous K/V slab vs the same rows through a block
-    /// table. The key tile is a constant of the kernel, so paging changes
-    /// only where a tile is gathered from: the tax should be a few percent
-    /// and the outputs bit-identical. Each row also states what it achieved
-    /// against this core's FMA roofline — the chunk shapes the serving
-    /// benchmark runs (32 heads × 16 dims: 32 × 64, 32 × 640, decode
-    /// 1 × 112) beside the long-context 8 × 64 ones.
+    /// table. The kernel reads every page row in place, so paging changes
+    /// only where a row is found: the tax should be a few percent and the
+    /// outputs bit-identical. Each row also states what it achieved
+    /// against this core's FMA roofline — the shapes the serving benchmark
+    /// runs (32 heads × 16 dims: chunks 32 × 64 and 32 × 640, decode
+    /// 1 × 112 and `prefill_long`'s decode tail 1 × 704), one grouped-query
+    /// chunk, and the long-context 8 × 64 ones.
     struct PagedKvRow {
         heads: usize,
+        /// Key/value heads (`heads / kv_heads` query heads share each).
+        kv_heads: usize,
         head_dim: usize,
         /// Query rows (1 = decode step, >1 = prefill chunk).
         q_rows: usize,
@@ -742,21 +745,21 @@ fn compare_lut_decode(
     }
 }
 
-/// One `paged_kv` shape: `(heads, head_dim, q_rows, kv_len, block_tokens,
-/// reps)`.
-type PagedKvShape = (usize, usize, usize, usize, usize, usize);
+/// One `paged_kv` shape: `(heads, kv_heads, head_dim, q_rows, kv_len,
+/// block_tokens, reps)`.
+type PagedKvShape = (usize, usize, usize, usize, usize, usize, usize);
 
 fn compare_paged_kv(shape: PagedKvShape, roofline_gflops: f64) -> PagedKvRow {
     use llmnpu_model::config::ModelConfig;
     use llmnpu_model::forward::attention_over_pages;
 
-    let (heads, head_dim, q_rows, kv_len, block_tokens, reps) = shape;
+    let (heads, kv_heads, head_dim, q_rows, kv_len, block_tokens, reps) = shape;
     // Config fields beyond the head geometry are irrelevant to the
     // attention kernel.
     let mut cfg = ModelConfig::qwen15_18b();
     cfg.hidden = heads * head_dim;
     cfg.heads = heads;
-    cfg.kv_heads = heads;
+    cfg.kv_heads = kv_heads;
     cfg.head_dim = head_dim;
     let kv_dim = cfg.kv_heads * cfg.head_dim;
     let q = ramp(q_rows, cfg.heads * cfg.head_dim, 1.0);
@@ -783,6 +786,7 @@ fn compare_paged_kv(shape: PagedKvShape, roofline_gflops: f64) -> PagedKvRow {
 
     PagedKvRow {
         heads,
+        kv_heads,
         head_dim,
         q_rows,
         kv_len,
@@ -1167,24 +1171,27 @@ fn kernel_comparison() {
 
     let fma_roofline_gflops = fma_roofline_gflops();
     println!(
-        "--- paged kv: tiled attention, contiguous vs block table (FMA roofline {fma_roofline_gflops:.0} GFLOP/s) ---"
+        "--- paged kv: attention, contiguous vs block table (FMA roofline {fma_roofline_gflops:.0} GFLOP/s) ---"
     );
-    let paged_shapes: [PagedKvShape; 6] = [
-        (32, 16, 32, 64, 16, 25),
-        (32, 16, 32, 640, 16, 15),
-        (32, 16, 1, 112, 16, 25),
-        (8, 64, 1, 2048, 16, 9),
-        (8, 64, 1, 2048, 64, 9),
-        (8, 64, 32, 2048, 16, 9),
+    let paged_shapes: [PagedKvShape; 8] = [
+        (32, 32, 16, 32, 64, 16, 25),
+        (32, 32, 16, 32, 640, 16, 15),
+        (32, 8, 16, 32, 640, 16, 15),
+        (32, 32, 16, 1, 112, 16, 25),
+        (32, 32, 16, 1, 704, 16, 25),
+        (8, 8, 64, 1, 2048, 16, 9),
+        (8, 8, 64, 1, 2048, 64, 9),
+        (8, 8, 64, 32, 2048, 16, 9),
     ];
     let paged_kv: Vec<PagedKvRow> = paged_shapes
         .iter()
         .map(|&shape| {
             let row = compare_paged_kv(shape, fma_roofline_gflops);
             println!(
-                "{:>2}x{:<2} q={:<3} kv={:<5} pages of {:<3} ({:>3} pages): contiguous {:>7.3} ms | paged {:>7.3} ms | overhead {:>5.3}x | {:>5.1} GFLOP/s ({:>4.2} of roofline) | identical={}",
+                "{:>2}x{:<2} ({:>2} kv) q={:<3} kv={:<5} pages of {:<3} ({:>3} pages): contiguous {:>7.3} ms | paged {:>7.3} ms | overhead {:>5.3}x | {:>5.1} GFLOP/s ({:>4.2} of roofline) | identical={}",
                 row.heads,
                 row.head_dim,
+                row.kv_heads,
                 row.q_rows,
                 row.kv_len,
                 row.block_tokens,
@@ -1241,8 +1248,8 @@ fn kernel_comparison() {
                       batched_decode compares \
                       B separate m=1 decode GEMVs against one m=B GEMM through \
                       the batched-decode driver (acceptance: >=1.3x aggregate \
-                      tokens/s); paged_kv times the tiled attention kernel over \
-                      a contiguous cache and over a block table (gather \
+                      tokens/s); paged_kv times the attention kernel over \
+                      a contiguous cache and over a block table (paging \
                       overhead + bit identity) and states each shape as \
                       achieved GFLOP/s against fma_roofline_gflops; layer_i8 splits \
                       one shadow-int8 layer's NPU-lane stages (QKV, O, FFN) into \
@@ -1295,7 +1302,10 @@ fn kernel_comparison() {
         flags.push((format!("batched decode B={}", r.batch), r.bit_identical));
     }
     for r in &record.paged_kv {
-        let at = format!("paged kv q={} pages of {}", r.q_rows, r.block_tokens);
+        let at = format!(
+            "paged kv {}x{} ({} kv) q={} kv={} pages of {}",
+            r.heads, r.head_dim, r.kv_heads, r.q_rows, r.kv_len, r.block_tokens
+        );
         flags.push((at, r.bit_identical));
     }
     let inexact: Vec<&str> = flags
