@@ -1,5 +1,4 @@
-//! Graph memory accounting: per-chunk vs chunk-sharing footprints, weight
-//! placement under the NPU window, and shadow weight residency.
+//! Graph memory accounting: per-chunk vs chunk-sharing footprints.
 //!
 //! §3.2's memory argument: keeping one pre-built graph per chunk position
 //! multiplies the *static* subgraphs' buffers and weights by the chunk
@@ -12,7 +11,7 @@ use llmnpu_soc::lifecycle::GraphProfile;
 use llmnpu_soc::Processor;
 
 use crate::chunk::ChunkPlan;
-use crate::layer::{build_chunk_subgraphs, LayerPlan, Subgraph};
+use crate::layer::{build_chunk_subgraphs, LayerPlan};
 
 /// Memory footprint of a prefill graph configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -114,32 +113,6 @@ pub fn graph_profile(cfg: &ModelConfig, chunk_len: usize) -> GraphProfile {
     profile
 }
 
-/// Splits NPU-designated subgraph weights into those that fit the NPU
-/// window and those that must spill to the CPU, prioritizing the most
-/// compute-intensive (largest) weights for the NPU (§4: "llm.npu
-/// prioritizes executing computationally intensive tasks, such as FFN, on
-/// the NPU").
-#[must_use]
-pub fn place_npu_weights(subgraphs: &[Subgraph], window_bytes: u64) -> (Vec<usize>, Vec<usize>) {
-    let mut order: Vec<usize> = (0..subgraphs.len())
-        .filter(|&i| subgraphs[i].processor == Processor::Npu)
-        .collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(subgraphs[i].weight_bytes()));
-    let mut used = 0u64;
-    let mut on_npu = Vec::new();
-    let mut spilled = Vec::new();
-    for i in order {
-        let w = subgraphs[i].weight_bytes();
-        if used + w <= window_bytes {
-            used += w;
-            on_npu.push(i);
-        } else {
-            spilled.push(i);
-        }
-    }
-    (on_npu, spilled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,55 +172,5 @@ mod tests {
         // 7 weighted matmuls per layer.
         assert_eq!(p.weight_bytes.len(), 7 * 24);
         assert!(p.op_count > p.weight_bytes.len());
-    }
-
-    #[test]
-    fn npu_placement_prefers_big_weights() {
-        let cfg = ModelConfig::llama2_7b();
-        let lp = LayerPlan {
-            chunk_len: 256,
-            kv_len: 256,
-            float_processor: Processor::Cpu,
-            shape_optimized: true,
-            npu_group_size: None,
-        };
-        let subgraphs = build_chunk_subgraphs(&cfg, &lp);
-        // A window smaller than total weights forces spilling.
-        let total: u64 = subgraphs.iter().map(Subgraph::weight_bytes).sum();
-        let window = total / 2;
-        let (on_npu, spilled) = place_npu_weights(&subgraphs, window);
-        assert!(!on_npu.is_empty());
-        assert!(!spilled.is_empty());
-        // The placement respects the window.
-        let used: u64 = on_npu.iter().map(|&i| subgraphs[i].weight_bytes()).sum();
-        assert!(used <= window);
-        // Greedy-by-size packs at least as many bytes as half the window.
-        assert!(used * 2 >= window);
-        // The NPU-resident set is dominated by FFN subgraphs (the most
-        // compute-intensive linears, §4's prioritization rule).
-        let ffn_bytes: u64 = on_npu
-            .iter()
-            .filter(|&&i| matches!(subgraphs[i].stage, crate::layer::Stage::Ffn))
-            .map(|&i| subgraphs[i].weight_bytes())
-            .sum();
-        assert!(
-            ffn_bytes as f64 > 0.9 * used as f64,
-            "ffn bytes {ffn_bytes} of used {used}"
-        );
-    }
-
-    #[test]
-    fn big_window_spills_nothing() {
-        let cfg = ModelConfig::qwen15_18b();
-        let lp = LayerPlan {
-            chunk_len: 256,
-            kv_len: 256,
-            float_processor: Processor::Cpu,
-            shape_optimized: true,
-            npu_group_size: None,
-        };
-        let subgraphs = build_chunk_subgraphs(&cfg, &lp);
-        let (_, spilled) = place_npu_weights(&subgraphs, u64::MAX);
-        assert!(spilled.is_empty());
     }
 }

@@ -206,19 +206,6 @@ fn gaussian(rng: &mut StdRng, rows: usize, cols: usize, std: f32) -> Tensor<f32>
     Tensor::from_vec(data, [rows, cols]).expect("sized by construction")
 }
 
-/// Total float weight bytes of a synthesized model (for memory tests).
-#[must_use]
-pub fn float_weight_bytes(w: &ModelWeights) -> u64 {
-    let mut elems = w.embedding.len() + w.head.len() + w.final_norm_gamma.len();
-    for l in &w.layers {
-        elems += l.wq.len() + l.wk.len() + l.wv.len() + l.wo.len();
-        elems += l.w_gate.as_ref().map_or(0, Tensor::len);
-        elems += l.w_up.len() + l.w_down.len();
-        elems += l.attn_norm_gamma.len() * 2 + l.ffn_norm_gamma.len() * 2;
-    }
-    (elems * 4) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,15 +283,5 @@ mod tests {
         assert!(w.layers[0].w_gate.is_none());
         let gated = synthesize(&ModelConfig::tiny(), 3, OutlierSpec::default()).unwrap();
         assert!(gated.layers[0].w_gate.is_some());
-    }
-
-    #[test]
-    fn weight_bytes_counts_everything() {
-        let cfg = ModelConfig::tiny();
-        let w = synthesize(&cfg, 5, OutlierSpec::default()).unwrap();
-        let bytes = float_weight_bytes(&w);
-        // At least embeddings + head.
-        let floor = ((cfg.vocab * cfg.hidden * 2) * 4) as u64;
-        assert!(bytes > floor);
     }
 }

@@ -1,5 +1,5 @@
-//! Memory-space model: unified DRAM, per-processor spaces, the NPU's
-//! addressable window, and the disk tier for cold shadow weights.
+//! Memory-space model: unified DRAM, per-processor spaces and the NPU's
+//! addressable window.
 //!
 //! Although mobile SoCs use one physical DRAM, the paper notes (§3.3) that
 //! heterogeneous processors use *separate memory spaces*, so shadow
@@ -119,19 +119,6 @@ impl MemoryModel {
     }
 }
 
-/// Bytes needed to keep shadow-execution weights for `hot_fraction` of
-/// `total_channels` channels resident, given `bytes_per_channel` float
-/// weights per channel; the rest stays on disk (§3.3's 34.3% saving).
-#[must_use]
-pub fn shadow_resident_bytes(
-    total_channels: usize,
-    hot_fraction: f64,
-    bytes_per_channel: u64,
-) -> u64 {
-    let hot = (total_channels as f64 * hot_fraction).ceil() as u64;
-    hot * bytes_per_channel
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,15 +182,5 @@ mod tests {
         assert_eq!(m.npu_window_available(), GIB);
         m.free(Processor::Npu, "g1");
         assert_eq!(m.npu_window_available(), 4 * GIB);
-    }
-
-    #[test]
-    fn shadow_residency_math() {
-        // 10,000 channels, 3% hot, 8 KB of float weights per channel.
-        let bytes = shadow_resident_bytes(10_000, 0.03, 8192);
-        assert_eq!(bytes, 300 * 8192);
-        // Full duplication for comparison:
-        let full = shadow_resident_bytes(10_000, 1.0, 8192);
-        assert!(bytes < full / 30);
     }
 }
