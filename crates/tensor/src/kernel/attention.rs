@@ -9,15 +9,14 @@
 //!
 //! No pass transposes a key or value row, and no dependent chain runs
 //! alone. A block of query rows puts one row per SIMD lane
-//! ([`lane_block`]): every score and `PV` step multiplies one page
+//! (`lane_block`): every score and `PV` step multiplies one page
 //! element, broadcast from its row in place, into a lane vector, and
-//! [`SCORE_KEYS`] keys' (or `PV_DIMS` dimensions') chains run side by
-//! side. A decode row ([`decode_row`]) has no rows to fill lanes with:
-//! its dot products run [`SCORE_KEYS`] keys' scalar chains side by side,
-//! its softmax puts the call's heads in the lanes, and its `PV` runs
-//! [`DECODE_HEADS`] heads' chains side by side. Both orientations
-//! evaluate every output with the same operations in the same order, so
-//! which one runs never changes a bit.
+//! several keys' (or dimensions') chains run side by side. A decode row
+//! (`decode_row`) has no rows to fill lanes with: its dot products run
+//! eight keys' scalar chains side by side, its softmax puts the call's
+//! heads in the lanes, and its `PV` runs eight heads' chains side by
+//! side. Both orientations evaluate every output with the same
+//! operations in the same order, so which one runs never changes a bit.
 
 use std::cell::RefCell;
 use std::ops::Range;

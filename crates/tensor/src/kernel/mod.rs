@@ -125,43 +125,62 @@
 //! [`attention`] is the one kernel here that is not a GEMM: causal
 //! multi-head attention over paged K/V, the float operator the paper
 //! leaves on the CPU lane (§3.2). Per KV head, the `group` query heads
-//! that share it stack into one `m = group × seq` row block (row `i` is
-//! head `i % group` of position `i / group`, so causal limits ascend),
-//! walked in three passes over one scratch that every head reuses:
+//! that share it stack into `m = group × seq` rows (row `i` is head
+//! `i % group` of position `i / group`, so causal limits ascend). Every
+//! output is fixed by three reduction orders, whichever way the kernel
+//! lays its work out:
 //!
-//! 1. **Scores.** Keys are walked in tiles of [`attention::KEY_TILE`]
-//!    (`= NR`) positions — a constant of the kernel, never the page size;
-//!    paging only decides where a tile's rows are gathered from. A tile
-//!    is transposed once into a K-major panel and run through
-//!    [`microkernel::microkernel_f32`] against `MR`-row query panels, so
-//!    a score is `(0 + Σ_k q[k]·key[k]) · scale`: one ascending-`k`
-//!    `fmadd` chain (the microkernel's contraction rule) from zero. Row
-//!    blocks of at most two rows (decode) skip the transpose and evaluate
-//!    the same expression straight from the row-major page row —
-//!    bit-identical by construction, selected by nothing but the block's
-//!    height. The causal mask is a loop bound: a tile past every row's
-//!    limit is skipped, and a row never reads a score past its own.
-//! 2. **Softmax.** Row maximum (NaN-ignoring, so a NaN score survives to
-//!    poison its own row), then the branch-free
-//!    [`crate::ops::exp_nonpos`] — exactly `0` for a masked entry — into
-//!    `NR` lane sums folded by one fixed tree. Normalisation is deferred
-//!    to the `head_dim` outputs.
-//! 3. **PV.** Lanes are output dimensions (`NR`-wide panels of the value
-//!    head, read in place — value rows are already row-major); each
-//!    output is one ascending-position `fmadd` chain from zero, `MR` rows
-//!    sharing every loaded value row up to the shortest causal limit and
-//!    finishing their own tails, so no masked position is multiplied —
-//!    there is no `p == 0` test, and a `0 × ∞` cannot arise from a row
-//!    that is not visible.
+//! 1. **Scores.** A score is `(0 + Σ_k q[k]·key[k]) · scale`: one
+//!    ascending-`k` `fmadd` chain from zero (the microkernel's
+//!    contraction rule). The causal mask makes a position past a row's
+//!    limit `−∞` or leaves it out; it is never read.
+//! 2. **Softmax.** The row maximum ignores NaN, so a NaN score survives
+//!    to poison its own row; the branch-free [`crate::ops::exp_nonpos`]
+//!    gives exactly `0` for a masked entry. The sum keeps one partial per
+//!    position mod [`attention::KEY_TILE`] (`= NR`, a constant of the
+//!    kernel, never the page size), each in ascending position order, and
+//!    folds them with one fixed tree. Normalisation is deferred to the
+//!    `head_dim` outputs.
+//! 3. **PV.** Each output is one ascending-position `fmadd` chain from
+//!    zero over the positions its row may see. No masked position is
+//!    multiplied, so a `0 × ∞` cannot arise from a row that is not
+//!    visible.
 //!
-//! Every output row therefore depends on its own query row, the
-//! positions it may see, and `head_dim` — not on the page size, the
-//! other rows of the block, `seq`, or how much cache lies beyond its
-//! limit. That one property is what the serving identities reduce to:
-//! any paging of the same rows, chunked ≡ whole prefill, row `r` of a
-//! block ≡ the one-row call at `start_pos + r`, batched decode row ≡
-//! solo row (`tests/prop_attention.rs` pins them, non-finite data past a
-//! row's limit included). The floats differ from the scalar
+//! The kernel evaluates these in one of two orientations, picked by
+//! nothing but the rows per KV head, and transposes no key or value row
+//! in either:
+//!
+//! - **Query rows in the lanes** (more than three rows per KV head: a
+//!   prefill chunk). A block of up to 32 rows is transposed once into
+//!   lane vectors, one row per SIMD lane. A score step broadcasts one key
+//!   element from its page row into a lane vector of queries, eight
+//!   keys' chains side by side (four per lane group when two groups share
+//!   the broadcast). The mask is a lane predicate: a lane's scores past
+//!   its limit become `−∞`. The `PV` pass broadcasts each value element
+//!   into the lane vector of probabilities, sixteen dimensions' chains
+//!   side by side, with the softmax numerators computed in the same pass.
+//!   It covers the positions every lane sees; each lane then finishes its
+//!   own tail with the dimensions in the lanes, so masked positions stay
+//!   out of every chain.
+//! - **Keys' chains interleaved** (at most three rows per KV head: a
+//!   decode step). Each dot product is still one scalar chain, but eight
+//!   keys' chains run side by side. The scores are stored position-major
+//!   across the call's heads, so the softmax runs with the heads in the
+//!   lanes, and `PV` keeps the dimensions in the lanes with eight heads'
+//!   chains side by side.
+//!
+//! The two orientations perform the same operations on the same operands
+//! in the same order for every output, so they are bit-identical by
+//! construction; only their speed differs. Every output row therefore
+//! depends on its own query row, the positions it may see, and
+//! `head_dim` — not on the page size, the other rows of the block, `seq`,
+//! or how much cache lies beyond its limit. That one property is what
+//! the serving identities reduce to: any paging of the same rows, chunked
+//! ≡ whole prefill, row `r` of a block ≡ the one-row call at
+//! `start_pos + r`, batched decode row ≡ solo row
+//! (`tests/prop_attention.rs` pins them, non-finite data past a row's
+//! limit included, and pins the output bits of a fixed matrix of shapes
+//! on fused builds). The floats differ from the scalar
 //! [`attention::attention_reference`] by rounding only.
 //!
 //! # Determinism
@@ -207,8 +226,7 @@ pub const NC: usize = 1024;
 
 /// Row count at or below which staging a tile costs more than dotting
 /// the rows in place (decode-shaped inputs): the GEMM drivers take the
-/// packing-free GEMV path, and attention scores a block straight from
-/// the row-major page rows instead of transposing key tiles.
+/// packing-free GEMV path.
 const GEMV_MAX_ROWS: usize = 2;
 
 /// Fused dequantization applied to completed `i32` tiles of the integer
