@@ -46,8 +46,9 @@ const SCORE_KEYS: usize = 8;
 /// Output dimensions per `PV` pass of a block: one accumulator each.
 const PV_DIMS: usize = NR;
 
-/// Positions per block of a lane block's `PV` passes: every pass takes
-/// its turn on a block of value rows while the block is in cache.
+/// Positions per block of a lane block's numerators and `PV` passes:
+/// every pass takes its turn on a block of probabilities and value rows
+/// while the block is in cache.
 const PV_BLOCK: usize = 64;
 
 /// Rows per KV head at or below which a call runs in the decode
@@ -268,28 +269,15 @@ fn numerators(scores: &mut [Lanes], c0: usize, max: &Lanes, sum: &mut [Lanes; KE
 }
 
 /// `acc[d][j] += Σ_c p[c][j] · v[c][col + d]` for every lane `j` over
-/// positions `c0..` that every lane sees, ascending, each value element
-/// broadcast from its page row. With `EXP`, `probs` holds scores and `p`
-/// is their [`numerators`], computed in the pass (so the `exp` work
-/// covers the value rows' fetch) and written back over them. The
-/// accumulators are four banks of four dimensions, which rustc keeps in
-/// registers (see [`super::microkernel`]).
+/// positions that every lane sees, ascending, each value element
+/// broadcast from its page row. The accumulators are four banks of four
+/// dimensions, which rustc keeps in registers (see
+/// [`super::microkernel`]).
 #[inline(never)]
-fn pv_lanes<const EXP: bool>(
-    probs: &mut [Lanes],
-    c0: usize,
-    max: &Lanes,
-    v_rows: &[&[f32]],
-    col: usize,
-    sum: &mut [Lanes; KEY_TILE],
-    acc: &mut [Lanes; PV_DIMS],
-) {
+fn pv_lanes(probs: &[Lanes], v_rows: &[&[f32]], col: usize, acc: &mut [Lanes; PV_DIMS]) {
     let mut banks: [[Lanes; 4]; PV_DIMS / 4] =
         std::array::from_fn(|b| std::array::from_fn(|d| acc[4 * b + d]));
-    for (c, (p, v_row)) in (c0..).zip(probs.iter_mut().zip(v_rows)) {
-        if EXP {
-            numerators(std::slice::from_mut(p), c, max, sum);
-        }
+    for (p, v_row) in probs.iter().zip(v_rows) {
         let v = &v_row[col..][..PV_DIMS];
         for (b, bank) in banks.iter_mut().enumerate() {
             for (d, a) in bank.iter_mut().enumerate() {
@@ -326,11 +314,14 @@ fn pv_lane(
 /// Rows `rows` of one KV head (at most [`BLOCK_ROWS`], in a call with
 /// more than [`DECODE_MAX_ROWS`] per KV head), one query row per lane.
 ///
-/// The queries are transposed once; then per lane group the dot
-/// products ([`score_rows`]), the causal mask as `−∞`, the scale and
-/// maxima ([`scale_lanes`]), and the numerators and `PV` over the
-/// positions every lane sees ([`pv_lanes`]), block by block. Past those,
-/// each lane finishes its own tail ([`pv_lane`]).
+/// The queries are transposed once. Both lane groups score every key
+/// from one broadcast ([`score_rows`]); per group the causal mask sets a
+/// lane's scores past its limit to `−∞` and [`scale_lanes`] scales them
+/// and takes the maxima. Then, a block of positions at a time and for
+/// both groups while the block's value rows are in cache, the softmax
+/// [`numerators`] and the `PV` passes ([`pv_lanes`]) over the positions
+/// every lane of the group sees. Past those, each lane finishes its own
+/// tail ([`pv_lane`]).
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn lane_block(
@@ -348,14 +339,14 @@ fn lane_block(
     let row = |g: usize, j: usize| (rows.start + g * LANES + j).min(rows.end - 1);
     let visible = head.limit(rows.end - 1);
     let passes = hd / PV_DIMS;
-    let len = (groups * (hd + visible) + passes * PV_DIMS) * LANES;
+    let len = groups * (hd + visible + passes * PV_DIMS) * LANES;
     if scratch.len() < len {
         scratch.resize(len, 0.0);
     }
     let (acc_t, rest) = scratch[..len]
         .as_chunks_mut::<LANES>()
         .0
-        .split_at_mut(passes * PV_DIMS);
+        .split_at_mut(groups * passes * PV_DIMS);
     let acc_t = acc_t.as_chunks_mut::<PV_DIMS>().0;
     let (qt, scores) = rest.split_at_mut(groups * hd);
     for (g, qt) in qt.chunks_exact_mut(hd).enumerate() {
@@ -366,50 +357,62 @@ fn lane_block(
         }
     }
     let (qt, k_rows) = (&*qt, &k_rows[..visible]);
-    let mut per_group = scores.chunks_exact_mut(visible);
-    match (per_group.next(), per_group.next()) {
-        (Some(s0), Some(s1)) => {
-            let qt = [&qt[..hd], &qt[hd..]];
-            score_rows::<{ SCORE_KEYS / 2 }, 2>(head, qt, k_rows, [s0, s1]);
-        }
-        (Some(s0), None) => score_rows::<SCORE_KEYS, 1>(head, [qt], k_rows, [s0]),
-        _ => unreachable!("a block holds one or two lane groups"),
+    let (s0, s1) = scores.split_at_mut(visible);
+    if groups == 2 {
+        let qt = [&qt[..hd], &qt[hd..]];
+        score_rows::<SCORE_KEYS, 2>(head, qt, k_rows, [&mut *s0, &mut *s1]);
+    } else {
+        score_rows::<SCORE_KEYS, 1>(head, [qt], k_rows, [&mut *s0]);
     }
 
-    for (g, scores) in scores.chunks_exact_mut(visible).enumerate() {
-        let limits: [usize; LANES] = std::array::from_fn(|j| head.limit(row(g, j)));
+    // Per lane group: the causal mask, the scale and the maxima.
+    let mut scores = [s0, s1];
+    let limits: [[usize; LANES]; BLOCK_ROWS / LANES] =
+        std::array::from_fn(|g| std::array::from_fn(|j| head.limit(row(g, j))));
+    let mut max = [[f32::NEG_INFINITY; LANES]; BLOCK_ROWS / LANES];
+    for ((scores, limits), max) in scores.iter_mut().zip(&limits).zip(&mut max).take(groups) {
         for (j, &limit) in limits.iter().enumerate() {
             for s in &mut scores[limit..] {
                 s[j] = f32::NEG_INFINITY;
             }
         }
-        let max = scale_lanes(scores, head.geom.scale());
-        let mut parts = [[0.0f32; LANES]; KEY_TILE];
-        // Positions every lane sees, in whole passes of `PV_DIMS`
-        // dimensions, a block of positions at a time.
-        let shared = if passes > 0 { limits[0] } else { 0 };
-        let (seen, tail) = scores.split_at_mut(shared);
-        acc_t.fill([[0.0; LANES]; PV_DIMS]);
-        let blocks = seen.chunks_mut(PV_BLOCK).zip(v_rows.chunks(PV_BLOCK));
-        for (c0, (probs, v_rows)) in (0..).step_by(PV_BLOCK).zip(blocks) {
-            for (p, acc) in acc_t.iter_mut().enumerate() {
-                let col = head.col() + p * PV_DIMS;
-                if p == 0 {
-                    pv_lanes::<true>(probs, c0, &max, v_rows, col, &mut parts, acc);
-                } else {
-                    pv_lanes::<false>(probs, c0, &max, v_rows, col, &mut parts, acc);
+        *max = scale_lanes(scores, head.geom.scale());
+    }
+    // The positions every lane of a group sees, in whole passes of
+    // `PV_DIMS` dimensions, a block of positions at a time for both
+    // groups while the block's value rows are in cache.
+    let shared: [usize; BLOCK_ROWS / LANES] =
+        std::array::from_fn(|g| if passes > 0 { limits[g][0] } else { 0 });
+    let mut parts = [[[0.0f32; LANES]; KEY_TILE]; BLOCK_ROWS / LANES];
+    acc_t.fill([[0.0; LANES]; PV_DIMS]);
+    for c0 in (0..shared[groups - 1]).step_by(PV_BLOCK) {
+        for (g, acc_t) in acc_t
+            .chunks_exact_mut(passes.max(1))
+            .enumerate()
+            .take(groups)
+        {
+            let end = (c0 + PV_BLOCK).min(shared[g]);
+            if c0 < end {
+                let probs = &mut scores[g][c0..end];
+                numerators(probs, c0, &max[g], &mut parts[g]);
+                for (p, acc) in acc_t.iter_mut().enumerate().take(passes) {
+                    pv_lanes(probs, &v_rows[c0..end], head.col() + p * PV_DIMS, acc);
                 }
             }
         }
-        numerators(tail, shared, &max, &mut parts);
-        let sum = fold_partials(parts);
+    }
+    // Each lane's own tail, and heads narrower than a pass.
+    for g in 0..groups {
+        let (scores, limits) = (&mut *scores[g], &limits[g]);
+        numerators(&mut scores[shared[g]..], shared[g], &max[g], &mut parts[g]);
+        let sum = fold_partials(parts[g]);
         for d0 in (0..hd).step_by(PV_DIMS) {
             let w = (hd - d0).min(PV_DIMS);
-            let from = if w == PV_DIMS { shared } else { 0 };
+            let from = if w == PV_DIMS { shared[g] } else { 0 };
             for (j, i) in (rows.start + g * LANES..rows.end).take(LANES).enumerate() {
                 let mut a = [0.0f32; PV_DIMS];
                 if w == PV_DIMS {
-                    for (a, acc) in a.iter_mut().zip(&acc_t[d0 / PV_DIMS]) {
+                    for (a, acc) in a.iter_mut().zip(&acc_t[g * passes + d0 / PV_DIMS]) {
                         *a = acc[j];
                     }
                 }

@@ -153,15 +153,15 @@
 //! - **Query rows in the lanes** (more than three rows per KV head: a
 //!   prefill chunk). A block of up to 32 rows is transposed once into
 //!   lane vectors, one row per SIMD lane. A score step broadcasts one key
-//!   element from its page row into a lane vector of queries, eight
-//!   keys' chains side by side (four per lane group when two groups share
-//!   the broadcast). The mask is a lane predicate: a lane's scores past
-//!   its limit become `−∞`. The `PV` pass broadcasts each value element
-//!   into the lane vector of probabilities, sixteen dimensions' chains
-//!   side by side, with the softmax numerators computed in the same pass.
-//!   It covers the positions every lane sees; each lane then finishes its
-//!   own tail with the dimensions in the lanes, so masked positions stay
-//!   out of every chain.
+//!   element from its page row into the lane vectors of queries (both
+//!   lane groups of a block share it), eight keys' chains side by side.
+//!   The mask is a lane predicate: a lane's scores past its limit become
+//!   `−∞`. The `PV` pass broadcasts each value element into the lane
+//!   vector of probabilities, sixteen dimensions' chains side by side,
+//!   a block of positions at a time right after that block's softmax
+//!   numerators. It covers the positions every lane sees; each lane then
+//!   finishes its own tail with the dimensions in the lanes, so masked
+//!   positions stay out of every chain.
 //! - **Keys' chains interleaved** (at most three rows per KV head: a
 //!   decode step). Each dot product is still one scalar chain, but eight
 //!   keys' chains run side by side. The scores are stored position-major
