@@ -34,9 +34,12 @@ pub const KEY_TILE: usize = NR;
 /// Query rows per lane group: a block holds one query row per SIMD lane.
 const LANES: usize = NR;
 
-/// Rows per lane block: the lane groups that share each key element's
-/// broadcast in the score pass.
-const BLOCK_ROWS: usize = 2 * LANES;
+/// Lane groups per lane block: they share each key element's broadcast
+/// in the score pass, and each block of value rows in the `PV` passes.
+const BLOCK_GROUPS: usize = 2;
+
+/// Rows per lane block.
+const BLOCK_ROWS: usize = BLOCK_GROUPS * LANES;
 
 /// Keys scored at once (per lane group of a block, or per decode row):
 /// their dot chains are independent, so this many `fmadd`s are in flight
@@ -367,9 +370,9 @@ fn lane_block(
 
     // Per lane group: the causal mask, the scale and the maxima.
     let mut scores = [s0, s1];
-    let limits: [[usize; LANES]; BLOCK_ROWS / LANES] =
+    let limits: [[usize; LANES]; BLOCK_GROUPS] =
         std::array::from_fn(|g| std::array::from_fn(|j| head.limit(row(g, j))));
-    let mut max = [[f32::NEG_INFINITY; LANES]; BLOCK_ROWS / LANES];
+    let mut max = [[f32::NEG_INFINITY; LANES]; BLOCK_GROUPS];
     for ((scores, limits), max) in scores.iter_mut().zip(&limits).zip(&mut max).take(groups) {
         for (j, &limit) in limits.iter().enumerate() {
             for s in &mut scores[limit..] {
@@ -381,9 +384,9 @@ fn lane_block(
     // The positions every lane of a group sees, in whole passes of
     // `PV_DIMS` dimensions, a block of positions at a time for both
     // groups while the block's value rows are in cache.
-    let shared: [usize; BLOCK_ROWS / LANES] =
+    let shared: [usize; BLOCK_GROUPS] =
         std::array::from_fn(|g| if passes > 0 { limits[g][0] } else { 0 });
-    let mut parts = [[[0.0f32; LANES]; KEY_TILE]; BLOCK_ROWS / LANES];
+    let mut parts = [[[0.0f32; LANES]; KEY_TILE]; BLOCK_GROUPS];
     acc_t.fill([[0.0; LANES]; PV_DIMS]);
     for c0 in (0..shared[groups - 1]).step_by(PV_BLOCK) {
         for (g, acc_t) in acc_t
@@ -395,7 +398,7 @@ fn lane_block(
             if c0 < end {
                 let probs = &mut scores[g][c0..end];
                 numerators(probs, c0, &max[g], &mut parts[g]);
-                for (p, acc) in acc_t.iter_mut().enumerate().take(passes) {
+                for (p, acc) in acc_t.iter_mut().enumerate() {
                     pv_lanes(probs, &v_rows[c0..end], head.col() + p * PV_DIMS, acc);
                 }
             }
