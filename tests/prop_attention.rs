@@ -301,6 +301,7 @@ fn masked_rows_cannot_reach_a_row_and_visible_ones_cannot_hide() {
 /// FNV-1a over the output bits, every NaN hashed as one value: Rust
 /// leaves a NaN's sign and payload unspecified, so they are not part of
 /// the kernel's contract — a NaN's position is.
+#[cfg(target_feature = "fma")]
 fn hash_bits(hash: &mut u64, x: &[f32]) {
     for v in x {
         let bits = if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() };
