@@ -81,31 +81,27 @@ impl CompactOutliers {
 /// Detection and residual extraction happen in **one row-major pass**
 /// over `x` (the tensor's storage order): out-of-range values are
 /// recorded as sparse `(row, channel, residual)` hits as they stream by,
-/// then scattered into the compact `[rows, |channels|]` tensor. The seed
-/// walked the row-major storage column-major for detection and then
-/// re-read every row a second time; for in-range values the residual
-/// `v - clamp(v)` is exactly `0.0`, so the sparse scatter reproduces the
-/// dense two-pass output bit-for-bit.
+/// then scattered into the compact `[rows, |channels|]` tensor; every
+/// other entry is `0.0`, the residual of an in-range value.
+///
+/// The extraction is **row-exact**: a row's residuals are its own hits,
+/// whichever channels the other rows made outliers, so the shadow half
+/// of a stacked batch is, row for row, the shadow half of each row run
+/// alone. A NaN is never an outlier (`NaN > limit` is false) and is
+/// never scattered, even into a channel another row made an outlier: in
+/// a row run alone, that channel holds only the NaN and is not
+/// extracted. The main half maps the NaN to `0` either way.
 #[must_use]
 pub fn extract_outliers(x: &Tensor<f32>, scale: f32) -> CompactOutliers {
     let (rows, cols) = x.matrix_dims();
     let limit = QMAX * scale;
     let mut is_outlier = vec![false; cols];
     let mut hits: Vec<(usize, usize, f32)> = Vec::new();
-    // NaN values don't trigger extraction (`NaN > limit` is false, as in
-    // the seed), but if their channel is extracted anyway, their residual
-    // is `NaN - clamp(NaN) = NaN` and must propagate; they are collected
-    // separately (as the raw NaN — clamping against a possibly-NaN limit
-    // would panic, and `NaN - anything` is NaN regardless) and scattered
-    // only for channels that turn out to be outliers.
-    let mut nan_hits: Vec<(usize, usize, f32)> = Vec::new();
     for r in 0..rows {
         for (c, &v) in x.row(r).iter().enumerate() {
             if v.abs() > limit {
                 is_outlier[c] = true;
                 hits.push((r, c, v - v.clamp(-limit, limit)));
-            } else if v.is_nan() {
-                nan_hits.push((r, c, v));
             }
         }
     }
@@ -125,11 +121,6 @@ pub fn extract_outliers(x: &Tensor<f32>, scale: f32) -> CompactOutliers {
     let mut residuals = Tensor::zeros([rows, channels.len()]);
     for (r, c, resid) in hits {
         residuals.row_mut(r)[compact_col[c]] = resid;
-    }
-    for (r, c, resid) in nan_hits {
-        if is_outlier[c] {
-            residuals.row_mut(r)[compact_col[c]] = resid;
-        }
     }
     CompactOutliers {
         channels,
@@ -698,12 +689,12 @@ mod tests {
     }
 
     #[test]
-    fn extract_propagates_nan_in_outlier_channels_only() {
+    fn extract_outliers_is_row_exact() {
         // scale 0.01 → limit 1.27. Channel 1 is an outlier (row 0) and
-        // also carries a NaN (row 1): the NaN residual must propagate.
-        // Channel 3 carries a NaN but no over-limit value: NaN alone
-        // does not trigger extraction (NaN > limit is false), matching
-        // the seed's detection behavior.
+        // carries a NaN in row 1; channel 3 carries a NaN alone. NaN
+        // never triggers extraction (NaN > limit is false), and row 0's
+        // outlier must not scatter row 1's NaN: row 1 run alone has no
+        // outlier channel at all.
         let x = Tensor::from_vec(
             vec![0.5_f32, 2.0, 0.1, 0.2, 0.3, f32::NAN, 0.1, f32::NAN],
             [2, 4],
@@ -712,7 +703,28 @@ mod tests {
         let out = extract_outliers(&x, 0.01);
         assert_eq!(out.channels, vec![1]);
         assert!((out.residuals.row(0)[0] - (2.0 - 1.27)).abs() < 1e-6);
-        assert!(out.residuals.row(1)[0].is_nan());
+        assert_eq!(out.residuals.row(1)[0].to_bits(), 0.0_f32.to_bits());
+
+        // Each row alone, laid into the stacked call's channels, is the
+        // stacked call's row (a channel the row does not hit reads 0.0).
+        for r in 0..2 {
+            let row = Tensor::from_vec(x.row(r).to_vec(), [1, 4]).unwrap();
+            let solo = extract_outliers(&row, 0.01);
+            let laid: Vec<u32> = out
+                .channels
+                .iter()
+                .map(|c| {
+                    solo.channels
+                        .iter()
+                        .position(|s| s == c)
+                        .map_or(0.0_f32, |j| solo.residuals.row(0)[j])
+                        .to_bits()
+                })
+                .collect();
+            let stacked: Vec<u32> = out.residuals.row(r).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(laid, stacked, "row {r}");
+            assert!(solo.channels.iter().all(|c| out.channels.contains(c)));
+        }
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! shape on, on inputs carrying outliers, NaN, ±∞ and −0, and (for the
 //! shadow backend) at every pruning rate, including the tie that keeps
 //! Q and prunes K and V. Also pinned: `linear ≡ linear_main ⊕
-//! linear_shadow` per input, and that a calibration set giving siblings
-//! different corpora is refused.
+//! linear_shadow` per input, that a calibration set giving siblings
+//! different corpora is refused, and that every backend is row-wise — a
+//! stacked call's rows are the rows run alone, which serving relies on.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use llmnpu::model::backend::{
     merge_linear, model_sites, CalibrationSet, FloatBackend, LinearBackend, LinearInput,
-    LinearKind, LinearSite, LutBackend, ShadowBackend,
+    LinearKind, LinearSite, LutBackend, PerTensorBackend, ShadowBackend, SmoothQuantBackend,
 };
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::weights::{synthesize, ModelWeights, OutlierSpec};
@@ -141,6 +142,33 @@ fn activation(w: &ModelWeights, input: LinearInput, m: usize, seed: u64) -> Tens
     Tensor::from_vec(x, [m, k]).unwrap()
 }
 
+/// [`activation`] with every value outside row 0 clamped into `±0.25`,
+/// well inside every calibrated range: rows with no outlier of their own
+/// (NaN and −0 kept) beside one whose outlier channels they share.
+fn row0_outliers(w: &ModelWeights, input: LinearInput, m: usize, seed: u64) -> Tensor<f32> {
+    let mut x = activation(w, input, m, seed);
+    for r in 1..m {
+        for v in x.row_mut(r) {
+            *v = v.clamp(-0.25, 0.25);
+        }
+    }
+    x
+}
+
+/// `linear_main ⊕ linear_shadow`, the split execution the executor runs.
+fn split(
+    backend: &dyn LinearBackend,
+    layer: usize,
+    input: LinearInput,
+    x: &Tensor<f32>,
+) -> Tensor<f32> {
+    let mut merged = backend.linear_main(layer, input, x).unwrap();
+    if let Some(shadow) = backend.linear_shadow(layer, input, x).unwrap() {
+        merge_linear(&mut merged, &shadow).unwrap();
+    }
+    merged
+}
+
 fn bits(values: impl IntoIterator<Item = f32>) -> Vec<u32> {
     values.into_iter().map(f32::to_bits).collect()
 }
@@ -177,11 +205,10 @@ fn assert_fused_matches_sites(
                     );
                 }
 
-                let mut merged = backend.linear_main(layer, input, &x).unwrap();
-                if let Some(shadow) = backend.linear_shadow(layer, input, &x).unwrap() {
+                if backend.linear_shadow(layer, input, &x).unwrap().is_some() {
                     assert!(backend.has_shadow(layer, input), "{what} {input:?}");
-                    merge_linear(&mut merged, &shadow).unwrap();
                 }
+                let merged = split(backend, layer, input, &x);
                 assert_eq!(
                     bits(merged.as_slice().iter().copied()),
                     bits(fused.as_slice().iter().copied()),
@@ -268,4 +295,68 @@ fn siblings_calibrated_on_different_activations_are_refused() {
         ShadowBackend::new(w, &cal, QUANTILE, 0.0),
         Err(Error::InvalidConfig { .. })
     ));
+}
+
+/// Every row of one stacked call to `backend` — through `linear` and,
+/// where a shadow path exists, through `linear_main ⊕ linear_shadow` — is,
+/// bit for bit, that row run alone. The planted NaN sits in a channel
+/// other rows make an outlier; the second input puts every outlier in
+/// row 0, beside rows with none of their own.
+fn assert_rows_alone(w: &ModelWeights, backend: &dyn LinearBackend, what: &str) {
+    let row_bits = |t: &Tensor<f32>, r: usize| bits(t.row(r).iter().copied());
+    let name = backend.name();
+    for layer in 0..w.config.layers {
+        for input in LinearInput::ALL {
+            // Without a shadow path the split is `linear` alone.
+            let shadow = backend.has_shadow(layer, input);
+            for m in ROWS {
+                let seed = (layer * 100 + m) as u64;
+                for x in [
+                    activation(w, input, m, seed),
+                    row0_outliers(w, input, m, seed),
+                ] {
+                    let stacked = backend.linear(layer, input, &x).unwrap();
+                    let stacked_split = shadow.then(|| split(backend, layer, input, &x));
+                    for r in 0..m {
+                        let row =
+                            Tensor::from_vec(x.row(r).to_vec(), [1, x.matrix_dims().1]).unwrap();
+                        let alone = backend.linear(layer, input, &row).unwrap();
+                        assert_eq!(
+                            row_bits(&stacked, r),
+                            row_bits(&alone, 0),
+                            "{what} {name}: layer {layer} {input:?} row {r} of {m}"
+                        );
+                        if let Some(stacked_split) = &stacked_split {
+                            let alone_split = split(backend, layer, input, &row);
+                            assert_eq!(
+                                row_bits(stacked_split, r),
+                                row_bits(&alone_split, 0),
+                                "{what} {name}: layer {layer} {input:?} row {r} of {m}, split"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every backend is row-wise, which serving relies on to stack
+/// requests' rows into decode cohorts and shared prefills.
+#[test]
+fn every_backend_computes_each_row_alone() {
+    for w in models() {
+        let name = w.config.name;
+        let cal = calibration(&w);
+        assert_rows_alone(&w, &FloatBackend::new(w.clone()), name);
+        assert_rows_alone(&w, &LutBackend::int4(&w, GROUP).unwrap(), name);
+        assert_rows_alone(&w, &LutBackend::int2(&w, GROUP).unwrap(), name);
+        assert_rows_alone(&w, &PerTensorBackend::new(&w, &cal).unwrap(), name);
+        let smooth = SmoothQuantBackend::new(&w, &cal, 0.5).unwrap();
+        assert_rows_alone(&w, &smooth, name);
+        for rate in [0.0, 0.5, 0.85, 1.0] {
+            let be = ShadowBackend::new(&w, &cal, QUANTILE, rate).unwrap();
+            assert_rows_alone(&w, &be, &format!("{name} at pruning {rate}"));
+        }
+    }
 }
