@@ -12,7 +12,7 @@
 
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{build_prefill_dag, DagConfig};
-use llmnpu_model::backend::{FloatBackend, PerGroupBackend, PerTensorBackend, SmoothQuantBackend};
+use llmnpu_model::backend::{FloatBackend, PerTensorBackend, SmoothQuantBackend};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
 use llmnpu_model::weights::{synthesize, OutlierSpec};
@@ -25,6 +25,7 @@ use llmnpu_workloads::random_prompt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::baselines::PerGroupBackend;
 use crate::{header, Result};
 
 fn prefill_ms(model: &ModelConfig, lat: &LatencyModel, group: Option<usize>) -> Result<f64> {

@@ -11,9 +11,7 @@
 //!
 //! This is the heaviest figure; run it in release.
 
-use llmnpu_model::backend::{
-    FloatBackend, LinearBackend, LlmInt8Backend, PerGroupBackend, ShadowBackend, SmoothQuantBackend,
-};
+use llmnpu_model::backend::{FloatBackend, LinearBackend, ShadowBackend, SmoothQuantBackend};
 use llmnpu_model::config::ModelConfig;
 use llmnpu_model::forward::Transformer;
 use llmnpu_model::weights::{synthesize, OutlierSpec};
@@ -22,6 +20,7 @@ use llmnpu_workloads::random_prompt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::baselines::{LlmInt8Backend, PerGroupBackend};
 use crate::{header, Result};
 
 const TASKS: usize = 60;

@@ -7,9 +7,12 @@
 //! default output is committed as `BENCH_paper.txt` at the repository
 //! root, and CI regenerates it and fails on any byte of difference, so a
 //! change that moves a figure updates that record in the same commit.
+//! [`baselines`] holds the batch-coupled quantization baselines the
+//! accuracy figures compare against.
 
 #![forbid(unsafe_code)]
 
+pub mod baselines;
 pub mod figures;
 
 /// What a figure returns: any error aborts the run.

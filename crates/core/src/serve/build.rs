@@ -563,7 +563,7 @@ impl<'run> RoundBuilder<'run> {
         Box::new(move || {
             let last = program.last_hidden_row().map_err(|e| e.to_string())?;
             plain_lock(&ctx.live.states[req]).last_hidden = Some(last);
-            if ctx.round.share {
+            if ctx.round.opts.share_prefixes {
                 // Publish the now-complete prompt pages to the global
                 // cache (full blocks only, first writer wins) so later
                 // batches reuse them without a live donor. Failure here
@@ -745,9 +745,8 @@ impl RunCtx<'_> {
     ///
     /// Liveness is per member — a cancelled, expired, or failed member
     /// is excluded from the stacked GEMM without touching its neighbors
-    /// (row exclusion is bit-safe for row-wise backends, the only ones
-    /// that batch), which is what keeps a cohort-mate's failure out of
-    /// every other stream.
+    /// (row exclusion is bit-safe: every backend is row-wise), which is
+    /// what keeps a cohort-mate's failure out of every other stream.
     fn decode_step(self, segs: &[usize], step: usize) -> std::result::Result<(), String> {
         let RoundState {
             slots,

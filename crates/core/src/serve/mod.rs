@@ -71,14 +71,13 @@
 //! paged cache and its own seeded [`Sampler`]; attention over any page
 //! size is bit-identical to the one-page store solo `generate` runs on
 //! (the same layer loop, the same kernel, its key tile a constant); and
-//! stacking
-//! rows into an `m = B` GEMM never changes a row's bits for a row-wise
-//! backend — so every request's token stream is **bit-identical** to
-//! its solo [`Transformer::generate`] run at every worker count,
-//! policy, batch width, pool size, and eviction schedule. Prefix
-//! sharing and decode batching silently disable themselves for
-//! non-row-wise backends (dynamic whole-batch quantization), where
-//! batch composition would legitimately perturb last bits.
+//! stacking rows into an `m = B` GEMM never changes a row's bits,
+//! because every [`LinearBackend`](llmnpu_model::backend::LinearBackend)
+//! computes each output row from its own input row alone — so every
+//! request's token stream is **bit-identical** to its solo
+//! [`Transformer::generate`] run at every worker count, policy, batch
+//! width, pool size, and eviction schedule, with prefix sharing and
+//! decode cohorts on for every backend.
 //!
 //! # Failure containment
 //!
@@ -383,15 +382,14 @@ pub struct ServeOptions {
     /// Maximum decode cohort width B: same-position decode steps of up
     /// to B concurrently admitted requests run as one `m = B` batched
     /// GEMM per linear site. `1` keeps each request's steps separate
-    /// GEMVs. Ignored (treated as 1) for non-row-wise backends.
+    /// GEMVs.
     pub decode_batch: usize,
     /// Share common prompt prefixes: between concurrently active
     /// requests (allocate + prefill once, ref-count the pages — any
     /// prefix length, full pages ref-shared and the sub-page tail
     /// row-copied), and across time through the global prefix cache
     /// (completed prefills cache their full prompt pages; later
-    /// requests reuse them with no donor declaration). Ignored for
-    /// non-row-wise backends.
+    /// requests reuse them with no donor declaration).
     pub share_prefixes: bool,
     /// Streaming token callback, if any.
     pub on_token: Option<TokenSink>,
@@ -539,12 +537,6 @@ struct Round<'a> {
     pool: &'a Arc<BlockPool>,
     cache: &'a PrefixCache,
     faults: FaultPlan,
-    /// Prefix sharing in effect ([`ServeOptions::share_prefixes`] on a
-    /// row-wise backend).
-    share: bool,
-    /// Decode cohort width in effect ([`ServeOptions::decode_batch`];
-    /// 1 for non-row-wise backends).
-    decode_batch: usize,
     obs: Option<&'a Observability>,
 }
 
@@ -552,12 +544,10 @@ impl<'a> Round<'a> {
     /// Round 1 of a serving call over `session`: every request, on its
     /// own arrival clock.
     fn first(
-        t: &Transformer<'_>,
         requests: &[GenerationRequest],
         opts: &'a ServeOptions,
         session: &'a ServeSession,
     ) -> Self {
-        let row_wise = t.backend_row_wise();
         Round {
             requests: requests.to_vec(),
             orig_ids: (0..requests.len()).collect(),
@@ -566,8 +556,6 @@ impl<'a> Round<'a> {
             pool: &session.pool,
             cache: &session.cache,
             faults: opts.faults.clone().unwrap_or_default(),
-            share: opts.share_prefixes && row_wise,
-            decode_batch: if row_wise { opts.decode_batch } else { 1 },
             obs: opts.obs.as_ref().or(session.obs.as_ref()),
         }
     }
@@ -764,7 +752,7 @@ impl LlmNpuEngine {
         if requests.is_empty() {
             return Ok(llmnpu_verify::Report::default());
         }
-        let round = Round::first(t, requests, opts, &session);
+        let round = Round::first(requests, opts, &session);
         Ok(self.run_round(t, &round, RoundMode::DryRun)?.verified)
     }
 }

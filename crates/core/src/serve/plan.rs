@@ -164,7 +164,7 @@ impl Planner<'_> {
     /// donor). No block or chunk alignment beyond that — full pages
     /// are ref-shared, the remainder rows are copied.
     fn best_share(&self, req: usize) -> Option<SharedPrefix> {
-        if !self.round.share {
+        if !self.round.opts.share_prefixes {
             return None;
         }
         let requests = &self.round.requests;
@@ -226,7 +226,7 @@ impl Planner<'_> {
         // hit costs no gate and holds no donor pages).
         let mut probe: Option<CachedPrefix> = None;
         let prompt = &request.prompt;
-        if self.round.share && prompt.len() > 1 {
+        if self.round.opts.share_prefixes && prompt.len() > 1 {
             let hit = self.round.cache.lookup(&prompt[..prompt.len() - 1]);
             if hit.matched_tokens() > 0 {
                 probe = Some(hit);
@@ -362,7 +362,7 @@ impl Planner<'_> {
 
         let seg = self.segments.len();
         let fresh = cand.fresh_blocks(self.pool_cfg(), request);
-        let retained = if round.share {
+        let retained = if round.opts.share_prefixes {
             cand.cacheable_blocks(self.pool_cfg().block_tokens, request)
         } else {
             0
@@ -463,7 +463,7 @@ pub(super) fn plan_batch(round: &Round<'_>) -> Result<RoundPlan> {
             }
             continue;
         }
-        if !current.is_empty() && (current.len() >= round.decode_batch || waits_on_member) {
+        if !current.is_empty() && (current.len() >= round.opts.decode_batch || waits_on_member) {
             cohorts += 1;
             current.clear();
         }
@@ -525,6 +525,8 @@ mod tests {
         let opts = ServeOptions {
             max_active,
             pressure,
+            decode_batch,
+            share_prefixes: share,
             ..ServeOptions::default()
         };
         let n = requests.len();
@@ -536,8 +538,6 @@ mod tests {
             pool: &pool,
             cache: &PrefixCache::new(block_tokens),
             faults: FaultPlan::default(),
-            share,
-            decode_batch,
             obs: None,
         };
         plan_batch(&round).map(|p| (p.segments, p.cohorts, p.shared_blocks))

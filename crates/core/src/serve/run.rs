@@ -144,7 +144,7 @@ impl LlmNpuEngine {
         opts: &ServeOptions,
         session: &ServeSession,
     ) -> Result<ServeReport> {
-        let mut round = Round::first(t, requests, opts, session);
+        let mut round = Round::first(requests, opts, session);
         let obs = round.obs;
         let metrics_base = session.cache.metrics();
         if let Some(o) = obs {

@@ -17,18 +17,20 @@
 //! column depends on another, so every column is bit-identical to its own
 //! site's. The baselines whose quantization ties a site's columns
 //! together — per-site weight scales or smoothing ([`PerTensorBackend`],
-//! [`SmoothQuantBackend`]), batch-coupled activation scales
-//! ([`PerGroupBackend`], [`LlmInt8Backend`]) — keep per-site layers and
-//! fill the output's column blocks. `LinearKind` still names a site for
+//! [`SmoothQuantBackend`]) — keep per-site layers and fill the output's
+//! column blocks ([`per_site`]). `LinearKind` still names a site for
 //! calibration, pruning and the figures.
+//!
+//! Every backend here is **row-wise**: each output row depends only on
+//! its own input row (see [`LinearBackend`]). The accuracy baselines whose
+//! algorithms couple rows across the batch live with the figures that
+//! use them, outside the serving crates.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use llmnpu_quant::lut::LutLinear;
-use llmnpu_quant::mixed::MixedLinear;
 use llmnpu_quant::outlier::{calibrate_scale, prune_layers, ShadowLinear};
-use llmnpu_quant::per_group::GroupedLinear;
 use llmnpu_quant::per_tensor::QuantizedLinear;
 use llmnpu_quant::smooth::SmoothedLinear;
 use llmnpu_tensor::{gemm, PackedMatrixF32, Tensor};
@@ -155,6 +157,15 @@ pub(crate) fn host_threads() -> usize {
 /// pool worker threads; every implementation owns immutable quantized
 /// weights, so sharing is free.
 ///
+/// Every output row depends **only** on its own input row: `linear` on a
+/// stacked `[B, k]` batch produces, row for row, the exact bits of B
+/// single-row calls, and so do `linear_main` and `linear_shadow`.
+/// Serving relies on this — batched decode cohorts and paged prefix
+/// sharing stack rows of different requests into one call, and each
+/// request's stream must stay bit-identical to its solo run. An
+/// implementation must not derive a scale, a threshold or an outlier set
+/// from the batch.
+///
 /// Backends with a genuinely separable correction path (the
 /// shadow-outlier scheme, §3.3) additionally expose it through
 /// [`LinearBackend::linear_main`] / [`LinearBackend::linear_shadow`]:
@@ -210,28 +221,6 @@ pub trait LinearBackend: Send + Sync {
         false
     }
 
-    /// Whether every output row depends **only** on its own input row —
-    /// i.e. `linear` applied to a stacked `[B, hidden]` batch produces,
-    /// row for row, the exact bits of B separate single-row calls.
-    /// Batched decode GEMMs and paged prefix sharing are bit-transparent
-    /// only when this holds, so the serving scheduler consults it before
-    /// stacking rows across requests.
-    ///
-    /// True for the static-weight float path and the LUT path (each row
-    /// is quantized with its own scale). The default is `false`, and it
-    /// stays `false` for every i8 backend until a stacked ≡ solo property
-    /// test pins it (ROADMAP item 14): `PerTensorBackend`,
-    /// `SmoothQuantBackend` and `ShadowBackend` quantize activations with
-    /// a static calibrated scale, so only the shadow half's outlier
-    /// extraction could couple rows (a row's NaN is scattered only when
-    /// another row made its channel an outlier); `PerGroupBackend` takes
-    /// each group's activation scale from the whole batch and
-    /// `LlmInt8Backend` picks outlier columns over the whole batch, so
-    /// batch composition does perturb their last bits.
-    fn row_wise(&self) -> bool {
-        false
-    }
-
     /// Human-readable backend name for experiment tables.
     fn name(&self) -> &'static str;
 }
@@ -261,7 +250,13 @@ fn layer_weight(l: &LayerWeights, kind: LinearKind) -> Option<&Tensor<f32>> {
     }
 }
 
-fn site_weight(weights: &ModelWeights, layer: usize, kind: LinearKind) -> Result<&Tensor<f32>> {
+/// The float weight of one site.
+///
+/// # Errors
+///
+/// Returns an error if `layer` is out of range or the site is an ungated
+/// FFN's gate.
+pub fn site_weight(weights: &ModelWeights, layer: usize, kind: LinearKind) -> Result<&Tensor<f32>> {
     let l = weights.layers.get(layer).ok_or(Error::LayerOutOfRange {
         layer,
         layers: weights.layers.len(),
@@ -339,7 +334,12 @@ pub fn model_sites(weights: &ModelWeights) -> Vec<LinearSite> {
 
 /// The `linear` of the per-site backends: runs each site of `input`
 /// that `sites` holds and lays the outputs side by side.
-fn per_site<L>(
+///
+/// # Errors
+///
+/// Returns an error if `sites` holds no site of `input` in `layer`, or
+/// whatever `forward` returns.
+pub fn per_site<L>(
     sites: &HashMap<LinearSite, L>,
     backend: &str,
     layer: usize,
@@ -426,12 +426,6 @@ impl LinearBackend for FloatBackend {
         Ok(gemm::matmul_f32_prepacked(x, packed, host_threads())?)
     }
 
-    fn row_wise(&self) -> bool {
-        // Static float weights, row-partitioned GEMM: each output row is
-        // a function of its input row alone, bit-for-bit.
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FP16"
     }
@@ -504,39 +498,6 @@ impl LinearBackend for PerTensorBackend {
     }
 }
 
-/// Per-group backend (K-Quant/AWQ-style).
-pub struct PerGroupBackend {
-    layers: HashMap<LinearSite, GroupedLinear>,
-}
-
-impl PerGroupBackend {
-    /// Quantizes every projection with per-group scales.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `group_size` does not divide every reduction dim.
-    pub fn new(weights: &ModelWeights, group_size: usize) -> Result<Self> {
-        let mut layers = HashMap::new();
-        for site in model_sites(weights) {
-            let w = site_weight(weights, site.0, site.1)?;
-            layers.insert(site, GroupedLinear::new(w, group_size)?);
-        }
-        Ok(PerGroupBackend { layers })
-    }
-}
-
-impl LinearBackend for PerGroupBackend {
-    fn linear(&self, layer: usize, input: LinearInput, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        per_site(&self.layers, "grouped", layer, input, |lin| {
-            Ok(lin.forward(x)?.0)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "K-Quant"
-    }
-}
-
 /// SmoothQuant backend.
 pub struct SmoothQuantBackend {
     layers: HashMap<LinearSite, SmoothedLinear>,
@@ -568,39 +529,6 @@ impl LinearBackend for SmoothQuantBackend {
 
     fn name(&self) -> &'static str {
         "SmoothQuant"
-    }
-}
-
-/// LLM.int8() backend.
-pub struct LlmInt8Backend {
-    layers: HashMap<LinearSite, MixedLinear>,
-}
-
-impl LlmInt8Backend {
-    /// Builds mixed-precision layers with a fixed outlier threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model weights are malformed.
-    pub fn new(weights: &ModelWeights, threshold: f32) -> Result<Self> {
-        let mut layers = HashMap::new();
-        for site in model_sites(weights) {
-            let w = site_weight(weights, site.0, site.1)?;
-            layers.insert(site, MixedLinear::new(w, threshold));
-        }
-        Ok(LlmInt8Backend { layers })
-    }
-}
-
-impl LinearBackend for LlmInt8Backend {
-    fn linear(&self, layer: usize, input: LinearInput, x: &Tensor<f32>) -> Result<Tensor<f32>> {
-        per_site(&self.layers, "mixed", layer, input, |lin| {
-            Ok(lin.forward(x)?.0)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "LLM.int8()"
     }
 }
 
@@ -822,14 +750,6 @@ impl LinearBackend for LutBackend {
         Ok(fused(&self.layers, "LUT", layer, input)?.forward(x, host_threads())?)
     }
 
-    fn row_wise(&self) -> bool {
-        // The LUT drivers quantize each activation row with its own
-        // max-min scale and accumulate per row in a fixed order, so a
-        // stacked [B, hidden] call reproduces B solo calls bit-for-bit
-        // — batched decode and prefix sharing stay stream-transparent.
-        true
-    }
-
     fn name(&self) -> &'static str {
         self.name
     }
@@ -926,9 +846,7 @@ mod tests {
         let x = Tensor::from_vec(vec![0.05_f32; 32], [1, 32]).unwrap();
 
         let pt = PerTensorBackend::new(&w, &cal).unwrap();
-        let pg = PerGroupBackend::new(&w, 8).unwrap();
         let sq = SmoothQuantBackend::new(&w, &cal, 0.5).unwrap();
-        let mx = LlmInt8Backend::new(&w, 6.0).unwrap();
         let sh = ShadowBackend::new(&w, &cal, 0.999, 0.0).unwrap();
         let l4 = LutBackend::int4(&w, 8).unwrap();
         let l2 = LutBackend::int2(&w, 8).unwrap();
@@ -936,13 +854,12 @@ mod tests {
         let reference = FloatBackend::new(w.clone())
             .linear(0, LinearInput::Attn, &x)
             .unwrap();
-        for be in [&pt as &dyn LinearBackend, &pg, &sq, &mx, &sh, &l4, &l2] {
+        for be in [&pt as &dyn LinearBackend, &sq, &sh, &l4, &l2] {
             let y = be.linear(0, LinearInput::Attn, &x).unwrap();
             let mse = y.mse(&reference).unwrap();
             assert!(mse < 0.5, "{}: mse {mse}", be.name());
         }
         assert!(l4.weight_bytes() > l2.weight_bytes());
-        assert!(l4.row_wise() && l2.row_wise());
     }
 
     #[test]

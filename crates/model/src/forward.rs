@@ -62,15 +62,6 @@ impl<'a> Transformer<'a> {
         &self.weights.config
     }
 
-    /// Whether the bound backend computes each activation row
-    /// independently of its batchmates (see
-    /// [`LinearBackend::row_wise`]). Batched decode and prefix sharing
-    /// are bit-transparent only for row-wise backends.
-    #[must_use]
-    pub fn backend_row_wise(&self) -> bool {
-        self.backend.row_wise()
-    }
-
     /// Embeds a token sequence into `[seq, hidden]`.
     ///
     /// # Errors
@@ -154,10 +145,10 @@ impl<'a> Transformer<'a> {
     /// (each entry rotates at its own absolute position and attends over
     /// its own paged history).
     ///
-    /// For a **row-wise** backend (see [`LinearBackend::row_wise`]) row
-    /// `i` of the result is bit-identical to running entry `i`'s decode
-    /// step alone — stacking rows into one GEMM never changes a float of
-    /// any row. Returns the `[B, hidden]` post-forward hidden states
+    /// Every backend is row-wise (see [`LinearBackend`]), so row `i` of
+    /// the result is bit-identical to running entry `i`'s decode step
+    /// alone — stacking rows into one GEMM never changes a float of any
+    /// row. Returns the `[B, hidden]` post-forward hidden states
     /// (the LM-head inputs for the *next* sampling step).
     ///
     /// # Errors

@@ -13,12 +13,15 @@
 //!    [`forward::Transformer`] runs a real FP32 decoder forward pass over
 //!    them. The linear layers are routed through a pluggable
 //!    [`backend::LinearBackend`], so the same transformer can execute in
-//!    FP32, naive per-tensor INT8, per-group, SmoothQuant, LLM.int8(), or
-//!    llm.npu's shadow-outlier mode — which is how the accuracy experiments
-//!    (Table 6, Figures 4/12/16) are run. [`sample`] supplies the seeded
-//!    decoding strategies (greedy / temperature / top-k / top-p) that
-//!    [`forward::Transformer::generate`] and the continuous-batching
-//!    serving loop in `llmnpu-core` drive token generation with.
+//!    FP32, naive per-tensor INT8, SmoothQuant, int4/int2 LUT weights, or
+//!    llm.npu's shadow-outlier mode — every one row-wise, so every one
+//!    serves — and, through the same trait, the batch-coupled per-group
+//!    and LLM.int8() baselines the figure harness defines; this is how
+//!    the accuracy experiments (Table 6, Figures 4/12/16) are run.
+//!    [`sample`] supplies the seeded decoding strategies (greedy /
+//!    temperature / top-k / top-p) that [`forward::Transformer::generate`]
+//!    and the continuous-batching serving loop in `llmnpu-core` drive
+//!    token generation with.
 //!
 //! # Example
 //!

@@ -7,14 +7,14 @@
 //! ```
 
 use llmnpu::model::backend::{
-    FloatBackend, LinearBackend, LlmInt8Backend, PerGroupBackend, PerTensorBackend, ShadowBackend,
-    SmoothQuantBackend,
+    FloatBackend, LinearBackend, PerTensorBackend, ShadowBackend, SmoothQuantBackend,
 };
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
 use llmnpu::model::weights::{synthesize, OutlierSpec};
 use llmnpu::workloads::accuracy::{generate, BenchmarkSpec};
 use llmnpu::workloads::random_prompt;
+use llmnpu_bench::baselines::{LlmInt8Backend, PerGroupBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

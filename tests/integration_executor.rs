@@ -8,8 +8,7 @@ use std::sync::Arc;
 use llmnpu::graph::chunk::ChunkPlan;
 use llmnpu::graph::dag::{build_prefill_dag, DagConfig, PrefillDag, TaskRole};
 use llmnpu::model::backend::{
-    FloatBackend, LinearBackend, LlmInt8Backend, PerGroupBackend, PerTensorBackend, ShadowBackend,
-    SmoothQuantBackend,
+    FloatBackend, LinearBackend, LutBackend, PerTensorBackend, ShadowBackend, SmoothQuantBackend,
 };
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
@@ -19,6 +18,7 @@ use llmnpu::sched::{execute_chunked_prefill, validate_timeline, LaneGraph, Polic
 use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::soc::Processor;
+use llmnpu_bench::baselines::{LlmInt8Backend, PerGroupBackend};
 
 fn mini_model() -> ModelWeights {
     let cfg = ModelConfig::qwen15_18b().scaled_down(48, 3, 96).unwrap();
@@ -124,12 +124,13 @@ fn executor_determinism_bit_identical_across_workers_and_backends() {
     }
 }
 
-/// For backends whose activation handling is per-row (static calibrated
-/// scales), chunked execution — sequential or DAG-executed — is
-/// bit-identical even to the *whole-prompt* forward. (Per-group and
-/// LLM.int8() quantize dynamically over the whole activation batch, so
-/// their chunked results legitimately differ in the last bits; the seed
-/// pins those with an MSE bound instead.)
+/// Every served backend is row-wise (static calibrated scales, or a
+/// scale per row), so chunked execution — sequential or DAG-executed —
+/// is bit-identical even to the *whole-prompt* forward, shadow halves
+/// pruned or not. (The per-group and LLM.int8() baselines quantize over
+/// the whole activation batch, so their chunked results legitimately
+/// differ in the last bits; `integration_numeric` pins those with an
+/// MSE bound instead.)
 #[test]
 fn executor_bit_matches_whole_prompt_for_rowwise_backends() {
     let w = mini_model();
@@ -144,6 +145,8 @@ fn executor_bit_matches_whole_prompt_for_rowwise_backends() {
         Box::new(PerTensorBackend::new(&w, &cal).unwrap()),
         Box::new(SmoothQuantBackend::new(&w, &cal, 0.5).unwrap()),
         Box::new(ShadowBackend::new(&w, &cal, 0.997, 0.0).unwrap()),
+        Box::new(ShadowBackend::new(&w, &cal, 0.997, 0.85).unwrap()),
+        Box::new(LutBackend::int4(&w, 16).unwrap()),
     ];
     for be in &backends {
         let t = Transformer::new(&w, be.as_ref());

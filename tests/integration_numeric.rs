@@ -2,8 +2,7 @@
 //! calibration, and quantization backends working together.
 
 use llmnpu::model::backend::{
-    model_sites, FloatBackend, LinearBackend, LlmInt8Backend, PerGroupBackend, PerTensorBackend,
-    ShadowBackend, SmoothQuantBackend,
+    model_sites, FloatBackend, LinearBackend, PerTensorBackend, ShadowBackend, SmoothQuantBackend,
 };
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
@@ -11,6 +10,7 @@ use llmnpu::model::kv::PagedKvCache;
 use llmnpu::model::weights::{synthesize, OutlierSpec};
 use llmnpu::workloads::accuracy::{generate, BenchmarkSpec};
 use llmnpu::workloads::random_prompt;
+use llmnpu_bench::baselines::{LlmInt8Backend, PerGroupBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -12,7 +12,9 @@ use llmnpu::core::serve::{
     decode_interleaved_with_prefill, evicted_and_recomputed, GenerationRequest, PressurePolicy,
     ServeOptions, ServeTaskKind, TokenEvent,
 };
-use llmnpu::model::backend::{FloatBackend, LutBackend, PerTensorBackend};
+use llmnpu::model::backend::{
+    FloatBackend, LinearBackend, LutBackend, PerTensorBackend, ShadowBackend, SmoothQuantBackend,
+};
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
 use llmnpu::model::sample::SamplerConfig;
@@ -96,9 +98,10 @@ fn batched_streams_bit_identical_to_solo_runs() {
 
 /// The full serving stack on 4-bit weights: a `LutBackend` model must
 /// serve end-to-end with every request's stream bit-identical to its
-/// solo `Transformer::generate` run at every worker count (the LUT
-/// drivers are row-wise, so cohort batching is stream-transparent),
-/// and the decode loop must never materialize a lookup table.
+/// solo `Transformer::generate` run at every worker count (like every
+/// backend, the LUT drivers are row-wise, so cohort batching is
+/// stream-transparent), and the decode loop must never materialize a
+/// lookup table.
 #[test]
 fn int4_backend_serves_with_stream_identity() {
     let w = mini_model();
@@ -711,63 +714,85 @@ fn token_sink_streams_in_request_order() {
     }
 }
 
-/// A backend that does not claim row-wise execution still serves
-/// correctly: sharing and batching silently disable, and streams match
-/// the backend's own solo runs. `PerTensorBackend` quantizes activations
-/// with a static calibrated scale, so nothing in it couples rows by
-/// reading; it keeps the conservative `row_wise() == false` default until
-/// a stacked ≡ solo property test pins the i8 backends (ROADMAP item 14).
+/// The int8 lane serves like the others: the static-scale backends —
+/// `PerTensorBackend`, `SmoothQuantBackend`, and `ShadowBackend` with its
+/// shadow halves kept or mostly pruned — are row-wise, so prefix sharing
+/// and decode cohorts engage, and every stream still equals its solo
+/// run at every page size and worker count, with no page leaked.
 #[test]
-fn quantized_backend_serves_with_batching_auto_disabled() {
+fn int8_backends_serve_with_sharing_and_cohorts() {
     let w = mini_model();
     let float = FloatBackend::new(w.clone());
-    let t_float = Transformer::new(&w, &float);
-    let cal = t_float.calibrate(&[tokens(8, 7), tokens(6, 5)]).unwrap();
-    let be = PerTensorBackend::new(&w, &cal).unwrap();
-    let t = Transformer::new(&w, &be);
-    assert!(!t.backend_row_wise());
-
-    let e = engine(3, 2);
-    let requests = vec![
-        GenerationRequest::new(tokens(9, 7), 3),
-        GenerationRequest::new(tokens(9, 7), 3).with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
-    ];
-    let report = e
-        .serve(
-            &t,
-            &requests,
-            &ServeOptions {
-                max_active: 2,
-                decode_batch: 4,      // ignored: backend does not claim row-wise
-                share_prefixes: true, // ignored likewise
-                ..ServeOptions::default()
-            },
-        )
+    let cal = Transformer::new(&w, &float)
+        .calibrate(&[tokens(8, 7), tokens(6, 5)])
         .unwrap();
-    assert_eq!(report.kv.shared_prefix_blocks, 0, "sharing must not engage");
-    assert!(
-        !report
-            .timeline
-            .entries()
+    let backends: Vec<(&str, Box<dyn LinearBackend>)> = vec![
+        (
+            "per-tensor",
+            Box::new(PerTensorBackend::new(&w, &cal).unwrap()),
+        ),
+        (
+            "smoothquant",
+            Box::new(SmoothQuantBackend::new(&w, &cal, 0.5).unwrap()),
+        ),
+        (
+            "shadow at 0",
+            Box::new(ShadowBackend::new(&w, &cal, 0.997, 0.0).unwrap()),
+        ),
+        (
+            "shadow at 0.85",
+            Box::new(ShadowBackend::new(&w, &cal, 0.997, 0.85).unwrap()),
+        ),
+    ];
+    // A 17-token system prefix spans a whole page at every page size.
+    let prefix = tokens(17, 7);
+    let with_tail = |tail: &[u32]| [prefix.as_slice(), tail].concat();
+    let requests = vec![
+        GenerationRequest::new(with_tail(&[1, 2, 3]), 4),
+        GenerationRequest::new(with_tail(&[60, 61]), 4)
+            .with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
+        GenerationRequest::new(with_tail(&[9]), 5).with_sampler(SamplerConfig::temperature(1.2, 9)),
+    ];
+    for (name, be) in &backends {
+        let t = Transformer::new(&w, be.as_ref());
+        let solo: Vec<Vec<u32>> = requests
             .iter()
-            .any(|s| matches!(s.meta.kind, ServeTaskKind::DecodeBatch { .. })),
-        "batched decode must not engage for a non-row-wise backend"
-    );
-    for (r, outcome) in report.requests.iter().enumerate() {
-        let solo = t
-            .generate(
-                &requests[r].prompt,
-                Some(3),
-                requests[r].max_new_tokens,
-                &requests[r].sampler,
-            )
-            .unwrap();
-        assert_eq!(
-            outcome.tokens, solo,
-            "request {r} diverged on quantized backend"
-        );
+            .map(|r| {
+                t.generate(&r.prompt, Some(3), r.max_new_tokens, &r.sampler)
+                    .unwrap()
+            })
+            .collect();
+        for workers in [1, 3] {
+            let e = engine(3, workers);
+            for block_tokens in [1, 4, 16] {
+                let opts = ServeOptions {
+                    max_active: 3,
+                    block_tokens,
+                    decode_batch: 4,
+                    share_prefixes: true,
+                    ..ServeOptions::default()
+                };
+                let report = e.serve(&t, &requests, &opts).unwrap();
+                let what = format!("{name}, {block_tokens}-token pages, {workers} workers");
+                assert!(
+                    report.kv.shared_prefix_blocks > 0,
+                    "{what}: sharing must engage"
+                );
+                assert!(
+                    report
+                        .timeline
+                        .entries()
+                        .iter()
+                        .any(|s| matches!(s.meta.kind, ServeTaskKind::DecodeBatch { .. })),
+                    "{what}: batched decode must engage"
+                );
+                for (r, outcome) in report.requests.iter().enumerate() {
+                    assert_eq!(outcome.tokens, solo[r], "{what}: request {r} diverged");
+                }
+                assert_eq!(report.kv.leaked_blocks, 0, "{what}");
+            }
+        }
     }
-    assert_eq!(report.kv.leaked_blocks, 0);
 }
 
 /// Regression: a prefix sharer planned *after* an early cohort flush
