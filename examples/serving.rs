@@ -1,8 +1,9 @@
 //! Continuous-batching serving demo: a Poisson queue of generation
-//! requests served on the engine's worker-pool lanes, with per-request
-//! prefill DAGs and decode chains interleaving under the out-of-order
-//! policy — then the same queue served single-stream (admission cap 1)
-//! for comparison.
+//! requests served on llm.npu's shadow-outlier int8 backend over the
+//! engine's worker-pool lanes, with per-request prefill DAGs and decode
+//! chains interleaving under the out-of-order policy and same-step
+//! decodes stacked into cohorts — then the same queue served
+//! single-stream (admission cap 1) for comparison.
 //!
 //! ```sh
 //! cargo run --example serving
@@ -10,9 +11,9 @@
 
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu::core::serve::{
-    decode_interleaved_with_prefill, GenerationRequest, ServeOptions, ServeReport,
+    decode_interleaved_with_prefill, GenerationRequest, ServeOptions, ServeReport, ServeTaskKind,
 };
-use llmnpu::model::backend::FloatBackend;
+use llmnpu::model::backend::{FloatBackend, ShadowBackend};
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
 use llmnpu::model::weights::{synthesize, OutlierSpec};
@@ -75,8 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // engine's scheduling machinery.
     let numeric_cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96)?;
     let weights = synthesize(&numeric_cfg, 7, OutlierSpec::default())?;
-    let float = FloatBackend::new(weights.clone());
-    let t = Transformer::new(&weights, &float);
 
     let mut cfg = EngineConfig::llmnpu(ModelConfig::qwen15_18b(), SocSpec::snapdragon_8gen3());
     cfg.chunk_len = 6;
@@ -96,8 +95,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
+    // The paper's backend, calibrated on the queue's own prompts; every
+    // site keeps its shadow path, so every outlier takes the float half.
+    let float = FloatBackend::new(weights.clone());
+    let prompts: Vec<Vec<u32>> = requests.iter().map(|r| r.prompt.clone()).collect();
+    let calibration = Transformer::new(&weights, &float).calibrate(&prompts)?;
+    let shadow = ShadowBackend::new(&weights, &calibration, 0.997, 0.0)?;
+    let t = Transformer::new(&weights, &shadow);
+
     println!(
-        "=== continuous batching | {} requests, Poisson arrivals, {} pool lanes, max_active 3 ===",
+        "=== continuous batching | {} requests, Poisson arrivals, {} pool lanes, \
+         max_active 3, decode_batch 3, shadow-int8 ===",
         requests.len(),
         engine.pool().workers()
     );
@@ -106,6 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &requests,
         &ServeOptions {
             max_active: 3,
+            decode_batch: 3,
             ..ServeOptions::default()
         },
     )?;
@@ -136,6 +145,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "decode interleaved with another request's prefill: {}",
         decode_interleaved_with_prefill(&batched.timeline)
     );
+    let cohort_steps = batched
+        .timeline
+        .entries()
+        .iter()
+        .filter(|s| matches!(s.meta.kind, ServeTaskKind::DecodeBatch { .. }))
+        .count();
+    println!("batched decode steps (cohorts of 2-3 requests): {cohort_steps}");
+    assert!(cohort_steps > 0, "decode cohorts must engage");
 
     println!("\n=== same queue, single-stream (max_active 1) ===");
     let single = engine.serve(
