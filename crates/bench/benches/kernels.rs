@@ -1096,12 +1096,15 @@ fn kernel_comparison() {
     );
     // The served shapes first: the benchmark model's linear sites at the
     // group size every backend, test and workload uses (gs = 32), at
-    // solo decode, a batched-decode cohort and a prefill chunk.
-    let lut_shapes: [(usize, usize, usize, usize, usize, bool); 11] = [
+    // solo decode, a half and a full batched-decode cohort and a prefill
+    // chunk.
+    let lut_shapes: [(usize, usize, usize, usize, usize, bool); 13] = [
         (1, 512, 1376, 32, 25, false),
+        (4, 512, 1376, 32, 25, false),
         (8, 512, 1376, 32, 25, false),
         (32, 512, 1376, 32, 15, false),
         (1, 1376, 512, 32, 25, false),
+        (4, 1376, 512, 32, 25, false),
         (8, 1376, 512, 32, 25, false),
         (32, 1376, 512, 32, 15, false),
         (1, 4096, 4096, 32, 12, true), // solo decode GEMV — the 1.5x gate row

@@ -75,10 +75,22 @@
 //! at `gs = 32` the driver ran 5–7 Gop/s on every shape, against 38–44
 //! at `gs = 128/256`. With columns in the lanes the same epilogue is
 //! one vector convert-multiply-add per 16 outputs (`lut_epilogue`) and
-//! the cliff is gone: `gs = 32` runs 28–41 Gop/s against 41–59 at
-//! `gs = 128/256` (one core; `BENCH_kernels.json`, `lut_decode`). There
-//! is no group-size specialization anywhere: one walker per shape
-//! class, every group size.
+//! the cliff is gone: the 4096² GEMV runs 30–32 Gop/s at `gs = 32`
+//! against 35–45 at `gs = 128/256` (`BENCH_kernels.json`, `lut_decode`).
+//!
+//! At `m > 2` the tiled walker goes one step further: one fused
+//! [`lut_tile`] per 8-row tile and panel splits the code planes, dots
+//! them and runs every group's epilogue with the codes, the eight rows'
+//! `i32` group sums and their 8 × 16 running outputs all in registers,
+//! and stores once per panel. The walker before it unpacked each group
+//! into a scratch panel, called the integer tile once per group and ran
+//! the epilogue from the spilled sums: on the served shapes (`512 × 1376`
+//! and `1376 × 512`, `gs = 32`, two threads of an AVX-512 VNNI Xeon) it
+//! read 45–48 Gop/s at `m = 8` and 53–84 at `m = 32`; the fused tile
+//! reads 79–89 and 111–141, with int4 at `m = 8` as fast as the i8 tile
+//! (the two issue the same number of `vpdpbusd`). There is no group-size
+//! specialization anywhere: one walker per shape class, every group
+//! size.
 //!
 //! # Bit-exactness and threading
 //!
@@ -99,7 +111,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::microkernel::{lut_dot, lut_unpack, microkernel_int, MR, NR};
+use super::microkernel::{lut_dot, lut_tile, LutTile, MR, NR};
 use super::pack::{self, ColumnBlocks};
 use super::{parallel, GEMV_MAX_ROWS};
 
@@ -376,19 +388,20 @@ const A_QMAX: f32 = 127.0;
 
 /// Activation rows quantized to i8 values — held as `i16` for the
 /// GEMV's [`lut_dot`], as `i8` for the register tile — with one dynamic
-/// max-min scale per row and the per-(row, group) sums the bias
-/// correction needs. Rows are stored in tiles of `mr`, K-major by quads
+/// max-min scale per row and the per-(row, group) bias corrections
+/// `bias · Σ aq`. Rows are stored in tiles of `mr`, K-major by quads
 /// within a tile: element `(r, p)` is
-/// `aq[((r / mr · k_pad / 4 + p / 4) · mr + r % mr) · 4 + p % 4]` and sum
-/// `(r, g)` is `sums[(r / mr * groups + g) * mr + r % mr]` — row-major
-/// for `mr = 1`, the `[k/4][MR][4]` A-panel order of the register tile
-/// for `mr = MR`. Group starts are multiples of 4, so a group's sub-panel
-/// of a tile starts at `(tile · k_pad + g0) · mr`. Rows are zero-padded
-/// to `k_pad` and to a whole tile.
+/// `aq[((r / mr · k_pad / 4 + p / 4) · mr + r % mr) · 4 + p % 4]`,
+/// correction `(r, g)` is `corrs[(r / mr * groups + g) * mr + r % mr]`
+/// and scale `r` is `scales[r]` — row-major for `mr = 1`, the
+/// `[k/4][MR][4]` A-panel order of the register tile for `mr = MR`.
+/// Group starts are multiples of 4, so a group's sub-panel of a tile
+/// starts at `(tile · k_pad + g0) · mr`. Rows are zero-padded to `k_pad`
+/// and to a whole tile; a padding row has scale 0.
 struct QuantRows<T> {
     aq: Vec<T>,
     scales: Vec<f32>,
-    sums: Vec<i32>,
+    corrs: Vec<i32>,
 }
 
 /// The quantized rows in the layout their walker reads.
@@ -404,6 +417,10 @@ enum Activations {
 /// never quantize differently. A row holding a NaN or an infinity gets a
 /// NaN scale — every output of that row is NaN, as in the float drivers —
 /// and no other row is affected.
+///
+/// Each row is quantized contiguously first (the max, the quantizer and
+/// the group sums are plain loops over the row, which vectorize), then
+/// laid out in whole quads.
 fn quantize_rows<const BITS: usize, T: Copy + Default + From<i8>>(
     a: &[f32],
     m: usize,
@@ -413,40 +430,46 @@ fn quantize_rows<const BITS: usize, T: Copy + Default + From<i8>>(
     let groups = p.groups();
     let tiles = m.div_ceil(mr);
     let mut aq = vec![T::default(); tiles * p.k_pad * mr];
-    let mut sums = vec![0i32; tiles * groups * mr];
-    let mut scales = Vec::with_capacity(m);
-    for r in 0..m {
+    let mut corrs = vec![0i32; tiles * groups * mr];
+    let mut scales = vec![0.0f32; tiles * mr];
+    let mut q = vec![0i8; p.k];
+    for (r, scale) in scales.iter_mut().enumerate().take(m) {
         let row = &a[r * p.k..(r + 1) * p.k];
-        let mut amax = 0.0f32;
-        for &v in row {
-            // `f32::max` would drop a NaN; this keeps it.
-            if v.abs() > amax || v.is_nan() {
-                amax = v.abs();
-            }
-        }
-        let scale = if !amax.is_finite() {
+        // |v| as bits orders like |v| for every non-NaN float, and every
+        // NaN sorts above ∞: the largest |v|, or a NaN if the row has one.
+        let amax = f32::from_bits(
+            row.iter()
+                .map(|v| v.to_bits() & !(1 << 31))
+                .max()
+                .unwrap_or(0),
+        );
+        *scale = if !amax.is_finite() {
             f32::NAN
         } else if amax > 0.0 {
             amax / A_QMAX
         } else {
             0.0
         };
-        scales.push(scale);
-        if scale > 0.0 {
-            let (tile, lane) = (r / mr, r % mr);
-            for (g, group) in row.chunks(p.group_size).enumerate() {
-                let mut sum = 0i32;
-                for (i, &v) in group.iter().enumerate() {
-                    let q = crate::ops::quantize_i8(v, scale);
-                    let pos = g * p.group_size + i;
-                    aq[((tile * p.k_pad / 4 + pos / 4) * mr + lane) * 4 + pos % 4] = T::from(q);
-                    sum += i32::from(q);
-                }
-                sums[(tile * groups + g) * mr + lane] = sum;
+        // A zero or NaN scale leaves the row's activations at zero.
+        if scale.is_nan() || *scale == 0.0 {
+            continue;
+        }
+        for (q, &v) in q.iter_mut().zip(row) {
+            *q = crate::ops::quantize_i8(v, *scale);
+        }
+        let (tile, lane) = (r / mr, r % mr);
+        for (g, group) in q.chunks(p.group_size).enumerate() {
+            let sum: i32 = group.iter().map(|&x| i32::from(x)).sum();
+            corrs[(tile * groups + g) * mr + lane] = PackedLut::<BITS>::BIAS * sum;
+        }
+        let rows = &mut aq[tile * p.k_pad * mr..];
+        for (dst, quad) in rows.chunks_mut(4 * mr).zip(q.chunks(4)) {
+            for (d, &x) in dst[4 * lane..].iter_mut().zip(quad) {
+                *d = T::from(x);
             }
         }
     }
-    QuantRows { aq, scales, sums }
+    QuantRows { aq, scales, corrs }
 }
 
 /// One column panel as the walkers see it: its codes and its
@@ -476,7 +499,8 @@ fn lut_epilogue(out: &mut [f32; NR], acc: &[i32; NR], corr: i32, a_scale: f32, w
 
 /// The GEMV-shaped walker (`m ≤ 2`): one activation row against one
 /// panel, every group dotted in place from the packed bytes. `aq` is the
-/// row's `k_pad` quantized activations, `sums` its per-group sums.
+/// row's `k_pad` quantized activations, `corrs` its per-group bias
+/// corrections.
 ///
 /// `#[inline(never)]` here and `#[inline(always)]` on [`lut_dot`] are a
 /// pair: the group loop, the dot and the epilogue compile as one
@@ -486,70 +510,45 @@ fn lut_epilogue(out: &mut [f32; NR], acc: &[i32; NR], corr: i32, a_scale: f32, w
 fn lut_panel_row<const BITS: usize>(
     panel: &Panel<'_>,
     aq: &[i16],
-    sums: &[i32],
+    corrs: &[i32],
     a_scale: f32,
 ) -> [f32; NR] {
     let mut out = [0.0f32; NR];
-    for (((codes, aq), &sum), w_scales) in panel
+    for (((codes, aq), &corr), w_scales) in panel
         .codes
         .chunks(panel.group_size * BITS / 8 * NR)
         .zip(aq.chunks(panel.group_size))
-        .zip(sums)
+        .zip(corrs)
         .zip(panel.scales.chunks_exact(NR))
     {
         let acc = lut_dot::<BITS>(codes, aq);
-        lut_epilogue(
-            &mut out,
-            &acc,
-            PackedLut::<BITS>::BIAS * sum,
-            a_scale,
-            w_scales,
-        );
+        lut_epilogue(&mut out, &acc, corr, a_scale, w_scales);
     }
     out
 }
 
 /// The tiled walker (`m > 2`): every row tile of `q` (`MR`-row A panels,
-/// `k_pad` deep) against one panel. Each group is unpacked **once** into
-/// `scratch` and the register tile runs over every row tile against it,
-/// so the unpack is amortized over the whole cohort; `out[r]` receives
+/// `k_pad` deep) against one panel, each through one fused [`lut_tile`]
+/// that walks every group with the codes, the `i32` sums and the running
+/// `f32` outputs in registers. `out` holds whole tiles; row `r` receives
 /// row `r`'s 16 outputs.
 fn lut_panel_tiles<const BITS: usize>(
     panel: &Panel<'_>,
     q: &QuantRows<i8>,
     k_pad: usize,
     out: &mut [[f32; NR]],
-    scratch: &mut [u8],
 ) {
-    out.fill([0.0; NR]);
     let groups = panel.scales.len() / NR;
-    for (g, (codes, w_scales)) in panel
-        .codes
-        .chunks(panel.group_size * BITS / 8 * NR)
-        .zip(panel.scales.chunks_exact(NR))
-        .enumerate()
-    {
-        let len = codes.len() * 8 / BITS / NR;
-        let b_panel = &mut scratch[..len * NR];
-        lut_unpack::<BITS>(codes, b_panel);
-        for (tile, out_tile) in out.chunks_mut(MR).enumerate() {
-            let a_panel = &q.aq[(tile * k_pad + g * panel.group_size) * MR..];
-            let mut acc = [[0i32; NR]; MR];
-            microkernel_int(len, a_panel, b_panel, &mut acc);
-            let sums = &q.sums[(tile * groups + g) * MR..][..MR];
-            let a_scales = &q.scales[tile * MR..];
-            for (((out_row, acc_row), &sum), &a_scale) in
-                out_tile.iter_mut().zip(&acc).zip(sums).zip(a_scales)
-            {
-                lut_epilogue(
-                    out_row,
-                    acc_row,
-                    PackedLut::<BITS>::BIAS * sum,
-                    a_scale,
-                    w_scales,
-                );
-            }
-        }
+    for (t, out_tile) in out.as_chunks_mut::<MR>().0.iter_mut().enumerate() {
+        let tile = LutTile {
+            codes: panel.codes,
+            w_scales: panel.scales,
+            group_size: panel.group_size,
+            a_panel: &q.aq[t * k_pad * MR..][..k_pad * MR],
+            a_corrs: &q.corrs[t * groups * MR..][..groups * MR],
+            a_scales: &q.scales[t * MR..][..MR],
+        };
+        lut_tile::<BITS>(&tile, out_tile);
     }
 }
 
@@ -563,9 +562,9 @@ fn lut_panel_tiles<const BITS: usize>(
 /// whole panel of output columns at once.
 ///
 /// For `m ≤ 2` this is the N-partitioned decode GEMV; larger `m` (the
-/// batched-decode cohort and chunked prefill) runs the register-tiled
-/// walk over the same column panels, so the weights stream once per
-/// batch. Row `r` is bit-identical to a solo `m = 1` call on the same
+/// batched-decode cohort and chunked prefill) runs one fused
+/// [`lut_tile`] per 8-row tile over the same column panels, so the
+/// weights stream once per batch. Row `r` is bit-identical to a solo `m = 1` call on the same
 /// row, and results are bit-exact vs [`gemm_lut_reference`] for any
 /// thread count.
 ///
@@ -589,18 +588,19 @@ pub fn gemm_lut<const BITS: usize>(
         c.fill(0.0);
         return;
     }
-    let q = if m <= GEMV_MAX_ROWS {
-        Activations::Rows(quantize_rows(a, m, p, 1))
+    // The tiled walker writes whole tiles.
+    let (q, out_rows) = if m <= GEMV_MAX_ROWS {
+        (Activations::Rows(quantize_rows(a, m, p, 1)), m)
     } else {
-        Activations::Tiles(quantize_rows(a, m, p, MR))
+        let q = Activations::Tiles(quantize_rows(a, m, p, MR));
+        (q, m.next_multiple_of(MR))
     };
     let (groups, k_pad) = (p.groups(), p.k_pad);
     // NR-aligned bands keep every packed panel inside one worker, which
     // finishes all rows of a panel while its bytes are hot: the weights
     // stream from memory once per cohort.
     parallel::run_col_partitioned_rows(threads, m, p.n, NR, c, |col0, _, group| {
-        let mut out = vec![[0.0f32; NR]; m];
-        let mut scratch = vec![0u8; p.group_size * NR];
+        let mut out = vec![[0.0f32; NR]; out_rows];
         let cols = group.first().map_or(0, |(_, band)| band.len());
         for j0 in (0..cols).step_by(NR) {
             let pj = (col0 + j0) / NR;
@@ -613,12 +613,12 @@ pub fn gemm_lut<const BITS: usize>(
                 Activations::Rows(q) => {
                     for (r, out_row) in out.iter_mut().enumerate() {
                         let aq = &q.aq[r * k_pad..(r + 1) * k_pad];
-                        let sums = &q.sums[r * groups..(r + 1) * groups];
-                        *out_row = lut_panel_row::<BITS>(&panel, aq, sums, q.scales[r]);
+                        let corrs = &q.corrs[r * groups..(r + 1) * groups];
+                        *out_row = lut_panel_row::<BITS>(&panel, aq, corrs, q.scales[r]);
                     }
                 }
                 Activations::Tiles(q) => {
-                    lut_panel_tiles::<BITS>(&panel, q, k_pad, &mut out, &mut scratch);
+                    lut_panel_tiles::<BITS>(&panel, q, k_pad, &mut out);
                 }
             }
             for ((_, band), out_row) in group.iter_mut().zip(&out) {

@@ -21,19 +21,24 @@
 //!
 //! # The integer dot-product engine: one audited `unsafe` block
 //!
-//! The integer tile ([`microkernel_int`]) has two bodies and one
-//! dispatch. On `x86_64`, when the running CPU reports AVX-512 VNNI and
-//! VBMI, it runs a `#[target_feature]` body built on `vpdpbusd` — four
-//! `u8 × i8` products summed into each `i32` lane per instruction, the
-//! CPU's INT8 matrix-engine analogue; everywhere else it runs the
-//! portable body, [`microkernel_int_portable`], which is also the
-//! reference the tests hold the dispatched body to. Calling a
-//! `#[target_feature]` function from code compiled without those features
-//! is the one `unsafe` operation here, so this module is the crate's one
-//! scoped `allow(unsafe_code)` and the dispatch is its one `unsafe`
-//! block; the VNNI body itself uses value intrinsics only. Both bodies
-//! are exact integer arithmetic over `K ≤ 2^16`, so which one runs never
-//! changes a bit: results stay fixed per build on every host.
+//! The integer tile runs two jobs: the i8 panel tile
+//! ([`microkernel_int`], the i8 tile loop's) and the fused LUT tile
+//! ([`lut_tile`], the LUT GEMM's at `m > 2`). Each has two bodies, and
+//! one dispatch selects for both. On `x86_64`, when the running CPU
+//! reports AVX-512 VNNI and VBMI, it runs `#[target_feature]` bodies
+//! built on `vpdpbusd` — four `u8 × i8` products summed into each `i32`
+//! lane per instruction, the CPU's INT8 matrix-engine analogue — through
+//! one entry over an enum of tile jobs; everywhere else it runs the
+//! portable bodies, [`microkernel_int_portable`] and
+//! [`lut_tile_portable`], which are also the references the tests hold
+//! the dispatched bodies to. Calling a `#[target_feature]` function from
+//! code compiled without those features is the one `unsafe` operation
+//! here, so this module is the crate's one scoped `allow(unsafe_code)`
+//! and the dispatch is its one `unsafe` block; the VNNI bodies
+//! themselves use value intrinsics only. Every body is exact integer
+//! arithmetic over `K ≤ 2^16`, and the LUT bodies run the reference's
+//! group epilogue as a separate multiply and add, so which one runs
+//! never changes a bit: results stay fixed per build on every host.
 
 #![allow(unsafe_code)]
 
@@ -95,26 +100,154 @@ pub fn microkernel_f32(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[
 }
 
 /// `C_tile += A_panel · B_panel` over `kc` K steps, integer path: the
-/// one tile behind both integer tile loops (the i8 tile loop and the LUT
-/// tile walker), dispatched once per call to the fastest body the
-/// running CPU has (see the module docs).
+/// tile behind the i8 tile loop, dispatched once per call to the fastest
+/// body the running CPU has (see the module docs).
 ///
 /// The A panel is signed `i8` in `[kc / 4][MR][4]` order (see
 /// [`super::pack::pack_a_i8`]): each row's four consecutive K values are
-/// adjacent, one 32-bit broadcast. The B panel is K-major, `NR`
-/// **unsigned** bytes per K step — either a column panel of
-/// [`super::pack::PackedMatrixI8`] (`b + 128`) or `lut_unpack`'s output
-/// (one stored code per byte). Either way the signed value is
-/// `byte − bias`, and the caller removes `bias · Σ a` afterwards, once
-/// per (row, group). `kc` is the panel depth, a multiple of 4 (both
-/// packers pad K with zero activations). Products are exact in `i32`,
-/// and no partial sum can leave `i32` while `128 · 255 · K < 2^31`, i.e.
-/// for any `K ≤ 2^16`, so the result is bit-identical to the scalar
-/// reference regardless of body, blocking or thread count.
+/// adjacent, one 32-bit broadcast. The B panel is a column panel of
+/// [`super::pack::PackedMatrixI8`]: K-major, `NR` **unsigned** bytes
+/// (`b + 128`) per K step, so the signed value is `byte − 128` and the
+/// caller removes `128 · Σ a` afterwards, once per row. `kc` is the
+/// panel depth, a multiple of 4 (the packer pads K with zero
+/// activations). Products are exact in `i32`, and no partial sum can
+/// leave `i32` while `128 · 255 · K < 2^31`, i.e. for any `K ≤ 2^16`, so
+/// the result is bit-identical to the scalar reference regardless of
+/// body, blocking or thread count.
 #[inline]
 pub fn microkernel_int(kc: usize, a_panel: &[i8], b_panel: &[u8], acc: &mut [[i32; NR]; MR]) {
     debug_assert!(kc <= 1 << 16, "K = {kc} is past the exactness bound 2^16");
     debug_assert!(kc.is_multiple_of(4), "K = {kc} is not a multiple of 4");
+    run_int_tile(IntTile::Panel {
+        kc,
+        a_panel,
+        b_panel,
+        acc,
+    });
+}
+
+/// One `MR`-row register tile of a LUT GEMM against one `NR`-column panel
+/// of [`super::lut::PackedLut`]: the operands [`lut_tile`] and
+/// [`lut_tile_portable`] read, every group of the panel at once.
+#[derive(Clone, Copy, Debug)]
+pub struct LutTile<'a> {
+    /// The panel's codes, group after group, in the plane-split layout
+    /// of [`super::lut`]: byte `j` of byte-row `i` of a group with `R`
+    /// byte-rows carries column `j`'s codes for group positions `i`,
+    /// `R + i`, … (one per `BITS`-wide field, least significant first).
+    /// Every group but a ragged last one is `group_size · BITS / 8`
+    /// byte-rows.
+    pub codes: &'a [u8],
+    /// The panel's weight scales, `[group][NR]`.
+    pub w_scales: &'a [f32],
+    /// Positions per group, a positive multiple of 4.
+    pub group_size: usize,
+    /// The rows' `i8` activations over the padded `K`, in the
+    /// `[K / 4][MR][4]` A-panel order of [`microkernel_int`].
+    pub a_panel: &'a [i8],
+    /// Per-(group, row) bias corrections `bias · Σ aq` over the group's
+    /// positions, `[group][MR]` (`bias` = 8 for int4, 2 for int2).
+    pub a_corrs: &'a [i32],
+    /// Per-row activation scales, `MR` of them; a padding row has scale 0.
+    pub a_scales: &'a [f32],
+}
+
+/// One group of a [`LutTile`], cut out for a body.
+struct LutGroup<'a> {
+    /// `R` byte-rows of `NR` codes.
+    codes: &'a [u8],
+    w_scales: &'a [f32; NR],
+    /// `R · 8 / BITS` positions of A panel.
+    a: &'a [i8],
+    corrs: &'a [i32; MR],
+}
+
+impl<'a> LutTile<'a> {
+    /// The tile's groups in ascending order — the order the group
+    /// epilogue must run in for the float sums to be the reference's.
+    fn groups<const BITS: usize>(&self) -> impl Iterator<Item = LutGroup<'a>> {
+        let gs = self.group_size;
+        self.codes
+            .chunks(gs * BITS / 8 * NR)
+            .zip(self.w_scales.as_chunks::<NR>().0)
+            .zip(self.a_panel.chunks(gs * MR))
+            .zip(self.a_corrs.as_chunks::<MR>().0)
+            .map(|(((codes, w_scales), a), corrs)| LutGroup {
+                codes,
+                w_scales,
+                a,
+                corrs,
+            })
+    }
+
+    /// Panics unless the operands agree with each other.
+    fn check<const BITS: usize>(&self) {
+        const { assert!(BITS == 4 || BITS == 2, "LUT codes are 4 or 2 bits wide") };
+        let gs = self.group_size;
+        assert!(
+            gs >= 4 && gs.is_multiple_of(4),
+            "LUT group size must be a positive multiple of 4, got {gs}"
+        );
+        debug_assert!(
+            gs <= 1 << 16,
+            "group size {gs} is past the exactness bound 2^16"
+        );
+        let k_pad = self.codes.len() * 8 / BITS / NR;
+        let groups = k_pad.div_ceil(gs);
+        assert!(
+            self.codes.len().is_multiple_of(NR) && k_pad.is_multiple_of(4),
+            "LUT tile: {} code bytes are not whole quads of NR-byte rows",
+            self.codes.len()
+        );
+        assert_eq!(self.a_panel.len(), k_pad * MR, "LUT tile: A panel depth");
+        assert_eq!(self.w_scales.len(), groups * NR, "LUT tile: weight scales");
+        assert_eq!(self.a_corrs.len(), groups * MR, "LUT tile: corrections");
+        assert_eq!(self.a_scales.len(), MR, "LUT tile: activation scales");
+    }
+}
+
+/// The fused LUT tile: `out[r][j] = Σ_g (acc − corr) as f32 ·
+/// (a_scale[r] · w_scale[g][j])` in ascending group order, where `acc` is
+/// row `r`'s dot with column `j`'s stored codes over group `g` and
+/// `corr` its `bias · Σ aq` —
+/// `C = dequant(A · B)` for `MR` rows and one `NR`-column panel, written
+/// once. Dispatched to the fastest body the running CPU has (see the
+/// module docs); every body computes the reference's float expression
+/// with a separate multiply and add, so which one runs never changes a
+/// bit.
+///
+/// # Panics
+///
+/// Panics if `BITS` is not 4 or 2, or the operands disagree with each
+/// other (see [`LutTile`]).
+#[inline]
+pub fn lut_tile<const BITS: usize>(tile: &LutTile<'_>, out: &mut [[f32; NR]; MR]) {
+    tile.check::<BITS>();
+    let tile = *tile;
+    run_int_tile(if BITS == 4 {
+        IntTile::Lut4(tile, out)
+    } else {
+        IntTile::Lut2(tile, out)
+    });
+}
+
+/// One job for the integer tile: the i8 panel tile or the fused LUT tile
+/// at either code width.
+enum IntTile<'a> {
+    Panel {
+        kc: usize,
+        a_panel: &'a [i8],
+        b_panel: &'a [u8],
+        acc: &'a mut [[i32; NR]; MR],
+    },
+    Lut4(LutTile<'a>, &'a mut [[f32; NR]; MR]),
+    Lut2(LutTile<'a>, &'a mut [[f32; NR]; MR]),
+}
+
+/// The one dispatch: the AVX-512 VNNI bodies where the running CPU has
+/// them, the portable bodies everywhere else.
+#[inline]
+fn run_int_tile(job: IntTile<'_>) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx512f")
         && is_x86_feature_detected!("avx512bw")
@@ -123,11 +256,20 @@ pub fn microkernel_int(kc: usize, a_panel: &[i8], b_panel: &[u8], acc: &mut [[i3
     {
         // SAFETY: the only precondition of calling a `#[target_feature]`
         // function is that the running CPU supports every feature it
-        // enables; `vnni::microkernel_int` enables exactly the four
+        // enables; `vnni::run` enables exactly the four
         // `is_x86_feature_detected!` just reported present.
-        return unsafe { vnni::microkernel_int(kc, a_panel, b_panel, acc) };
+        return unsafe { vnni::run(job) };
     }
-    microkernel_int_portable(kc, a_panel, b_panel, acc);
+    match job {
+        IntTile::Panel {
+            kc,
+            a_panel,
+            b_panel,
+            acc,
+        } => microkernel_int_portable(kc, a_panel, b_panel, acc),
+        IntTile::Lut4(tile, out) => lut_tile_portable::<4>(&tile, out),
+        IntTile::Lut2(tile, out) => lut_tile_portable::<2>(&tile, out),
+    }
 }
 
 /// The portable body of [`microkernel_int`] (same contract): the path on
@@ -188,16 +330,103 @@ pub fn microkernel_int_portable(
     }
 }
 
-/// The AVX-512 VNNI body of [`microkernel_int`]. Compiled on every
-/// `x86_64` build whatever `target-cpu` says, run only where detected.
+/// The portable body of [`lut_tile`] (same contract): the path on every
+/// CPU without AVX-512 VNNI + VBMI, and the reference the tests pin the
+/// dispatched body to.
+///
+/// Per group, `lut_group_portable` sums the codes against the eight
+/// rows in `i32`; the group epilogue then adds them into eight rows of
+/// `f32` outputs, written once at the end.
+///
+/// # Panics
+///
+/// Panics if `BITS` is not 4 or 2, or the operands disagree with each
+/// other (see [`LutTile`]).
+#[inline(never)]
+pub fn lut_tile_portable<const BITS: usize>(tile: &LutTile<'_>, out: &mut [[f32; NR]; MR]) {
+    tile.check::<BITS>();
+    let mut res = [[0.0f32; NR]; MR];
+    for group in tile.groups::<BITS>() {
+        let acc = lut_group_portable::<BITS>(group.codes, group.a);
+        for (r, res_row) in res.iter_mut().enumerate() {
+            let (corr, a_scale) = (group.corrs[r], tile.a_scales[r]);
+            for j in 0..NR {
+                res_row[j] += (acc[r][j] - corr) as f32 * (a_scale * group.w_scales[j]);
+            }
+        }
+    }
+    *out = res;
+}
+
+/// One group of [`lut_tile_portable`]: `acc[r][j] = Σ_p a(p, r) ·
+/// code(p, j)` over the group's positions, walked a plane at a time
+/// (plane `t`, byte-row `i` is position `t · R + i`), so a quad that
+/// straddles two planes needs nothing special. Shaped like
+/// [`microkernel_int_portable`] — the masked code's known-zero upper bits
+/// and two banks of four rows are what keep it in 16-lane registers —
+/// and `#[inline(never)]` for the same reason.
+#[inline(never)]
+fn lut_group_portable<const BITS: usize>(codes: &[u8], a: &[i8]) -> [[i32; NR]; MR] {
+    let rows = codes.len() / NR;
+    let mut lo = [[0i32; NR]; 4];
+    let mut hi = [[0i32; NR]; 4];
+    for t in 0..8 / BITS {
+        for (i, row) in codes.chunks_exact(NR).enumerate() {
+            let p = t * rows + i;
+            let a = &a[p / 4 * 4 * MR + p % 4..];
+            let mut bv = [0i32; NR];
+            for j in 0..NR {
+                bv[j] = i32::from((row[j] >> (BITS * t)) & ((1 << BITS) - 1));
+            }
+            for r in 0..4 {
+                let ar = i32::from(a[4 * r]);
+                for j in 0..NR {
+                    lo[r][j] += ar * bv[j];
+                }
+            }
+            for r in 0..4 {
+                let ar = i32::from(a[4 * (4 + r)]);
+                for j in 0..NR {
+                    hi[r][j] += ar * bv[j];
+                }
+            }
+        }
+    }
+    let mut acc = [[0i32; NR]; MR];
+    acc[..4].copy_from_slice(&lo);
+    acc[4..].copy_from_slice(&hi);
+    acc
+}
+
+/// The AVX-512 VNNI bodies of [`microkernel_int`] and [`lut_tile`].
+/// Compiled on every `x86_64` build whatever `target-cpu` says, run only
+/// where detected.
 #[cfg(target_arch = "x86_64")]
 mod vnni {
     use std::arch::x86_64::{
-        __m512i, _mm512_dpbusd_epi32, _mm512_extracti32x4_epi32, _mm512_permutexvar_epi8,
-        _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512, _mm_extract_epi32,
+        __m512, __m512i, _mm512_add_ps, _mm512_and_si512, _mm512_castps_si512, _mm512_castsi512_ps,
+        _mm512_cvtepi32_ps, _mm512_dpbusd_epi32, _mm512_extracti32x4_epi32, _mm512_mul_ps,
+        _mm512_permutexvar_epi8, _mm512_set1_epi32, _mm512_set1_epi8, _mm512_set1_ps,
+        _mm512_setr_epi32, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_srl_epi64,
+        _mm512_sub_epi32, _mm_extract_epi32, _mm_set_epi64x,
     };
 
-    use super::{MR, NR};
+    use super::{IntTile, LutTile, MR, NR};
+
+    /// The one `#[target_feature]` entry: runs `job` on its VNNI body.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512vbmi")]
+    pub(super) fn run(job: IntTile<'_>) {
+        match job {
+            IntTile::Panel {
+                kc,
+                a_panel,
+                b_panel,
+                acc,
+            } => microkernel_int(kc, a_panel, b_panel, acc),
+            IntTile::Lut4(tile, out) => lut_tile::<4>(&tile, out),
+            IntTile::Lut2(tile, out) => lut_tile::<2>(&tile, out),
+        }
+    }
 
     /// `vpermb` indices turning four K-major 16-byte B rows into
     /// `[16 columns][4 k]`: output byte `4j + t` is input byte `16t + j`,
@@ -218,12 +447,7 @@ mod vnni {
     /// lane, no saturation). The eight accumulators are the tile.
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512vbmi")]
     #[inline(never)]
-    pub(super) fn microkernel_int(
-        kc: usize,
-        a_panel: &[i8],
-        b_panel: &[u8],
-        acc: &mut [[i32; NR]; MR],
-    ) {
+    fn microkernel_int(kc: usize, a_panel: &[i8], b_panel: &[u8], acc: &mut [[i32; NR]; MR]) {
         let transpose = from_lanes(QUAD_TRANSPOSE);
         let mut tile = [_mm512_setzero_si512(); MR];
         for (a, b) in a_panel
@@ -243,6 +467,91 @@ mod vnni {
                 *s += lane;
             }
         }
+    }
+
+    /// The fused LUT tile: per group, each 64-byte block of four code
+    /// byte-rows is loaded once and transposed once (`vpermb` commutes
+    /// with the per-byte plane split), then each plane is one `vpand` (and
+    /// one `vpsrlq` to the next) and eight `vpdpbusd` against its quad of
+    /// A. The group epilogue converts, multiplies by `a_scale · w_scale`
+    /// and adds — a separate multiply and add, never an FMA, so the bits
+    /// are the reference's — into eight `f32` registers held across
+    /// groups, stored once at the end.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512vbmi")]
+    #[inline(never)]
+    fn lut_tile<const BITS: usize>(tile: &LutTile<'_>, out: &mut [[f32; NR]; MR]) {
+        let transpose = from_lanes(QUAD_TRANSPOSE);
+        let mask = _mm512_set1_epi8(((1u8 << BITS) - 1) as i8);
+        let plane_shift = _mm_set_epi64x(0, BITS as i64);
+        let a_scales: [__m512; MR] = std::array::from_fn(|r| _mm512_set1_ps(tile.a_scales[r]));
+        let mut res = [_mm512_setzero_ps(); MR];
+        for group in tile.groups::<BITS>() {
+            let mut acc = [_mm512_setzero_si512(); MR];
+            let rows = group.codes.len() / NR;
+            let quads = group.a.as_chunks::<{ 4 * MR }>().0;
+            if rows.is_multiple_of(4) {
+                for (i, block) in group.codes.chunks_exact(4 * NR).enumerate() {
+                    let mut planes = _mm512_permutexvar_epi8(transpose, load(block));
+                    for t in 0..8 / BITS {
+                        let b = _mm512_and_si512(planes, mask);
+                        dot(&mut acc, b, &quads[t * rows / 4 + i]);
+                        planes = _mm512_srl_epi64(planes, plane_shift);
+                    }
+                }
+            } else {
+                for (q, a) in quads.iter().enumerate() {
+                    let quad = quad_codes::<BITS>(group.codes, 4 * q);
+                    dot(&mut acc, _mm512_permutexvar_epi8(transpose, load(&quad)), a);
+                }
+            }
+            let w = _mm512_castsi512_ps(from_lanes(group.w_scales.map(|w| w.to_bits() as i32)));
+            for (((res, acc), &corr), a_scale) in
+                res.iter_mut().zip(acc).zip(group.corrs).zip(a_scales)
+            {
+                let s = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, _mm512_set1_epi32(corr)));
+                *res = _mm512_add_ps(*res, _mm512_mul_ps(s, _mm512_mul_ps(a_scale, w)));
+            }
+        }
+        for (out_row, res) in out.iter_mut().zip(res) {
+            *out_row = to_lanes(_mm512_castps_si512(res)).map(|x| f32::from_bits(x as u32));
+        }
+    }
+
+    /// `acc[r] += b · a(r)` over one quad: per row one 32-bit broadcast of
+    /// its four A bytes and one `vpdpbusd`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512vbmi")]
+    #[inline]
+    fn dot(acc: &mut [__m512i; MR], b: __m512i, a: &[i8; 4 * MR]) {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let a = i32::from_le_bytes(std::array::from_fn(|t| a[4 * r + t] as u8));
+            *row = _mm512_dpbusd_epi32(*row, b, _mm512_set1_epi32(a));
+        }
+    }
+
+    /// The first 64 bytes of `bytes` as one vector.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(bytes: &[u8]) -> __m512i {
+        let bytes = &bytes[..4 * NR];
+        from_lanes(std::array::from_fn(|j| {
+            i32::from_le_bytes(bytes[4 * j..][..4].try_into().expect("four bytes"))
+        }))
+    }
+
+    /// The stored codes of group positions `p0 .. p0 + 4`, K-major, one per
+    /// byte, wherever those positions sit among the planes of `codes` (one
+    /// group's byte-rows): the B operand of one quad that may straddle two
+    /// planes.
+    fn quad_codes<const BITS: usize>(codes: &[u8], p0: usize) -> [u8; 4 * NR] {
+        let rows = codes.len() / NR;
+        let mut quad = [0u8; 4 * NR];
+        for (s, dst) in quad.chunks_exact_mut(NR).enumerate() {
+            let (t, i) = ((p0 + s) / rows, (p0 + s) % rows);
+            for (d, &c) in dst.iter_mut().zip(&codes[i * NR..][..NR]) {
+                *d = (c >> (BITS * t)) & ((1 << BITS) - 1);
+            }
+        }
+        quad
     }
 
     /// Bytes `4j .. 4j + 4` of `bytes` as one little-endian lane.
@@ -282,31 +591,11 @@ mod vnni {
     }
 }
 
-/// Splits one group of a LUT column panel into one stored code per byte:
-/// the K-major `NR`-wide `u8` B operand [`microkernel_int`] consumes.
-///
-/// `codes` is the group's run of `NR`-byte rows in the plane-split panel
-/// layout of [`super::lut`]: byte `j` of row `i` carries column `j`'s
-/// codes for positions `i`, `rows + i`, … (one per `BITS`-wide field,
-/// least significant first; 2 planes for int4, 4 for int2). Plane `t`
-/// lands in panel rows `t · rows ..`, so panel row `p` holds the 16
-/// columns' *stored* codes of group position `p`; the bias is removed
-/// later, once per (row, group), through the activation group sum.
-#[inline(never)]
-pub(super) fn lut_unpack<const BITS: usize>(codes: &[u8], panel: &mut [u8]) {
-    let mask = (1u8 << BITS) - 1;
-    for (t, plane) in panel.chunks_exact_mut(codes.len()).enumerate() {
-        for (dst, &src) in plane.iter_mut().zip(codes) {
-            *dst = (src >> (BITS * t)) & mask;
-        }
-    }
-}
-
 /// One group of one LUT column panel against one quantized activation
 /// row, lanes = output columns: `acc[j] = Σ_p code(p, j) · aq[p]` over
 /// the group's positions, reading `codes` in place (the GEMV-shaped
-/// counterpart of [`lut_unpack`] + [`microkernel_int`]; same layout,
-/// `aq` in position order). At `BITS = 8` a byte-row is one position of
+/// counterpart of one group of [`lut_tile`]; same layout, `aq` in
+/// position order). At `BITS = 8` a byte-row is one position of
 /// one plane and the "group" is a whole offset-`u8` column panel of
 /// [`super::pack::PackedMatrixI8`]: the i8 GEMV is this function.
 ///
@@ -448,9 +737,21 @@ mod tests {
         codes
     }
 
-    /// `lut_dot` and `lut_unpack` + `microkernel_int` against the
-    /// semantic ground truth: a materialized table per position, indexed
-    /// by the stored code, for one group of `len` positions.
+    /// Runs both LUT tile bodies and pins them bit-identical to each
+    /// other.
+    fn lut_tiles<const BITS: usize>(tile: &LutTile<'_>) -> [[f32; NR]; MR] {
+        let mut portable = [[f32::NAN; NR]; MR];
+        lut_tile_portable::<BITS>(tile, &mut portable);
+        let mut dispatched = [[f32::NAN; NR]; MR];
+        lut_tile::<BITS>(tile, &mut dispatched);
+        let bits = |t: [[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
+        assert_eq!(bits(portable), bits(dispatched), "LUT tile bodies disagree");
+        dispatched
+    }
+
+    /// `lut_dot` and the fused LUT tile against the semantic ground
+    /// truth: a materialized table per position, indexed by the stored
+    /// code, for one group of `len` positions.
     fn check_group<const BITS: usize>(len: usize) {
         let bias = 1 << (BITS - 1);
         let code = |p: usize, j: usize| ((p * 7 + j * 5 + 3) % (1 << BITS)) as u8;
@@ -459,32 +760,41 @@ mod tests {
             .map(|p| ((p * 31 + 9) % 255) as i16 - 127)
             .collect();
         let aq_sum: i32 = aq.iter().map(|&x| i32::from(x)).sum();
-        let mut want = [0i32; NR];
-        for (p, &av) in aq.iter().enumerate() {
-            let table: Vec<i32> = (0..1 << BITS).map(|v| i32::from(av) * (v - bias)).collect();
-            for (j, w) in want.iter_mut().enumerate() {
-                *w += table[usize::from(code(p, j))];
-            }
-        }
-        let got = lut_dot::<BITS>(&codes, &aq);
-        assert_eq!(got.map(|s| s - bias * aq_sum), want, "dot, len {len}");
-
-        let mut panel = vec![0u8; len * NR];
-        lut_unpack::<BITS>(&codes, &mut panel);
-        for (p, row) in panel.chunks_exact(NR).enumerate() {
-            for (j, &c) in row.iter().enumerate() {
-                assert_eq!(c, code(p, j), "unpack ({p},{j}), len {len}");
-            }
-        }
-        // Row r of the tile carries `(r + 1) · aq`.
+        // Row r of the tile carries `(r + 1) · aq`, wrapped into i8.
         let a = |p: usize, r: usize| (aq[p] * (r as i16 + 1) % 128) as i8;
-        let acc = int_tile(len, &a_quads(len, a), &panel, 0);
-        for (r, acc_row) in acc.iter().enumerate() {
-            for (j, &got) in acc_row.iter().enumerate() {
-                let want: i32 = (0..len)
-                    .map(|p| i32::from(a(p, r)) * i32::from(code(p, j)))
-                    .sum();
-                assert_eq!(got, want, "tile ({r},{j}), len {len}");
+        let table_sum = |a: &dyn Fn(usize) -> i32, j: usize| -> i32 {
+            (0..len)
+                .map(|p| {
+                    let table: Vec<i32> = (0..1 << BITS).map(|v| a(p) * (v - bias)).collect();
+                    table[usize::from(code(p, j))]
+                })
+                .sum()
+        };
+        let got = lut_dot::<BITS>(&codes, &aq);
+        for (j, &s) in got.iter().enumerate() {
+            let want = table_sum(&|p| i32::from(aq[p]), j);
+            assert_eq!(s - bias * aq_sum, want, "dot ({j}), len {len}");
+        }
+
+        let w_scales: Vec<f32> = (0..NR).map(|j| 0.25 + j as f32 / 64.0).collect();
+        let a_scales: Vec<f32> = (0..MR).map(|r| 0.5 / (r as f32 + 1.0)).collect();
+        let a_corrs: Vec<i32> = (0..MR)
+            .map(|r| bias * (0..len).map(|p| i32::from(a(p, r))).sum::<i32>())
+            .collect();
+        let tile = LutTile {
+            codes: &codes,
+            w_scales: &w_scales,
+            group_size: len,
+            a_panel: &a_quads(len, a),
+            a_corrs: &a_corrs,
+            a_scales: &a_scales,
+        };
+        let out = lut_tiles::<BITS>(&tile);
+        for (r, out_row) in out.iter().enumerate() {
+            for (j, &got) in out_row.iter().enumerate() {
+                let acc = table_sum(&|p| i32::from(a(p, r)), j);
+                let want = 0.0 + acc as f32 * (a_scales[r] * w_scales[j]);
+                assert_eq!(got.to_bits(), want.to_bits(), "tile ({r},{j}), len {len}");
             }
         }
     }
@@ -507,12 +817,72 @@ mod tests {
 
     #[test]
     fn lut_group_kernels_match_materialized_table() {
-        // Down to the smallest group a ragged tail can leave.
-        for len in [4usize, 8, 12, 32, 76] {
+        // Down to the smallest group a ragged tail can leave; 4, 12, 20
+        // and 76 (int4) and every int2 length but 32 put a quad across
+        // two planes.
+        for len in [4usize, 8, 12, 20, 32, 76] {
             check_group::<4>(len);
         }
         for len in [4usize, 8, 12, 32, 84] {
             check_group::<2>(len);
+        }
+    }
+
+    /// Both LUT tile bodies over several groups with a ragged last one,
+    /// at the extremes of the `i32` sums: every code 0 or every code at
+    /// its maximum against activations of ±127 and −128, so each group
+    /// sum is as far from zero as a group of its length allows. Each
+    /// output is checked against the group epilogue written out in
+    /// scalar `f32`, in ascending group order.
+    #[test]
+    fn lut_tile_bodies_agree_at_the_extremes() {
+        fn check<const BITS: usize>(k: usize, gs: usize, code: u8, a: i8) {
+            let bias = 1 << (BITS - 1);
+            let lens: Vec<usize> = (0..k).step_by(gs).map(|g0| gs.min(k - g0)).collect();
+            let codes: Vec<u8> = lens
+                .iter()
+                .flat_map(|&len| pack_group::<BITS>(len, |_, _| code))
+                .collect();
+            let w_scales: Vec<f32> = (0..lens.len() * NR).map(|i| 1.0 + i as f32 / 7.0).collect();
+            let a_of = |p: usize, r: usize| if (p + r).is_multiple_of(2) { a } else { -127 };
+            let mut a_corrs = Vec::new();
+            for (g, &len) in lens.iter().enumerate() {
+                for r in 0..MR {
+                    let sum: i32 = (0..len).map(|p| i32::from(a_of(g * gs + p, r))).sum();
+                    a_corrs.push(bias * sum);
+                }
+            }
+            let a_scales = [0.0, 1.0, 0.5, 3.0e-3, 7.0, 1.0e-30, 2.0, f32::NAN];
+            let tile = LutTile {
+                codes: &codes,
+                w_scales: &w_scales,
+                group_size: gs,
+                a_panel: &a_quads(k, a_of),
+                a_corrs: &a_corrs,
+                a_scales: &a_scales,
+            };
+            let out = lut_tiles::<BITS>(&tile);
+            for (r, out_row) in out.iter().enumerate() {
+                for (j, &got) in out_row.iter().enumerate() {
+                    let mut want = 0.0f32;
+                    for (g, &len) in lens.iter().enumerate() {
+                        let acc: i32 = (0..len)
+                            .map(|p| i32::from(a_of(g * gs + p, r)) * (i32::from(code) - bias))
+                            .sum();
+                        want += acc as f32 * (a_scales[r] * w_scales[g * NR + j]);
+                    }
+                    let at = format!("i{BITS} k={k} gs={gs} code={code} a={a} ({r},{j})");
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                }
+            }
+        }
+        for (k, gs) in [(72usize, 32usize), (1376, 20), (40, 12)] {
+            for a in [127i8, -127, -128] {
+                check::<4>(k, gs, 0, a);
+                check::<4>(k, gs, 15, a);
+                check::<2>(k, gs, 0, a);
+                check::<2>(k, gs, 3, a);
+            }
         }
     }
 }

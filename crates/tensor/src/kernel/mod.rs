@@ -86,9 +86,10 @@
 //! the drivers subtract `128 · Σₖ a[i, k]` from every output of row `i`
 //! (the row sum is taken once, where the A panel is packed). This is the
 //! `bias · Σ aq` identity the [`lut`] epilogue uses with `bias = 8` and
-//! `2`: i8 is the `BITS = 8`, one-group case of the same algebra, and
-//! the tile loop, the GEMV and the LUT walkers share their two inner
-//! kernels.
+//! `2`: i8 is the `BITS = 8`, one-group case of the same algebra. The
+//! i8 GEMV and the LUT GEMV share one inner kernel (`lut_dot`); the i8
+//! tile loop and the LUT's fused tile are two jobs of one integer tile
+//! with one runtime dispatch.
 //!
 //! The f32 prepacked and per-call drivers are **bit-identical**: one
 //! tile loop and one GEMV serve both B sources, the slab bytes are equal
@@ -116,7 +117,8 @@
 //! removes is stated in the [`lut`] module docs) — walked by one kernel
 //! per shape class for every group size: the same `m ≤ 2` GEMV / tiled
 //! split as the f32 and i8 drivers, the GEMV dotting the packed bytes in
-//! place and the tile unpacking each group once for all row tiles, over
+//! place and the fused tile splitting each group's planes in registers,
+//! over
 //! the row-cohort column partitioner
 //! [`parallel::run_col_partitioned_rows`] in whole panels.
 //!

@@ -22,7 +22,8 @@
 //!   hold the workspace's whole `unsafe` inventory — one `unsafe impl`
 //!   (`Send` for the pool's job pointer), one `unsafe` deref (a worker's
 //!   disjoint job slot) and one dispatch call (the integer tile's AVX-512
-//!   VNNI body, behind its runtime feature test).
+//!   VNNI entry, behind its runtime feature test, which runs both tile
+//!   jobs: the i8 panel tile and the fused LUT tile).
 //! - `safety-comment` — every `unsafe` item or block is preceded by a
 //!   `// SAFETY:` comment within a few lines stating the invariant that
 //!   makes it sound.

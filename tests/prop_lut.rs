@@ -8,7 +8,9 @@ use proptest::prelude::*;
 
 use llmnpu::quant::lut::LutLinear;
 use llmnpu::tensor::kernel::lut::{gemm_lut, lut_tables_built, PackedLut};
-use llmnpu::tensor::kernel::microkernel::{microkernel_int_portable, MR, NR};
+use llmnpu::tensor::kernel::microkernel::{
+    lut_tile, lut_tile_portable, microkernel_int_portable, LutTile, MR, NR,
+};
 use llmnpu::tensor::kernel::pack;
 use llmnpu::tensor::{gemm, PackedMatrixI2, PackedMatrixI4, Tensor};
 
@@ -302,6 +304,222 @@ fn portable_and_dispatched_lut_tiles_are_bit_identical() {
             check_lut_bodies(&a, &p2, &[1, 4]);
         }
     }
+}
+
+/// One body of the fused LUT tile.
+type LutTileBody = fn(&LutTile<'_>, &mut [[f32; NR]; MR]);
+
+/// `C = dequant(A · B)` assembled from one call of `body` per (row tile,
+/// column panel), from the documented semantics alone: activation rows
+/// quantized with one max-abs scale each (a NaN scale for a row holding a
+/// NaN or an infinity), `pack::pack_a_i8` A panels, the `bias · Σ aq`
+/// corrections, and each panel's plane-split codes rebuilt from
+/// `code_at` — group by group, byte-row `i` of a group of `R` byte-rows
+/// carrying positions `i`, `R + i`, … in its `BITS`-wide fields.
+fn tiled_gemm_lut<const BITS: usize>(
+    a: &[f32],
+    m: usize,
+    p: &PackedLut<BITS>,
+    body: LutTileBody,
+) -> Vec<f32> {
+    let (k, n, gs) = (p.k(), p.n(), p.group_size());
+    let k_pad = k.next_multiple_of(4);
+    let bias = 1i32 << (BITS - 1);
+    let tiles = m.div_ceil(MR);
+    let mut aq = vec![0i8; m * k_pad];
+    let mut a_scales = vec![0.0f32; tiles * MR];
+    for (r, row) in a.chunks(k).enumerate() {
+        let amax = row.iter().fold(0.0f32, |x, v| x.max(v.abs()));
+        a_scales[r] = if row.iter().all(|v| v.is_finite()) {
+            amax / 127.0
+        } else {
+            f32::NAN
+        };
+        if a_scales[r] > 0.0 {
+            for (q, &v) in aq[r * k_pad..].iter_mut().zip(row) {
+                *q = (v / a_scales[r]).round().clamp(-127.0, 127.0) as i8;
+            }
+        }
+    }
+    let mut a_pack = Vec::new();
+    pack::pack_a_i8(&aq, k_pad, 0, 0, m, k_pad, &mut a_pack);
+    let groups: Vec<(usize, usize)> = (0..k)
+        .step_by(gs)
+        .map(|g0| (g0, gs.min(k_pad - g0)))
+        .collect();
+    let mut a_corrs = vec![0i32; tiles * groups.len() * MR];
+    for r in 0..m {
+        for (g, &(g0, len)) in groups.iter().enumerate() {
+            let sum: i32 = aq[r * k_pad + g0..][..len]
+                .iter()
+                .map(|&x| i32::from(x))
+                .sum();
+            a_corrs[(r / MR * groups.len() + g) * MR + r % MR] = bias * sum;
+        }
+    }
+    let mut c = vec![0.0f32; m * n];
+    for j0 in (0..n).step_by(NR) {
+        let (mut codes, mut w_scales) = (Vec::new(), Vec::new());
+        for (g, &(g0, len)) in groups.iter().enumerate() {
+            let rows = len * BITS / 8;
+            for i in 0..rows {
+                for col in j0..j0 + NR {
+                    let fields = (0..8 / BITS).filter(|_| col < n);
+                    codes.push(fields.fold(0u8, |byte, t| {
+                        byte | p.code_at(g0 + t * rows + i, col) << (BITS * t)
+                    }));
+                }
+            }
+            w_scales
+                .extend((j0..j0 + NR).map(|col| if col < n { p.scale_at(col, g) } else { 0.0 }));
+        }
+        for t in 0..tiles {
+            let tile = LutTile {
+                codes: &codes,
+                w_scales: &w_scales,
+                group_size: gs,
+                a_panel: &a_pack[t * k_pad * MR..][..k_pad * MR],
+                a_corrs: &a_corrs[t * groups.len() * MR..][..groups.len() * MR],
+                a_scales: &a_scales[t * MR..][..MR],
+            };
+            let mut out = [[f32::NAN; NR]; MR];
+            body(&tile, &mut out);
+            for (r, out_row) in out.iter().enumerate().take(m - t * MR) {
+                for (l, &v) in out_row.iter().enumerate().take(n - j0) {
+                    c[(t * MR + r) * n + j0 + l] = v;
+                }
+            }
+        }
+    }
+    c
+}
+
+/// The portable LUT tile body and the dispatched one (the AVX-512 VNNI
+/// body where the host has it), each called directly, ≡ the scalar LUT
+/// reference, bit for bit; returns the reference.
+fn check_lut_tile_bodies<const BITS: usize>(a: &Tensor<f32>, p: &PackedLut<BITS>) -> Tensor<f32> {
+    let m = a.matrix_dims().0;
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let at = format!("i{BITS} m={m} k={} gs={}", p.k(), p.group_size());
+    let reference = gemm::matmul_lut_reference(a, p).unwrap();
+    let bodies: [(&str, LutTileBody); 2] = [
+        ("portable", lut_tile_portable::<BITS>),
+        ("dispatched", lut_tile::<BITS>),
+    ];
+    for (name, body) in bodies {
+        let got = tiled_gemm_lut(a.as_slice(), m, p, body);
+        assert_eq!(bits(&got), bits(reference.as_slice()), "{name}, {at}");
+    }
+    reference
+}
+
+/// Both LUT tile bodies on the groups whose quads straddle two planes —
+/// int4 groups of length ≡ 4 mod 8 and int2 groups whose length is not a
+/// multiple of 16 — and the ragged tails `k = 70` leaves (72 − 64 = 8:
+/// a straddling int2 group under gs = 32), at a short and a served
+/// depth, for every tile-shaped `m` around the 8-row tile.
+#[test]
+fn lut_tile_bodies_match_the_reference_where_quads_straddle_planes() {
+    for (k, n) in [(70usize, 37usize), (1376, 21)] {
+        let b = ramp(k, n, 0.8);
+        let a = ramp(33, k, 1.3);
+        let rows = |m: usize| Tensor::from_vec(a.as_slice()[..m * k].to_vec(), [m, k]).unwrap();
+        for m in [3usize, 8, 9, 16, 33] {
+            for gs in [4usize, 12, 20] {
+                check_lut_tile_bodies(&rows(m), &PackedMatrixI4::from_tensor(&b, gs));
+            }
+            for gs in [4usize, 8, 12, 32] {
+                check_lut_tile_bodies(&rows(m), &PackedMatrixI2::from_tensor(&b, gs));
+            }
+        }
+    }
+}
+
+/// Both LUT tile bodies at the ends of the `i32` group sums: weights
+/// that pack to every code at its maximum (15 / 3) or its minimum (1 /
+/// 1), against activations that quantize to ±127 throughout.
+#[test]
+fn lut_tile_bodies_match_the_reference_at_the_code_and_activation_extremes() {
+    let (k, n, m) = (1376usize, 19usize, 9usize);
+    for w in [1.0f32, -1.0] {
+        let b = Tensor::from_vec(vec![w; k * n], [k, n]).unwrap();
+        let p4 = PackedMatrixI4::from_tensor(&b, 32);
+        let p2 = PackedMatrixI2::from_tensor(&b, 32);
+        let top = if w > 0.0 { (15, 3) } else { (1, 1) };
+        assert_eq!((p4.code_at(0, 0), p2.code_at(0, 0)), top);
+        let signs: [fn(usize, usize) -> f32; 3] = [
+            |_, _| 1.0,
+            |_, _| -1.0,
+            |r, p| {
+                if (r + p) % 2 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            },
+        ];
+        for sign in signs {
+            let x: Vec<f32> = (0..m * k).map(|i| 2.5 * sign(i / k, i % k)).collect();
+            let a = Tensor::from_vec(x, [m, k]).unwrap();
+            check_lut_tile_bodies(&a, &p4);
+            check_lut_tile_bodies(&a, &p2);
+        }
+    }
+}
+
+/// A NaN or an infinity in an activation row comes back as a row of
+/// NaNs through both LUT tile bodies, and every other row of its tile is
+/// the reference's, bit for bit.
+#[test]
+fn lut_tile_bodies_keep_non_finite_rows_row_local() {
+    let (k, n, m) = (70usize, 37usize, 9usize);
+    let b = ramp(k, n, 0.7);
+    let p4 = PackedMatrixI4::from_tensor(&b, 12);
+    let p2 = PackedMatrixI2::from_tensor(&b, 8);
+    let mut x = ramp(m, k, 1.1).into_vec();
+    let poisoned = [
+        (1usize, f32::NAN),
+        (4, f32::INFINITY),
+        (8, f32::NEG_INFINITY),
+    ];
+    for &(r, v) in &poisoned {
+        x[r * k + 33] = v;
+    }
+    let a = Tensor::from_vec(x, [m, k]).unwrap();
+    for reference in [
+        check_lut_tile_bodies(&a, &p4),
+        check_lut_tile_bodies(&a, &p2),
+    ] {
+        for r in 0..m {
+            let nan = poisoned.iter().any(|&(p, _)| p == r);
+            assert!(
+                reference.row(r).iter().all(|v| v.is_nan() == nan),
+                "row {r}: {:?}",
+                reference.row(r)
+            );
+        }
+    }
+}
+
+/// Which body `lut_tile` ran above, by the kernel's own feature test,
+/// printed for the CI log (`-- --nocapture`) — and one more identity
+/// check under that name.
+#[test]
+fn names_the_dispatched_lut_body() {
+    #[cfg(target_arch = "x86_64")]
+    let vnni = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vnni")
+        && is_x86_feature_detected!("avx512vbmi");
+    #[cfg(not(target_arch = "x86_64"))]
+    let vnni = false;
+    let body = if vnni { "avx512-vnni" } else { "portable" };
+    println!("lut_tile dispatches to the {body} body on this host");
+    let (m, k, n) = (9usize, 130usize, 33usize);
+    check_lut_tile_bodies(
+        &ramp(m, k, 1.2),
+        &PackedMatrixI4::from_tensor(&ramp(k, n, 0.9), 20),
+    );
 }
 
 /// Steady-state decode must never materialize a lookup table: the
