@@ -5,8 +5,10 @@
 //! comparing the f32 streaming GEMV, a repack-weights-every-call strawman,
 //! and the pack-once `PackedMatrix` fast path — with tokens-equivalent
 //! throughput so the perf trajectory of the kernel layer is tracked across
-//! PRs. Every integer column goes through `matmul_i8_prepacked`, the path
-//! every quantized layer runs; serving-level numbers live in `benchmark/`.
+//! PRs — and an LM-head section timing the served `512 × 4096` head
+//! packed per call against packed once. Every integer column goes
+//! through `matmul_i8_prepacked`, the path every quantized layer runs;
+//! serving-level numbers live in `benchmark/`.
 //! Threaded columns are labeled with the *effective* worker count
 //! after the host-core clamp, and the record carries an explicit
 //! `thread_scaling_valid` flag (false on a 1-core host, where "threaded"
@@ -20,7 +22,7 @@ use llmnpu_obs::json::{self, ToJson, Value};
 use llmnpu_quant::outlier::{extract_outliers, ShadowLinear};
 use llmnpu_quant::per_group::GroupedLinear;
 use llmnpu_quant::per_tensor::{max_min_scale, QuantizedLinear, QuantizedMatrix};
-use llmnpu_tensor::kernel::Epilogue;
+use llmnpu_tensor::kernel::{self, Epilogue};
 use llmnpu_tensor::{
     gemm, PackedMatrixF32, PackedMatrixI2, PackedMatrixI4, PackedMatrixI8, Tensor,
 };
@@ -208,6 +210,25 @@ json_record! {
         i8_bit_exact: bool,
         /// Acceptance: f32 prepacked ≥ 2× the per-call-repacking path.
         meets_2x_vs_repack: bool,
+    }
+}
+
+json_record! {
+    /// The LM head at the served shape (`hidden 512 × vocab 4096`) and
+    /// decode-cohort heights: a row-major head packed on every call (the
+    /// bench keeps its own row-major copy; the model holds only the
+    /// packed one) against the head packed once, which is what
+    /// `Transformer::logits` multiplies by.
+    struct LmHeadRow {
+        shape: String,
+        m: usize,
+        k: usize,
+        n: usize,
+        per_call_ms: f64,
+        prepacked_ms: f64,
+        speedup: f64,
+        /// Prepacked output bit-identical to the per-call one.
+        bit_identical: bool,
     }
 }
 
@@ -420,6 +441,7 @@ json_record! {
         int_body: &'static str,
         rows: Vec<KernelRow>,
         decode: Vec<DecodeRow>,
+        lm_head: Vec<LmHeadRow>,
         lut_decode: Vec<LutDecodeRow>,
         batched_decode: Vec<BatchedDecodeRow>,
         /// One core's fused multiply-add rate on register-resident data —
@@ -473,6 +495,17 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// The per-call f32 driver — a row-major B packed on every call — at
+/// `threads` workers after the host-core clamp: `gemm::matmul_f32` runs
+/// it on one thread only.
+fn per_call_f32(a: &Tensor<f32>, b: &Tensor<f32>, threads: usize) -> Vec<f32> {
+    let ((m, k), (_, n)) = (a.matrix_dims(), b.matrix_dims());
+    let mut c = vec![0.0; m * n];
+    let threads = kernel::parallel::effective_threads(threads);
+    kernel::gemm_f32(m, k, n, a.as_slice(), b.as_slice(), &mut c, threads);
+    c
+}
+
 fn compare_shape(m: usize, k: usize, n: usize, reps: usize) -> KernelRow {
     let a = ramp(m, k, 1.0);
     let b = ramp(k, n, 1.0);
@@ -481,7 +514,7 @@ fn compare_shape(m: usize, k: usize, n: usize, reps: usize) -> KernelRow {
 
     let naive = best_of(reps, || gemm::matmul_f32_reference(&a, &b).unwrap());
     let blocked = best_of(reps, || gemm::matmul_f32(&a, &b).unwrap());
-    let threaded = best_of(reps, || gemm::matmul_f32_threaded(&a, &b, THREADS).unwrap());
+    let threaded = best_of(reps, || per_call_f32(&a, &b, THREADS));
 
     let ai = a.map(|x| (x * 120.0) as i8);
     let bi = b.map(|x| (x * 120.0) as i8);
@@ -525,7 +558,7 @@ fn compare_decode(m: usize, k: usize, n: usize, reps: usize) -> DecodeRow {
     let b = ramp(k, n, 1.0);
 
     // f32: streaming per-call GEMV vs repack-every-call vs pack-once.
-    let f32_streaming = best_of(reps, || gemm::matmul_f32_threaded(&a, &b, THREADS).unwrap());
+    let f32_streaming = best_of(reps, || per_call_f32(&a, &b, THREADS));
     let f32_repack = best_of(reps, || {
         let packed = PackedMatrixF32::from_tensor(&b);
         gemm::matmul_f32_prepacked(&a, &packed, THREADS).unwrap()
@@ -537,9 +570,7 @@ fn compare_decode(m: usize, k: usize, n: usize, reps: usize) -> DecodeRow {
     let f32_bit_identical = gemm::matmul_f32_prepacked(&a, &packed_f, THREADS)
         .unwrap()
         .as_slice()
-        == gemm::matmul_f32_threaded(&a, &b, THREADS)
-            .unwrap()
-            .as_slice();
+        == per_call_f32(&a, &b, THREADS);
 
     // i8: the pack-once path, plus bit-exactness vs the scalar reference.
     let ai = a.map(|x| (x * 120.0) as i8);
@@ -567,6 +598,30 @@ fn compare_decode(m: usize, k: usize, n: usize, reps: usize) -> DecodeRow {
         i8_prepacked_ms: i8_prepacked * 1e3,
         i8_bit_exact,
         meets_2x_vs_repack: f32_repack / f32_prepacked >= 2.0,
+    }
+}
+
+fn compare_lm_head(m: usize, k: usize, n: usize, reps: usize) -> LmHeadRow {
+    let a = ramp(m, k, 1.0);
+    let head = ramp(k, n, (1.0 / k as f32).sqrt());
+    let packed = PackedMatrixF32::from_tensor(&head);
+    let per_call = best_of(reps, || per_call_f32(&a, &head, THREADS));
+    let prepacked = best_of(reps, || {
+        gemm::matmul_f32_prepacked(&a, &packed, THREADS).unwrap()
+    });
+    let bit_identical = gemm::matmul_f32_prepacked(&a, &packed, THREADS)
+        .unwrap()
+        .as_slice()
+        == per_call_f32(&a, &head, THREADS);
+    LmHeadRow {
+        shape: format!("{m}x{k}x{n}"),
+        m,
+        k,
+        n,
+        per_call_ms: per_call * 1e3,
+        prepacked_ms: prepacked * 1e3,
+        speedup: per_call / prepacked,
+        bit_identical,
     }
 }
 
@@ -1091,6 +1146,19 @@ fn kernel_comparison() {
         })
         .collect();
 
+    println!("--- lm head: served 512x4096 head, packed per call vs packed once ---");
+    let lm_head: Vec<LmHeadRow> = [(1, 25), (2, 25), (8, 15)]
+        .into_iter()
+        .map(|(m, reps)| {
+            let row = compare_lm_head(m, 512, 4096, reps);
+            println!(
+                "{:<14} per call {:>6.3} ms | prepacked {:>6.3} ms ({:>5.2}x) | identical={}",
+                row.shape, row.per_call_ms, row.prepacked_ms, row.speedup, row.bit_identical,
+            );
+            row
+        })
+        .collect();
+
     println!(
         "--- lut decode: f32 vs i8 vs int4 vs int2 prepacked, cold-stream (bytes/token, tok/s) ---"
     );
@@ -1239,7 +1307,9 @@ fn kernel_comparison() {
                       (every i8 column is the prepacked path all quantized \
                       layers run); decode section compares the f32 streaming \
                       GEMV, repack-per-call and pack-once PackedMatrix paths, \
-                      plus the i8 pack-once GEMV; lut_decode compares the \
+                      plus the i8 pack-once GEMV; lm_head times the served \
+                      512x4096 LM head packed per call vs packed once at \
+                      m = 1, 2, 8; lut_decode compares the \
                       decode GEMV across f32/i8/int4/int2 prepacked weights with \
                       bytes moved per token, timed cold (LLC evicted before each \
                       rep so weights stream from DRAM, the steady state of a \
@@ -1269,6 +1339,7 @@ fn kernel_comparison() {
         int_body,
         rows,
         decode,
+        lm_head,
         lut_decode,
         batched_decode,
         fma_roofline_gflops,
@@ -1291,6 +1362,9 @@ fn kernel_comparison() {
     for r in &record.decode {
         flags.push((format!("{} f32 prepacked", r.shape), r.f32_bit_identical));
         flags.push((format!("{} i8 prepacked", r.shape), r.i8_bit_exact));
+    }
+    for r in &record.lm_head {
+        flags.push((format!("{} lm head prepacked", r.shape), r.bit_identical));
     }
     for r in &record.lut_decode {
         let at = format!("{} gs={}", r.shape, r.group_size);

@@ -230,9 +230,10 @@ impl<'a> Transformer<'a> {
     pub fn logits(&self, hidden: &Tensor<f32>) -> Result<Tensor<f32>> {
         let normed = self.apply_norm(hidden, &self.weights.final_norm_gamma, &self.zero_beta)?;
         // The LM head is the single largest f32 GEMM in the numeric plane
-        // ([seq, hidden] × [hidden, vocab]); run it on the row-partitioned
-        // blocked kernel. Thread count never changes the bits produced.
-        Ok(llmnpu_tensor::gemm::matmul_f32_threaded(
+        // ([seq, hidden] × [hidden, vocab]); it was packed once at
+        // synthesis, so no call repacks it. Thread count never changes the
+        // bits produced.
+        Ok(llmnpu_tensor::gemm::matmul_f32_prepacked(
             &normed,
             &self.weights.head,
             crate::backend::host_threads(),

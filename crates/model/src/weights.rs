@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use llmnpu_tensor::Tensor;
+use llmnpu_tensor::{PackedMatrixF32, Tensor};
 
 use crate::config::{ActKind, ModelConfig};
 use crate::Result;
@@ -59,8 +59,9 @@ pub struct ModelWeights {
     pub embedding: Tensor<f32>,
     /// Final norm gain.
     pub final_norm_gamma: Vec<f32>,
-    /// LM head `[hidden, vocab]`.
-    pub head: Tensor<f32>,
+    /// LM head `[hidden, vocab]`, packed once in the blocked kernel's
+    /// layout — its only resident copy.
+    pub head: PackedMatrixF32,
     /// The hot outlier channels chosen at generation time (for test
     /// introspection; real systems discover these by profiling).
     pub hot_channels: Vec<usize>,
@@ -126,7 +127,14 @@ pub fn synthesize(config: &ModelConfig, seed: u64, outliers: OutlierSpec) -> Res
     }
 
     let embedding = gaussian(&mut rng, config.vocab, h, 1.0);
-    let head = gaussian(&mut rng, h, config.vocab, (1.0 / h as f32).sqrt());
+    // The head is drawn like every other weight but packed row by row as
+    // it is drawn: a row-major temporary of the whole head, allocated and
+    // freed here, would move peak RSS through the allocator.
+    let head_std = (1.0 / h as f32).sqrt();
+    let mut normals = Normals::new(&mut rng);
+    let head = PackedMatrixF32::from_rows(h, config.vocab, |_, row| {
+        row.fill_with(|| normals.sample() * head_std);
+    });
 
     Ok(ModelWeights {
         config: config.clone(),
@@ -190,19 +198,36 @@ fn synth_layer(
     }
 }
 
-fn gaussian(rng: &mut StdRng, rows: usize, cols: usize, std: f32) -> Tensor<f32> {
-    // Box-Muller from uniform samples keeps us dependency-light and seeded.
-    let mut data = Vec::with_capacity(rows * cols);
-    while data.len() < rows * cols {
-        let u1: f32 = rng.gen_range(1e-7_f32..1.0);
-        let u2: f32 = rng.gen_range(0.0_f32..1.0);
+/// Seeded standard-normal samples by Box–Muller from uniform pairs,
+/// which keeps us dependency-light. Each pair yields a cosine sample,
+/// then a sine sample that waits for the next call; one stream draws one
+/// weight, so a pending sine carries across its rows.
+struct Normals<'a> {
+    rng: &'a mut StdRng,
+    sine: Option<f32>,
+}
+
+impl<'a> Normals<'a> {
+    fn new(rng: &'a mut StdRng) -> Self {
+        Normals { rng, sine: None }
+    }
+
+    fn sample(&mut self) -> f32 {
+        if let Some(z) = self.sine.take() {
+            return z;
+        }
+        let u1: f32 = self.rng.gen_range(1e-7_f32..1.0);
+        let u2: f32 = self.rng.gen_range(0.0_f32..1.0);
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(r * theta.cos() * std);
-        if data.len() < rows * cols {
-            data.push(r * theta.sin() * std);
-        }
+        self.sine = Some(r * theta.sin());
+        r * theta.cos()
     }
+}
+
+fn gaussian(rng: &mut StdRng, rows: usize, cols: usize, std: f32) -> Tensor<f32> {
+    let mut normals = Normals::new(rng);
+    let data = (0..rows * cols).map(|_| normals.sample() * std).collect();
     Tensor::from_vec(data, [rows, cols]).expect("sized by construction")
 }
 
@@ -274,6 +299,53 @@ mod tests {
             / t.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var.sqrt() - 0.5).abs() < 0.05, "std {}", var.sqrt());
+    }
+
+    /// FNV-1a over a packed matrix's `Debug` text: `{:?}` prints every
+    /// `f32` as the shortest decimal that reads back to the same bits, so
+    /// the hash pins the slabs bit for bit.
+    fn packed_hash(p: &PackedMatrixF32) -> u64 {
+        use std::fmt::Write;
+        struct Fnv(u64);
+        impl Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for &b in s.as_bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(h, "{p:?}").unwrap();
+        h.0
+    }
+
+    #[test]
+    fn packed_head_matches_the_recorded_hash() {
+        // Recorded from `PackedMatrixF32::from_tensor` of the row-major
+        // head `gaussian` drew before the head was packed as it is drawn.
+        // The odd config has odd-length rows, so a pending sine sample
+        // crosses every row boundary.
+        let served = ModelConfig::qwen15_18b().scaled_down(512, 6, 4096).unwrap();
+        let odd = ModelConfig {
+            hidden: 515,
+            vocab: 1031,
+            ..ModelConfig::tiny()
+        };
+        for (cfg, want) in [
+            (served, 0x6b50_d79b_6556_2b77),
+            (odd, 0x5351_0b3e_dfb4_1945),
+        ] {
+            let w = synthesize(&cfg, 29, OutlierSpec::default()).unwrap();
+            assert_eq!((w.head.k(), w.head.n()), (cfg.hidden, cfg.vocab));
+            assert_eq!(
+                packed_hash(&w.head),
+                want,
+                "{} × {} head",
+                cfg.hidden,
+                cfg.vocab
+            );
+        }
     }
 
     #[test]

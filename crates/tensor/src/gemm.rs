@@ -1,13 +1,13 @@
 //! Matrix multiplication entry points.
 //!
-//! Twelve functions over the three data paths of the paper's Figure 5
+//! Eleven functions over the three data paths of the paper's Figure 5
 //! (the third, after T-MAN, is this repo's sub-8-bit extension):
 //!
 //! * **float** (FP16 in the paper, f32 here; the extra precision only
-//!   tightens the reference) — [`matmul_f32`] / [`matmul_f32_threaded`]
-//!   against a row-major right-hand side packed per call (dynamic
-//!   operands: the LM head, dequantized-weight yardsticks),
-//!   [`matmul_f32_prepacked`] against weights packed once,
+//!   tightens the reference) — [`matmul_f32`] against a row-major
+//!   right-hand side packed per call (dynamic operands: the
+//!   dequantized-weight yardsticks), [`matmul_f32_prepacked`] against
+//!   weights packed once (every float weight, the LM head included),
 //!   [`matmul_f32_rows_prepacked`] for a batch of scattered decode rows,
 //!   and the scalar [`matmul_f32_reference`];
 //! * **W8A8 integer** (the NPU's native MatMul, §2.2 / Table 3) —
@@ -91,23 +91,9 @@ fn stack_rows(op: &'static str, rows: &[&[f32]], k: usize, n: usize) -> Result<V
     Ok(rows.concat())
 }
 
-/// The float path against a row-major B packed per call, on behalf of
-/// the entry named `op`.
-fn matmul_f32_per_call(
-    op: &'static str,
-    a: &Tensor<f32>,
-    b: &Tensor<f32>,
-    threads: usize,
-) -> Result<Tensor<f32>> {
-    let (m, k) = a.matrix_dims();
-    let (k2, n) = b.matrix_dims();
-    run(op, "gemm.f32", (m, k), (k2, n), threads, |c, t| {
-        kernel::gemm_f32(m, k, n, a.as_slice(), b.as_slice(), c, t);
-    })
-}
-
-/// `C = A × B` over `f32`, on the blocked kernel (single-threaded; see
-/// [`matmul_f32_threaded`] for the row-partitioned variant).
+/// `C = A × B` over `f32` against a row-major B packed per call, on the
+/// blocked kernel (single-threaded). A weight multiplied more than once
+/// belongs in [`matmul_f32_prepacked`] instead.
 ///
 /// # Errors
 ///
@@ -127,21 +113,11 @@ fn matmul_f32_per_call(
 /// # }
 /// ```
 pub fn matmul_f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f32>> {
-    matmul_f32_per_call("matmul_f32", a, b, 1)
-}
-
-/// `C = A × B` over `f32` with the output row-partitioned across
-/// `threads` scoped workers; bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_f32_threaded(
-    a: &Tensor<f32>,
-    b: &Tensor<f32>,
-    threads: usize,
-) -> Result<Tensor<f32>> {
-    matmul_f32_per_call("matmul_f32_threaded", a, b, threads)
+    let (m, k) = a.matrix_dims();
+    let (k2, n) = b.matrix_dims();
+    run("matmul_f32", "gemm.f32", (m, k), (k2, n), 1, |c, t| {
+        kernel::gemm_f32(m, k, n, a.as_slice(), b.as_slice(), c, t);
+    })
 }
 
 /// Scalar reference for [`matmul_f32`]: the plain triple loop, kept for
@@ -177,9 +153,9 @@ pub fn matmul_f32_reference(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f
 
 /// `C = A × B` over `f32` against a weight matrix packed **once** in a
 /// [`PackedMatrixF32`] (see `kernel::pack`): the per-call weight packing
-/// of [`matmul_f32_threaded`] disappears, and `m ≤ 2` decode inputs run
-/// the N-partitioned panel-walking GEMV. Bit-identical to
-/// [`matmul_f32`] for any thread count.
+/// of [`matmul_f32`] disappears, and `m ≤ 2` decode inputs run the
+/// N-partitioned panel-walking GEMV. Bit-identical to [`matmul_f32`]
+/// for any thread count.
 ///
 /// # Errors
 ///
@@ -520,16 +496,16 @@ mod tests {
         let cases = [
             ("matmul_f32", matmul_f32(&a, &b).unwrap_err()),
             (
-                "matmul_f32_threaded",
-                matmul_f32_threaded(&a, &b, 2).unwrap_err(),
-            ),
-            (
                 "matmul_f32_reference",
                 matmul_f32_reference(&a, &b).unwrap_err(),
             ),
             (
                 "matmul_f32_prepacked",
                 matmul_f32_prepacked(&a, &pf, 1).unwrap_err(),
+            ),
+            (
+                "matmul_f32_prepacked",
+                matmul_f32_prepacked(&a, &pf, 2).unwrap_err(),
             ),
             (
                 "matmul_f32_rows_prepacked",
@@ -757,8 +733,11 @@ mod tests {
         )
         .unwrap();
         let single = matmul_f32(&a, &b).unwrap();
-        let four = matmul_f32_threaded(&a, &b, 4).unwrap();
-        assert_eq!(single.as_slice(), four.as_slice());
+        let packed = PackedMatrixF32::from_tensor(&b);
+        for threads in [1, 4] {
+            let prepacked = matmul_f32_prepacked(&a, &packed, threads).unwrap();
+            assert_eq!(single.as_slice(), prepacked.as_slice(), "{threads} threads");
+        }
 
         let ai = a.map(|x| x as i8);
         let bi = PackedMatrixI8::from_tensor(&b.map(|x| x as i8));

@@ -35,15 +35,14 @@
 //! [`gemm_f32_prepacked_batched`], [`gemm_i8_prepacked`],
 //! [`gemm_i8_fused_prepacked`], and the [`lut`] pair) consumes a
 //! [`pack::PackedMatrixF32`] / [`pack::PackedMatrixI8`] /
-//! [`lut::PackedLut`] built once at weight load/quantization time. The
-//! exception is [`gemm_f32`], which packs a row-major B per call: the
-//! float path has genuinely *dynamic* right-hand sides — the LM head
-//! multiplies by a weight the model does not own a packed copy of, and
-//! the `forward_float` yardsticks multiply by a matrix dequantized on
-//! the spot — and a per-call pack is the right cost for a one-shot
-//! product. The integer path has no such caller (every quantized layer
-//! packs at construction), so it has no per-call driver: one fewer path
-//! to keep bit-identical.
+//! [`lut::PackedLut`] built once at weight load/quantization time — the
+//! LM head included, which the model holds only packed. The exception
+//! is [`gemm_f32`], which packs a row-major B per call: the
+//! `forward_float` yardsticks multiply by a matrix dequantized on the
+//! spot, a genuinely *dynamic* right-hand side, and a per-call pack is
+//! the right cost for a one-shot product. The integer path has no such
+//! caller (every quantized layer packs at construction), so it has no
+//! per-call driver: one fewer path to keep bit-identical.
 //!
 //! * **Ownership**: the f32 `PackedMatrix` owns the panel-ordered slab
 //!   sequence keyed by the `KC`/`NC` blocking of its tile loop; the i8

@@ -334,7 +334,7 @@ impl PackedMatrixF32 {
     /// Panics if `b.len() != k * n`.
     #[must_use]
     pub fn pack(b: &[f32], k: usize, n: usize) -> Self {
-        Self::pack_blocks(&ColumnBlocks::whole(b, k, n))
+        Self::from_columns(&ColumnBlocks::whole(b, k, n))
     }
 
     /// Packs the matrix view of a tensor.
@@ -354,32 +354,44 @@ impl PackedMatrixF32 {
     /// Returns [`Error::ShapeMismatch`](crate::Error::ShapeMismatch) if
     /// the blocks disagree on `k`.
     pub fn from_blocks(blocks: &[&crate::Tensor<f32>]) -> crate::Result<Self> {
-        Ok(Self::pack_blocks(&ColumnBlocks::side_by_side(blocks)?))
+        Ok(Self::from_columns(&ColumnBlocks::side_by_side(blocks)?))
     }
 
-    /// The slab sequence [`pack_b_f32`] builds per call, from any source.
-    fn pack_blocks(b: &ColumnBlocks<'_, f32>) -> Self {
-        let (k, n) = (b.k, b.n);
-        let mut slabs = Vec::new();
-        let mut p0 = 0;
-        while p0 < k {
+    fn from_columns(b: &ColumnBlocks<'_, f32>) -> Self {
+        Self::from_rows(b.k, b.n, |p, row| b.read_row(p, 0, row))
+    }
+
+    /// Packs a `k × n` matrix handed over one row at a time: `row(p, out)`
+    /// writes row `p` into `out` (`n` long) and is called once per row,
+    /// in ascending `p`. A weight generated row by row therefore never
+    /// exists row-major; only one row buffer does.
+    ///
+    /// This is the one packing loop behind every constructor: the slab
+    /// sequence [`pack_b_f32`] builds per call is allocated first, then
+    /// each row is scattered into its K-slab's `NR`-column panels, so
+    /// the result equals [`Self::pack`] of the same rows.
+    #[must_use]
+    pub fn from_rows(k: usize, n: usize, mut row: impl FnMut(usize, &mut [f32])) -> Self {
+        let col_blocks = n.div_ceil(NC);
+        let mut slabs = Vec::with_capacity(k.div_ceil(KC) * col_blocks);
+        for p0 in (0..k).step_by(KC) {
             let kc = KC.min(k - p0);
-            let mut j0 = 0;
-            while j0 < n {
-                let nc = NC.min(n - j0);
+            for j0 in (0..n).step_by(NC) {
                 note_pack_b();
-                let mut slab = vec![0.0; nc.div_ceil(NR) * kc * NR];
-                for (pj, panel) in slab.chunks_exact_mut(kc * NR).enumerate() {
-                    let c0 = j0 + pj * NR;
-                    let cols = (j0 + nc - c0).min(NR);
-                    for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
-                        b.read_row(p0 + p, c0, &mut row[..cols]);
-                    }
-                }
-                slabs.push(slab);
-                j0 += nc;
+                slabs.push(vec![0.0; NC.min(n - j0).div_ceil(NR) * kc * NR]);
             }
-            p0 += kc;
+        }
+        let mut buf = vec![0.0; n];
+        for p in 0..k {
+            row(p, &mut buf);
+            let (kb, step) = (p / KC, p % KC);
+            let kc = KC.min(k - kb * KC);
+            let k_slabs = &mut slabs[kb * col_blocks..][..col_blocks];
+            for (slab, block) in k_slabs.iter_mut().zip(buf.chunks(NC)) {
+                for (panel, cols) in slab.chunks_exact_mut(kc * NR).zip(block.chunks(NR)) {
+                    panel[step * NR..][..cols.len()].copy_from_slice(cols);
+                }
+            }
         }
         PackedMatrixF32 { k, n, slabs }
     }
@@ -635,6 +647,37 @@ mod tests {
                 pack_b_f32(&b, n, p0, j0, kc, nc, &mut want);
                 assert_eq!(pm.slab(idx), &want[..], "slab {idx}");
                 idx += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn row_source_packing_matches_packing_the_row_major_matrix() {
+        // K and N on both sides of KC = 512, NC = 1024 and NR = 16,
+        // up to the LM head's 4096 columns.
+        let value = |p: usize, j: usize| ((p * 131 + j * 7) % 251) as f32 - 125.0;
+        for k in [1, 511, 512, 513, 1376] {
+            for n in [1, 15, 16, 17, 1023, 1025, 4096] {
+                let mut order = Vec::new();
+                let streamed = PackedMatrixF32::from_rows(k, n, |p, row| {
+                    order.push(p);
+                    for (j, x) in row.iter_mut().enumerate() {
+                        *x = value(p, j);
+                    }
+                });
+                assert!(order.iter().copied().eq(0..k), "rows once, in order");
+                let b: Vec<f32> = (0..k * n).map(|i| value(i / n, i % n)).collect();
+                assert_eq!(streamed, PackedMatrixF32::pack(&b, k, n), "{k} × {n}");
+                // And slab by slab against the per-call packer.
+                let mut want = Vec::new();
+                let mut idx = 0;
+                for p0 in (0..k).step_by(KC) {
+                    for j0 in (0..n).step_by(NC) {
+                        pack_b_f32(&b, n, p0, j0, KC.min(k - p0), NC.min(n - j0), &mut want);
+                        assert_eq!(streamed.slab(idx), &want[..], "{k} × {n} slab {idx}");
+                        idx += 1;
+                    }
+                }
             }
         }
     }

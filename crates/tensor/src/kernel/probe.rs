@@ -121,7 +121,6 @@ mod tests {
         let table = Arc::new(CalibrationTable::default());
         install(Arc::new(llmnpu_obs::WallProbe::new(Arc::clone(&table))));
         gemm::matmul_f32(&a(3), &w).unwrap();
-        gemm::matmul_f32_threaded(&a(4), &w, 2).unwrap();
         gemm::matmul_f32_prepacked(&a(5), &pf, 1).unwrap();
         gemm::matmul_f32_rows_prepacked(&rows(6), &pf, 1).unwrap();
         gemm::matmul_f32_rows_prepacked(&rows(1), &pf, 1).unwrap();
@@ -168,7 +167,6 @@ mod tests {
         );
         for (site, m) in [
             ("gemm.f32", 3),
-            ("gemm.f32", 4),
             ("gemm.f32.prepacked", 5),
             ("gemv.f32.rows", 6),
             // A batch of one keeps the GEMV path — and its site.

@@ -209,7 +209,8 @@ proptest! {
             .collect();
         let b = Tensor::from_vec(b_data, [k, n]).unwrap();
         let single = gemm::matmul_f32(&a, &b).unwrap();
-        let multi = gemm::matmul_f32_threaded(&a, &b, threads).unwrap();
+        let packed = llmnpu_tensor::PackedMatrixF32::from_tensor(&b);
+        let multi = gemm::matmul_f32_prepacked(&a, &packed, threads).unwrap();
         prop_assert_eq!(single.as_slice(), multi.as_slice());
 
         // Also drive the slice-level driver with the *uncapped* worker
@@ -300,7 +301,7 @@ proptest! {
             .collect();
         let a = Tensor::from_vec(a_data, [m, k]).unwrap();
         let b = Tensor::from_vec(b_data, [k, n]).unwrap();
-        let per_call = gemm::matmul_f32_threaded(&a, &b, threads).unwrap();
+        let per_call = gemm::matmul_f32(&a, &b).unwrap();
         let packed = llmnpu_tensor::PackedMatrixF32::from_tensor(&b);
         let prepacked = gemm::matmul_f32_prepacked(&a, &packed, threads).unwrap();
         prop_assert_eq!(per_call.as_slice(), prepacked.as_slice());
@@ -311,6 +312,9 @@ proptest! {
         let mut c_driver = vec![0.0f32; m * n];
         kernel::gemm_f32_prepacked(m, a.as_slice(), &packed, &mut c_driver, threads);
         prop_assert_eq!(per_call.as_slice(), &c_driver[..]);
+        let mut c_per_call = vec![0.0f32; m * n];
+        kernel::gemm_f32(m, k, n, a.as_slice(), b.as_slice(), &mut c_per_call, threads);
+        prop_assert_eq!(per_call.as_slice(), &c_per_call[..]);
     }
 }
 

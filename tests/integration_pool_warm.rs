@@ -1,7 +1,7 @@
 //! Warm-path resource pinning: with the persistent pool installed, a
-//! steady-state forward performs **zero thread spawns**, **zero B-side
-//! weight packs**, and **zero A-panel scratch allocations** — the
-//! ISSUE's counter-pinned acceptance criteria.
+//! steady-state forward — a prefill, or a batched decode step with its
+//! LM-head projection — performs **zero thread spawns**, **zero B-side
+//! weight packs**, and **zero A-panel scratch allocations**.
 //!
 //! Lives in its own test binary: `pack::a_scratch_grows` is
 //! process-global (growth happens on pool worker threads), so the other
@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use llmnpu::graph::dag::{build_prefill_dag, DagConfig};
-use llmnpu::model::backend::FloatBackend;
+use llmnpu::model::backend::{FloatBackend, LutBackend};
 use llmnpu::model::config::ModelConfig;
-use llmnpu::model::forward::Transformer;
+use llmnpu::model::forward::{PagedDecodeEntry, Transformer};
 use llmnpu::model::kv::PagedKvCache;
 use llmnpu::model::weights::{synthesize, OutlierSpec};
 use llmnpu::sched::{execute_chunked_prefill, Policy, WorkerPool};
@@ -77,6 +77,78 @@ fn warm_forward_spawns_no_threads_and_allocates_no_panels() {
             pack::a_scratch_grows() - grows,
             0,
             "steady-state forwards must not grow the A-panel arenas"
+        );
+    });
+}
+
+#[test]
+fn warm_decode_step_with_its_lm_head_packs_no_weights() {
+    let _serial = COUNTER_LOCK.lock().unwrap();
+    // The decode lane's setup: int4 LUT linears, then the f32 LM head
+    // over the stacked cohort rows — at m = 3 and 8 the head runs the
+    // tile loop, which packs a row-major B on every call.
+    let cfg = ModelConfig::qwen15_18b().scaled_down(64, 2, 128).unwrap();
+    let w = synthesize(&cfg, 7, OutlierSpec::default()).unwrap();
+    let be = LutBackend::int4(&w, 32).unwrap();
+    let t = Transformer::new(&w, &be);
+    let prompts: Vec<Vec<u32>> = (0..8u32)
+        .map(|r| (0..5 + r).map(|i| (i * 7 + r * 3 + 1) % 128).collect())
+        .collect();
+    // Two passes of one m = 3 and one m = 8 step: at most four decoded
+    // positions per request.
+    let mut caches: Vec<PagedKvCache> = prompts
+        .iter()
+        .map(|p| PagedKvCache::solo(&cfg, p.len() + 4).unwrap())
+        .collect();
+    let mut pos: Vec<usize> = prompts.iter().map(Vec::len).collect();
+
+    let pool = Arc::new(WorkerPool::new(4));
+    pool.install_scope(|| {
+        for (p, kv) in prompts.iter().zip(&mut caches) {
+            t.prefill_paged(p, 0, kv).unwrap();
+        }
+        let mut step = |b: usize| {
+            let mut entries: Vec<PagedDecodeEntry<'_>> = caches[..b]
+                .iter_mut()
+                .zip(&mut pos)
+                .map(|(kv, pos)| {
+                    *pos += 1;
+                    PagedDecodeEntry {
+                        token: (*pos * 11 % 128) as u32,
+                        pos: *pos - 1,
+                        kv,
+                    }
+                })
+                .collect();
+            let hidden = t.decode_forward_batch(&mut entries).unwrap();
+            let logits = t.logits(&hidden).unwrap();
+            assert_eq!(logits.matrix_dims(), (b, cfg.vocab));
+            assert!(logits.as_slice().iter().all(|v| v.is_finite()));
+        };
+        // Warmup sizes the arenas for both cohort heights.
+        step(3);
+        step(8);
+
+        let spawns = parallel::thread_spawns();
+        let packs = pack::pack_b_calls_global();
+        let grows = pack::a_scratch_grows();
+        step(3);
+        step(8);
+
+        assert_eq!(
+            parallel::thread_spawns() - spawns,
+            0,
+            "warm decode steps must spawn no threads"
+        );
+        assert_eq!(
+            pack::pack_b_calls_global() - packs,
+            0,
+            "warm decode steps, LM head included, must never repack weights"
+        );
+        assert_eq!(
+            pack::a_scratch_grows() - grows,
+            0,
+            "warm decode steps must not grow the A-panel arenas"
         );
     });
 }
