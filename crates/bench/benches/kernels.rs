@@ -422,6 +422,30 @@ json_record! {
 }
 
 json_record! {
+    /// One part of a served decode step on the benchmark's model
+    /// (`512 × 6 × 4096`: the decode forward of `m` cohort rows, or the LM
+    /// head over them), timed on the CPU lane of a two-lane executor run
+    /// three ways: `alone` — one lane, nothing to band with, so one band;
+    /// `sibling_busy` — the NPU lane runs a task of its own, so the
+    /// kernel calls' two column bands run one after the other on the CPU
+    /// lane; `lent` — the NPU lane is idle and runs one band of every
+    /// call. Median of `reps`, warm.
+    struct LaneLendingRow {
+        backend: &'static str,
+        /// `forward` or `head`.
+        part: &'static str,
+        m: usize,
+        alone_ms: f64,
+        sibling_busy_ms: f64,
+        lent_ms: f64,
+        /// `alone_ms / lent_ms`.
+        lent_speedup: f64,
+        /// All three outputs bit-identical.
+        bit_identical: bool,
+    }
+}
+
+json_record! {
     struct KernelRecord {
         id: &'static str,
         description: &'static str,
@@ -449,6 +473,7 @@ json_record! {
         fma_roofline_gflops: f64,
         paged_kv: Vec<PagedKvRow>,
         layer_i8: Vec<LayerI8Row>,
+        lane_lending: Vec<LaneLendingRow>,
     }
 }
 
@@ -498,6 +523,19 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 /// The per-call f32 driver — a row-major B packed on every call — at
 /// `threads` workers after the host-core clamp: `gemm::matmul_f32` runs
 /// it on one thread only.
+/// Median wall time of `reps` calls of `f`, in seconds.
+fn median_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut secs: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
+
 fn per_call_f32(a: &Tensor<f32>, b: &Tensor<f32>, threads: usize) -> Vec<f32> {
     let ((m, k), (_, n)) = (a.matrix_dims(), b.matrix_dims());
     let mut c = vec![0.0; m * n];
@@ -857,6 +895,140 @@ fn compare_paged_kv(shape: PagedKvShape, roofline_gflops: f64) -> PagedKvRow {
 }
 
 /// The `layer_i8` rows (see [`LayerI8Row`]) at `m` activation rows.
+/// What the NPU lane does while [`on_cpu_lane`] runs its job.
+#[derive(Clone, Copy)]
+enum Sibling {
+    /// Runs a task of its own (a spin, no kernel call) for the job's
+    /// whole length.
+    Busy,
+    /// Has no task until the job is done: it lends.
+    Idle,
+}
+
+/// Runs `job` as the CPU-lane task of a two-lane executor run on `pool`,
+/// with the NPU lane doing `sibling`, and returns its result.
+fn on_cpu_lane<R: Send>(
+    pool: &llmnpu_sched::WorkerPool,
+    sibling: Sibling,
+    job: impl FnOnce() -> R + Send,
+) -> R {
+    use llmnpu_sched::{execute_lane_graph, LaneGraph, LaneTask, Policy, TaskFn};
+    use llmnpu_soc::Processor;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+
+    let task = |label: &str, processor| LaneTask {
+        label: label.to_owned(),
+        processor,
+        duration_ms: 1.0,
+        release_ms: 0.0,
+        barrier: false,
+    };
+    let mut graph = LaneGraph::new();
+    let measured = graph
+        .push(task("measured", Processor::Cpu), vec![])
+        .unwrap();
+    let deps = match sibling {
+        Sibling::Busy => vec![],
+        Sibling::Idle => vec![measured],
+    };
+    graph.push(task("sibling", Processor::Npu), deps).unwrap();
+    let done = AtomicBool::new(false);
+    let out = Mutex::new(None);
+    let closures: Vec<TaskFn<'_>> = vec![
+        Box::new(|| {
+            *out.lock().unwrap() = Some(job());
+            done.store(true, Ordering::Release);
+            Ok(())
+        }),
+        Box::new(|| {
+            while matches!(sibling, Sibling::Busy) && !done.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            Ok(())
+        }),
+    ];
+    execute_lane_graph(&graph, closures, Policy::OutOfOrder, pool).unwrap();
+    out.into_inner().unwrap().unwrap()
+}
+
+/// The `lane_lending` rows: the served decode step's forward and LM head
+/// at `m = 1` and `8`, on int4 and f32 weights, alone / sibling busy /
+/// lent (see [`LaneLendingRow`]).
+fn compare_lane_lending() -> Vec<LaneLendingRow> {
+    use llmnpu_model::backend::{FloatBackend, LinearBackend, LutBackend};
+    use llmnpu_model::config::ModelConfig;
+    use llmnpu_model::forward::{PagedDecodeEntry, Transformer};
+    use llmnpu_model::kv::PagedKvCache;
+    use llmnpu_model::weights::{synthesize, OutlierSpec};
+    use llmnpu_tensor::kernel::parallel::{with_backend, InlineBackend};
+
+    const PROMPT: usize = 64;
+    let cfg = ModelConfig::qwen15_18b().scaled_down(512, 6, 4096).unwrap();
+    let w = synthesize(&cfg, 29, OutlierSpec::default()).unwrap();
+    let lut = LutBackend::int4(&w, 32).unwrap();
+    let float = FloatBackend::new(w.clone());
+    let pool = llmnpu_sched::WorkerPool::new(2);
+    let backends: [(&'static str, &dyn LinearBackend, usize); 2] =
+        [("int4", &lut, 31), ("f32", &float, 15)];
+    let mut rows = Vec::new();
+    for (backend, be, reps) in backends {
+        let t = Transformer::new(&w, be);
+        for m in [1usize, 8] {
+            // `m` requests `PROMPT` tokens in; every rep decodes the same
+            // token at the same position, so every rep's output is equal.
+            let mut caches: Vec<PagedKvCache> = (0..m)
+                .map(|r| {
+                    let prompt: Vec<u32> = (0..PROMPT)
+                        .map(|i| ((i * 31 + r * 7 + 1) % cfg.vocab) as u32)
+                        .collect();
+                    let mut kv = PagedKvCache::solo(&cfg, PROMPT + 1).unwrap();
+                    t.prefill_paged(&prompt, 0, &mut kv).unwrap();
+                    kv
+                })
+                .collect();
+            let mut forward = || {
+                let mut entries: Vec<PagedDecodeEntry<'_>> = caches
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(r, kv)| PagedDecodeEntry {
+                        token: ((r * 17 + 3) % cfg.vocab) as u32,
+                        pos: PROMPT,
+                        kv,
+                    })
+                    .collect();
+                t.decode_forward_batch(&mut entries).unwrap()
+            };
+            let hidden = forward();
+            let mut head = || t.logits(&hidden).unwrap();
+            let parts: [(&'static str, &mut (dyn FnMut() -> Tensor<f32> + Send)); 2] =
+                [("forward", &mut forward), ("head", &mut head)];
+            for (part, f) in parts {
+                let timed = |f: &mut (dyn FnMut() -> Tensor<f32> + Send)| {
+                    let out = f();
+                    (median_of(reps, &mut *f) * 1e3, out)
+                };
+                let (alone_ms, alone) =
+                    with_backend(std::sync::Arc::new(InlineBackend), || timed(&mut *f));
+                let (sibling_busy_ms, busy) = on_cpu_lane(&pool, Sibling::Busy, || timed(&mut *f));
+                let (lent_ms, lent) = on_cpu_lane(&pool, Sibling::Idle, || timed(&mut *f));
+                rows.push(LaneLendingRow {
+                    backend,
+                    part,
+                    m,
+                    alone_ms,
+                    sibling_busy_ms,
+                    lent_ms,
+                    lent_speedup: alone_ms / lent_ms,
+                    bit_identical: alone.as_slice() == busy.as_slice()
+                        && alone.as_slice() == lent.as_slice(),
+                });
+            }
+        }
+    }
+    rows
+}
+
 fn compare_layer_i8(m: usize, reps: usize) -> Vec<LayerI8Row> {
     use llmnpu_model::backend::{FloatBackend, ShadowBackend};
     use llmnpu_model::config::ModelConfig;
@@ -1301,6 +1473,26 @@ fn kernel_comparison() {
         })
         .collect();
 
+    println!(
+        "--- lane lending: a served decode step's parts on the CPU lane, alone vs sibling busy vs lent ---"
+    );
+    let lane_lending: Vec<LaneLendingRow> = compare_lane_lending()
+        .into_iter()
+        .inspect(|row| {
+            println!(
+                "{:<4} {:<7} m={} alone {:>7.3} ms | sibling busy {:>7.3} ms | lent {:>7.3} ms ({:>4.2}x) | identical={}",
+                row.backend,
+                row.part,
+                row.m,
+                row.alone_ms,
+                row.sibling_busy_ms,
+                row.lent_ms,
+                row.lent_speedup,
+                row.bit_identical,
+            );
+        })
+        .collect();
+
     let record = KernelRecord {
         id: "kernels",
         description: "Blocked+packed+threaded GEMM vs scalar reference \
@@ -1328,7 +1520,10 @@ fn kernel_comparison() {
                       one shadow-int8 layer's NPU-lane stages (QKV, O, FFN) into \
                       activation quantize, tile + epilogue, SiLU and the rest, \
                       per-site (the composition before sibling projections were \
-                      fused) vs fused; serving-level and pool-dispatch numbers \
+                      fused) vs fused; lane_lending times a served decode \
+                      step's forward and LM head on the CPU lane of a two-lane \
+                      executor run alone, with the NPU lane busy (bands inline) \
+                      and with it idle (lent); serving-level and pool-dispatch numbers \
                       live in benchmark/ (BENCHMARK.json); tokens-equivalent \
                       = activation rows per second",
         threads_requested: THREADS,
@@ -1345,6 +1540,7 @@ fn kernel_comparison() {
         fma_roofline_gflops,
         paged_kv,
         layer_i8,
+        lane_lending,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let json = json::to_string_pretty(&record.to_json());
@@ -1383,6 +1579,10 @@ fn kernel_comparison() {
             "paged kv {}x{} ({} kv) q={} kv={} pages of {}",
             r.heads, r.head_dim, r.kv_heads, r.q_rows, r.kv_len, r.block_tokens
         );
+        flags.push((at, r.bit_identical));
+    }
+    for r in &record.lane_lending {
+        let at = format!("lane lending {} {} m={}", r.backend, r.part, r.m);
         flags.push((at, r.bit_identical));
     }
     let inexact: Vec<&str> = flags

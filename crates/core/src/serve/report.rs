@@ -9,8 +9,9 @@ use llmnpu_graph::dag::TaskRole;
 use llmnpu_graph::layer::Stage;
 use llmnpu_kv::PrefixCacheMetrics;
 use llmnpu_obs::metrics::LATENCY_BUCKETS_MS;
+use llmnpu_obs::trace::LENT_CLASS;
 use llmnpu_obs::{MetricsSnapshot, Observability, TraceSpan};
-use llmnpu_sched::{LaneGraph, TaskOutcome};
+use llmnpu_sched::{LaneGraph, LentSpan, TaskOutcome};
 use llmnpu_soc::des::{Timeline, TimelineEntry};
 
 use super::build::{RunCtx, TaskMeta};
@@ -449,6 +450,20 @@ pub(super) fn serve_trace_span(span: &ServeSpan) -> TraceSpan {
     let m = &span.meta;
     let owner = Some((m.request, m.attempt));
     trace_span(span, kind_class(&m.kind), owner, m.modeled_ms)
+}
+
+/// A lending episode as the observability plane records it: busy time
+/// on the lane that lent its thread, owned by no request, shifted onto
+/// the serving call's clock by `offset_ms`.
+pub(super) fn lent_trace_span(span: &LentSpan, offset_ms: f64) -> TraceSpan {
+    let entry = TimelineEntry {
+        label: LENT_CLASS.to_owned(),
+        processor: span.lane,
+        start: span.start_ms + offset_ms,
+        end: span.end_ms + offset_ms,
+        meta: (),
+    };
+    trace_span(&entry, LENT_CLASS, None, 0.0)
 }
 
 /// One round's executed timeline in completion order (skipped tasks

@@ -7,14 +7,15 @@ use std::sync::Arc;
 
 use llmnpu_model::forward::Transformer;
 use llmnpu_obs::{EventKind, Plane};
-use llmnpu_sched::{execute_lane_graph_contained, GateFn, LaneGraph, TaskOutcome};
+use llmnpu_sched::{execute_lane_graph_contained, GateFn, LaneGraph, LentSpan, TaskOutcome};
 
 use super::build::{
     build_round, release_slot, Prefill, RoundGraph, RoundState, RunCtx, SegBuild, TaskMeta,
 };
 use super::plan::plan_batch;
 use super::report::{
-    kv_report, publish_metrics, queue_depth_series, round_timeline, serve_trace_span,
+    kv_report, lent_trace_span, publish_metrics, queue_depth_series, round_timeline,
+    serve_trace_span,
 };
 use super::{
     plain_lock, prove, GenerationRequest, RequestOutcome, RequestStatus, Round, ServeOptions,
@@ -46,6 +47,8 @@ pub(super) struct RoundOutput {
     timeline: ServeTimeline,
     evictions: usize,
     shared_blocks: usize,
+    /// The lanes' lending episodes (round-local clock).
+    lent: Vec<LentSpan>,
     /// The static verifier's (clean) report for the round's spliced
     /// graph — findings would have aborted the round instead.
     pub(super) verified: llmnpu_verify::Report,
@@ -94,6 +97,7 @@ impl LlmNpuEngine {
             timeline: ServeTimeline::new(),
             evictions: plan.segments.iter().filter(|s| s.evicted).count(),
             shared_blocks: plan.shared_blocks,
+            lent: Vec::new(),
             verified: prove::prove(ctx, &built, &prefill.plans, free_blocks)?,
         };
         if mode == RoundMode::DryRun {
@@ -112,7 +116,7 @@ impl LlmNpuEngine {
             builds,
             token_tasks,
         } = built;
-        let outcomes = self.pool().install_scope(|| {
+        let run = self.pool().install_scope(|| {
             execute_lane_graph_contained(
                 &graph,
                 closures,
@@ -128,8 +132,9 @@ impl LlmNpuEngine {
         for slot in &live.slots {
             let _ = release_slot(slot);
         }
-        out.timeline = round_timeline(ctx, &graph, &meta, &outcomes);
-        out.members = resolve_members(ctx, &meta, &builds, &token_tasks, &outcomes);
+        out.timeline = round_timeline(ctx, &graph, &meta, &run.outcomes);
+        out.members = resolve_members(ctx, &meta, &builds, &token_tasks, &run.outcomes);
+        out.lent = run.lent;
         Ok(out)
     }
 
@@ -196,6 +201,11 @@ impl LlmNpuEngine {
                     o.sink.span(|| serve_trace_span(&span));
                 }
                 timeline.record(span);
+            }
+            if let Some(o) = obs {
+                for lent in &out.lent {
+                    o.sink.span(|| lent_trace_span(lent, time_offset));
+                }
             }
             let mut next_members = Vec::new();
             let mut next_backoffs = Vec::new();

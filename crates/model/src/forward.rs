@@ -22,6 +22,7 @@
 //! used to cost seven of each.
 
 use llmnpu_tensor::kernel::attention::{attention_paged, HeadGeometry};
+use llmnpu_tensor::kernel::parallel;
 use llmnpu_tensor::{norm, ops, rope, Tensor};
 
 use crate::backend::{CalibrationSet, LinearBackend, LinearInput, LinearKind};
@@ -316,25 +317,15 @@ impl<'a> Transformer<'a> {
             let shadow = self.stage_linear_shadow(layer, LinearInput::Attn, &a_in)?;
             let (q, k, v) = self.qkv_finish_at(main, shadow, positions.iter().copied())?;
 
-            let mut attn = Tensor::zeros([positions.len(), q_dim]);
             let mut row = 0;
             for s in segments.iter_mut() {
-                let end = row + s.rows;
                 for r in 0..s.rows {
                     s.kv.write_position(layer, s.start_pos + r, k.row(row + r), v.row(row + r))?;
                 }
-                s.kv.view(layer, s.start_pos + s.rows, |pages_k, pages_v| {
-                    attend(
-                        &q.as_slice()[row * q_dim..end * q_dim],
-                        pages_k,
-                        pages_v,
-                        cfg,
-                        s.start_pos,
-                        &mut attn.as_mut_slice()[row * q_dim..end * q_dim],
-                    )
-                })??;
-                row = end;
+                row += s.rows;
             }
+            let mut attn = Tensor::zeros([positions.len(), q_dim]);
+            self.attend_segments(layer, segments, &q, &mut attn)?;
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.entry((layer, LinearKind::O))
                     .or_default()
@@ -363,6 +354,55 @@ impl<'a> Transformer<'a> {
             h = self.stage_ffn_down(layer, &h, &ffn_mid)?;
         }
         Ok(h)
+    }
+
+    /// Attention for every segment of a step, each over its own pages
+    /// into its own rows of `attn`. The segments are attended in parallel
+    /// bands of whole segments; a segment's rows depend on nothing but
+    /// its query rows and pages, so the banding never changes a bit.
+    fn attend_segments(
+        &self,
+        layer: usize,
+        segments: &[Segment<'_>],
+        q: &Tensor<f32>,
+        attn: &mut Tensor<f32>,
+    ) -> Result<()> {
+        struct Attend<'s> {
+            kv: &'s PagedKvCache,
+            start_pos: usize,
+            q: &'s [f32],
+            out: &'s mut [f32],
+            done: Result<()>,
+        }
+        let cfg = self.config();
+        let q_dim = cfg.q_dim();
+        let mut items = Vec::with_capacity(segments.len());
+        let (mut q_rest, mut out_rest) = (q.as_slice(), attn.as_mut_slice());
+        for s in segments {
+            let (q_seg, q_tail) = q_rest.split_at(s.rows * q_dim);
+            let (out, out_tail) = out_rest.split_at_mut(s.rows * q_dim);
+            (q_rest, out_rest) = (q_tail, out_tail);
+            items.push(Attend {
+                kv: &*s.kv,
+                start_pos: s.start_pos,
+                q: q_seg,
+                out,
+                done: Ok(()),
+            });
+        }
+        let threads = crate::backend::host_threads();
+        parallel::run_row_partitioned(threads, items.len(), 1, &mut items, |_, _, band| {
+            for it in band {
+                let rows = it.q.len() / q_dim;
+                it.done = it
+                    .kv
+                    .view(layer, it.start_pos + rows, |pages_k, pages_v| {
+                        attend(it.q, pages_k, pages_v, cfg, it.start_pos, it.out)
+                    })
+                    .and_then(|attended| attended);
+            }
+        });
+        items.into_iter().try_for_each(|it| it.done)
     }
 
     // --- Schedulable stage functions -----------------------------------

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::{self, Json};
-use crate::trace::{Plane, TraceLog};
+use crate::trace::{Plane, TraceLog, LENT_CLASS};
 
 const US_PER_MS: f64 = 1000.0;
 
@@ -219,12 +219,13 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
 
 /// Render the canonical deterministic export: spans with modeled
 /// fields only — `start_ms`/`end_ms` are *measured* executor times and
-/// are deliberately absent — sorted on plan-determined keys, plus
+/// are deliberately absent, and so are the measured-only
+/// [`LENT_CLASS`] spans — sorted on plan-determined keys, plus
 /// Plan-plane events in recorded order. Byte-identical across runs and
 /// worker counts for the same seeded workload.
 #[must_use]
 pub fn modeled_trace_json(log: &TraceLog) -> String {
-    let mut spans: Vec<_> = log.spans.iter().collect();
+    let mut spans: Vec<_> = log.spans.iter().filter(|s| s.class != LENT_CLASS).collect();
     spans.sort_by(|a, b| {
         // None-request (infrastructure) spans sort last; ties broken
         // on plan-determined fields only (task labels are unique per

@@ -103,6 +103,12 @@ impl fmt::Display for EventKind {
     }
 }
 
+/// The class of a span that records a lane lending its thread to
+/// another lane's kernel bands. Such spans are measured, not planned —
+/// whether and when a lane lends depends on timing — so the canonical
+/// modeled export leaves them out.
+pub const LENT_CLASS: &str = "lent";
+
 /// One traced span: a unit of scheduled work on a lane.
 ///
 /// `modeled_ms` is plan-determined and present on every span; the wall

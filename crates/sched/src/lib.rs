@@ -35,7 +35,8 @@
 //! * [`pool`] — the persistent, deterministically-partitioned
 //!   [`WorkerPool`] that replaces per-call `std::thread::scope` spawning
 //!   in `llmnpu_tensor::kernel::parallel` (created once per engine,
-//!   installable as the kernel layer's parallel backend),
+//!   installable as the kernel layer's parallel backend, and lending an
+//!   idle lane's thread to a busy lane's kernel bands in lane mode),
 //! * [`runner`] — the numeric out-of-order task executor: a generic
 //!   lane-graph dispatcher ([`execute_lane_graph`]) over tasks with
 //!   processor lanes, modeled durations, release times (request
@@ -70,8 +71,8 @@ pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use pool::WorkerPool;
 pub use runner::{
     execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, validate_timeline,
-    ExecutedTask, ExecutedTimeline, GateFn, LaneGraph, LaneTask, NumericPrefill, PrefillProgram,
-    SkipReason, TaskFn, TaskOutcome,
+    ContainedRun, ExecutedTask, ExecutedTimeline, GateFn, LaneGraph, LaneTask, LentSpan,
+    NumericPrefill, PrefillProgram, SkipReason, TaskFn, TaskOutcome,
 };
 
 /// Crate-wide result alias.

@@ -31,6 +31,22 @@
 //! chains* and runs it through the same dispatcher, which is how decode
 //! steps become first-class tasks on the same lanes as prefill chunks.
 //!
+//! # Lending, and what Equation 4 still says
+//!
+//! A lane with no dependency-ready task does not sit the run out: it
+//! waits at the pool's one wait point (`WorkerPool::lane_idle`) and
+//! meanwhile runs bands of the kernel calls a busy lane posts (the
+//! `pool` module docs), so a decode step on the CPU lane runs its GEMMs
+//! and attention on both cores. Equation 4 holds as stated — a lane runs
+//! at most one *task* at a time, and [`validate_timeline`] checks exactly
+//! that — because a lent band is not a task: it is part of the lending
+//! task's kernel call, which returns only once every band has run, and a
+//! band's placement never changes a bit of its output. So the graph, the
+//! verifier's plan model and the task counts do not see lending. The
+//! lanes' lending episodes come back from
+//! [`execute_lane_graph_contained`] as [`LentSpan`]s, which the serving
+//! layer records as busy time of the lane that lent.
+//!
 //! # Determinism
 //!
 //! Executed outputs — hidden states and the K/V rows left in the
@@ -73,7 +89,7 @@
 //! lock where poisoning stays fatal is the dispatcher's own bookkeeping
 //! mutex — see the field doc on `Dispatcher::state`.
 
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use llmnpu_graph::chunk::ChunkPlan;
@@ -89,7 +105,7 @@ use llmnpu_tensor::kernel::parallel::Job;
 use llmnpu_tensor::Tensor;
 
 use crate::policy::{Progress, Scheduler, EPS};
-use crate::pool::WorkerPool;
+use crate::pool::{LaneIdle, WorkerPool};
 use crate::{Error, Policy, Result};
 
 /// One executed task: its wall-clock interval (ms from run start) on
@@ -785,6 +801,17 @@ struct DispatchState {
     outcomes: Vec<Option<TaskOutcome>>,
 }
 
+/// What a lane does after consulting the dispatcher.
+enum Next {
+    /// Run this task.
+    Run(usize),
+    /// Nothing ready: wait at the pool's wait point, at most this long
+    /// (a pending release time).
+    Idle(Option<Duration>),
+    /// The run is over (done or aborted).
+    Leave,
+}
+
 struct Dispatcher<'d> {
     /// The policy core shared with the simulated plane; this dispatcher
     /// drives it with the wall clock.
@@ -800,8 +827,12 @@ struct Dispatcher<'d> {
     /// invariants cannot be re-validated after a partial update. Every
     /// `.expect("dispatch mutex")` below is deliberate.
     state: Mutex<DispatchState>,
-    cv: Condvar,
+    /// The pool the lanes run on: its lending board is where an idle
+    /// lane waits, and where a settled task is signalled.
+    pool: &'d WorkerPool,
     started: Instant,
+    /// Lending episodes, closed as the lanes stop lending.
+    lent: Mutex<Vec<LentSpan>>,
     /// Optional trace recorder for dispatch/completion/skip events
     /// (Exec plane: emission order follows the live interleaving).
     sink: Option<&'d TraceSink>,
@@ -811,6 +842,7 @@ impl<'d> Dispatcher<'d> {
     fn new(
         graph: &'d LaneGraph,
         policy: Policy,
+        pool: &'d WorkerPool,
         isolate: bool,
         gate: Option<GateFn<'d>>,
         sink: Option<&'d TraceSink>,
@@ -827,8 +859,9 @@ impl<'d> Dispatcher<'d> {
                 error: None,
                 outcomes: vec![None; n],
             }),
-            cv: Condvar::new(),
+            pool,
             started: Instant::now(),
+            lent: Mutex::new(Vec::new()),
             sink,
         }
     }
@@ -973,30 +1006,37 @@ impl<'d> Dispatcher<'d> {
             }
         }
         drop(st);
-        self.cv.notify_all();
+        self.pool.signal_lanes();
     }
 
     /// The blocking lane loop for processor `p` (one OS thread per lane).
+    /// With no task of its own ready, the lane waits at the pool's one
+    /// wait point, [`WorkerPool::lane_idle`], and meanwhile runs bands of
+    /// whatever kernel call a busy lane posts. Consecutive bands are one
+    /// lending episode, closed when the lane parks, takes a task or
+    /// leaves; each closed episode is one [`LentSpan`].
     fn lane_loop(&self, closures: &[Mutex<Option<TaskFn<'_>>>], p: Processor) {
+        let mut episode: Option<(f64, f64)> = None;
         loop {
-            let picked = {
+            let seen = self.pool.lane_signals();
+            let next = {
                 // lint: allow(panic) — task panics are caught before this lock, so poisoning is unreachable
                 let mut st = self.state.lock().expect("dispatch mutex");
                 loop {
                     if st.aborted || st.remaining == 0 {
-                        return;
+                        break Next::Leave;
                     }
                     let now = self.now_ms();
                     if self.apply_gate(&mut st, now) {
-                        self.cv.notify_all();
+                        self.pool.signal_lanes();
                         continue;
                     }
                     if let Some(t) = self.core.pick(&st.progress, p, now) {
                         st.progress.dispatch(t);
-                        break t;
+                        break Next::Run(t);
                     }
                     // A dep-ready task may just be awaiting its release
-                    // (request arrival): sleep until then, not forever.
+                    // (request arrival): wait until then, not forever.
                     let pending_release = self.next_release_in(&st, now);
                     if st.progress.in_flight == 0
                         && self.dep_ready(&st).next().is_none()
@@ -1006,22 +1046,54 @@ impl<'d> Dispatcher<'d> {
                         st.error
                             .get_or_insert_with(|| "dispatch deadlock".to_owned());
                         drop(st);
-                        self.cv.notify_all();
-                        return;
+                        self.pool.signal_lanes();
+                        break Next::Leave;
                     }
-                    st = match pending_release {
-                        Some(wait_ms) => {
-                            let timeout = Duration::from_secs_f64((wait_ms / 1e3).max(1e-5));
-                            // lint: allow(panic) — condvar wait only errs on a poisoned lock, unreachable here
-                            self.cv.wait_timeout(st, timeout).expect("dispatch mutex").0
-                        }
-                        // lint: allow(panic) — condvar wait only errs on a poisoned lock, unreachable here
-                        None => self.cv.wait(st).expect("dispatch mutex"),
-                    };
+                    break Next::Idle(
+                        pending_release
+                            .map(|wait_ms| Duration::from_secs_f64((wait_ms / 1e3).max(1e-5))),
+                    );
                 }
             };
-            self.run_task(closures, picked);
+            match next {
+                Next::Run(t) => {
+                    self.close_episode(p, &mut episode);
+                    self.run_task(closures, t);
+                }
+                Next::Idle(timeout) => match self.pool.lane_idle(seen, timeout) {
+                    LaneIdle::Lent { start, end } => {
+                        let (start, end) = (self.ms_since_start(start), self.ms_since_start(end));
+                        let (first, _) = episode.unwrap_or((start, end));
+                        episode = Some((first, end));
+                    }
+                    LaneIdle::Signalled => {}
+                    LaneIdle::Parked => self.close_episode(p, &mut episode),
+                },
+                Next::Leave => {
+                    self.close_episode(p, &mut episode);
+                    return;
+                }
+            }
         }
+    }
+
+    /// Records lane `p`'s open lending episode, if any, as one span.
+    fn close_episode(&self, p: Processor, episode: &mut Option<(f64, f64)>) {
+        if let Some((start_ms, end_ms)) = episode.take() {
+            self.lent
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(LentSpan {
+                    lane: p,
+                    start_ms,
+                    end_ms,
+                });
+        }
+    }
+
+    /// `at` in ms from run start, on the clock task spans use.
+    fn ms_since_start(&self, at: Instant) -> f64 {
+        at.saturating_duration_since(self.started).as_secs_f64() * 1e3
     }
 
     /// Single-threaded fallback: interleaves the lanes in NPU-first
@@ -1066,7 +1138,8 @@ impl<'d> Dispatcher<'d> {
 
 /// The shared dispatch core under both execution modes: builds the
 /// dispatcher, drives the lane loops on the pool (or the sequential
-/// fallback), and returns every task's outcome.
+/// fallback), and returns every task's outcome with the lanes' lending
+/// episodes.
 fn run_lane_graph<'run>(
     graph: &LaneGraph,
     closures: Vec<TaskFn<'run>>,
@@ -1075,7 +1148,7 @@ fn run_lane_graph<'run>(
     isolate: bool,
     gate: Option<GateFn<'run>>,
     sink: Option<&TraceSink>,
-) -> Result<Vec<TaskOutcome>> {
+) -> Result<ContainedRun> {
     if closures.len() != graph.len() {
         return Err(Error::Exec {
             what: format!(
@@ -1086,7 +1159,7 @@ fn run_lane_graph<'run>(
         });
     }
     if graph.is_empty() {
-        return Ok(Vec::new());
+        return Ok(ContainedRun::default());
     }
     // Debug builds statically verify every graph they execute: the
     // structural half of the plan checks (dependency sanity, cycles,
@@ -1109,7 +1182,7 @@ fn run_lane_graph<'run>(
     let closures: Vec<Mutex<Option<TaskFn<'_>>>> =
         closures.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let lanes = graph.lanes();
-    let dispatcher = Dispatcher::new(graph, policy, isolate, gate, sink);
+    let dispatcher = Dispatcher::new(graph, policy, pool, isolate, gate, sink);
     let concurrent = {
         let mut jobs: Vec<Job<'_>> = lanes
             .iter()
@@ -1125,17 +1198,45 @@ fn run_lane_graph<'run>(
         dispatcher.sequential(&closures, &lanes);
     }
 
+    let lent = dispatcher
+        .lent
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     // lint: allow(panic) — all lane threads have joined; nothing can hold or poison the lock
     let st = dispatcher.state.into_inner().expect("dispatch mutex");
     if let Some(e) = st.error {
         return Err(Error::Exec { what: e });
     }
-    Ok(st
+    let outcomes = st
         .outcomes
         .into_iter()
         // lint: allow(panic) — `remaining == 0` implies every outcome slot was filled
         .map(|o| o.expect("all tasks accounted for"))
-        .collect())
+        .collect();
+    Ok(ContainedRun { outcomes, lent })
+}
+
+/// One lending episode: lane `lane`, with no task of its own ready, ran
+/// bands of the other lanes' kernel calls from `start_ms` to `end_ms`
+/// (ms from run start). Gaps between its bands shorter than the pool's
+/// spin window count toward the episode: the lane spun through them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LentSpan {
+    /// The lane that lent its thread.
+    pub lane: Processor,
+    /// First band's start.
+    pub start_ms: f64,
+    /// Last band's end.
+    pub end_ms: f64,
+}
+
+/// What [`execute_lane_graph_contained`] returns.
+#[derive(Debug, Clone, Default)]
+pub struct ContainedRun {
+    /// One outcome per task, indexed like the graph.
+    pub outcomes: Vec<TaskOutcome>,
+    /// The lanes' lending episodes, in the order they closed.
+    pub lent: Vec<LentSpan>,
 }
 
 /// Executes a [`LaneGraph`] — one closure per task — out-of-order across
@@ -1159,9 +1260,10 @@ pub fn execute_lane_graph(
     policy: Policy,
     pool: &WorkerPool,
 ) -> Result<Vec<(f64, f64)>> {
-    let outcomes = run_lane_graph(graph, closures, policy, pool, false, None, None)?;
+    let run = run_lane_graph(graph, closures, policy, pool, false, None, None)?;
     // Fail-fast: an error would have surfaced above, so every task ran.
-    Ok(outcomes
+    Ok(run
+        .outcomes
         .into_iter()
         // lint: allow(panic) — fail-fast mode errored above unless every task completed with a span
         .map(|o| o.span().expect("all tasks traced"))
@@ -1183,7 +1285,8 @@ pub fn execute_lane_graph(
 /// to the untraced run: emission happens strictly outside task bodies,
 /// and a disabled sink short-circuits to one atomic load per site.
 ///
-/// Returns one [`TaskOutcome`] per task, indexed like the graph.
+/// Returns one [`TaskOutcome`] per task, indexed like the graph, and
+/// the lanes' lending episodes ([`LentSpan`]).
 ///
 /// # Errors
 ///
@@ -1197,7 +1300,7 @@ pub fn execute_lane_graph_contained<'run>(
     pool: &WorkerPool,
     gate: Option<GateFn<'run>>,
     sink: Option<&TraceSink>,
-) -> Result<Vec<TaskOutcome>> {
+) -> Result<ContainedRun> {
     run_lane_graph(graph, closures, policy, pool, true, gate, sink)
 }
 

@@ -722,27 +722,44 @@ mod tests {
 
     #[test]
     fn threaded_variants_match_single_threaded() {
-        let a = Tensor::from_vec(
-            (0..6 * 40).map(|x| (x % 17) as f32 - 8.0).collect(),
-            [6, 40],
-        )
-        .unwrap();
-        let b = Tensor::from_vec(
-            (0..40 * 9).map(|x| (x % 13) as f32 - 6.0).collect(),
-            [40, 9],
-        )
-        .unwrap();
-        let single = matmul_f32(&a, &b).unwrap();
-        let packed = PackedMatrixF32::from_tensor(&b);
-        for threads in [1, 4] {
-            let prepacked = matmul_f32_prepacked(&a, &packed, threads).unwrap();
-            assert_eq!(single.as_slice(), prepacked.as_slice(), "{threads} threads");
+        // The tile drivers split the output into NR-aligned column bands:
+        // at every tile height around the GEMV switch and the 8-row tile,
+        // over n short of, at and past a panel and an NC block, any band
+        // count is the one-band output bit for bit.
+        for m in [3usize, 7, 8, 9, 16, 32, 33] {
+            for (k, n) in [(40usize, 9usize), (40, 16), (70, 37), (40, 1041)] {
+                let a = Tensor::from_vec(
+                    (0..m * k).map(|x| ((x * 7) % 17) as f32 - 8.0).collect(),
+                    [m, k],
+                )
+                .unwrap();
+                let b = Tensor::from_vec(
+                    (0..k * n).map(|x| ((x * 5) % 13) as f32 - 6.0).collect(),
+                    [k, n],
+                )
+                .unwrap();
+                let single = matmul_f32(&a, &b).unwrap();
+                let packed = PackedMatrixF32::from_tensor(&b);
+                let ai = a.map(|x| x as i8);
+                let bi = PackedMatrixI8::from_tensor(&b.map(|x| x as i8));
+                let mut si = vec![0i32; m * n];
+                kernel::gemm_i8_prepacked(m, ai.as_slice(), &bi, &mut si, 1);
+                for bands in 1..=4 {
+                    let at = format!("m={m} k={k} n={n} bands={bands}");
+                    let mut c = vec![0.0f32; m * n];
+                    kernel::gemm_f32_prepacked(m, a.as_slice(), &packed, &mut c, bands);
+                    assert_eq!(single.as_slice(), &c[..], "prepacked {at}");
+                    let mut c = vec![0.0f32; m * n];
+                    kernel::gemm_f32_prepacked_batched(m, a.as_slice(), &packed, &mut c, bands);
+                    assert_eq!(single.as_slice(), &c[..], "batched {at}");
+                    let mut c = vec![0.0f32; m * n];
+                    kernel::gemm_f32(m, k, n, a.as_slice(), b.as_slice(), &mut c, bands);
+                    assert_eq!(single.as_slice(), &c[..], "per-call {at}");
+                    let mut ti = vec![0i32; m * n];
+                    kernel::gemm_i8_prepacked(m, ai.as_slice(), &bi, &mut ti, bands);
+                    assert_eq!(si, ti, "i8 {at}");
+                }
+            }
         }
-
-        let ai = a.map(|x| x as i8);
-        let bi = PackedMatrixI8::from_tensor(&b.map(|x| x as i8));
-        let si = matmul_i8_prepacked(&ai, &bi, 1).unwrap();
-        let ti = matmul_i8_prepacked(&ai, &bi, 4).unwrap();
-        assert_eq!(si.as_slice(), ti.as_slice());
     }
 }

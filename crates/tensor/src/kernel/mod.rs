@@ -63,12 +63,16 @@
 //!   ([`pack::with_a_scratch_f32`]), so a warm steady state performs
 //!   zero A-panel allocations per call ([`pack::a_scratch_grows`]
 //!   observes this).
+//! * **Column bands**: every driver splits its output into `threads`
+//!   bands of whole `NR`-column panels, with one dispatch per call
+//!   ([`parallel::run_col_partitioned_rows`]); each band streams only
+//!   its own panels of B, every row against each. Two bands run one
+//!   after the other on one thread (a busy pool) therefore stream every
+//!   weight once — a row band would stream them all twice — and a
+//!   decode-shaped call still splits across every worker.
 //! * **Decode layout**: for `m ≤ 2` (decode-shaped inputs) the drivers
-//!   switch to a GEMV that N-partitions the output columns across
-//!   `threads` workers ([`parallel::run_col_partitioned`]) — decode no
-//!   longer silently ignores the thread count the way the
-//!   row-partitioned path (capped at `m` bands) necessarily did. Both
-//!   GEMVs read the persistent panels in place (each `NR`-column panel
+//!   switch to a GEMV over the same column bands
+//!   ([`parallel::run_col_partitioned`]). Both GEMVs read the persistent panels in place (each `NR`-column panel
 //!   already gives the K loop unit-stride, SIMD-width column access):
 //!   the f32 one walks the slab sequence, the i8 one is
 //!   `microkernel::lut_dot` at `BITS = 8` over a whole panel, both
@@ -189,10 +193,10 @@
 //! For a fixed build, every driver is deterministic and
 //! *shape-stable*: the value of `C[i][j]` depends only on row `i` of A,
 //! column `j` of B, and K — not on the other dimensions, the blocking,
-//! or the thread count. Threading partitions output rows
-//! ([`parallel`]) — or output columns in the GEMV paths — which never
-//! changes the K-summation order of any element, so 1-thread and
-//! N-thread runs are bit-identical. The integer kernels are exact (and
+//! or the thread count. Threading partitions output columns in whole
+//! panels ([`parallel`]), which never changes the K-summation order of
+//! any element, so 1-thread and N-thread runs are bit-identical — and so
+//! is any placement of the bands on threads. The integer kernels are exact (and
 //! therefore also bit-identical to the scalar reference, whichever tile
 //! body the CPU runs) for any `K ≤ 2^16`: the largest partial sum the
 //! offset operand can produce is `128 · 255 · K`, which stays below
@@ -268,7 +272,7 @@ pub enum Epilogue<'a> {
 ///
 /// `a` is `m × k`, `b` is `k × n`, `c` is `m × n`, all row-major and
 /// dense. `c` is accumulated into (pass zeros for a plain product).
-/// `threads` row-partitions the output; any value gives bit-identical
+/// `threads` column-partitions the output; any value gives bit-identical
 /// results. The requested count is honored exactly (so tests can
 /// exercise multi-band execution on any host); callers that want
 /// host-aware capping apply [`parallel::effective_threads`] first, as
@@ -288,15 +292,13 @@ pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
         gemv_f32(m, k, n, a, F32Rhs::RowMajor(b), c, threads);
         return;
     }
-    gemm_f32_tiled(m, k, n, a, F32Rhs::RowMajor(b), c, threads);
+    gemm_f32_tiled(m, k, n, a, &PackedMatrixF32::pack(b, k, n), c, threads);
 }
 
-/// Where the f32 drivers read B from — the one place that decision lives
-/// for both the tile loop and the GEMV.
+/// Where the f32 GEMV reads B from.
 #[derive(Clone, Copy)]
 enum F32Rhs<'a> {
-    /// Dense row-major `k × n`: the tile loop packs each `(p0, j0)` block
-    /// per call, the GEMV streams it unpacked.
+    /// Dense row-major `k × n`, streamed unpacked.
     RowMajor(&'a [f32]),
     /// Persistent pre-packed slabs (zero packing per call); the GEMV walks
     /// them in place — each `NR`-column panel already gives the K loop
@@ -305,91 +307,79 @@ enum F32Rhs<'a> {
     Packed(&'a PackedMatrixF32),
 }
 
-/// The shared f32 tile loop: **one** body serves both the per-call and
-/// the prepacked driver, so the documented bit-identity between them can
-/// never drift — only the slab source differs. B slabs come up once per
-/// `(p0, j0)` block on the calling thread and are shared immutably by
-/// every row-band worker; only the A panels (which are disjoint per
-/// band) are packed inside the workers.
+/// The f32 tile loop, against packed slabs: a row-major B (the per-call
+/// driver) is packed into the same slab sequence first, so **one** body
+/// serves both drivers and the documented bit-identity between them can
+/// never drift. The output is split into `NR`-aligned column bands with
+/// one dispatch per call; each band walks the whole slab sequence for
+/// its own panels, so a band run inline after another (a busy pool)
+/// streams no weight twice.
 fn gemm_f32_tiled(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
-    b: F32Rhs<'_>,
+    b: &PackedMatrixF32,
     c: &mut [f32],
     threads: usize,
 ) {
-    let mut b_pack: Vec<f32> = Vec::new();
-    let mut slab_idx = 0;
-    let mut p0 = 0;
-    while p0 < k {
-        let kc = KC.min(k - p0);
-        let mut j0 = 0;
-        while j0 < n {
-            let nc = NC.min(n - j0);
-            let b_slab: &[f32] = match b {
-                F32Rhs::RowMajor(b) => {
-                    pack::pack_b_f32(b, n, p0, j0, kc, nc, &mut b_pack);
-                    &b_pack
-                }
-                F32Rhs::Packed(pm) => pm.slab(slab_idx),
-            };
-            slab_idx += 1;
-            parallel::run_row_partitioned(threads, m, n, c, |row0, rows, band| {
-                gemm_f32_band(row0, rows, k, n, a, p0, kc, j0, nc, b_slab, band);
-            });
-            j0 += nc;
-        }
-        p0 += kc;
-    }
+    parallel::run_col_partitioned_rows(threads, m, n, NR, c, |col0, cols, rows| {
+        gemm_f32_band(k, n, a, b, col0, cols, rows);
+    });
 }
 
-/// The f32 tile loop over one contiguous row band, for one packed
-/// `(p0, j0)` B slab. `c` is the band's slice of the output (band-relative
-/// rows); `row0` locates the band in A.
-#[allow(clippy::too_many_arguments)] // BLAS-style driver signature
+/// The f32 tile loop over one `NR`-aligned column band
+/// `[col0, col0 + cols)`: `rows[i]` is output row `i`'s slice of the
+/// band. For every element the slab partials are added in ascending
+/// `p0`, exactly as a single band over the whole output adds them, so
+/// the band layout never changes a bit.
 fn gemm_f32_band(
-    row0: usize,
-    m: usize,
     k: usize,
     n: usize,
     a: &[f32],
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-    b_pack: &[f32],
-    c: &mut [f32],
+    b: &PackedMatrixF32,
+    col0: usize,
+    cols: usize,
+    rows: &mut [(usize, &mut [f32])],
 ) {
+    let m = rows.len();
+    let band_end = col0 + cols;
+    debug_assert!(col0.is_multiple_of(NR) && (band_end == n || band_end.is_multiple_of(NR)));
+    let col_blocks = n.div_ceil(NC);
     // A panels live in the worker's persistent scratch arena: packing per
     // call is correct (activations change), allocating per call is not.
     pack::with_a_scratch_f32(|a_pack| {
-        let n_panels = nc.div_ceil(NR);
-        let mut i0 = 0;
-        while i0 < m {
-            let mc = MC.min(m - i0);
-            pack::pack_a_f32(a, k, row0 + i0, p0, mc, kc, a_pack);
-            let m_panels = mc.div_ceil(MR);
-            for pi in 0..m_panels {
-                let rows = (mc - pi * MR).min(MR);
-                let a_panel = &a_pack[pi * kc * MR..(pi + 1) * kc * MR];
-                for pj in 0..n_panels {
-                    let cols = (nc - pj * NR).min(NR);
-                    let b_panel = &b_pack[pj * kc * NR..(pj + 1) * kc * NR];
-                    let mut acc = [[0.0f32; NR]; MR];
-                    microkernel_f32(kc, a_panel, b_panel, &mut acc);
-                    #[allow(clippy::needless_range_loop)] // indexed form vectorizes best here
-                    for r in 0..rows {
-                        let c0 = (i0 + pi * MR + r) * n + j0 + pj * NR;
-                        let c_row = &mut c[c0..c0 + cols];
-                        for j in 0..cols {
-                            c_row[j] += acc[r][j];
+        for (kb, p0) in (0..k).step_by(KC).enumerate() {
+            let kc = KC.min(k - p0);
+            for i0 in (0..m).step_by(MC) {
+                let mc = MC.min(m - i0);
+                pack::pack_a_f32(a, k, i0, p0, mc, kc, a_pack);
+                for blk in col0 / NC..band_end.div_ceil(NC) {
+                    let j0 = blk * NC;
+                    let nc = NC.min(n - j0);
+                    let slab = b.slab(kb * col_blocks + blk);
+                    let first = (col0.max(j0) - j0) / NR;
+                    let last = (band_end.min(j0 + nc) - j0).div_ceil(NR);
+                    for pj in first..last {
+                        let panel_cols = (nc - pj * NR).min(NR);
+                        let b_panel = &slab[pj * kc * NR..(pj + 1) * kc * NR];
+                        let at = j0 + pj * NR - col0;
+                        for (pi, a_panel) in a_pack.chunks_exact(kc * MR).enumerate() {
+                            let mut acc = [[0.0f32; NR]; MR];
+                            microkernel_f32(kc, a_panel, b_panel, &mut acc);
+                            let r0 = i0 + pi * MR;
+                            for ((_, c_row), acc_row) in
+                                rows[r0..(r0 + MR).min(i0 + mc)].iter_mut().zip(&acc)
+                            {
+                                for (dst, &s) in c_row[at..at + panel_cols].iter_mut().zip(acc_row)
+                                {
+                                    *dst += s;
+                                }
+                            }
                         }
                     }
                 }
             }
-            i0 += mc;
         }
     });
 }
@@ -508,7 +498,7 @@ pub fn gemm_f32_prepacked(m: usize, a: &[f32], b: &PackedMatrixF32, c: &mut [f32
         gemv_f32(m, k, n, a, F32Rhs::Packed(b), c, threads);
         return;
     }
-    gemm_f32_tiled(m, k, n, a, F32Rhs::Packed(b), c, threads);
+    gemm_f32_tiled(m, k, n, a, b, c, threads);
 }
 
 /// [`gemm_f32_prepacked`] that **always** takes the tiled path, even
@@ -535,7 +525,7 @@ pub fn gemm_f32_prepacked_batched(
     if m == 0 || n == 0 {
         return;
     }
-    gemm_f32_tiled(m, k, n, a, F32Rhs::Packed(b), c, threads);
+    gemm_f32_tiled(m, k, n, a, b, c, threads);
 }
 
 /// `C = A · B` over `i8 → i32` with B packed once in a
@@ -599,9 +589,11 @@ fn gemm_i8_with<T: Send>(
         return;
     }
     if m > GEMV_MAX_ROWS {
-        parallel::run_row_partitioned(threads, m, n, c, |row0, rows, band| {
-            gemm_i8_band(row0, rows, a, b, |i, col0, acc| {
-                apply(row0 + i, col0, acc, &mut band[i * n + col0..][..acc.len()]);
+        // NR-aligned column bands, one dispatch per call: each band streams
+        // only its own panels, whichever thread runs it.
+        parallel::run_col_partitioned_rows(threads, m, n, NR, c, |col0, cols, rows| {
+            gemm_i8_band(m, a, b, col0, cols, |i, gcol0, acc| {
+                apply(i, gcol0, acc, &mut rows[i].1[gcol0 - col0..][..acc.len()]);
             });
         });
         return;
@@ -704,37 +696,37 @@ fn apply_epilogue(epilogue: Epilogue<'_>, row: usize, col0: usize, acc: &[i32], 
     }
 }
 
-/// Integer tile loop over one contiguous row band (full K — see module
-/// docs on why the integer path never blocks K). Each column panel is
-/// taken through every row tile of the block while it is hot, so the
-/// weights stream once per `MC` rows. Hands every completed row segment
-/// to `emit(band_row, global_col0, acc)`; the full-K accumulation is the
-/// invariant that makes fused dequantization sound.
+/// Integer tile loop over one `NR`-aligned column band
+/// `[col0, col0 + cols)`, every row (full K — see module docs on why the
+/// integer path never blocks K). Each column panel is taken through every
+/// row tile of the block while it is hot, so the weights stream once per
+/// `MC` rows. Hands every completed row segment to `emit(row,
+/// global_col0, acc)`; the full-K accumulation is the invariant that
+/// makes fused dequantization sound.
 fn gemm_i8_band(
-    row0: usize,
     m: usize,
     a: &[i8],
     b: &PackedMatrixI8,
+    col0: usize,
+    cols: usize,
     mut emit: impl FnMut(usize, usize, &[i32]),
 ) {
     let (k, n) = (b.k(), b.n());
+    let band_end = col0 + cols;
+    debug_assert!(col0.is_multiple_of(NR) && (band_end == n || band_end.is_multiple_of(NR)));
     // A panels live in the worker's persistent scratch arena (see the
     // f32 band driver above).
     let k_pad = b.k_pad();
     pack::with_a_scratch_i8(|a_pack| {
-        let mut i0 = 0;
-        while i0 < m {
+        for i0 in (0..m).step_by(MC) {
             let mc = MC.min(m - i0);
-            pack::pack_a_i8(a, k, row0 + i0, 0, mc, k, a_pack);
+            pack::pack_a_i8(a, k, i0, 0, mc, k, a_pack);
             let mut corr = [0i32; MC];
-            for (corr, a_row) in corr[..mc]
-                .iter_mut()
-                .zip(a[(row0 + i0) * k..].chunks(k.max(1)))
-            {
+            for (corr, a_row) in corr[..mc].iter_mut().zip(a[i0 * k..].chunks(k.max(1))) {
                 *corr = pack::i8_offset_correction(a_row);
             }
-            for pj in 0..n.div_ceil(NR) {
-                let cols = NR.min(n - pj * NR);
+            for pj in col0 / NR..band_end.div_ceil(NR) {
+                let panel_cols = NR.min(n - pj * NR);
                 let b_panel = b.panel(pj);
                 for (pi, corr) in corr[..mc].chunks(MR).enumerate() {
                     let a_panel = &a_pack[pi * k_pad * MR..(pi + 1) * k_pad * MR];
@@ -744,11 +736,10 @@ fn gemm_i8_band(
                         for s in acc_row.iter_mut() {
                             *s -= corr;
                         }
-                        emit(i0 + pi * MR + r, pj * NR, &acc_row[..cols]);
+                        emit(i0 + pi * MR + r, pj * NR, &acc_row[..panel_cols]);
                     }
                 }
             }
-            i0 += mc;
         }
     });
 }

@@ -1,13 +1,14 @@
 //! Deterministic partitioned threading for the blocked kernels, behind a
 //! pluggable execution backend.
 //!
-//! The output matrix is split into contiguous row bands (or, for GEMV
-//! shapes, column bands), one per worker; each band is produced entirely
-//! by one worker with a K-traversal order fixed by the blocking
+//! The GEMM drivers split the output matrix into contiguous column bands
+//! of whole panels, one per worker (other callers band rows, or whole
+//! work items, with [`run_row_partitioned`]); each band is produced
+//! entirely by one worker with a K-traversal order fixed by the blocking
 //! constants, so every output element sees exactly the same
 //! floating-point operation sequence regardless of the thread count *or*
-//! of which backend runs the bands. `threads = 1`, `threads = 4`, and any
-//! other setting are bit-identical.
+//! of which backend — or which thread — runs the bands. `threads = 1`,
+//! `threads = 4`, and any other setting are bit-identical.
 //!
 //! # Execution backends
 //!
@@ -24,7 +25,9 @@
 //! * `llmnpu_sched::pool::WorkerPool` (in the scheduling crate, which
 //!   owns thread lifecycle) is the persistent pool: workers are spawned
 //!   once per engine and bands are handed to them with **zero** thread
-//!   spawns per call — observable via [`thread_spawns`].
+//!   spawns per call — observable via [`thread_spawns`]. While the pool
+//!   runs the executor's lanes, each lane thread dispatches to a lending
+//!   backend instead, which hands its bands to whichever lane is idle.
 //!
 //! Backends receive the bands as erased [`Job`]s. The contract every
 //! backend must uphold: **`run_jobs` returns only after every job has

@@ -20,7 +20,7 @@
 //! cache-blocked GEMM with panel packing, an `MR × NR` register-tiled
 //! microkernel (auto-vectorized, with hardware FMA when the build target
 //! has it), fused dequantization epilogues, and deterministic
-//! row-partitioned threading — all in safe Rust with zero dependencies
+//! column-partitioned threading — all in safe Rust with zero dependencies
 //! but for one audited `unsafe` block: the runtime dispatch of the
 //! integer tile to its AVX-512 VNNI body (`kernel::microkernel`, the one
 //! module allowed `unsafe_code` under this crate's

@@ -203,6 +203,44 @@ fn tile_rows_match_their_solo_gemv() {
     }
 }
 
+/// (c') Column bands are bit-invisible on the tile path: at every tile
+/// height around the GEMV switch and the 8-row tile, over ragged `n`
+/// (short of, at and past one panel; not a multiple of `NR` or `NC`),
+/// an output split into 2, 3 or 4 `NR`-aligned column bands is the
+/// one-band output bit for bit — raw and fused.
+#[test]
+fn column_bands_match_one_band() {
+    for (k, n) in [(37usize, 17usize), (130, 40), (64, 1041), (513, 16)] {
+        let b = data(k * n, (k * 31 + n) as u64);
+        let packed = PackedMatrixI8::pack(&b, k, n);
+        let w_scales: Vec<f32> = (0..n).map(|j| 0.03 + 0.0011 * j as f32).collect();
+        let epilogue = Epilogue::PerChannel {
+            a_scale: 0.09,
+            w_scales: &w_scales,
+        };
+        for m in [3usize, 7, 8, 9, 16, 32, 33] {
+            let a = data(m * k, (m * 577 + k) as u64);
+            let mut raw_one = vec![0i32; m * n];
+            kernel::gemm_i8_prepacked(m, &a, &packed, &mut raw_one, 1);
+            let mut fused_one = vec![0.0f32; m * n];
+            kernel::gemm_i8_fused_prepacked(m, &a, &packed, &mut fused_one, epilogue, 1);
+            for bands in [2usize, 3, 4] {
+                let mut raw = vec![0i32; m * n];
+                kernel::gemm_i8_prepacked(m, &a, &packed, &mut raw, bands);
+                assert_eq!(raw, raw_one, "raw m={m} k={k} n={n} bands={bands}");
+                let mut fused = vec![0.0f32; m * n];
+                kernel::gemm_i8_fused_prepacked(m, &a, &packed, &mut fused, epilogue, bands);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&fused),
+                    bits(&fused_one),
+                    "fused m={m} k={k} n={n} bands={bands}"
+                );
+            }
+        }
+    }
+}
+
 /// (d) One byte per (padded) weight and nothing else; packing is a pure
 /// function of the matrix.
 #[test]
