@@ -20,22 +20,26 @@
 //!   `MatMul` / `Dequantize` ops analytically on the simulated SoC and
 //!   schedules the DAG under the configured [`Policy`] — the paper's
 //!   device-calibrated latency projections;
-//! * the **numeric plane** ([`LlmNpuEngine::prefill_executed`]) executes
-//!   each task *for real* on a [`Transformer`] via the out-of-order DAG
-//!   runner in `llmnpu_sched::runner`: quantized main-path GEMMs on the
-//!   NPU lane, shadow-outlier float GEMMs on the CPU lane, dispatched on
-//!   the pool as dependencies resolve, bit-identical to the sequential
-//!   chunked forward at every worker count.
+//! * the **numeric plane** executes each task *for real* on a
+//!   [`Transformer`] via the out-of-order DAG runner in
+//!   `llmnpu_sched::runner`: [`LlmNpuEngine::serve`] splices many
+//!   requests' prefill DAGs and decode steps into one lane graph on this
+//!   engine's pool, and [`execute_chunked_prefill`] runs one prompt's
+//!   DAG alone. Quantized main-path GEMMs run on the NPU lane and
+//!   shadow-outlier float GEMMs on the CPU lane, dispatched as
+//!   dependencies resolve, bit-identical to the sequential chunked
+//!   forward at every worker count.
 //!
-//! [`LlmNpuEngine::prefill_executed`] runs both planes over the *same*
-//! DAG and cross-checks them: the executed timeline must contain exactly
-//! the simulated task set, respect the same dependencies, and keep every
-//! lane serial (Equation 4). The kernel-level fusion story is unchanged:
-//! `MatMul → Dequantize` pairs run as one pass in
+//! Both planes record the same timeline type, and [`validate_timeline`]
+//! checks either against the DAG: every task exactly once, dependencies
+//! respected, every lane serial (Equation 4). The kernel-level fusion
+//! story is unchanged: `MatMul → Dequantize` pairs run as one pass in
 //! `llmnpu_tensor::kernel`.
 //!
 //! [`PrefillDag`]: llmnpu_graph::dag::PrefillDag
 //! [`Transformer`]: llmnpu_model::forward::Transformer
+//! [`execute_chunked_prefill`]: llmnpu_sched::execute_chunked_prefill
+//! [`validate_timeline`]: llmnpu_sched::validate_timeline
 
 use std::sync::Arc;
 
@@ -43,11 +47,7 @@ use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::{build_prefill_dag, DagConfig};
 use llmnpu_graph::memory::{graph_memory, graph_profile};
 use llmnpu_model::config::ModelConfig;
-use llmnpu_model::forward::Transformer;
-use llmnpu_sched::runner::NumericPrefill;
-use llmnpu_sched::{
-    execute_chunked_prefill, schedule, validate_timeline, LaneGraph, Policy, WorkerPool,
-};
+use llmnpu_sched::{schedule, Policy, WorkerPool};
 use llmnpu_soc::latency::LatencyModel;
 use llmnpu_soc::lifecycle::{lifecycle_cost, LifecycleCost, LifecycleParams};
 use llmnpu_soc::spec::SocSpec;
@@ -225,43 +225,6 @@ impl LlmNpuEngine {
         ))
     }
 
-    /// Runs **both planes** over one DAG: simulates the prefill on the
-    /// SoC model and executes it numerically on `t` via the out-of-order
-    /// DAG runner (on this engine's pool), then cross-checks both
-    /// timelines against the DAG — same task set, dependencies
-    /// respected, one task per lane at a time.
-    ///
-    /// `t` is the numeric transformer (typically a scaled-down
-    /// synthesized model); the DAG is built for *its* configuration so
-    /// the two planes describe the same computation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on an empty prompt, a scheduling failure, a
-    /// numeric stage failure, or a cross-check violation.
-    pub fn prefill_executed(&self, t: &Transformer<'_>, tokens: &[u32]) -> Result<UnifiedPrefill> {
-        let dag_cfg = self.dag_config(tokens.len())?;
-        let plan = dag_cfg.plan.clone();
-        let dag = build_prefill_dag(t.config(), &dag_cfg, &self.lat)?;
-        let simulated = schedule(&dag, self.config.policy)?;
-        let execution = self.pool.install_scope(|| {
-            execute_chunked_prefill(t, tokens, &dag, &plan, self.config.policy, &self.pool)
-        })?;
-        let graph = LaneGraph::from_prefill_dag(&dag)?;
-        validate_timeline(&simulated.timeline, &graph)?;
-        validate_timeline(&execution.timeline, &graph)?;
-        Ok(UnifiedPrefill {
-            simulated: PrefillReport::new(
-                tokens.len(),
-                simulated.makespan_ms,
-                simulated.timeline.energy(&self.config.soc),
-                simulated.npu_bubble_rate,
-                Some(simulated.timeline),
-            ),
-            execution,
-        })
-    }
-
     /// The decode-latency model on the configured decode backend — the
     /// single context-aware model shared with [`DecodeSim::run`] and the
     /// baselines (the engine used to carry its own context-free copy,
@@ -370,30 +333,6 @@ impl LlmNpuEngine {
             .into_iter()
             .find(|&(_, t)| t <= best * 1.05)
             .map_or(256, |(c, _)| c)
-    }
-}
-
-/// Both planes of one prefill over the same DAG: the analytic schedule
-/// and the real numeric execution, cross-checked.
-#[derive(Debug)]
-pub struct UnifiedPrefill {
-    /// The full timing-plane report.
-    pub simulated: PrefillReport,
-    /// The numeric result: hidden states, KV cache, executed timeline.
-    pub execution: NumericPrefill,
-}
-
-impl UnifiedPrefill {
-    /// Simulated (timing-plane) makespan, ms.
-    #[must_use]
-    pub fn simulated_ms(&self) -> Millis {
-        self.simulated.latency_ms
-    }
-
-    /// Measured wall-clock makespan of the numeric execution, ms.
-    #[must_use]
-    pub fn executed_ms(&self) -> Millis {
-        self.execution.timeline.makespan()
     }
 }
 

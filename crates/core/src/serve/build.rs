@@ -171,8 +171,8 @@ pub(super) struct SegBuild {
     pub(super) release: Option<usize>,
 }
 
-/// Everything serve knows about one graph task, stated once at
-/// [`RoundBuilder::push_task`].
+/// Everything serve knows about one graph task, stated when the task is
+/// pushed ([`RoundBuilder::push_task`]).
 pub(super) struct TaskMeta {
     pub(super) kind: ServeTaskKind,
     /// Segments the task touches — one, except for batched decode (every
@@ -186,6 +186,10 @@ pub(super) struct TaskMeta {
     pub(super) gated: bool,
     /// Whether the task body can fail or panic.
     pub(super) fallible: bool,
+    /// Whether the task writes its chunk's K/V rows at one layer: the
+    /// prefill splice copies the DAG's [`PrefillDag::writes_kv`]; false
+    /// for every other task.
+    pub(super) writes_kv: bool,
 }
 
 /// One round's spliced lane graph: `graph`, `closures` and `meta` are
@@ -311,6 +315,7 @@ impl<'run> RoundBuilder<'run> {
             class,
             gated: !cleanup,
             fallible: !cleanup,
+            writes_kv: false,
         });
         Ok(id)
     }
@@ -398,7 +403,7 @@ impl<'run> RoundBuilder<'run> {
             if deps.is_empty() {
                 deps.push(admit);
             }
-            self.push_task(
+            let id = self.push_task(
                 LaneTask {
                     label: format!("{rlabel}-{}", task.label),
                     processor: task.processor,
@@ -416,6 +421,7 @@ impl<'run> RoundBuilder<'run> {
                 vec![s],
                 self.prefill_fault(s, task).unwrap_or(body),
             )?;
+            self.out.meta[id].writes_kv = dag.writes_kv(i);
         }
 
         // Prefill terminal: last-hidden assembly — or, for a preempted
@@ -511,12 +517,15 @@ impl<'run> RoundBuilder<'run> {
                         return Err("prefix donor prefill incomplete".to_string());
                     }
                     let donor = guard.as_ref().ok_or("prefix donor cache missing")?;
+                    let blocks = donor.table().blocks();
                     let page = full / block_tokens;
+                    let shared = blocks
+                        .get(..page)
+                        .ok_or("prefix donor holds fewer pages than the shared prefix")?;
                     (
-                        PagedKvCache::reserve_shared(pool, donor, full, total)
+                        PagedKvCache::reserve_with_prefix(pool, shared, total)
                             .map_err(|e| e.to_string())?,
-                        (sh.tokens > full)
-                            .then(|| (donor.table().blocks()[page], page, sh.tokens - full)),
+                        (sh.tokens > full).then(|| (blocks[page], page, sh.tokens - full)),
                     )
                 }
                 (None, None) => (
@@ -620,16 +629,10 @@ impl<'run> RoundBuilder<'run> {
                 .iter()
                 .map(|&s| requests[ctx.member(s)].arrival_ms)
                 .fold(0.0, f64::max);
-            let (label, kind) = if width == 1 {
-                (
-                    format!("R{}-D{step}", ctx.orig(segs[0])),
-                    ServeTaskKind::Decode { step },
-                )
+            let label = if width == 1 {
+                format!("R{}-D{step}", ctx.orig(segs[0]))
             } else {
-                (
-                    format!("C{c}-D{step}x{width}"),
-                    ServeTaskKind::DecodeBatch { step, width },
-                )
+                format!("C{c}-D{step}x{width}")
             };
             // Decode tasks are containment barriers: a failed (or
             // skipped) member's chain must not poison the cohort —
@@ -645,7 +648,7 @@ impl<'run> RoundBuilder<'run> {
                     barrier: true,
                 },
                 deps,
-                kind,
+                ServeTaskKind::Decode { step, width },
                 segs,
                 Box::new(move || ctx.decode_step(&body_segs, step)),
             )?;

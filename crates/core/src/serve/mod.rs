@@ -597,8 +597,8 @@ impl LlmNpuEngine {
     /// under memory pressure, and batched decode GEMMs.
     ///
     /// `t` is the numeric transformer the requests run on (its
-    /// configuration drives the per-request DAGs, exactly as in
-    /// [`LlmNpuEngine::prefill_executed`]). Returns per-request token
+    /// configuration, not the engine's model, drives the per-request
+    /// DAGs). Returns per-request token
     /// streams — bit-identical to solo [`Transformer::generate`] runs
     /// with `chunk_len = self.config().chunk_len` — plus serving
     /// metrics, the unified timeline, and the pool accounting.

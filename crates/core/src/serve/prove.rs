@@ -4,8 +4,6 @@
 //! acyclicity, the pinned admission order, race-free KV writes, the page
 //! budget, and poison-proof cleanup; a finding aborts the round.
 
-use std::collections::HashSet;
-
 use llmnpu_graph::chunk::ChunkPlan;
 use llmnpu_graph::dag::TaskRole;
 use llmnpu_graph::layer::Stage;
@@ -59,10 +57,10 @@ pub(super) fn prove(
 ///   sharing maps a sharer's shared positions into its donor's spaces
 ///   (transitively), exactly like the pool's block tables — a sharer
 ///   never writes a donor space (copy-on-write gives it fresh pages).
-///   Writers are the KV-appending `QkvLinear` stages (the `Main` role
-///   when no shadow split took the stage, the `MergeSync` role when one
-///   did) and decode steps ≥ 1 (position `prompt + step − 1`); readers
-///   are `Attention` stages (Equation 2's visibility: everything
+///   Writers are the KV-appending `QkvLinear` stages (the one
+///   [`PrefillDag::writes_kv`](llmnpu_graph::dag::PrefillDag::writes_kv)
+///   names for each chunk and layer) and decode steps ≥ 1 (position
+///   `prompt + step − 1`); readers are `Attention` stages (Equation 2's visibility: everything
 ///   through the chunk's end) and decode steps (everything before the
 ///   new position).
 /// - **The cache-slot space** (one cell per round member, after the KV
@@ -125,21 +123,6 @@ fn verify_plan(
             .map(move |&(cs, clo, chi)| Access::range(kv_space(cs, layer), clo, chi.min(hi)))
     };
 
-    // Shadow-split sites per segment: their Main QkvLinear computes
-    // pre-merge halves only — the MergeSync task is the KV writer.
-    let mut split_sets: Vec<HashSet<(usize, Stage)>> = vec![HashSet::new(); segments.len()];
-    for m in &built.meta {
-        if let ServeTaskKind::PrefillStage {
-            layer,
-            stage,
-            role: TaskRole::Shadow,
-            ..
-        } = m.kind
-        {
-            split_sets[m.segs[0]].insert((layer, stage));
-        }
-    }
-
     for (task, m) in plan.tasks.iter_mut().zip(&built.meta) {
         let s = m.segs[0];
         task.class = m.class;
@@ -192,14 +175,7 @@ fn verify_plan(
                 let clen = plans[s].chunk_len;
                 let lo = (shared + chunk * clen) as u64;
                 let hi = (shared + chunk * clen + clen.min(suffix - chunk * clen)) as u64;
-                let writes_kv = match (role, stage) {
-                    (TaskRole::Main, Stage::QkvLinear) => {
-                        !split_sets[s].contains(&(layer, Stage::QkvLinear))
-                    }
-                    (TaskRole::MergeSync, Stage::QkvLinear) => true,
-                    _ => false,
-                };
-                if writes_kv {
+                if m.writes_kv {
                     task.writes.push(Access::range(kv_space(s, layer), lo, hi));
                 }
                 if role == TaskRole::Main && stage == Stage::Attention {
@@ -208,7 +184,7 @@ fn verify_plan(
             }
             ServeTaskKind::PrefillFinish => task.reads.push(slot_cell(s)),
             ServeTaskKind::Evicted | ServeTaskKind::Release => task.writes.push(slot_cell(s)),
-            ServeTaskKind::Decode { step } | ServeTaskKind::DecodeBatch { step, .. } => {
+            ServeTaskKind::Decode { step, .. } => {
                 for &s in &m.segs {
                     task.reads.push(slot_cell(s));
                     if step == 0 {

@@ -27,7 +27,7 @@ fn kind_class(kind: &ServeTaskKind) -> &'static str {
         ServeTaskKind::PrefillStage { .. } => "prefill",
         ServeTaskKind::PrefillFinish => "prefill-finish",
         ServeTaskKind::Evicted => "evict",
-        ServeTaskKind::Decode { .. } | ServeTaskKind::DecodeBatch { .. } => "decode",
+        ServeTaskKind::Decode { .. } => "decode",
         ServeTaskKind::Release => "release",
     }
 }
@@ -55,14 +55,10 @@ pub enum ServeTaskKind {
     /// the pool and its prefill work is discarded (a later incarnation
     /// recomputes it).
     Evicted,
-    /// One decode step of a single request (cohort width 1).
+    /// One decode step of a cohort: `width` requests' same-position
+    /// steps stacked into one `m = width` GEMM per linear site (a single
+    /// request's step is width 1).
     Decode {
-        /// Zero-based position in the request's generated stream.
-        step: usize,
-    },
-    /// One **batched** decode step: `width` requests' same-position
-    /// steps stacked into one `m = width` GEMM per linear site.
-    DecodeBatch {
         /// Zero-based stream position for every member.
         step: usize,
         /// Cohort members still decoding at this step.
@@ -82,13 +78,10 @@ impl ServeTaskKind {
         )
     }
 
-    /// Whether this span is a decode step (batched or not).
+    /// Whether this span is a decode step (of any width).
     #[must_use]
     pub fn is_decode(&self) -> bool {
-        matches!(
-            self,
-            ServeTaskKind::Decode { .. } | ServeTaskKind::DecodeBatch { .. }
-        )
+        matches!(self, ServeTaskKind::Decode { .. })
     }
 }
 
@@ -314,17 +307,21 @@ impl ServeReport {
         }
     }
 
-    /// Mean time-to-first-token across requests.
+    /// Mean time-to-first-token across the requests that emitted a
+    /// token (0 when none did): a request that ended before its first
+    /// token has no TTFT.
     #[must_use]
     pub fn mean_ttft_ms(&self) -> f64 {
-        if self.requests.is_empty() {
+        let ttfts: Vec<f64> = self
+            .requests
+            .iter()
+            .filter(|r| !r.token_times_ms.is_empty())
+            .map(RequestOutcome::ttft_ms)
+            .collect();
+        if ttfts.is_empty() {
             return 0.0;
         }
-        self.requests
-            .iter()
-            .map(RequestOutcome::ttft_ms)
-            .sum::<f64>()
-            / self.requests.len() as f64
+        ttfts.iter().sum::<f64>() / ttfts.len() as f64
     }
 
     /// Mean queue wait across requests.
@@ -493,10 +490,7 @@ pub(super) fn round_timeline(
                     let site = format!("serve.stage.{stage:?}.{role:?}");
                     o.calibration.record(&site, 0, 0, 0, ms);
                 }
-                ServeTaskKind::Decode { .. } => {
-                    o.calibration.record("serve.decode.token", 1, 0, 0, ms);
-                }
-                ServeTaskKind::DecodeBatch { width, .. } => {
+                ServeTaskKind::Decode { width, .. } => {
                     o.calibration.record("serve.decode.token", width, 0, 0, ms);
                 }
                 _ => {}
@@ -590,6 +584,52 @@ mod tests {
         assert!((o.decode_tokens_per_s() - 100.0).abs() < 1e-9);
     }
 
+    #[test]
+    fn mean_ttft_skips_requests_without_a_token() {
+        let outcome = |request, token_times_ms: Vec<f64>, status| RequestOutcome {
+            request,
+            tokens: vec![7; token_times_ms.len()],
+            token_times_ms,
+            arrival_ms: 10.0,
+            first_dispatch_ms: 10.0,
+            prefill_done_ms: 0.0,
+            finish_ms: 0.0,
+            attempts: 1,
+            status,
+        };
+        let mut report = ServeReport {
+            requests: vec![
+                outcome(0, vec![40.0, 50.0], RequestStatus::Completed),
+                // Cancelled before its first token.
+                outcome(1, Vec::new(), RequestStatus::Cancelled),
+            ],
+            timeline: ServeTimeline::new(),
+            kv: KvPoolReport {
+                block_tokens: 16,
+                pool_blocks: 0,
+                pool_bytes: 0,
+                peak_used_blocks: 0,
+                leaked_blocks: 0,
+                evictions: 0,
+                shared_prefix_blocks: 0,
+                cow_copies: 0,
+                prefix_cache_hits: 0,
+                prefix_cache_misses: 0,
+                prefix_cache_hit_tokens: 0,
+                prefix_cache_hit_blocks: 0,
+                prefix_cache_inserted_blocks: 0,
+                prefix_cache_evictions: 0,
+                prefix_cache_resident_blocks: 0,
+            },
+            verification: Vec::new(),
+            queue_depth: Vec::new(),
+            metrics: MetricsSnapshot::default(),
+        };
+        assert!((report.mean_ttft_ms() - 30.0).abs() < 1e-12);
+        report.requests.remove(0);
+        assert_eq!(report.mean_ttft_ms(), 0.0);
+    }
+
     fn span(request: usize, attempt: usize, kind: ServeTaskKind, lo: f64, hi: f64) -> ServeSpan {
         ServeSpan {
             label: format!("R{request}"),
@@ -618,11 +658,12 @@ mod tests {
         tl.record(span(1, 0, PREFILL_STAGE, 0.0, 10.0));
         // Decode of request 0 strictly after request 1's prefill window:
         // not interleaved.
-        tl.record(span(0, 0, ServeTaskKind::Decode { step: 0 }, 11.0, 12.0));
+        let single = ServeTaskKind::Decode { step: 0, width: 1 };
+        tl.record(span(0, 0, single, 11.0, 12.0));
         assert!(!decode_interleaved_with_prefill(&tl));
         // A decode span inside the window flips the witness — batched
         // spans count too.
-        let batched = ServeTaskKind::DecodeBatch { step: 1, width: 2 };
+        let batched = ServeTaskKind::Decode { step: 1, width: 2 };
         tl.record(span(0, 0, batched, 4.0, 6.0));
         assert!(decode_interleaved_with_prefill(&tl));
     }

@@ -79,6 +79,8 @@ pub struct PrefillDag {
     tasks: Vec<Task>,
     /// `deps[t]` lists the task ids that must finish before task `t`.
     deps: Vec<Vec<usize>>,
+    /// `shadowed[t]`: task `t`'s (chunk, layer, stage) has a shadow half.
+    shadowed: Vec<bool>,
 }
 
 impl PrefillDag {
@@ -92,6 +94,28 @@ impl PrefillDag {
     #[must_use]
     pub fn deps(&self, t: usize) -> &[usize] {
         &self.deps[t]
+    }
+
+    /// Whether task `t`'s (chunk, layer, stage) has a shadow half
+    /// attached: its Main task then computes the quantized main half
+    /// only, and the MergeSync task finishes the stage.
+    #[must_use]
+    pub fn has_shadow_half(&self, t: usize) -> bool {
+        self.shadowed[t]
+    }
+
+    /// Whether task `t` writes its (chunk, layer)'s K/V rows: the
+    /// MergeSync `QkvLinear` when the stage has a shadow half, otherwise
+    /// the Main `QkvLinear`.
+    #[must_use]
+    pub fn writes_kv(&self, t: usize) -> bool {
+        let task = &self.tasks[t];
+        task.stage == Stage::QkvLinear
+            && match task.role {
+                TaskRole::Main => !self.shadowed[t],
+                TaskRole::MergeSync => true,
+                TaskRole::Shadow => false,
+            }
     }
 
     /// Number of tasks.
@@ -247,6 +271,16 @@ pub fn build_prefill_dag(
                 }
             }
 
+            // Shadow-outlier side task for kept layers, attached to the
+            // QKV and FFN NPU stages (the biggest linears). The shadow
+            // MatMul runs on the float processor in parallel with the NPU
+            // stage; its result is merged back through the shared buffer,
+            // which interrupts the NPU pipeline (MergeSync on the NPU).
+            // The merge, not the main task, then writes the stage's K/V
+            // rows (`PrefillDag::writes_kv`).
+            let shadow_host =
+                matches!(sg.stage, Stage::QkvLinear | Stage::Ffn) && shadow_layers[sg.layer];
+
             let id = dag.tasks.len();
             dag.tasks.push(Task {
                 label: format!("C{}-L{}-{:?}", chunk, sg.layer, sg.stage),
@@ -259,15 +293,9 @@ pub fn build_prefill_dag(
                 role: TaskRole::Main,
             });
             dag.deps.push(deps);
+            dag.shadowed.push(shadow_host);
             main_id[chunk][j] = id;
 
-            // Shadow-outlier side task for kept layers, attached to the
-            // QKV and FFN NPU stages (the biggest linears). The shadow
-            // MatMul runs on the float processor in parallel with the NPU
-            // stage; its result is merged back through the shared buffer,
-            // which interrupts the NPU pipeline (MergeSync on the NPU).
-            let shadow_host =
-                matches!(sg.stage, Stage::QkvLinear | Stage::Ffn) && shadow_layers[sg.layer];
             if shadow_host {
                 let n_out = match sg.stage {
                     Stage::QkvLinear => cfg.q_dim() + 2 * cfg.kv_dim(),
@@ -301,6 +329,7 @@ pub fn build_prefill_dag(
                 } else {
                     Vec::new()
                 });
+                dag.shadowed.push(true);
 
                 // Merge: needs both halves; occupies the NPU (flush +
                 // shared-buffer transfer). Overwrites main_id so that the
@@ -318,6 +347,7 @@ pub fn build_prefill_dag(
                     role: TaskRole::MergeSync,
                 });
                 dag.deps.push(vec![id, shadow_id]);
+                dag.shadowed.push(true);
                 main_id[chunk][j] = merge_id;
             }
         }
@@ -430,6 +460,24 @@ mod tests {
         }
         assert_eq!(shadow_count, merge_count);
         assert_eq!(shadow_count, 2 * 24);
+    }
+
+    #[test]
+    fn each_chunk_layer_has_one_kv_writer() {
+        // 0.15 keeps the shadow half on some layers only: both branches
+        // of the rule are exercised.
+        let dag = dag_for(512, 256, 0.15);
+        let mut writers = std::collections::HashMap::new();
+        for (t, task) in dag.tasks().iter().enumerate() {
+            if dag.writes_kv(t) {
+                let split = task.role == TaskRole::MergeSync;
+                assert_eq!(split, dag.has_shadow_half(t), "{}", task.label);
+                assert!(writers.insert((task.chunk, task.layer), split).is_none());
+            }
+        }
+        assert_eq!(writers.len(), 2 * 24);
+        assert!(writers.values().any(|&split| split));
+        assert!(writers.values().any(|&split| !split));
     }
 
     #[test]

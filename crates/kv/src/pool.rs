@@ -501,75 +501,12 @@ impl BlockTable {
         })
     }
 
-    /// Reserves capacity for `total_tokens` positions, sharing the first
-    /// `shared_tokens` (a whole number of blocks) with `prefix`: those
-    /// blocks are retained (refcount +1), the rest allocated fresh.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if `shared_tokens` is not
-    /// block-aligned, exceeds the prefix table or `total_tokens`;
-    /// otherwise allocation errors as [`BlockTable::reserve`].
-    pub fn reserve_shared(
-        pool: &BlockPool,
-        prefix: &BlockTable,
-        shared_tokens: usize,
-        total_tokens: usize,
-    ) -> Result<Self> {
-        let bt = pool.config().block_tokens;
-        if !shared_tokens.is_multiple_of(bt) {
-            return Err(Error::InvalidConfig {
-                what: format!("shared prefix of {shared_tokens} tokens not block-aligned ({bt})"),
-            });
-        }
-        if shared_tokens > total_tokens {
-            return Err(Error::InvalidConfig {
-                what: format!("shared prefix {shared_tokens} exceeds total {total_tokens}"),
-            });
-        }
-        let shared_blocks = shared_tokens / bt;
-        if shared_blocks > prefix.blocks.len() {
-            return Err(Error::InvalidConfig {
-                what: format!(
-                    "shared prefix needs {shared_blocks} blocks, donor table has {}",
-                    prefix.blocks.len()
-                ),
-            });
-        }
-        let shared = &prefix.blocks[..shared_blocks];
-        pool.retain_blocks(shared)?;
-        let fresh_count = pool.config().blocks_for(total_tokens) - shared_blocks;
-        let fresh = match pool.alloc_blocks(fresh_count) {
-            Ok(f) => f,
-            Err(e) => {
-                // Undo the retain so a failed reservation leaks nothing.
-                // The rollback can only fail if the pool lost track of
-                // blocks it handed out two calls ago — surface that as
-                // its own error rather than masking it with the
-                // allocation failure (or a panic).
-                pool.release_blocks(shared)
-                    .map_err(|undo| Error::Inconsistent {
-                        what: format!(
-                            "rollback of shared-prefix retain failed: {undo} (after {e})"
-                        ),
-                    })?;
-                return Err(e);
-            }
-        };
-        let mut blocks = shared.to_vec();
-        blocks.extend(fresh);
-        Ok(BlockTable {
-            blocks,
-            block_tokens: bt,
-        })
-    }
-
     /// Reserves capacity for `total_tokens` positions on top of an
-    /// already-resident block-aligned prefix — the cache-hit admission
-    /// path: `prefix` names live pool blocks (e.g. from the global
-    /// radix prefix cache) rather than a live donor's [`BlockTable`].
-    /// The prefix blocks are retained (refcount +1); the remainder is
-    /// allocated fresh.
+    /// already-resident block-aligned prefix — the shared-prefix
+    /// admission path: `prefix` names live pool blocks (a hit in the
+    /// global radix prefix cache, or a live donor table's leading
+    /// blocks). The prefix blocks are retained (refcount +1); the
+    /// remainder is allocated fresh.
     ///
     /// # Errors
     ///
@@ -588,7 +525,7 @@ impl BlockTable {
         if shared_tokens > total_tokens {
             return Err(Error::InvalidConfig {
                 what: format!(
-                    "cached prefix of {shared_tokens} tokens exceeds total {total_tokens}"
+                    "shared prefix of {shared_tokens} tokens exceeds total {total_tokens}"
                 ),
             });
         }
@@ -600,7 +537,7 @@ impl BlockTable {
                 pool.release_blocks(prefix)
                     .map_err(|undo| Error::Inconsistent {
                         what: format!(
-                            "rollback of cached-prefix retain failed: {undo} (after {e})"
+                            "rollback of shared-prefix retain failed: {undo} (after {e})"
                         ),
                     })?;
                 return Err(e);
@@ -893,7 +830,7 @@ mod tests {
         }
         let used_before = p.used_blocks();
         // B shares the first block (4 tokens) and adds one of its own.
-        let b = BlockTable::reserve_shared(&p, &a, 4, 8).unwrap();
+        let b = BlockTable::reserve_with_prefix(&p, &a.blocks()[..1], 8).unwrap();
         assert_eq!(b.shared_prefix_blocks(&a), 1);
         assert_eq!(
             p.used_blocks(),
@@ -926,7 +863,7 @@ mod tests {
             a.write_row(&p, 0, pos, &row(10.0 + pos as f32), &row(0.0))
                 .unwrap();
         }
-        let mut b = BlockTable::reserve_shared(&p, &a, 4, 8).unwrap();
+        let mut b = BlockTable::reserve_with_prefix(&p, a.blocks(), 8).unwrap();
         assert_eq!(b.blocks()[0], a.blocks()[0]);
         // B overwrites a *shared* position: COW must kick in.
         let copied = b.ensure_writable(&p, 2).unwrap();
@@ -953,17 +890,18 @@ mod tests {
     }
 
     #[test]
-    fn reserve_shared_validates_alignment_and_rolls_back() {
+    fn reserve_with_prefix_rolls_back_on_exhaustion() {
         let p = pool(3);
         let a = BlockTable::reserve(&p, 8).unwrap(); // 2 blocks
-        assert!(BlockTable::reserve_shared(&p, &a, 3, 8).is_err());
-        assert!(BlockTable::reserve_shared(&p, &a, 12, 8).is_err());
+        let shared = &a.blocks()[..1];
+        // A prefix longer than the reservation is refused.
+        assert!(BlockTable::reserve_with_prefix(&p, a.blocks(), 4).is_err());
         // Needs 1 fresh block beyond the shared one, but 1 is free and
         // the request needs 1 — exactly fits.
-        let b = BlockTable::reserve_shared(&p, &a, 4, 8).unwrap();
+        let b = BlockTable::reserve_with_prefix(&p, shared, 8).unwrap();
         // Now the pool is exhausted: a failed share must undo its retain.
         let before = p.ref_count(a.blocks()[0]).unwrap();
-        assert!(BlockTable::reserve_shared(&p, &a, 4, 8).is_err());
+        assert!(BlockTable::reserve_with_prefix(&p, shared, 8).is_err());
         assert_eq!(p.ref_count(a.blocks()[0]).unwrap(), before);
         drop(b);
     }

@@ -76,28 +76,10 @@ impl PagedKvCache {
         Ok(Self::over(pool, BlockTable::reserve(pool, tokens)?))
     }
 
-    /// Reserves capacity for `total_tokens`, sharing the first
-    /// `shared_tokens` (block-aligned) with `donor`'s table — the
-    /// shared system-prompt blocks are retained, not re-allocated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Kv`](crate::Error::Kv) on misalignment or pool
-    /// exhaustion.
-    pub fn reserve_shared(
-        pool: &Arc<BlockPool>,
-        donor: &PagedKvCache,
-        shared_tokens: usize,
-        total_tokens: usize,
-    ) -> Result<Self> {
-        let table = BlockTable::reserve_shared(pool, &donor.0.table, shared_tokens, total_tokens)?;
-        Ok(Self::over(pool, table))
-    }
-
     /// Reserves capacity for `total_tokens` on top of already-resident
-    /// **cached** prefix blocks (a hit in the global radix prefix cache,
-    /// `llmnpu_kv::prefix`): the cached blocks are retained by id — no
-    /// live donor cache required — and the remainder allocated fresh.
+    /// prefix blocks — a hit in the global radix prefix cache
+    /// (`llmnpu_kv::prefix`) or a live donor's leading full pages: the
+    /// blocks are retained by id and the remainder allocated fresh.
     ///
     /// # Errors
     ///

@@ -38,17 +38,20 @@
 //!   installable as the kernel layer's parallel backend, and lending an
 //!   idle lane's thread to a busy lane's kernel bands in lane mode),
 //! * [`runner`] — the numeric out-of-order task executor: a generic
-//!   lane-graph dispatcher ([`execute_lane_graph`]) over tasks with
-//!   processor lanes, modeled durations, release times (request
-//!   arrivals), and dependency edges. [`execute_chunked_prefill`] is the
-//!   prefill instantiation — the same [`PrefillDag`] the policies above
-//!   price analytically, executed for real against a `Transformer`,
-//!   with shadow-outlier tasks genuinely overlapping the quantized main
-//!   path and an [`ExecutedTimeline`] measured for cross-checking
-//!   against the simulated one (same type, same validator). The
-//!   continuous-batching serving loop in
-//!   `llmnpu-core` feeds the same dispatcher a combined graph of many
-//!   requests' prefill chunks and decode steps.
+//!   lane-graph dispatcher over tasks with processor lanes, modeled
+//!   durations, release times (request arrivals), and dependency edges.
+//!   It has one failure mode — a failed task poisons only its
+//!   dependents ([`execute_lane_graph_contained`]; [`execute_lane_graph`]
+//!   reports the first failure as an error) — and one lane loop, run per
+//!   pool thread or over every lane on the caller.
+//!   [`execute_chunked_prefill`] is the prefill instantiation — the
+//!   same [`PrefillDag`] the policies above price analytically,
+//!   executed for real against a `Transformer`, with shadow-outlier
+//!   tasks genuinely overlapping the quantized main path and an
+//!   [`ExecutedTimeline`] measured for cross-checking against the
+//!   simulated one (same type, same validator). The continuous-batching
+//!   serving loop in `llmnpu-core` feeds the same dispatcher a combined
+//!   graph of many requests' prefill chunks and decode steps.
 //!
 //! [`PrefillDag`]: llmnpu_graph::dag::PrefillDag
 //! [`Timeline`]: llmnpu_soc::des::Timeline
@@ -71,8 +74,8 @@ pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use pool::WorkerPool;
 pub use runner::{
     execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, validate_timeline,
-    ContainedRun, ExecutedTask, ExecutedTimeline, GateFn, LaneGraph, LaneTask, LentSpan,
-    NumericPrefill, PrefillProgram, SkipReason, TaskFn, TaskOutcome,
+    ContainedRun, ExecutedTimeline, GateFn, LaneGraph, LaneTask, LentSpan, NumericPrefill,
+    PrefillProgram, SkipReason, TaskFn, TaskOutcome,
 };
 
 /// Crate-wide result alias.

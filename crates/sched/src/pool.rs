@@ -25,7 +25,7 @@
 //!   executor: each job is a *lane loop* that may block waiting for
 //!   tasks, so it must be guaranteed its own thread. The call returns
 //!   `false` (running nothing) when that guarantee cannot be given, and
-//!   the executor falls back to its sequential dispatcher.
+//!   the executor runs its one lane loop over every lane on the caller.
 //!
 //! Workers install `InlineBackend` on themselves at startup, so a GEMM
 //! issued from a pool thread never re-enters the broadcast.

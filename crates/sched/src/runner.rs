@@ -24,7 +24,11 @@
 //! *Which* ready task a free lane takes is not decided here: the
 //! dispatcher asks the crate's one policy core, the same one the
 //! simulated plane's virtual-clock loop asks, and only supplies the wall
-//! clock and the completion flags.
+//! clock and the completion flags. Each lane runs the one lane loop on
+//! its own pool thread; when the pool cannot give every lane a thread (a
+//! pool of one, a nested call, a busy pool), the calling thread runs
+//! that same loop over every lane — the same outputs, without the
+//! wall-clock overlap.
 //! [`execute_chunked_prefill`] is the prefill instantiation;
 //! `llmnpu-core`'s continuous-batching scheduler builds a combined
 //! graph holding several requests' prefill DAGs *plus their decode
@@ -61,33 +65,28 @@
 //!
 //! # Failure containment
 //!
-//! Two execution modes share the dispatcher:
+//! The dispatcher has one mode. A failing or panicking task becomes a
+//! per-task [`TaskOutcome::Failed`] that poisons only its *dependents*
+//! ([`TaskOutcome::Skipped`] with [`SkipReason::PoisonedDep`]) — every
+//! task not downstream of the failure keeps executing. Tasks flagged as
+//! containment *barriers* ([`LaneTask::barrier`]) absorb the poison: they
+//! run even when a dependency failed, which is how a request's
+//! page-release task is guaranteed on every path. An optional dispatch
+//! [`GateFn`] is consulted under the dispatch lock before each task is
+//! handed to a lane, so work whose request was cancelled or is past
+//! deadline is skipped ([`SkipReason::Gated`]), not run. The serving
+//! layer reads every outcome ([`execute_lane_graph_contained`]);
+//! [`execute_lane_graph`] is the same run with no gate and no sink that
+//! reports the first failed task as an error.
 //!
-//! * [`execute_lane_graph`] is **fail-fast**: the first task failure (or
-//!   panic) aborts the whole run and surfaces as [`Error::Exec`] — the
-//!   right contract for a single request's prefill, where partial
-//!   results are useless.
-//! * [`execute_lane_graph_contained`] is **fault-contained**: a failing
-//!   or panicking task becomes a per-task [`TaskOutcome::Failed`] that
-//!   poisons only its *dependents* ([`TaskOutcome::Skipped`] with
-//!   [`SkipReason::PoisonedDep`]) — every task not downstream of the
-//!   failure keeps executing. Tasks flagged as containment *barriers*
-//!   ([`LaneTask::barrier`]) absorb the poison: they run even when a
-//!   dependency failed, which is how a request's page-release task is
-//!   guaranteed on every path. An optional dispatch [`GateFn`] is
-//!   consulted under the dispatch lock before each task is handed to a
-//!   lane, so work whose request was cancelled or is past deadline is
-//!   skipped ([`SkipReason::Gated`]), not run.
-//!
-//! Because a task may panic mid-stage in isolated mode, the data-plane
-//! locks here (stage hand-off slots, the request's paged-KV slot)
-//! recover from poisoning via
-//! [`PoisonError::into_inner`](std::sync::PoisonError::into_inner): each
-//! guards a plain value slab that a panicking *reader or whole-value
-//! writer* cannot leave half-mutated, and a truly torn write only
-//! poisons the chain the failed task already poisoned logically. The one
-//! lock where poisoning stays fatal is the dispatcher's own bookkeeping
-//! mutex — see the field doc on `Dispatcher::state`.
+//! Because a task may panic mid-stage, the data-plane locks here (stage
+//! hand-off slots, the request's paged-KV slot) recover from poisoning
+//! via [`PoisonError::into_inner`](std::sync::PoisonError::into_inner):
+//! each guards a plain value slab that a panicking *reader or
+//! whole-value writer* cannot leave half-mutated, and a truly torn write
+//! only poisons the chain the failed task already poisoned logically.
+//! The one lock where poisoning stays fatal is the dispatcher's own
+//! bookkeeping mutex — see the field doc on `Dispatcher::state`.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -107,10 +106,6 @@ use llmnpu_tensor::Tensor;
 use crate::policy::{Progress, Scheduler, EPS};
 use crate::pool::{LaneIdle, WorkerPool};
 use crate::{Error, Policy, Result};
-
-/// One executed task: its wall-clock interval (ms from run start) on
-/// its lane, carrying the DAG task it ran.
-pub type ExecutedTask = TimelineEntry<Task>;
 
 /// The executed (wall-clock) timeline of one numeric prefill, in
 /// completion order — the same type, with the same metrics, as the
@@ -193,13 +188,12 @@ pub struct LaneTask {
     /// Earliest wall-clock start, ms from run start (a request's arrival
     /// time in the serving scheduler; 0 for always-available work).
     pub release_ms: f64,
-    /// Containment barrier (isolated mode only): the task still runs
-    /// when a dependency failed or was skipped, instead of being
-    /// poisoned along with the rest of the chain. Bookkeeping tasks that
-    /// must execute on every path — page releases, evictions, admission
-    /// gates of *other* requests — are barriers; numeric tasks, whose
-    /// inputs genuinely do not exist after an upstream failure, are not.
-    /// Ignored by the fail-fast [`execute_lane_graph`].
+    /// Containment barrier: the task still runs when a dependency
+    /// failed or was skipped, instead of being poisoned along with the
+    /// rest of the chain. Bookkeeping tasks that must execute on every
+    /// path — page releases, evictions, admission gates of *other*
+    /// requests — are barriers; numeric tasks, whose inputs genuinely do
+    /// not exist after an upstream failure, are not.
     pub barrier: bool,
 }
 
@@ -450,7 +444,7 @@ impl ExecCtx<'_, '_> {
 }
 
 /// The executable body of one lane task. The returned error string is
-/// surfaced as [`Error::Exec`] by the dispatcher.
+/// the task's [`TaskOutcome::Failed`] error.
 pub type TaskFn<'run> = Box<dyn FnOnce() -> std::result::Result<(), String> + Send + 'run>;
 
 fn take<T>(slot: &Mutex<Option<T>>, what: &str) -> std::result::Result<T, String> {
@@ -480,8 +474,9 @@ fn task_closure<'run>(ctx: &'run ExecCtx<'_, '_>, task: &Task, split: bool) -> T
                 *slots.a_in.lock().unwrap_or_else(PoisonError::into_inner) =
                     Some(std::sync::Arc::new(a_in));
             }
-            // Shadow task attached: the main task computes the quantized
-            // main half only, and the merge task finishes the stage.
+            // Shadow half attached: the main task computes the quantized
+            // main half only, and the merge task finishes the stage —
+            // and writes the K/V rows (`PrefillDag::writes_kv`).
             (TaskRole::Main, Stage::QkvLinear | Stage::Ffn) if split => {
                 let (input, x) = slots.stage_input(stage)?;
                 let main = t.stage_linear_main(layer, input, &x).map_err(err)?;
@@ -564,9 +559,6 @@ fn task_closure<'run>(ctx: &'run ExecCtx<'_, '_>, task: &Task, split: bool) -> T
 /// a single combined [`LaneGraph`] together with decode tasks.
 pub struct PrefillProgram<'t, 'w> {
     ctx: ExecCtx<'t, 'w>,
-    /// (layer, stage) pairs with a shadow task attached: their main
-    /// tasks compute pre-merge halves only.
-    split: std::collections::HashSet<(usize, Stage)>,
 }
 
 impl<'t, 'w> PrefillProgram<'t, 'w> {
@@ -612,13 +604,6 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
             what: format!("invalid dag: {e}"),
         })?;
 
-        let split: std::collections::HashSet<(usize, Stage)> = dag
-            .tasks()
-            .iter()
-            .filter(|task| task.role == TaskRole::Shadow)
-            .map(|task| (task.layer, task.stage))
-            .collect();
-
         let chunk_len = plan.chunk_len;
         let mut bounds = Vec::with_capacity(plan.chunks);
         let mut chunks = Vec::with_capacity(plan.chunks);
@@ -651,7 +636,6 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
                 bounds,
                 prompt_len: tokens.len(),
             },
-            split,
         })
     }
 
@@ -662,10 +646,8 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
     pub fn closures<'run>(&'run self, dag: &PrefillDag) -> Vec<TaskFn<'run>> {
         dag.tasks()
             .iter()
-            .map(|task| {
-                let is_split = self.split.contains(&(task.layer, task.stage));
-                task_closure(&self.ctx, task, is_split)
-            })
+            .enumerate()
+            .map(|(i, task)| task_closure(&self.ctx, task, dag.has_shadow_half(i)))
             .collect()
     }
 
@@ -711,7 +693,7 @@ impl<'t, 'w> PrefillProgram<'t, 'w> {
     }
 }
 
-/// Why an isolated run skipped a task without executing it.
+/// Why a run skipped a task without executing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
     /// A (transitive) dependency failed or was itself skipped, so the
@@ -781,9 +763,9 @@ impl TaskOutcome {
     }
 }
 
-/// A dispatch-time gate for isolated runs, consulted under the dispatch
-/// lock for every dependency-ready task before it can be handed to a
-/// lane: `gate(task_id, now_ms)` returning `true` skips the task
+/// A dispatch-time gate, consulted under the dispatch lock for every
+/// dependency-ready task before it can be handed to a lane:
+/// `gate(task_id, now_ms)` returning `true` skips the task
 /// ([`SkipReason::Gated`]) and poisons its non-barrier dependents. The
 /// serving layer uses this for release-aware cancellation and deadline
 /// checks — a task whose request is already terminal is never run. Must
@@ -796,8 +778,8 @@ struct DispatchState {
     /// is both `scheduled` and `done`.
     progress: Progress,
     remaining: usize,
-    aborted: bool,
-    error: Option<String>,
+    /// Set when dispatch cannot make progress; ends the run.
+    deadlock: bool,
     outcomes: Vec<Option<TaskOutcome>>,
 }
 
@@ -808,7 +790,7 @@ enum Next {
     /// Nothing ready: wait at the pool's wait point, at most this long
     /// (a pending release time).
     Idle(Option<Duration>),
-    /// The run is over (done or aborted).
+    /// The run is over (every task settled, or dispatch deadlocked).
     Leave,
 }
 
@@ -816,9 +798,6 @@ struct Dispatcher<'d> {
     /// The policy core shared with the simulated plane; this dispatcher
     /// drives it with the wall clock.
     core: Scheduler<'d>,
-    /// Fault-contained mode: task failures poison dependents instead of
-    /// aborting the run.
-    isolate: bool,
     gate: Option<GateFn<'d>>,
     /// The dispatcher's own bookkeeping mutex (`state`) is the one lock
     /// in this module where poisoning IS fatal: closures run *outside*
@@ -843,20 +822,17 @@ impl<'d> Dispatcher<'d> {
         graph: &'d LaneGraph,
         policy: Policy,
         pool: &'d WorkerPool,
-        isolate: bool,
         gate: Option<GateFn<'d>>,
         sink: Option<&'d TraceSink>,
     ) -> Self {
         let n = graph.len();
         Dispatcher {
             core: Scheduler::new(graph, policy),
-            isolate,
             gate,
             state: Mutex::new(DispatchState {
                 progress: Progress::new(n),
                 remaining: n,
-                aborted: false,
-                error: None,
+                deadlock: false,
                 outcomes: vec![None; n],
             }),
             pool,
@@ -925,8 +901,8 @@ impl<'d> Dispatcher<'d> {
         }
     }
 
-    /// Applies the dispatch gate (isolated mode only): every unscheduled
-    /// task whose dependencies are settled is offered to the gate; a
+    /// Applies the dispatch gate: every unscheduled task whose
+    /// dependencies are settled is offered to the gate; a
     /// `true` verdict skips it ([`SkipReason::Gated`]) — regardless of
     /// its release time, so cancelled queued work is retired immediately
     /// — and poisons its non-barrier dependents. Returns whether
@@ -951,11 +927,8 @@ impl<'d> Dispatcher<'d> {
     }
 
     /// Runs one task inline, recording timestamps and completion. A
-    /// panicking closure is converted into a task failure; in fail-fast
-    /// mode that aborts the whole run (the other lane loops drain
-    /// instead of waiting forever), in isolated mode it poisons only the
-    /// task's non-barrier dependency chain and everything else keeps
-    /// executing.
+    /// failing or panicking closure poisons only the task's non-barrier
+    /// dependency chain; everything else keeps executing.
     fn run_task(&self, closures: &[Mutex<Option<TaskFn<'_>>>], t: usize) {
         let closure = closures[t]
             .lock()
@@ -990,32 +963,29 @@ impl<'d> Dispatcher<'d> {
                 });
                 self.trace_task(EventKind::TaskDone, t, t1, "");
             }
-            Err(e) => {
+            Err(error) => {
+                self.trace_task(EventKind::TaskFailed, t, t1, &error);
                 st.outcomes[t] = Some(TaskOutcome::Failed {
                     start_ms: t0,
                     end_ms: t1,
-                    error: e.clone(),
+                    error,
                 });
-                self.trace_task(EventKind::TaskFailed, t, t1, &e);
-                if self.isolate {
-                    self.poison_dependents(&mut st, t, t1);
-                } else {
-                    st.aborted = true;
-                    st.error.get_or_insert(e);
-                }
+                self.poison_dependents(&mut st, t, t1);
             }
         }
         drop(st);
         self.pool.signal_lanes();
     }
 
-    /// The blocking lane loop for processor `p` (one OS thread per lane).
-    /// With no task of its own ready, the lane waits at the pool's one
-    /// wait point, [`WorkerPool::lane_idle`], and meanwhile runs bands of
-    /// whatever kernel call a busy lane posts. Consecutive bands are one
-    /// lending episode, closed when the lane parks, takes a task or
-    /// leaves; each closed episode is one [`LentSpan`].
-    fn lane_loop(&self, closures: &[Mutex<Option<TaskFn<'_>>>], p: Processor) {
+    /// The lane loop, serving `lanes` — one lane on its own pool thread,
+    /// or every lane on the calling thread when the pool cannot give each
+    /// its own. With no task of its own ready, the loop waits at the
+    /// pool's one wait point, [`WorkerPool::lane_idle`], and meanwhile
+    /// runs bands of whatever kernel call a busy lane posts. Consecutive
+    /// bands are one lending episode, closed when the loop parks, takes a
+    /// task or leaves; each closed episode is one [`LentSpan`], recorded
+    /// on the first lane served.
+    fn lane_loop(&self, closures: &[Mutex<Option<TaskFn<'_>>>], lanes: &[Processor]) {
         let mut episode: Option<(f64, f64)> = None;
         loop {
             let seen = self.pool.lane_signals();
@@ -1023,7 +993,7 @@ impl<'d> Dispatcher<'d> {
                 // lint: allow(panic) — task panics are caught before this lock, so poisoning is unreachable
                 let mut st = self.state.lock().expect("dispatch mutex");
                 loop {
-                    if st.aborted || st.remaining == 0 {
+                    if st.deadlock || st.remaining == 0 {
                         break Next::Leave;
                     }
                     let now = self.now_ms();
@@ -1031,7 +1001,10 @@ impl<'d> Dispatcher<'d> {
                         self.pool.signal_lanes();
                         continue;
                     }
-                    if let Some(t) = self.core.pick(&st.progress, p, now) {
+                    let picked = lanes
+                        .iter()
+                        .find_map(|&p| self.core.pick(&st.progress, p, now));
+                    if let Some(t) = picked {
                         st.progress.dispatch(t);
                         break Next::Run(t);
                     }
@@ -1042,9 +1015,7 @@ impl<'d> Dispatcher<'d> {
                         && self.dep_ready(&st).next().is_none()
                         && pending_release.is_none()
                     {
-                        st.aborted = true;
-                        st.error
-                            .get_or_insert_with(|| "dispatch deadlock".to_owned());
+                        st.deadlock = true;
                         drop(st);
                         self.pool.signal_lanes();
                         break Next::Leave;
@@ -1057,7 +1028,7 @@ impl<'d> Dispatcher<'d> {
             };
             match next {
                 Next::Run(t) => {
-                    self.close_episode(p, &mut episode);
+                    self.close_episode(lanes, &mut episode);
                     self.run_task(closures, t);
                 }
                 Next::Idle(timeout) => match self.pool.lane_idle(seen, timeout) {
@@ -1067,24 +1038,25 @@ impl<'d> Dispatcher<'d> {
                         episode = Some((first, end));
                     }
                     LaneIdle::Signalled => {}
-                    LaneIdle::Parked => self.close_episode(p, &mut episode),
+                    LaneIdle::Parked => self.close_episode(lanes, &mut episode),
                 },
                 Next::Leave => {
-                    self.close_episode(p, &mut episode);
+                    self.close_episode(lanes, &mut episode);
                     return;
                 }
             }
         }
     }
 
-    /// Records lane `p`'s open lending episode, if any, as one span.
-    fn close_episode(&self, p: Processor, episode: &mut Option<(f64, f64)>) {
+    /// Records the open lending episode, if any, as one span of the
+    /// first of `lanes`.
+    fn close_episode(&self, lanes: &[Processor], episode: &mut Option<(f64, f64)>) {
         if let Some((start_ms, end_ms)) = episode.take() {
             self.lent
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .push(LentSpan {
-                    lane: p,
+                    lane: lanes[0],
                     start_ms,
                     end_ms,
                 });
@@ -1095,57 +1067,98 @@ impl<'d> Dispatcher<'d> {
     fn ms_since_start(&self, at: Instant) -> f64 {
         at.saturating_duration_since(self.started).as_secs_f64() * 1e3
     }
-
-    /// Single-threaded fallback: interleaves the lanes in NPU-first
-    /// order on the calling thread. Numerically identical to the
-    /// concurrent dispatcher; only the wall-clock overlap is lost.
-    fn sequential(&self, closures: &[Mutex<Option<TaskFn<'_>>>], lanes: &[Processor]) -> bool {
-        loop {
-            let picked = {
-                // lint: allow(panic) — task panics are caught before this lock, so poisoning is unreachable
-                let mut st = self.state.lock().expect("dispatch mutex");
-                if st.aborted || st.remaining == 0 {
-                    return true;
-                }
-                let now = self.now_ms();
-                if self.apply_gate(&mut st, now) {
-                    continue;
-                }
-                let found = lanes
-                    .iter()
-                    .find_map(|&p| self.core.pick(&st.progress, p, now));
-                let Some(t) = found else {
-                    // Nothing dispatchable right now: if something is
-                    // only waiting on its release time, sleep it in;
-                    // otherwise the graph is stuck.
-                    let Some(wait_ms) = self.next_release_in(&st, now) else {
-                        st.aborted = true;
-                        st.error
-                            .get_or_insert_with(|| "dispatch deadlock".to_owned());
-                        return false;
-                    };
-                    drop(st);
-                    std::thread::sleep(Duration::from_secs_f64((wait_ms / 1e3).max(1e-5)));
-                    continue;
-                };
-                st.progress.dispatch(t);
-                t
-            };
-            self.run_task(closures, picked);
-        }
-    }
 }
 
-/// The shared dispatch core under both execution modes: builds the
-/// dispatcher, drives the lane loops on the pool (or the sequential
-/// fallback), and returns every task's outcome with the lanes' lending
-/// episodes.
-fn run_lane_graph<'run>(
+/// One lending episode: lane `lane`, with no task of its own ready, ran
+/// bands of the other lanes' kernel calls from `start_ms` to `end_ms`
+/// (ms from run start). Gaps between its bands shorter than the pool's
+/// spin window count toward the episode: the lane spun through them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LentSpan {
+    /// The lane that lent its thread.
+    pub lane: Processor,
+    /// First band's start.
+    pub start_ms: f64,
+    /// Last band's end.
+    pub end_ms: f64,
+}
+
+/// What [`execute_lane_graph_contained`] returns.
+#[derive(Debug, Clone, Default)]
+pub struct ContainedRun {
+    /// One outcome per task, indexed like the graph.
+    pub outcomes: Vec<TaskOutcome>,
+    /// The lanes' lending episodes, in the order they closed.
+    pub lent: Vec<LentSpan>,
+}
+
+/// Executes a [`LaneGraph`] through [`execute_lane_graph_contained`]
+/// with no gate and no trace sink, for callers that need every task to
+/// complete — the generic engine under [`execute_chunked_prefill`].
+/// Returns each task's measured `(start_ms, end_ms)` wall-clock span,
+/// indexed like the graph.
+///
+/// # Errors
+///
+/// Returns [`Error::Exec`] for the structural problems of
+/// [`execute_lane_graph_contained`], and naming the first failed task
+/// (in graph order) with its error when a task body fails or panics.
+pub fn execute_lane_graph(
+    graph: &LaneGraph,
+    closures: Vec<TaskFn<'_>>,
+    policy: Policy,
+    pool: &WorkerPool,
+) -> Result<Vec<(f64, f64)>> {
+    let run = execute_lane_graph_contained(graph, closures, policy, pool, None, None)?;
+    // With no gate a task is skipped only when an earlier task failed,
+    // so graph order meets a failure before anything it poisoned.
+    run.outcomes
+        .iter()
+        .zip(graph.tasks())
+        .map(|(outcome, task)| match outcome {
+            TaskOutcome::Completed { start_ms, end_ms } => Ok((*start_ms, *end_ms)),
+            _ => Err(Error::Exec {
+                what: format!(
+                    "task {} failed: {}",
+                    task.label,
+                    outcome.error().unwrap_or("skipped")
+                ),
+            }),
+        })
+        .collect()
+}
+
+/// Executes a [`LaneGraph`] — one closure per task — out-of-order across
+/// per-processor serial lanes on the persistent pool, honoring release
+/// times and the scheduling policy, with request-level fault
+/// containment: a task body that fails or panics produces
+/// [`TaskOutcome::Failed`] and poisons only its own non-barrier
+/// dependency chain ([`TaskOutcome::Skipped`]) — every other task keeps
+/// executing. Tasks with [`LaneTask::barrier`] set still run after a
+/// failed dependency (cleanup must happen on all paths). The optional
+/// `gate` is consulted under the dispatch lock before any
+/// dependency-ready task is handed to a lane; returning `true` skips the
+/// task ([`SkipReason::Gated`]) — this is how the serving layer retires
+/// cancelled and past-deadline requests without running them. With a
+/// `sink`, the dispatcher emits Exec-plane dispatch / completion /
+/// failure / skip events (with wall timestamps) as tasks move through
+/// the lanes — numerically identical to the untraced run: emission
+/// happens strictly outside task bodies, and a disabled sink
+/// short-circuits to one atomic load per site.
+///
+/// Returns one [`TaskOutcome`] per task, indexed like the graph, and
+/// the lanes' lending episodes ([`LentSpan`]).
+///
+/// # Errors
+///
+/// Returns [`Error::Exec`] only for structural problems: closure and
+/// task counts disagreeing, or dispatch unable to make progress. Task
+/// failures are reported in the outcomes, not as errors.
+pub fn execute_lane_graph_contained<'run>(
     graph: &LaneGraph,
     closures: Vec<TaskFn<'run>>,
     policy: Policy,
     pool: &WorkerPool,
-    isolate: bool,
     gate: Option<GateFn<'run>>,
     sink: Option<&TraceSink>,
 ) -> Result<ContainedRun> {
@@ -1182,20 +1195,20 @@ fn run_lane_graph<'run>(
     let closures: Vec<Mutex<Option<TaskFn<'_>>>> =
         closures.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let lanes = graph.lanes();
-    let dispatcher = Dispatcher::new(graph, policy, pool, isolate, gate, sink);
+    let dispatcher = Dispatcher::new(graph, policy, pool, gate, sink);
     let concurrent = {
         let mut jobs: Vec<Job<'_>> = lanes
             .iter()
-            .map(|&p| {
+            .map(|p| {
                 let dispatcher = &dispatcher;
                 let closures = &closures;
-                Job::new(move || dispatcher.lane_loop(closures, p))
+                Job::new(move || dispatcher.lane_loop(closures, std::slice::from_ref(p)))
             })
             .collect();
         pool.run_concurrent(&mut jobs)
     };
     if !concurrent {
-        dispatcher.sequential(&closures, &lanes);
+        dispatcher.lane_loop(&closures, &lanes);
     }
 
     let lent = dispatcher
@@ -1204,8 +1217,10 @@ fn run_lane_graph<'run>(
         .unwrap_or_else(PoisonError::into_inner);
     // lint: allow(panic) — all lane threads have joined; nothing can hold or poison the lock
     let st = dispatcher.state.into_inner().expect("dispatch mutex");
-    if let Some(e) = st.error {
-        return Err(Error::Exec { what: e });
+    if st.deadlock {
+        return Err(Error::Exec {
+            what: "dispatch deadlock".to_owned(),
+        });
     }
     let outcomes = st
         .outcomes
@@ -1214,94 +1229,6 @@ fn run_lane_graph<'run>(
         .map(|o| o.expect("all tasks accounted for"))
         .collect();
     Ok(ContainedRun { outcomes, lent })
-}
-
-/// One lending episode: lane `lane`, with no task of its own ready, ran
-/// bands of the other lanes' kernel calls from `start_ms` to `end_ms`
-/// (ms from run start). Gaps between its bands shorter than the pool's
-/// spin window count toward the episode: the lane spun through them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LentSpan {
-    /// The lane that lent its thread.
-    pub lane: Processor,
-    /// First band's start.
-    pub start_ms: f64,
-    /// Last band's end.
-    pub end_ms: f64,
-}
-
-/// What [`execute_lane_graph_contained`] returns.
-#[derive(Debug, Clone, Default)]
-pub struct ContainedRun {
-    /// One outcome per task, indexed like the graph.
-    pub outcomes: Vec<TaskOutcome>,
-    /// The lanes' lending episodes, in the order they closed.
-    pub lent: Vec<LentSpan>,
-}
-
-/// Executes a [`LaneGraph`] — one closure per task — out-of-order across
-/// per-processor serial lanes on the persistent pool, honoring release
-/// times and the scheduling policy. Returns each task's measured
-/// `(start_ms, end_ms)` wall-clock span, indexed like the graph.
-///
-/// This is the fail-fast mode: the first task failure (or panic) aborts
-/// the whole run. It is the generic engine under
-/// [`execute_chunked_prefill`]; the continuous-batching serving
-/// scheduler in `llmnpu-core` uses the fault-contained
-/// [`execute_lane_graph_contained`] instead.
-///
-/// # Errors
-///
-/// Returns [`Error::Exec`] when closure and task counts disagree, when a
-/// task body fails or panics, or when dispatch cannot make progress.
-pub fn execute_lane_graph(
-    graph: &LaneGraph,
-    closures: Vec<TaskFn<'_>>,
-    policy: Policy,
-    pool: &WorkerPool,
-) -> Result<Vec<(f64, f64)>> {
-    let run = run_lane_graph(graph, closures, policy, pool, false, None, None)?;
-    // Fail-fast: an error would have surfaced above, so every task ran.
-    Ok(run
-        .outcomes
-        .into_iter()
-        // lint: allow(panic) — fail-fast mode errored above unless every task completed with a span
-        .map(|o| o.span().expect("all tasks traced"))
-        .collect())
-}
-
-/// Executes a [`LaneGraph`] with request-level fault containment: a task
-/// body that fails or panics produces [`TaskOutcome::Failed`] and
-/// poisons only its own non-barrier dependency chain
-/// ([`TaskOutcome::Skipped`]) — every other task keeps executing. Tasks
-/// with [`LaneTask::barrier`] set still run after a failed dependency
-/// (cleanup must happen on all paths). The optional `gate` is consulted
-/// under the dispatch lock before any dependency-ready task is handed to
-/// a lane; returning `true` skips the task ([`SkipReason::Gated`]) —
-/// this is how the serving layer retires cancelled and past-deadline
-/// requests without running them. With a `sink`, the dispatcher emits
-/// Exec-plane dispatch / completion / failure / skip events (with wall
-/// timestamps) as tasks move through the lanes — numerically identical
-/// to the untraced run: emission happens strictly outside task bodies,
-/// and a disabled sink short-circuits to one atomic load per site.
-///
-/// Returns one [`TaskOutcome`] per task, indexed like the graph, and
-/// the lanes' lending episodes ([`LentSpan`]).
-///
-/// # Errors
-///
-/// Returns [`Error::Exec`] only for structural problems: closure and
-/// task counts disagreeing, or dispatch unable to make progress. Task
-/// failures are reported in the outcomes, not as errors.
-pub fn execute_lane_graph_contained<'run>(
-    graph: &LaneGraph,
-    closures: Vec<TaskFn<'run>>,
-    policy: Policy,
-    pool: &WorkerPool,
-    gate: Option<GateFn<'run>>,
-    sink: Option<&TraceSink>,
-) -> Result<ContainedRun> {
-    run_lane_graph(graph, closures, policy, pool, true, gate, sink)
 }
 
 /// Executes a chunked prefill by running the DAG's tasks out-of-order

@@ -149,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .timeline
         .entries()
         .iter()
-        .filter(|s| matches!(s.meta.kind, ServeTaskKind::DecodeBatch { .. }))
+        .filter(|s| matches!(s.meta.kind, ServeTaskKind::Decode { width, .. } if width > 1))
         .count();
     println!("batched decode steps (cohorts of 2-3 requests): {cohort_steps}");
     assert!(cohort_steps > 0, "decode cohorts must engage");

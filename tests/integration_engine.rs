@@ -228,10 +228,13 @@ fn unified_planes_simulate_and_execute_the_same_dag() {
     // DAG execution on the pool) run over one DAG and must agree on the
     // task set and dependency structure; the numeric output must match
     // the sequential chunked forward bit-for-bit.
+    use llmnpu::graph::chunk::ChunkPlan;
+    use llmnpu::graph::dag::{build_prefill_dag, DagConfig};
     use llmnpu::model::backend::FloatBackend;
     use llmnpu::model::forward::Transformer;
     use llmnpu::model::kv::PagedKvCache;
     use llmnpu::model::weights::{synthesize, OutlierSpec};
+    use llmnpu::sched::{execute_chunked_prefill, schedule, validate_timeline, LaneGraph};
 
     let numeric_cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
     let w = synthesize(&numeric_cfg, 11, OutlierSpec::default()).unwrap();
@@ -245,14 +248,37 @@ fn unified_planes_simulate_and_execute_the_same_dag() {
     assert_eq!(engine.pool().workers(), 3);
 
     let toks: Vec<u32> = (0..10u32).map(|i| (i * 11 + 2) % 96).collect();
-    let unified = engine.prefill_executed(&t, &toks).unwrap();
+    // One DAG, built for the numeric model under the engine's knobs.
+    let cfg = engine.config();
+    let dag_cfg = DagConfig {
+        plan: ChunkPlan::new(toks.len(), cfg.chunk_len).unwrap(),
+        float_processor: cfg.float_processor,
+        shadow_fraction: 1.0 - cfg.pruning_rate,
+        outlier_channels: 10,
+        shape_optimized: cfg.shape_optimized,
+        npu_group_size: cfg.npu_group_size,
+    };
+    let dag = build_prefill_dag(&numeric_cfg, &dag_cfg, engine.latency_model()).unwrap();
+    let simulated = schedule(&dag, cfg.policy).unwrap();
+    let execution = engine
+        .pool()
+        .install_scope(|| {
+            execute_chunked_prefill(&t, &toks, &dag, &dag_cfg.plan, cfg.policy, engine.pool())
+        })
+        .unwrap();
 
-    // Cross-check: same task set in both planes (validate_against ran
-    // inside prefill_executed; re-derive the label sets here).
-    let sim = unified.simulated.timeline.as_ref().expect("sim timeline");
-    let mut sim_labels: Vec<&str> = sim.entries().iter().map(|e| e.label.as_str()).collect();
-    let mut exec_labels: Vec<&str> = unified
-        .execution
+    // Cross-check: both timelines are valid schedules of the DAG, over
+    // the same task set.
+    let graph = LaneGraph::from_prefill_dag(&dag).unwrap();
+    validate_timeline(&simulated.timeline, &graph).unwrap();
+    validate_timeline(&execution.timeline, &graph).unwrap();
+    let mut sim_labels: Vec<&str> = simulated
+        .timeline
+        .entries()
+        .iter()
+        .map(|e| e.label.as_str())
+        .collect();
+    let mut exec_labels: Vec<&str> = execution
         .timeline
         .entries()
         .iter()
@@ -261,16 +287,16 @@ fn unified_planes_simulate_and_execute_the_same_dag() {
     sim_labels.sort_unstable();
     exec_labels.sort_unstable();
     assert_eq!(sim_labels, exec_labels);
-    assert!(unified.simulated_ms() > 0.0);
-    assert!(unified.executed_ms() > 0.0);
+    assert!(simulated.makespan_ms > 0.0);
+    assert!(execution.timeline.makespan() > 0.0);
 
     // Numeric plane matches the sequential chunked forward exactly.
     let mut cache = PagedKvCache::solo(&numeric_cfg, toks.len()).unwrap();
     let sequential = t.prefill_chunked(&toks, 4, &mut cache).unwrap();
-    assert_eq!(unified.execution.hidden.as_slice(), sequential.as_slice());
+    assert_eq!(execution.hidden.as_slice(), sequential.as_slice());
     for layer in 0..numeric_cfg.layers {
         assert_eq!(
-            unified.execution.cache.rows(layer, toks.len()).unwrap(),
+            execution.cache.rows(layer, toks.len()).unwrap(),
             cache.rows(layer, toks.len()).unwrap(),
             "executed K/V rows diverged at layer {layer}"
         );

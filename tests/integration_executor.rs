@@ -3,7 +3,9 @@
 //! count, every policy, and across repeated runs — and must demonstrably
 //! overlap shadow-outlier tasks with the NPU main path.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use llmnpu::graph::chunk::ChunkPlan;
 use llmnpu::graph::dag::{build_prefill_dag, DagConfig, PrefillDag, TaskRole};
@@ -14,7 +16,11 @@ use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
 use llmnpu::model::kv::PagedKvCache;
 use llmnpu::model::weights::{synthesize, ModelWeights, OutlierSpec};
-use llmnpu::sched::{execute_chunked_prefill, validate_timeline, LaneGraph, Policy, WorkerPool};
+use llmnpu::sched::{
+    execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, validate_timeline,
+    GateFn, LaneGraph, LaneTask, Policy, SkipReason, TaskFn, TaskOutcome, WorkerPool,
+};
+use llmnpu::soc::des::{Timeline, TimelineEntry};
 use llmnpu::soc::latency::LatencyModel;
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::soc::Processor;
@@ -309,4 +315,180 @@ fn executor_rejects_mismatched_inputs() {
         execute_chunked_prefill(&t, &toks, &deep_dag, &deep_plan, Policy::OutOfOrder, &pool)
             .is_err()
     );
+}
+
+fn lane_task(label: &str, processor: Processor, release_ms: f64, barrier: bool) -> LaneTask {
+    LaneTask {
+        label: label.to_owned(),
+        processor,
+        duration_ms: 1.0,
+        release_ms,
+        barrier,
+    }
+}
+
+/// A closure that records that it ran and succeeds.
+fn mark(flag: &AtomicBool) -> TaskFn<'_> {
+    Box::new(move || {
+        flag.store(true, Ordering::SeqCst);
+        Ok(())
+    })
+}
+
+/// One failing task fails only its own chain: its dependents never run,
+/// a task on the other lane released well after the failure still runs
+/// to completion, and the error names the failing task.
+#[test]
+fn a_failed_task_poisons_only_its_dependents() {
+    let pool = WorkerPool::new(2);
+    let mut graph = LaneGraph::new();
+    let bad = graph
+        .push(lane_task("bad", Processor::Npu, 0.0, false), vec![])
+        .unwrap();
+    let next = graph
+        .push(lane_task("next", Processor::Npu, 0.0, false), vec![bad])
+        .unwrap();
+    graph
+        .push(lane_task("last", Processor::Cpu, 0.0, false), vec![next])
+        .unwrap();
+    graph
+        .push(
+            lane_task("independent", Processor::Cpu, 20.0, false),
+            vec![],
+        )
+        .unwrap();
+    let ran: Vec<AtomicBool> = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
+    let closures: Vec<TaskFn<'_>> = vec![
+        Box::new(|| Err("injected".to_owned())),
+        mark(&ran[1]),
+        mark(&ran[2]),
+        mark(&ran[3]),
+    ];
+    let err = execute_lane_graph(&graph, closures, Policy::OutOfOrder, &pool)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("bad") && err.contains("injected"),
+        "error must name the failing task: {err}"
+    );
+    assert!(!ran[1].load(Ordering::SeqCst), "a dependent ran");
+    assert!(!ran[2].load(Ordering::SeqCst), "a transitive dependent ran");
+    assert!(
+        ran[3].load(Ordering::SeqCst),
+        "the independent task must still run"
+    );
+}
+
+/// On a one-worker pool the lanes cannot each get a thread: the caller
+/// runs the one lane loop over both lanes. Release times still hold, the
+/// dependency chain still orders the tasks, and the timeline is a valid
+/// schedule.
+#[test]
+fn a_one_worker_pool_runs_every_lane_on_the_caller() {
+    let pool = WorkerPool::new(1);
+    let mut graph = LaneGraph::new();
+    let n0 = graph
+        .push(lane_task("n0", Processor::Npu, 0.0, false), vec![])
+        .unwrap();
+    let c0 = graph
+        .push(lane_task("c0", Processor::Cpu, 0.0, false), vec![n0])
+        .unwrap();
+    graph
+        .push(lane_task("n1", Processor::Npu, 0.0, false), vec![c0])
+        .unwrap();
+    let c1 = graph
+        .push(lane_task("c1", Processor::Cpu, 15.0, false), vec![])
+        .unwrap();
+    graph
+        .push(lane_task("n2", Processor::Npu, 5.0, false), vec![c1])
+        .unwrap();
+    let threads: Vec<Mutex<Option<ThreadId>>> =
+        (0..graph.len()).map(|_| Mutex::new(None)).collect();
+    let closures: Vec<TaskFn<'_>> = threads
+        .iter()
+        .map(|slot| {
+            Box::new(move || {
+                *slot.lock().unwrap() = Some(std::thread::current().id());
+                Ok(())
+            }) as TaskFn<'_>
+        })
+        .collect();
+    let spans = execute_lane_graph(&graph, closures, Policy::OutOfOrder, &pool).unwrap();
+
+    let caller = std::thread::current().id();
+    for slot in &threads {
+        assert_eq!(
+            *slot.lock().unwrap(),
+            Some(caller),
+            "a task left the caller"
+        );
+    }
+    let mut timeline: Timeline = Timeline::new();
+    for (task, &(start, end)) in graph.tasks().iter().zip(&spans) {
+        assert!(
+            start >= task.release_ms,
+            "{} started at {start:.3} ms, before its release at {} ms",
+            task.label,
+            task.release_ms
+        );
+        timeline.record(TimelineEntry {
+            label: task.label.clone(),
+            processor: task.processor,
+            start,
+            end,
+            meta: (),
+        });
+    }
+    validate_timeline(&timeline, &graph).unwrap();
+}
+
+/// The dispatch gate works on the caller's loop too: a gated task and
+/// its dependents are skipped without running, and a barrier behind it
+/// still runs.
+#[test]
+fn the_gate_skips_gated_tasks_on_a_one_worker_pool() {
+    let pool = WorkerPool::new(1);
+    let mut graph = LaneGraph::new();
+    let first = graph
+        .push(lane_task("first", Processor::Npu, 0.0, false), vec![])
+        .unwrap();
+    let gated = graph
+        .push(lane_task("gated", Processor::Cpu, 0.0, false), vec![first])
+        .unwrap();
+    graph
+        .push(
+            lane_task("poisoned", Processor::Npu, 0.0, false),
+            vec![gated],
+        )
+        .unwrap();
+    graph
+        .push(lane_task("cleanup", Processor::Cpu, 0.0, true), vec![gated])
+        .unwrap();
+    graph
+        .push(lane_task("other", Processor::Npu, 0.0, false), vec![])
+        .unwrap();
+    let ran: Vec<AtomicBool> = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
+    let closures: Vec<TaskFn<'_>> = ran.iter().map(mark).collect();
+    let gate: GateFn<'_> = Box::new(move |t, _| t == gated);
+    let run = execute_lane_graph_contained(
+        &graph,
+        closures,
+        Policy::OutOfOrder,
+        &pool,
+        Some(gate),
+        None,
+    )
+    .unwrap();
+
+    let skipped = |t: usize| match run.outcomes[t] {
+        TaskOutcome::Skipped { reason, .. } => Some(reason),
+        _ => None,
+    };
+    assert_eq!(skipped(1), Some(SkipReason::Gated));
+    assert_eq!(skipped(2), Some(SkipReason::PoisonedDep));
+    for t in [0, 3, 4] {
+        assert!(run.outcomes[t].is_completed(), "task {t}");
+    }
+    let ran: Vec<bool> = ran.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+    assert_eq!(ran, [true, false, false, true, true]);
 }

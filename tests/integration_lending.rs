@@ -373,8 +373,8 @@ fn the_pool_shuts_down_with_a_lane_parked() {
         let spans = execute_lane_graph(&graph, closures, Policy::OutOfOrder, &pool).unwrap();
         assert!(spans[1].0 >= spans[0].1);
 
-        // Fail-fast: the failing NPU task aborts the run while the CPU
-        // lane is parked waiting on it; the abort must wake it too.
+        // The failing NPU task poisons the CPU task the parked CPU lane
+        // is waiting on, which settles the run: that must wake it too.
         let closures: Vec<TaskFn<'_>> = vec![
             Box::new(|| {
                 std::thread::sleep(Duration::from_millis(20));

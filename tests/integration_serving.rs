@@ -645,7 +645,7 @@ fn batched_decode_stacks_steps_without_changing_streams() {
         .entries()
         .iter()
         .filter_map(|s| match s.meta.kind {
-            ServeTaskKind::DecodeBatch { width, .. } => Some(width),
+            ServeTaskKind::Decode { width, .. } if width > 1 => Some(width),
             _ => None,
         })
         .collect();
@@ -779,11 +779,9 @@ fn int8_backends_serve_with_sharing_and_cohorts() {
                     "{what}: sharing must engage"
                 );
                 assert!(
-                    report
-                        .timeline
-                        .entries()
-                        .iter()
-                        .any(|s| matches!(s.meta.kind, ServeTaskKind::DecodeBatch { .. })),
+                    report.timeline.entries().iter().any(
+                        |s| matches!(s.meta.kind, ServeTaskKind::Decode { width, .. } if width > 1)
+                    ),
                     "{what}: batched decode must engage"
                 );
                 for (r, outcome) in report.requests.iter().enumerate() {
