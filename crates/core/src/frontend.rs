@@ -23,23 +23,52 @@
 //!   the next arrival, drain everything else that is already queued
 //!   into the same batch (natural batching — a burst becomes one
 //!   serving round, a trickle becomes many small ones), serve the
-//!   batch with [`LlmNpuEngine::serve_with_session`], and fan the
-//!   per-request outcomes back out to their handles. The loop ends
-//!   when a client calls [`FrontendClient::shutdown`] or every client
-//!   handle has been dropped; the session is then flushed, which
-//!   *proves* zero pages leaked over the whole run.
+//!   batch, and fan the per-request outcomes back out to their handles.
+//!   The loop ends when a client calls [`FrontendClient::shutdown`] or
+//!   every client handle has been dropped; the session is then flushed,
+//!   which *proves* zero pages leaked over the whole run.
 //!
-//! Cancellation, deadlines, retries, fault containment and the
-//! bit-identity guarantee are all inherited unchanged from the serving
-//! plane: the front-end adds arrival-over-time and streaming, not new
-//! execution semantics. Determinism note: *which* requests share a
-//! batch depends on caller timing, but every request's token stream is
-//! bit-identical to its solo run regardless of batch composition, so
-//! the front-end never changes any stream's bits — only latencies.
+//! # A submission cuts the running round at a chunk boundary
+//!
+//! A batch does not hold the queue hostage. [`FrontendClient::submit`]
+//! bumps a submission counter that the running round reads: once a
+//! submission is pending and all the round has left is prefill it may
+//! cut, it stops starting new prefill chunks (§3.2's fixed-size chunk is
+//! the unit of prefill work, so a chunk boundary is where new work gets
+//! in). A member still to decode keeps the round running anyway, so
+//! until it finishes the others keep prefilling instead of idling.
+//! Chunks already under way run to completion; each cut prefill publishes the full pages of its
+//! completed chunks to the session's prefix cache and is handed back
+//! *suspended*. The loop then plans the next batch with the new
+//! arrivals first and the suspended prefills behind them; each resumes
+//! through an ordinary prefix-cache hit, so it recomputes nothing it
+//! finished. The rules that keep this safe:
+//!
+//! * a request already decoding is never suspended, so no streamed
+//!   token is ever re-sent;
+//! * a suspended prefill completed at least one chunk in its round, so a
+//!   flood of arrivals delays a long prompt but never starves it;
+//! * a live prefix donor is never suspended, and a suspension never
+//!   fails, retries or cancels anyone, nor spends `max_retries`;
+//! * time spent queued or suspended is spent from the request's
+//!   deadlines ([`GenerationRequest::deadline_ms`]): a request whose
+//!   budget ran out before it joins a batch ends
+//!   [`RequestStatus::DeadlineExceeded`] without reserving a page.
+//!
+//! Cancellation, retries, fault containment and the bit-identity
+//! guarantee are all inherited unchanged from the serving plane: the
+//! front-end adds arrival-over-time and streaming, not new execution
+//! semantics. Determinism note: *which* requests share a batch, and
+//! where a round is cut, depends on caller timing, but every request's
+//! token stream is bit-identical to its solo run regardless (a resumed
+//! prefill is a prefix-cache hit, which the serving plane proves
+//! identical at any page alignment), so the front-end never changes any
+//! stream's bits — only latencies.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Instant;
 
 use llmnpu_kv::PrefixCacheMetrics;
 use llmnpu_model::forward::Transformer;
@@ -47,8 +76,8 @@ use llmnpu_obs::{EventKind, MetricsSnapshot, Plane};
 
 use crate::engine::LlmNpuEngine;
 use crate::serve::{
-    validate_request, CancelToken, GenerationRequest, RequestOutcome, RequestStatus, ServeOptions,
-    TokenEvent,
+    validate_request, Arrivals, CancelToken, GenerationRequest, RequestOutcome, RequestStatus,
+    ServeOptions, TokenEvent,
 };
 use crate::{Error, Result};
 
@@ -76,6 +105,52 @@ pub enum StreamEvent {
 struct Submission {
     request: GenerationRequest,
     events: Sender<StreamEvent>,
+    /// When `submit` accepted it: the request's arrival and deadlines
+    /// are measured from here, whichever batch it joins.
+    submitted_at: Instant,
+}
+
+impl Submission {
+    /// The request as it joins a batch at `now`: its arrival offset and
+    /// deadlines less the time already spent since submission, or
+    /// `None` when a deadline is already spent.
+    fn for_batch(&self, now: Instant) -> Option<GenerationRequest> {
+        let since = now.duration_since(self.submitted_at).as_secs_f64() * 1e3;
+        let req = &self.request;
+        let waited = (since - req.arrival_ms).max(0.0);
+        let left = |d: Option<f64>| d.map(|d| d - waited);
+        let joined = GenerationRequest {
+            arrival_ms: (req.arrival_ms - since).max(0.0),
+            deadline_ms: left(req.deadline_ms),
+            ttft_deadline_ms: left(req.ttft_deadline_ms),
+            ..req.clone()
+        };
+        let spent = [joined.deadline_ms, joined.ttft_deadline_ms]
+            .into_iter()
+            .flatten()
+            .any(|d| d <= 0.0);
+        (!spent).then_some(joined)
+    }
+
+    /// Answers the submission with `status` on its own stream, outside
+    /// any batch.
+    fn answer(self, status: RequestStatus, report: &mut FrontendReport) {
+        report.tally(&status);
+        let arrival_ms = self.request.arrival_ms;
+        let _ = self.events.send(StreamEvent::Finished {
+            outcome: RequestOutcome {
+                request: 0,
+                tokens: Vec::new(),
+                token_times_ms: Vec::new(),
+                arrival_ms,
+                first_dispatch_ms: arrival_ms,
+                prefill_done_ms: 0.0,
+                finish_ms: 0.0,
+                attempts: 0,
+                status,
+            },
+        });
+    }
 }
 
 enum Msg {
@@ -89,6 +164,9 @@ enum Msg {
 pub struct FrontendClient {
     tx: Sender<Msg>,
     next_id: Arc<AtomicU64>,
+    /// Accepted submissions, bumped once each is queued: the running
+    /// round reads it to yield at its next chunk boundary.
+    submitted: Arc<AtomicU64>,
     /// The session pool's shape (page size, page count), so an
     /// unservable request is refused at the door.
     block_tokens: usize,
@@ -105,7 +183,10 @@ pub struct StreamHandle {
 
 impl FrontendClient {
     /// Submits a request for the next serving batch and returns its
-    /// stream handle immediately.
+    /// stream handle immediately. A round already running yields at a
+    /// chunk boundary, once all it has left is prefill it may cut, so the
+    /// request joins the next batch (see the module docs); its deadlines
+    /// run from this call.
     ///
     /// A malformed request (empty prompt, zero token budget, non-finite
     /// or negative arrival or deadline, bad sampler) or one whose worst
@@ -125,12 +206,16 @@ impl FrontendClient {
         let sub = Submission {
             request,
             events: events_tx,
+            submitted_at: Instant::now(),
         };
         self.tx
             .send(Msg::Submit(Box::new(sub)))
             .map_err(|_| Error::InvalidConfig {
                 what: "serving front-end has shut down".to_string(),
             })?;
+        // After the send: a round that sees the count also finds the
+        // message queued.
+        self.submitted.fetch_add(1, Ordering::Release);
         Ok(StreamHandle {
             id,
             cancel,
@@ -138,9 +223,10 @@ impl FrontendClient {
         })
     }
 
-    /// Asks the front-end to stop after the batch it is currently
-    /// forming. Requests already submitted are still served to a
-    /// terminal status.
+    /// Asks the front-end to stop accepting work. Requests submitted
+    /// before the shutdown — queued, in the running batch, or suspended
+    /// at a chunk boundary — are still served to a terminal status, with
+    /// no further cuts; then the loop exits.
     pub fn shutdown(&self) {
         let _ = self.tx.send(Msg::Shutdown);
     }
@@ -188,10 +274,14 @@ impl StreamHandle {
 /// Aggregate accounting for one front-end run.
 #[derive(Debug, Clone, Default)]
 pub struct FrontendReport {
-    /// Serving batches the loop formed (each one `serve_with_session`).
+    /// Serving batches the loop formed (each one serving call on the
+    /// session; a batch holding a resumed request counts again).
     pub batches: usize,
     /// Requests served to a terminal status.
     pub requests: usize,
+    /// Prefills a batch cut at a chunk boundary and handed back to
+    /// resume in a later batch (one per request per cut batch).
+    pub suspensions: usize,
     /// Requests that completed their full stream.
     pub completed: usize,
     /// Requests cancelled by their [`CancelToken`].
@@ -220,10 +310,26 @@ pub struct FrontendReport {
     pub metrics: MetricsSnapshot,
 }
 
+impl FrontendReport {
+    /// Counts one request that reached `status`.
+    fn tally(&mut self, status: &RequestStatus) {
+        self.requests += 1;
+        match status {
+            RequestStatus::Completed => self.completed += 1,
+            RequestStatus::Cancelled => self.cancelled += 1,
+            RequestStatus::DeadlineExceeded => self.deadline_exceeded += 1,
+            RequestStatus::Failed { .. } | RequestStatus::RetriesExhausted { .. } => {
+                self.failed += 1;
+            }
+        }
+    }
+}
+
 /// The engine side of a front-end; see [`Frontend::run`].
 pub struct Frontend {
     rx: Receiver<Msg>,
     opts: ServeOptions,
+    submitted: Arc<AtomicU64>,
 }
 
 /// Creates a front-end: a cloneable submit handle plus the serving
@@ -235,53 +341,59 @@ pub struct Frontend {
 #[must_use]
 pub fn frontend(opts: ServeOptions) -> (FrontendClient, Frontend) {
     let (tx, rx) = mpsc::channel();
+    let submitted = Arc::new(AtomicU64::new(0));
     (
         FrontendClient {
             tx,
             next_id: Arc::new(AtomicU64::new(0)),
+            submitted: Arc::clone(&submitted),
             // Options `run` will reject anyway (zero page size, no page
             // budget) must not fault the fit check.
             block_tokens: opts.block_tokens.max(1),
             pool_blocks: opts.kv_pool_blocks.unwrap_or(usize::MAX),
         },
-        Frontend { rx, opts },
+        Frontend {
+            rx,
+            opts,
+            submitted,
+        },
     )
 }
 
 /// `submit` cannot see the model: a prompt token outside the vocabulary
 /// would only be caught building the batch, as a structural error ending
-/// the loop for everyone. Answers each such submission alone, with
-/// [`RequestStatus::Failed`] on its own stream, and leaves the rest of
-/// the batch to be served.
-fn answer_out_of_vocab(batch: &mut Vec<Submission>, vocab: usize, report: &mut FrontendReport) {
-    batch.retain(|sub| {
-        let prompt = &sub.request.prompt;
-        let Some(&token) = prompt.iter().find(|&&tk| tk as usize >= vocab) else {
-            return true;
-        };
-        report.requests += 1;
-        report.failed += 1;
-        let arrival_ms = sub.request.arrival_ms;
-        let _ = sub.events.send(StreamEvent::Finished {
-            outcome: RequestOutcome {
-                request: 0,
-                tokens: Vec::new(),
-                token_times_ms: Vec::new(),
-                arrival_ms,
-                first_dispatch_ms: arrival_ms,
-                prefill_done_ms: 0.0,
-                finish_ms: 0.0,
-                attempts: 0,
-                status: RequestStatus::Failed {
-                    error: format!("prompt token {token} outside vocabulary of {vocab}"),
-                },
-            },
-        });
-        false
-    });
+/// the loop for everyone. The loop answers each such submission alone,
+/// with [`RequestStatus::Failed`] on its own stream, and serves the rest.
+fn out_of_vocab(request: &GenerationRequest, vocab: usize) -> Option<RequestStatus> {
+    let &token = request.prompt.iter().find(|&&tk| tk as usize >= vocab)?;
+    Some(RequestStatus::Failed {
+        error: format!("prompt token {token} outside vocabulary of {vocab}"),
+    })
 }
 
 impl Frontend {
+    /// Takes every queued submission into `batch`, first blocking for
+    /// one when `block`, and counts them in `received`. Returns whether
+    /// the loop still accepts work (no shutdown, a client alive).
+    fn receive(&self, block: bool, batch: &mut Vec<Submission>, received: &mut u64) -> bool {
+        let mut msg = if block {
+            self.rx.recv().map_err(|_| TryRecvError::Disconnected)
+        } else {
+            self.rx.try_recv()
+        };
+        loop {
+            match msg {
+                Ok(Msg::Submit(sub)) => {
+                    *received += 1;
+                    batch.push(*sub);
+                }
+                Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => return false,
+                Err(TryRecvError::Empty) => return true,
+            }
+            msg = self.rx.try_recv();
+        }
+    }
+
     /// Runs the serving loop until shutdown (explicit, or every
     /// [`FrontendClient`] dropped), then flushes the session and
     /// returns the aggregate report.
@@ -306,38 +418,53 @@ impl Frontend {
             pool_blocks: session.pool_stats().total_blocks,
             ..FrontendReport::default()
         };
-        let mut shutdown = false;
-        while !shutdown {
-            // Block for the next arrival, then drain the burst that is
-            // already queued into the same batch.
-            let mut batch: Vec<Submission> = Vec::new();
-            match self.rx.recv() {
-                Ok(Msg::Submit(sub)) => batch.push(*sub),
-                Ok(Msg::Shutdown) | Err(_) => break,
+        // Submissions taken off the channel (the running round's view of
+        // what is not pending), and prefills a cut round handed back.
+        let mut received = 0u64;
+        let mut suspended: Vec<Submission> = Vec::new();
+        let mut open = true;
+        loop {
+            // Block for the next arrival when nothing waits to resume,
+            // then drain the burst that is already queued.
+            let mut arrived: Vec<Submission> = Vec::new();
+            if open {
+                open = self.receive(suspended.is_empty(), &mut arrived, &mut received);
             }
-            loop {
-                match self.rx.try_recv() {
-                    Ok(Msg::Submit(sub)) => batch.push(*sub),
-                    Ok(Msg::Shutdown) => {
-                        shutdown = true;
-                        break;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        shutdown = true;
-                        break;
-                    }
+            if arrived.is_empty() && suspended.is_empty() {
+                if open {
+                    continue;
                 }
+                break;
             }
 
-            answer_out_of_vocab(&mut batch, t.config().vocab, &mut report);
+            // New arrivals first, the suspended prefills behind them;
+            // what cannot join is answered on its own stream.
+            let now = Instant::now();
+            let fresh = arrived.len();
+            let vocab = t.config().vocab;
+            let mut batch: Vec<Submission> = Vec::new();
+            let mut requests: Vec<GenerationRequest> = Vec::new();
+            let mut resumed = 0;
+            let queued = arrived.into_iter().chain(std::mem::take(&mut suspended));
+            for (i, sub) in queued.enumerate() {
+                let joined = match out_of_vocab(&sub.request, vocab) {
+                    Some(status) => Err(status),
+                    None => sub.for_batch(now).ok_or(RequestStatus::DeadlineExceeded),
+                };
+                match joined {
+                    Ok(request) => {
+                        resumed += usize::from(i >= fresh);
+                        requests.push(request);
+                        batch.push(sub);
+                    }
+                    Err(status) => sub.answer(status, &mut report),
+                }
+            }
             if batch.is_empty() {
                 continue;
             }
 
             report.batches += 1;
-            let requests: Vec<GenerationRequest> =
-                batch.iter().map(|s| s.request.clone()).collect();
             if let Some(obs) = session.observability() {
                 // Batch composition depends on caller timing, so these
                 // are Exec-plane events (excluded from the canonical
@@ -360,9 +487,9 @@ impl Frontend {
             }
 
             // Per-batch streaming sink: TokenEvent.request indexes the
-            // batch, which is submission order here. Senders are
-            // wrapped in mutexes only to make the sink Sync; sends are
-            // non-blocking, as the execution lanes require.
+            // batch. Senders are wrapped in mutexes only to make the
+            // sink Sync; sends are non-blocking, as the execution lanes
+            // require.
             let senders: Arc<Vec<Mutex<Sender<StreamEvent>>>> =
                 Arc::new(batch.iter().map(|s| Mutex::new(s.events.clone())).collect());
             let chained = self.opts.on_token.clone();
@@ -384,7 +511,10 @@ impl Frontend {
                 }
             }));
 
-            let served = engine.serve_with_session(t, &requests, &opts, &session)?;
+            // After shutdown nothing new can join, so nothing cuts.
+            let arrivals = open.then(|| Arrivals::new(&self.submitted, received));
+            let (served, cut) =
+                engine.serve_with_arrivals(t, &requests, &opts, &session, arrivals, resumed)?;
             // Each batch runs on its own round clock; shift onto the
             // front-end's serial clock before concatenating.
             let base = report.serve_ms;
@@ -392,21 +522,15 @@ impl Frontend {
                 .queue_depth
                 .extend(served.queue_depth.iter().map(|&(ts, d)| (ts + base, d)));
             report.serve_ms += served.makespan_ms();
+            report.suspensions += cut.len();
+            let mut batch: Vec<Option<Submission>> = batch.into_iter().map(Some).collect();
             for outcome in served.requests {
-                let idx = outcome.request;
-                report.requests += 1;
-                match outcome.status {
-                    RequestStatus::Completed => report.completed += 1,
-                    RequestStatus::Cancelled => report.cancelled += 1,
-                    RequestStatus::DeadlineExceeded => report.deadline_exceeded += 1,
-                    RequestStatus::Failed { .. } | RequestStatus::RetriesExhausted { .. } => {
-                        report.failed += 1;
-                    }
-                }
-                if let Some(sub) = batch.get(idx) {
+                report.tally(&outcome.status);
+                if let Some(sub) = batch.get_mut(outcome.request).and_then(Option::take) {
                     let _ = sub.events.send(StreamEvent::Finished { outcome });
                 }
             }
+            suspended.extend(cut.into_iter().filter_map(|idx| batch[idx].take()));
         }
 
         report.cache = session.cache_metrics();

@@ -60,6 +60,52 @@ pub(super) struct RoundState {
     /// (failed or skipped) — the sharer fails cleanly (and retries
     /// unshared) instead of forking a half-written cache.
     prefill_ok: Vec<AtomicBool>,
+    /// Per-segment chunk cut of a front-end round, and whether the
+    /// segment's prefill may be cut at all.
+    cuts: Vec<Mutex<ChunkCut>>,
+    cuttable: Vec<AtomicBool>,
+    /// Per-member chunks completed by a prefill its Release suspended
+    /// (0: not suspended).
+    pub(super) suspended: Vec<AtomicUsize>,
+    /// Graph ids of the prefill tasks that ran empty past a cut: they
+    /// did no work, so they get no span.
+    pub(super) ran_empty: Mutex<Vec<usize>>,
+}
+
+/// Where a front-end round cuts one segment's prefill. The out-of-order
+/// executor runs every chunk's layer-0 work far ahead, so a chunk
+/// commits once a task past layer 0 starts: from then on it runs to
+/// completion. The first prefill task of the segment to start while the
+/// round yields ([`RunCtx::yields`]) freezes the boundary after the
+/// committed chunks — and never before the segment's first boundary
+/// that completes a new full page, so every cut leaves the resumed
+/// request further ahead — and tasks of later chunks run empty from
+/// then on.
+#[derive(Debug, Default)]
+struct ChunkCut {
+    /// Chunks `< deep` have a task past layer 0 under way.
+    deep: usize,
+    /// The frozen boundary: chunks `< at` run, later ones run empty.
+    at: Option<usize>,
+}
+
+impl ChunkCut {
+    /// Whether a task of `chunk` at `layer`, starting now, does its
+    /// work; `min_at` is the segment's earliest boundary.
+    fn admits(&mut self, chunk: usize, layer: usize, min_at: usize, ctx: RunCtx<'_>) -> bool {
+        if self.at.is_none() && ctx.yields() {
+            self.at = Some(self.deep.max(min_at));
+        }
+        match self.at {
+            Some(at) => chunk < at,
+            None => {
+                if layer > 0 {
+                    self.deep = self.deep.max(chunk + 1);
+                }
+                true
+            }
+        }
+    }
 }
 
 impl RoundState {
@@ -86,6 +132,10 @@ impl RoundState {
                 })
                 .collect(),
             prefill_ok: (0..segments).map(|_| AtomicBool::new(false)).collect(),
+            cuts: (0..segments).map(|_| Mutex::default()).collect(),
+            cuttable: (0..segments).map(|_| AtomicBool::new(false)).collect(),
+            suspended: requests.iter().map(|_| AtomicUsize::new(0)).collect(),
+            ran_empty: Mutex::default(),
         })
     }
 }
@@ -100,7 +150,7 @@ pub(super) struct RunCtx<'run> {
     pub(super) t: &'run Transformer<'run>,
 }
 
-impl RunCtx<'_> {
+impl<'run> RunCtx<'run> {
     /// Round-member index of segment `s`.
     pub(super) fn member(self, s: usize) -> usize {
         self.segments[s].req
@@ -123,6 +173,54 @@ impl RunCtx<'_> {
     /// global attempt.
     fn fault_key(self, s: usize) -> (usize, usize) {
         (self.orig(s), self.attempt(s) + 1)
+    }
+
+    /// The earliest boundary segment `s`'s prefill (planned as `plan`)
+    /// may be cut at, if it may be cut at all: a front-end round,
+    /// prefixes shared (the resumed request finds its completed pages in
+    /// the cache), a surviving incarnation, no sharer waiting on its
+    /// prefill, and a boundary before the last chunk that completes a
+    /// full page beyond the pages it started from.
+    fn cut_from(self, s: usize, plan: &ChunkPlan) -> Option<usize> {
+        let seg = &self.segments[s];
+        let cuttable = self.round.arrivals.is_some()
+            && self.round.opts.share_prefixes
+            && !seg.evicted
+            && seg.sharer_segs.is_empty();
+        let bt = self.round.pool.config().block_tokens;
+        let start = seg.prefix_tokens();
+        let next_page = (start / bt + 1) * bt;
+        let min_at = (next_page - start).div_ceil(plan.chunk_len).max(1);
+        (cuttable && min_at < plan.chunks).then_some(min_at)
+    }
+
+    /// Chunks segment `s` completes before its cut, if the round cut its
+    /// prefill short of its `chunks`.
+    fn cut_at(self, s: usize, chunks: usize) -> Option<usize> {
+        plain_lock(&self.live.cuts[s]).at.filter(|&at| at < chunks)
+    }
+
+    /// Whether a front-end round yields at its next chunk boundary: a
+    /// submission is pending, and everything the round has left is
+    /// prefill it may cut — every member has finished, or is a prefill
+    /// that may be cut and has not completed. A member still to decode,
+    /// or whose prefill may not be cut, keeps the round running anyway,
+    /// and cutting the others then would only idle them.
+    fn yields(self) -> bool {
+        let Some(arrivals) = self.round.arrivals else {
+            return false;
+        };
+        let live = self.live;
+        arrivals.pending()
+            && self.segments.iter().enumerate().all(|(s, seg)| {
+                let rt = &live.runtime[seg.req];
+                seg.evicted
+                    || (live.cuttable[s].load(Ordering::Acquire)
+                        && !live.prefill_ok[s].load(Ordering::Acquire))
+                    || rt.tokens_out.load(Ordering::Acquire)
+                        == self.round.requests[seg.req].max_new_tokens
+                    || plain_lock(&rt.term).is_some()
+            })
     }
 }
 
@@ -398,10 +496,16 @@ impl<'run> RoundBuilder<'run> {
         let dur_factor = faults.duration_factor(orig, fault_attempt);
         let offset = self.out.graph.len();
         let bodies = prefill.programs[s].closures(dag);
+        let cut_from = ctx.cut_from(s, &prefill.plans[s]);
+        ctx.live.cuttable[s].store(cut_from.is_some(), Ordering::Release);
         for (i, (task, body)) in dag.tasks().iter().zip(bodies).enumerate() {
             let mut deps: Vec<usize> = dag.deps(i).iter().map(|&d| d + offset).collect();
             if deps.is_empty() {
                 deps.push(admit);
+            }
+            let mut body = self.prefill_fault(s, task).unwrap_or(body);
+            if let Some(min_at) = cut_from {
+                body = self.cut_body(s, task, min_at, body);
             }
             let id = self.push_task(
                 LaneTask {
@@ -419,7 +523,7 @@ impl<'run> RoundBuilder<'run> {
                     role: task.role,
                 },
                 vec![s],
-                self.prefill_fault(s, task).unwrap_or(body),
+                body,
             )?;
             self.out.meta[id].writes_kv = dag.writes_kv(i);
         }
@@ -563,13 +667,37 @@ impl<'run> RoundBuilder<'run> {
         })
     }
 
+    /// Prefill task `task` of segment `s`, to become the next task in
+    /// the graph, cut no earlier than chunk `min_at` (see
+    /// [`RunCtx::cut_from`]): it does its work only if its chunk is
+    /// inside the segment's [`ChunkCut`], and otherwise runs empty.
+    /// Its dependents are then empty tasks of cut chunks too — chunk
+    /// order only ever runs forward — and nothing is skipped, so the
+    /// prefill terminal still runs after every task of the DAG is done.
+    fn cut_body(&self, s: usize, task: &Task, min_at: usize, body: TaskFn<'run>) -> TaskFn<'run> {
+        let ctx = self.ctx;
+        let (chunk, layer, id) = (task.chunk, task.layer, self.out.graph.len());
+        Box::new(move || {
+            if plain_lock(&ctx.live.cuts[s]).admits(chunk, layer, min_at, ctx) {
+                return body();
+            }
+            plain_lock(&ctx.live.ran_empty).push(id);
+            Ok(())
+        })
+    }
+
     /// The PrefillFinish body of segment `s`: hand the last hidden row
-    /// to decode and publish the prompt pages to the prefix cache.
+    /// to decode and publish the prompt pages to the prefix cache — or,
+    /// for a prefill the round cut, nothing (its Release publishes).
     fn prefill_finish_body(&self, s: usize) -> TaskFn<'run> {
         let ctx = self.ctx;
         let req = ctx.member(s);
         let program = &self.prefill.programs[s];
+        let chunks = self.prefill.plans[s].chunks;
         Box::new(move || {
+            if ctx.cut_at(s, chunks).is_some() {
+                return Ok(());
+            }
             let last = program.last_hidden_row().map_err(|e| e.to_string())?;
             plain_lock(&ctx.live.states[req]).last_hidden = Some(last);
             if ctx.round.opts.share_prefixes {
@@ -692,13 +820,21 @@ impl<'run> RoundBuilder<'run> {
         deps.dedup();
         // Release is a containment barrier and is never gate-skipped:
         // pages must return to the pool on every terminal path.
-        let slot = &self.ctx.live.slots[self.ctx.member(s)];
+        let ctx = self.ctx;
+        let slot = &ctx.live.slots[ctx.member(s)];
+        let plan = &self.prefill.plans[s];
+        let (chunks, chunk_len) = (plan.chunks, plan.chunk_len);
         let id = self.push_task(
-            self.bookkeeping(format!("R{}-Release", self.ctx.orig(s)), s, true),
+            self.bookkeeping(format!("R{}-Release", ctx.orig(s)), s, true),
             deps,
             ServeTaskKind::Release,
             vec![s],
-            Box::new(move || release_slot(slot)),
+            Box::new(move || {
+                if let Some(at) = ctx.cut_at(s, chunks) {
+                    ctx.suspend(s, at, chunk_len);
+                }
+                release_slot(slot)
+            }),
         )?;
         self.out.builds[s].release = Some(id);
         Ok(())
@@ -740,6 +876,44 @@ fn contain<'run>(rt: &'run ReqRuntime, f: TaskFn<'run>) -> TaskFn<'run> {
 }
 
 impl RunCtx<'_> {
+    /// Suspends segment `s`, whose prefill the round cut after `at`
+    /// chunks of `chunk_len` tokens: the full pages of its completed
+    /// prompt prefix go to the prefix cache, where the resumed request
+    /// finds them, and the member is marked suspended. A member that
+    /// already reached a terminal status, or whose cancel flag fired,
+    /// is not suspended; a failed insert fails it.
+    fn suspend(self, s: usize, at: usize, chunk_len: usize) {
+        let m = self.member(s);
+        let rt = &self.live.runtime[m];
+        let mut term = plain_lock(&rt.term);
+        if term.is_some() {
+            return;
+        }
+        if rt.cancel.is_cancelled() {
+            *term = Some(RequestStatus::Cancelled);
+            return;
+        }
+        let prompt = &self.round.requests[m].prompt;
+        let bt = self.round.pool.config().block_tokens;
+        let done = self.segments[s].prefix_tokens() + at * chunk_len;
+        let full = done - done % bt;
+        let blocks = plain_lock(&self.live.slots[m])
+            .as_ref()
+            .map(|c| c.table().blocks().to_vec());
+        let published = match blocks {
+            Some(blocks) => self
+                .round
+                .cache
+                .insert(self.round.pool, &prompt[..full], &blocks)
+                .map_err(|e| e.to_string()),
+            None => Err("suspended prefill's cache slot empty".to_owned()),
+        };
+        match published {
+            Ok(_) => self.live.suspended[m].store(at, Ordering::Release),
+            Err(error) => *term = Some(RequestStatus::Failed { error }),
+        }
+    }
+
     /// The numeric body of one (possibly batched) decode step over the
     /// cohort members `segs`: filter the cohort down to its *live*
     /// members, forward every live member's previous token through one

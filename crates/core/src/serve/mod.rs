@@ -53,10 +53,11 @@
 //! [`LlmNpuEngine::serve`] is literally that path on a *transient*
 //! session — opened for the call, autosized to the batch, flushed (and
 //! proven empty) before returning. A long-running front-end (see
-//! [`crate::frontend`]) instead opens a session once and calls
-//! `serve_with_session` per batch: cached prompt prefixes (every
-//! completed prefill inserts its full prompt pages)
-//! survive *across* batches, so a later request sharing a system prompt
+//! [`crate::frontend`]) instead opens a session once and serves one
+//! batch per call: cached prompt prefixes (every completed prefill
+//! inserts its full prompt pages, a prefill cut at a chunk boundary the
+//! full pages it completed) survive *across* batches, so a later
+//! request sharing a system prompt
 //! with any earlier one reuses those pages even though the producer is
 //! long released. Cached pages are ref-counted residents of the pool;
 //! under admission pressure the planner evicts cold cached prefixes
@@ -101,16 +102,29 @@
 //!
 //! A serving call is a loop of *rounds* (round 1 serves everyone, later
 //! rounds re-serve the failed), and a round is a fixed pipeline over one
-//! `Round` context:
+//! `Round` context. A round ends when its graph drains — or, when the
+//! [front-end](crate::frontend) forms it, a new submission arrives while
+//! it runs and all it has left is prefill it may cut, at the next
+//! **chunk boundary** of each such prefill: chunks already under way finish, the tasks of later ones run
+//! empty, the completed full pages go to the prefix cache at the
+//! request's Release, and the request is handed back *suspended*, to
+//! resume through an ordinary cache hit in the front-end's next round. A
+//! request in decode, a live prefix donor and a retry round are never
+//! cut, and every cut completes at least one chunk and one new full
+//! page; [`LlmNpuEngine::serve`] and
+//! [`LlmNpuEngine::serve_with_session`] have no arrival source and never
+//! cut.
 //!
 //! * `plan` — the deterministic admission planner (segments, gates,
-//!   pressure ladder, decode cohorts),
+//!   pressure ladder, decode cohorts — resumed prefills in their own),
 //! * `build` — the combined lane graph; every task enters through one
-//!   `push_task` that states its lane facts, body, and metadata together,
+//!   `push_task` that states its lane facts, body, and metadata together;
+//!   a cuttable prefill's stage bodies consult its chunk cut,
 //! * `prove` — the graph as an `llmnpu-verify` plan, proven clean
 //!   before any closure runs,
 //! * `run` — the dispatch gate, fault-contained execution, per-member
-//!   resolution, and the retry loop composing rounds,
+//!   resolution (terminal or suspended), and the retry loop composing
+//!   rounds,
 //! * `report` — the timeline, outcomes, pool accounting and metrics a
 //!   call hands back.
 //!
@@ -119,7 +133,7 @@
 //! [`Transformer::generate`]: llmnpu_model::forward::Transformer::generate
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use llmnpu_kv::{BlockPool, PoolConfig, PrefixCache, PrefixCacheMetrics};
@@ -243,16 +257,24 @@ pub struct GenerationRequest {
     /// Sampling strategy and seed for this request's stream.
     pub sampler: SamplerConfig,
     /// Arrival time, ms from the start of the serving run. Tasks of this
-    /// request are not dispatched earlier.
+    /// request are not dispatched earlier. Through the front-end it is an
+    /// offset from the moment of [`FrontendClient::submit`](crate::frontend::FrontendClient::submit).
     pub arrival_ms: Millis,
     /// Completion deadline, ms *from the request's arrival* (re-armed on
-    /// retry attempts). Once the modeled clock passes it, remaining tasks
-    /// are skipped and the request reports
+    /// retry attempts). Once the clock passes it, remaining tasks are
+    /// skipped and the request reports
     /// [`RequestStatus::DeadlineExceeded`]. `None` = no deadline.
+    ///
+    /// Through the front-end the clock starts at submission: time spent
+    /// queued behind a running round, or suspended between rounds, is
+    /// spent from this budget, and a request whose budget ran out before
+    /// it joins a round ends `DeadlineExceeded` without reserving a page.
     pub deadline_ms: Option<Millis>,
     /// Time-to-first-token deadline, ms from arrival: enforced only
     /// until the first token is out (a request that already streamed a
-    /// token cannot TTFT-expire). `None` = no TTFT deadline.
+    /// token cannot TTFT-expire). `None` = no TTFT deadline. Through the
+    /// front-end, queued time counts against it as for
+    /// [`GenerationRequest::deadline_ms`].
     pub ttft_deadline_ms: Option<Millis>,
     /// The request's cancellation flag (shared with every clone).
     pub cancel: CancelToken,
@@ -521,6 +543,29 @@ impl ServeSession {
     }
 }
 
+/// The front-end's submission counter as a running round reads it: a
+/// submission beyond the `seen` ones the round was formed from is
+/// pending, and the round yields at its next chunk boundary once all it
+/// has left is prefill it may cut.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrivals<'a> {
+    submitted: &'a AtomicU64,
+    seen: u64,
+}
+
+impl<'a> Arrivals<'a> {
+    /// `submitted` counts every accepted submission (bumped after its
+    /// message is queued); `seen` of them are in the round or answered.
+    pub(crate) fn new(submitted: &'a AtomicU64, seen: u64) -> Self {
+        Arrivals { submitted, seen }
+    }
+
+    /// Whether a submission is queued that the round does not hold.
+    pub(super) fn pending(self) -> bool {
+        self.submitted.load(Ordering::Acquire) > self.seen
+    }
+}
+
 /// Everything fixed about one retry round, stated once: its members
 /// (arrival-adjusted request clones plus the mapping back to original
 /// ids and already-consumed attempt counts), the session they run
@@ -538,6 +583,13 @@ struct Round<'a> {
     cache: &'a PrefixCache,
     faults: FaultPlan,
     obs: Option<&'a Observability>,
+    /// The front-end's arrival source: set on round 1 of a front-end
+    /// call only, so a retry round is never cut.
+    arrivals: Option<Arrivals<'a>>,
+    /// Members from this index on resume prefills a cut round suspended:
+    /// they decode in cohorts of their own, so an arrival's first token
+    /// never waits on a long resumed prefill.
+    resumed_from: usize,
 }
 
 impl<'a> Round<'a> {
@@ -547,6 +599,8 @@ impl<'a> Round<'a> {
         requests: &[GenerationRequest],
         opts: &'a ServeOptions,
         session: &'a ServeSession,
+        arrivals: Option<Arrivals<'a>>,
+        resumed: usize,
     ) -> Self {
         Round {
             requests: requests.to_vec(),
@@ -557,6 +611,8 @@ impl<'a> Round<'a> {
             cache: &session.cache,
             faults: opts.faults.clone().unwrap_or_default(),
             obs: opts.obs.as_ref().or(session.obs.as_ref()),
+            arrivals,
+            resumed_from: requests.len() - resumed,
         }
     }
 
@@ -578,6 +634,8 @@ impl<'a> Round<'a> {
             })
             .collect();
         self.attempt_base = members.iter().map(|&r| attempt_base[r]).collect();
+        self.arrivals = None;
+        self.resumed_from = members.len();
         self.orig_ids = members;
     }
 
@@ -718,8 +776,31 @@ impl LlmNpuEngine {
         opts: &ServeOptions,
         session: &ServeSession,
     ) -> Result<ServeReport> {
+        // No arrival source: no round is ever cut, nothing is suspended.
+        let (report, _) = self.serve_with_arrivals(t, requests, opts, session, None, 0)?;
+        Ok(report)
+    }
+
+    /// [`LlmNpuEngine::serve_with_session`] for the front-end: with
+    /// `arrivals`, round 1 yields at its next chunk boundary once a
+    /// submission is pending and all it has left is prefill it may cut;
+    /// the last `resumed` requests resume
+    /// prefills an earlier cut suspended. Returns the report over the
+    /// requests that reached a terminal status, and the batch indices of
+    /// those handed back suspended (their completed full pages cached,
+    /// nothing streamed).
+    pub(crate) fn serve_with_arrivals(
+        &self,
+        t: &Transformer<'_>,
+        requests: &[GenerationRequest],
+        opts: &ServeOptions,
+        session: &ServeSession,
+        arrivals: Option<Arrivals<'_>>,
+        resumed: usize,
+    ) -> Result<(ServeReport, Vec<usize>)> {
         check_batch(t, requests, opts, session)?;
-        self.serve_rounds(t, requests, opts, session)
+        let round = Round::first(requests, opts, session, arrivals, resumed);
+        self.serve_rounds(t, requests, opts, session, round)
     }
 
     /// Statically verifies the serving plan for `requests` without
@@ -752,7 +833,7 @@ impl LlmNpuEngine {
         if requests.is_empty() {
             return Ok(llmnpu_verify::Report::default());
         }
-        let round = Round::first(requests, opts, &session);
+        let round = Round::first(requests, opts, &session, None, 0);
         Ok(self.run_round(t, &round, RoundMode::DryRun)?.verified)
     }
 }

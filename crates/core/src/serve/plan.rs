@@ -446,8 +446,12 @@ pub(super) fn plan_batch(round: &Round<'_>) -> Result<RoundPlan> {
     // may be indirect: `waits_on[e] == Some(c)` marks a preempted
     // incarnation `e` whose own Done gates reach into cohort `c` while
     // it is open, so a segment gating on `e`'s eviction waits on `c` too.
+    // A resumed prefill never shares a cohort with a request that is
+    // not: every member's first token waits on the cohort's slowest
+    // prefill.
     let mut cohorts = 0usize;
     let mut current: Vec<usize> = Vec::new();
+    let mut current_resumed = false;
     let mut waits_on: Vec<Option<usize>> = vec![None; segments.len()];
     for (s, seg) in segments.iter_mut().enumerate() {
         // Finalize cache residency from the group table (one group per
@@ -463,10 +467,16 @@ pub(super) fn plan_batch(round: &Round<'_>) -> Result<RoundPlan> {
             }
             continue;
         }
-        if !current.is_empty() && (current.len() >= round.opts.decode_batch || waits_on_member) {
+        let resumed = seg.req >= round.resumed_from;
+        if !current.is_empty()
+            && (current.len() >= round.opts.decode_batch
+                || waits_on_member
+                || resumed != current_resumed)
+        {
             cohorts += 1;
             current.clear();
         }
+        current_resumed = resumed;
         seg.cohort = cohorts;
         current.push(s);
     }
@@ -539,6 +549,8 @@ mod tests {
             cache: &PrefixCache::new(block_tokens),
             faults: FaultPlan::default(),
             obs: None,
+            arrivals: None,
+            resumed_from: n,
         };
         plan_batch(&round).map(|p| (p.segments, p.cohorts, p.shared_blocks))
     }

@@ -463,20 +463,24 @@ pub(super) fn lent_trace_span(span: &LentSpan, offset_ms: f64) -> TraceSpan {
     trace_span(&entry, LENT_CLASS, None, 0.0)
 }
 
-/// One round's executed timeline in completion order (skipped tasks
-/// have no span), on the round-local clock, already carrying original
-/// request ids and global attempt numbers. With observability attached
-/// every span also feeds a stage-level calibration sample: executed
-/// duration per span class, decode keyed by cohort width.
+/// One round's executed timeline in completion order (skipped tasks,
+/// and the `ran_empty` prefill tasks of a cut chunk — sorted ids — have
+/// no span), on
+/// the round-local clock, already carrying original request ids and
+/// global attempt numbers. With observability attached every span also
+/// feeds a stage-level calibration sample: executed duration per span
+/// class, decode keyed by cohort width.
 pub(super) fn round_timeline(
     ctx: RunCtx<'_>,
     graph: &LaneGraph,
     meta: &[TaskMeta],
     outcomes: &[TaskOutcome],
+    ran_empty: &[usize],
 ) -> ServeTimeline {
     let mut order: Vec<(f64, f64, usize)> = outcomes
         .iter()
         .enumerate()
+        .filter(|(i, _)| ran_empty.binary_search(i).is_err())
         .filter_map(|(i, o)| o.span().map(|(start, end)| (start, end, i)))
         .collect();
     order.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -513,17 +517,20 @@ pub(super) fn round_timeline(
 }
 
 /// Publishes a finished call's counters, latency histograms and pool
-/// gauges into the attached registry.
+/// gauges into the attached registry. `suspended` requests were handed
+/// back unfinished, so they are counted as suspensions, not requests.
 pub(super) fn publish_metrics(
     obs: &Observability,
     outcomes: &[RequestOutcome],
     retries: usize,
+    suspended: usize,
     kv: &KvPoolReport,
 ) {
     let reg = &obs.registry;
     reg.counter("serve.batches").inc();
     reg.counter("serve.requests").add(outcomes.len() as u64);
     reg.counter("serve.retries").add(retries as u64);
+    reg.counter("serve.suspensions").add(suspended as u64);
     reg.counter("serve.evictions").add(kv.evictions as u64);
     let ttft = reg.histogram("serve.ttft_ms", &LATENCY_BUCKETS_MS);
     let wait = reg.histogram("serve.queue_wait_ms", &LATENCY_BUCKETS_MS);

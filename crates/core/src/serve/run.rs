@@ -1,6 +1,7 @@
 //! Stage 4 — **run**: one round end to end (plan → build → prove →
 //! execute → resolve), and the retry loop that composes rounds into one
-//! serving call.
+//! serving call — which hands a request back *suspended* when a
+//! front-end round cut its prefill at a chunk boundary.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,7 +31,9 @@ const DEADLINE_EPS: f64 = 1e-9;
 
 /// One member's result for one retry round (round-local clock).
 struct MemberRound {
-    status: RequestStatus,
+    /// The terminal status — or, for a prefill the round cut, the chunks
+    /// it completed before it was suspended.
+    status: std::result::Result<RequestStatus, usize>,
     tokens: Vec<u32>,
     token_times_ms: Vec<f64>,
     first_dispatch_ms: f64,
@@ -132,7 +135,9 @@ impl LlmNpuEngine {
         for slot in &live.slots {
             let _ = release_slot(slot);
         }
-        out.timeline = round_timeline(ctx, &graph, &meta, &run.outcomes);
+        let mut ran_empty = std::mem::take(&mut *plain_lock(&live.ran_empty));
+        ran_empty.sort_unstable();
+        out.timeline = round_timeline(ctx, &graph, &meta, &run.outcomes, &ran_empty);
         out.members = resolve_members(ctx, &meta, &builds, &token_tasks, &run.outcomes);
         out.lent = run.lent;
         Ok(out)
@@ -141,15 +146,19 @@ impl LlmNpuEngine {
     /// The serving loop behind [`LlmNpuEngine::serve_with_session`]:
     /// retry rounds over the session's pool and prefix cache, then the
     /// leak proof — nothing beyond the cache's residents may stay
-    /// allocated — and the report.
+    /// allocated — and the report over the requests that reached a
+    /// terminal status. When `round` (the first) carries the front-end's
+    /// arrivals, it may cut prefills at a chunk boundary: those requests
+    /// are returned by index instead, suspended, and neither retried nor
+    /// counted as served.
     pub(super) fn serve_rounds(
         &self,
         t: &Transformer<'_>,
         requests: &[GenerationRequest],
         opts: &ServeOptions,
         session: &ServeSession,
-    ) -> Result<ServeReport> {
-        let mut round = Round::first(requests, opts, session);
+        mut round: Round<'_>,
+    ) -> Result<(ServeReport, Vec<usize>)> {
         let obs = round.obs;
         let metrics_base = session.cache.metrics();
         if let Some(o) = obs {
@@ -162,14 +171,15 @@ impl LlmNpuEngine {
         }
         let snapshot = || obs.map(|o| o.registry.snapshot()).unwrap_or_default();
         if requests.is_empty() {
-            return Ok(ServeReport {
+            let report = ServeReport {
                 requests: Vec::new(),
                 timeline: ServeTimeline::new(),
                 kv: kv_report(session, 0, 0, &metrics_base),
                 verification: Vec::new(),
                 queue_depth: Vec::new(),
                 metrics: snapshot(),
-            });
+            };
+            return Ok((report, Vec::new()));
         }
 
         // ---- Retry rounds -------------------------------------------------
@@ -188,6 +198,7 @@ impl LlmNpuEngine {
         let mut retries_used = vec![0usize; n];
         let mut attempt_base = vec![0usize; n];
         let mut first_dispatch = vec![f64::INFINITY; n];
+        let mut suspended = Vec::new();
         loop {
             let mut out = self.run_round(t, &round, RoundMode::Execute)?;
             evictions += out.evictions;
@@ -215,7 +226,19 @@ impl LlmNpuEngine {
                 if m.first_dispatch_ms.is_finite() {
                     first_dispatch[r] = first_dispatch[r].min(m.first_dispatch_ms + time_offset);
                 }
-                if matches!(m.status, RequestStatus::Failed { .. })
+                let status = match m.status {
+                    Ok(status) => status,
+                    Err(chunks) => {
+                        if let Some(o) = obs {
+                            o.sink.event(Plane::Exec, EventKind::Suspend, Some(r), || {
+                                format!("suspended after {chunks} chunk(s)")
+                            });
+                        }
+                        suspended.push(r);
+                        continue;
+                    }
+                };
+                if matches!(status, RequestStatus::Failed { .. })
                     && retries_used[r] < opts.max_retries
                 {
                     retries_used[r] += 1;
@@ -231,7 +254,7 @@ impl LlmNpuEngine {
                     next_backoffs.push(backoff);
                     continue;
                 }
-                let status = match m.status {
+                let status = match status {
                     RequestStatus::Failed { error } if retries_used[r] > 0 => {
                         RequestStatus::RetriesExhausted { error }
                     }
@@ -266,12 +289,13 @@ impl LlmNpuEngine {
         timeline
             .entries_mut()
             .sort_by(|a, b| a.end.total_cmp(&b.end));
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .collect::<Option<_>>()
-            .ok_or_else(|| Error::Internal {
-                what: "a request left the retry loop without a terminal status".to_owned(),
-            })?;
+        let terminal = n - suspended.len();
+        let outcomes: Vec<RequestOutcome> = outcomes.into_iter().flatten().collect();
+        if outcomes.len() != terminal {
+            return Err(Error::Internal {
+                what: "a request left the retry loop neither terminal nor suspended".to_owned(),
+            });
+        }
 
         let kv = kv_report(session, evictions, shared_blocks, &metrics_base);
         if kv.leaked_blocks != 0 {
@@ -280,17 +304,24 @@ impl LlmNpuEngine {
             });
         }
         if let Some(o) = obs {
-            publish_metrics(o, &outcomes, retries_used.iter().sum(), &kv);
+            publish_metrics(
+                o,
+                &outcomes,
+                retries_used.iter().sum(),
+                suspended.len(),
+                &kv,
+            );
         }
         let queue_depth = queue_depth_series(&outcomes, &timeline);
-        Ok(ServeReport {
+        let report = ServeReport {
             requests: outcomes,
             timeline,
             kv,
             verification,
             queue_depth,
             metrics: snapshot(),
-        })
+        };
+        Ok((report, suspended))
     }
 }
 
@@ -340,7 +371,8 @@ fn dispatch_gate<'run>(
     })
 }
 
-/// Per-member resolution of one executed round: status, stream, timings.
+/// Per-member resolution of one executed round: status (or suspension),
+/// stream, timings.
 fn resolve_members(
     ctx: RunCtx<'_>,
     meta: &[TaskMeta],
@@ -353,14 +385,19 @@ fn resolve_members(
     for (m, req) in ctx.round.requests.iter().enumerate() {
         let st = plain_lock(&ctx.live.states[m]);
         let term = plain_lock(&ctx.live.runtime[m].term).take();
-        let status = if st.tokens.len() == req.max_new_tokens {
+        let cut = ctx.live.suspended[m].load(Ordering::Acquire);
+        let status = if cut > 0 && term.is_none() {
+            // Cut at a chunk boundary before any token: the front-end
+            // resumes it from the pages its Release cached.
+            Err(cut)
+        } else if st.tokens.len() == req.max_new_tokens {
             // A complete stream wins even over a recorded terminal: a
             // cancel/deadline that landed after the last token, or a
             // failure confined to a doomed evicted incarnation, did
             // not cost the caller anything.
-            RequestStatus::Completed
+            Ok(RequestStatus::Completed)
         } else {
-            term.unwrap_or_else(|| {
+            Ok(term.unwrap_or_else(|| {
                 let attributed = (0..meta.len())
                     .filter(|&i| touches(i, m))
                     .find_map(|i| outcomes[i].error().map(str::to_owned));
@@ -373,7 +410,7 @@ fn resolve_members(
                         )
                     }),
                 }
-            })
+            }))
         };
         let first_dispatch_ms = (0..meta.len())
             .filter(|&i| touches(i, m))

@@ -67,6 +67,9 @@ pub enum EventKind {
     Submit,
     /// The front-end formed a batch from queued requests.
     Batch,
+    /// A round cut a request's prefill at a chunk boundary and handed
+    /// it back to the front-end to resume.
+    Suspend,
 }
 
 impl EventKind {
@@ -93,6 +96,7 @@ impl EventKind {
             EventKind::TaskSkipped => "task-skipped",
             EventKind::Submit => "submit",
             EventKind::Batch => "batch",
+            EventKind::Suspend => "suspend",
         }
     }
 }

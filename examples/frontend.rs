@@ -11,15 +11,25 @@
 //! worst case (every request holding private pages for its full
 //! prompt), then flushes the session — proving zero pages leaked.
 //!
+//! A last, *late-arrival* wave shows a running batch yielding to a new
+//! submission: a short probe arrives as a long prompt's prefill starts,
+//! the batch is cut at a chunk boundary, the probe is served, and the
+//! long prompt resumes from its cached pages. The demo asserts the
+//! probe finished first, the cut happened, and both streams equal
+//! their solo runs.
+//!
 //! ```sh
 //! cargo run --example frontend
 //! ```
 
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
-use llmnpu::core::frontend::{frontend, StreamEvent};
-use llmnpu::core::serve::{GenerationRequest, PressurePolicy, RequestStatus, ServeOptions};
+use llmnpu::core::frontend::{frontend, FrontendClient, StreamEvent, StreamHandle};
+use llmnpu::core::serve::{
+    GenerationRequest, PressurePolicy, RequestStatus, ServeOptions, TokenEvent,
+};
 use llmnpu::model::backend::FloatBackend;
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
@@ -37,6 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = EngineConfig::llmnpu(ModelConfig::qwen15_18b(), SocSpec::snapdragon_8gen3());
     cfg.chunk_len = 6;
     let engine = LlmNpuEngine::new(cfg)?;
+    let chunk_len = engine.config().chunk_len;
 
     let opts = ServeOptions {
         max_active: 6,
@@ -72,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|r| blocks_for(r.total_tokens()))
         .sum();
 
-    let (client, fe) = frontend(opts);
+    let (client, fe) = frontend(opts.clone());
     let report = thread::scope(|s| {
         let serving = s.spawn(|| fe.run(&engine, &t));
         for (w, wave) in waves.iter().enumerate() {
@@ -155,5 +166,95 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         private_worst
     );
     println!("asserts passed: cache hits on every follow-up wave, peak below private worst case.");
+
+    late_arrival(&engine, &t, &opts, chunk_len)?;
+    Ok(())
+}
+
+/// The late-arrival wave, on a session with one slot: an opener and a
+/// long prompt form one batch, and the opener's first token submits a
+/// probe — so the probe is pending as the long prompt's prefill starts
+/// (it waits for the slot), and the batch is cut at a chunk boundary.
+/// The next batch holds the probe first and the resumed long prompt
+/// behind it.
+fn late_arrival(
+    engine: &LlmNpuEngine,
+    t: &Transformer<'_>,
+    opts: &ServeOptions,
+    chunk_len: usize,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let opener = GenerationRequest::new((0..5u32).map(|i| (i * 3 + 2) % 96).collect(), 2);
+    let long = GenerationRequest::new((0..90u32).map(|i| (i * 7 + 5) % 96).collect(), 4);
+    let probe = GenerationRequest::new((0..8u32).map(|i| (i * 11 + 1) % 96).collect(), 4);
+
+    let client_cell: Arc<OnceLock<FrontendClient>> = Arc::default();
+    let probe_cell: Arc<Mutex<Option<StreamHandle>>> = Arc::default();
+    let sink = {
+        let (client_cell, probe_cell, probe) = (
+            Arc::clone(&client_cell),
+            Arc::clone(&probe_cell),
+            probe.clone(),
+        );
+        Arc::new(move |ev: &TokenEvent| {
+            let mut slot = probe_cell.lock().unwrap_or_else(|e| e.into_inner());
+            if ev.step == 0 && slot.is_none() {
+                if let Some(client) = client_cell.get() {
+                    *slot = client.submit(probe.clone()).ok();
+                }
+            }
+        })
+    };
+    let late_opts = ServeOptions {
+        max_active: 1,
+        on_token: Some(sink),
+        obs: None,
+        ..opts.clone()
+    };
+    let (client, fe) = frontend(late_opts);
+    let opener_handle = client.submit(opener)?;
+    let long_handle = client.submit(long.clone())?;
+    let _ = client_cell.set(client.clone());
+    let (long_outcome, probe_outcome, report) = thread::scope(|s| {
+        let serving = s.spawn(|| fe.run(engine, t));
+        let _ = opener_handle.wait();
+        // When the long prompt's Finished arrives, the probe's must
+        // already be there: it was answered first.
+        let long_outcome = long_handle.wait().expect("long prompt answered");
+        let probe_handle = probe_cell
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .expect("the opener's first token submitted the probe");
+        let mut probe_outcome = None;
+        while let Some(ev) = probe_handle.try_recv() {
+            if let StreamEvent::Finished { outcome } = ev {
+                probe_outcome = Some(outcome);
+            }
+        }
+        client.shutdown();
+        let report = serving.join().expect("serving thread panicked");
+        (long_outcome, probe_outcome, report)
+    });
+    let report = report?;
+    let probe_outcome = probe_outcome.expect("the probe finished before the long prompt");
+    println!(
+        "\nlate arrival: probe of {} tokens answered in {} batch(es) while a {}-token prompt \
+         prefilled ({} suspension(s)); probe ttft {:.1} ms",
+        probe.prompt.len(),
+        report.batches,
+        long.prompt.len(),
+        report.suspensions,
+        probe_outcome.ttft_ms(),
+    );
+    assert!(
+        report.suspensions >= 1,
+        "the probe must cut the long prefill"
+    );
+    for (outcome, r) in [(&long_outcome, &long), (&probe_outcome, &probe)] {
+        assert!(matches!(outcome.status, RequestStatus::Completed));
+        let solo = t.generate(&r.prompt, Some(chunk_len), r.max_new_tokens, &r.sampler)?;
+        assert_eq!(outcome.tokens, solo, "a cut stream must equal its solo run");
+    }
+    println!("asserts passed: probe first, prefill cut and resumed, both streams equal solo.");
     Ok(())
 }

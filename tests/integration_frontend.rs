@@ -3,23 +3,31 @@
 //! tokens bit-identical to their solo runs; a shared system prompt is
 //! prefilled once per session and *re-used from the global radix
 //! cache* by later batches whose donor is long gone; cancellation
-//! works mid-stream; and a trace-replay soak (heavy-tail lengths,
-//! bursty arrivals, thousands of requests) finishes with zero leaked
-//! pages, bounded pool usage, and sampled stream identity.
+//! works mid-stream; a submission arriving mid-prefill cuts the running
+//! batch at a chunk boundary and the suspended prefill resumes
+//! bit-identical; deadlines count queued time; and a trace-replay soak
+//! (heavy-tail lengths, bursty arrivals, thousands of requests)
+//! finishes with zero leaked pages, bounded pool usage, and sampled
+//! stream identity.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
-use llmnpu::core::frontend::{frontend, StreamEvent};
+use llmnpu::core::frontend::{frontend, FrontendClient, FrontendReport, StreamEvent, StreamHandle};
 use llmnpu::core::serve::{
-    GenerationRequest, PressurePolicy, RequestStatus, ServeOptions, ServeSession,
+    GenerationRequest, PressurePolicy, RequestOutcome, RequestStatus, ServeOptions, ServeSession,
+    TokenEvent,
 };
-use llmnpu::model::backend::FloatBackend;
+use llmnpu::model::backend::{FloatBackend, LinearBackend, ShadowBackend};
 use llmnpu::model::config::ModelConfig;
 use llmnpu::model::forward::Transformer;
 use llmnpu::model::weights::{synthesize, ModelWeights, OutlierSpec};
+use llmnpu::obs::{EventKind, Observability};
 use llmnpu::soc::spec::SocSpec;
 use llmnpu::workloads::traces::ChatTrace;
 
@@ -257,6 +265,374 @@ fn frontend_refuses_a_bad_submit_and_keeps_serving() {
     );
     // `run` only returns Ok after the flush proved the pool empty.
     assert!(report.flushed_blocks >= 1, "served prompts were cached");
+}
+
+/// What a [`cut_run`] observed.
+struct CutRun {
+    /// The batch's outcomes, then the probes', in submission order.
+    outcomes: Vec<RequestOutcome>,
+    report: FrontendReport,
+    /// Detail of every suspend event, in emission order.
+    suspends: Vec<String>,
+}
+
+/// One front-end run built to cut prefills mid-batch. `batch` is
+/// submitted before the serving loop starts, so it forms the first
+/// batch; from then on, the `k`-th first token of any stream (the
+/// `on_token` sink, on the execution lanes) submits `probes[k]` while
+/// its batch is still running. With `max_active = 1` the batch's long
+/// request admits only after the request ahead of it released, so the
+/// probe is pending before its first prefill task starts and the cut
+/// falls at its earliest boundary — deterministic at any worker count.
+/// `cancel_at` cancels batch member `i` at the `k`-th first token.
+/// `run` must return `Ok`: its final flush proves zero leaked pages.
+fn cut_run(
+    eng: &LlmNpuEngine,
+    t: &Transformer<'_>,
+    mut opts: ServeOptions,
+    batch: &[GenerationRequest],
+    probes: &[GenerationRequest],
+    cancel_at: Option<(usize, usize)>,
+) -> CutRun {
+    let obs = Observability::enabled();
+    opts.obs = Some(obs.clone());
+    let client_cell: Arc<OnceLock<FrontendClient>> = Arc::default();
+    let probe_handles: Arc<Mutex<Vec<StreamHandle>>> = Arc::default();
+    let cancels: Arc<OnceLock<Vec<llmnpu::core::serve::CancelToken>>> = Arc::default();
+    let firsts = Arc::new(AtomicUsize::new(0));
+    {
+        let (client_cell, probe_handles, cancels) = (
+            Arc::clone(&client_cell),
+            Arc::clone(&probe_handles),
+            Arc::clone(&cancels),
+        );
+        let probes = probes.to_vec();
+        let chained = opts.on_token.take();
+        opts.on_token = Some(Arc::new(move |ev: &TokenEvent| {
+            if let Some(f) = &chained {
+                f(ev);
+            }
+            if ev.step != 0 {
+                return;
+            }
+            let k = firsts.fetch_add(1, Ordering::SeqCst);
+            if let Some((i, _)) = cancel_at.filter(|&(_, at)| at == k) {
+                cancels.get().expect("batch submitted")[i].cancel();
+            }
+            if let Some(p) = probes.get(k) {
+                let client = client_cell.get().expect("client set before serving");
+                let h = client.submit(p.clone()).expect("front-end alive");
+                probe_handles.lock().unwrap().push(h);
+            }
+        }));
+    }
+    let (client, fe) = frontend(opts);
+    let handles: Vec<StreamHandle> = batch
+        .iter()
+        .map(|r| client.submit(r.clone()).unwrap())
+        .collect();
+    let _ = cancels.set(batch.iter().map(GenerationRequest::cancel_handle).collect());
+    let _ = client_cell.set(client.clone());
+    let (outcomes, report) = thread::scope(|s| {
+        let serving = s.spawn(|| fe.run(eng, t));
+        let mut outcomes: Vec<RequestOutcome> = handles
+            .into_iter()
+            .map(|h| h.wait().expect("batch stream finishes"))
+            .collect();
+        for _ in probes {
+            let h = loop {
+                let next = {
+                    let mut submitted = probe_handles.lock().unwrap();
+                    (!submitted.is_empty()).then(|| submitted.remove(0))
+                };
+                if let Some(h) = next {
+                    break h;
+                }
+                thread::sleep(Duration::from_millis(1));
+            };
+            outcomes.push(h.wait().expect("probe stream finishes"));
+        }
+        client.shutdown();
+        (outcomes, serving.join().unwrap().expect("leak-free run"))
+    });
+    let suspends = obs
+        .sink
+        .snapshot()
+        .events
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Suspend)
+        .map(|e| e.detail)
+        .collect();
+    CutRun {
+        outcomes,
+        report,
+        suspends,
+    }
+}
+
+/// Asserts every outcome completed bit-identical to its solo run.
+fn assert_solo(
+    t: &Transformer<'_>,
+    run: &CutRun,
+    requests: &[GenerationRequest],
+    chunk_len: usize,
+    what: &str,
+) {
+    for (i, (o, r)) in run.outcomes.iter().zip(requests).enumerate() {
+        assert_eq!(o.status, RequestStatus::Completed, "{what}: request {i}");
+        assert_eq!(
+            o.tokens,
+            solo(t, r, chunk_len),
+            "{what}: request {i} != solo"
+        );
+    }
+}
+
+/// A trigger, a long prompt and a probe, with one slot: the long
+/// prompt's prefill is cut when the probe arrives — at its first chunk
+/// boundary that completes a full page — its completed full pages are
+/// cached, and it resumes behind the probe through a cache hit. Every
+/// stream equals its solo run — at page sizes 1, 4 and 16, with
+/// `chunk_len` 12 against 16-token pages (the cut is not page-aligned)
+/// — and every run cut once and flushed leak-free.
+#[test]
+fn a_mid_prefill_arrival_cuts_and_resumes_bit_identical_at_every_page_size() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let trigger = GenerationRequest::new(tokens(4, 5), 2);
+    let long = GenerationRequest::new(tokens(50, 7), 3);
+    let probe = GenerationRequest::new(tokens(6, 11), 3);
+    for (bt, chunk_len, workers) in [(1, 3, 1), (4, 3, 2), (16, 3, 3), (16, 12, 4), (4, 5, 2)] {
+        let eng = engine(chunk_len, workers);
+        let opts = ServeOptions {
+            max_active: 1,
+            block_tokens: bt,
+            kv_pool_blocks: Some(256usize.div_ceil(bt)),
+            ..serve_opts()
+        };
+        let what = format!("page {bt}, chunk {chunk_len}, {workers} worker(s)");
+        let batch = [trigger.clone(), long.clone()];
+        let run = cut_run(&eng, &t, opts, &batch, std::slice::from_ref(&probe), None);
+        assert_solo(
+            &t,
+            &run,
+            &[trigger.clone(), long.clone(), probe.clone()],
+            chunk_len,
+            &what,
+        );
+        assert_eq!(
+            run.report.suspensions, 1,
+            "{what}: the long prefill was cut once"
+        );
+        let at = bt.div_ceil(chunk_len);
+        assert_eq!(
+            run.suspends,
+            [format!("suspended after {at} chunk(s)")],
+            "{what}"
+        );
+        assert_eq!(run.report.metrics.counter("serve.suspensions"), 1, "{what}");
+        assert_eq!(
+            run.report.requests, 3,
+            "{what}: a suspension is not a served request"
+        );
+        assert!(
+            run.report.cache.hits >= 1,
+            "{what}: the resumed prefill hit its own cached pages"
+        );
+    }
+}
+
+/// The cut on the paper's backend: shadow-int8 streams resume
+/// bit-identical too, at 1–4 pool workers.
+#[test]
+fn a_cut_prefill_resumes_bit_identical_on_shadow_int8_at_any_worker_count() {
+    let w = mini_model();
+    let float = FloatBackend::new(w.clone());
+    let cal = Transformer::new(&w, &float)
+        .calibrate(&[tokens(8, 7), tokens(6, 5)])
+        .unwrap();
+    let shadow = ShadowBackend::new(&w, &cal, 0.997, 0.85).unwrap();
+    let backends: [(&str, &dyn LinearBackend); 2] = [("f32", &float), ("shadow-int8", &shadow)];
+    let batch = [
+        GenerationRequest::new(tokens(5, 3), 2),
+        GenerationRequest::new(tokens(41, 13), 4),
+    ];
+    let probe = GenerationRequest::new(tokens(7, 17), 2);
+    let chunk_len = 4;
+    for (name, be) in backends {
+        let t = Transformer::new(&w, be);
+        for workers in 1..=4 {
+            let eng = engine(chunk_len, workers);
+            let opts = ServeOptions {
+                max_active: 1,
+                ..serve_opts()
+            };
+            let run = cut_run(&eng, &t, opts, &batch, std::slice::from_ref(&probe), None);
+            let what = format!("{name}, {workers} worker(s)");
+            let all = [batch[0].clone(), batch[1].clone(), probe.clone()];
+            assert_solo(&t, &run, &all, chunk_len, &what);
+            assert_eq!(run.report.suspensions, 1, "{what}");
+        }
+    }
+}
+
+/// A sharer of a live donor's prompt prefix, at an offset that is not
+/// a page multiple, is cut mid-prefill: the pages it publishes start
+/// with the donor's and end at the last full page of its completed
+/// chunks, and it resumes bit-identical. The donor itself, which the
+/// sharer's admission waited on, is never suspended. Two slots: the
+/// sharer admits once the trigger released and the donor's prefill is
+/// done, so the probe the trigger's first token submits is pending
+/// before the sharer's first prefill task; the cut falls once the
+/// donor's one token is out and the sharer's prefill is all that is
+/// left.
+#[test]
+fn a_live_donor_sharer_cut_at_an_unaligned_offset_resumes_bit_identical() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let chunk_len = 3;
+    // 10 shared tokens over 4-token pages: 2 pages ref-shared, 2 rows
+    // row-copied, the sharer's suffix starts at position 10.
+    let common = tokens(10, 7);
+    let batch = [
+        GenerationRequest::new(tokens(4, 5), 2),
+        GenerationRequest::new([common.as_slice(), &[90]].concat(), 1),
+        GenerationRequest::new([common.as_slice(), &tokens(40, 11)].concat(), 3),
+    ];
+    let probe = GenerationRequest::new(tokens(5, 13), 2);
+    for workers in 1..=4 {
+        let eng = engine(chunk_len, workers);
+        let opts = ServeOptions {
+            max_active: 2,
+            decode_batch: 1,
+            ..serve_opts()
+        };
+        let run = cut_run(&eng, &t, opts, &batch, std::slice::from_ref(&probe), None);
+        let what = format!("{workers} worker(s)");
+        let all: Vec<GenerationRequest> = batch.iter().chain([&probe]).cloned().collect();
+        assert_solo(&t, &run, &all, chunk_len, &what);
+        assert!(run.report.cache.hits >= 1, "{what}: resumed from the cache");
+    }
+}
+
+/// A request cancelled while it waits to resume ends `Cancelled`
+/// without reserving a page in its resumed batch; everyone else's
+/// stream is untouched.
+#[test]
+fn a_request_cancelled_while_suspended_ends_cancelled_leak_free() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let chunk_len = 3;
+    let eng = engine(chunk_len, 2);
+    let batch = [
+        GenerationRequest::new(tokens(4, 5), 2),
+        GenerationRequest::new(tokens(45, 7), 3),
+    ];
+    let probes = [
+        GenerationRequest::new(tokens(6, 11), 2),
+        GenerationRequest::new(tokens(3, 13), 2),
+    ];
+    let opts = ServeOptions {
+        max_active: 1,
+        ..serve_opts()
+    };
+    // First token 0 (the trigger's) submits probe 0 and cuts the long
+    // prefill; first token 1 (probe 0's, in the next batch) lands while
+    // the suspended request still waits for the one slot.
+    let run = cut_run(&eng, &t, opts, &batch, &probes, Some((1, 1)));
+    assert_eq!(run.report.suspensions, 1);
+    assert_eq!(run.outcomes[1].status, RequestStatus::Cancelled);
+    assert!(run.outcomes[1].tokens.is_empty());
+    let survivors = [batch[0].clone(), probes[0].clone(), probes[1].clone()];
+    let survived = CutRun {
+        outcomes: [0, 2, 3].map(|i| run.outcomes[i].clone()).to_vec(),
+        ..run
+    };
+    assert_solo(&t, &survived, &survivors, chunk_len, "survivors");
+    assert_eq!(survived.report.cancelled, 1);
+}
+
+/// A flood of arrivals delays a long prompt but never starves it: each
+/// probe's first token submits the next, every batch cuts the long
+/// prefill again, and every cut falls after at least one completed
+/// chunk — so the long prompt finishes, bit-identical, however many
+/// arrive.
+#[test]
+fn a_flood_of_arrivals_never_starves_a_long_prefill() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let chunk_len = 3;
+    let long = GenerationRequest::new(tokens(36, 7), 3);
+    let chunks = long.prompt.len().div_ceil(chunk_len);
+    let batch = [GenerationRequest::new(tokens(4, 5), 2), long.clone()];
+    let probes: Vec<GenerationRequest> = (0..6u32)
+        .map(|i| GenerationRequest::new(tokens(3 + i as usize, 11 + i), 2))
+        .collect();
+    for workers in 1..=4 {
+        let eng = engine(chunk_len, workers);
+        let opts = ServeOptions {
+            max_active: 1,
+            ..serve_opts()
+        };
+        let run = cut_run(&eng, &t, opts, &batch, &probes, None);
+        let what = format!("{workers} worker(s)");
+        let all: Vec<GenerationRequest> = batch.iter().chain(&probes).cloned().collect();
+        assert_solo(&t, &run, &all, chunk_len, &what);
+        assert!(run.report.suspensions >= 1, "{what}: no cut");
+        assert!(
+            run.report.suspensions < chunks,
+            "{what}: {} cuts of a {chunks}-chunk prefill",
+            run.report.suspensions
+        );
+        for detail in &run.suspends {
+            let done: usize = detail
+                .trim_start_matches("suspended after ")
+                .trim_end_matches(" chunk(s)")
+                .parse()
+                .unwrap();
+            assert!(done >= 1, "{what}: a cut without progress: {detail}");
+        }
+        assert_eq!(
+            run.report.suspensions,
+            probes.len(),
+            "{what}: every arrival cut the long prefill once"
+        );
+    }
+}
+
+/// Time spent queued counts against a request's deadline: a probe with
+/// a 5 ms budget submitted behind a request that is decoding (never
+/// cut) waits out that request's batch and ends `DeadlineExceeded`
+/// without joining a batch, where it used to get its whole budget back
+/// once its own batch started.
+#[test]
+fn a_deadline_spent_in_the_queue_expires_before_the_request_runs() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let chunk_len = 3;
+    let eng = engine(chunk_len, 2);
+    let long = GenerationRequest::new(tokens(8, 7), 40);
+    let probe = GenerationRequest::new(tokens(5, 11), 2).with_deadline_ms(5.0);
+    let mut opts = serve_opts();
+    // The long request's stream outlasts the probe's budget: its
+    // tokens are slowed in the sink, after its prefill is done.
+    let slow: Arc<dyn Fn(&TokenEvent) + Send + Sync> = Arc::new(|ev: &TokenEvent| {
+        if ev.step == 1 {
+            thread::sleep(Duration::from_millis(20));
+        }
+    });
+    opts.on_token = Some(slow);
+    let run = cut_run(&eng, &t, opts, std::slice::from_ref(&long), &[probe], None);
+    assert_eq!(run.outcomes[0].tokens, solo(&t, &long, chunk_len));
+    assert_eq!(run.outcomes[1].status, RequestStatus::DeadlineExceeded);
+    assert!(run.outcomes[1].tokens.is_empty());
+    assert_eq!(run.report.deadline_exceeded, 1);
+    assert_eq!(run.report.suspensions, 0, "a decoding request is never cut");
 }
 
 /// Trace-replay soak: a seeded multi-tenant chat trace (shared system
