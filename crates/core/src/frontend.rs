@@ -48,8 +48,8 @@
 //!   token is ever re-sent;
 //! * a suspended prefill completed at least one chunk in its round, so a
 //!   flood of arrivals delays a long prompt but never starves it;
-//! * a live prefix donor is never suspended, and a suspension never
-//!   fails, retries or cancels anyone, nor spends `max_retries`;
+//! * a suspension never fails, retries or cancels anyone, nor spends
+//!   `max_retries`;
 //! * time spent queued or suspended is spent from the request's
 //!   deadlines ([`GenerationRequest::deadline_ms`]): a request whose
 //!   budget ran out before it joins a batch ends

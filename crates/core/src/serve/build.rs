@@ -19,7 +19,7 @@ use llmnpu_soc::Processor;
 use llmnpu_tensor::Tensor;
 use llmnpu_verify::TaskClass;
 
-use super::plan::{GateKind, SegmentPlan};
+use super::plan::SegmentPlan;
 use super::{plain_lock, CancelToken, RequestStatus, Round, ServeTaskKind, TokenEvent};
 use crate::decode::DecodeSim;
 use crate::engine::LlmNpuEngine;
@@ -55,10 +55,9 @@ pub(super) struct RoundState {
     pub(super) slots: Vec<Mutex<Option<PagedKvCache>>>,
     pub(super) states: Vec<Mutex<ReqState>>,
     pub(super) runtime: Vec<ReqRuntime>,
-    /// Per-segment prefill-completion flags: a prefix sharer's Admit
-    /// refuses to fork from a donor whose prefill never completed
-    /// (failed or skipped) — the sharer fails cleanly (and retries
-    /// unshared) instead of forking a half-written cache.
+    /// Per-segment prefill-completion flags: a cuttable prefill that
+    /// completed has nothing left to cut, so it no longer lets the
+    /// round yield ([`RunCtx::yields`]).
     prefill_ok: Vec<AtomicBool>,
     /// Per-segment chunk cut of a front-end round, and whether the
     /// segment's prefill may be cut at all.
@@ -178,15 +177,13 @@ impl<'run> RunCtx<'run> {
     /// The earliest boundary segment `s`'s prefill (planned as `plan`)
     /// may be cut at, if it may be cut at all: a front-end round,
     /// prefixes shared (the resumed request finds its completed pages in
-    /// the cache), a surviving incarnation, no sharer waiting on its
-    /// prefill, and a boundary before the last chunk that completes a
-    /// full page beyond the pages it started from.
+    /// the cache), a surviving incarnation, and a boundary before the
+    /// last chunk that completes a full page beyond the pages it started
+    /// from.
     fn cut_from(self, s: usize, plan: &ChunkPlan) -> Option<usize> {
         let seg = &self.segments[s];
-        let cuttable = self.round.arrivals.is_some()
-            && self.round.opts.share_prefixes
-            && !seg.evicted
-            && seg.sharer_segs.is_empty();
+        let cuttable =
+            self.round.arrivals.is_some() && self.round.opts.share_prefixes && !seg.evicted;
         let bt = self.round.pool.config().block_tokens;
         let start = seg.prefix_tokens();
         let next_page = (start / bt + 1) * bt;
@@ -224,7 +221,8 @@ impl<'run> RunCtx<'run> {
     }
 }
 
-/// Per-segment prefill machinery over the unshared prompt suffix.
+/// Per-segment prefill machinery over the prompt suffix past the cache
+/// hit.
 pub(super) struct Prefill<'run> {
     dags: Vec<PrefillDag>,
     pub(super) plans: Vec<ChunkPlan>,
@@ -240,8 +238,8 @@ impl<'run> Prefill<'run> {
             programs: Vec::with_capacity(n),
         };
         for seg in ctx.segments {
-            let shared_tokens = seg.prefix_tokens();
-            let suffix = &ctx.round.requests[seg.req].prompt[shared_tokens..];
+            let cached_tokens = seg.prefix_tokens();
+            let suffix = &ctx.round.requests[seg.req].prompt[cached_tokens..];
             let dag_cfg = engine.dag_config(suffix.len())?;
             let dag = build_prefill_dag(ctx.t.config(), &dag_cfg, engine.latency_model())?;
             pre.programs.push(PrefillProgram::new(
@@ -249,7 +247,7 @@ impl<'run> Prefill<'run> {
                 suffix,
                 &dag,
                 &dag_cfg.plan,
-                shared_tokens,
+                cached_tokens,
                 &ctx.live.slots[seg.req],
             )?);
             pre.plans.push(dag_cfg.plan);
@@ -263,9 +261,9 @@ impl<'run> Prefill<'run> {
 pub(super) struct SegBuild {
     pub(super) admit: usize,
     pub(super) prefill_finish: usize,
-    /// Final decode task of the segment (set when its cohort's decode
-    /// chain is flushed; `None` for evicted segments).
-    last_decode: Option<usize>,
+    /// The segment's Release task, emitted when its cohort's decode
+    /// chain is flushed (`None` for evicted segments, whose terminal is
+    /// the Evicted task in `prefill_finish`).
     pub(super) release: Option<usize>,
 }
 
@@ -363,13 +361,6 @@ pub(super) fn build_round<'run>(
     for c in 0..cohorts {
         b.flush_cohort(c)?;
     }
-    // Every surviving segment returns its pages (every segment is
-    // built now, so sharer Admit ids all exist).
-    for (s, seg) in ctx.segments.iter().enumerate() {
-        if !seg.evicted {
-            b.emit_release(s)?;
-        }
-    }
     debug_assert_eq!(b.out.graph.len(), b.out.closures.len());
     debug_assert_eq!(b.out.graph.len(), b.out.meta.len());
     Ok(b.out)
@@ -430,22 +421,11 @@ impl<'run> RoundBuilder<'run> {
     }
 
     /// Emits segment `s`'s Admit, suffix-prefill DAG and prefill
-    /// terminal (after any Release its Done gates demand); returns the
-    /// Admit task id.
+    /// terminal (after any Release its gates demand); returns the Admit
+    /// task id.
     fn segment(&mut self, s: usize, prev_admit: Option<usize>) -> Result<usize> {
         let ctx = self.ctx;
         let seg = &ctx.segments[s];
-        // Any Done gate on a normal segment needs that segment's
-        // Release task — flush its cohort's decode chain, then emit
-        // just *that* segment's Release (its sharers are all built:
-        // they attached while the donor was active, i.e. before any
-        // segment could gate Done on it).
-        for &(g, kind) in &seg.gates {
-            if kind == GateKind::Done && !ctx.segments[g].evicted {
-                self.flush_cohort(ctx.segments[g].cohort)?;
-                self.emit_release(g)?;
-            }
-        }
         let req = seg.req;
         let request = &ctx.round.requests[req];
         let attempt = ctx.attempt(s);
@@ -457,28 +437,29 @@ impl<'run> RoundBuilder<'run> {
             format!("R{orig}.{attempt}")
         };
 
-        // Admission: reserve pages (forking the donor's prefix).
+        // Admission: reserve pages (adopting a cached prefix).
         let mut gate_deps: Vec<usize> = Vec::with_capacity(seg.gates.len() + 1);
-        for &(g, kind) in &seg.gates {
-            let build = &self.out.builds[g];
-            gate_deps.push(match kind {
-                GateKind::Done if !ctx.segments[g].evicted => {
-                    build.release.ok_or_else(|| Error::Internal {
-                        what: format!(
-                            "segment {s} gates on segment {g}'s release, which was never emitted"
-                        ),
-                    })?
-                }
-                // A sharer waits for the donor's prefill; an evicted
-                // incarnation's terminal *is* its prefill-finish slot.
-                _ => build.prefill_finish,
+        for &g in &seg.gates {
+            gate_deps.push(if ctx.segments[g].evicted {
+                // An evicted incarnation's terminal *is* its
+                // prefill-finish slot.
+                self.out.builds[g].prefill_finish
+            } else {
+                // A surviving segment's Release ends its cohort's
+                // decode chain.
+                self.flush_cohort(ctx.segments[g].cohort)?;
+                self.out.builds[g].release.ok_or_else(|| Error::Internal {
+                    what: format!(
+                        "segment {s} gates on segment {g}'s release, which was never emitted"
+                    ),
+                })?
             });
         }
         gate_deps.extend(prev_admit);
-        // Admit is a barrier (it must *run* after failed gates so the
-        // donor check inside can fail the sharer cleanly), but it is
-        // gate-skippable: a request already cancelled or expired
-        // reserves nothing.
+        // Admit is a barrier (it must *run* after failed gates, or a
+        // failed predecessor would break the planned-order admission
+        // chain), but it is gate-skippable: a request already cancelled
+        // or expired reserves nothing.
         let admit = self.push_task(
             self.bookkeeping(format!("{rlabel}-Admit"), s, true),
             gate_deps,
@@ -559,14 +540,13 @@ impl<'run> RoundBuilder<'run> {
         self.out.builds.push(SegBuild {
             admit,
             prefill_finish: finish,
-            last_decode: None,
             release: None,
         });
         Ok(admit)
     }
 
     /// The Admit body of segment `s`: reserve its worst-case pages,
-    /// adopting a cached prefix or forking a live donor's.
+    /// adopting a cached prefix.
     fn admit_body(&self, s: usize) -> TaskFn<'run> {
         let ctx = self.ctx;
         let seg = &ctx.segments[s];
@@ -578,13 +558,8 @@ impl<'run> RoundBuilder<'run> {
             .fault_at(orig, fault_attempt, FaultSite::Admit)
             .copied();
         let pool = ctx.round.pool;
-        let block_tokens = pool.config().block_tokens;
         let need = seg.fresh_blocks(pool.config(), request);
-        let full = seg.prefix_full_tokens(block_tokens);
         let total = request.total_tokens();
-        let donor = seg
-            .shared
-            .map(|sh| (sh, &ctx.live.slots[ctx.member(sh.donor_seg)]));
         Box::new(move || {
             if let Some(f) = admit_fault {
                 let msg = format!("injected admit fault: request {orig}");
@@ -602,49 +577,24 @@ impl<'run> RoundBuilder<'run> {
             if short > 0 {
                 let _ = ctx.round.cache.evict_lru(pool, short);
             }
-            // Reserve, then recover any sub-page prefix tail with a
-            // leading-row copy `(source page, destination index, rows)`
+            // Reserve — adopting the cached full pages of a hit — then
+            // recover any sub-page prefix tail with a leading-row copy
             // into the first private page (per-row causal masking keeps
             // the math identical).
-            let donor_guard = donor.map(|(sh, slot)| (sh, plain_lock(slot)));
-            let (mut cache, tail) = match (&seg.cached, &donor_guard) {
-                // Global-cache hit: adopt the cached full pages (no
-                // donor, no liveness gate).
-                (Some(hit), _) => (
-                    PagedKvCache::reserve_with_prefix(pool, &hit.blocks, total)
-                        .map_err(|e| e.to_string())?,
-                    hit.tail.map(|(src, rows)| (src, hit.blocks.len(), rows)),
-                ),
-                // Live donor: ref-share its full pages.
-                (None, Some((sh, guard))) => {
-                    if !ctx.live.prefill_ok[sh.donor_seg].load(Ordering::Acquire) {
-                        return Err("prefix donor prefill incomplete".to_string());
+            let mut cache = match &seg.cached {
+                Some(hit) => PagedKvCache::reserve_with_prefix(pool, &hit.blocks, total),
+                None => PagedKvCache::reserve(pool, total),
+            }
+            .map_err(|e| e.to_string())?;
+            if let Some(hit) = &seg.cached {
+                if let Some((src, rows)) = hit.tail {
+                    let dst = cache.table().blocks()[hit.blocks.len()];
+                    if let Err(e) = pool.copy_rows(src, dst, rows) {
+                        let _ = cache.release();
+                        return Err(e.to_string());
                     }
-                    let donor = guard.as_ref().ok_or("prefix donor cache missing")?;
-                    let blocks = donor.table().blocks();
-                    let page = full / block_tokens;
-                    let shared = blocks
-                        .get(..page)
-                        .ok_or("prefix donor holds fewer pages than the shared prefix")?;
-                    (
-                        PagedKvCache::reserve_with_prefix(pool, shared, total)
-                            .map_err(|e| e.to_string())?,
-                        (sh.tokens > full).then(|| (blocks[page], page, sh.tokens - full)),
-                    )
-                }
-                (None, None) => (
-                    PagedKvCache::reserve(pool, total).map_err(|e| e.to_string())?,
-                    None,
-                ),
-            };
-            if let Some((src, dst, rows)) = tail {
-                let dst = cache.table().blocks()[dst];
-                if let Err(e) = pool.copy_rows(src, dst, rows) {
-                    let _ = cache.release();
-                    return Err(e.to_string());
                 }
             }
-            drop(donor_guard);
             *plain_lock(&ctx.live.slots[seg.req]) = Some(cache);
             Ok(())
         })
@@ -703,9 +653,8 @@ impl<'run> RoundBuilder<'run> {
             if ctx.round.opts.share_prefixes {
                 // Publish the now-complete prompt pages to the global
                 // cache (full blocks only, first writer wins) so later
-                // batches reuse them without a live donor. Failure here
-                // is a contained request failure, like any prefill
-                // fault.
+                // rounds reuse them. Failure here is a contained request
+                // failure, like any prefill fault.
                 let blocks = {
                     let guard = plain_lock(&ctx.live.slots[req]);
                     let c = guard.as_ref().ok_or("prefill cache slot empty")?;
@@ -721,7 +670,8 @@ impl<'run> RoundBuilder<'run> {
         })
     }
 
-    /// Emits cohort `c`'s batched decode chain (once).
+    /// Emits cohort `c`'s batched decode chain and its members' Release
+    /// tasks (once).
     fn flush_cohort(&mut self, c: usize) -> Result<()> {
         if std::mem::replace(&mut self.cohort_flushed[c], true) {
             return Ok(());
@@ -785,39 +735,16 @@ impl<'run> RoundBuilder<'run> {
                 self.out.token_tasks[ctx.member(members[i])][step] = id;
             }
         }
-        // Record each member's final decode task; the Release task
-        // is emitted separately (and possibly later — it must wait
-        // for every *sharer* of the member's blocks to have an
-        // Admit task in the graph, and a sharer can be a segment
-        // that is not built yet at an early cohort flush).
+        // Each member's pages go back right after its last decode step.
         for (i, &s) in members.iter().enumerate() {
-            self.out.builds[s].last_decode = Some(chain_prev[i]);
+            self.emit_release(s, chain_prev[i])?;
         }
         Ok(())
     }
 
-    /// Emits segment `s`'s Release task (once): pages go back once the
-    /// member's stream is done — but never before every sharer of
-    /// its blocks has admitted. Callers must guarantee every sharer
-    /// segment is already built (true when the release is demanded
-    /// by a later segment's Done gate — sharers attach only while
-    /// the donor is active, so they precede any Done-gater — and
-    /// trivially true at the final sweep).
-    fn emit_release(&mut self, s: usize) -> Result<()> {
-        if self.out.builds[s].release.is_some() {
-            return Ok(());
-        }
-        let last_decode = self.out.builds[s]
-            .last_decode
-            .ok_or_else(|| Error::Internal {
-                what: format!("release for segment {s} emitted before its cohort was flushed"),
-            })?;
-        let mut deps = vec![last_decode];
-        for &sharer in &self.ctx.segments[s].sharer_segs {
-            deps.push(self.out.builds[sharer].admit);
-        }
-        deps.sort_unstable();
-        deps.dedup();
+    /// Emits segment `s`'s Release task after `final_step`, its last
+    /// decode task: pages go back once the member's stream is done.
+    fn emit_release(&mut self, s: usize, final_step: usize) -> Result<()> {
         // Release is a containment barrier and is never gate-skipped:
         // pages must return to the pool on every terminal path.
         let ctx = self.ctx;
@@ -826,7 +753,7 @@ impl<'run> RoundBuilder<'run> {
         let (chunks, chunk_len) = (plan.chunks, plan.chunk_len);
         let id = self.push_task(
             self.bookkeeping(format!("R{}-Release", ctx.orig(s)), s, true),
-            deps,
+            vec![final_step],
             ServeTaskKind::Release,
             vec![s],
             Box::new(move || {

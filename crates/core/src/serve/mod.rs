@@ -11,15 +11,16 @@
 //! combined [`LaneGraph`] holding, per admitted request *incarnation*:
 //!
 //! * an **admission task** that reserves the request's worst-case page
-//!   budget — forking a live neighbor's ref-counted blocks when their
-//!   prompts share a prefix (any length: full pages are ref-shared, the
-//!   sub-page remainder is recovered by a leading-row copy), or reusing
-//!   pages from the **global radix prefix cache**
-//!   ([`llmnpu_kv::PrefixCache`]): prompt prefixes computed by *any*
-//!   earlier request, live or long gone, are reused with no donor
-//!   declaration — the shared system prompt is allocated and prefilled
-//!   **once per session**, not once per batch,
-//! * the request's **chunked-prefill DAG** over its *unshared suffix*,
+//!   budget, reusing pages from the **global radix prefix cache**
+//!   ([`llmnpu_kv::PrefixCache`]) — the one prefix-reuse path: a prompt
+//!   prefix computed by an earlier request, however long ago it
+//!   released, is reused at any length (full cached pages are adopted
+//!   ref-counted, the sub-page remainder is recovered by a leading-row
+//!   copy), so the shared system prompt is allocated and prefilled
+//!   **once per session**, not once per batch. The lookup happens at
+//!   plan time, so two requests of one cold batch with the same prompt
+//!   prefix both prefill it, and the first to finish caches it,
+//! * the request's **chunked-prefill DAG** over its *uncached suffix*,
 //!   writing K/V straight into the pool through the request's block
 //!   table (position-addressed, so out-of-order chunks can't reorder
 //!   the cache),
@@ -77,7 +78,7 @@
 //! computes each output row from its own input row alone — so every
 //! request's token stream is **bit-identical** to its solo
 //! [`Transformer::generate`] run at every worker count, policy, batch
-//! width, pool size, and eviction schedule, with prefix sharing and
+//! width, pool size, and eviction schedule, with prefix reuse and
 //! decode cohorts on for every backend.
 //!
 //! # Failure containment
@@ -109,17 +110,19 @@
 //! empty, the completed full pages go to the prefix cache at the
 //! request's Release, and the request is handed back *suspended*, to
 //! resume through an ordinary cache hit in the front-end's next round. A
-//! request in decode, a live prefix donor and a retry round are never
-//! cut, and every cut completes at least one chunk and one new full
-//! page; [`LlmNpuEngine::serve`] and
+//! request in decode and a retry round are never cut, and every cut
+//! completes at least one chunk and one new full page;
+//! [`LlmNpuEngine::serve`] and
 //! [`LlmNpuEngine::serve_with_session`] have no arrival source and never
 //! cut.
 //!
-//! * `plan` — the deterministic admission planner (segments, gates,
-//!   pressure ladder, decode cohorts — resumed prefills in their own),
+//! * `plan` — the deterministic admission planner (segments, prefix-cache
+//!   hits, gates, pressure ladder, decode cohorts — resumed prefills in
+//!   their own),
 //! * `build` — the combined lane graph; every task enters through one
 //!   `push_task` that states its lane facts, body, and metadata together;
-//!   a cuttable prefill's stage bodies consult its chunk cut,
+//!   a cuttable prefill's stage bodies consult its chunk cut, and each
+//!   cohort's decode chain ends in its members' Release tasks,
 //! * `prove` — the graph as an `llmnpu-verify` plan, proven clean
 //!   before any closure runs,
 //! * `run` — the dispatch gate, fault-contained execution, per-member
@@ -406,12 +409,11 @@ pub struct ServeOptions {
     /// GEMM per linear site. `1` keeps each request's steps separate
     /// GEMVs.
     pub decode_batch: usize,
-    /// Share common prompt prefixes: between concurrently active
-    /// requests (allocate + prefill once, ref-count the pages — any
-    /// prefix length, full pages ref-shared and the sub-page tail
-    /// row-copied), and across time through the global prefix cache
-    /// (completed prefills cache their full prompt pages; later
-    /// requests reuse them with no donor declaration).
+    /// Reuse prompt prefixes through the session's global prefix cache:
+    /// completed prefills cache their full prompt pages, and a later
+    /// round's admission adopts the longest cached prefix of its prompt
+    /// (any length: full pages ref-counted, the sub-page tail
+    /// row-copied). Off, nothing is cached or looked up.
     pub share_prefixes: bool,
     /// Streaming token callback, if any.
     pub on_token: Option<TokenSink>,
@@ -476,9 +478,9 @@ impl fmt::Debug for ServeOptions {
 /// radix prefix cache, shared by every batch served through
 /// [`LlmNpuEngine::serve_with_session`]. Prompt prefixes prefilled by an
 /// earlier batch stay resident (ref-held by the cache) and are adopted
-/// by later requests with matching prompts — no donor in the same
-/// batch, no submit-time declaration. Dropping the session drops the
-/// pool slab; call [`ServeSession::flush`] first to assert emptiness.
+/// by later requests with matching prompts, with no submit-time
+/// declaration. Dropping the session drops the pool slab; call
+/// [`ServeSession::flush`] first to assert emptiness.
 #[derive(Debug)]
 pub struct ServeSession {
     pool: Arc<BlockPool>,
@@ -651,7 +653,7 @@ impl LlmNpuEngine {
     /// chains interleave on the per-processor lanes under the engine's
     /// scheduling policy, honoring arrival times, the admission cap,
     /// and — new with the paged KV subsystem — the page budget of a
-    /// shared [`BlockPool`], with prefix sharing, optional preemption
+    /// shared [`BlockPool`], with prefix-cache reuse, optional preemption
     /// under memory pressure, and batched decode GEMMs.
     ///
     /// `t` is the numeric transformer the requests run on (its
@@ -758,11 +760,10 @@ impl LlmNpuEngine {
 
     /// Serves one batch on a persistent [`ServeSession`]: the pool and
     /// the global prefix cache outlive the call — prompt prefixes
-    /// prefilled by *earlier batches* are reused from cache (no donor
-    /// declaration, no shared round), and the pages this batch's
-    /// prefills cache stay resident for later ones. The zero-leak proof
-    /// nets out cache residents: used pages beyond the cache's holdings
-    /// must be zero on return.
+    /// prefilled by *earlier batches* are reused from cache, and the
+    /// pages this batch's prefills cache stay resident for later ones.
+    /// The zero-leak proof nets out cache residents: used pages beyond
+    /// the cache's holdings must be zero on return.
     ///
     /// # Errors
     ///

@@ -53,29 +53,25 @@ pub(super) fn prove(
 /// the planner's segment table knows:
 ///
 /// - **KV address spaces**: space `seg * layers + layer` holds segment
-///   `seg`'s absolute token positions at one decoder layer; prefix
-///   sharing maps a sharer's shared positions into its donor's spaces
-///   (transitively), exactly like the pool's block tables — a sharer
-///   never writes a donor space (copy-on-write gives it fresh pages).
-///   Writers are the KV-appending `QkvLinear` stages (the one
+///   `seg`'s absolute token positions at one decoder layer. Writers are
+///   the KV-appending `QkvLinear` stages (the one
 ///   [`PrefillDag::writes_kv`](llmnpu_graph::dag::PrefillDag::writes_kv)
 ///   names for each chunk and layer) and decode steps ≥ 1 (position
-///   `prompt + step − 1`); readers are `Attention` stages (Equation 2's visibility: everything
-///   through the chunk's end) and decode steps (everything before the
-///   new position).
+///   `prompt + step − 1`); readers are `Attention` stages (Equation 2's
+///   visibility: everything through the chunk's end) and decode steps
+///   (everything before the new position).
 /// - **The cache-slot space** (one cell per round member, after the KV
-///   spaces): admission installs a cache, release/eviction drains it,
-///   a prefix fork reads the donor's cell.
+///   spaces): admission installs a cache, release/eviction drains it.
 /// - **The segment table** for the page-budget and leak proofs: fresh
 ///   blocks per admission (the planner's own formula), blocks the global
-///   prefix cache retains past the terminal, the donor link, and each
-///   incarnation's terminal (Release, or Evicted for a preempted one).
+///   prefix cache retains past the terminal, and each incarnation's
+///   terminal (Release, or Evicted for a preempted one).
 ///
 /// Prefix-cache interplay: pages adopted from the global cache carry no
 /// in-plan writer, so their positions (`[0, full)` of a cached hit) are
-/// deliberately invisible to the race checker — only the row-copied
-/// partial tail (written by Admit into the sharer's own space) and the
-/// suffix are declared.
+/// deliberately invisible to the race checker — a segment's visible K/V
+/// is its own space from the hit's full-page length on, where Admit
+/// row-copies the partial tail and the prefill writes the suffix.
 fn verify_plan(
     ctx: RunCtx<'_>,
     built: &RoundGraph<'_>,
@@ -93,34 +89,11 @@ fn verify_plan(
     let slot_space = (segments.len() * layers) as u64;
     let slot_cell = |seg: usize| Access::cell(slot_space, ctx.member(seg) as u64);
 
-    // Which (segment, absolute-position range) backs each segment's KV:
-    // its own space from the whole-page prefix boundary on (a row-copied
-    // partial tail lands in the sharer's own space), its donor's coverage
-    // (clipped, transitively) before it. Cache-adopted pages have no
-    // in-plan writer: positions below a hit's full-page length stay
-    // undeclared. Built in segment order — a donor is always an earlier
-    // segment.
-    let bt = pool_cfg.block_tokens.max(1);
-    let mut coverage: Vec<Vec<(usize, u64, u64)>> = Vec::with_capacity(segments.len());
-    for (s, seg) in segments.iter().enumerate() {
-        let full = seg.prefix_full_tokens(bt) as u64;
-        let mut cov: Vec<(usize, u64, u64)> = Vec::new();
-        if let Some(sh) = seg.shared {
-            for &(cs, lo, hi) in &coverage[sh.donor_seg] {
-                if lo < full {
-                    cov.push((cs, lo, hi.min(full)));
-                }
-            }
-        }
-        cov.push((s, full, requests[seg.req].total_tokens() as u64));
-        coverage.push(cov);
-    }
-    // Reads of everything segment `s` can see below position `hi`.
+    // Reads of everything segment `s` can see below position `hi`: its
+    // own space from the cached full pages on.
     let visible = |s: usize, layer: usize, hi: u64| {
-        coverage[s]
-            .iter()
-            .filter(move |&&(_, clo, chi)| clo < chi.min(hi))
-            .map(move |&(cs, clo, chi)| Access::range(kv_space(cs, layer), clo, chi.min(hi)))
+        let lo = segments[s].prefix_full_tokens() as u64;
+        (lo < hi).then(|| Access::range(kv_space(s, layer), lo, hi))
     };
 
     for (task, m) in plan.tasks.iter_mut().zip(&built.meta) {
@@ -133,33 +106,14 @@ fn verify_plan(
             ServeTaskKind::Admit => {
                 task.serialized = true;
                 task.writes.push(slot_cell(s));
-                if let Some(sh) = segments[s].shared {
-                    task.reads.push(slot_cell(sh.donor_seg));
-                    // Unaligned tail: Admit row-copies the donor's tail
-                    // rows into the sharer's first private page — a read
-                    // of the donor's coverage and a write to own space.
-                    let (lo, hi) = (segments[s].prefix_full_tokens(bt) as u64, sh.tokens as u64);
-                    if lo < hi {
-                        for layer in 0..layers {
-                            for &(cs, clo, chi) in &coverage[sh.donor_seg] {
-                                let (rlo, rhi) = (clo.max(lo), chi.min(hi));
-                                if rlo < rhi {
-                                    task.reads
-                                        .push(Access::range(kv_space(cs, layer), rlo, rhi));
-                                }
-                            }
-                            task.writes.push(Access::range(kv_space(s, layer), lo, hi));
-                        }
-                    }
-                } else if let Some(hit) = &segments[s].cached {
-                    // Cached-tail copy: the source page belongs to the
-                    // cache (no in-plan writer to read from); only the
-                    // write into the sharer's own space is declared.
-                    if let Some((_, rows)) = hit.tail {
-                        let (lo, hi) = (hit.tokens as u64, (hit.tokens + rows) as u64);
-                        for layer in 0..layers {
-                            task.writes.push(Access::range(kv_space(s, layer), lo, hi));
-                        }
+                // Cached-tail copy: the source page belongs to the cache
+                // (no in-plan writer to read from); only the write into
+                // the segment's own space is declared.
+                if let Some((_, rows)) = segments[s].cached.as_ref().and_then(|hit| hit.tail) {
+                    let lo = segments[s].prefix_full_tokens() as u64;
+                    for layer in 0..layers {
+                        task.writes
+                            .push(Access::range(kv_space(s, layer), lo, lo + rows as u64));
                     }
                 }
             }
@@ -170,11 +124,11 @@ fn verify_plan(
                 role,
             } => {
                 task.reads.push(slot_cell(s));
-                let shared = segments[s].prefix_tokens();
-                let suffix = requests[segments[s].req].prompt.len() - shared;
+                let cached = segments[s].prefix_tokens();
+                let suffix = requests[segments[s].req].prompt.len() - cached;
                 let clen = plans[s].chunk_len;
-                let lo = (shared + chunk * clen) as u64;
-                let hi = (shared + chunk * clen + clen.min(suffix - chunk * clen)) as u64;
+                let lo = (cached + chunk * clen) as u64;
+                let hi = (cached + chunk * clen + clen.min(suffix - chunk * clen)) as u64;
                 if m.writes_kv {
                     task.writes.push(Access::range(kv_space(s, layer), lo, hi));
                 }
@@ -218,8 +172,160 @@ fn verify_plan(
             // holds a reference) and only return via eviction/flush —
             // the planner's final figure, net of pressure reclaims.
             retained_blocks: seg.retained,
-            donor: seg.shared.map(|sh| sh.donor_seg),
         });
     }
     plan
+}
+
+#[cfg(test)]
+mod tests {
+    use llmnpu_kv::BlockTable;
+    use llmnpu_model::backend::FloatBackend;
+    use llmnpu_model::config::ModelConfig;
+    use llmnpu_model::forward::Transformer;
+    use llmnpu_model::weights::{synthesize, OutlierSpec};
+    use llmnpu_soc::spec::SocSpec;
+    use llmnpu_verify::{verify, FindingKind, Plan, TaskClass};
+
+    use super::*;
+    use crate::engine::{EngineConfig, LlmNpuEngine};
+    use crate::serve::build::{build_round, Prefill, RoundState};
+    use crate::serve::plan::{plan_batch, SegmentPlan};
+    use crate::serve::{GenerationRequest, PressurePolicy, Round, ServeOptions};
+
+    /// The translated first round of `requests` on a fresh session whose
+    /// prefix cache already holds the full pages of `cached`; `check`
+    /// sees the planned segments first.
+    fn round_plan(
+        requests: &[GenerationRequest],
+        opts: &ServeOptions,
+        cached: &[u32],
+        check: impl FnOnce(&[SegmentPlan]),
+    ) -> Plan {
+        let cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
+        let w = synthesize(&cfg, 7, OutlierSpec::default()).unwrap();
+        let be = FloatBackend::new(w.clone());
+        let t = Transformer::new(&w, &be);
+        let mut ecfg = EngineConfig::llmnpu(ModelConfig::qwen15_18b(), SocSpec::snapdragon_8gen3());
+        ecfg.chunk_len = 3;
+        let engine = LlmNpuEngine::new(ecfg).unwrap();
+        let session = engine.open_serve_session(&t, opts).unwrap();
+        if !cached.is_empty() {
+            let mut table = BlockTable::reserve(&session.pool, cached.len()).unwrap();
+            session
+                .cache
+                .insert(&session.pool, cached, table.blocks())
+                .unwrap();
+            table.release(&session.pool).unwrap();
+        }
+
+        let round = Round::first(requests, opts, &session, None, 0);
+        round.cache.begin_round();
+        let plan = plan_batch(&round).unwrap();
+        check(&plan.segments);
+        let free_blocks = round.pool.free_blocks();
+        let live = RoundState::new(&round, plan.segments.len()).unwrap();
+        let ctx = RunCtx {
+            round: &round,
+            segments: &plan.segments,
+            live: &live,
+            t: &t,
+        };
+        let prefill = Prefill::new(&engine, ctx).unwrap();
+        let built = build_round(&engine, ctx, &prefill, plan.cohorts).unwrap();
+        verify_plan(ctx, &built, &prefill.plans, free_blocks)
+    }
+
+    fn kinds(plan: &Plan) -> Vec<FindingKind> {
+        verify(plan).findings.iter().map(|f| f.kind).collect()
+    }
+
+    /// The unmutated plan is clean, and each mutation of the page proof
+    /// is caught: one page below the proven peak over-commits, a
+    /// terminal cut loose from its admission leaks, and a Release that
+    /// is not a barrier is unbarriered cleanup.
+    fn assert_mutations_caught(name: &str, plan: &Plan) {
+        let report = verify(plan);
+        assert!(report.is_clean(), "{name}: {:?}", report.findings);
+
+        let mut tight = plan.clone();
+        tight.page_capacity = Some(report.stats.peak_pages - 1);
+        assert!(
+            kinds(&tight).contains(&FindingKind::PageOverCommit),
+            "{name}: capacity {} below the peak",
+            report.stats.peak_pages - 1
+        );
+        for (s, seg) in plan.segments.iter().enumerate() {
+            let mut loose = plan.clone();
+            loose.tasks[seg.terminal.unwrap()].deps.clear();
+            assert!(
+                kinds(&loose).contains(&FindingKind::PageLeak),
+                "{name}: segment {s}'s terminal without deps"
+            );
+        }
+        let releases: Vec<usize> = (0..plan.tasks.len())
+            .filter(|&t| plan.tasks[t].class == TaskClass::Release)
+            .collect();
+        assert!(!releases.is_empty(), "{name}: no Release to mutate");
+        for t in releases {
+            let mut unbarriered = plan.clone();
+            unbarriered.tasks[t].barrier = false;
+            assert!(
+                kinds(&unbarriered).contains(&FindingKind::UnbarrieredCleanup),
+                "{name}: Release {t} without its barrier"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cached_tail_round_catches_every_page_mutation() {
+        // The cache holds two full 4-token pages of `common + [50, 51,
+        // 52]`; R0 adopts page 0 and row-copies 2 tail rows of page 1.
+        let common: Vec<u32> = (0..6).map(|i| (i * 7 + 3) % 96).collect();
+        let cached = [common.as_slice(), &[50, 51, 52]].concat();
+        let requests = [
+            GenerationRequest::new([common.as_slice(), &[60, 61, 62]].concat(), 3),
+            GenerationRequest::new(vec![80, 81, 82, 83, 84], 2),
+        ];
+        let opts = ServeOptions {
+            block_tokens: 4,
+            kv_pool_blocks: Some(16),
+            decode_batch: 2,
+            ..ServeOptions::default()
+        };
+        let plan = round_plan(&requests, &opts, &cached, |segs| {
+            let hit = segs[0].cached.as_ref().expect("R0 hits the cache");
+            assert_eq!(
+                (hit.blocks.len(), hit.tail.map(|(_, rows)| rows)),
+                (1, Some(2))
+            );
+        });
+        assert_mutations_caught("cached tail", &plan);
+    }
+
+    #[test]
+    fn a_preempting_reclaiming_round_catches_every_page_mutation() {
+        // 6 pages of 4 tokens (the planner's cohort test): R1 preempts
+        // R0; R0's re-admission waits for R1 and reclaims the pages R1
+        // would leave cached (stage 2); R2 then preempts it.
+        let requests = [
+            GenerationRequest::new((0..16).collect(), 4),
+            GenerationRequest::new((50..66).collect(), 4),
+            GenerationRequest::new(vec![90, 91, 92, 93], 4),
+        ];
+        let opts = ServeOptions {
+            max_active: 4,
+            block_tokens: 4,
+            kv_pool_blocks: Some(6),
+            pressure: PressurePolicy::EvictYoungest,
+            decode_batch: 2,
+            ..ServeOptions::default()
+        };
+        let plan = round_plan(&requests, &opts, &[], |segs| {
+            let evicted: Vec<bool> = segs.iter().map(|s| s.evicted).collect();
+            assert_eq!(evicted, [true, false, true, false, false]);
+            assert_eq!(segs[1].retained, 0, "R1's cached pages reclaimed");
+        });
+        assert_mutations_caught("preempt + reclaim", &plan);
+    }
 }

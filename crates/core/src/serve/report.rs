@@ -39,7 +39,7 @@ pub enum ServeTaskKind {
     Admit,
     /// One stage task of the request's chunked-prefill DAG.
     PrefillStage {
-        /// Chunk index within the request's (unshared) prompt suffix.
+        /// Chunk index within the request's (uncached) prompt suffix.
         chunk: usize,
         /// Decoder layer.
         layer: usize,
@@ -230,9 +230,6 @@ pub struct KvPoolReport {
     pub leaked_blocks: usize,
     /// Memory-pressure evictions (preempted incarnations).
     pub evictions: usize,
-    /// Pages that were *shared* instead of re-allocated thanks to
-    /// live-donor prefix sharing (sum over admissions).
-    pub shared_prefix_blocks: usize,
     /// Copy-on-write page copies the pool performed.
     pub cow_copies: u64,
     /// Global prefix-cache lookups that matched at least one token
@@ -390,7 +387,6 @@ pub(super) fn queue_depth_series(
 pub(super) fn kv_report(
     session: &ServeSession,
     evictions: usize,
-    shared_blocks: usize,
     base: &PrefixCacheMetrics,
 ) -> KvPoolReport {
     let stats = session.pool.stats();
@@ -405,7 +401,6 @@ pub(super) fn kv_report(
         // leaks: a leak is anything used beyond the cache's holdings.
         leaked_blocks: stats.used_blocks.saturating_sub(held),
         evictions,
-        shared_prefix_blocks: shared_blocks,
         cow_copies: stats.cow_copies,
         prefix_cache_hits: m.hits - base.hits,
         prefix_cache_misses: m.misses - base.misses,
@@ -618,7 +613,6 @@ mod tests {
                 peak_used_blocks: 0,
                 leaked_blocks: 0,
                 evictions: 0,
-                shared_prefix_blocks: 0,
                 cow_copies: 0,
                 prefix_cache_hits: 0,
                 prefix_cache_misses: 0,

@@ -49,7 +49,6 @@ pub(super) struct RoundOutput {
     members: Vec<MemberRound>,
     timeline: ServeTimeline,
     evictions: usize,
-    shared_blocks: usize,
     /// The lanes' lending episodes (round-local clock).
     lent: Vec<LentSpan>,
     /// The static verifier's (clean) report for the round's spliced
@@ -99,7 +98,6 @@ impl LlmNpuEngine {
             members: Vec::new(),
             timeline: ServeTimeline::new(),
             evictions: plan.segments.iter().filter(|s| s.evicted).count(),
-            shared_blocks: plan.shared_blocks,
             lent: Vec::new(),
             verified: prove::prove(ctx, &built, &prefill.plans, free_blocks)?,
         };
@@ -174,7 +172,7 @@ impl LlmNpuEngine {
             let report = ServeReport {
                 requests: Vec::new(),
                 timeline: ServeTimeline::new(),
-                kv: kv_report(session, 0, 0, &metrics_base),
+                kv: kv_report(session, 0, &metrics_base),
                 verification: Vec::new(),
                 queue_depth: Vec::new(),
                 metrics: snapshot(),
@@ -192,7 +190,6 @@ impl LlmNpuEngine {
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
         let mut timeline = ServeTimeline::new();
         let mut evictions = 0usize;
-        let mut shared_blocks = 0usize;
         let mut verification: Vec<llmnpu_verify::PlanStats> = Vec::new();
         let mut time_offset = 0.0f64;
         let mut retries_used = vec![0usize; n];
@@ -202,7 +199,6 @@ impl LlmNpuEngine {
         loop {
             let mut out = self.run_round(t, &round, RoundMode::Execute)?;
             evictions += out.evictions;
-            shared_blocks += out.shared_blocks;
             verification.push(out.verified.stats);
             let round_ms = out.timeline.makespan();
             for mut span in out.timeline.entries_mut().drain(..) {
@@ -297,7 +293,7 @@ impl LlmNpuEngine {
             });
         }
 
-        let kv = kv_report(session, evictions, shared_blocks, &metrics_base);
+        let kv = kv_report(session, evictions, &metrics_base);
         if kv.leaked_blocks != 0 {
             return Err(Error::Internal {
                 what: format!("{} KV pages leaked after serve", kv.leaked_blocks),

@@ -28,7 +28,7 @@
 //! * [`PrefixCache`] — a **global radix/trie prefix cache** over the
 //!   pool, keyed on token-id prefixes at block granularity: any request
 //!   whose prompt starts with an already-computed prefix reuses those
-//!   pages with no donor declaration and no donor liveness requirement.
+//!   pages, however long ago their producing request released them.
 //!   The cache holds its own reference on every cached block and evicts
 //!   cold prefixes leaf-first under pressure, refusing blocks that are
 //!   mid-reuse (refcount) or claimed by the current planning round.

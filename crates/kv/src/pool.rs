@@ -403,9 +403,9 @@ impl BlockPool {
     /// Copies the first `rows` token slots of block `src` into block
     /// `dst`, keys and values, in **every** layer — the partial-tail
     /// copy behind sub-block prefix sharing: a sharer whose common
-    /// prefix ends mid-block copies the donor's (or cached prefix's)
-    /// leading rows into its own first private page instead of rounding
-    /// the share down to a block boundary.
+    /// prefix ends mid-block copies the source block's (say, a cached
+    /// prefix's) leading rows into its own first private page instead
+    /// of rounding the share down to a block boundary.
     ///
     /// Both blocks must be live (refcount ≥ 1); `dst` is the copier's
     /// private page, so no copy-on-write is involved.
@@ -503,8 +503,8 @@ impl BlockTable {
 
     /// Reserves capacity for `total_tokens` positions on top of an
     /// already-resident block-aligned prefix — the shared-prefix
-    /// admission path: `prefix` names live pool blocks (a hit in the
-    /// global radix prefix cache, or a live donor table's leading
+    /// admission path: `prefix` names live pool blocks (say, a hit in
+    /// the global radix prefix cache, or another table's leading
     /// blocks). The prefix blocks are retained (refcount +1); the
     /// remainder is allocated fresh.
     ///

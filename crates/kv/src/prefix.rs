@@ -1,11 +1,10 @@
 //! The global radix prefix cache over the block pool.
 //!
-//! Pairwise prefix sharing (one request forks a live donor's table,
-//! declared at submit time) only helps when the donor is still active.
 //! A serving front-end sees the same system prompt across thousands of
-//! requests that *never overlap*: what's needed is a **global** cache —
-//! any request whose prompt starts with an already-computed prefix
-//! reuses those pages, no donor declaration, no liveness requirement.
+//! requests that *never overlap*, so prompt-prefix reuse is a **global**
+//! cache: any request whose prompt starts with an already-computed
+//! prefix reuses those pages, however long ago its producer released
+//! them. It is the serving plane's only prefix-reuse path.
 //!
 //! [`PrefixCache`] is a radix tree over token-id prefixes at **block
 //! granularity**: one node per pool block, keyed by the exact

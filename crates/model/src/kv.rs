@@ -78,7 +78,7 @@ impl PagedKvCache {
 
     /// Reserves capacity for `total_tokens` on top of already-resident
     /// prefix blocks — a hit in the global radix prefix cache
-    /// (`llmnpu_kv::prefix`) or a live donor's leading full pages: the
+    /// (`llmnpu_kv::prefix`) or another table's leading full pages: the
     /// blocks are retained by id and the remainder allocated fresh.
     ///
     /// # Errors

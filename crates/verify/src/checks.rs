@@ -330,7 +330,7 @@ pub(crate) fn run(plan: &Plan) -> Report {
     }
 
     // ---- 4. Page accounting: leak proof + budget proof ----------------
-    page_checks(plan, &reach, &succs, &mut findings, &mut stats);
+    page_checks(plan, &reach, &mut findings, &mut stats);
 
     Report { findings, stats }
 }
@@ -347,13 +347,7 @@ fn ungated(plan: &Plan, t: usize) -> Finding {
     }
 }
 
-fn page_checks(
-    plan: &Plan,
-    reach: &Reach,
-    _succs: &[Vec<usize>],
-    findings: &mut Vec<Finding>,
-    stats: &mut PlanStats,
-) {
+fn page_checks(plan: &Plan, reach: &Reach, findings: &mut Vec<Finding>, stats: &mut PlanStats) {
     let n = plan.tasks.len();
     let nsegs = plan.segments.len();
 
@@ -364,15 +358,6 @@ fn page_checks(
     // barrier+ungated terminal downstream of the admission *always*
     // executes once dispatch completes.
     for (s, seg) in plan.segments.iter().enumerate() {
-        if let Some(d) = seg.donor {
-            if d >= s {
-                findings.push(Finding {
-                    kind: FindingKind::InvalidDep,
-                    tasks: seg.admit.into_iter().collect(),
-                    detail: format!("segment {s} forks donor {d}, which is not an earlier segment"),
-                });
-            }
-        }
         let Some(admit) = seg.admit else { continue };
         if admit >= n {
             findings.push(Finding {
@@ -459,12 +444,11 @@ fn page_checks(
     }
 
     // Budget proof: walk admissions in planned order; before each,
-    // credit back every co-release group whose *every* holder's
-    // terminal is a proven ancestor of this admission (guaranteed done
-    // before it dispatches); then debit the fresh blocks. The free
-    // count may never go negative — the static mirror of the planner's
-    // gate-for-pages loop, recomputed independently from the segment
-    // table.
+    // credit back every segment whose terminal is a proven ancestor of
+    // this admission (guaranteed done before it dispatches); then debit
+    // the fresh blocks. The free count may never go negative — the
+    // static mirror of the planner's gate-for-pages loop, recomputed
+    // independently from the segment table.
     let Some(cap) = plan.page_capacity else {
         return;
     };
@@ -496,26 +480,6 @@ fn page_checks(
         }
     }
 
-    // Held co-release groups, reconstructed from donor links: group `g`
-    // is segment g's fresh allocation; a segment holds its own group
-    // plus, transitively, everything its donor holds.
-    let mut held: Vec<Vec<usize>> = Vec::with_capacity(nsegs);
-    for (s, seg) in plan.segments.iter().enumerate() {
-        let mut h = vec![s];
-        if let Some(d) = seg.donor {
-            if d < s {
-                h.extend(held[d].iter().copied());
-            }
-        }
-        held.push(h);
-    }
-    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); nsegs];
-    for (s, h) in held.iter().enumerate() {
-        for &g in h {
-            holders[g].push(s);
-        }
-    }
-
     let mut anc = vec![false; n];
     let mut frontier: Vec<usize> = Vec::new();
     let mut credited = vec![false; nsegs];
@@ -533,22 +497,14 @@ fn page_checks(
             anc[t] = true;
             frontier.extend(plan.tasks[t].deps.iter().copied());
         }
-        for g in 0..nsegs {
-            if credited[g] || plan.segments[g].fresh_blocks == 0 {
+        for (g, seg) in plan.segments.iter().enumerate() {
+            if credited[g] || !seg.terminal.is_some_and(|term| term < n && anc[term]) {
                 continue;
             }
-            let all_returned = holders[g].iter().all(|&h| {
-                plan.segments[h]
-                    .terminal
-                    .is_some_and(|term| term < n && anc[term])
-            });
-            if all_returned {
-                // Retained pages (cached prefixes) do not come back at
-                // the terminal; they leave the pool's planning budget.
-                let seg = &plan.segments[g];
-                free += seg.fresh_blocks.saturating_sub(seg.retained_blocks) as i64;
-                credited[g] = true;
-            }
+            // Retained pages (cached prefixes) do not come back at the
+            // terminal; they leave the pool's planning budget.
+            free += seg.fresh_blocks.saturating_sub(seg.retained_blocks) as i64;
+            credited[g] = true;
         }
         free -= plan.segments[s].fresh_blocks as i64;
         peak = peak.max(cap as i64 - free);

@@ -60,8 +60,8 @@ mod checks;
 /// Classification of a task for plan-level accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskClass {
-    /// Reserves a segment's KV pages (optionally forking a donor
-    /// prefix). The page-budget proof walks these in plan order.
+    /// Reserves a segment's KV pages (optionally adopting cached prefix
+    /// pages). The page-budget proof walks these in plan order.
     Admit,
     /// Returns a completed segment's pages to the pool.
     Release,
@@ -166,13 +166,10 @@ impl PlanTask {
 }
 
 /// One admitted incarnation's page accounting: which task reserves its
-/// pages, which terminal task provably returns them, how many fresh
-/// blocks it takes from the pool, and whose prefix it forks.
-///
-/// Co-release is reconstructed independently of the planner: a
-/// segment's *held groups* are its own fresh allocation plus,
-/// transitively, every group its donor held — a group's blocks only
-/// return to the pool once every holder's terminal has run.
+/// pages, which terminal task provably returns them, and how many fresh
+/// blocks it takes from the pool. A segment holds only its own fresh
+/// blocks: they are credited back once its own terminal has provably
+/// run.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// The [`TaskClass::Admit`] task that reserves the pages.
@@ -180,8 +177,8 @@ pub struct Segment {
     /// The [`TaskClass::Release`] or [`TaskClass::Evict`] task that
     /// returns them.
     pub terminal: Option<usize>,
-    /// Fresh blocks drawn from the pool at admission (beyond any shared
-    /// prefix).
+    /// Fresh blocks drawn from the pool at admission (beyond any pages
+    /// adopted from a prefix cache, which the plan does not own).
     pub fresh_blocks: usize,
     /// Blocks of the fresh allocation that stay resident past the
     /// terminal (e.g. full prompt blocks retained by a global prefix
@@ -190,9 +187,6 @@ pub struct Segment {
     /// proven done; retained pages return through a separate channel
     /// (cache eviction/flush) the plan does not model.
     pub retained_blocks: usize,
-    /// Segment whose blocks this one forks (prefix sharing); must be an
-    /// earlier segment.
-    pub donor: Option<usize>,
 }
 
 /// A complete plan under verification.

@@ -67,14 +67,12 @@ fn clean_plan() -> Plan {
                 terminal: Some(5),
                 fresh_blocks: 2,
                 retained_blocks: 0,
-                donor: None,
             },
             Segment {
                 admit: Some(3),
                 terminal: Some(6),
                 fresh_blocks: 2,
                 retained_blocks: 0,
-                donor: None,
             },
         ],
     }
@@ -369,30 +367,13 @@ fn broken_admission_chain_is_caught() {
 }
 
 #[test]
-fn donor_ordering_is_checked() {
-    let mut plan = clean_plan();
-    plan.segments[0].donor = Some(1);
-    let report = verify(&plan);
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.kind == FindingKind::InvalidDep),
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
 fn shared_prefix_co_release_holds_pages() {
-    // Segment 1 forks segment 0's prefix: group 0's pages only return
-    // once *both* terminals ran. A third admission gated only on the
-    // donor's release must not be credited group 0.
+    // A segment's pages are credited back only once its *own* terminal
+    // is a proven ancestor of the admission. A third admission gated on
+    // release r0 (and the chain tail) gets r0's two pages back, never
+    // r1's: at capacity 4 it fits exactly.
     let mut plan = clean_plan();
-    plan.segments[1].donor = Some(0);
-    plan.page_capacity = Some(5);
-    // Third segment: admit depends on the chain tail and on release r0
-    // (but NOT on release r1, so group 0 is still held by the sharer).
+    plan.page_capacity = Some(4);
     let mut admit2 = PlanTask::new("admit r2", 0, vec![3, 5]);
     admit2.class = TaskClass::Admit;
     admit2.barrier = true;
@@ -410,28 +391,34 @@ fn shared_prefix_co_release_holds_pages() {
         terminal: Some(8),
         fresh_blocks: 2,
         retained_blocks: 0,
-        donor: None,
     });
-    // Walk: admit0 holds 2, admit1 holds 4; at admit2 only release r0 is
-    // an ancestor, but group 0 is co-held by the sharer, so nothing is
-    // credited: 4 held + 2 fresh = 6 > 5.
     let report = verify(&plan);
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.kind == FindingKind::PageOverCommit),
+    assert!(report.is_clean(), "{:?}", report.findings);
+    assert_eq!(report.stats.peak_pages, 4);
+
+    // One page less and the walk over-commits.
+    let mut small = plan.clone();
+    small.page_capacity = Some(3);
+    assert!(kinds(&small).contains(&FindingKind::PageOverCommit));
+
+    // Without the gate on release r0 nothing is credited: 4 held + 2
+    // fresh > 4.
+    let mut ungated = plan.clone();
+    ungated.tasks[7].deps = vec![3];
+    let report = verify(&ungated);
+    assert_eq!(
+        report.findings.iter().map(|f| f.kind).collect::<Vec<_>>(),
+        vec![FindingKind::PageOverCommit],
         "{:?}",
         report.findings
     );
+    assert_eq!(report.findings[0].tasks, vec![7]);
 
-    // Adding the sharer's release as a gate makes both groups return:
-    // 0 held + 2 fresh = 2 of 5.
-    let mut plan2 = plan.clone();
-    plan2.tasks[7].deps = vec![3, 5, 6];
-    let report = verify(&plan2);
-    assert!(report.is_clean(), "{:?}", report.findings);
-    assert_eq!(report.stats.peak_pages, 4);
+    // r0's release credits r0's pages only: a third segment needing 3
+    // fresh blocks over-commits, since r1 still holds its 2.
+    let mut wider = plan;
+    wider.segments[2].fresh_blocks = 3;
+    assert_eq!(kinds(&wider), vec![FindingKind::PageOverCommit]);
 }
 
 #[test]

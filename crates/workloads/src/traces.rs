@@ -184,8 +184,8 @@ pub struct ChatPrompt {
 ///
 /// This is the trace shape that exercises a *global* prefix cache: the
 /// system prompts repeat across thousands of requests whose producers
-/// are long finished, so reuse cannot come from live-donor sharing —
-/// only from cached pages surviving in the pool. Popularity is
+/// are long finished, so reuse comes from cached pages surviving in
+/// the pool. Popularity is
 /// Zipf-like (system 0 is the assistant default almost everyone uses;
 /// later ones are niche personas), matching how real deployments skew.
 #[derive(Debug, Clone, PartialEq)]

@@ -89,12 +89,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let kv = &report.kv;
     println!(
-        "\npool: {} pages ({} KiB) | peak {} | evictions {} | shared {} | cow {} | leaked {}",
+        "\npool: {} pages ({} KiB) | peak {} | evictions {} | cow {} | leaked {}",
         kv.pool_blocks,
         kv.pool_bytes / 1024,
         kv.peak_used_blocks,
         kv.evictions,
-        kv.shared_prefix_blocks,
         kv.cow_copies,
         kv.leaked_blocks
     );

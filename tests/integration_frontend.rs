@@ -2,7 +2,7 @@
 //! submitted over time through [`llmnpu::core::frontend`] stream
 //! tokens bit-identical to their solo runs; a shared system prompt is
 //! prefilled once per session and *re-used from the global radix
-//! cache* by later batches whose donor is long gone; cancellation
+//! cache* by later batches whose producer is long gone; cancellation
 //! works mid-stream; a submission arriving mid-prefill cuts the running
 //! batch at a chunk boundary and the suspended prefill resumes
 //! bit-identical; deadlines count queued time; and a trace-replay soak
@@ -67,7 +67,7 @@ fn serve_opts() -> ServeOptions {
 /// The tentpole pin: two *waves* of requests submitted to a running
 /// front-end, every stream bit-identical to its solo run, and — with
 /// the wave-1 producers long finished — wave 2 hits the global prefix
-/// cache on the shared system prompt with **no donor declaration**.
+/// cache on the shared system prompt.
 #[test]
 fn frontend_streams_are_bit_identical_and_wave_two_hits_the_cache() {
     let w = mini_model();
@@ -477,43 +477,59 @@ fn a_cut_prefill_resumes_bit_identical_on_shadow_int8_at_any_worker_count() {
     }
 }
 
-/// A sharer of a live donor's prompt prefix, at an offset that is not
-/// a page multiple, is cut mid-prefill: the pages it publishes start
-/// with the donor's and end at the last full page of its completed
-/// chunks, and it resumes bit-identical. The donor itself, which the
-/// sharer's admission waited on, is never suspended. Two slots: the
-/// sharer admits once the trigger released and the donor's prefill is
-/// done, so the probe the trigger's first token submits is pending
-/// before the sharer's first prefill task; the cut falls once the
-/// donor's one token is out and the sharer's prefill is all that is
-/// left.
+/// A request whose prompt prefix comes from the cache with a sub-page
+/// tail (10 tokens over 4-token pages: 2 cached pages adopted, 2 rows
+/// row-copied, its own prefill starting at position 10) is cut
+/// mid-prefill at its earliest boundary, publishes the pages it
+/// completed, and resumes bit-identical. One slot throughout. Batch 1
+/// (the donor of the pages, then a short request no boundary can cut):
+/// their first tokens submit the trigger and the sharer, which form
+/// batch 2 once it ends. In batch 2 the trigger's first token submits
+/// the probe before the sharer admits, so the sharer's first prefill
+/// task finds the round yielding.
 #[test]
 fn a_live_donor_sharer_cut_at_an_unaligned_offset_resumes_bit_identical() {
     let w = mini_model();
     let be = FloatBackend::new(w.clone());
     let t = Transformer::new(&w, &be);
     let chunk_len = 3;
-    // 10 shared tokens over 4-token pages: 2 pages ref-shared, 2 rows
-    // row-copied, the sharer's suffix starts at position 10.
     let common = tokens(10, 7);
+    // The other prompts share no first token with any cached page, so
+    // only the sharer's lookup and its resume hit the cache.
     let batch = [
-        GenerationRequest::new(tokens(4, 5), 2),
-        GenerationRequest::new([common.as_slice(), &[90]].concat(), 1),
-        GenerationRequest::new([common.as_slice(), &tokens(40, 11)].concat(), 3),
+        GenerationRequest::new([common.as_slice(), &[90, 91]].concat(), 1),
+        GenerationRequest::new(vec![70, 71, 72, 73], 2),
     ];
-    let probe = GenerationRequest::new(tokens(5, 13), 2);
+    let probes = [
+        GenerationRequest::new(vec![75, 76, 77, 78], 2),
+        GenerationRequest::new([common.as_slice(), &tokens(40, 11)].concat(), 3),
+        GenerationRequest::new(vec![80, 81, 82, 83, 84], 2),
+    ];
     for workers in 1..=4 {
         let eng = engine(chunk_len, workers);
         let opts = ServeOptions {
-            max_active: 2,
+            max_active: 1,
             decode_batch: 1,
             ..serve_opts()
         };
-        let run = cut_run(&eng, &t, opts, &batch, std::slice::from_ref(&probe), None);
+        let run = cut_run(&eng, &t, opts, &batch, &probes, None);
         let what = format!("{workers} worker(s)");
-        let all: Vec<GenerationRequest> = batch.iter().chain([&probe]).cloned().collect();
+        let all: Vec<GenerationRequest> = batch.iter().chain(&probes).cloned().collect();
         assert_solo(&t, &run, &all, chunk_len, &what);
-        assert!(run.report.cache.hits >= 1, "{what}: resumed from the cache");
+        // The cached tail leaves 2 rows to the next page boundary: the
+        // cut falls after the first 3-token chunk, with 12 tokens' full
+        // pages published.
+        assert_eq!(
+            run.suspends,
+            ["suspended after 1 chunk(s)".to_owned()],
+            "{what}"
+        );
+        assert_eq!(run.report.suspensions, 1, "{what}");
+        // The sharer's hit (2 full pages + 2 tail rows) and its resume
+        // (3 full pages: the donor's first two and its own third).
+        assert_eq!(run.report.cache.hits, 2, "{what}");
+        assert_eq!(run.report.cache.hit_tokens, 10 + 12, "{what}");
+        assert_eq!(run.report.cache.hit_blocks, 2 + 3, "{what}");
     }
 }
 
@@ -846,13 +862,15 @@ fn session_cache_interleaving_is_deterministic() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// S1 boundary property: prefix sharing at *any* alignment — the
-    /// shared length need not be a multiple of the page size (full
-    /// pages are ref-shared, the sub-page tail is row-copied). For
-    /// arbitrary page sizes, common-prefix lengths, and suffixes, both
-    /// streams stay bit-identical to solo runs, the planner shares
-    /// exactly `cap / block_tokens` full pages (cap = the share length
-    /// after the compute-at-least-one-token clamp), and nothing leaks.
+    /// S1 boundary property: prefix reuse at *any* alignment — the
+    /// reused length need not be a multiple of the page size (full
+    /// cached pages are adopted, the sub-page tail is row-copied). For
+    /// arbitrary page sizes, common-prefix lengths, and suffixes, a
+    /// second batch on the session reuses exactly what the first one
+    /// cached — `min(lcp, len_b − 1, ⌊len_a / bt⌋ · bt)` tokens (its
+    /// prefill computes at least one token, and only full pages of A's
+    /// prompt are cached) — both streams stay bit-identical to solo
+    /// runs, and nothing leaks.
     #[test]
     fn prop_unaligned_prefix_share_is_exact_and_bit_identical(
         bt in 2usize..=5,
@@ -878,25 +896,31 @@ proptest! {
         let opts = ServeOptions {
             max_active: 2,
             block_tokens: bt,
-            kv_pool_blocks: None,
+            kv_pool_blocks: Some((ra.total_tokens() + rb.total_tokens()).div_ceil(bt) + 2),
             pressure: PressurePolicy::Wait,
             decode_batch: 2,
             share_prefixes: true,
             ..ServeOptions::default()
         };
-        let rep = eng.serve(&t, &[ra.clone(), rb.clone()], &opts).unwrap();
+        let session = eng.open_serve_session(&t, &opts).unwrap();
+        let rep_a = eng
+            .serve_with_session(&t, std::slice::from_ref(&ra), &opts, &session)
+            .unwrap();
+        let rep_b = eng
+            .serve_with_session(&t, std::slice::from_ref(&rb), &opts, &session)
+            .unwrap();
 
-        prop_assert_eq!(&rep.requests[0].tokens, &solo(&t, &ra, chunk_len));
-        prop_assert_eq!(&rep.requests[1].tokens, &solo(&t, &rb, chunk_len));
-        prop_assert_eq!(rep.kv.leaked_blocks, 0);
+        prop_assert_eq!(&rep_a.requests[0].tokens, &solo(&t, &ra, chunk_len));
+        prop_assert_eq!(&rep_b.requests[0].tokens, &solo(&t, &rb, chunk_len));
+        prop_assert_eq!(rep_a.kv.leaked_blocks, 0);
+        prop_assert_eq!(rep_b.kv.leaked_blocks, 0);
 
-        // The planner's exact share arithmetic: request 1 forks request
-        // 0's pages iff the clamped common prefix spans at least one
-        // page; only whole pages are ref-shared.
+        // The cache's exact reuse arithmetic.
         let real_lcp = pa.iter().zip(&pb).take_while(|(x, y)| x == y).count();
-        let cap = real_lcp.min(pb.len() - 1);
-        let expect = if cap >= bt { cap / bt } else { 0 };
-        prop_assert_eq!(rep.kv.shared_prefix_blocks, expect);
+        let expect = real_lcp.min(pb.len() - 1).min(pa.len() / bt * bt);
+        prop_assert_eq!(rep_b.kv.prefix_cache_hit_tokens, expect as u64);
+        prop_assert_eq!(rep_b.kv.prefix_cache_hit_blocks, (expect / bt) as u64);
+        session.flush().unwrap();
     }
 }
 

@@ -543,9 +543,10 @@ fn eviction_recomputes_without_changing_streams() {
     }
 }
 
-/// Prefix sharing: requests with a block-aligned common prompt prefix
-/// allocate it once (ref-counted pages), prefill only their suffixes,
-/// and still produce bit-identical streams.
+/// Prefix sharing: a request whose prompt shares a block-aligned
+/// prefix with an earlier batch's adopts that batch's cached pages
+/// (allocated and prefilled once), prefills only its suffix, and still
+/// produces a bit-identical stream.
 #[test]
 fn shared_prefixes_allocate_once_and_keep_streams() {
     let w = mini_model();
@@ -566,26 +567,41 @@ fn shared_prefixes_allocate_once_and_keep_streams() {
     let opts = ServeOptions {
         max_active: 2,
         block_tokens: 3,
+        kv_pool_blocks: Some(16),
         share_prefixes: true,
         ..ServeOptions::default()
     };
-    let report = e.serve(&t, &requests, &opts).unwrap();
-    assert!(
-        report.kv.shared_prefix_blocks >= 4,
-        "12 shared tokens at 3-token pages should share 4 blocks, got {}",
-        report.kv.shared_prefix_blocks
+    // One batch per request on one session; returns the second batch's
+    // report and both streams.
+    let run = |opts: &ServeOptions| {
+        let session = e.open_serve_session(&t, opts).unwrap();
+        let mut streams = Vec::new();
+        let mut last = None;
+        for r in &requests {
+            let report = e
+                .serve_with_session(&t, std::slice::from_ref(r), opts, &session)
+                .unwrap();
+            assert_eq!(report.kv.leaked_blocks, 0);
+            streams.push(report.requests[0].tokens.clone());
+            last = Some(report);
+        }
+        session.flush().unwrap();
+        (last.unwrap(), streams)
+    };
+    let (second, streams) = run(&opts);
+    assert_eq!(
+        (
+            second.kv.prefix_cache_hit_blocks,
+            second.kv.prefix_cache_hit_tokens
+        ),
+        (4, 12),
+        "12 shared tokens at 3-token pages: 4 cached pages adopted"
     );
-    // Sharing must shrink the peak footprint below two private caches.
-    let private_need: usize = requests
-        .iter()
-        .map(|r| (r.prompt.len() + r.max_new_tokens).div_ceil(3))
-        .sum();
-    assert!(
-        report.kv.peak_used_blocks < private_need,
-        "peak {} should be below the private worst case {private_need}",
-        report.kv.peak_used_blocks
+    assert_eq!(
+        second.kv.prefix_cache_inserted_blocks, 0,
+        "the adopted pages are already cached, and the suffix fills no page"
     );
-    for (r, outcome) in report.requests.iter().enumerate() {
+    for (r, stream) in streams.iter().enumerate() {
         let solo = t
             .generate(
                 &requests[r].prompt,
@@ -594,26 +610,16 @@ fn shared_prefixes_allocate_once_and_keep_streams() {
                 &requests[r].sampler,
             )
             .unwrap();
-        assert_eq!(outcome.tokens, solo, "request {r} diverged under sharing");
+        assert_eq!(*stream, solo, "request {r} diverged under sharing");
     }
-    assert_eq!(report.kv.leaked_blocks, 0);
 
-    // Turning sharing off costs the full private footprint.
-    let unshared = e
-        .serve(
-            &t,
-            &requests,
-            &ServeOptions {
-                share_prefixes: false,
-                ..opts.clone()
-            },
-        )
-        .unwrap();
-    assert_eq!(unshared.kv.shared_prefix_blocks, 0);
-    assert_eq!(unshared.kv.peak_used_blocks, private_need);
-    for (a, b) in report.requests.iter().zip(&unshared.requests) {
-        assert_eq!(a.tokens, b.tokens);
-    }
+    // Turning sharing off reuses nothing, and the streams stay.
+    let (unshared, unshared_streams) = run(&ServeOptions {
+        share_prefixes: false,
+        ..opts.clone()
+    });
+    assert_eq!(unshared.kv.prefix_cache_hit_blocks, 0);
+    assert_eq!(unshared_streams, streams);
 }
 
 /// Batched decode: same-position steps of concurrent requests run as
@@ -716,9 +722,10 @@ fn token_sink_streams_in_request_order() {
 
 /// The int8 lane serves like the others: the static-scale backends —
 /// `PerTensorBackend`, `SmoothQuantBackend`, and `ShadowBackend` with its
-/// shadow halves kept or mostly pruned — are row-wise, so prefix sharing
-/// and decode cohorts engage, and every stream still equals its solo
-/// run at every page size and worker count, with no page leaked.
+/// shadow halves kept or mostly pruned — are row-wise, so a second
+/// batch adopts the first one's cached system prefix, decode cohorts
+/// engage, and every stream still equals its solo run at every page
+/// size and worker count, with no page leaked.
 #[test]
 fn int8_backends_serve_with_sharing_and_cohorts() {
     let w = mini_model();
@@ -747,7 +754,7 @@ fn int8_backends_serve_with_sharing_and_cohorts() {
     // A 17-token system prefix spans a whole page at every page size.
     let prefix = tokens(17, 7);
     let with_tail = |tail: &[u32]| [prefix.as_slice(), tail].concat();
-    let requests = vec![
+    let requests = [
         GenerationRequest::new(with_tail(&[1, 2, 3]), 4),
         GenerationRequest::new(with_tail(&[60, 61]), 4)
             .with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
@@ -768,94 +775,55 @@ fn int8_backends_serve_with_sharing_and_cohorts() {
                 let opts = ServeOptions {
                     max_active: 3,
                     block_tokens,
+                    kv_pool_blocks: Some(
+                        requests
+                            .iter()
+                            .map(|r| r.total_tokens().div_ceil(block_tokens))
+                            .sum(),
+                    ),
                     decode_batch: 4,
                     share_prefixes: true,
                     ..ServeOptions::default()
                 };
-                let report = e.serve(&t, &requests, &opts).unwrap();
+                // The first request prefills the system prefix; the
+                // second batch, on the same session, adopts its pages.
+                let session = e.open_serve_session(&t, &opts).unwrap();
+                let first = e
+                    .serve_with_session(&t, &requests[..1], &opts, &session)
+                    .unwrap();
+                let second = e
+                    .serve_with_session(&t, &requests[1..], &opts, &session)
+                    .unwrap();
+                session.flush().unwrap();
                 let what = format!("{name}, {block_tokens}-token pages, {workers} workers");
                 assert!(
-                    report.kv.shared_prefix_blocks > 0,
+                    second.kv.prefix_cache_hit_blocks > 0,
                     "{what}: sharing must engage"
                 );
                 assert!(
-                    report.timeline.entries().iter().any(
+                    second.timeline.entries().iter().any(
                         |s| matches!(s.meta.kind, ServeTaskKind::Decode { width, .. } if width > 1)
                     ),
                     "{what}: batched decode must engage"
                 );
-                for (r, outcome) in report.requests.iter().enumerate() {
+                let outcomes = first.requests.iter().chain(&second.requests);
+                for (r, outcome) in outcomes.enumerate() {
                     assert_eq!(outcome.tokens, solo[r], "{what}: request {r} diverged");
                 }
-                assert_eq!(report.kv.leaked_blocks, 0, "{what}");
+                assert_eq!(first.kv.leaked_blocks, 0, "{what}");
+                assert_eq!(second.kv.leaked_blocks, 0, "{what}");
             }
         }
     }
 }
 
-/// Regression: a prefix sharer planned *after* an early cohort flush
-/// (a Done gate forces cohort 0's decode chain out while the sharer of
-/// one of its members is still unbuilt) used to panic the graph
-/// builder with an index out of bounds. Release emission is now lazy
-/// per segment, so this mix must serve cleanly and bit-identically.
-#[test]
-fn late_prefix_sharer_after_early_cohort_flush() {
-    let w = mini_model();
-    let be = FloatBackend::new(w.clone());
-    let t = Transformer::new(&w, &be);
-    let e = engine(3, 3);
-    // Six requests; request 4 shares request 2's 9-token aligned
-    // prefix. max_active 3 makes segment 3 gate Done on segment 0,
-    // flushing cohort {0, 1, 2} before segment 4 (2's sharer) exists.
-    let mut shared_tail = tokens(9, 7);
-    shared_tail.extend_from_slice(&[1, 2, 3]);
-    let mut shared_tail2 = tokens(9, 7);
-    shared_tail2.extend_from_slice(&[60, 61]);
-    let requests = vec![
-        GenerationRequest::new(tokens(6, 5), 3),
-        GenerationRequest::new(tokens(7, 11), 3).with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
-        GenerationRequest::new(shared_tail, 3),
-        GenerationRequest::new(tokens(5, 13), 3).with_sampler(SamplerConfig::temperature(1.2, 9)),
-        GenerationRequest::new(shared_tail2, 3).with_sampler(SamplerConfig::top_k(4, 0.9, 77)),
-        GenerationRequest::new(tokens(8, 3), 3),
-    ];
-    let report = e
-        .serve(
-            &t,
-            &requests,
-            &ServeOptions {
-                max_active: 3,
-                block_tokens: 3,
-                decode_batch: 3,
-                share_prefixes: true,
-                ..ServeOptions::default()
-            },
-        )
-        .unwrap();
-    assert!(
-        report.kv.shared_prefix_blocks >= 3,
-        "request 4 should share request 2's prefix"
-    );
-    for (r, outcome) in report.requests.iter().enumerate() {
-        let solo = t
-            .generate(
-                &requests[r].prompt,
-                Some(3),
-                requests[r].max_new_tokens,
-                &requests[r].sampler,
-            )
-            .unwrap();
-        assert_eq!(outcome.tokens, solo, "request {r} diverged");
-    }
-    assert_eq!(report.kv.leaked_blocks, 0);
-}
-
 /// Regression: a segment can fully wait on a decode-cohort member
-/// *through a preempted incarnation* — R1 (sharing R0's prompt) cannot
-/// fit beside its donor and waits for R0's release; R2 then preempts R1
-/// and gates on that eviction. The planner used to seat R2 in R0's
-/// cohort (no gate of R2 names R0), the builder flushed that cohort
-/// before R2 existed, and the whole call failed with `Error::Internal`.
+/// *through a preempted incarnation* — R1 preempts R0; R0's
+/// re-admission may not preempt, so it waits for R1's release; R2 then
+/// preempts it and gates only on that eviction. The planner used to
+/// seat such a segment in the cohort it waits on (no gate of R2 names
+/// R1), the builder flushed that cohort before R2 existed, and the
+/// whole call failed with `Error::Internal`.
 #[test]
 fn cohort_breaks_on_a_wait_through_a_preempted_incarnation() {
     let w = mini_model();
@@ -864,7 +832,7 @@ fn cohort_breaks_on_a_wait_through_a_preempted_incarnation() {
     let e = engine(4, 2);
     let requests = vec![
         GenerationRequest::new(tokens(16, 7), 4),
-        GenerationRequest::new(tokens(16, 7), 4).with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
+        GenerationRequest::new(tokens(16, 5), 4).with_sampler(SamplerConfig::top_k(6, 1.0, 5)),
         GenerationRequest::new(vec![90, 91, 92, 93], 4),
     ];
     let report = e
@@ -882,7 +850,7 @@ fn cohort_breaks_on_a_wait_through_a_preempted_incarnation() {
             },
         )
         .unwrap();
-    assert!(evicted_and_recomputed(&report.timeline, 1));
+    assert!(evicted_and_recomputed(&report.timeline, 0));
     for (r, outcome) in report.requests.iter().enumerate() {
         let solo = t
             .generate(

@@ -1,10 +1,11 @@
 //! Static-verification tests: every serving plan the current tree
-//! builds — prefix sharing, eviction under memory pressure, batched
-//! decode, fault injection — must verify clean through
+//! builds — eviction under memory pressure, batched decode, fault
+//! injection — must verify clean through
 //! [`LlmNpuEngine::verify_serve`] without executing a task, the
 //! structural translation of bare prefill lane graphs must verify clean
-//! too, and a real `serve` run must carry the per-round proof stats it
-//! was gated on.
+//! too, and a real `serve` run — a session round adopting cached
+//! prefix pages included — must carry the per-round proof stats it was
+//! gated on.
 
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
 use llmnpu::core::faults::{FaultMode, FaultPlan, FaultSite, FaultSpec};
@@ -76,27 +77,49 @@ fn prefix_sharing_plan_verifies_clean() {
     let be = FloatBackend::new(w.clone());
     let t = Transformer::new(&w, &be);
     let engine = engine(3);
-    // Three requests off one 6-token common prefix (block- and
-    // chunk-aligned), so the planner provably forks donor pages.
+    // Three requests off one 6-token common prefix over 4-token pages.
+    // The first batch caches the first one's two full prompt pages; the
+    // second batch's two requests each adopt page 0 and row-copy 2 tail
+    // rows of page 1 — a round that declares the tail writes, proven
+    // clean before it ran.
     let base = tokens(6, 7);
     let mk = |extra: &[u32], new| {
         let mut p = base.clone();
         p.extend_from_slice(extra);
         GenerationRequest::new(p, new)
     };
-    let requests = vec![
+    let requests = [
         mk(&[50, 51, 52], 4),
         mk(&[60, 61, 62], 3),
         mk(&[70, 71, 72], 3),
     ];
     let opts = ServeOptions {
-        block_tokens: 3,
+        block_tokens: 4,
+        kv_pool_blocks: Some(12),
         share_prefixes: true,
         ..ServeOptions::default()
     };
-    let report = engine.verify_serve(&t, &requests, &opts).unwrap();
-    assert_clean("prefix sharing", &report);
-    assert_eq!(report.stats.segments, 3);
+    let session = engine.open_serve_session(&t, &opts).unwrap();
+    engine
+        .serve_with_session(&t, &requests[..1], &opts, &session)
+        .unwrap();
+    let report = engine
+        .serve_with_session(&t, &requests[1..], &opts, &session)
+        .unwrap();
+    session.flush().unwrap();
+    assert_eq!(
+        (
+            report.kv.prefix_cache_hit_blocks,
+            report.kv.prefix_cache_hit_tokens
+        ),
+        (2, 12),
+        "one full page and a 2-row tail per request"
+    );
+    let proof = &report.verification[0];
+    assert_eq!(proof.segments, 2);
+    assert!(proof.alias_pairs > 0, "KV accesses must be modeled");
+    assert!(Some(proof.peak_pages) <= proof.page_capacity);
+    assert_eq!(report.kv.leaked_blocks, 0);
 }
 
 #[test]
