@@ -19,55 +19,57 @@
 //!   terminal [`StreamEvent::Finished`] with the request's full
 //!   [`RequestOutcome`]. The handle also carries the request's
 //!   [`CancelToken`], so a caller can abandon a stream mid-flight.
-//! * [`Frontend::run`] opens one [`ServeSession`](crate::serve::ServeSession) and loops: block for
-//!   the next arrival, drain everything else that is already queued
-//!   into the same batch (natural batching — a burst becomes one
-//!   serving round, a trickle becomes many small ones), serve the
-//!   batch, and fan the per-request outcomes back out to their handles.
-//!   The loop ends when a client calls [`FrontendClient::shutdown`] or
-//!   every client handle has been dropped; the session is then flushed,
-//!   which *proves* zero pages leaked over the whole run.
+//! * [`Frontend::run`] opens one [`ServeSession`](crate::serve::ServeSession)
+//!   and drains the serving plane's queue: block for the next arrival
+//!   when it is empty, put the burst already submitted ahead of the
+//!   entries earlier rounds requeued (natural batching), run one round,
+//!   and send `Finished` to every request it finished. A failed request
+//!   with retries left is requeued, as in `serve`, and joins the next
+//!   round beside new arrivals: nobody waits out its retries. The loop
+//!   ends, once the queue drains, at [`FrontendClient::shutdown`] or when
+//!   every client handle is dropped; the session is then flushed, which
+//!   *proves* zero pages leaked over the whole run.
+//!
+//! Every id the loop reports — outcomes, token and trace events, the
+//! request a [`FaultPlan`](crate::faults::FaultPlan) entry targets — is
+//! the submission id, [`StreamHandle::id`].
 //!
 //! # A submission cuts the running round at a chunk boundary
 //!
-//! A batch does not hold the queue hostage. [`FrontendClient::submit`]
+//! A round does not hold the queue hostage. [`FrontendClient::submit`]
 //! bumps a submission counter that the running round reads: once a
 //! submission is pending and all the round has left is prefill it may
 //! cut, it stops starting new prefill chunks (§3.2's fixed-size chunk is
 //! the unit of prefill work, so a chunk boundary is where new work gets
 //! in). A member still to decode keeps the round running anyway, so
 //! until it finishes the others keep prefilling instead of idling.
-//! Chunks already under way run to completion; each cut prefill publishes the full pages of its
-//! completed chunks to the session's prefix cache and is handed back
-//! *suspended*. The loop then plans the next batch with the new
-//! arrivals first and the suspended prefills behind them; each resumes
-//! through an ordinary prefix-cache hit, so it recomputes nothing it
-//! finished. The rules that keep this safe:
+//! Chunks already under way run to completion; each cut prefill
+//! publishes the full pages of its completed chunks to the session's
+//! prefix cache and is requeued *suspended*, to resume through an
+//! ordinary prefix-cache hit. The rules that keep this safe:
 //!
 //! * a request already decoding is never suspended, so no streamed
 //!   token is ever re-sent;
 //! * a suspended prefill completed at least one chunk in its round, so a
 //!   flood of arrivals delays a long prompt but never starves it;
 //! * a suspension never fails, retries or cancels anyone, nor spends
-//!   `max_retries`;
+//!   `max_retries` (the cut counts as an attempt, as an eviction does);
 //! * time spent queued or suspended is spent from the request's
 //!   deadlines ([`GenerationRequest::deadline_ms`]): a request whose
-//!   budget ran out before it joins a batch ends
+//!   budget ran out before it joins a round ends
 //!   [`RequestStatus::DeadlineExceeded`] without reserving a page.
 //!
 //! Cancellation, retries, fault containment and the bit-identity
-//! guarantee are all inherited unchanged from the serving plane: the
-//! front-end adds arrival-over-time and streaming, not new execution
-//! semantics. Determinism note: *which* requests share a batch, and
-//! where a round is cut, depends on caller timing, but every request's
-//! token stream is bit-identical to its solo run regardless (a resumed
-//! prefill is a prefix-cache hit, which the serving plane proves
-//! identical at any page alignment), so the front-end never changes any
-//! stream's bits — only latencies.
+//! guarantee are the serving plane's: *which* requests share a round,
+//! and where a round is cut, depends on caller timing, but every
+//! stream is bit-identical to its solo run regardless (a resumed
+//! prefill is a prefix-cache hit, proven identical at any page
+//! alignment) — the front-end changes only latencies.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use llmnpu_kv::PrefixCacheMetrics;
@@ -76,8 +78,8 @@ use llmnpu_obs::{EventKind, MetricsSnapshot, Plane};
 
 use crate::engine::LlmNpuEngine;
 use crate::serve::{
-    validate_request, Arrivals, CancelToken, GenerationRequest, RequestOutcome, RequestStatus,
-    ServeOptions, TokenEvent,
+    validate_request, Arrivals, CancelToken, GenerationRequest, Queued, RequestOutcome,
+    RequestStatus, ServeOptions, Served, TokenEvent,
 };
 use crate::{Error, Result};
 
@@ -85,7 +87,7 @@ use crate::{Error, Result};
 /// then exactly one `Finished`.
 #[derive(Debug, Clone)]
 pub enum StreamEvent {
-    /// One generated token, streamed while the batch is still running.
+    /// One generated token, streamed while its round is still running.
     Token {
         /// Zero-based decode step within the request's stream.
         step: usize,
@@ -95,28 +97,40 @@ pub enum StreamEvent {
     /// The request reached a terminal [`RequestStatus`]; the outcome
     /// carries the full stream, timings and attempt count.
     Finished {
-        /// The request's complete outcome. `outcome.request` is the
-        /// index within the *batch* the front-end formed, not a global
-        /// id — use [`StreamHandle::id`] for identity.
+        /// The request's complete outcome; `outcome.request` is its
+        /// submission id, [`StreamHandle::id`].
         outcome: RequestOutcome,
     },
 }
 
 struct Submission {
+    /// The submission id ([`StreamHandle::id`]).
+    id: usize,
     request: GenerationRequest,
     events: Sender<StreamEvent>,
     /// When `submit` accepted it: the request's arrival and deadlines
-    /// are measured from here, whichever batch it joins.
+    /// are measured from here, whichever round it joins.
     submitted_at: Instant,
 }
 
 impl Submission {
-    /// The request as it joins a batch at `now`: its arrival offset and
-    /// deadlines less the time already spent since submission, or
-    /// `None` when a deadline is already spent.
-    fn for_batch(&self, now: Instant) -> Option<GenerationRequest> {
-        let since = now.duration_since(self.submitted_at).as_secs_f64() * 1e3;
+    /// The request as it joins a round at `now`: its arrival offset and
+    /// deadlines less the time already spent since submission — or the
+    /// status it ends with instead: `DeadlineExceeded` when a deadline
+    /// is already spent, `Failed` for a prompt token outside the model's
+    /// `vocab`, which `submit` cannot see and which would otherwise fail
+    /// the whole round structurally, ending the loop for everyone.
+    fn for_round(
+        &self,
+        now: Instant,
+        vocab: usize,
+    ) -> std::result::Result<GenerationRequest, RequestStatus> {
         let req = &self.request;
+        if let Some(&token) = req.prompt.iter().find(|&&tk| tk as usize >= vocab) {
+            let error = format!("prompt token {token} outside vocabulary of {vocab}");
+            return Err(RequestStatus::Failed { error });
+        }
+        let since = now.duration_since(self.submitted_at).as_secs_f64() * 1e3;
         let waited = (since - req.arrival_ms).max(0.0);
         let left = |d: Option<f64>| d.map(|d| d - waited);
         let joined = GenerationRequest {
@@ -129,17 +143,20 @@ impl Submission {
             .into_iter()
             .flatten()
             .any(|d| d <= 0.0);
-        (!spent).then_some(joined)
+        if spent {
+            return Err(RequestStatus::DeadlineExceeded);
+        }
+        Ok(joined)
     }
 
     /// Answers the submission with `status` on its own stream, outside
-    /// any batch.
+    /// any round.
     fn answer(self, status: RequestStatus, report: &mut FrontendReport) {
         report.tally(&status);
         let arrival_ms = self.request.arrival_ms;
         let _ = self.events.send(StreamEvent::Finished {
             outcome: RequestOutcome {
-                request: 0,
+                request: self.id,
                 tokens: Vec::new(),
                 token_times_ms: Vec::new(),
                 arrival_ms,
@@ -182,17 +199,17 @@ pub struct StreamHandle {
 }
 
 impl FrontendClient {
-    /// Submits a request for the next serving batch and returns its
+    /// Submits a request for the next serving round and returns its
     /// stream handle immediately. A round already running yields at a
     /// chunk boundary, once all it has left is prefill it may cut, so the
-    /// request joins the next batch (see the module docs); its deadlines
+    /// request joins the next round (see the module docs); its deadlines
     /// run from this call.
     ///
     /// A malformed request (empty prompt, zero token budget, non-finite
     /// or negative arrival or deadline, bad sampler) or one whose worst
     /// case cannot fit the session pool even alone is refused *here*,
     /// to its own submitter — it never reaches the serving loop, so it
-    /// cannot take batch-mates or the loop down with it.
+    /// cannot take round-mates or the loop down with it.
     ///
     /// # Errors
     ///
@@ -204,6 +221,7 @@ impl FrontendClient {
         let cancel = request.cancel_handle();
         let (events_tx, events_rx) = mpsc::channel();
         let sub = Submission {
+            id: id as usize,
             request,
             events: events_tx,
             submitted_at: Instant::now(),
@@ -224,16 +242,17 @@ impl FrontendClient {
     }
 
     /// Asks the front-end to stop accepting work. Requests submitted
-    /// before the shutdown — queued, in the running batch, or suspended
-    /// at a chunk boundary — are still served to a terminal status, with
-    /// no further cuts; then the loop exits.
+    /// before the shutdown — queued, in the running round, requeued for
+    /// retry or suspended at a chunk boundary — are still served to a
+    /// terminal status, with no further cuts; then the loop exits.
     pub fn shutdown(&self) {
         let _ = self.tx.send(Msg::Shutdown);
     }
 }
 
 impl StreamHandle {
-    /// Front-end-wide id of this request (submission order).
+    /// Front-end-wide id of this request (submission order): the
+    /// `request` of its outcome, token events and fault keys.
     #[must_use]
     pub fn id(&self) -> u64 {
         self.id
@@ -274,13 +293,13 @@ impl StreamHandle {
 /// Aggregate accounting for one front-end run.
 #[derive(Debug, Clone, Default)]
 pub struct FrontendReport {
-    /// Serving batches the loop formed (each one serving call on the
-    /// session; a batch holding a resumed request counts again).
+    /// Rounds the loop ran over its queue (a request retried or resumed
+    /// is in more than one).
     pub batches: usize,
     /// Requests served to a terminal status.
     pub requests: usize,
-    /// Prefills a batch cut at a chunk boundary and handed back to
-    /// resume in a later batch (one per request per cut batch).
+    /// Prefills a round cut at a chunk boundary and requeued to resume
+    /// in a later round (one per request per cut round).
     pub suspensions: usize,
     /// Requests that completed their full stream.
     pub completed: usize,
@@ -299,14 +318,15 @@ pub struct FrontendReport {
     /// Cached pages returned to the pool by the final session flush
     /// (after which the pool is proven empty — zero leaks).
     pub flushed_blocks: usize,
-    /// Sum of per-batch makespans: the engine time the front-end spent
-    /// actually serving (its serial simulated clock).
+    /// Sum of per-round makespans: the engine time the front-end spent
+    /// actually serving (its serial serving clock, which every outcome's
+    /// times are on).
     pub serve_ms: f64,
-    /// Queue depth over the whole run: each batch's series shifted onto
-    /// the front-end's serial serving clock and concatenated.
+    /// Queue depth over the whole run: each round's series, on the
+    /// front-end's serial serving clock, concatenated.
     pub queue_depth: Vec<(f64, usize)>,
     /// Final snapshot of the session's metrics registry, cumulative
-    /// over every batch (empty when [`ServeOptions::obs`] was `None`).
+    /// over every round (empty when [`ServeOptions::obs`] was `None`).
     pub metrics: MetricsSnapshot,
 }
 
@@ -360,22 +380,18 @@ pub fn frontend(opts: ServeOptions) -> (FrontendClient, Frontend) {
     )
 }
 
-/// `submit` cannot see the model: a prompt token outside the vocabulary
-/// would only be caught building the batch, as a structural error ending
-/// the loop for everyone. The loop answers each such submission alone,
-/// with [`RequestStatus::Failed`] on its own stream, and serves the rest.
-fn out_of_vocab(request: &GenerationRequest, vocab: usize) -> Option<RequestStatus> {
-    let &token = request.prompt.iter().find(|&&tk| tk as usize >= vocab)?;
-    Some(RequestStatus::Failed {
-        error: format!("prompt token {token} outside vocabulary of {vocab}"),
-    })
-}
-
 impl Frontend {
-    /// Takes every queued submission into `batch`, first blocking for
-    /// one when `block`, and counts them in `received`. Returns whether
-    /// the loop still accepts work (no shutdown, a client alive).
-    fn receive(&self, block: bool, batch: &mut Vec<Submission>, received: &mut u64) -> bool {
+    /// Takes every queued submission, first blocking for one when
+    /// `block`: its entry into `arrived`, the submission into
+    /// `unfinished`, and a count into `received`. Returns whether the
+    /// loop still accepts work (no shutdown, a client alive).
+    fn receive(
+        &self,
+        block: bool,
+        arrived: &mut Vec<Queued>,
+        unfinished: &mut HashMap<usize, Submission>,
+        received: &mut u64,
+    ) -> bool {
         let mut msg = if block {
             self.rx.recv().map_err(|_| TryRecvError::Disconnected)
         } else {
@@ -385,7 +401,8 @@ impl Frontend {
             match msg {
                 Ok(Msg::Submit(sub)) => {
                     *received += 1;
-                    batch.push(*sub);
+                    arrived.push(Queued::new(sub.id, sub.request.clone()));
+                    unfinished.insert(sub.id, *sub);
                 }
                 Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => return false,
                 Err(TryRecvError::Empty) => return true,
@@ -404,7 +421,7 @@ impl Frontend {
     /// # Errors
     ///
     /// Returns an error if the session cannot be opened (missing or
-    /// oversized page budget), if a batch fails *structurally* (plan
+    /// oversized page budget), if a round fails *structurally* (plan
     /// rejected by the verifier, a broken engine invariant), or if the
     /// final flush finds leaked pages. Per-request failures are *not*
     /// errors here — they are terminal statuses on their own streams —
@@ -419,118 +436,113 @@ impl Frontend {
             ..FrontendReport::default()
         };
         // Submissions taken off the channel (the running round's view of
-        // what is not pending), and prefills a cut round handed back.
+        // what is not pending), the unfinished ones by id, and the queue
+        // each round drains and requeues its retries and cuts into.
         let mut received = 0u64;
-        let mut suspended: Vec<Submission> = Vec::new();
+        let mut unfinished: HashMap<usize, Submission> = HashMap::new();
+        let mut queue: Vec<Queued> = Vec::new();
         let mut open = true;
         loop {
-            // Block for the next arrival when nothing waits to resume,
-            // then drain the burst that is already queued.
-            let mut arrived: Vec<Submission> = Vec::new();
+            // Block for the next arrival when nothing is queued, then
+            // drain the burst that is already queued.
+            let mut arrived = Vec::new();
             if open {
-                open = self.receive(suspended.is_empty(), &mut arrived, &mut received);
+                let block = queue.is_empty();
+                open = self.receive(block, &mut arrived, &mut unfinished, &mut received);
             }
-            if arrived.is_empty() && suspended.is_empty() {
+            if arrived.is_empty() && queue.is_empty() {
                 if open {
                     continue;
                 }
                 break;
             }
 
-            // New arrivals first, the suspended prefills behind them;
-            // what cannot join is answered on its own stream.
+            // The burst ahead of the carried entries. A new or suspended
+            // request joins on the time since its submission (what cannot
+            // join is answered on its own stream); a retry keeps the
+            // backoff arrival its round gave it.
             let now = Instant::now();
-            let fresh = arrived.len();
             let vocab = t.config().vocab;
-            let mut batch: Vec<Submission> = Vec::new();
-            let mut requests: Vec<GenerationRequest> = Vec::new();
-            let mut resumed = 0;
-            let queued = arrived.into_iter().chain(std::mem::take(&mut suspended));
-            for (i, sub) in queued.enumerate() {
-                let joined = match out_of_vocab(&sub.request, vocab) {
-                    Some(status) => Err(status),
-                    None => sub.for_batch(now).ok_or(RequestStatus::DeadlineExceeded),
-                };
-                match joined {
-                    Ok(request) => {
-                        resumed += usize::from(i >= fresh);
-                        requests.push(request);
-                        batch.push(sub);
+            for mut q in arrived.into_iter().chain(std::mem::take(&mut queue)) {
+                if q.attempts == 0 || q.resumed {
+                    let Some(sub) = unfinished.remove(&q.id) else {
+                        continue;
+                    };
+                    match sub.for_round(now, vocab) {
+                        Ok(request) => q.request = request,
+                        Err(status) => {
+                            sub.answer(status, &mut report);
+                            continue;
+                        }
                     }
-                    Err(status) => sub.answer(status, &mut report),
+                    unfinished.insert(q.id, sub);
                 }
+                queue.push(q);
             }
-            if batch.is_empty() {
+            if queue.is_empty() {
                 continue;
             }
 
             report.batches += 1;
             if let Some(obs) = session.observability() {
-                // Batch composition depends on caller timing, so these
+                // Round composition depends on caller timing, so these
                 // are Exec-plane events (excluded from the canonical
                 // modeled export).
-                let batches = report.batches;
-                let width = requests.len();
+                let (round, width) = (report.batches, queue.len());
                 obs.sink.event(Plane::Exec, EventKind::Batch, None, || {
-                    format!("batch {batches}: {width} request(s)")
+                    format!("round {round}: {width} request(s)")
                 });
-                for (idx, req) in requests.iter().enumerate() {
+                for q in &queue {
+                    let (prompt, max_new) = (q.request.prompt.len(), q.request.max_new_tokens);
                     obs.sink
-                        .event(Plane::Exec, EventKind::Submit, Some(idx), || {
-                            format!(
-                                "prompt {} token(s), max_new {}",
-                                req.prompt.len(),
-                                req.max_new_tokens
-                            )
+                        .event(Plane::Exec, EventKind::Submit, Some(q.id), || {
+                            format!("prompt {prompt} token(s), max_new {max_new}")
                         });
                 }
             }
 
-            // Per-batch streaming sink: TokenEvent.request indexes the
-            // batch. Senders are wrapped in mutexes only to make the
-            // sink Sync; sends are non-blocking, as the execution lanes
-            // require.
-            let senders: Arc<Vec<Mutex<Sender<StreamEvent>>>> =
-                Arc::new(batch.iter().map(|s| Mutex::new(s.events.clone())).collect());
+            // Per-round streaming sink, keyed by submission id; sends are
+            // non-blocking, as the execution lanes require.
+            let senders: HashMap<usize, Sender<StreamEvent>> = queue
+                .iter()
+                .filter_map(|q| Some((q.id, unfinished.get(&q.id)?.events.clone())))
+                .collect();
             let chained = self.opts.on_token.clone();
-            let sink_senders = Arc::clone(&senders);
             let mut opts = self.opts.clone();
             opts.on_token = Some(Arc::new(move |ev: &TokenEvent| {
-                if let Some(tx) = sink_senders.get(ev.request) {
-                    if let Ok(tx) = tx.lock() {
-                        // A dropped StreamHandle just stops listening;
-                        // cancellation is the token's job.
-                        let _ = tx.send(StreamEvent::Token {
-                            step: ev.step,
-                            token: ev.token,
-                        });
-                    }
+                if let Some(tx) = senders.get(&ev.request) {
+                    // A dropped StreamHandle just stops listening;
+                    // cancellation is the token's job.
+                    let _ = tx.send(StreamEvent::Token {
+                        step: ev.step,
+                        token: ev.token,
+                    });
                 }
                 if let Some(f) = &chained {
                     f(ev);
                 }
             }));
 
-            // After shutdown nothing new can join, so nothing cuts.
+            // After shutdown nothing new can join, so nothing cuts. The
+            // round runs on the front-end's serial serving clock, and
+            // every request it finished hears so now.
             let arrivals = open.then(|| Arrivals::new(&self.submitted, received));
-            let (served, cut) =
-                engine.serve_with_arrivals(t, &requests, &opts, &session, arrivals, resumed)?;
-            // Each batch runs on its own round clock; shift onto the
-            // front-end's serial clock before concatenating.
-            let base = report.serve_ms;
-            report
-                .queue_depth
-                .extend(served.queue_depth.iter().map(|&(ts, d)| (ts + base, d)));
-            report.serve_ms += served.makespan_ms();
-            report.suspensions += cut.len();
-            let mut batch: Vec<Option<Submission>> = batch.into_iter().map(Some).collect();
-            for outcome in served.requests {
+            let start = report.serve_ms;
+            let mut served = Served::new(engine, &opts, &session, start);
+            served.round(t, &mut queue, arrivals)?;
+            report.serve_ms = served.clock_ms;
+            report.suspensions += served.suspensions;
+            let round = served.report()?;
+            // A carried request arrived before this round: its series
+            // starts where the round does.
+            let depth = round.queue_depth.iter().map(|&(ts, d)| (ts.max(start), d));
+            report.queue_depth.extend(depth);
+            for outcome in round.requests {
                 report.tally(&outcome.status);
-                if let Some(sub) = batch.get_mut(outcome.request).and_then(Option::take) {
+                if let Some(sub) = unfinished.remove(&outcome.request) {
                     let _ = sub.events.send(StreamEvent::Finished { outcome });
                 }
             }
-            suspended.extend(cut.into_iter().filter_map(|idx| batch[idx].take()));
         }
 
         report.cache = session.cache_metrics();

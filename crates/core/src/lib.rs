@@ -15,8 +15,9 @@
 //! * [`memory`] — the Figure 17 footprint comparison,
 //! * [`serve`] — the continuous-batching serving layer over the paged
 //!   KV pool (`llmnpu-kv`): [`engine::LlmNpuEngine::serve`] plans
-//!   admission by **free KV pages** (plus a concurrency cap),
-//!   ref-count-shares block-aligned prompt prefixes, evicts the
+//!   admission by **free KV pages** (plus a concurrency cap), reuses
+//!   prompt prefixes of any length through the session's global prefix
+//!   cache (full pages ref-count-shared), evicts the
 //!   youngest request under memory pressure (requeued with recompute —
 //!   the preemption witness lives in the unified timeline), stacks
 //!   same-position decode steps into `m = B` batched GEMMs, streams

@@ -109,11 +109,10 @@ impl ChunkCut {
 
 impl RoundState {
     pub(super) fn new(round: &Round<'_>, segments: usize) -> Result<Self> {
-        let requests = &round.requests;
+        let requests = || round.members.iter().map(|q| &q.request);
         Ok(RoundState {
-            slots: requests.iter().map(|_| Mutex::new(None)).collect(),
-            states: requests
-                .iter()
+            slots: requests().map(|_| Mutex::new(None)).collect(),
+            states: requests()
                 .map(|req| {
                     Ok(Mutex::new(ReqState {
                         sampler: Sampler::new(&req.sampler)?,
@@ -122,8 +121,7 @@ impl RoundState {
                     }))
                 })
                 .collect::<Result<_>>()?,
-            runtime: requests
-                .iter()
+            runtime: requests()
                 .map(|req| ReqRuntime {
                     term: Mutex::new(None),
                     tokens_out: AtomicUsize::new(0),
@@ -133,7 +131,7 @@ impl RoundState {
             prefill_ok: (0..segments).map(|_| AtomicBool::new(false)).collect(),
             cuts: (0..segments).map(|_| Mutex::default()).collect(),
             cuttable: (0..segments).map(|_| AtomicBool::new(false)).collect(),
-            suspended: requests.iter().map(|_| AtomicUsize::new(0)).collect(),
+            suspended: requests().map(|_| AtomicUsize::new(0)).collect(),
             ran_empty: Mutex::default(),
         })
     }
@@ -160,15 +158,15 @@ impl<'run> RunCtx<'run> {
     /// ladder, so the attempt-numbered spans witness both preemption
     /// *and* retry.
     pub(super) fn attempt(self, s: usize) -> usize {
-        self.round.attempt_base[self.member(s)] + self.segments[s].attempt
+        self.round.members[self.member(s)].attempts + self.segments[s].attempt
     }
 
-    /// Original (caller-side) request id of segment `s`.
+    /// Stable caller-side request id of segment `s`.
     pub(super) fn orig(self, s: usize) -> usize {
-        self.round.orig_ids[self.member(s)]
+        self.round.members[self.member(s)].id
     }
 
-    /// Segment `s`'s `FaultSpec` key: original request id and 1-based
+    /// Segment `s`'s `FaultSpec` key: stable request id and 1-based
     /// global attempt.
     fn fault_key(self, s: usize) -> (usize, usize) {
         (self.orig(s), self.attempt(s) + 1)
@@ -215,7 +213,7 @@ impl<'run> RunCtx<'run> {
                     || (live.cuttable[s].load(Ordering::Acquire)
                         && !live.prefill_ok[s].load(Ordering::Acquire))
                     || rt.tokens_out.load(Ordering::Acquire)
-                        == self.round.requests[seg.req].max_new_tokens
+                        == self.round.request(seg.req).max_new_tokens
                     || plain_lock(&rt.term).is_some()
             })
     }
@@ -239,7 +237,7 @@ impl<'run> Prefill<'run> {
         };
         for seg in ctx.segments {
             let cached_tokens = seg.prefix_tokens();
-            let suffix = &ctx.round.requests[seg.req].prompt[cached_tokens..];
+            let suffix = &ctx.round.request(seg.req).prompt[cached_tokens..];
             let dag_cfg = engine.dag_config(suffix.len())?;
             let dag = build_prefill_dag(ctx.t.config(), &dag_cfg, engine.latency_model())?;
             pre.programs.push(PrefillProgram::new(
@@ -337,9 +335,9 @@ pub(super) fn build_round<'run>(
             builds: Vec::new(),
             token_tasks: ctx
                 .round
-                .requests
+                .members
                 .iter()
-                .map(|r| vec![0; r.max_new_tokens])
+                .map(|q| vec![0; q.request.max_new_tokens])
                 .collect(),
         },
         cohort_members: vec![Vec::new(); cohorts],
@@ -415,7 +413,7 @@ impl<'run> RoundBuilder<'run> {
             label,
             processor: self.decode_proc,
             duration_ms: FINISH_TASK_MS,
-            release_ms: self.ctx.round.requests[self.ctx.member(s)].arrival_ms,
+            release_ms: self.ctx.round.request(self.ctx.member(s)).arrival_ms,
             barrier,
         }
     }
@@ -427,7 +425,7 @@ impl<'run> RoundBuilder<'run> {
         let ctx = self.ctx;
         let seg = &ctx.segments[s];
         let req = seg.req;
-        let request = &ctx.round.requests[req];
+        let request = ctx.round.request(req);
         let attempt = ctx.attempt(s);
         let (orig, fault_attempt) = ctx.fault_key(s);
         let faults = &ctx.round.faults;
@@ -550,7 +548,7 @@ impl<'run> RoundBuilder<'run> {
     fn admit_body(&self, s: usize) -> TaskFn<'run> {
         let ctx = self.ctx;
         let seg = &ctx.segments[s];
-        let request = &ctx.round.requests[seg.req];
+        let request = ctx.round.request(seg.req);
         let (orig, fault_attempt) = ctx.fault_key(s);
         let admit_fault = ctx
             .round
@@ -662,7 +660,7 @@ impl<'run> RoundBuilder<'run> {
                 };
                 ctx.round
                     .cache
-                    .insert(ctx.round.pool, &ctx.round.requests[req].prompt, &blocks)
+                    .insert(ctx.round.pool, &ctx.round.request(req).prompt, &blocks)
                     .map_err(|e| e.to_string())?;
             }
             ctx.live.prefill_ok[s].store(true, Ordering::Release);
@@ -677,13 +675,13 @@ impl<'run> RoundBuilder<'run> {
             return Ok(());
         }
         let ctx = self.ctx;
-        let requests = &ctx.round.requests;
+        let round = ctx.round;
         let members = std::mem::take(&mut self.cohort_members[c]);
         let mut chain_prev: Vec<usize> = members
             .iter()
             .map(|&s| self.out.builds[s].prefill_finish)
             .collect();
-        let steps_of = |s: usize| requests[ctx.member(s)].max_new_tokens;
+        let steps_of = |s: usize| round.request(ctx.member(s)).max_new_tokens;
         let max_steps = members.iter().map(|&s| steps_of(s)).max().unwrap_or(0);
         for step in 0..max_steps {
             let active: Vec<usize> = (0..members.len())
@@ -699,13 +697,13 @@ impl<'run> RoundBuilder<'run> {
                 .map(|&s| {
                     let (orig, fault_attempt) = ctx.fault_key(s);
                     self.dsim
-                        .token_ms(requests[ctx.member(s)].prompt.len() + step)
+                        .token_ms(round.request(ctx.member(s)).prompt.len() + step)
                         * ctx.round.faults.duration_factor(orig, fault_attempt)
                 })
                 .fold(0.0, f64::max);
             let release = segs
                 .iter()
-                .map(|&s| requests[ctx.member(s)].arrival_ms)
+                .map(|&s| round.request(ctx.member(s)).arrival_ms)
                 .fold(0.0, f64::max);
             let label = if width == 1 {
                 format!("R{}-D{step}", ctx.orig(segs[0]))
@@ -820,7 +818,7 @@ impl RunCtx<'_> {
             *term = Some(RequestStatus::Cancelled);
             return;
         }
-        let prompt = &self.round.requests[m].prompt;
+        let prompt = &self.round.request(m).prompt;
         let bt = self.round.pool.config().block_tokens;
         let done = self.segments[s].prefix_tokens() + at * chunk_len;
         let full = done - done % bt;
@@ -906,7 +904,7 @@ impl RunCtx<'_> {
             for ((slot, state), &(m, _)) in slot_guards.iter_mut().zip(&state_guards).zip(&live) {
                 entries.push(PagedDecodeEntry {
                     token: *state.tokens.get(step - 1).ok_or("missing previous token")?,
-                    pos: self.round.requests[m].prompt.len() + step - 1,
+                    pos: self.round.request(m).prompt.len() + step - 1,
                     kv: slot.as_mut().ok_or("missing kv cache")?,
                 });
             }

@@ -54,18 +54,17 @@
 //! [`LlmNpuEngine::serve`] is literally that path on a *transient*
 //! session — opened for the call, autosized to the batch, flushed (and
 //! proven empty) before returning. A long-running front-end (see
-//! [`crate::frontend`]) instead opens a session once and serves one
-//! batch per call: cached prompt prefixes (every completed prefill
+//! [`crate::frontend`]) instead opens a session once and runs one
+//! round per loop turn: cached prompt prefixes (every completed prefill
 //! inserts its full prompt pages, a prefill cut at a chunk boundary the
-//! full pages it completed) survive *across* batches, so a later
-//! request sharing a system prompt
-//! with any earlier one reuses those pages even though the producer is
-//! long released. Cached pages are ref-counted residents of the pool;
+//! full pages it completed) survive *across* rounds, so a later request
+//! sharing a system prompt with any earlier one reuses those pages even
+//! though the producer is long released. Cached pages are ref-counted residents of the pool;
 //! under admission pressure the planner evicts cold cached prefixes
 //! (LRU, refusing pages mid-reuse or claimed by the current round)
 //! before it resorts to preempting live requests. The zero-leak
 //! invariant becomes: used pages minus cache-resident pages is zero
-//! after every batch, and exactly zero after a session flush.
+//! after every round, and exactly zero after a session flush.
 //!
 //! # Determinism
 //!
@@ -93,28 +92,34 @@
 //! that run on every path — which is how the zero-leak page invariant
 //! holds under failure, not just success. Every request ends in exactly
 //! one [`RequestStatus`]; transient failures are retried with bounded
-//! exponential backoff (a fresh round reusing the eviction-requeue
-//! machinery — the retry re-streams from step 0 with the same seeded
-//! sampler, so a surviving retry is still bit-identical to the solo
-//! run). Deterministic fault injection for all of this lives in
-//! [`crate::faults`].
+//! exponential backoff (requeued into the next round — the retry
+//! re-streams from step 0 with the same seeded sampler, so a surviving
+//! retry is still bit-identical to the solo run). Deterministic fault
+//! injection for all of this lives in [`crate::faults`]; a fault is
+//! keyed on the request's stable id and its attempt, counted across
+//! rounds.
 //!
 //! # Module map
 //!
-//! A serving call is a loop of *rounds* (round 1 serves everyone, later
-//! rounds re-serve the failed), and a round is a fixed pipeline over one
-//! `Round` context. A round ends when its graph drains — or, when the
-//! [front-end](crate::frontend) forms it, a new submission arrives while
-//! it runs and all it has left is prefill it may cut, at the next
-//! **chunk boundary** of each such prefill: chunks already under way finish, the tasks of later ones run
+//! Serving drains one **queue**, a *round* at a time: a round runs every
+//! entry through a fixed pipeline over one `Round` context and resolves
+//! each to one outcome — finished, requeued for retry (its backoff as
+//! its arrival) or requeued suspended. An entry keeps its stable id (its
+//! index in a `serve` batch, or its front-end submission id) and its
+//! attempts across rounds. `serve_with_session` runs rounds until the
+//! queue drains; the [front-end](crate::frontend) runs one per loop
+//! turn, arrivals first.
+//!
+//! A round ends when its graph drains — or, when the front-end forms
+//! it, a new submission arrives while it runs and all it has left is
+//! prefill it may cut, at the next **chunk boundary** of each such
+//! prefill: chunks already under way finish, the tasks of later ones run
 //! empty, the completed full pages go to the prefix cache at the
-//! request's Release, and the request is handed back *suspended*, to
-//! resume through an ordinary cache hit in the front-end's next round. A
-//! request in decode and a retry round are never cut, and every cut
-//! completes at least one chunk and one new full page;
-//! [`LlmNpuEngine::serve`] and
-//! [`LlmNpuEngine::serve_with_session`] have no arrival source and never
-//! cut.
+//! request's Release, and the request is requeued *suspended*, to
+//! resume through an ordinary cache hit. A request in decode is never
+//! cut, and every cut completes at least one chunk and one new full
+//! page; `serve` and `serve_with_session` have no arrival source and
+//! never cut.
 //!
 //! * `plan` — the deterministic admission planner (segments, prefix-cache
 //!   hits, gates, pressure ladder, decode cohorts — resumed prefills in
@@ -126,8 +131,7 @@
 //! * `prove` — the graph as an `llmnpu-verify` plan, proven clean
 //!   before any closure runs,
 //! * `run` — the dispatch gate, fault-contained execution, per-member
-//!   resolution (terminal or suspended), and the retry loop composing
-//!   rounds,
+//!   resolution, and the round over the queue composing onto one clock,
 //! * `report` — the timeline, outcomes, pool accounting and metrics a
 //!   call hands back.
 //!
@@ -161,6 +165,7 @@ pub use report::{
     KvPoolReport, RequestOutcome, ServeMeta, ServeReport, ServeSpan, ServeTaskKind, ServeTimeline,
 };
 use run::RoundMode;
+pub(crate) use run::Served;
 
 /// Locks a serving-plane mutex, recovering from poisoning: every guarded
 /// value here (generation state, KV-cache slots, terminal-status cells)
@@ -374,7 +379,8 @@ pub enum PressurePolicy {
 /// [`ServeOptions::on_token`] while the batch is still running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenEvent {
-    /// Request index (admission order).
+    /// The request's stable id: its index in a `serve` batch, or its
+    /// [front-end](crate::frontend) submission id.
     pub request: usize,
     /// Zero-based position in the request's stream.
     pub step: usize,
@@ -418,15 +424,15 @@ pub struct ServeOptions {
     /// Streaming token callback, if any.
     pub on_token: Option<TokenSink>,
     /// How many times a *failed* request (panic or task error) is
-    /// requeued into a fresh round before giving up with
+    /// requeued into a later round before giving up with
     /// [`RequestStatus::RetriesExhausted`]. Cancelled and
     /// deadline-expired requests never retry. Each retry re-streams from
     /// step 0 with the request's seeded sampler, so a surviving retry is
     /// still bit-identical to the solo run (the sink sees the stream
     /// restart).
     pub max_retries: usize,
-    /// Base backoff before a retry round, ms: attempt `k`'s round admits
-    /// the request at `retry_backoff_ms · 2^(k-1)` on the round's clock.
+    /// Base backoff before a retry, ms: retry `k` joins the next round
+    /// arriving at `retry_backoff_ms · 2^(k-1)` on that round's clock.
     pub retry_backoff_ms: Millis,
     /// Deterministic fault-injection script ([`crate::faults`]); `None`
     /// injects nothing.
@@ -568,77 +574,88 @@ impl<'a> Arrivals<'a> {
     }
 }
 
-/// Everything fixed about one retry round, stated once: its members
-/// (arrival-adjusted request clones plus the mapping back to original
-/// ids and already-consumed attempt counts), the session they run
-/// against, and the knobs in effect. Every stage — `plan` → `build` →
-/// `prove` → `run` → `report` — reads this instead of positional
-/// plumbing.
+/// A pending request in a serving queue — new, requeued for retry or
+/// suspended by a cut alike — with its history across rounds.
+#[derive(Debug)]
+pub(crate) struct Queued {
+    /// The request, its arrival on the next round's clock.
+    pub(crate) request: GenerationRequest,
+    /// Stable caller-side id, as fault keys, events and outcomes carry it.
+    pub(crate) id: usize,
+    /// Incarnations earlier rounds ran (evicted, failed or cut alike).
+    pub(crate) attempts: usize,
+    /// Failure retries already spent.
+    retries: usize,
+    /// Resumes a prefill a round cut: it decodes in cohorts of its own.
+    pub(crate) resumed: bool,
+    /// Arrival (stamped by its first round) and first dispatch, on the
+    /// caller's clock — what the outcome reports.
+    arrival_ms: f64,
+    first_dispatch_ms: Option<f64>,
+}
+
+impl Queued {
+    /// A request that has not run yet.
+    pub(crate) fn new(id: usize, request: GenerationRequest) -> Self {
+        Queued {
+            request,
+            id,
+            attempts: 0,
+            retries: 0,
+            resumed: false,
+            arrival_ms: 0.0,
+            first_dispatch_ms: None,
+        }
+    }
+}
+
+/// A caller's batch as a queue: request `r` has id `r`.
+fn queue_of(requests: &[GenerationRequest]) -> Vec<Queued> {
+    let queued = |(r, req): (usize, &GenerationRequest)| Queued::new(r, req.clone());
+    requests.iter().enumerate().map(queued).collect()
+}
+
+/// Everything fixed about one round, stated once: its members (queue
+/// entries, in queue order), the session and the knobs in effect. Every
+/// stage — `plan` → `build` → `prove` → `run` → `report` — reads this.
 struct Round<'a> {
-    requests: Vec<GenerationRequest>,
-    /// Original (caller-side) request id of each member.
-    orig_ids: Vec<usize>,
-    /// Attempts each member consumed in earlier rounds.
-    attempt_base: Vec<usize>,
+    members: Vec<Queued>,
     opts: &'a ServeOptions,
     pool: &'a Arc<BlockPool>,
     cache: &'a PrefixCache,
     faults: FaultPlan,
     obs: Option<&'a Observability>,
-    /// The front-end's arrival source: set on round 1 of a front-end
-    /// call only, so a retry round is never cut.
+    /// The front-end's arrival source: with it, the round may cut
+    /// prefills at a chunk boundary.
     arrivals: Option<Arrivals<'a>>,
-    /// Members from this index on resume prefills a cut round suspended:
-    /// they decode in cohorts of their own, so an arrival's first token
-    /// never waits on a long resumed prefill.
-    resumed_from: usize,
+    /// Where the round starts on the clock its spans and outcomes use.
+    clock_ms: f64,
 }
 
 impl<'a> Round<'a> {
-    /// Round 1 of a serving call over `session`: every request, on its
-    /// own arrival clock.
-    fn first(
-        requests: &[GenerationRequest],
+    /// A round over `members` on `session`, starting at `clock_ms`.
+    fn new(
+        members: Vec<Queued>,
         opts: &'a ServeOptions,
         session: &'a ServeSession,
         arrivals: Option<Arrivals<'a>>,
-        resumed: usize,
+        clock_ms: f64,
     ) -> Self {
         Round {
-            requests: requests.to_vec(),
-            orig_ids: (0..requests.len()).collect(),
-            attempt_base: vec![0; requests.len()],
+            members,
             opts,
             pool: &session.pool,
             cache: &session.cache,
             faults: opts.faults.clone().unwrap_or_default(),
             obs: opts.obs.as_ref().or(session.obs.as_ref()),
             arrivals,
-            resumed_from: requests.len() - resumed,
+            clock_ms,
         }
     }
 
-    /// Re-seats the round for a retry: `requests[members[i]]` admitted
-    /// `backoffs_ms[i]` into the new round's clock.
-    fn retry(
-        &mut self,
-        requests: &[GenerationRequest],
-        members: Vec<usize>,
-        backoffs_ms: &[f64],
-        attempt_base: &[usize],
-    ) {
-        self.requests = members
-            .iter()
-            .zip(backoffs_ms)
-            .map(|(&r, &arrival_ms)| GenerationRequest {
-                arrival_ms,
-                ..requests[r].clone()
-            })
-            .collect();
-        self.attempt_base = members.iter().map(|&r| attempt_base[r]).collect();
-        self.arrivals = None;
-        self.resumed_from = members.len();
-        self.orig_ids = members;
+    /// Member `m`'s request.
+    fn request(&self, m: usize) -> &GenerationRequest {
+        &self.members[m].request
     }
 
     /// The Plan/Exec event sink, when observability is attached.
@@ -673,7 +690,7 @@ impl LlmNpuEngine {
     /// error in one request's chain, a fired [`CancelToken`], or a blown
     /// deadline terminates *that request only* — every other stream
     /// completes bit-identical to its solo run. Failed requests are
-    /// retried up to [`ServeOptions::max_retries`] times in follow-up
+    /// requeued up to [`ServeOptions::max_retries`] times into later
     /// rounds with exponential backoff; every request ends in exactly
     /// one [`RequestStatus`] in its [`RequestOutcome::status`], and the
     /// pool is page-leak-free afterwards no matter which paths failed.
@@ -777,31 +794,17 @@ impl LlmNpuEngine {
         opts: &ServeOptions,
         session: &ServeSession,
     ) -> Result<ServeReport> {
-        // No arrival source: no round is ever cut, nothing is suspended.
-        let (report, _) = self.serve_with_arrivals(t, requests, opts, session, None, 0)?;
-        Ok(report)
-    }
-
-    /// [`LlmNpuEngine::serve_with_session`] for the front-end: with
-    /// `arrivals`, round 1 yields at its next chunk boundary once a
-    /// submission is pending and all it has left is prefill it may cut;
-    /// the last `resumed` requests resume
-    /// prefills an earlier cut suspended. Returns the report over the
-    /// requests that reached a terminal status, and the batch indices of
-    /// those handed back suspended (their completed full pages cached,
-    /// nothing streamed).
-    pub(crate) fn serve_with_arrivals(
-        &self,
-        t: &Transformer<'_>,
-        requests: &[GenerationRequest],
-        opts: &ServeOptions,
-        session: &ServeSession,
-        arrivals: Option<Arrivals<'_>>,
-        resumed: usize,
-    ) -> Result<(ServeReport, Vec<usize>)> {
         check_batch(t, requests, opts, session)?;
-        let round = Round::first(requests, opts, session, arrivals, resumed);
-        self.serve_rounds(t, requests, opts, session, round)
+        // No arrival source: no round is ever cut, nothing is suspended;
+        // a failed request is requeued until its retries run out.
+        let mut queue = queue_of(requests);
+        let mut served = Served::new(self, opts, session, 0.0);
+        while !queue.is_empty() {
+            served.round(t, &mut queue, None)?;
+        }
+        let mut report = served.report()?;
+        report.requests.sort_by_key(|o| o.request);
+        Ok(report)
     }
 
     /// Statically verifies the serving plan for `requests` without
@@ -834,7 +837,7 @@ impl LlmNpuEngine {
         if requests.is_empty() {
             return Ok(llmnpu_verify::Report::default());
         }
-        let round = Round::first(requests, opts, &session, None, 0);
+        let round = Round::new(queue_of(requests), opts, &session, None, 0.0);
         Ok(self.run_round(t, &round, RoundMode::DryRun)?.verified)
     }
 }

@@ -101,7 +101,7 @@ impl Planner<'_> {
     /// return to `free`, minus what it retains in the prefix cache.
     fn release_plan(&mut self, seg: usize) {
         let s = &self.segments[seg];
-        self.free += s.fresh_blocks(self.pool_cfg(), &self.round.requests[s.req]) - s.retained;
+        self.free += s.fresh_blocks(self.pool_cfg(), self.round.request(s.req)) - s.retained;
     }
 
     /// Emits a Plan-plane event for request `req`. Planning is
@@ -109,7 +109,7 @@ impl Planner<'_> {
     /// order and belong to the canonical modeled export.
     fn trace(&self, kind: EventKind, req: usize, f: impl FnOnce() -> String) {
         if let Some(sink) = self.round.sink() {
-            sink.event(Plane::Plan, kind, Some(self.round.orig_ids[req]), f);
+            sink.event(Plane::Plan, kind, Some(self.round.members[req].id), f);
         }
     }
 
@@ -121,7 +121,7 @@ impl Planner<'_> {
         pending: &mut VecDeque<(usize, usize)>,
     ) -> Result<usize> {
         let round = self.round;
-        let request = &round.requests[req];
+        let request = round.request(req);
         let mut cand = SegmentPlan {
             req,
             attempt,
@@ -210,7 +210,7 @@ impl Planner<'_> {
                     self.release_plan(seg);
                     cand.gates.push(seg);
                     self.trace(EventKind::Pressure, req, || {
-                        format!("stage 3: R{} attempt {va} preempted", round.orig_ids[vr])
+                        format!("stage 3: R{} attempt {va} preempted", round.members[vr].id)
                     });
                     pending.push_front((vr, va + 1));
                     continue;
@@ -259,7 +259,7 @@ impl Planner<'_> {
 /// cache happen here, at plan time — `round.pool` is the live pool, so
 /// evicted cached pages free physically before any task executes.
 pub(super) fn plan_batch(round: &Round<'_>) -> Result<RoundPlan> {
-    let n = round.requests.len();
+    let n = round.members.len();
     let mut planner = Planner {
         round,
         free: round.pool.free_blocks(),
@@ -297,7 +297,7 @@ pub(super) fn plan_batch(round: &Round<'_>) -> Result<RoundPlan> {
             }
             continue;
         }
-        let resumed = seg.req >= round.resumed_from;
+        let resumed = round.members[seg.req].resumed;
         if !current.is_empty()
             && (current.len() >= round.opts.decode_batch
                 || waits_on_member
@@ -324,7 +324,7 @@ mod tests {
 
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::serve::ServeOptions;
+    use crate::serve::{queue_of, ServeOptions};
 
     fn reqs(shapes: &[(usize, usize)]) -> Vec<GenerationRequest> {
         shapes
@@ -358,18 +358,15 @@ mod tests {
             share_prefixes: share,
             ..ServeOptions::default()
         };
-        let n = requests.len();
         let round = Round {
-            requests,
-            orig_ids: (0..n).collect(),
-            attempt_base: vec![0; n],
+            members: queue_of(&requests),
             opts: &opts,
             pool: &pool,
             cache: &PrefixCache::new(block_tokens),
             faults: FaultPlan::default(),
             obs: None,
             arrivals: None,
-            resumed_from: n,
+            clock_ms: 0.0,
         };
         plan_batch(&round).map(|p| (p.segments, p.cohorts))
     }

@@ -81,7 +81,6 @@ fn verify_plan(
     let RunCtx {
         round, segments, ..
     } = ctx;
-    let requests = &round.requests;
     let pool_cfg = round.pool.config();
     let mut plan = built.graph.verify_plan();
     let layers = pool_cfg.layers.max(1);
@@ -125,7 +124,7 @@ fn verify_plan(
             } => {
                 task.reads.push(slot_cell(s));
                 let cached = segments[s].prefix_tokens();
-                let suffix = requests[segments[s].req].prompt.len() - cached;
+                let suffix = round.request(segments[s].req).prompt.len() - cached;
                 let clen = plans[s].chunk_len;
                 let lo = (cached + chunk * clen) as u64;
                 let hi = (cached + chunk * clen + clen.min(suffix - chunk * clen)) as u64;
@@ -146,7 +145,7 @@ fn verify_plan(
                         // row: no forward pass, no KV traffic.
                         continue;
                     }
-                    let prompt = requests[segments[s].req].prompt.len();
+                    let prompt = round.request(segments[s].req).prompt.len();
                     let pos = (prompt + step - 1) as u64;
                     for layer in 0..layers {
                         task.writes.push(Access::cell(kv_space(s, layer), pos));
@@ -166,7 +165,7 @@ fn verify_plan(
             } else {
                 build.release
             },
-            fresh_blocks: seg.fresh_blocks(pool_cfg, &requests[seg.req]),
+            fresh_blocks: seg.fresh_blocks(pool_cfg, round.request(seg.req)),
             // A surviving prefill publishes its full prompt pages to the
             // global cache: those stay resident past Release (the cache
             // holds a reference) and only return via eviction/flush —
@@ -191,7 +190,7 @@ mod tests {
     use crate::engine::{EngineConfig, LlmNpuEngine};
     use crate::serve::build::{build_round, Prefill, RoundState};
     use crate::serve::plan::{plan_batch, SegmentPlan};
-    use crate::serve::{GenerationRequest, PressurePolicy, Round, ServeOptions};
+    use crate::serve::{queue_of, GenerationRequest, PressurePolicy, Round, ServeOptions};
 
     /// The translated first round of `requests` on a fresh session whose
     /// prefix cache already holds the full pages of `cached`; `check`
@@ -219,7 +218,7 @@ mod tests {
             table.release(&session.pool).unwrap();
         }
 
-        let round = Round::first(requests, opts, &session, None, 0);
+        let round = Round::new(queue_of(requests), opts, &session, None, 0.0);
         round.cache.begin_round();
         let plan = plan_batch(&round).unwrap();
         check(&plan.segments);

@@ -163,7 +163,8 @@ pub fn evicted_and_recomputed(timeline: &ServeTimeline, request: usize) -> bool 
 /// Per-request outcome of a serving run.
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
-    /// Request index (admission order).
+    /// The request's stable id: its index in a `serve` batch, or its
+    /// [front-end](crate::frontend) submission id.
     pub request: usize,
     /// The generated token stream. Complete only for
     /// [`RequestStatus::Completed`]; other statuses keep whatever prefix
@@ -182,8 +183,8 @@ pub struct RequestOutcome {
     pub prefill_done_ms: f64,
     /// Completion of the request's last decode step (`0.0` if none ran).
     pub finish_ms: f64,
-    /// Incarnations this request ran, counting both memory-pressure
-    /// evictions and failure retries (1 = one clean pass).
+    /// Incarnations this request ran, counting evictions, failure
+    /// retries and front-end chunk cuts alike (1 = one clean pass).
     pub attempts: usize,
     /// How the request terminated.
     pub status: RequestStatus,
@@ -256,13 +257,13 @@ pub struct KvPoolReport {
 /// Aggregate outcome of one batched serving run.
 #[derive(Debug)]
 pub struct ServeReport {
-    /// Per-request outcomes, in admission order.
+    /// Per-request outcomes, in request-id order.
     pub requests: Vec<RequestOutcome>,
     /// The unified executed timeline.
     pub timeline: ServeTimeline,
     /// Paged-KV pool accounting.
     pub kv: KvPoolReport,
-    /// Static-verification proof sizes, one entry per retry round: every
+    /// Static-verification proof sizes, one entry per round: every
     /// round's spliced plan was proven clean by `llmnpu-verify` before a
     /// single task ran (a finding aborts the run with
     /// [`Error::PlanRejected`](crate::Error::PlanRejected) instead).
@@ -438,7 +439,7 @@ pub fn trace_span<M>(
 }
 
 /// A serving span as the observability plane records it.
-pub(super) fn serve_trace_span(span: &ServeSpan) -> TraceSpan {
+fn serve_trace_span(span: &ServeSpan) -> TraceSpan {
     let m = &span.meta;
     let owner = Some((m.request, m.attempt));
     trace_span(span, kind_class(&m.kind), owner, m.modeled_ms)
@@ -460,11 +461,10 @@ pub(super) fn lent_trace_span(span: &LentSpan, offset_ms: f64) -> TraceSpan {
 
 /// One round's executed timeline in completion order (skipped tasks,
 /// and the `ran_empty` prefill tasks of a cut chunk — sorted ids — have
-/// no span), on
-/// the round-local clock, already carrying original request ids and
-/// global attempt numbers. With observability attached every span also
-/// feeds a stage-level calibration sample: executed duration per span
-/// class, decode keyed by cohort width.
+/// no span), on the caller's clock, carrying stable request ids and
+/// global attempt numbers. With observability attached every span is
+/// also traced and feeds a stage-level calibration sample: executed
+/// duration per span class, decode keyed by cohort width.
 pub(super) fn round_timeline(
     ctx: RunCtx<'_>,
     graph: &LaneGraph,
@@ -480,8 +480,21 @@ pub(super) fn round_timeline(
         .collect();
     order.sort_by(|a, b| a.1.total_cmp(&b.1));
     let mut timeline = ServeTimeline::new();
+    let clock = ctx.round.clock_ms;
     for (start, end, i) in order {
         let (m, task) = (&meta[i], &graph.tasks()[i]);
+        let span = ServeSpan {
+            label: task.label.clone(),
+            processor: task.processor,
+            start: start + clock,
+            end: end + clock,
+            meta: ServeMeta {
+                request: ctx.orig(m.segs[0]),
+                attempt: ctx.attempt(m.segs[0]),
+                kind: m.kind,
+                modeled_ms: task.duration_ms,
+            },
+        };
         if let Some(o) = ctx.round.obs {
             let ms = end - start;
             match m.kind {
@@ -494,19 +507,9 @@ pub(super) fn round_timeline(
                 }
                 _ => {}
             }
+            o.sink.span(|| serve_trace_span(&span));
         }
-        timeline.record(ServeSpan {
-            label: task.label.clone(),
-            processor: task.processor,
-            start,
-            end,
-            meta: ServeMeta {
-                request: ctx.orig(m.segs[0]),
-                attempt: ctx.attempt(m.segs[0]),
-                kind: m.kind,
-                modeled_ms: task.duration_ms,
-            },
-        });
+        timeline.record(span);
     }
     timeline
 }

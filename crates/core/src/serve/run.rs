@@ -1,14 +1,14 @@
-//! Stage 4 — **run**: one round end to end (plan → build → prove →
-//! execute → resolve), and the retry loop that composes rounds into one
-//! serving call — which hands a request back *suspended* when a
-//! front-end round cut its prefill at a chunk boundary.
+//! Stage 4 — **run**: one round over the queue end to end (plan → build
+//! → prove → execute → resolve, each member finished or requeued), and
+//! [`Served`], which composes rounds onto one clock.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use llmnpu_kv::PrefixCacheMetrics;
 use llmnpu_model::forward::Transformer;
 use llmnpu_obs::{EventKind, Plane};
-use llmnpu_sched::{execute_lane_graph_contained, GateFn, LaneGraph, LentSpan, TaskOutcome};
+use llmnpu_sched::{execute_lane_graph_contained, GateFn, LaneGraph, TaskOutcome};
 
 use super::build::{
     build_round, release_slot, Prefill, RoundGraph, RoundState, RunCtx, SegBuild, TaskMeta,
@@ -16,10 +16,9 @@ use super::build::{
 use super::plan::plan_batch;
 use super::report::{
     kv_report, lent_trace_span, publish_metrics, queue_depth_series, round_timeline,
-    serve_trace_span,
 };
 use super::{
-    plain_lock, prove, GenerationRequest, RequestOutcome, RequestStatus, Round, ServeOptions,
+    plain_lock, prove, Arrivals, Queued, RequestOutcome, RequestStatus, Round, ServeOptions,
     ServeReport, ServeSession, ServeTimeline,
 };
 use crate::engine::LlmNpuEngine;
@@ -29,28 +28,26 @@ use crate::{Error, Result};
 /// release-time epsilon).
 const DEADLINE_EPS: f64 = 1e-9;
 
-/// One member's result for one retry round (round-local clock).
+/// One member's result for one round (on the caller's clock).
 struct MemberRound {
     /// The terminal status — or, for a prefill the round cut, the chunks
     /// it completed before it was suspended.
     status: std::result::Result<RequestStatus, usize>,
     tokens: Vec<u32>,
     token_times_ms: Vec<f64>,
-    first_dispatch_ms: f64,
+    first_dispatch_ms: Option<f64>,
     prefill_done_ms: f64,
     finish_ms: f64,
     incarnations: usize,
 }
 
-/// One retry round's result: per-member outcomes plus the round's
-/// timeline (already carrying original request ids and global attempt
-/// numbers, still on the round-local clock).
+/// One round's result: per-member outcomes plus the round's timeline
+/// (carrying stable request ids and global attempt numbers, on the
+/// caller's clock).
 pub(super) struct RoundOutput {
     members: Vec<MemberRound>,
     timeline: ServeTimeline,
     evictions: usize,
-    /// The lanes' lending episodes (round-local clock).
-    lent: Vec<LentSpan>,
     /// The static verifier's (clean) report for the round's spliced
     /// graph — findings would have aborted the round instead.
     pub(super) verified: llmnpu_verify::Report,
@@ -68,7 +65,7 @@ pub(super) enum RoundMode {
 }
 
 impl LlmNpuEngine {
-    /// Plans, builds, proves, and executes one retry round's combined
+    /// Plans, builds, proves, and executes one round's combined
     /// lane graph, with fault containment: per-task isolation, the
     /// cancellation/deadline dispatch gate, fault injection, and
     /// per-member outcome resolution. The pool must hold nothing beyond
@@ -98,7 +95,6 @@ impl LlmNpuEngine {
             members: Vec::new(),
             timeline: ServeTimeline::new(),
             evictions: plan.segments.iter().filter(|s| s.evicted).count(),
-            lent: Vec::new(),
             verified: prove::prove(ctx, &built, &prefill.plans, free_blocks)?,
         };
         if mode == RoundMode::DryRun {
@@ -137,187 +133,174 @@ impl LlmNpuEngine {
         ran_empty.sort_unstable();
         out.timeline = round_timeline(ctx, &graph, &meta, &run.outcomes, &ran_empty);
         out.members = resolve_members(ctx, &meta, &builds, &token_tasks, &run.outcomes);
-        out.lent = run.lent;
+        if let Some(o) = round.obs {
+            for lent in &run.lent {
+                o.sink.span(|| lent_trace_span(lent, round.clock_ms));
+            }
+        }
         Ok(out)
     }
+}
 
-    /// The serving loop behind [`LlmNpuEngine::serve_with_session`]:
-    /// retry rounds over the session's pool and prefix cache, then the
-    /// leak proof — nothing beyond the cache's residents may stay
-    /// allocated — and the report over the requests that reached a
-    /// terminal status. When `round` (the first) carries the front-end's
-    /// arrivals, it may cut prefills at a chunk boundary: those requests
-    /// are returned by index instead, suspended, and neither retried nor
-    /// counted as served.
-    pub(super) fn serve_rounds(
-        &self,
-        t: &Transformer<'_>,
-        requests: &[GenerationRequest],
-        opts: &ServeOptions,
-        session: &ServeSession,
-        mut round: Round<'_>,
-    ) -> Result<(ServeReport, Vec<usize>)> {
-        let obs = round.obs;
-        let metrics_base = session.cache.metrics();
-        if let Some(o) = obs {
-            // Pool and cache keep their first sink (they outlive any
-            // one call); the worker pool meters into the latest
-            // registry.
+/// Rounds over one queue on one clock — a whole [`LlmNpuEngine::serve`]
+/// call, or one front-end round on the front-end's serving clock — and
+/// what their [`ServeReport`] is assembled from.
+pub(crate) struct Served<'a> {
+    engine: &'a LlmNpuEngine,
+    opts: &'a ServeOptions,
+    session: &'a ServeSession,
+    /// Where the next round starts on the caller's clock.
+    pub(crate) clock_ms: f64,
+    finished: Vec<RequestOutcome>,
+    timeline: ServeTimeline,
+    evictions: usize,
+    verification: Vec<llmnpu_verify::PlanStats>,
+    retries: usize,
+    /// Prefills the rounds cut and requeued suspended.
+    pub(crate) suspensions: usize,
+    /// The cache's counters before the first round, so the report's
+    /// prefix-cache figures are these rounds' share.
+    metrics_base: PrefixCacheMetrics,
+}
+
+impl<'a> Served<'a> {
+    /// Starts composing rounds over `session` at `clock_ms`, attaching
+    /// the observability stack, if any: pool and cache keep their first
+    /// sink (they outlive any one call); the worker pool meters into the
+    /// latest registry.
+    pub(crate) fn new(
+        engine: &'a LlmNpuEngine,
+        opts: &'a ServeOptions,
+        session: &'a ServeSession,
+        clock_ms: f64,
+    ) -> Self {
+        if let Some(o) = opts.obs.as_ref().or(session.obs.as_ref()) {
             session.pool.install_trace(Arc::clone(&o.sink));
             session.cache.install_trace(Arc::clone(&o.sink));
-            self.pool().install_metrics(&o.registry);
+            engine.pool().install_metrics(&o.registry);
         }
-        let snapshot = || obs.map(|o| o.registry.snapshot()).unwrap_or_default();
-        if requests.is_empty() {
-            let report = ServeReport {
-                requests: Vec::new(),
-                timeline: ServeTimeline::new(),
-                kv: kv_report(session, 0, &metrics_base),
-                verification: Vec::new(),
-                queue_depth: Vec::new(),
-                metrics: snapshot(),
-            };
-            return Ok((report, Vec::new()));
+        Served {
+            engine,
+            opts,
+            session,
+            clock_ms,
+            finished: Vec::new(),
+            timeline: ServeTimeline::new(),
+            evictions: 0,
+            verification: Vec::new(),
+            retries: 0,
+            suspensions: 0,
+            metrics_base: session.cache.metrics(),
         }
+    }
 
-        // ---- Retry rounds -------------------------------------------------
-        // Round 1 serves everyone; each later round re-serves only the
-        // requests that *failed* (never the cancelled or expired ones),
-        // re-admitted with exponential backoff on the new round's clock.
-        // Each round drains the pool completely, so rounds compose on
-        // one timeline by offsetting with the previous makespan.
-        let n = requests.len();
-        let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
-        let mut timeline = ServeTimeline::new();
-        let mut evictions = 0usize;
-        let mut verification: Vec<llmnpu_verify::PlanStats> = Vec::new();
-        let mut time_offset = 0.0f64;
-        let mut retries_used = vec![0usize; n];
-        let mut attempt_base = vec![0usize; n];
-        let mut first_dispatch = vec![f64::INFINITY; n];
-        let mut suspended = Vec::new();
-        loop {
-            let mut out = self.run_round(t, &round, RoundMode::Execute)?;
-            evictions += out.evictions;
-            verification.push(out.verified.stats);
-            let round_ms = out.timeline.makespan();
-            for mut span in out.timeline.entries_mut().drain(..) {
-                span.start += time_offset;
-                span.end += time_offset;
-                if let Some(o) = obs {
-                    o.sink.span(|| serve_trace_span(&span));
-                }
-                timeline.record(span);
-            }
-            if let Some(o) = obs {
-                for lent in &out.lent {
-                    o.sink.span(|| lent_trace_span(lent, time_offset));
-                }
-            }
-            let mut next_members = Vec::new();
-            let mut next_backoffs = Vec::new();
-            let shift = |ms: f64| if ms > 0.0 { ms + time_offset } else { 0.0 };
-            for (m, &r) in out.members.into_iter().zip(&round.orig_ids) {
-                attempt_base[r] += m.incarnations;
-                if m.first_dispatch_ms.is_finite() {
-                    first_dispatch[r] = first_dispatch[r].min(m.first_dispatch_ms + time_offset);
-                }
-                let status = match m.status {
-                    Ok(status) => status,
-                    Err(chunks) => {
-                        if let Some(o) = obs {
-                            o.sink.event(Plane::Exec, EventKind::Suspend, Some(r), || {
-                                format!("suspended after {chunks} chunk(s)")
-                            });
-                        }
-                        suspended.push(r);
-                        continue;
-                    }
-                };
-                if matches!(status, RequestStatus::Failed { .. })
-                    && retries_used[r] < opts.max_retries
-                {
-                    retries_used[r] += 1;
-                    next_members.push(r);
-                    let exp = (retries_used[r] - 1).min(30) as u32;
-                    let backoff = opts.retry_backoff_ms * f64::from(1u32 << exp);
+    /// One round over every entry of `queue`: plans, builds, proves and
+    /// runs them together — with `arrivals`, the round may cut prefills
+    /// at a chunk boundary — and resolves each member to exactly one
+    /// outcome. A member that reached a terminal status is finished, on
+    /// this clock; a failed one with retries left is requeued with its
+    /// exponential backoff as its arrival; a prefill the round cut is
+    /// requeued suspended. The round drains the pool to the cache's
+    /// residents, so the next one starts at this one's makespan.
+    pub(crate) fn round(
+        &mut self,
+        t: &Transformer<'_>,
+        queue: &mut Vec<Queued>,
+        arrivals: Option<Arrivals<'_>>,
+    ) -> Result<()> {
+        for q in queue.iter_mut().filter(|q| q.attempts == 0) {
+            q.arrival_ms = self.clock_ms + q.request.arrival_ms;
+        }
+        let (opts, members) = (self.opts, std::mem::take(queue));
+        let round = Round::new(members, opts, self.session, arrivals, self.clock_ms);
+        let obs = round.obs;
+        let mut out = self.engine.run_round(t, &round, RoundMode::Execute)?;
+        self.evictions += out.evictions;
+        self.verification.push(out.verified.stats);
+        self.clock_ms = self.clock_ms.max(out.timeline.makespan());
+        let spans = out.timeline.entries_mut();
+        self.timeline.entries_mut().append(spans);
+        for (m, mut q) in out.members.into_iter().zip(round.members) {
+            let id = q.id;
+            q.attempts += m.incarnations;
+            // Rounds run in clock order: the first dispatch is the earliest.
+            q.first_dispatch_ms = q.first_dispatch_ms.or(m.first_dispatch_ms);
+            let status = match m.status {
+                Ok(status) => status,
+                Err(chunks) => {
                     if let Some(o) = obs {
-                        let used = retries_used[r];
-                        o.sink.event(Plane::Plan, EventKind::Retry, Some(r), || {
-                            format!("retry {used} admitted with {backoff:.3} ms backoff")
+                        o.sink.event(Plane::Exec, EventKind::Suspend, Some(id), || {
+                            format!("suspended after {chunks} chunk(s)")
                         });
                     }
-                    next_backoffs.push(backoff);
+                    self.suspensions += 1;
+                    q.resumed = true;
+                    queue.push(q);
                     continue;
                 }
-                let status = match status {
-                    RequestStatus::Failed { error } if retries_used[r] > 0 => {
-                        RequestStatus::RetriesExhausted { error }
-                    }
-                    other => other,
-                };
-                outcomes[r] = Some(RequestOutcome {
-                    request: r,
-                    tokens: m.tokens,
-                    token_times_ms: m
-                        .token_times_ms
-                        .iter()
-                        .map(|&tt| tt + time_offset)
-                        .collect(),
-                    arrival_ms: requests[r].arrival_ms,
-                    first_dispatch_ms: if first_dispatch[r].is_finite() {
-                        first_dispatch[r]
-                    } else {
-                        requests[r].arrival_ms
-                    },
-                    prefill_done_ms: shift(m.prefill_done_ms),
-                    finish_ms: shift(m.finish_ms),
-                    attempts: attempt_base[r],
-                    status,
-                });
+            };
+            if matches!(status, RequestStatus::Failed { .. }) && q.retries < opts.max_retries {
+                q.retries += 1;
+                let exp = (q.retries - 1).min(30) as u32;
+                let backoff = opts.retry_backoff_ms * f64::from(1u32 << exp);
+                if let Some(o) = obs {
+                    let used = q.retries;
+                    o.sink.event(Plane::Plan, EventKind::Retry, Some(id), || {
+                        format!("retry {used} admitted with {backoff:.3} ms backoff")
+                    });
+                }
+                self.retries += 1;
+                q.request.arrival_ms = backoff;
+                q.resumed = false;
+                queue.push(q);
+                continue;
             }
-            time_offset += round_ms;
-            if next_members.is_empty() {
-                break;
-            }
-            round.retry(requests, next_members, &next_backoffs, &attempt_base);
-        }
-        timeline
-            .entries_mut()
-            .sort_by(|a, b| a.end.total_cmp(&b.end));
-        let terminal = n - suspended.len();
-        let outcomes: Vec<RequestOutcome> = outcomes.into_iter().flatten().collect();
-        if outcomes.len() != terminal {
-            return Err(Error::Internal {
-                what: "a request left the retry loop neither terminal nor suspended".to_owned(),
+            let status = match status {
+                RequestStatus::Failed { error } if q.retries > 0 => {
+                    RequestStatus::RetriesExhausted { error }
+                }
+                other => other,
+            };
+            self.finished.push(RequestOutcome {
+                request: id,
+                tokens: m.tokens,
+                token_times_ms: m.token_times_ms,
+                arrival_ms: q.arrival_ms,
+                first_dispatch_ms: q.first_dispatch_ms.unwrap_or(q.arrival_ms),
+                prefill_done_ms: m.prefill_done_ms,
+                finish_ms: m.finish_ms,
+                attempts: q.attempts,
+                status,
             });
         }
+        Ok(())
+    }
 
-        let kv = kv_report(session, evictions, &metrics_base);
+    /// The report over the requests the rounds finished, in round and
+    /// queue order, after the leak proof (nothing beyond the cache's
+    /// residents stays allocated) and, if a round ran, metrics publication.
+    pub(crate) fn report(mut self) -> Result<ServeReport> {
+        self.timeline
+            .entries_mut()
+            .sort_by(|a, b| a.end.total_cmp(&b.end));
+        let kv = kv_report(self.session, self.evictions, &self.metrics_base);
         if kv.leaked_blocks != 0 {
             return Err(Error::Internal {
                 what: format!("{} KV pages leaked after serve", kv.leaked_blocks),
             });
         }
-        if let Some(o) = obs {
-            publish_metrics(
-                o,
-                &outcomes,
-                retries_used.iter().sum(),
-                suspended.len(),
-                &kv,
-            );
+        let obs = self.opts.obs.as_ref().or(self.session.obs.as_ref());
+        if let Some(o) = obs.filter(|_| !self.verification.is_empty()) {
+            publish_metrics(o, &self.finished, self.retries, self.suspensions, &kv);
         }
-        let queue_depth = queue_depth_series(&outcomes, &timeline);
-        let report = ServeReport {
-            requests: outcomes,
-            timeline,
+        Ok(ServeReport {
+            queue_depth: queue_depth_series(&self.finished, &self.timeline),
+            requests: self.finished,
+            timeline: self.timeline,
             kv,
-            verification,
-            queue_depth,
-            metrics: snapshot(),
-        };
-        Ok((report, suspended))
+            verification: self.verification,
+            metrics: obs.map(|o| o.registry.snapshot()).unwrap_or_default(),
+        })
     }
 }
 
@@ -337,7 +320,7 @@ fn dispatch_gate<'run>(
         for &s in &m.segs {
             let mem = ctx.member(s);
             let rt = &ctx.live.runtime[mem];
-            let req = &ctx.round.requests[mem];
+            let req = ctx.round.request(mem);
             let mut term = plain_lock(&rt.term);
             if term.is_none() {
                 let past =
@@ -377,8 +360,9 @@ fn resolve_members(
     outcomes: &[TaskOutcome],
 ) -> Vec<MemberRound> {
     let touches = |i: usize, m: usize| meta[i].segs.iter().any(|&s| ctx.member(s) == m);
-    let mut members = Vec::with_capacity(ctx.round.requests.len());
-    for (m, req) in ctx.round.requests.iter().enumerate() {
+    let clock = ctx.round.clock_ms;
+    let mut members = Vec::with_capacity(ctx.round.members.len());
+    for (m, req) in ctx.round.members.iter().map(|q| &q.request).enumerate() {
         let st = plain_lock(&ctx.live.states[m]);
         let term = plain_lock(&ctx.live.runtime[m].term).take();
         let cut = ctx.live.suspended[m].load(Ordering::Acquire);
@@ -410,20 +394,20 @@ fn resolve_members(
         };
         let first_dispatch_ms = (0..meta.len())
             .filter(|&i| touches(i, m))
-            .filter_map(|i| outcomes[i].span().map(|(start, _)| start))
-            .fold(f64::INFINITY, f64::min);
+            .filter_map(|i| outcomes[i].span().map(|(start, _)| start + clock))
+            .reduce(f64::min);
         let prefill_done_ms = ctx
             .segments
             .iter()
             .position(|s| s.req == m && !s.evicted)
             .and_then(|fs| match &outcomes[builds[fs].prefill_finish] {
-                TaskOutcome::Completed { end_ms, .. } => Some(*end_ms),
+                TaskOutcome::Completed { end_ms, .. } => Some(*end_ms + clock),
                 _ => None,
             })
             .unwrap_or(0.0);
         let token_times_ms: Vec<f64> = token_tasks[m][..st.tokens.len()]
             .iter()
-            .map(|&i| outcomes[i].span().map_or(0.0, |(_, end)| end))
+            .map(|&i| outcomes[i].span().map_or(0.0, |(_, end)| end) + clock)
             .collect();
         members.push(MemberRound {
             status,

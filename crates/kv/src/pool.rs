@@ -501,10 +501,10 @@ impl BlockTable {
         })
     }
 
-    /// Reserves capacity for `total_tokens` positions on top of an
-    /// already-resident block-aligned prefix — the shared-prefix
-    /// admission path: `prefix` names live pool blocks (say, a hit in
-    /// the global radix prefix cache, or another table's leading
+    /// Reserves capacity for `total_tokens` positions on top of
+    /// already-resident leading pages — how a prefix-cache hit is
+    /// admitted: `prefix` names live pool blocks (the full pages of a
+    /// hit in the global radix prefix cache, or another table's leading
     /// blocks). The prefix blocks are retained (refcount +1); the
     /// remainder is allocated fresh.
     ///
@@ -561,17 +561,6 @@ impl BlockTable {
     #[must_use]
     pub fn capacity_tokens(&self) -> usize {
         self.blocks.len() * self.block_tokens
-    }
-
-    /// Leading blocks this table shares with `other` (same id at the
-    /// same index) — the "allocated once" witness for prefix sharing.
-    #[must_use]
-    pub fn shared_prefix_blocks(&self, other: &BlockTable) -> usize {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .take_while(|(a, b)| a == b)
-            .count()
     }
 
     /// The `(block, slot)` address of a token position.
@@ -831,7 +820,7 @@ mod tests {
         let used_before = p.used_blocks();
         // B shares the first block (4 tokens) and adds one of its own.
         let b = BlockTable::reserve_with_prefix(&p, &a.blocks()[..1], 8).unwrap();
-        assert_eq!(b.shared_prefix_blocks(&a), 1);
+        assert_eq!(b.blocks()[0], a.blocks()[0]);
         assert_eq!(
             p.used_blocks(),
             used_before + 1,

@@ -5,7 +5,7 @@
 //!
 //! Each case runs a seeded sequence of what serving does to a session:
 //! admissions that reserve fresh pages or adopt a cached prefix (with
-//! the partial-tail row copy), live-donor forks, copy-on-write
+//! the partial-tail row copy), table forks, copy-on-write
 //! divergence, full-prompt inserts, *partial*-prompt inserts (the pages
 //! a prefill cut at a chunk boundary publishes before it resumes),
 //! planning rounds with their lookup claims, pressure evictions,
@@ -235,8 +235,9 @@ fn run(bt: usize, ops: &[(u8, u64)]) {
                 }
                 "admit"
             }
-            // Live-donor fork: a new prompt extending the donor's first
-            // whole pages shares them.
+            // Table fork: a new table adopts a live table's leading
+            // whole pages through `reserve_with_prefix`, for a prompt
+            // that extends them.
             3 if !live.is_empty() => {
                 let donor = &live[d.below(live.len())];
                 let pages = d.below(donor.prompt.len() / bt + 1);

@@ -11,9 +11,9 @@
 //! worst case (every request holding private pages for its full
 //! prompt), then flushes the session — proving zero pages leaked.
 //!
-//! A last, *late-arrival* wave shows a running batch yielding to a new
+//! A last, *late-arrival* wave shows a running round yielding to a new
 //! submission: a short probe arrives as a long prompt's prefill starts,
-//! the batch is cut at a chunk boundary, the probe is served, and the
+//! the round is cut at a chunk boundary, the probe is served, and the
 //! long prompt resumes from its cached pages. The demo asserts the
 //! probe finished first, the cut happened, and both streams equal
 //! their solo runs.
@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
 
     println!(
-        "\n{} requests in {} batches: {} completed | prefix cache: {} hits, \
+        "\n{} requests in {} rounds: {} completed | prefix cache: {} hits, \
          {} tokens + {} pages reused, {} pages inserted",
         report.requests,
         report.batches,
@@ -172,10 +172,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// The late-arrival wave, on a session with one slot: an opener and a
-/// long prompt form one batch, and the opener's first token submits a
+/// long prompt form one round, and the opener's first token submits a
 /// probe — so the probe is pending as the long prompt's prefill starts
-/// (it waits for the slot), and the batch is cut at a chunk boundary.
-/// The next batch holds the probe first and the resumed long prompt
+/// (it waits for the slot), and the round is cut at a chunk boundary.
+/// The next round holds the probe first and the resumed long prompt
 /// behind it.
 fn late_arrival(
     engine: &LlmNpuEngine,
@@ -238,7 +238,7 @@ fn late_arrival(
     let report = report?;
     let probe_outcome = probe_outcome.expect("the probe finished before the long prompt");
     println!(
-        "\nlate arrival: probe of {} tokens answered in {} batch(es) while a {}-token prompt \
+        "\nlate arrival: probe of {} tokens answered in {} round(s) while a {}-token prompt \
          prefilled ({} suspension(s)); probe ttft {:.1} ms",
         probe.prompt.len(),
         report.batches,

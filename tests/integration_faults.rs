@@ -458,9 +458,10 @@ proptest! {
         let t = Transformer::new(&w, &be);
         let chunk_len = 4;
 
-        // Requests 0 and 1 share a block-aligned prefix: with sharing on,
-        // the victim's completed prompt pages may be in the prefix cache
-        // when it is cancelled.
+        // Requests 0 and 1 start with the same 8 tokens (two whole
+        // 4-token pages). With sharing on, a completed prefill publishes
+        // its full prompt pages to the session's prefix cache, so the
+        // victim's pages may be held by the cache when it is cancelled.
         let mut long = tokens(8, 7);
         long.extend_from_slice(&[9, 8, 7]);
         let requests = vec![

@@ -18,6 +18,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use llmnpu::core::engine::{EngineConfig, LlmNpuEngine};
+use llmnpu::core::faults::{FaultMode, FaultPlan, FaultSite, FaultSpec};
 use llmnpu::core::frontend::{frontend, FrontendClient, FrontendReport, StreamEvent, StreamHandle};
 use llmnpu::core::serve::{
     GenerationRequest, PressurePolicy, RequestOutcome, RequestStatus, ServeOptions, ServeSession,
@@ -649,6 +650,254 @@ fn a_deadline_spent_in_the_queue_expires_before_the_request_runs() {
     assert!(run.outcomes[1].tokens.is_empty());
     assert_eq!(run.report.deadline_exceeded, 1);
     assert_eq!(run.report.suspensions, 0, "a decoding request is never cut");
+}
+
+/// What a [`retry_run`] observed.
+struct RetryRun {
+    /// A's outcome, then the batch-mate's and the arrival's, if any.
+    outcomes: Vec<RequestOutcome>,
+    report: FrontendReport,
+    /// Detail of every round event, in order.
+    rounds: Vec<String>,
+    /// Whether the batch-mate's `Finished` was already on its stream
+    /// when A's retry streamed its first token.
+    mate_done_at_retry: bool,
+}
+
+/// One front-end run in which request A (submission id 0) fails once:
+/// a transient decode fault keyed on its id fires at step 1 of its
+/// first attempt, and A has one retry. `mate` is submitted with A and
+/// shares its failing round; `arrival` is submitted from A's first
+/// token, while that round still runs. `run` must return `Ok`: its
+/// final flush proves zero leaked pages.
+fn retry_run(
+    eng: &LlmNpuEngine,
+    t: &Transformer<'_>,
+    a: &GenerationRequest,
+    mate: Option<&GenerationRequest>,
+    arrival: Option<&GenerationRequest>,
+) -> RetryRun {
+    let obs = Observability::enabled();
+    let fault = FaultSpec {
+        request: 0,
+        attempt: 1,
+        site: FaultSite::Decode { step: 1 },
+        mode: FaultMode::Error,
+        permanent: false,
+    };
+    let mut opts = ServeOptions {
+        max_retries: 1,
+        retry_backoff_ms: 1.0,
+        faults: Some(FaultPlan::new().with_fault(fault)),
+        obs: Some(obs.clone()),
+        ..serve_opts()
+    };
+    let client_cell: Arc<OnceLock<FrontendClient>> = Arc::default();
+    let arrival_handle: Arc<Mutex<Option<StreamHandle>>> = Arc::default();
+    let mate_handle: Arc<Mutex<Option<StreamHandle>>> = Arc::default();
+    let mate_seen: Arc<Mutex<Vec<StreamEvent>>> = Arc::default();
+    {
+        let (client_cell, arrival_handle, mate_handle, mate_seen) = (
+            Arc::clone(&client_cell),
+            Arc::clone(&arrival_handle),
+            Arc::clone(&mate_handle),
+            Arc::clone(&mate_seen),
+        );
+        let arrival = arrival.cloned();
+        let a_firsts = AtomicUsize::new(0);
+        opts.on_token = Some(Arc::new(move |ev: &TokenEvent| {
+            if ev.request != 0 || ev.step != 0 {
+                return;
+            }
+            match a_firsts.fetch_add(1, Ordering::SeqCst) {
+                0 => {
+                    if let Some(r) = &arrival {
+                        let client = client_cell.get().expect("client set before serving");
+                        let h = client.submit(r.clone()).expect("front-end alive");
+                        *arrival_handle.lock().unwrap() = Some(h);
+                    }
+                }
+                1 => {
+                    if let Some(h) = mate_handle.lock().unwrap().as_ref() {
+                        mate_seen
+                            .lock()
+                            .unwrap()
+                            .extend(std::iter::from_fn(|| h.try_recv()));
+                    }
+                }
+                _ => {}
+            }
+        }));
+    }
+    let (client, fe) = frontend(opts);
+    let a_handle = client.submit(a.clone()).unwrap();
+    if let Some(m) = mate {
+        *mate_handle.lock().unwrap() = Some(client.submit(m.clone()).unwrap());
+    }
+    let _ = client_cell.set(client.clone());
+    let finished = |ev: StreamEvent| match ev {
+        StreamEvent::Finished { outcome } => Some(outcome),
+        StreamEvent::Token { .. } => None,
+    };
+    let (outcomes, mate_done_at_retry, report) = thread::scope(|s| {
+        let serving = s.spawn(|| fe.run(eng, t));
+        let mut outcomes = vec![a_handle.wait().expect("A's stream finishes")];
+        let mut mate_done_at_retry = false;
+        if let Some(h) = mate_handle.lock().unwrap().take() {
+            let seen = std::mem::take(&mut *mate_seen.lock().unwrap());
+            let early = seen.into_iter().find_map(finished);
+            mate_done_at_retry = early.is_some();
+            outcomes.push(early.or_else(|| h.wait()).expect("mate's stream finishes"));
+        }
+        if arrival.is_some() {
+            let h = arrival_handle.lock().unwrap().take();
+            outcomes.push(h.and_then(StreamHandle::wait).expect("arrival finishes"));
+        }
+        client.shutdown();
+        let report = serving.join().unwrap().expect("leak-free run");
+        (outcomes, mate_done_at_retry, report)
+    });
+    let rounds = obs
+        .sink
+        .snapshot()
+        .events
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Batch)
+        .map(|e| e.detail)
+        .collect();
+    RetryRun {
+        outcomes,
+        report,
+        rounds,
+        mate_done_at_retry,
+    }
+}
+
+/// Asserts every outcome completed bit-identical to its solo run, and
+/// ran `attempts` incarnations.
+fn assert_retried_solo(
+    t: &Transformer<'_>,
+    outcomes: &[RequestOutcome],
+    expect: &[(&GenerationRequest, usize)],
+    what: &str,
+) {
+    assert_eq!(outcomes.len(), expect.len(), "{what}");
+    for (i, (o, &(r, attempts))) in outcomes.iter().zip(expect).enumerate() {
+        assert_eq!(o.status, RequestStatus::Completed, "{what}: request {i}");
+        assert_eq!(o.tokens, solo(t, r, 3), "{what}: request {i} != solo");
+        assert_eq!(o.attempts, attempts, "{what}: request {i}'s attempts");
+    }
+}
+
+/// A request that fails transiently is requeued, not retried inside its
+/// round: its retry joins the next round beside the request submitted
+/// while the failing round ran, instead of holding that request back
+/// until the retries end. The fault is keyed on A's submission id, so
+/// the newcomer never inherits it.
+#[test]
+fn a_retry_joins_the_next_round_beside_a_new_arrival() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let a = GenerationRequest::new(tokens(9, 5), 3);
+    let b = GenerationRequest::new(tokens(7, 11), 2);
+    for workers in 1..=4 {
+        let run = retry_run(&engine(3, workers), &t, &a, None, Some(&b));
+        let what = format!("{workers} worker(s)");
+        assert_retried_solo(&t, &run.outcomes, &[(&a, 2), (&b, 1)], &what);
+        assert_eq!(
+            run.rounds,
+            ["round 1: 1 request(s)", "round 2: 2 request(s)"],
+            "{what}: A's retry and B share the second round"
+        );
+        assert_eq!(run.report.metrics.counter("serve.retries"), 1, "{what}");
+        assert_eq!((run.report.completed, run.report.failed), (2, 0), "{what}");
+    }
+}
+
+/// A batch-mate that completes in the round where A fails hears its
+/// `Finished` when that round ends — before A's retry round starts —
+/// not once A's retries are over.
+#[test]
+fn a_batch_mate_finishes_before_the_failed_request_retries() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let a = GenerationRequest::new(tokens(9, 5), 3);
+    let c = GenerationRequest::new(tokens(5, 13), 2);
+    for workers in 1..=4 {
+        let run = retry_run(&engine(3, workers), &t, &a, Some(&c), None);
+        let what = format!("{workers} worker(s)");
+        assert_retried_solo(&t, &run.outcomes, &[(&a, 2), (&c, 1)], &what);
+        assert!(
+            run.mate_done_at_retry,
+            "{what}: the mate's Finished waited for A's retry"
+        );
+        assert_eq!(
+            run.rounds,
+            ["round 1: 2 request(s)", "round 2: 1 request(s)"],
+            "{what}"
+        );
+    }
+}
+
+/// A transient fault fires once: on the attempt it names, of the
+/// request it names. The trigger T (id 0) fails at decode step 1 of its
+/// first attempt, and the probe P its first token submits cuts the long
+/// prefill L (id 1), whose own first-attempt fault at decode step 0 lies
+/// past where the cut ended that attempt. The next round holds P — at
+/// T's old batch position — T's retry and L resumed on its second
+/// attempt: neither fault fires again, so T's is the only retry, and
+/// every stream equals its solo run.
+#[test]
+fn a_transient_fault_never_fires_again_on_a_newcomer_or_a_resumed_prefill() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let trigger = GenerationRequest::new(tokens(4, 5), 2);
+    let long = GenerationRequest::new(tokens(45, 7), 3);
+    let probe = GenerationRequest::new(tokens(6, 11), 2);
+    let transient = |request: usize, step: usize| FaultSpec {
+        request,
+        attempt: 1,
+        site: FaultSite::Decode { step },
+        mode: FaultMode::Error,
+        permanent: false,
+    };
+    let faults = FaultPlan::new()
+        .with_fault(transient(0, 1))
+        .with_fault(transient(1, 0));
+    for workers in 1..=4 {
+        let opts = ServeOptions {
+            max_active: 1,
+            max_retries: 1,
+            retry_backoff_ms: 1.0,
+            faults: Some(faults.clone()),
+            ..serve_opts()
+        };
+        let batch = [trigger.clone(), long.clone()];
+        let run = cut_run(
+            &engine(3, workers),
+            &t,
+            opts,
+            &batch,
+            std::slice::from_ref(&probe),
+            None,
+        );
+        let what = format!("{workers} worker(s)");
+        assert_retried_solo(
+            &t,
+            &run.outcomes,
+            &[(&trigger, 2), (&long, 2), (&probe, 1)],
+            &what,
+        );
+        assert_eq!(
+            run.report.suspensions, 1,
+            "{what}: the long prefill was cut"
+        );
+        assert_eq!(run.report.metrics.counter("serve.retries"), 1, "{what}");
+        assert_eq!(run.report.failed, 0, "{what}");
+    }
 }
 
 /// Trace-replay soak: a seeded multi-tenant chat trace (shared system

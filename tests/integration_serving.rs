@@ -543,8 +543,9 @@ fn eviction_recomputes_without_changing_streams() {
     }
 }
 
-/// Prefix sharing: a request whose prompt shares a block-aligned
-/// prefix with an earlier batch's adopts that batch's cached pages
+/// Prefix reuse through the session's prefix cache: a request whose
+/// prompt shares a prefix with an earlier batch's adopts that batch's
+/// cached pages
 /// (allocated and prefilled once), prefills only its suffix, and still
 /// produces a bit-identical stream.
 #[test]
@@ -553,7 +554,7 @@ fn shared_prefixes_allocate_once_and_keep_streams() {
     let be = FloatBackend::new(w.clone());
     let t = Transformer::new(&w, &be);
     let e = engine(3, 3);
-    // Identical 12-token system prefix (lcm(block 3, chunk 3) aligned),
+    // Identical 12-token system prefix (four whole 3-token pages),
     // different tails, different samplers.
     let prefix = tokens(12, 7);
     let mut p1 = prefix.clone();
