@@ -372,9 +372,11 @@ impl<'run> RoundBuilder<'run> {
     /// The two cleanup kinds (Release, Evicted) drain a cache slot: they
     /// cannot fail and are never gate-skipped — pages return on every
     /// terminal path. Every other kind runs a fallible body and is
-    /// skippable once its members are terminal; the single-member ones
-    /// are wrapped in [`contain`], batched decode records failures per
-    /// member inside its body.
+    /// skippable once its members are terminal; the single-member ones,
+    /// width-1 decode steps included, are wrapped in [`contain`], so a
+    /// member's recorded failure is its task's own message, never the
+    /// executor's (which names the task's graph id); batched decode
+    /// records failures per member inside its body.
     fn push_task(
         &mut self,
         task: LaneTask,
@@ -389,7 +391,7 @@ impl<'run> RoundBuilder<'run> {
             ServeTaskKind::Release => (TaskClass::Release, true),
             _ => (TaskClass::Other, false),
         };
-        let body = if cleanup || kind.is_decode() {
+        let body = if cleanup || segs.len() > 1 {
             body
         } else {
             contain(&self.ctx.live.runtime[self.ctx.member(segs[0])], body)
@@ -668,8 +670,13 @@ impl<'run> RoundBuilder<'run> {
         })
     }
 
-    /// Emits cohort `c`'s batched decode chain and its members' Release
-    /// tasks (once).
+    /// Emits cohort `c`'s decode chain and its members' Release tasks
+    /// (once). Step 0 only samples from each member's own last hidden
+    /// row, so it is one width-1 task per member that waits on that
+    /// member's PrefillFinish alone: a member's first token follows its
+    /// own prefill, not the cohort's slowest. From step 1 on, one task
+    /// per step stacks every member still decoding, after each one's
+    /// previous step.
     fn flush_cohort(&mut self, c: usize) -> Result<()> {
         if std::mem::replace(&mut self.cohort_flushed[c], true) {
             return Ok(());
@@ -687,50 +694,53 @@ impl<'run> RoundBuilder<'run> {
             let active: Vec<usize> = (0..members.len())
                 .filter(|&i| step < steps_of(members[i]))
                 .collect();
-            let segs: Vec<usize> = active.iter().map(|&i| members[i]).collect();
-            let width = segs.len();
-            let mut deps: Vec<usize> = active.iter().map(|&i| chain_prev[i]).collect();
-            deps.sort_unstable();
-            deps.dedup();
-            let duration = segs
-                .iter()
-                .map(|&s| {
-                    let (orig, fault_attempt) = ctx.fault_key(s);
-                    self.dsim
-                        .token_ms(round.request(ctx.member(s)).prompt.len() + step)
-                        * ctx.round.faults.duration_factor(orig, fault_attempt)
-                })
-                .fold(0.0, f64::max);
-            let release = segs
-                .iter()
-                .map(|&s| round.request(ctx.member(s)).arrival_ms)
-                .fold(0.0, f64::max);
-            let label = if width == 1 {
-                format!("R{}-D{step}", ctx.orig(segs[0]))
-            } else {
-                format!("C{c}-D{step}x{width}")
-            };
-            // Decode tasks are containment barriers: a failed (or
-            // skipped) member's chain must not poison the cohort —
-            // the task runs for whoever is still live and the
-            // per-member filter inside the body excludes the rest.
-            let body_segs = segs.clone();
-            let id = self.push_task(
-                LaneTask {
-                    label,
-                    processor: self.decode_proc,
-                    duration_ms: duration,
-                    release_ms: release,
-                    barrier: true,
-                },
-                deps,
-                ServeTaskKind::Decode { step, width },
-                segs,
-                Box::new(move || ctx.decode_step(&body_segs, step)),
-            )?;
-            for &i in &active {
-                chain_prev[i] = id;
-                self.out.token_tasks[ctx.member(members[i])][step] = id;
+            let per_task = if step == 0 { 1 } else { active.len().max(1) };
+            for group in active.chunks(per_task) {
+                let segs: Vec<usize> = group.iter().map(|&i| members[i]).collect();
+                let width = segs.len();
+                let mut deps: Vec<usize> = group.iter().map(|&i| chain_prev[i]).collect();
+                deps.sort_unstable();
+                deps.dedup();
+                let duration = segs
+                    .iter()
+                    .map(|&s| {
+                        let (orig, fault_attempt) = ctx.fault_key(s);
+                        self.dsim
+                            .token_ms(round.request(ctx.member(s)).prompt.len() + step)
+                            * ctx.round.faults.duration_factor(orig, fault_attempt)
+                    })
+                    .fold(0.0, f64::max);
+                let release = segs
+                    .iter()
+                    .map(|&s| round.request(ctx.member(s)).arrival_ms)
+                    .fold(0.0, f64::max);
+                let label = if width == 1 {
+                    format!("R{}-D{step}", ctx.orig(segs[0]))
+                } else {
+                    format!("C{c}-D{step}x{width}")
+                };
+                // Decode tasks are containment barriers: a failed (or
+                // skipped) member's chain must not poison the cohort —
+                // the task runs for whoever is still live and the
+                // per-member filter inside the body excludes the rest.
+                let body_segs = segs.clone();
+                let id = self.push_task(
+                    LaneTask {
+                        label,
+                        processor: self.decode_proc,
+                        duration_ms: duration,
+                        release_ms: release,
+                        barrier: true,
+                    },
+                    deps,
+                    ServeTaskKind::Decode { step, width },
+                    segs,
+                    Box::new(move || ctx.decode_step(&body_segs, step)),
+                )?;
+                for &i in group {
+                    chain_prev[i] = id;
+                    self.out.token_tasks[ctx.member(members[i])][step] = id;
+                }
             }
         }
         // Each member's pages go back right after its last decode step.
@@ -839,11 +849,12 @@ impl RunCtx<'_> {
         }
     }
 
-    /// The numeric body of one (possibly batched) decode step over the
-    /// cohort members `segs`: filter the cohort down to its *live*
-    /// members, forward every live member's previous token through one
-    /// `m = B` stacked forward, then project + sample each member's
-    /// next token, emitting it to the sink.
+    /// The numeric body of one decode step over the cohort members
+    /// `segs`: filter them down to the *live* members, forward every
+    /// live member's previous token through one `m = B` stacked forward,
+    /// then project + sample each member's next token, emitting it to
+    /// the sink. Step 0 has no forward: `segs` is one member, whose
+    /// first token is sampled from its prefill's last hidden row.
     ///
     /// Liveness is per member — a cancelled, expired, or failed member
     /// is excluded from the stacked GEMM without touching its neighbors

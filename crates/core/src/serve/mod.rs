@@ -24,11 +24,12 @@
 //!   writing K/V straight into the pool through the request's block
 //!   table (position-addressed, so out-of-order chunks can't reorder
 //!   the cache),
-//! * its **decode steps** — grouped into cohorts so concurrent
-//!   requests' same-position steps run as **one `m = B` batched GEMM**
-//!   per linear site instead of B separate GEMVs
-//!   ([`ServeOptions::decode_batch`]), attention staying per-request
-//!   over each paged history — and
+//! * its **decode steps** — its first token as soon as its own prefill
+//!   ends (step 0 samples from the prefill's last hidden row), then,
+//!   grouped into cohorts, steps whose concurrent requests'
+//!   same-position rows run as **one `m = B` batched GEMM** per linear
+//!   site instead of B separate GEMVs ([`ServeOptions::decode_batch`]),
+//!   attention staying per-request over each paged history — and
 //! * a **release task** returning every page to the pool (the zero-leak
 //!   counter [`KvPoolReport::leaked_blocks`] pins this).
 //!
@@ -410,10 +411,11 @@ pub struct ServeOptions {
     pub kv_pool_blocks: Option<usize>,
     /// What to do under memory pressure.
     pub pressure: PressurePolicy,
-    /// Maximum decode cohort width B: same-position decode steps of up
-    /// to B concurrently admitted requests run as one `m = B` batched
-    /// GEMM per linear site. `1` keeps each request's steps separate
-    /// GEMVs.
+    /// Maximum decode cohort width B: from the second token on,
+    /// same-position decode steps of up to B concurrently admitted
+    /// requests run as one `m = B` batched GEMM per linear site (each
+    /// request's first token follows its own prefill alone). `1` keeps
+    /// each request's steps separate GEMVs.
     pub decode_batch: usize,
     /// Reuse prompt prefixes through the session's global prefix cache:
     /// completed prefills cache their full prompt pages, and a later
@@ -586,7 +588,9 @@ pub(crate) struct Queued {
     pub(crate) attempts: usize,
     /// Failure retries already spent.
     retries: usize,
-    /// Resumes a prefill a round cut: it decodes in cohorts of its own.
+    /// Resumes a prefill a round cut: it decodes in cohorts of its own,
+    /// so fresh requests' batched steps do not wait out the rest of its
+    /// prefill.
     pub(crate) resumed: bool,
     /// Arrival (stamped by its first round) and first dispatch, on the
     /// caller's clock — what the outcome reports.

@@ -280,8 +280,9 @@ pub(super) fn plan_batch(round: &Round<'_>) -> Result<RoundPlan> {
     // incarnation `e` whose own gates reach into cohort `c` while it is
     // open, so a segment gating on `e`'s eviction waits on `c` too.
     // A resumed prefill never shares a cohort with a request that is
-    // not: every member's first token waits on the cohort's slowest
-    // prefill.
+    // not: its fresh cohort-mates' steps from 1 on would wait on the
+    // rest of the resumed prefill, which a cohort of its own overlaps
+    // with their decode.
     let mut cohorts = 0usize;
     let mut current: Vec<usize> = Vec::new();
     let mut current_resumed = false;

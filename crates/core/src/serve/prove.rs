@@ -194,12 +194,12 @@ mod tests {
 
     /// The translated first round of `requests` on a fresh session whose
     /// prefix cache already holds the full pages of `cached`; `check`
-    /// sees the planned segments first.
+    /// sees the planned segments and the built graph first.
     fn round_plan(
         requests: &[GenerationRequest],
         opts: &ServeOptions,
         cached: &[u32],
-        check: impl FnOnce(&[SegmentPlan]),
+        check: impl FnOnce(&[SegmentPlan], &RoundGraph<'_>),
     ) -> Plan {
         let cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
         let w = synthesize(&cfg, 7, OutlierSpec::default()).unwrap();
@@ -221,7 +221,6 @@ mod tests {
         let round = Round::new(queue_of(requests), opts, &session, None, 0.0);
         round.cache.begin_round();
         let plan = plan_batch(&round).unwrap();
-        check(&plan.segments);
         let free_blocks = round.pool.free_blocks();
         let live = RoundState::new(&round, plan.segments.len()).unwrap();
         let ctx = RunCtx {
@@ -232,6 +231,7 @@ mod tests {
         };
         let prefill = Prefill::new(&engine, ctx).unwrap();
         let built = build_round(&engine, ctx, &prefill, plan.cohorts).unwrap();
+        check(&plan.segments, &built);
         verify_plan(ctx, &built, &prefill.plans, free_blocks)
     }
 
@@ -292,7 +292,7 @@ mod tests {
             decode_batch: 2,
             ..ServeOptions::default()
         };
-        let plan = round_plan(&requests, &opts, &cached, |segs| {
+        let plan = round_plan(&requests, &opts, &cached, |segs, _| {
             let hit = segs[0].cached.as_ref().expect("R0 hits the cache");
             assert_eq!(
                 (hit.blocks.len(), hit.tail.map(|(_, rows)| rows)),
@@ -320,11 +320,65 @@ mod tests {
             decode_batch: 2,
             ..ServeOptions::default()
         };
-        let plan = round_plan(&requests, &opts, &[], |segs| {
+        let plan = round_plan(&requests, &opts, &[], |segs, _| {
             let evicted: Vec<bool> = segs.iter().map(|s| s.evicted).collect();
             assert_eq!(evicted, [true, false, true, false, false]);
             assert_eq!(segs[1].retained, 0, "R1's cached pages reclaimed");
         });
         assert_mutations_caught("preempt + reclaim", &plan);
+    }
+
+    #[test]
+    fn a_cohort_members_first_token_waits_on_its_own_prefill_alone() {
+        // One 3-wide cohort over prompts of 4, 13 and 30 tokens: each
+        // member's step 0 is its own width-1 task after its own
+        // PrefillFinish, and step 1 batches all three after them.
+        let requests: Vec<GenerationRequest> = [4u32, 13, 30]
+            .iter()
+            .enumerate()
+            .map(|(r, &len)| {
+                let prompt = (0..len).map(|i| (i * 5 + 11 * r as u32 + 1) % 96).collect();
+                GenerationRequest::new(prompt, 3)
+            })
+            .collect();
+        let opts = ServeOptions {
+            block_tokens: 4,
+            kv_pool_blocks: Some(24),
+            max_active: 3,
+            decode_batch: 3,
+            ..ServeOptions::default()
+        };
+        // (step-0 task, its member's PrefillFinish) per member, and
+        // step 1.
+        let (mut firsts, mut step1) = (Vec::new(), 0);
+        let plan = round_plan(&requests, &opts, &[], |segs, built| {
+            assert!(segs.iter().all(|s| s.cohort == 0 && !s.evicted));
+            for (s, seg) in segs.iter().enumerate() {
+                let d0 = built.token_tasks[seg.req][0];
+                assert_eq!(
+                    built.meta[d0].kind,
+                    ServeTaskKind::Decode { step: 0, width: 1 },
+                    "member {}'s step 0",
+                    seg.req
+                );
+                firsts.push((d0, built.builds[s].prefill_finish));
+            }
+            step1 = built.token_tasks[0][1];
+            assert!((0..3).all(|m| built.token_tasks[m][1] == step1));
+            assert_eq!(
+                built.meta[step1].kind,
+                ServeTaskKind::Decode { step: 1, width: 3 }
+            );
+        });
+        for &(d0, finish) in &firsts {
+            assert_eq!(plan.tasks[d0].deps, [finish], "{}", plan.tasks[d0].label);
+        }
+        let mut step1_deps = plan.tasks[step1].deps.clone();
+        step1_deps.sort_unstable();
+        let mut step0s: Vec<usize> = firsts.iter().map(|&(d0, _)| d0).collect();
+        step0s.sort_unstable();
+        assert_eq!(step1_deps, step0s);
+        let report = verify(&plan);
+        assert!(report.is_clean(), "{:?}", report.findings);
     }
 }

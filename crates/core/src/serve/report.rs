@@ -57,11 +57,13 @@ pub enum ServeTaskKind {
     Evicted,
     /// One decode step of a cohort: `width` requests' same-position
     /// steps stacked into one `m = width` GEMM per linear site (a single
-    /// request's step is width 1).
+    /// request's step is width 1, and so is every step 0: a member's
+    /// first token follows its own prefill).
     Decode {
         /// Zero-based stream position for every member.
         step: usize,
-        /// Cohort members still decoding at this step.
+        /// Members the step stacks: 1 at step 0, else the cohort
+        /// members still decoding.
         width: usize,
     },
     /// Pages returned to the pool after the request's last token.

@@ -59,7 +59,9 @@ fn solo_streams(
 /// The acceptance pin: a panic (or error) injected into one request's
 /// stage closure fails only that request. Every other request completes
 /// with a stream bit-identical to its solo run, and no page leaks — at
-/// every worker count, for both fault manifestations, at every site.
+/// every worker count, for both fault manifestations, at every site,
+/// alone and inside a 4-wide decode cohort (where each member's step 0
+/// is its own task).
 #[test]
 fn injected_fault_fails_only_the_victim() {
     let w = mini_model();
@@ -78,11 +80,12 @@ fn injected_fault_fails_only_the_victim() {
     let sites = [
         FaultSite::Admit,
         FaultSite::Prefill { chunk: 0, layer: 1 },
+        FaultSite::Decode { step: 0 },
         FaultSite::Decode { step: 1 },
     ];
     for workers in [1usize, 2, 4] {
         let e = engine(chunk_len, workers);
-        for site in sites {
+        for (site, decode_batch) in sites.into_iter().flat_map(|s| [(s, 1usize), (s, 4)]) {
             for mode in [FaultMode::Panic, FaultMode::Error] {
                 let victim = 1usize;
                 let plan = FaultPlan::new().with_fault(FaultSpec {
@@ -99,12 +102,14 @@ fn injected_fault_fails_only_the_victim() {
                         &ServeOptions {
                             max_active: 4,
                             max_retries: 0,
+                            decode_batch,
                             faults: Some(plan),
                             ..ServeOptions::default()
                         },
                     )
                     .unwrap();
-                let ctx = format!("{workers} workers, {site:?}, {mode:?}");
+                let ctx =
+                    format!("{workers} workers, {site:?}, decode_batch {decode_batch}, {mode:?}");
                 for (r, outcome) in report.requests.iter().enumerate() {
                     if r == victim {
                         let err = outcome.status.error().unwrap_or_else(|| {
@@ -250,6 +255,53 @@ fn permanent_fault_exhausts_retries() {
     assert_eq!(report.requests[1].status, RequestStatus::Completed);
     assert_eq!(report.requests[1].tokens, solo[1]);
     assert_eq!(report.kv.leaked_blocks, 0);
+}
+
+/// A panicking decode step fails its request with the fault's own
+/// message, alone and inside a cohort: the status never names the
+/// executor's task id, which moves whenever a round's graph does (the
+/// chaos soak compares statuses across two runs).
+#[test]
+fn a_panicking_decode_step_fails_with_its_own_message() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let requests = vec![
+        GenerationRequest::new(tokens(8, 7), 3),
+        GenerationRequest::new(tokens(6, 5), 3),
+    ];
+    let e = engine(3, 2);
+    for decode_batch in [1usize, 2] {
+        for step in [0usize, 1] {
+            let plan = FaultPlan::new().with_fault(FaultSpec {
+                request: 1,
+                attempt: 1,
+                site: FaultSite::Decode { step },
+                mode: FaultMode::Panic,
+                permanent: true,
+            });
+            let report = e
+                .serve(
+                    &t,
+                    &requests,
+                    &ServeOptions {
+                        max_active: 2,
+                        max_retries: 0,
+                        decode_batch,
+                        faults: Some(plan),
+                        ..ServeOptions::default()
+                    },
+                )
+                .unwrap();
+            assert_eq!(
+                report.requests[1].status,
+                RequestStatus::Failed {
+                    error: format!("injected decode fault: request 1 step {step}")
+                },
+                "decode_batch {decode_batch}, step {step}"
+            );
+        }
+    }
 }
 
 /// Deadlines: a zero completion (or TTFT) deadline expires at the first

@@ -183,10 +183,10 @@ fn faulty_plan_verifies_clean_and_matches_execution() {
     let verified = engine.verify_serve(&t, &requests, &opts).unwrap();
     assert_clean("faulty batch", &verified);
 
-    // The real run gates every retry round on the same proof and
-    // reports the stats it was gated on: the transient fault forces at
-    // least two rounds, the first of which analyzed the same plan the
-    // dry run did.
+    // The real run proves every round before it runs and reports the
+    // stats each was gated on: the transient fault requeues request 0
+    // for the next round, so the run takes at least two rounds, the
+    // first of which analyzed the same plan the dry run did.
     let report = engine.serve(&t, &requests, &opts).unwrap();
     assert!(
         report.verification.len() >= 2,
@@ -263,11 +263,12 @@ fn example_plans_keep_their_pinned_proof_sizes() {
         decode_batch: 2,
         ..ServeOptions::default()
     };
+    // Its 2-wide cohorts emit step 0 as one width-1 task per member.
     pinned(
         "memory_pressure",
         &memory_pressure,
         &opts,
-        (434, 563, 11, 15),
+        (437, 566, 11, 15),
     );
 
     let mix = LengthMix::heavy_tail(11, 24, 5, 24);
@@ -305,7 +306,8 @@ fn example_plans_keep_their_pinned_proof_sizes() {
         faults: Some(plan),
         ..ServeOptions::default()
     };
-    pinned("chaos", &chaos, &opts, (1145, 1379, 40, 21));
+    // Twelve 2-wide cohorts, so twelve more step-0 tasks and edges.
+    pinned("chaos", &chaos, &opts, (1157, 1391, 40, 21));
 }
 
 #[test]
