@@ -22,8 +22,11 @@
 //! * [`Frontend::run`] opens one [`ServeSession`](crate::serve::ServeSession)
 //!   and drains the serving plane's queue: block for the next arrival
 //!   when it is empty, put the burst already submitted ahead of the
-//!   entries earlier rounds requeued (natural batching), run one round,
-//!   and send `Finished` to every request it finished. A failed request
+//!   entries earlier rounds requeued (natural batching), and run one
+//!   round. A request whose stream completes hears `Finished` at its
+//!   last token, from the lane that ran it, while its round-mates run
+//!   on; one the round ends otherwise (cancelled, past deadline,
+//!   failed for good) hears it when the round ends. A failed request
 //!   with retries left is requeued, as in `serve`, and joins the next
 //!   round beside new arrivals: nobody waits out its retries. The loop
 //!   ends, once the queue drains, at [`FrontendClient::shutdown`] or when
@@ -87,7 +90,8 @@ use crate::{Error, Result};
 /// then exactly one `Finished`.
 #[derive(Debug, Clone)]
 pub enum StreamEvent {
-    /// One generated token, streamed while its round is still running.
+    /// One generated token, streamed from the lane that sampled it while
+    /// its round is still running.
     Token {
         /// Zero-based decode step within the request's stream.
         step: usize,
@@ -95,7 +99,9 @@ pub enum StreamEvent {
         token: u32,
     },
     /// The request reached a terminal [`RequestStatus`]; the outcome
-    /// carries the full stream, timings and attempt count.
+    /// carries the full stream, timings and attempt count. A completed
+    /// stream's comes right after its last `Token`, while its round may
+    /// still be running; any other status's when its round ends.
     Finished {
         /// The request's complete outcome; `outcome.request` is its
         /// submission id, [`StreamHandle::id`].
@@ -423,9 +429,14 @@ impl Frontend {
     /// Returns an error if the session cannot be opened (missing or
     /// oversized page budget), if a round fails *structurally* (plan
     /// rejected by the verifier, a broken engine invariant), or if the
-    /// final flush finds leaked pages. Per-request failures are *not*
-    /// errors here — they are terminal statuses on their own streams —
-    /// and neither are per-request *input* errors:
+    /// final flush finds leaked pages. A structural error a round finds
+    /// once it has run (a dispatch deadlock, leaked pages) can come
+    /// after some of its members already heard `Finished` at their last
+    /// token; the other members' streams then end without one.
+    ///
+    /// Per-request failures are *not* errors here — they are terminal
+    /// statuses on their own streams — and neither are per-request
+    /// *input* errors:
     /// [`FrontendClient::submit`] refuses what it can see, and a prompt
     /// token outside the model's vocabulary is answered here with a
     /// [`RequestStatus::Failed`] on that stream alone.
@@ -501,12 +512,20 @@ impl Frontend {
                 }
             }
 
-            // Per-round streaming sink, keyed by submission id; sends are
+            // Per-round streaming sinks, keyed by submission id; sends are
             // non-blocking, as the execution lanes require.
             let senders: HashMap<usize, Sender<StreamEvent>> = queue
                 .iter()
                 .filter_map(|q| Some((q.id, unfinished.get(&q.id)?.events.clone())))
                 .collect();
+            let finishers = senders.clone();
+            let finish = move |outcome: &RequestOutcome| {
+                if let Some(tx) = finishers.get(&outcome.request) {
+                    let _ = tx.send(StreamEvent::Finished {
+                        outcome: outcome.clone(),
+                    });
+                }
+            };
             let chained = self.opts.on_token.clone();
             let mut opts = self.opts.clone();
             opts.on_token = Some(Arc::new(move |ev: &TokenEvent| {
@@ -524,12 +543,13 @@ impl Frontend {
             }));
 
             // After shutdown nothing new can join, so nothing cuts. The
-            // round runs on the front-end's serial serving clock, and
-            // every request it finished hears so now.
+            // round runs on the front-end's serial serving clock; a
+            // request hears `Finished` at its last token, or when the
+            // round ends if it stopped short.
             let arrivals = open.then(|| Arrivals::new(&self.submitted, received));
             let start = report.serve_ms;
             let mut served = Served::new(engine, &opts, &session, start);
-            served.round(t, &mut queue, arrivals)?;
+            served.round(t, &mut queue, arrivals, Some(&finish))?;
             report.serve_ms = served.clock_ms;
             report.suspensions += served.suspensions;
             let round = served.report()?;
@@ -537,11 +557,9 @@ impl Frontend {
             // starts where the round does.
             let depth = round.queue_depth.iter().map(|&(ts, d)| (ts.max(start), d));
             report.queue_depth.extend(depth);
-            for outcome in round.requests {
+            for outcome in &round.requests {
                 report.tally(&outcome.status);
-                if let Some(sub) = unfinished.remove(&outcome.request) {
-                    let _ = sub.events.send(StreamEvent::Finished { outcome });
-                }
+                unfinished.remove(&outcome.request);
             }
         }
 

@@ -131,8 +131,11 @@
 //!   cohort's decode chain ends in its members' Release tasks,
 //! * `prove` — the graph as an `llmnpu-verify` plan, proven clean
 //!   before any closure runs,
-//! * `run` — the dispatch gate, fault-contained execution, per-member
-//!   resolution, and the round over the queue composing onto one clock,
+//! * `run` — the executor hook (the dispatch gate, and a record of each
+//!   member's settled tasks from which it is resolved: a complete
+//!   stream as its last token settles, everyone else when the round
+//!   ends), fault-contained execution, and the round over the queue
+//!   composing onto one clock,
 //! * `report` — the timeline, outcomes, pool accounting and metrics a
 //!   call hands back.
 //!
@@ -576,6 +579,11 @@ impl<'a> Arrivals<'a> {
     }
 }
 
+/// Where a round hands each member it finished, once: a completed
+/// stream from the lane that ran its last token, while the round still
+/// runs; any other outcome when the round ends.
+pub(crate) type FinishedSink<'a> = dyn Fn(&RequestOutcome) + Sync + 'a;
+
 /// A pending request in a serving queue — new, requeued for retry or
 /// suspended by a cut alike — with its history across rounds.
 #[derive(Debug)]
@@ -632,17 +640,21 @@ struct Round<'a> {
     /// The front-end's arrival source: with it, the round may cut
     /// prefills at a chunk boundary.
     arrivals: Option<Arrivals<'a>>,
+    /// Where the round hands each member it finished, if anywhere.
+    finished: Option<&'a FinishedSink<'a>>,
     /// Where the round starts on the clock its spans and outcomes use.
     clock_ms: f64,
 }
 
 impl<'a> Round<'a> {
-    /// A round over `members` on `session`, starting at `clock_ms`.
+    /// A round over `members` on `session`, starting at `clock_ms`,
+    /// handing each member it finishes to `finished`.
     fn new(
         members: Vec<Queued>,
         opts: &'a ServeOptions,
         session: &'a ServeSession,
         arrivals: Option<Arrivals<'a>>,
+        finished: Option<&'a FinishedSink<'a>>,
         clock_ms: f64,
     ) -> Self {
         Round {
@@ -653,6 +665,7 @@ impl<'a> Round<'a> {
             faults: opts.faults.clone().unwrap_or_default(),
             obs: opts.obs.as_ref().or(session.obs.as_ref()),
             arrivals,
+            finished,
             clock_ms,
         }
     }
@@ -804,7 +817,7 @@ impl LlmNpuEngine {
         let mut queue = queue_of(requests);
         let mut served = Served::new(self, opts, session, 0.0);
         while !queue.is_empty() {
-            served.round(t, &mut queue, None)?;
+            served.round(t, &mut queue, None, None)?;
         }
         let mut report = served.report()?;
         report.requests.sort_by_key(|o| o.request);
@@ -841,7 +854,7 @@ impl LlmNpuEngine {
         if requests.is_empty() {
             return Ok(llmnpu_verify::Report::default());
         }
-        let round = Round::new(queue_of(requests), opts, &session, None, 0.0);
+        let round = Round::new(queue_of(requests), opts, &session, None, None, 0.0);
         Ok(self.run_round(t, &round, RoundMode::DryRun)?.verified)
     }
 }

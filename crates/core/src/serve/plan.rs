@@ -367,6 +367,7 @@ mod tests {
             faults: FaultPlan::default(),
             obs: None,
             arrivals: None,
+            finished: None,
             clock_ms: 0.0,
         };
         plan_batch(&round).map(|p| (p.segments, p.cohorts))

@@ -218,7 +218,7 @@ mod tests {
             table.release(&session.pool).unwrap();
         }
 
-        let round = Round::new(queue_of(requests), opts, &session, None, 0.0);
+        let round = Round::new(queue_of(requests), opts, &session, None, None, 0.0);
         round.cache.begin_round();
         let plan = plan_batch(&round).unwrap();
         let free_blocks = round.pool.free_blocks();

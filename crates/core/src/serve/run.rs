@@ -3,12 +3,12 @@
 //! [`Served`], which composes rounds onto one clock.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use llmnpu_kv::PrefixCacheMetrics;
 use llmnpu_model::forward::Transformer;
 use llmnpu_obs::{EventKind, Plane};
-use llmnpu_sched::{execute_lane_graph_contained, GateFn, LaneGraph, TaskOutcome};
+use llmnpu_sched::{execute_lane_graph_contained, LaneGraph, TaskHook, TaskOutcome};
 
 use super::build::{
     build_round, release_slot, Prefill, RoundGraph, RoundState, RunCtx, SegBuild, TaskMeta,
@@ -18,8 +18,8 @@ use super::report::{
     kv_report, lent_trace_span, publish_metrics, queue_depth_series, round_timeline,
 };
 use super::{
-    plain_lock, prove, Arrivals, Queued, RequestOutcome, RequestStatus, Round, ServeOptions,
-    ServeReport, ServeSession, ServeTimeline,
+    plain_lock, prove, Arrivals, FinishedSink, Queued, RequestOutcome, RequestStatus, Round,
+    ServeOptions, ServeReport, ServeSession, ServeTaskKind, ServeTimeline,
 };
 use crate::engine::LlmNpuEngine;
 use crate::{Error, Result};
@@ -28,11 +28,13 @@ use crate::{Error, Result};
 /// release-time epsilon).
 const DEADLINE_EPS: f64 = 1e-9;
 
-/// One member's result for one round (on the caller's clock).
+/// The terminal status a member reached in its round — or, for a
+/// prefill the round cut, the chunks it completed before it was
+/// suspended.
+type MemberStatus = std::result::Result<RequestStatus, usize>;
+
+/// What one round did for one member (on the caller's clock).
 struct MemberRound {
-    /// The terminal status — or, for a prefill the round cut, the chunks
-    /// it completed before it was suspended.
-    status: std::result::Result<RequestStatus, usize>,
     tokens: Vec<u32>,
     token_times_ms: Vec<f64>,
     first_dispatch_ms: Option<f64>,
@@ -41,11 +43,18 @@ struct MemberRound {
     incarnations: usize,
 }
 
+/// A member once its round has run: answered the moment its stream
+/// completed, or resolved when the round ended.
+enum Resolved {
+    Finished(RequestOutcome),
+    Open(MemberStatus, MemberRound),
+}
+
 /// One round's result: per-member outcomes plus the round's timeline
 /// (carrying stable request ids and global attempt numbers, on the
 /// caller's clock).
 pub(super) struct RoundOutput {
-    members: Vec<MemberRound>,
+    members: Vec<Resolved>,
     timeline: ServeTimeline,
     evictions: usize,
     /// The static verifier's (clean) report for the round's spliced
@@ -68,7 +77,9 @@ impl LlmNpuEngine {
     /// Plans, builds, proves, and executes one round's combined
     /// lane graph, with fault containment: per-task isolation, the
     /// cancellation/deadline dispatch gate, fault injection, and
-    /// per-member outcome resolution. The pool must hold nothing beyond
+    /// per-member outcome resolution — a member whose stream completes
+    /// is finished, and handed to the round's finished sink, as its
+    /// last token settles. The pool must hold nothing beyond
     /// the prefix cache's residents on entry and is drained to that
     /// state again before returning.
     pub(super) fn run_round(
@@ -113,13 +124,14 @@ impl LlmNpuEngine {
             builds,
             token_tasks,
         } = built;
+        let hook = RoundHook::new(ctx, &graph, &meta, &builds, &token_tasks);
         let run = self.pool().install_scope(|| {
             execute_lane_graph_contained(
                 &graph,
                 closures,
                 self.config().policy,
                 self.pool(),
-                Some(dispatch_gate(ctx, &graph, &meta)),
+                Some(&hook),
                 round.sink(),
             )
         })?;
@@ -132,7 +144,7 @@ impl LlmNpuEngine {
         let mut ran_empty = std::mem::take(&mut *plain_lock(&live.ran_empty));
         ran_empty.sort_unstable();
         out.timeline = round_timeline(ctx, &graph, &meta, &run.outcomes, &ran_empty);
-        out.members = resolve_members(ctx, &meta, &builds, &token_tasks, &run.outcomes);
+        out.members = hook.resolve_all();
         if let Some(o) = round.obs {
             for lent in &run.lent {
                 o.sink.span(|| lent_trace_span(lent, round.clock_ms));
@@ -198,21 +210,32 @@ impl<'a> Served<'a> {
     /// runs them together — with `arrivals`, the round may cut prefills
     /// at a chunk boundary — and resolves each member to exactly one
     /// outcome. A member that reached a terminal status is finished, on
-    /// this clock; a failed one with retries left is requeued with its
-    /// exponential backoff as its arrival; a prefill the round cut is
-    /// requeued suspended. The round drains the pool to the cache's
-    /// residents, so the next one starts at this one's makespan.
+    /// this clock, and handed to `finished` once: a completed stream as
+    /// its last token settles, while the round still runs; any other
+    /// status when the round ends. A failed member with retries left is
+    /// requeued with its exponential backoff as its arrival; a prefill
+    /// the round cut is requeued suspended. The round drains the pool to
+    /// the cache's residents, so the next one starts at this one's
+    /// makespan.
     pub(crate) fn round(
         &mut self,
         t: &Transformer<'_>,
         queue: &mut Vec<Queued>,
         arrivals: Option<Arrivals<'_>>,
+        finished: Option<&FinishedSink<'_>>,
     ) -> Result<()> {
         for q in queue.iter_mut().filter(|q| q.attempts == 0) {
             q.arrival_ms = self.clock_ms + q.request.arrival_ms;
         }
         let (opts, members) = (self.opts, std::mem::take(queue));
-        let round = Round::new(members, opts, self.session, arrivals, self.clock_ms);
+        let round = Round::new(
+            members,
+            opts,
+            self.session,
+            arrivals,
+            finished,
+            self.clock_ms,
+        );
         let obs = round.obs;
         let mut out = self.engine.run_round(t, &round, RoundMode::Execute)?;
         self.evictions += out.evictions;
@@ -220,12 +243,16 @@ impl<'a> Served<'a> {
         self.clock_ms = self.clock_ms.max(out.timeline.makespan());
         let spans = out.timeline.entries_mut();
         self.timeline.entries_mut().append(spans);
-        for (m, mut q) in out.members.into_iter().zip(round.members) {
+        for (member, mut q) in out.members.into_iter().zip(round.members) {
+            let (status, m) = match member {
+                Resolved::Finished(outcome) => {
+                    self.finished.push(outcome);
+                    continue;
+                }
+                Resolved::Open(status, m) => (status, m),
+            };
             let id = q.id;
-            q.attempts += m.incarnations;
-            // Rounds run in clock order: the first dispatch is the earliest.
-            q.first_dispatch_ms = q.first_dispatch_ms.or(m.first_dispatch_ms);
-            let status = match m.status {
+            let status = match status {
                 Ok(status) => status,
                 Err(chunks) => {
                     if let Some(o) = obs {
@@ -235,6 +262,7 @@ impl<'a> Served<'a> {
                     }
                     self.suspensions += 1;
                     q.resumed = true;
+                    q.carry(&m);
                     queue.push(q);
                     continue;
                 }
@@ -252,6 +280,7 @@ impl<'a> Served<'a> {
                 self.retries += 1;
                 q.request.arrival_ms = backoff;
                 q.resumed = false;
+                q.carry(&m);
                 queue.push(q);
                 continue;
             }
@@ -261,17 +290,11 @@ impl<'a> Served<'a> {
                 }
                 other => other,
             };
-            self.finished.push(RequestOutcome {
-                request: id,
-                tokens: m.tokens,
-                token_times_ms: m.token_times_ms,
-                arrival_ms: q.arrival_ms,
-                first_dispatch_ms: q.first_dispatch_ms.unwrap_or(q.arrival_ms),
-                prefill_done_ms: m.prefill_done_ms,
-                finish_ms: m.finish_ms,
-                attempts: q.attempts,
-                status,
-            });
+            let outcome = q.finish(m, status);
+            if let Some(sink) = finished {
+                sink(&outcome);
+            }
+            self.finished.push(outcome);
         }
         Ok(())
     }
@@ -304,18 +327,169 @@ impl<'a> Served<'a> {
     }
 }
 
-/// The round's dispatch gate: the first dispatch decision touching a
-/// member after its cancel flag fired or a deadline passed records the
-/// terminal status; a gate-skippable task ([`TaskMeta::gated`]) whose
-/// members are all terminal is skipped instead of run.
-fn dispatch_gate<'run>(
+impl Queued {
+    /// Carries what this round did for the entry into its next round.
+    fn carry(&mut self, m: &MemberRound) {
+        self.attempts += m.incarnations;
+        // Rounds run in clock order: the first dispatch is the earliest.
+        self.first_dispatch_ms = self.first_dispatch_ms.or(m.first_dispatch_ms);
+    }
+
+    /// The entry's outcome, finishing this round with `status` — the one
+    /// place an outcome is built, whether at the member's last token or
+    /// when its round ends.
+    fn finish(&self, m: MemberRound, status: RequestStatus) -> RequestOutcome {
+        RequestOutcome {
+            request: self.id,
+            tokens: m.tokens,
+            token_times_ms: m.token_times_ms,
+            arrival_ms: self.arrival_ms,
+            first_dispatch_ms: self
+                .first_dispatch_ms
+                .or(m.first_dispatch_ms)
+                .unwrap_or(self.arrival_ms),
+            prefill_done_ms: m.prefill_done_ms,
+            finish_ms: m.finish_ms,
+            attempts: self.attempts + m.incarnations,
+            status,
+        }
+    }
+}
+
+/// What a member's tasks reported as each settled, in ms from the
+/// run's start.
+#[derive(Default)]
+struct Facts {
+    /// Earliest start of any task touching the member.
+    first_start_ms: Option<f64>,
+    /// End of its surviving incarnation's PrefillFinish, if it completed.
+    prefill_done_ms: Option<f64>,
+    /// End of each decode step's task (0 until it settles).
+    token_end_ms: Vec<f64>,
+    /// The lowest-numbered failed task touching the member, and its error.
+    error: Option<(usize, String)>,
+}
+
+/// The round's executor hook: the cancellation/deadline gate, and a
+/// record of every member's settled tasks that each member is resolved
+/// from — a complete stream as its last token task settles, everyone
+/// else when the round ends.
+struct RoundHook<'run> {
     ctx: RunCtx<'run>,
     graph: &'run LaneGraph,
     meta: &'run [TaskMeta],
-) -> GateFn<'run> {
-    let sink = ctx.round.sink();
-    Box::new(move |task: usize, now: f64| -> bool {
-        let m = &meta[task];
+    token_tasks: &'run [Vec<usize>],
+    /// Per member: its surviving incarnation's PrefillFinish task.
+    prefill_finish: Vec<Option<usize>>,
+    facts: Vec<Mutex<Facts>>,
+    /// Per member: its outcome, once its stream completed.
+    finished: Vec<Mutex<Option<RequestOutcome>>>,
+}
+
+impl<'run> RoundHook<'run> {
+    fn new(
+        ctx: RunCtx<'run>,
+        graph: &'run LaneGraph,
+        meta: &'run [TaskMeta],
+        builds: &[SegBuild],
+        token_tasks: &'run [Vec<usize>],
+    ) -> Self {
+        let members = ctx.round.members.len();
+        let mut prefill_finish = vec![None; members];
+        for (seg, build) in ctx.segments.iter().zip(builds) {
+            if !seg.evicted {
+                prefill_finish[seg.req] = Some(build.prefill_finish);
+            }
+        }
+        let facts = token_tasks
+            .iter()
+            .map(|steps| {
+                Mutex::new(Facts {
+                    token_end_ms: vec![0.0; steps.len()],
+                    ..Facts::default()
+                })
+            })
+            .collect();
+        RoundHook {
+            ctx,
+            graph,
+            meta,
+            token_tasks,
+            prefill_finish,
+            facts,
+            finished: (0..members).map(|_| Mutex::new(None)).collect(),
+        }
+    }
+
+    /// Member `m`'s status (or suspension) and stream, from its state and
+    /// the facts its settled tasks recorded.
+    fn resolve(&self, m: usize) -> (MemberStatus, MemberRound) {
+        let ctx = self.ctx;
+        let req = ctx.round.request(m);
+        let clock = ctx.round.clock_ms;
+        let tokens = plain_lock(&ctx.live.states[m]).tokens.clone();
+        let term = plain_lock(&ctx.live.runtime[m].term).clone();
+        let cut = ctx.live.suspended[m].load(Ordering::Acquire);
+        let facts = plain_lock(&self.facts[m]);
+        let status = if cut > 0 && term.is_none() {
+            // Cut at a chunk boundary before any token: the front-end
+            // resumes it from the pages its Release cached.
+            Err(cut)
+        } else if tokens.len() == req.max_new_tokens {
+            // A complete stream wins even over a recorded terminal: a
+            // cancel/deadline that landed after the last token, or a
+            // failure confined to a doomed evicted incarnation, did
+            // not cost the caller anything.
+            Ok(RequestStatus::Completed)
+        } else {
+            Ok(term.unwrap_or_else(|| RequestStatus::Failed {
+                error: facts.error.as_ref().map_or_else(
+                    || format!("produced {} of {} tokens", tokens.len(), req.max_new_tokens),
+                    |(_, error)| error.clone(),
+                ),
+            }))
+        };
+        let token_times_ms: Vec<f64> = facts.token_end_ms[..tokens.len()]
+            .iter()
+            .map(|&end| end + clock)
+            .collect();
+        let member = MemberRound {
+            tokens,
+            finish_ms: token_times_ms.last().copied().unwrap_or(0.0),
+            token_times_ms,
+            first_dispatch_ms: facts.first_start_ms.map(|start| start + clock),
+            prefill_done_ms: facts.prefill_done_ms.map_or(0.0, |end| end + clock),
+            incarnations: ctx.segments.iter().filter(|s| s.req == m).count(),
+        };
+        (status, member)
+    }
+
+    /// Every member once the run is over, in member order: the outcome
+    /// of a completed stream, or its resolution now.
+    fn resolve_all(&self) -> Vec<Resolved> {
+        (0..self.finished.len())
+            .map(|m| {
+                let done = plain_lock(&self.finished[m]).take();
+                done.map_or_else(
+                    || {
+                        let (status, member) = self.resolve(m);
+                        Resolved::Open(status, member)
+                    },
+                    Resolved::Finished,
+                )
+            })
+            .collect()
+    }
+}
+
+impl TaskHook for RoundHook<'_> {
+    /// The first dispatch decision touching a member after its cancel
+    /// flag fired or a deadline passed records the terminal status; a
+    /// gate-skippable task ([`TaskMeta::gated`]) whose members are all
+    /// terminal is skipped instead of run.
+    fn gate(&self, task: usize, now: f64) -> bool {
+        let ctx = self.ctx;
+        let m = &self.meta[task];
         let mut all_terminal = true;
         for &s in &m.segs {
             let mem = ctx.member(s);
@@ -337,9 +511,9 @@ fn dispatch_gate<'run>(
                 };
                 if let Some((status, kind, what)) = verdict {
                     *term = Some(status);
-                    if let Some(sink) = sink {
+                    if let Some(sink) = ctx.round.sink() {
                         sink.event_at(Plane::Exec, kind, Some(ctx.orig(s)), now, || {
-                            format!("{what} at dispatch of {}", graph.tasks()[task].label)
+                            format!("{what} at dispatch of {}", self.graph.tasks()[task].label)
                         });
                     }
                 }
@@ -347,77 +521,198 @@ fn dispatch_gate<'run>(
             all_terminal &= term.is_some();
         }
         m.gated && all_terminal
-    })
+    }
+
+    /// Records the task's facts for every member it touches. At a
+    /// member's last token task a complete stream is final — it cannot
+    /// be suspended or retried, and it wins over any later terminal —
+    /// so its outcome is built and handed to the finished sink now,
+    /// before the task's dependents (its Release, a cohort-mate's next
+    /// step) are dispatched.
+    fn settled(&self, task: usize, outcome: &TaskOutcome) {
+        let Some((start, end)) = outcome.span() else {
+            return;
+        };
+        let step = match self.meta[task].kind {
+            ServeTaskKind::Decode { step, .. } => Some(step),
+            _ => None,
+        };
+        for &s in &self.meta[task].segs {
+            let m = self.ctx.member(s);
+            let steps = &self.token_tasks[m];
+            {
+                let mut facts = plain_lock(&self.facts[m]);
+                facts.first_start_ms = Some(facts.first_start_ms.map_or(start, |t| t.min(start)));
+                if let Some(error) = outcome.error() {
+                    if facts.error.as_ref().is_none_or(|&(t, _)| task < t) {
+                        facts.error = Some((task, error.to_owned()));
+                    }
+                }
+                if self.prefill_finish[m] == Some(task) && outcome.is_completed() {
+                    facts.prefill_done_ms = Some(end);
+                }
+                if let Some(k) = step.filter(|&k| steps.get(k) == Some(&task)) {
+                    facts.token_end_ms[k] = end;
+                }
+            }
+            if steps.last() != Some(&task) {
+                continue;
+            }
+            if let (Ok(status @ RequestStatus::Completed), member) = self.resolve(m) {
+                let outcome = self.ctx.round.members[m].finish(member, status);
+                if let Some(sink) = self.ctx.round.finished {
+                    sink(&outcome);
+                }
+                *plain_lock(&self.finished[m]) = Some(outcome);
+            }
+        }
+    }
 }
 
-/// Per-member resolution of one executed round: status (or suspension),
-/// stream, timings.
-fn resolve_members(
-    ctx: RunCtx<'_>,
-    meta: &[TaskMeta],
-    builds: &[SegBuild],
-    token_tasks: &[Vec<usize>],
-    outcomes: &[TaskOutcome],
-) -> Vec<MemberRound> {
-    let touches = |i: usize, m: usize| meta[i].segs.iter().any(|&s| ctx.member(s) == m);
-    let clock = ctx.round.clock_ms;
-    let mut members = Vec::with_capacity(ctx.round.members.len());
-    for (m, req) in ctx.round.members.iter().map(|q| &q.request).enumerate() {
-        let st = plain_lock(&ctx.live.states[m]);
-        let term = plain_lock(&ctx.live.runtime[m].term).take();
-        let cut = ctx.live.suspended[m].load(Ordering::Acquire);
-        let status = if cut > 0 && term.is_none() {
-            // Cut at a chunk boundary before any token: the front-end
-            // resumes it from the pages its Release cached.
-            Err(cut)
-        } else if st.tokens.len() == req.max_new_tokens {
-            // A complete stream wins even over a recorded terminal: a
-            // cancel/deadline that landed after the last token, or a
-            // failure confined to a doomed evicted incarnation, did
-            // not cost the caller anything.
-            Ok(RequestStatus::Completed)
-        } else {
-            Ok(term.unwrap_or_else(|| {
-                let attributed = (0..meta.len())
-                    .filter(|&i| touches(i, m))
-                    .find_map(|i| outcomes[i].error().map(str::to_owned));
-                RequestStatus::Failed {
-                    error: attributed.unwrap_or_else(|| {
-                        format!(
-                            "produced {} of {} tokens",
-                            st.tokens.len(),
-                            req.max_new_tokens
-                        )
-                    }),
-                }
-            }))
-        };
-        let first_dispatch_ms = (0..meta.len())
-            .filter(|&i| touches(i, m))
-            .filter_map(|i| outcomes[i].span().map(|(start, _)| start + clock))
-            .reduce(f64::min);
-        let prefill_done_ms = ctx
-            .segments
-            .iter()
-            .position(|s| s.req == m && !s.evicted)
-            .and_then(|fs| match &outcomes[builds[fs].prefill_finish] {
-                TaskOutcome::Completed { end_ms, .. } => Some(*end_ms + clock),
-                _ => None,
-            })
-            .unwrap_or(0.0);
-        let token_times_ms: Vec<f64> = token_tasks[m][..st.tokens.len()]
-            .iter()
-            .map(|&i| outcomes[i].span().map_or(0.0, |(_, end)| end) + clock)
-            .collect();
-        members.push(MemberRound {
-            status,
-            tokens: st.tokens.clone(),
-            finish_ms: token_times_ms.last().copied().unwrap_or(0.0),
-            token_times_ms,
-            first_dispatch_ms,
-            prefill_done_ms,
-            incarnations: ctx.segments.iter().filter(|s| s.req == m).count(),
-        });
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicU64;
+
+    use llmnpu_model::backend::FloatBackend;
+    use llmnpu_model::config::ModelConfig;
+    use llmnpu_model::weights::{synthesize, OutlierSpec};
+    use llmnpu_soc::spec::SocSpec;
+
+    use super::*;
+    use crate::engine::EngineConfig;
+    use crate::faults::{FaultMode, FaultPlan, FaultSite, FaultSpec};
+    use crate::serve::{queue_of, GenerationRequest, TokenEvent};
+
+    /// What the sinks heard, in order: `(request, Some(step))` for a
+    /// token, `(request, None)` for a finished outcome.
+    type Log = Mutex<Vec<(usize, Option<usize>)>>;
+
+    fn assert_same(got: &RequestOutcome, want: &RequestOutcome) {
+        let what = format!("request {}", want.request);
+        assert_eq!(got.request, want.request, "{what}");
+        assert_eq!(got.tokens, want.tokens, "{what}");
+        assert_eq!(got.token_times_ms, want.token_times_ms, "{what}");
+        assert_eq!(
+            got.arrival_ms.to_bits(),
+            want.arrival_ms.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            got.first_dispatch_ms.to_bits(),
+            want.first_dispatch_ms.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            got.prefill_done_ms.to_bits(),
+            want.prefill_done_ms.to_bits(),
+            "{what}"
+        );
+        assert_eq!(got.finish_ms.to_bits(), want.finish_ms.to_bits(), "{what}");
+        assert_eq!(got.attempts, want.attempts, "{what}");
+        assert_eq!(got.status, want.status, "{what}");
     }
-    members
+
+    /// One slot, so every member runs after the one before it releases:
+    /// A (2 tokens) and B (4) complete, C is cancelled before it starts,
+    /// D fails at decode step 1 with no retries left, and E's long
+    /// prefill is cut (a submission is pending throughout round 1) and
+    /// completes in round 2. The finished sink hears every member once:
+    /// A before B's first token and B before D's — at their last tokens
+    /// — and C and D when round 1 ends; each outcome it heard is the one
+    /// the report holds, field by field.
+    #[test]
+    fn the_finished_sink_hears_each_member_once_a_complete_stream_at_its_last_token() {
+        let cfg = ModelConfig::qwen15_18b().scaled_down(48, 2, 96).unwrap();
+        let w = synthesize(&cfg, 7, OutlierSpec::default()).unwrap();
+        let be = FloatBackend::new(w.clone());
+        let t = Transformer::new(&w, &be);
+        let prompt = |n: u32, stride: u32| (0..n).map(|i| (i * stride + 3) % 96).collect();
+        let requests = [
+            GenerationRequest::new(prompt(5, 7), 2),
+            GenerationRequest::new(prompt(4, 11), 4),
+            GenerationRequest::new(prompt(5, 13), 3),
+            GenerationRequest::new(prompt(3, 17), 3),
+            GenerationRequest::new(prompt(30, 19), 2),
+        ];
+        requests[2].cancel_handle().cancel();
+        let fault = FaultSpec {
+            request: 3,
+            attempt: 1,
+            site: FaultSite::Decode { step: 1 },
+            mode: FaultMode::Error,
+            permanent: true,
+        };
+        for workers in 1..=4 {
+            let mut ecfg =
+                EngineConfig::llmnpu(ModelConfig::qwen15_18b(), SocSpec::snapdragon_8gen3());
+            ecfg.chunk_len = 3;
+            ecfg.pool_workers = workers;
+            let engine = LlmNpuEngine::new(ecfg).unwrap();
+            let log: Arc<Log> = Arc::default();
+            let heard: Mutex<Vec<RequestOutcome>> = Mutex::default();
+            let tokens_log = Arc::clone(&log);
+            let opts = ServeOptions {
+                max_active: 1,
+                block_tokens: 4,
+                kv_pool_blocks: Some(64),
+                share_prefixes: true,
+                max_retries: 0,
+                faults: Some(FaultPlan::new().with_fault(fault)),
+                on_token: Some(Arc::new(move |ev: &TokenEvent| {
+                    plain_lock(&tokens_log).push((ev.request, Some(ev.step)));
+                })),
+                ..ServeOptions::default()
+            };
+            let sink = |o: &RequestOutcome| {
+                plain_lock(&log).push((o.request, None));
+                plain_lock(&heard).push(o.clone());
+            };
+            let session = engine.open_serve_session(&t, &opts).unwrap();
+            let mut served = Served::new(&engine, &opts, &session, 0.0);
+            let mut queue = queue_of(&requests);
+            let pending = AtomicU64::new(1);
+            served
+                .round(
+                    &t,
+                    &mut queue,
+                    Some(Arrivals::new(&pending, 0)),
+                    Some(&sink),
+                )
+                .unwrap();
+            assert_eq!(served.suspensions, 1, "{workers} worker(s): E was cut");
+            let resumed: Vec<usize> = queue.iter().map(|q| q.id).collect();
+            assert_eq!(resumed, [4], "{workers} worker(s)");
+            while !queue.is_empty() {
+                served.round(&t, &mut queue, None, Some(&sink)).unwrap();
+            }
+            let report = served.report().unwrap();
+
+            let token = |r: usize, steps: usize| (0..steps).map(move |k| (r, Some(k)));
+            let expect: Vec<(usize, Option<usize>)> = token(0, 2)
+                .chain([(0, None)])
+                .chain(token(1, 4))
+                .chain([(1, None)])
+                .chain(token(3, 1))
+                .chain([(2, None), (3, None)])
+                .chain(token(4, 2))
+                .chain([(4, None)])
+                .collect();
+            assert_eq!(*plain_lock(&log), expect, "{workers} worker(s)");
+            let heard = std::mem::take(&mut *plain_lock(&heard));
+            assert_eq!(heard.len(), report.requests.len(), "{workers} worker(s)");
+            for (got, want) in heard.iter().zip(&report.requests) {
+                assert_same(got, want);
+            }
+            let ids: Vec<usize> = heard.iter().map(|o| o.request).collect();
+            assert_eq!(ids, [0, 1, 2, 3, 4], "{workers} worker(s)");
+            for (o, r) in heard.iter().zip(&requests) {
+                let done = o.tokens.len() == r.max_new_tokens;
+                match o.request {
+                    2 => assert_eq!(o.status, RequestStatus::Cancelled),
+                    3 => assert!(matches!(o.status, RequestStatus::Failed { .. })),
+                    _ => assert!(done && o.status == RequestStatus::Completed, "{o:?}"),
+                }
+            }
+        }
+    }
 }

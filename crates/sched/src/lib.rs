@@ -74,8 +74,8 @@ pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use pool::WorkerPool;
 pub use runner::{
     execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, validate_timeline,
-    ContainedRun, ExecutedTimeline, GateFn, LaneGraph, LaneTask, LentSpan, NumericPrefill,
-    PrefillProgram, SkipReason, TaskFn, TaskOutcome,
+    ContainedRun, ExecutedTimeline, LaneGraph, LaneTask, LentSpan, NumericPrefill, PrefillProgram,
+    SkipReason, TaskFn, TaskHook, TaskOutcome,
 };
 
 /// Crate-wide result alias.

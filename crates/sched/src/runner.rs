@@ -71,13 +71,15 @@
 //! task not downstream of the failure keeps executing. Tasks flagged as
 //! containment *barriers* ([`LaneTask::barrier`]) absorb the poison: they
 //! run even when a dependency failed, which is how a request's
-//! page-release task is guaranteed on every path. An optional dispatch
-//! [`GateFn`] is consulted under the dispatch lock before each task is
+//! page-release task is guaranteed on every path. An optional
+//! [`TaskHook`] gates each task under the dispatch lock before it is
 //! handed to a lane, so work whose request was cancelled or is past
-//! deadline is skipped ([`SkipReason::Gated`]), not run. The serving
-//! layer reads every outcome ([`execute_lane_graph_contained`]);
-//! [`execute_lane_graph`] is the same run with no gate and no sink that
-//! reports the first failed task as an error.
+//! deadline is skipped ([`SkipReason::Gated`]), not run; and it hears
+//! each task that ran settle, before the task's dependents are released.
+//! The serving layer reads every outcome
+//! ([`execute_lane_graph_contained`]); [`execute_lane_graph`] is the
+//! same run with no hook and no sink that reports the first failed task
+//! as an error.
 //!
 //! Because a task may panic mid-stage, the data-plane locks here (stage
 //! hand-off slots, the request's paged-KV slot) recover from poisoning
@@ -763,14 +765,31 @@ impl TaskOutcome {
     }
 }
 
-/// A dispatch-time gate, consulted under the dispatch lock for every
-/// dependency-ready task before it can be handed to a lane:
-/// `gate(task_id, now_ms)` returning `true` skips the task
-/// ([`SkipReason::Gated`]) and poisons its non-barrier dependents. The
-/// serving layer uses this for release-aware cancellation and deadline
-/// checks — a task whose request is already terminal is never run. Must
-/// be cheap: it runs with the dispatch lock held.
-pub type GateFn<'run> = Box<dyn Fn(usize, f64) -> bool + Send + Sync + 'run>;
+/// The executor's per-task callback: one value, two calls. Both default
+/// to doing nothing.
+pub trait TaskHook: Sync {
+    /// The dispatch gate, consulted under the dispatch lock for every
+    /// dependency-ready task before it can be handed to a lane: `true`
+    /// skips `task` ([`SkipReason::Gated`]) and poisons its non-barrier
+    /// dependents. The serving layer uses this for release-aware
+    /// cancellation and deadline checks — a task whose request is
+    /// already terminal is never run. Must be cheap: it runs with the
+    /// dispatch lock held.
+    fn gate(&self, task: usize, now_ms: f64) -> bool {
+        let _ = (task, now_ms);
+        false
+    }
+
+    /// Called once for every task that ran ([`TaskOutcome::Completed`]
+    /// or [`TaskOutcome::Failed`]), by the lane that ran it, after its
+    /// closure returned: outside the dispatch lock and before any of its
+    /// dependents can be dispatched, so the `settled` calls of all its
+    /// dependencies have returned by then. The serving layer resolves a
+    /// request here the moment its last token settles.
+    fn settled(&self, task: usize, outcome: &TaskOutcome) {
+        let _ = (task, outcome);
+    }
+}
 
 /// Shared dispatch state for the lane loops.
 struct DispatchState {
@@ -798,7 +817,7 @@ struct Dispatcher<'d> {
     /// The policy core shared with the simulated plane; this dispatcher
     /// drives it with the wall clock.
     core: Scheduler<'d>,
-    gate: Option<GateFn<'d>>,
+    hook: Option<&'d dyn TaskHook>,
     /// The dispatcher's own bookkeeping mutex (`state`) is the one lock
     /// in this module where poisoning IS fatal: closures run *outside*
     /// it, so it can only be poisoned by a panic inside the dispatcher's
@@ -822,13 +841,13 @@ impl<'d> Dispatcher<'d> {
         graph: &'d LaneGraph,
         policy: Policy,
         pool: &'d WorkerPool,
-        gate: Option<GateFn<'d>>,
+        hook: Option<&'d dyn TaskHook>,
         sink: Option<&'d TraceSink>,
     ) -> Self {
         let n = graph.len();
         Dispatcher {
             core: Scheduler::new(graph, policy),
-            gate,
+            hook,
             state: Mutex::new(DispatchState {
                 progress: Progress::new(n),
                 remaining: n,
@@ -909,14 +928,14 @@ impl<'d> Dispatcher<'d> {
     /// anything changed, in which case the caller must wake the other
     /// lanes (a barrier may have become ready elsewhere).
     fn apply_gate(&self, st: &mut DispatchState, now: f64) -> bool {
-        let Some(gate) = self.gate.as_deref() else {
+        let Some(hook) = self.hook else {
             return false;
         };
         let mut changed = false;
         // A skip settles deps, which can expose earlier-indexed tasks to
         // the gate: rescan from the top after each one.
         loop {
-            let gated = self.dep_ready(st).find(|&t| gate(t, now));
+            let gated = self.dep_ready(st).find(|&t| hook.gate(t, now));
             let Some(t) = gated else {
                 return changed;
             };
@@ -926,9 +945,10 @@ impl<'d> Dispatcher<'d> {
         }
     }
 
-    /// Runs one task inline, recording timestamps and completion. A
-    /// failing or panicking closure poisons only the task's non-barrier
-    /// dependency chain; everything else keeps executing.
+    /// Runs one task inline, recording timestamps and completion, and
+    /// hands its outcome to the hook before its dependents are released.
+    /// A failing or panicking closure poisons only the task's
+    /// non-barrier dependency chain; everything else keeps executing.
     fn run_task(&self, closures: &[Mutex<Option<TaskFn<'_>>>], t: usize) {
         let closure = closures[t]
             .lock()
@@ -951,28 +971,32 @@ impl<'d> Dispatcher<'d> {
                 Err(format!("task {t} panicked: {msg}"))
             });
         let t1 = self.now_ms();
+        let outcome = match result {
+            Ok(()) => TaskOutcome::Completed {
+                start_ms: t0,
+                end_ms: t1,
+            },
+            Err(error) => TaskOutcome::Failed {
+                start_ms: t0,
+                end_ms: t1,
+                error,
+            },
+        };
+        if let Some(hook) = self.hook {
+            hook.settled(t, &outcome);
+        }
         // lint: allow(panic) — task panics are caught before this lock, so poisoning is unreachable
         let mut st = self.state.lock().expect("dispatch mutex");
         st.progress.complete(t);
         st.remaining -= 1;
-        match result {
-            Ok(()) => {
-                st.outcomes[t] = Some(TaskOutcome::Completed {
-                    start_ms: t0,
-                    end_ms: t1,
-                });
-                self.trace_task(EventKind::TaskDone, t, t1, "");
-            }
-            Err(error) => {
-                self.trace_task(EventKind::TaskFailed, t, t1, &error);
-                st.outcomes[t] = Some(TaskOutcome::Failed {
-                    start_ms: t0,
-                    end_ms: t1,
-                    error,
-                });
+        match outcome.error() {
+            None => self.trace_task(EventKind::TaskDone, t, t1, ""),
+            Some(error) => {
+                self.trace_task(EventKind::TaskFailed, t, t1, error);
                 self.poison_dependents(&mut st, t, t1);
             }
         }
+        st.outcomes[t] = Some(outcome);
         drop(st);
         self.pool.signal_lanes();
     }
@@ -1093,7 +1117,7 @@ pub struct ContainedRun {
 }
 
 /// Executes a [`LaneGraph`] through [`execute_lane_graph_contained`]
-/// with no gate and no trace sink, for callers that need every task to
+/// with no hook and no trace sink, for callers that need every task to
 /// complete — the generic engine under [`execute_chunked_prefill`].
 /// Returns each task's measured `(start_ms, end_ms)` wall-clock span,
 /// indexed like the graph.
@@ -1110,7 +1134,7 @@ pub fn execute_lane_graph(
     pool: &WorkerPool,
 ) -> Result<Vec<(f64, f64)>> {
     let run = execute_lane_graph_contained(graph, closures, policy, pool, None, None)?;
-    // With no gate a task is skipped only when an earlier task failed,
+    // With no hook a task is skipped only when an earlier task failed,
     // so graph order meets a failure before anything it poisoned.
     run.outcomes
         .iter()
@@ -1136,10 +1160,14 @@ pub fn execute_lane_graph(
 /// dependency chain ([`TaskOutcome::Skipped`]) — every other task keeps
 /// executing. Tasks with [`LaneTask::barrier`] set still run after a
 /// failed dependency (cleanup must happen on all paths). The optional
-/// `gate` is consulted under the dispatch lock before any
-/// dependency-ready task is handed to a lane; returning `true` skips the
-/// task ([`SkipReason::Gated`]) — this is how the serving layer retires
-/// cancelled and past-deadline requests without running them. With a
+/// `hook`'s [`TaskHook::gate`] is consulted under the dispatch lock
+/// before any dependency-ready task is handed to a lane; returning
+/// `true` skips the task ([`SkipReason::Gated`]) — this is how the
+/// serving layer retires cancelled and past-deadline requests without
+/// running them. Its [`TaskHook::settled`] hears every task that ran,
+/// on the lane that ran it, before the task's dependents can be
+/// dispatched — how the serving layer answers a request at its last
+/// token rather than when the whole graph drains. With a
 /// `sink`, the dispatcher emits Exec-plane dispatch / completion /
 /// failure / skip events (with wall timestamps) as tasks move through
 /// the lanes — numerically identical to the untraced run: emission
@@ -1159,7 +1187,7 @@ pub fn execute_lane_graph_contained<'run>(
     closures: Vec<TaskFn<'run>>,
     policy: Policy,
     pool: &WorkerPool,
-    gate: Option<GateFn<'run>>,
+    hook: Option<&dyn TaskHook>,
     sink: Option<&TraceSink>,
 ) -> Result<ContainedRun> {
     if closures.len() != graph.len() {
@@ -1195,7 +1223,7 @@ pub fn execute_lane_graph_contained<'run>(
     let closures: Vec<Mutex<Option<TaskFn<'_>>>> =
         closures.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let lanes = graph.lanes();
-    let dispatcher = Dispatcher::new(graph, policy, pool, gate, sink);
+    let dispatcher = Dispatcher::new(graph, policy, pool, hook, sink);
     let concurrent = {
         let mut jobs: Vec<Job<'_>> = lanes
             .iter()
@@ -1294,5 +1322,96 @@ pub fn execute_chunked_prefill(
 fn exec_err(e: llmnpu_model::Error) -> Error {
     Error::Exec {
         what: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `settled` call; each task body checks that all of
+    /// its dependencies were already settled when it was dispatched.
+    struct Recorder {
+        settled: Mutex<Vec<usize>>,
+        gated: usize,
+    }
+
+    impl TaskHook for Recorder {
+        fn gate(&self, task: usize, _now_ms: f64) -> bool {
+            task == self.gated
+        }
+
+        fn settled(&self, task: usize, outcome: &TaskOutcome) {
+            assert!(outcome.span().is_some(), "task {task} settled unrun");
+            self.settled.lock().unwrap().push(task);
+        }
+    }
+
+    #[test]
+    fn settled_runs_once_per_task_that_ran_before_its_dependents() {
+        // 0 → {1, 2} → 3 (a barrier), 1 → 4 fails → 5 poisoned, 0 → 6
+        // gated → 7 poisoned, 8 on its own.
+        let deps: [&[usize]; 9] = [&[], &[0], &[0], &[1, 2], &[1], &[4], &[0], &[6], &[]];
+        let mut graph = LaneGraph::new();
+        for (t, d) in deps.iter().enumerate() {
+            let task = LaneTask {
+                label: format!("t{t}"),
+                processor: if t % 2 == 0 {
+                    Processor::Npu
+                } else {
+                    Processor::Cpu
+                },
+                duration_ms: 1.0,
+                release_ms: 0.0,
+                barrier: t == 3,
+            };
+            graph.push(task, d.to_vec()).unwrap();
+        }
+        for workers in 1..=4 {
+            let pool = WorkerPool::new(workers);
+            let hook = Recorder {
+                settled: Mutex::new(Vec::new()),
+                gated: 6,
+            };
+            let closures: Vec<TaskFn<'_>> = deps
+                .iter()
+                .enumerate()
+                .map(|(t, d)| {
+                    let hook = &hook;
+                    Box::new(move || {
+                        let settled = hook.settled.lock().unwrap();
+                        let early: Vec<_> = d.iter().filter(|x| !settled.contains(x)).collect();
+                        assert!(early.is_empty(), "task {t} ran before {early:?} settled");
+                        drop(settled);
+                        std::thread::sleep(Duration::from_millis(1));
+                        if t == 4 {
+                            Err("boom".to_owned())
+                        } else {
+                            Ok(())
+                        }
+                    }) as TaskFn<'_>
+                })
+                .collect();
+            let run = execute_lane_graph_contained(
+                &graph,
+                closures,
+                Policy::OutOfOrder,
+                &pool,
+                Some(&hook),
+                None,
+            )
+            .unwrap();
+            let mut settled = hook.settled.into_inner().unwrap();
+            settled.sort_unstable();
+            let ran: Vec<usize> = (0..graph.len())
+                .filter(|&t| run.outcomes[t].span().is_some())
+                .collect();
+            assert_eq!(settled, ran, "{workers} worker(s)");
+            assert_eq!(ran, [0, 1, 2, 3, 4, 8], "{workers} worker(s)");
+            // A body that found a dependency unsettled failed its assert.
+            for t in [0, 1, 2, 3, 8] {
+                assert!(run.outcomes[t].is_completed(), "{workers}: task {t}");
+            }
+        }
     }
 }

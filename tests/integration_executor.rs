@@ -18,7 +18,7 @@ use llmnpu::model::kv::PagedKvCache;
 use llmnpu::model::weights::{synthesize, ModelWeights, OutlierSpec};
 use llmnpu::sched::{
     execute_chunked_prefill, execute_lane_graph, execute_lane_graph_contained, validate_timeline,
-    GateFn, LaneGraph, LaneTask, Policy, SkipReason, TaskFn, TaskOutcome, WorkerPool,
+    LaneGraph, LaneTask, Policy, SkipReason, TaskFn, TaskHook, TaskOutcome, WorkerPool,
 };
 use llmnpu::soc::des::{Timeline, TimelineEntry};
 use llmnpu::soc::latency::LatencyModel;
@@ -442,6 +442,15 @@ fn a_one_worker_pool_runs_every_lane_on_the_caller() {
     validate_timeline(&timeline, &graph).unwrap();
 }
 
+/// A hook that gates exactly one task.
+struct GateOne(usize);
+
+impl TaskHook for GateOne {
+    fn gate(&self, task: usize, _now_ms: f64) -> bool {
+        task == self.0
+    }
+}
+
 /// The dispatch gate works on the caller's loop too: a gated task and
 /// its dependents are skipped without running, and a barrier behind it
 /// still runs.
@@ -469,13 +478,12 @@ fn the_gate_skips_gated_tasks_on_a_one_worker_pool() {
         .unwrap();
     let ran: Vec<AtomicBool> = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
     let closures: Vec<TaskFn<'_>> = ran.iter().map(mark).collect();
-    let gate: GateFn<'_> = Box::new(move |t, _| t == gated);
     let run = execute_lane_graph_contained(
         &graph,
         closures,
         Policy::OutOfOrder,
         &pool,
-        Some(gate),
+        Some(&GateOne(gated)),
         None,
     )
     .unwrap();

@@ -489,7 +489,7 @@ fn a_cut_prefill_resumes_bit_identical_on_shadow_int8_at_any_worker_count() {
 /// the probe before the sharer admits, so the sharer's first prefill
 /// task finds the round yielding.
 #[test]
-fn a_live_donor_sharer_cut_at_an_unaligned_offset_resumes_bit_identical() {
+fn a_cache_hit_sharer_cut_at_an_unaligned_offset_resumes_bit_identical() {
     let w = mini_model();
     let be = FloatBackend::new(w.clone());
     let t = Transformer::new(&w, &be);
@@ -816,8 +816,8 @@ fn a_retry_joins_the_next_round_beside_a_new_arrival() {
 }
 
 /// A batch-mate that completes in the round where A fails hears its
-/// `Finished` when that round ends — before A's retry round starts —
-/// not once A's retries are over.
+/// `Finished` in that round — at its last token, before A's retry round
+/// starts — not once A's retries are over.
 #[test]
 fn a_batch_mate_finishes_before_the_failed_request_retries() {
     let w = mini_model();
@@ -838,6 +838,88 @@ fn a_batch_mate_finishes_before_the_failed_request_retries() {
             ["round 1: 2 request(s)", "round 2: 1 request(s)"],
             "{what}"
         );
+    }
+}
+
+/// A stream hears `Finished` at its last token, not when its round
+/// ends. A (2 tokens) and B (8 tokens) are submitted before the loop
+/// starts, so they share one round and one decode cohort; B's step 2
+/// depends on the batched step 1 that emits A's last token, so when B's
+/// step-2 token reaches the `on_token` sink, A's stream must already
+/// hold its two tokens and then its `Finished` — at any worker count.
+/// Every stream gets exactly one `Finished`, after all of its tokens,
+/// and equals its solo run.
+#[test]
+fn a_completed_stream_finishes_before_its_cohort_mate_decodes_on() {
+    let w = mini_model();
+    let be = FloatBackend::new(w.clone());
+    let t = Transformer::new(&w, &be);
+    let a = GenerationRequest::new(tokens(7, 5), 2);
+    let b = GenerationRequest::new(tokens(6, 11), 8);
+    for workers in 1..=4 {
+        let what = format!("{workers} worker(s)");
+        let a_handle: Arc<Mutex<Option<StreamHandle>>> = Arc::default();
+        let a_at_b2: Arc<Mutex<Option<Vec<StreamEvent>>>> = Arc::default();
+        let obs = Observability::enabled();
+        let mut opts = ServeOptions {
+            decode_batch: 2,
+            obs: Some(obs.clone()),
+            ..serve_opts()
+        };
+        {
+            let (a_handle, a_at_b2) = (Arc::clone(&a_handle), Arc::clone(&a_at_b2));
+            opts.on_token = Some(Arc::new(move |ev: &TokenEvent| {
+                if ev.request == 1 && ev.step == 2 {
+                    let handle = a_handle.lock().unwrap();
+                    let h = handle.as_ref().expect("A submitted before serving");
+                    *a_at_b2.lock().unwrap() = Some(std::iter::from_fn(|| h.try_recv()).collect());
+                }
+            }));
+        }
+        let (client, fe) = frontend(opts);
+        *a_handle.lock().unwrap() = Some(client.submit(a.clone()).unwrap());
+        let b_handle = client.submit(b.clone()).unwrap();
+        let eng = engine(3, workers);
+        let (a_events, b_events) = thread::scope(|s| {
+            let serving = s.spawn(|| fe.run(&eng, &t));
+            let b_events: Vec<StreamEvent> = std::iter::from_fn(|| b_handle.recv()).collect();
+            client.shutdown();
+            serving.join().unwrap().expect("leak-free run");
+            let a = a_handle.lock().unwrap().take().expect("A's handle");
+            let a_rest: Vec<StreamEvent> = std::iter::from_fn(|| a.recv()).collect();
+            assert!(
+                a_rest.is_empty(),
+                "{what}: A heard {a_rest:?} after B's step 2"
+            );
+            let a_events = a_at_b2.lock().unwrap().take();
+            (a_events.expect("B reached step 2"), b_events)
+        });
+        let rounds: Vec<String> = obs
+            .sink
+            .snapshot()
+            .events
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Batch)
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(rounds, ["round 1: 2 request(s)"], "{what}");
+        for (events, r, name) in [(&a_events, &a, "A"), (&b_events, &b, "B")] {
+            let (last, tokens) = events.split_last().expect("a stream");
+            let tokens: Vec<u32> = tokens
+                .iter()
+                .enumerate()
+                .map(|(i, ev)| match ev {
+                    StreamEvent::Token { step, token } if *step == i => *token,
+                    other => panic!("{what}: {name}'s event {i} is {other:?}"),
+                })
+                .collect();
+            let StreamEvent::Finished { outcome } = last else {
+                panic!("{what}: {name}'s stream does not end in Finished: {last:?}");
+            };
+            assert_eq!(outcome.status, RequestStatus::Completed, "{what}: {name}");
+            assert_eq!(outcome.tokens, tokens, "{what}: {name}'s outcome != stream");
+            assert_eq!(tokens, solo(&t, r, 3), "{what}: {name} != solo");
+        }
     }
 }
 
